@@ -18,8 +18,7 @@ Config grammar::
     radii = 0.5,1,2      # comma-separated list
 
 No RNG and no wall-clock enter any pipeline: identical configs give
-byte-identical CSV output.  The env var DNL_LAB_THREADS caps probe-sweep
-parallelism (default 1).
+byte-identical CSV output.
 """
 
 import argparse
@@ -40,6 +39,7 @@ from .exact import (
 from .solver import (
     CauchyDirichletProblem,
     SolverConfig,
+    StepFailure,
     solve,
     check_comparison,
 )
@@ -991,7 +991,7 @@ def run(argv):
         code = PIPELINES[args.subcommand](cfg, out)
         out.emit(cfg)
         return code
-    except (ConfigError, ValueError, OSError, NotPowerLaw) as exc:
+    except (ConfigError, ValueError, OSError, NotPowerLaw, StepFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,36 +13,16 @@ checks are stability/boundedness checks, never comparisons to printed numbers.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .core import ExponentTriple
 from .exact import ClosedFormSolution
 from .solver import Trajectory, slice_functionals, gradient_p_norm
 
 
 class RegimeError(ValueError):
     """Exponents outside the regime required by an estimate."""
-
-
-def thread_count():
-    """Parallelism cap for probe sweeps (env var DNL_LAB_THREADS, default 1)."""
-    try:
-        return max(1, int(os.environ.get("DNL_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def map_probes(fn, items):
-    """Deterministic map over independent probes, optionally threaded."""
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
 
 
 @dataclass
@@ -73,7 +53,13 @@ class DiagnosticReport:
 class SolutionSource:
     """Uniform eval/grad/validity view over a closed-form family or a
     trajectory (with bilinear interpolation in space-time; trajectory-backed
-    gradients are one-sided at the boundary and O(h) accurate)."""
+    gradients are one-sided at the boundary and O(h) accurate).
+
+    `eval`, `grad_norm` and `valid` take coordinates x on a probe line, either
+    a scalar or a 1-D array, and a scalar time t.  They return one value per
+    coordinate: a float (a bool for `valid`) for a scalar x, an array for an
+    array x.  A coordinate x stands for the radius |x| on radial grids and for
+    closed forms, and for the signed position x on cartesian grids."""
 
     def __init__(self, backing, exponents=None):
         self.backing = backing
@@ -83,6 +69,7 @@ class SolutionSource:
         elif isinstance(backing, Trajectory):
             self.kind = "trajectory"
             self.exponents = backing.problem.exponents
+            self._radial = backing.problem.grid.geometry == "radial"
             self._xs = backing.problem.grid.centers()
             self._ts = np.asarray(backing.times)
             self._U = np.vstack(backing.fields)  # (n_times, n_cells)
@@ -92,45 +79,64 @@ class SolutionSource:
         if exponents is not None:
             self.exponents = exponents
 
-    def _coord(self, x):
-        """Scalar grid coordinate: signed on cartesian grids, |x| on radial."""
-        x = np.atleast_1d(x)
-        if self.backing.problem.grid.geometry == "radial":
-            return float(np.linalg.norm(x))
-        return float(x[0])
-
     # -- trajectory interpolation ------------------------------------------
-    def _interp(self, table, x, t):
-        xs, ts = self._xs, self._ts
-        x = self._coord(x)
+    def _at(self, table, x, t):
+        """Blend the two stored time rows bracketing t, then interpolate the
+        blended row at every coordinate of x."""
+        ts = self._ts
         i = np.searchsorted(ts, t)
         i = min(max(i, 1), ts.size - 1)
         wt = (t - ts[i - 1]) / (ts[i] - ts[i - 1])
         wt = min(max(wt, 0.0), 1.0)
         row = (1 - wt) * table[i - 1] + wt * table[i]
-        return float(np.interp(x, xs, row))
+        x = np.asarray(x, dtype=float)
+        vals = np.interp(np.abs(x) if self._radial else x, self._xs, row)
+        return vals if vals.ndim else float(vals)
+
+    # -- closed forms: point by point ---------------------------------------
+    # (array u_rt differs from scalar u_rt in the last bit for some families)
+    def _each(self, fn, x):
+        if np.ndim(x) == 0:
+            return fn([x])
+        return np.array([fn([v]) for v in np.asarray(x, dtype=float).tolist()])
 
     def eval(self, x, t):
         if self.kind == "closed_form":
-            return self.backing.eval(np.atleast_1d(x), t)
-        return self._interp(self._U, x, t)
+            return self._each(lambda v: self.backing.eval(v, t), x)
+        return self._at(self._U, x, t)
 
     def grad_norm(self, x, t):
         if self.kind == "closed_form":
-            return float(np.linalg.norm(self.backing.grad(np.atleast_1d(x), t)))
-        return abs(self._interp(self._dU, x, t))
+            return self._each(
+                lambda v: float(np.linalg.norm(self.backing.grad(v, t))), x
+            )
+        return abs(self._at(self._dU, x, t))
 
     def valid(self, x, t):
+        r = np.asarray(x, dtype=float)
         if self.kind == "closed_form":
-            r = float(np.linalg.norm(np.atleast_1d(x)))
-            return bool(np.all(self.backing.valid_rt(np.asarray(r), np.asarray(t))))
-        g = self.backing.problem.grid
-        ts = self._ts
-        r = self._coord(x)
-        # domain bounds, not cell-center bounds: interpolation clamps to the
-        # edge cell over the half-cell collar, an O(h) extension
-        lo = 0.0 if g.geometry == "radial" else g.x_lo
-        return lo <= r <= g.x_hi and ts[0] <= t <= ts[-1]
+            ok = np.broadcast_to(
+                self.backing.valid_rt(np.abs(r), np.asarray(t, float)), r.shape
+            )
+        else:
+            g, ts = self.backing.problem.grid, self._ts
+            if self._radial:
+                r = np.abs(r)
+            # domain bounds, not cell-center bounds: interpolation clamps to
+            # the edge cell over the half-cell collar, an O(h) extension
+            lo = 0.0 if self._radial else g.x_lo
+            ok = (lo <= r) & (r <= g.x_hi) & (ts[0] <= t <= ts[-1])
+        return ok if ok.ndim else bool(ok)
+
+
+def _lattice(src, xs, ts, *fields):
+    """Each field (a `SolutionSource` method) at the valid points of the
+    lattice ts x xs, one time row per call, as one array per field."""
+    rows = []
+    for t in ts:
+        x = xs[src.valid(xs, t)]
+        rows.append([f(x, t) for f in fields])
+    return [np.concatenate(col) for col in zip(*rows)]
 
 
 def _monotone_exceedance(values, factor=2.0, scales=4):
@@ -150,17 +156,12 @@ def _monotone_exceedance(values, factor=2.0, scales=4):
 
 def _cyl_lattice(src, x_o, t_o, rho, half_time, n=32):
     """Sup/inf of u over the symmetric cylinder lattice (n x n points)."""
-    e = src.exponents
     xs = np.linspace(x_o - rho, x_o + rho, n)
     ts = np.linspace(t_o - half_time, t_o + half_time, n) if half_time > 0 else [t_o]
-    vals = []
-    for t in ts:
-        for x in xs:
-            if src.valid([x], t):
-                vals.append(src.eval([x], t))
-    if not vals:
+    (vals,) = _lattice(src, xs, ts, src.eval)
+    if not vals.size:
         raise RegimeError("cylinder lattice has no valid points")
-    return max(vals), min(vals)
+    return float(vals.max()), float(vals.min())
 
 
 def harnack_scan(src, base_points, radii, sigma=0.25, lattice=32):
@@ -179,7 +180,7 @@ def harnack_scan(src, base_points, radii, sigma=0.25, lattice=32):
 
     def one(probe):
         x_o, t_o, rho = probe
-        u_o = src.eval([x_o], t_o)
+        u_o = src.eval(x_o, t_o)
         if u_o <= 0:
             raise RegimeError(f"u(x_o,t_o) <= 0 at probe {probe}")
         half = sigma * u_o ** (e.q + 1 - e.p) * rho**e.p
@@ -188,7 +189,7 @@ def harnack_scan(src, base_points, radii, sigma=0.25, lattice=32):
             return math.inf, u_o
         return max(sup_u / u_o, u_o / inf_u), u_o
 
-    results = map_probes(one, probes)
+    results = [one(probe) for probe in probes]
     gammas = [g for g, _ in results]
     rep = DiagnosticReport(estimate_id="harnack")
     for (x_o, t_o, rho), (g, u_o) in zip(probes, results):
@@ -235,9 +236,10 @@ def integral_harnack(src, x_o, t_o, rho, s, lattice=32):
     xs = np.linspace(x_o - rho, x_o + rho, lattice)
     slice_means = []
     for t in np.linspace(t_o - s, t_o, lattice):
-        vals = [src.eval([x], t) ** q for x in xs if src.valid([x], t)]
+        vals = src.eval(xs[src.valid(xs, t)], t).tolist()
         if vals:
-            slice_means.append(float(np.mean(vals)))
+            # scalar powers: numpy's SIMD power differs from libm in the last bit
+            slice_means.append(float(np.mean([v**q for v in vals])))
     if not slice_means:
         raise RegimeError("no valid slices in the cylinder")
     inf_mean = min(slice_means)
@@ -273,12 +275,9 @@ def sup_bound(src, x_o, t_o, rho, s, r, lattice=32):
         m, _ = _cyl_lattice(src, x_o, t, rho / 2, 0.0, lattice)
         sup_u = max(sup_u, m)
     xs = np.linspace(x_o - rho, x_o + rho, lattice)
-    vals = []
-    for t in np.linspace(t_o - s, t_o, lattice):
-        for x in xs:
-            if src.valid([x], t):
-                vals.append(src.eval([x], t) ** r)
-    mean_ur = float(np.mean(vals))
+    (vals,) = _lattice(src, xs, np.linspace(t_o - s, t_o, lattice), src.eval)
+    # scalar powers: numpy's SIMD power differs from libm in the last bit
+    mean_ur = float(np.mean([v**r for v in vals.tolist()]))
     core = (rho**p / s) ** (N / lam_r) * mean_ur ** (p / lam_r)
     tail = (s / rho**p) ** (1 / (q + 1 - p))
     rhs = core + tail
@@ -299,7 +298,7 @@ def expansion_of_positivity(src, x_o, t_o, rho, M, alpha, delta_scan=10, lattice
     theta = M^{q+1-p} rho^p."""
     e = src.exponents
     xs = np.linspace(x_o - rho, x_o + rho, lattice)
-    vals0 = np.array([src.eval([x], t_o) for x in xs if src.valid([x], t_o)])
+    vals0 = src.eval(xs[src.valid(xs, t_o)], t_o)
     if vals0.size == 0:
         raise RegimeError("initial slice outside the domain")
     frac = float(np.mean(vals0 >= M))
@@ -310,23 +309,14 @@ def expansion_of_positivity(src, x_o, t_o, rho, M, alpha, delta_scan=10, lattice
     theta = M ** (e.q + 1 - e.p) * rho**e.p
     rep = DiagnosticReport(estimate_id="expansion_of_positivity")
     best_eta, best_delta = 0.0, None
+    xs2 = np.linspace(x_o - 2 * rho, x_o + 2 * rho, lattice)
     for k in range(delta_scan):
         delta = 2.0**-k
         t_lo, t_hi = t_o + delta / 2 * theta, t_o + delta * theta
-        xs2 = np.linspace(x_o - 2 * rho, x_o + 2 * rho, lattice)
-        inf_u = math.inf
-        usable = True
-        for t in np.linspace(t_lo, t_hi, 8):
-            for x in xs2:
-                if not src.valid([x], t):
-                    usable = False
-                    break
-                inf_u = min(inf_u, src.eval([x], t))
-            if not usable:
-                break
-        if not usable:
+        ts = np.linspace(t_lo, t_hi, 8)
+        if not all(src.valid(xs2, t).all() for t in ts):
             continue
-        eta = inf_u / M
+        eta = min(float(src.eval(xs2, t).min()) for t in ts) / M
         rep.probes.append({"delta": delta, "t_lo": t_lo, "t_hi": t_hi})
         rep.lhs.append(eta)
         rep.rhs.append(1.0)
@@ -390,8 +380,8 @@ def extinction_analysis(traj, x_probes=(), extinct_tol=1e-8, skip_fraction=1e-3)
         d = d_bound(x_o)
         for t_o in np.linspace(0.55 * T_num, 0.9 * T_num, 4):
             rate = ((T_num - t_o) / d**p) ** (1 / kexp)
-            uval = src.eval([x_o], t_o)
-            gval = src.grad_norm([x_o], t_o)
+            uval = src.eval(x_o, t_o)
+            gval = src.grad_norm(x_o, t_o)
             probe_consts.append(
                 {
                     "x_o": x_o,
@@ -437,7 +427,7 @@ def decay_exponent_fit(sol, x_o, t_lo_frac=0.9, t_hi_frac=0.999, n=24):
     return float(slope), r2
 
 
-def gradient_bound(src, probes, lattice=32, enlargement=8.0):
+def gradient_bound(src, probes, lattice=32):
     """Intrinsic gradient bound sup_{Q_o} |Du| <= gamma u_o / rho.
 
     probes: iterable of (x_o, t_o, rho).  K_emp = sup_{Q_o}|Du| rho / u_o per
@@ -449,27 +439,23 @@ def gradient_bound(src, probes, lattice=32, enlargement=8.0):
 
     def one(probe):
         x_o, t_o, rho = probe
-        u_o = src.eval([x_o], t_o)
+        u_o = src.eval(x_o, t_o)
         if u_o <= 0:
             raise RegimeError(f"u(x_o,t_o) <= 0 at probe {probe}")
         if lattice == 1:
-            sup_du = src.grad_norm([x_o], t_o)
+            sup_du = src.grad_norm(x_o, t_o)
         else:
             half = u_o ** (e.q + 1 - e.p) * rho**e.p
             xs = np.linspace(x_o - rho, x_o + rho, lattice)
             ts = np.linspace(t_o - half, t_o + half, lattice)
-            grads = [
-                src.grad_norm([x], t)
-                for t in ts
-                for x in xs
-                if src.valid([x], t)
-            ]
-            if not grads:
+            (grads,) = _lattice(src, xs, ts, src.grad_norm)
+            if not grads.size:
                 raise RegimeError(f"cylinder leaves the domain at probe {probe}")
-            sup_du = max(grads)
+            sup_du = float(grads.max())
         return sup_du * rho / u_o, u_o
 
-    results = map_probes(one, list(probes))
+    probes = list(probes)
+    results = [one(probe) for probe in probes]
     ks = [k for k, _ in results]
     rep = DiagnosticReport(estimate_id="gradient_bound")
     for (x_o, t_o, rho), (k, u_o) in zip(probes, results):
@@ -497,7 +483,7 @@ def holder_fit(src, x_o, t_o, radii, lattice=16):
     if len(radii) < 4:
         raise ValueError("need at least 4 radii for the fit")
     e = src.exponents
-    u_o = src.eval([x_o], t_o)
+    u_o = src.eval(x_o, t_o)
     if u_o <= 0:
         raise RegimeError("u(x_o, t_o) must be positive")
     oscs, lips = [], []
@@ -505,16 +491,11 @@ def holder_fit(src, x_o, t_o, radii, lattice=16):
         half = u_o ** (e.q + 1 - e.p) * rho**e.p
         xs = np.linspace(x_o - rho, x_o + rho, lattice)
         ts = np.linspace(t_o - half, t_o + half, lattice)
-        grads, us = [], []
-        for t in ts:
-            for x in xs:
-                if src.valid([x], t):
-                    grads.append(src.grad_norm([x], t))
-                    us.append(src.eval([x], t))
-        if not grads:
+        grads, us = _lattice(src, xs, ts, src.grad_norm, src.eval)
+        if not grads.size:
             raise RegimeError(f"cylinder of radius {rho} leaves the domain")
-        oscs.append(max(grads) - min(grads))
-        lips.append((max(us) - min(us)) / rho)
+        oscs.append(float(grads.max() - grads.min()))
+        lips.append(float(us.max() - us.min()) / rho)
     oscs = np.asarray(oscs)
     rep = DiagnosticReport(estimate_id="holder_fit")
     for rho, osc in zip(radii, oscs):

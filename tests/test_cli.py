@@ -120,6 +120,13 @@ class TestRun:
         assert run(["regimes", "--preset", "nope"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_solver_failure_exits_1(self, capsys):
+        argv = ["solve", "--preset", "solver-supercritical-run"]
+        assert run(argv + ["--p", "1.05", "--q", "0.2", "--dt", "0.01"]) == 1
+        err = capsys.readouterr().err
+        assert "error: nonlinear iteration did not converge" in err
+        assert "Traceback" not in err
+
     def test_subcommand_mismatch_exits_1(self, capsys):
         assert run(["regimes", "--preset", "model-classic-gas"]) == 1
         assert "belongs to subcommand" in capsys.readouterr().err

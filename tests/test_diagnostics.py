@@ -1,19 +1,26 @@
 """Tests for the estimate-measurement diagnostics."""
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dnl_lab import cli
 from dnl_lab.core import ExponentTriple, Grid1D
-from dnl_lab.exact import TrudingerGaussian, SupercriticalExtinction
+from dnl_lab.exact import (
+    IvanovSubsolution,
+    SpecialLogProfile,
+    SupercriticalExtinction,
+    TrudingerGaussian,
+)
 from dnl_lab.solver import CauchyDirichletProblem, SolverConfig, solve
 from dnl_lab.diagnostics import (
     RegimeError,
     DiagnosticReport,
     SolutionSource,
-    map_probes,
-    thread_count,
     _monotone_exceedance,
     harnack_scan,
     integral_harnack,
@@ -82,22 +89,6 @@ def bump_traj():
 
 
 class TestUtilities:
-    def test_thread_count_default(self, monkeypatch):
-        monkeypatch.delenv("DNL_LAB_THREADS", raising=False)
-        assert thread_count() == 1
-        monkeypatch.setenv("DNL_LAB_THREADS", "4")
-        assert thread_count() == 4
-        monkeypatch.setenv("DNL_LAB_THREADS", "junk")
-        assert thread_count() == 1
-
-    def test_map_probes_threaded_matches_serial(self, monkeypatch):
-        items = list(range(20))
-        fn = lambda k: k * k
-        monkeypatch.delenv("DNL_LAB_THREADS", raising=False)
-        serial = map_probes(fn, items)
-        monkeypatch.setenv("DNL_LAB_THREADS", "4")
-        assert map_probes(fn, items) == serial
-
     def test_monotone_exceedance(self):
         assert _monotone_exceedance([1.0, 2.0, 4.0, 8.0])
         assert not _monotone_exceedance([1.0, 2.0, 4.0])  # too few scales
@@ -139,6 +130,128 @@ class TestSolutionSource:
     def test_type_error(self):
         with pytest.raises(TypeError):
             SolutionSource(42)
+
+
+def _pointwise(traj, table, x, t):
+    """Reference: the scalar space-time interpolation, one point per call."""
+    g = traj.problem.grid
+    xs, ts = g.centers(), np.asarray(traj.times)
+    x = float(np.linalg.norm([x])) if g.geometry == "radial" else float(x)
+    i = np.searchsorted(ts, t)
+    i = min(max(i, 1), ts.size - 1)
+    wt = (t - ts[i - 1]) / (ts[i] - ts[i - 1])
+    wt = min(max(wt, 0.0), 1.0)
+    row = (1 - wt) * table[i - 1] + wt * table[i]
+    return float(np.interp(x, xs, row))
+
+
+def _pointwise_valid(traj, x, t):
+    g = traj.problem.grid
+    ts = traj.times
+    r = float(np.linalg.norm([x])) if g.geometry == "radial" else float(x)
+    lo = 0.0 if g.geometry == "radial" else g.x_lo
+    return lo <= r <= g.x_hi and ts[0] <= t <= ts[-1]
+
+
+@pytest.fixture(scope="module")
+def radial_traj():
+    g = Grid1D(0.0, 1.0, 30, "radial", 3)
+    e = ExponentTriple(2.0, 2.0, 3)
+    u0 = 1.0 + np.cos(0.5 * np.pi * g.centers()) ** 2
+    pr = CauchyDirichletProblem(e, g, u0, 1e-2)
+    return solve(pr, SolverConfig(dt=1e-3))
+
+
+class TestArrayPath:
+    """The array path equals the scalar reference bit for bit."""
+
+    @pytest.mark.parametrize("name", ["radial_traj", "bump_traj"])
+    def test_trajectory_matches_pointwise(self, name, request):
+        traj = request.getfixturevalue(name)
+        src = SolutionSource(traj)
+        g = traj.problem.grid
+        U = np.vstack(traj.fields)
+        dU = np.gradient(U, g.h, axis=1)
+        h, lo = g.h, 0.0 if g.geometry == "radial" else g.x_lo
+        # interior, the half-cell collars, outside the domain, and -x
+        xs = np.concatenate(
+            [
+                np.linspace(lo - 2 * h, g.x_hi + 2 * h, 97),
+                [lo, lo + h / 4, g.x_hi - h / 4, g.x_hi, g.x_hi + h / 4],
+                -np.linspace(0.0, g.x_hi + h, 13),
+            ]
+        )
+        t0, tn = traj.times[0], traj.times[-1]
+        times = [t0, traj.times[3], 0.5 * (traj.times[4] + traj.times[5])]
+        times += [0.37 * tn, tn, t0 - 1e-3, tn + 1e-3]
+        for t in times:
+            want_u = [_pointwise(traj, U, x, t) for x in xs]
+            want_du = [abs(_pointwise(traj, dU, x, t)) for x in xs]
+            want_ok = [_pointwise_valid(traj, x, t) for x in xs]
+            assert src.eval(xs, t).tolist() == want_u
+            assert src.grad_norm(xs, t).tolist() == want_du
+            assert src.valid(xs, t).tolist() == want_ok
+
+    def test_closed_form_valid_matches_pointwise(self):
+        # each family with times where its validity mask is mixed
+        families = [
+            (TrudingerGaussian(p=2.0, n_dim=1), (-0.5, 0.0, 0.5)),
+            (IvanovSubsolution(), (-0.01, 0.0, 0.01, 0.03)),
+            (SpecialLogProfile(), (0.5, 0.99, 1.5)),
+            (SupercriticalExtinction(n_dim=40, p=2.0, q=3.0, C=-1.0), (0.1, 0.5)),
+        ]
+        xs = np.linspace(-6.0, 6.0, 241)
+        for sol, times in families:
+            src = SolutionSource(sol)
+            for t in times:
+                want = [
+                    bool(np.all(sol.valid_rt(np.asarray(abs(x)), np.asarray(t))))
+                    for x in xs
+                ]
+                assert src.valid(xs, t).tolist() == want
+
+    def test_scalar_in_scalar_out(self, bump_traj):
+        for src in (
+            SolutionSource(bump_traj),
+            SolutionSource(TrudingerGaussian(p=2.0, n_dim=1)),
+        ):
+            assert type(src.eval(0.1, 1e-2)) is float
+            assert type(src.grad_norm(0.1, 1e-2)) is float
+            assert type(src.valid(0.1, 1e-2)) is bool
+            assert src.eval(np.array([0.1]), 1e-2).shape == (1,)
+
+
+_EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
+_DIAGNOSTIC_SUBCOMMANDS = {
+    "harnack",
+    "integral-harnack",
+    "supbound",
+    "expand",
+    "extinction",
+    "gradbound",
+    "holder",
+}
+
+
+def _diagnostic_ops():
+    with open(_EXPECTED) as f:
+        expected = json.load(f)
+    return {
+        op: rec
+        for op, rec in expected.items()
+        if rec["argv"][0] in _DIAGNOSTIC_SUBCOMMANDS
+    }
+
+
+@pytest.mark.parametrize("op", sorted(_diagnostic_ops()))
+def test_diagnostic_preset_bytes(op, tmp_path):
+    """Diagnostic presets reproduce the recorded exit code and output bytes."""
+    rec = _diagnostic_ops()[op]
+    prefix = tmp_path / "op"
+    assert cli.run(rec["argv"] + ["--out", str(prefix)]) == rec["exit"]
+    for suffix in ("csv", "meta"):
+        data = (tmp_path / f"op.{suffix}").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == rec[f"{suffix}_sha256"]
 
 
 class TestHarnackScan:
