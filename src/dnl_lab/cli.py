@@ -7,8 +7,9 @@ bare ``--key value`` when unambiguous for the subcommand) overriding single
 entries.  Results go to ``<prefix>.csv`` plus a ``<prefix>.meta`` echo of the
 fully resolved config, or to stdout when no prefix is given.
 
-Exit codes: 0 for bounded/pass verdicts, 2 for diverging/fail verdicts (the
-expected outcome for counterexample presets), 1 for errors.
+Exit codes: 0 for a "bounded" diagnostic verdict or a passed check, 2 for any
+other verdict or a failed check (the expected outcome for counterexample
+presets), 1 for errors.
 
 Config grammar::
 
@@ -22,7 +23,6 @@ byte-identical CSV output.
 """
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -32,7 +32,6 @@ from . import exact
 from .exact import (
     FAMILIES,
     make_family,
-    max_residual,
     residual_order,
     derive_critical_b_report,
 )
@@ -124,24 +123,6 @@ SCHEMA = {
     },
     "output": {"prefix"},
 }
-
-# bare --key resolution order per subcommand
-_BARE_PRIORITY = {
-    "regimes": ["exponents"],
-    "exact-residual": ["family", "residual", "output"],
-    "solve": ["solver", "grid", "exponents", "comparison", "output"],
-    "harnack": ["probes", "family", "exponents", "solver", "grid", "output"],
-    "integral-harnack": ["probes", "family", "exponents", "solver", "grid", "output"],
-    "supbound": ["probes", "family", "exponents", "solver", "grid", "output"],
-    "expand": ["probes", "exponents", "solver", "grid", "output"],
-    "extinction": ["solver", "grid", "exponents", "family", "probes", "output"],
-    "gradbound": ["probes", "family", "exponents", "solver", "grid", "output"],
-    "holder": ["probes", "family", "exponents", "solver", "grid", "output"],
-    "model": ["model", "output"],
-}
-
-SUBCOMMANDS = sorted(_BARE_PRIORITY)
-
 
 def parse_config_text(text):
     """Parse the section/key-value grammar into {section: {key: str}}."""
@@ -248,6 +229,8 @@ class Output:
             for row in rows:
                 self.add_row([row[c] for c in cols])
         self.meta_lines.append(report.summary_line())
+        for key, value in report.extras.items():
+            self.meta_lines.append(f"{key},{fmt(value)}")
 
     def meta(self, line):
         self.meta_lines.append(line)
@@ -329,17 +312,17 @@ def build_family(cfg):
     return make_family(fid, **params)
 
 
-def run_solver(cfg, initial_key="initial", scale_key="initial_scale"):
+def run_solver(cfg):
     e = build_exponents(cfg)
     g = build_grid(cfg)
-    name = _get(cfg, "solver", initial_key, str, "cos_bump")
+    name = _get(cfg, "solver", "initial", str, "cos_bump")
     if name not in _PROFILES:
         raise ConfigError(
             f"unknown initial profile {name!r}; "
             f"available: {', '.join(sorted(_PROFILES))}"
         )
     xi = (g.centers() - g.x_lo) / (g.x_hi - g.x_lo)
-    u0 = _PROFILES[name](xi) * _get(cfg, "solver", scale_key, float, 1.0)
+    u0 = _PROFILES[name](xi) * _get(cfg, "solver", "initial_scale", float, 1.0)
     pr = CauchyDirichletProblem(
         e,
         g,
@@ -358,15 +341,22 @@ def run_solver(cfg, initial_key="initial", scale_key="initial_scale"):
     return solve(pr, sc)
 
 
+def solved_source(cfg):
+    """Numeric run, even when a [family] is set."""
+    return dg.SolutionSource(run_solver(cfg))
+
+
 def build_source(cfg):
     """Closed-form source if [family] id is set, numeric run otherwise."""
     if "family" in cfg and "id" in cfg["family"]:
         return dg.SolutionSource(build_family(cfg))
-    return dg.SolutionSource(run_solver(cfg))
+    return solved_source(cfg)
 
 
-def _verdict_exit(verdict):
-    return 0 if verdict in ("bounded", "pass") else 2
+def _report(out, rep):
+    """Write a diagnostic report; its verdict sets the exit code."""
+    out.add_report(rep)
+    return 0 if rep.verdict == "bounded" else 2
 
 
 # ---------------------------------------------------------------------------
@@ -503,63 +493,6 @@ def _probe_list(cfg):
     return list(zip(x_os, t_os))
 
 
-def pipe_harnack(cfg, out):
-    src = build_source(cfg)
-    rep = dg.harnack_scan(
-        src,
-        _probe_list(cfg),
-        _get(cfg, "probes", "radii", _floats),
-        sigma=_get(cfg, "probes", "sigma", float, 0.25),
-        lattice=_get(cfg, "probes", "lattice", int, 32),
-    )
-    out.add_report(rep)
-    return _verdict_exit(rep.verdict)
-
-
-def pipe_integral_harnack(cfg, out):
-    src = build_source(cfg)
-    rep = dg.integral_harnack(
-        src,
-        _get(cfg, "probes", "x_o", float),
-        _get(cfg, "probes", "t_o", float),
-        _get(cfg, "probes", "rho", float),
-        _get(cfg, "probes", "s", float),
-        lattice=_get(cfg, "probes", "lattice", int, 32),
-    )
-    out.add_report(rep)
-    return _verdict_exit(rep.verdict)
-
-
-def pipe_supbound(cfg, out):
-    src = build_source(cfg)
-    rep = dg.sup_bound(
-        src,
-        _get(cfg, "probes", "x_o", float),
-        _get(cfg, "probes", "t_o", float),
-        _get(cfg, "probes", "rho", float),
-        _get(cfg, "probes", "s", float),
-        _get(cfg, "probes", "r", float),
-        lattice=_get(cfg, "probes", "lattice", int, 32),
-    )
-    out.add_report(rep)
-    return _verdict_exit(rep.verdict)
-
-
-def pipe_expand(cfg, out):
-    src = dg.SolutionSource(run_solver(cfg))
-    rep = dg.expansion_of_positivity(
-        src,
-        _get(cfg, "probes", "x_o", float),
-        _get(cfg, "probes", "t_o", float),
-        _get(cfg, "probes", "rho", float),
-        _get(cfg, "probes", "M", float),
-        _get(cfg, "probes", "alpha", float),
-        delta_scan=_get(cfg, "probes", "delta_scan", int, 10),
-    )
-    out.add_report(rep)
-    return _verdict_exit(rep.verdict)
-
-
 def pipe_extinction(cfg, out):
     if "family" in cfg and "id" in cfg["family"]:
         fam = build_family(cfg)
@@ -573,50 +506,7 @@ def pipe_extinction(cfg, out):
         return 0 if ok else 2
     traj = run_solver(cfg)
     probes = _get(cfg, "probes", "x_o", _floats, [])
-    rep = dg.extinction_analysis(traj, x_probes=probes)
-    out.add_report(rep)
-    if rep.verdict == "inconclusive":
-        return 2
-    ex = rep.extras
-    out.meta(
-        f"T_num,{fmt(ex['T_num'])}\nT_bound,{fmt(float(ex['T_bound']))}\n"
-        f"mu,{fmt(ex['mu'])}\nmax_excess,{fmt(float(ex['max_excess']))}"
-    )
-    ok = rep.verdict == "bounded" and bool(ex["within_bound"])
-    return 0 if ok else 2
-
-
-def pipe_gradbound(cfg, out):
-    src = build_source(cfg)
-    radii = _get(cfg, "probes", "radii", _floats)
-    base = _probe_list(cfg)
-    if len(radii) == len(base):
-        probes = [(x, t, r) for (x, t), r in zip(base, radii)]
-    else:
-        probes = [(x, t, r) for (x, t) in base for r in radii]
-    rep = dg.gradient_bound(
-        src, probes, lattice=_get(cfg, "probes", "lattice", int, 32)
-    )
-    out.add_report(rep)
-    return _verdict_exit(rep.verdict)
-
-
-def pipe_holder(cfg, out):
-    src = build_source(cfg)
-    res = dg.holder_fit(
-        src,
-        _get(cfg, "probes", "x_o", float),
-        _get(cfg, "probes", "t_o", float),
-        _get(cfg, "probes", "radii", _floats),
-        lattice=_get(cfg, "probes", "lattice", int, 16),
-    )
-    out.add_report(res["report"])
-    out.meta(
-        f"alpha_fit,{fmt(res['alpha_fit'])}\nalpha_raw,{fmt(res['alpha_raw'])}\n"
-        f"r_squared,{fmt(res['r_squared'])}\nlipschitz,{fmt(res['lipschitz_const'])}"
-    )
-    ok = 0 < res["alpha_fit"] <= 1 and res["r_squared"] >= 0.9
-    return 0 if ok else 2
+    return _report(out, dg.extinction_analysis(traj, x_probes=probes))
 
 
 def pipe_model(cfg, out):
@@ -672,19 +562,98 @@ def pipe_model(cfg, out):
     return 0 if result["passes"] else 2
 
 
-PIPELINES = {
-    "regimes": pipe_regimes,
-    "exact-residual": pipe_exact_residual,
-    "solve": pipe_solve,
-    "harnack": pipe_harnack,
-    "integral-harnack": pipe_integral_harnack,
-    "supbound": pipe_supbound,
-    "expand": pipe_expand,
-    "extinction": pipe_extinction,
-    "gradbound": pipe_gradbound,
-    "holder": pipe_holder,
-    "model": pipe_model,
+def _key(name, conv=float, default=None):
+    """Probe argument `name` read from [probes] `name`."""
+    return name, lambda cfg: _get(cfg, "probes", name, conv, default)
+
+
+def _gradbound_probes(cfg):
+    """(x_o, t_o, rho) triples: radii paired with the base points when the
+    lengths match, every radius at every base point otherwise."""
+    radii = _get(cfg, "probes", "radii", _floats)
+    base = _probe_list(cfg)
+    if len(radii) == len(base):
+        return [(x, t, r) for (x, t), r in zip(base, radii)]
+    return [(x, t, r) for (x, t) in base for r in radii]
+
+
+def _scan(diagnostic, source, *args):
+    """Pipeline of one estimate scan: build the source, read the probe
+    arguments in order and report `dg.<diagnostic>`.  The diagnostic is looked
+    up by name on every call, so a wrapper installed on the module after
+    import (a tracer, a mock) is the one that runs."""
+
+    def pipeline(cfg, out):
+        src = source(cfg)
+        kwargs = {name: read(cfg) for name, read in args}
+        return _report(out, getattr(dg, diagnostic)(src, **kwargs))
+
+    return pipeline
+
+
+_SCAN = ("probes", "family", "exponents", "solver", "grid", "output")
+_POINT = (_key("x_o"), _key("t_o"))
+_CYLINDER = (*_POINT, _key("rho"), _key("s"))
+_LATTICE = _key("lattice", int, 32)
+
+# subcommand -> (section order resolving a bare --key, pipeline(cfg, out))
+COMMANDS = {
+    "regimes": (("exponents",), pipe_regimes),
+    "exact-residual": (("family", "residual", "output"), pipe_exact_residual),
+    "solve": (("solver", "grid", "exponents", "comparison", "output"), pipe_solve),
+    "harnack": (
+        _SCAN,
+        _scan(
+            "harnack_scan",
+            build_source,
+            ("base_points", _probe_list),
+            _key("radii", _floats),
+            _key("sigma", float, 0.25),
+            _LATTICE,
+        ),
+    ),
+    "integral-harnack": (
+        _SCAN,
+        _scan("integral_harnack", build_source, *_CYLINDER, _LATTICE),
+    ),
+    "supbound": (
+        _SCAN,
+        _scan("sup_bound", build_source, *_CYLINDER, _key("r"), _LATTICE),
+    ),
+    "expand": (
+        ("probes", "exponents", "solver", "grid", "output"),
+        _scan(
+            "expansion_of_positivity",
+            solved_source,
+            *_POINT,
+            _key("rho"),
+            _key("M"),
+            _key("alpha"),
+            _key("delta_scan", int, 10),
+        ),
+    ),
+    "extinction": (
+        ("solver", "grid", "exponents", "family", "probes", "output"),
+        pipe_extinction,
+    ),
+    "gradbound": (
+        _SCAN,
+        _scan("gradient_bound", build_source, ("probes", _gradbound_probes), _LATTICE),
+    ),
+    "holder": (
+        _SCAN,
+        _scan(
+            "holder_fit",
+            build_source,
+            *_POINT,
+            _key("radii", _floats),
+            _key("lattice", int, 16),
+        ),
+    ),
+    "model": (("model", "output"), pipe_model),
 }
+
+SUBCOMMANDS = sorted(COMMANDS)
 
 
 # ---------------------------------------------------------------------------
@@ -945,21 +914,11 @@ def _apply_overrides(cfg, tokens, subcommand):
             if section not in SCHEMA or key not in SCHEMA[section]:
                 raise ConfigError(f"unknown config key {section}.{key}")
         else:
-            if key == "h_sequence":
-                section = "residual"
-            else:
-                section = None
-                for cand in _BARE_PRIORITY[subcommand]:
-                    if key in SCHEMA[cand]:
-                        section = cand
-                        break
-                if section is None:
-                    for cand in SCHEMA:
-                        if key in SCHEMA[cand]:
-                            section = cand
-                            break
-                if section is None:
-                    raise ConfigError(f"unknown config key {key!r}")
+            # the subcommand's sections first, then every section in order
+            order = (*COMMANDS[subcommand][0], *SCHEMA)
+            section = next((c for c in order if key in SCHEMA[c]), None)
+            if section is None:
+                raise ConfigError(f"unknown config key {key!r}")
         cfg.setdefault(section, {})[key] = value
     return cfg
 
@@ -988,7 +947,7 @@ def run(argv):
                 cfg = _merge(cfg, parse_config_text(f.read()))
         cfg = _apply_overrides(cfg, rest, args.subcommand)
         out = Output(args.out)
-        code = PIPELINES[args.subcommand](cfg, out)
+        code = COMMANDS[args.subcommand][1](cfg, out)
         out.emit(cfg)
         return code
     except (ConfigError, ValueError, OSError, NotPowerLaw, StepFailure) as exc:

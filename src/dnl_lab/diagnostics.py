@@ -1,12 +1,19 @@
 """Empirical measurement of the quantitative estimates.
 
 Each diagnostic samples a solution source (closed-form family or computed
-trajectory), measures the two sides of an estimate, reports the implied
-constant and a verdict:
+trajectory), measures the two sides of an estimate and returns a
+`DiagnosticReport` with the implied constants and a verdict.  One rule,
+`_verdict`, turns the implied constants into the verdict:
 
-    "bounded"      the implied constants stay uniformly bounded over probes
+    "bounded"      every constant is finite and they vary by less than a
+                   factor 2 over the probes (a single finite constant counts)
     "diverging"    a monotone exceedance sequence over >= 4 probe scales
     "inconclusive" neither (or the probe set is degenerate)
+
+Expansion of positivity, the Hoelder fit and the extinction analysis measure
+an exponent or a time instead and state their own "bounded" condition in
+their docstrings.  Only "bounded" passes: the CLI exits 0 on it and 2 on any
+other verdict.
 
 The paper-side constants (gamma, eta, alpha_o, ...) are non-explicit, so all
 checks are stability/boundedness checks, never comparisons to printed numbers.
@@ -34,6 +41,7 @@ class DiagnosticReport:
     implied_constant: float = 0.0
     verdict: str = "inconclusive"
     notes: str = ""
+    extras: dict = dc_field(default_factory=dict)  # meta lines, in order
 
     def summary_line(self):
         return f"{self.estimate_id},{self.verdict},{self.implied_constant!r}"
@@ -154,6 +162,15 @@ def _monotone_exceedance(values, factor=2.0, scales=4):
     return best >= scales and v.max() / max(v.min(), 1e-300) > factor
 
 
+def _verdict(constants):
+    """The verdict rule shared by the estimate scans (see module docstring).
+    The 1e-300 guard keeps all-zero constants "bounded"."""
+    c = np.asarray(constants, dtype=float)
+    if c.size and np.isfinite(c).all() and c.max() / max(c.min(), 1e-300) < 2.0:
+        return "bounded"
+    return "diverging" if _monotone_exceedance(c) else "inconclusive"
+
+
 def _cyl_lattice(src, x_o, t_o, rho, half_time, n=32):
     """Sup/inf of u over the symmetric cylinder lattice (n x n points)."""
     xs = np.linspace(x_o - rho, x_o + rho, n)
@@ -170,9 +187,8 @@ def harnack_scan(src, base_points, radii, sigma=0.25, lattice=32):
     cylinder K_rho(x_o) x (t_o +- sigma u_o^{q+1-p} rho^p).
 
     sigma = 0 collapses the cylinder to the single time slice t_o (used for
-    the Trudinger closed-form ratio probes).  Verdict: bounded iff gamma_emp
-    varies by less than a factor 2 across all probes/radii; diverging on a
-    monotone exceedance sequence over >= 4 scales."""
+    the Trudinger closed-form ratio probes).  Verdict by `_verdict` over
+    gamma_emp across all probes/radii."""
     if not 0 <= sigma < 1:
         raise ValueError("sigma must be in [0, 1)")
     e = src.exponents
@@ -200,12 +216,7 @@ def harnack_scan(src, base_points, radii, sigma=0.25, lattice=32):
         rep.rhs.append(1.0)
     finite = [g for g in gammas if math.isfinite(g)]
     rep.implied_constant = max(finite) if finite else math.inf
-    if finite and max(finite) / min(finite) < 2.0 and len(finite) == len(gammas):
-        rep.verdict = "bounded"
-    elif _monotone_exceedance(gammas):
-        rep.verdict = "diverging"
-    else:
-        rep.verdict = "inconclusive"
+    rep.verdict = _verdict(gammas)
     rep.notes = f"gamma_emp spread {max(gammas) / min(gammas):.6g}" if gammas else ""
     return rep
 
@@ -251,7 +262,7 @@ def integral_harnack(src, x_o, t_o, rho, s, lattice=32):
     rep.lhs.append(sup_u)
     rep.rhs.append(rhs)
     rep.implied_constant = sup_u / rhs
-    rep.verdict = "bounded" if math.isfinite(rep.implied_constant) else "diverging"
+    rep.verdict = _verdict([rep.implied_constant])
     return rep
 
 
@@ -286,7 +297,7 @@ def sup_bound(src, x_o, t_o, rho, s, r, lattice=32):
     rep.lhs.append(sup_u)
     rep.rhs.append(rhs)
     rep.implied_constant = sup_u / rhs
-    rep.verdict = "bounded" if math.isfinite(rep.implied_constant) else "diverging"
+    rep.verdict = _verdict([rep.implied_constant])
     return rep
 
 
@@ -337,7 +348,9 @@ def extinction_analysis(traj, x_probes=(), extinct_tol=1e-8, skip_fraction=1e-3)
           constant mu = (q+1)/q min_t ||Du||_p^p / ||u||_{q+1}^p;
     (iii) implied constants of the decay estimates
           u(x_o,t_o) <= gamma [(T-t_o)/d^p]^{1/(q+1-p)} (and its gradient
-          form) at the probe points, for t_o in (T/2, T)."""
+          form) at the probe points, for t_o in (T/2, T).
+
+    Verdict bounded iff v <= w up to 5% of v(0) and T_num <= T_bound."""
     e = traj.problem.exponents
     p, q = e.p, e.q
     if q + 1 - p <= 0:
@@ -364,7 +377,7 @@ def extinction_analysis(traj, x_probes=(), extinct_tol=1e-8, skip_fraction=1e-3)
             ratios.append(gradient_p_norm(traj, i) / norm_u**p)
     mu = (q + 1) / q * float(np.min(ratios))
     kexp = q + 1 - p
-    T_bound = (q + 1) * v0 ** (kexp / (q + 1)) / (mu * kexp)
+    T_bound = float((q + 1) * v0 ** (kexp / (q + 1)) / (mu * kexp))
     w = v0 * np.clip(
         1.0 - mu * kexp * times / ((q + 1) * v0 ** (kexp / (q + 1))), 0.0, None
     ) ** ((q + 1) / kexp)
@@ -396,18 +409,9 @@ def extinction_analysis(traj, x_probes=(), extinct_tol=1e-8, skip_fraction=1e-3)
     rep.implied_constant = max(
         [pc["gamma_u"] for pc in probe_consts], default=0.0
     )
-    rep.verdict = "bounded" if max_excess <= 0.05 else "diverging"
-    rep.notes = (
-        f"T_num={T_num!r} mu={mu!r} T_bound={T_bound!r} "
-        f"max_excess={max_excess!r}"
-    )
-    rep.extras = {
-        "T_num": T_num,
-        "mu": mu,
-        "T_bound": T_bound,
-        "max_excess": max_excess,
-        "within_bound": T_num <= T_bound * (1 + 1e-12),
-    }
+    within = max_excess <= 0.05 and T_num <= T_bound * (1 + 1e-12)
+    rep.verdict = "bounded" if within else "diverging"
+    rep.extras = dict(T_num=T_num, T_bound=T_bound, mu=mu, max_excess=max_excess)
     return rep
 
 
@@ -433,8 +437,7 @@ def gradient_bound(src, probes, lattice=32):
     probes: iterable of (x_o, t_o, rho).  K_emp = sup_{Q_o}|Du| rho / u_o per
     probe, with Q_o the symmetric intrinsic cylinder.  lattice=1 degenerates
     the cylinder to its center point (used by the closed-form ratio presets).
-    Verdict bounded iff K_emp spread < factor 2; diverging on a monotone
-    exceedance run over >= 4 probes."""
+    Verdict by `_verdict` over K_emp."""
     e = src.exponents
 
     def one(probe):
@@ -463,12 +466,7 @@ def gradient_bound(src, probes, lattice=32):
         rep.lhs.append(k)
         rep.rhs.append(1.0)
     rep.implied_constant = max(ks)
-    if max(ks) / max(min(ks), 1e-300) < 2.0:
-        rep.verdict = "bounded"
-    elif _monotone_exceedance(ks):
-        rep.verdict = "diverging"
-    else:
-        rep.verdict = "inconclusive"
+    rep.verdict = _verdict(ks)
     return rep
 
 
@@ -477,8 +475,9 @@ def holder_fit(src, x_o, t_o, radii, lattice=16):
     cylinders Q_r vs r, slope of the log-log fit (capped at 1; a fit above 1
     means the profile is smoother than any Hoelder class detects).
 
-    Returns dict with alpha_fit, alpha_raw, lipschitz_const, r_squared and a
-    DiagnosticReport."""
+    The report's extras hold alpha_fit, alpha_raw, r_squared and the
+    Lipschitz constant of u.  Verdict bounded iff 0 < alpha_fit <= 1 and
+    r_squared >= 0.9."""
     radii = list(radii)
     if len(radii) < 4:
         raise ValueError("need at least 4 radii for the fit")
@@ -503,27 +502,23 @@ def holder_fit(src, x_o, t_o, radii, lattice=16):
         rep.lhs.append(float(osc))
         rep.rhs.append(1.0)
     if np.all(oscs < 1e-12):
-        rep.verdict = "inconclusive"
         rep.notes = "oscillations below 1e-12: alpha effectively infinite"
-        return {
-            "alpha_fit": math.inf,
-            "alpha_raw": math.inf,
-            "lipschitz_const": float(max(lips)),
-            "r_squared": 1.0,
-            "report": rep,
-        }
-    X, Y = np.log(radii), np.log(np.maximum(oscs, 1e-300))
-    slope, intercept = np.polyfit(X, Y, 1)
-    resid = Y - (slope * X + intercept)
-    r2 = 1.0 - float(np.sum(resid**2)) / max(float(np.sum((Y - Y.mean()) ** 2)), 1e-300)
-    alpha = float(min(slope, 1.0))
-    rep.implied_constant = float(np.max(oscs / np.asarray(radii) ** alpha))
-    rep.verdict = "bounded" if 0 < alpha <= 1 else "inconclusive"
-    rep.notes = f"alpha_raw={slope!r} r2={r2!r}"
-    return {
+        alpha = slope = math.inf
+        r2 = 1.0
+    else:
+        X, Y = np.log(radii), np.log(np.maximum(oscs, 1e-300))
+        slope, intercept = np.polyfit(X, Y, 1)
+        resid = Y - (slope * X + intercept)
+        r2 = 1.0 - float(np.sum(resid**2)) / max(
+            float(np.sum((Y - Y.mean()) ** 2)), 1e-300
+        )
+        alpha = float(min(slope, 1.0))
+        rep.implied_constant = float(np.max(oscs / np.asarray(radii) ** alpha))
+    rep.verdict = "bounded" if 0 < alpha <= 1 and r2 >= 0.9 else "inconclusive"
+    rep.extras = {
         "alpha_fit": alpha,
         "alpha_raw": float(slope),
-        "lipschitz_const": float(max(lips)),
         "r_squared": r2,
-        "report": rep,
+        "lipschitz": float(max(lips)),
     }
+    return rep

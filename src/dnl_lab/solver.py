@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .core import ExponentTriple, Grid1D, Field
+from .core import ExponentTriple, Grid1D
 
 
 class StepFailure(RuntimeError):
@@ -97,9 +97,6 @@ class Trajectory:
     residual_norms: list = dc_field(default_factory=list)
     clipped_mass: float = 0.0
 
-    def field_at(self, i):
-        return Field(self.problem.grid, self.times[i], self.fields[i])
-
     def to_columnar(self):
         """Columnar text format: '# t=<value>' headers followed by x,u rows."""
         lines = []
@@ -112,7 +109,15 @@ class Trajectory:
 
 
 def _beta(u, q):
-    return np.abs(u) ** (q - 1) * u if q != 1 else u.copy()
+    if q == 1:
+        return u.copy()
+    if q > 1:
+        return np.abs(u) ** (q - 1) * u
+    # q < 1: |u|^(q-1) is infinite at u = 0, where beta is 0
+    out = np.zeros_like(u)
+    nz = u != 0
+    out[nz] = np.abs(u[nz]) ** (q - 1) * u[nz]
+    return out
 
 
 def _beta_prime(u, q, eps=1e-12):

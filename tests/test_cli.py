@@ -1,9 +1,12 @@
 """Tests for the config grammar and the experiment-runner CLI."""
 
+import warnings
+
 import pytest
 
 from dnl_lab.cli import (
     ConfigError,
+    _apply_overrides,
     parse_config_text,
     serialize_config,
     PRESETS,
@@ -94,6 +97,22 @@ class TestPresets:
             preset("no-such-preset")
 
 
+class TestOverrides:
+    def test_bare_key_outside_subcommand_sections(self):
+        # no section of `solve` has h_sequence; the schema order finds it
+        cfg = _apply_overrides({}, ["--h_sequence", "0.1"], "solve")
+        assert cfg == {"residual": {"h_sequence": "0.1"}}
+
+    def test_subcommand_sections_first(self):
+        # alpha is a [probes] and a [model] key
+        assert _apply_overrides({}, ["--alpha", "1"], "expand") == {
+            "probes": {"alpha": "1"}
+        }
+        assert _apply_overrides({}, ["--alpha", "1"], "model") == {
+            "model": {"alpha": "1"}
+        }
+
+
 class TestRun:
     def test_regimes_stdout(self, capsys):
         code = run(["regimes", "--p", "2", "--q", "2", "--N", "3"])
@@ -122,10 +141,12 @@ class TestRun:
 
     def test_solver_failure_exits_1(self, capsys):
         argv = ["solve", "--preset", "solver-supercritical-run"]
-        assert run(argv + ["--p", "1.05", "--q", "0.2", "--dt", "0.01"]) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # q < 1 at u = 0 must not warn
+            assert run(argv + ["--p", "1.05", "--q", "0.2", "--dt", "0.01"]) == 1
         err = capsys.readouterr().err
-        assert "error: nonlinear iteration did not converge" in err
-        assert "Traceback" not in err
+        assert err.startswith("error: nonlinear iteration did not converge")
+        assert err.count("\n") == 1
 
     def test_subcommand_mismatch_exits_1(self, capsys):
         assert run(["regimes", "--preset", "model-classic-gas"]) == 1

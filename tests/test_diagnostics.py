@@ -22,6 +22,7 @@ from dnl_lab.diagnostics import (
     DiagnosticReport,
     SolutionSource,
     _monotone_exceedance,
+    _verdict,
     harnack_scan,
     integral_harnack,
     sup_bound,
@@ -94,6 +95,18 @@ class TestUtilities:
         assert not _monotone_exceedance([1.0, 2.0, 4.0])  # too few scales
         assert not _monotone_exceedance([1.0, 1.1, 1.2, 1.3])  # small spread
         assert not _monotone_exceedance([8.0, 1.0, 4.0, 2.0])  # not monotone
+
+    def test_verdict_rule(self):
+        assert _verdict([0.0, 0.0]) == "bounded"  # guarded 0 / 0
+        assert _verdict([3.5]) == "bounded"
+        assert _verdict([1.0, 1.9]) == "bounded"
+        assert _verdict([1.0, 2.0, 4.0, 8.0]) == "diverging"
+        assert _verdict([1.0, 2.0, 4.0]) == "inconclusive"
+        assert _verdict([]) == "inconclusive"
+        for bad in (math.inf, math.nan, -math.inf):
+            assert _verdict([bad]) != "bounded"
+            assert _verdict([1.0, 1.1, bad]) != "bounded"
+            assert _verdict([1.0, 2.0, 4.0, 8.0, bad]) != "bounded"
 
     def test_report_formats(self):
         rep = DiagnosticReport("demo")
@@ -222,31 +235,15 @@ class TestArrayPath:
 
 
 _EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
-_DIAGNOSTIC_SUBCOMMANDS = {
-    "harnack",
-    "integral-harnack",
-    "supbound",
-    "expand",
-    "extinction",
-    "gradbound",
-    "holder",
-}
+with open(_EXPECTED) as f:
+    _BENCH_OPS = json.load(f)
 
 
-def _diagnostic_ops():
-    with open(_EXPECTED) as f:
-        expected = json.load(f)
-    return {
-        op: rec
-        for op, rec in expected.items()
-        if rec["argv"][0] in _DIAGNOSTIC_SUBCOMMANDS
-    }
-
-
-@pytest.mark.parametrize("op", sorted(_diagnostic_ops()))
+@pytest.mark.parametrize("op", sorted(_BENCH_OPS))
 def test_diagnostic_preset_bytes(op, tmp_path):
-    """Diagnostic presets reproduce the recorded exit code and output bytes."""
-    rec = _diagnostic_ops()[op]
+    """Every benchmark operation, diagnostic or not, reproduces its recorded
+    exit code and output bytes."""
+    rec = _BENCH_OPS[op]
     prefix = tmp_path / "op"
     assert cli.run(rec["argv"] + ["--out", str(prefix)]) == rec["exit"]
     for suffix in ("csv", "meta"):
@@ -391,14 +388,14 @@ class TestHolderFit:
     def test_affine_profile_inconclusive(self, linear_traj):
         # Du is constant: oscillations vanish, alpha is effectively infinite
         src = SolutionSource(linear_traj)
-        out = holder_fit(src, 0.0, 0.05, [0.05, 0.1, 0.15, 0.2])
-        assert out["report"].verdict == "inconclusive"
-        assert math.isinf(out["alpha_fit"])
+        rep = holder_fit(src, 0.0, 0.05, [0.05, 0.1, 0.15, 0.2])
+        assert rep.verdict == "inconclusive"
+        assert math.isinf(rep.extras["alpha_fit"])
 
     def test_smooth_profile_capped_at_one(self, bump_traj):
         src = SolutionSource(bump_traj)
-        out = holder_fit(src, 0.3, 1e-2, [0.05, 0.1, 0.15, 0.2, 0.25])
-        assert 0 < out["alpha_fit"] <= 1.0
-        assert out["lipschitz_const"] > 0
-        assert out["r_squared"] > 0.9
-        assert out["report"].verdict == "bounded"
+        rep = holder_fit(src, 0.3, 1e-2, [0.05, 0.1, 0.15, 0.2, 0.25])
+        assert 0 < rep.extras["alpha_fit"] <= 1.0
+        assert rep.extras["lipschitz"] > 0
+        assert rep.extras["r_squared"] > 0.9
+        assert rep.verdict == "bounded"

@@ -1,5 +1,7 @@
 """Tests for the implicit finite-volume solver."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from dnl_lab.solver import (
     CauchyDirichletProblem,
     SolverConfig,
     StepFailure,
+    _beta,
     step,
     solve,
     check_comparison,
@@ -59,6 +62,21 @@ class TestConfigValidation:
             SolverConfig(floor_eps=-1e-3)
         with pytest.raises(ValueError):
             SolverConfig(flux_mean="bogus")
+
+
+class TestBeta:
+    def test_zero_cell_below_q_one(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = _beta(np.array([0.0, 0.5]), 0.2)
+        assert b[0] == 0.0
+        assert b[1] == pytest.approx(0.5**0.2, rel=1e-15)
+
+    def test_matches_power_away_from_zero(self):
+        u = np.array([0.0, 1e-3, 0.5, 1.0])
+        for q in (0.2, 0.7, 1.0, 2.0, 3.5):
+            assert np.array_equal(_beta(u, q)[1:], np.abs(u[1:]) ** (q - 1) * u[1:])
+            assert _beta(u, q)[0] == 0.0
 
 
 class TestStepBasics:
