@@ -191,6 +191,14 @@ def _floats(raw):
     return [float(tok) for tok in raw.split(",") if tok.strip()]
 
 
+def _some_floats(raw):
+    """A comma-separated list that must hold at least one number."""
+    values = _floats(raw)
+    if not values:
+        raise ValueError("empty list")
+    return values
+
+
 def _bool(raw):
     if raw.lower() in ("true", "yes", "1", "on"):
         return True
@@ -207,19 +215,23 @@ def fmt(x):
 
 
 class Output:
-    """Collects CSV rows + meta text; writes files or stdout."""
+    """Collects CSV lines + meta text; writes files or stdout."""
 
     def __init__(self, prefix):
         self.prefix = prefix
         self.header = None
-        self.rows = []
+        self.lines = []  # finished CSV body lines, without newlines
         self.meta_lines = []
 
     def set_header(self, cols):
         self.header = list(cols)
 
     def add_row(self, values):
-        self.rows.append([fmt(v) for v in values])
+        self.lines.append(",".join([fmt(v) for v in values]))
+
+    def add_lines(self, lines):
+        """Append finished CSV body lines (cells already formatted)."""
+        self.lines.extend(lines)
 
     def add_report(self, report):
         rows = report.csv_rows()
@@ -239,9 +251,8 @@ class Output:
         csv_text = ""
         if self.header:
             csv_text = ",".join(self.header) + "\n"
-        csv_text += "\n".join(",".join(r) for r in self.rows)
-        if self.rows:
-            csv_text += "\n"
+        if self.lines:
+            csv_text += "\n".join(self.lines) + "\n"
         meta_text = serialize_config(cfg)
         if self.meta_lines:
             meta_text += "\n".join(self.meta_lines) + "\n"
@@ -421,7 +432,7 @@ def _residual_lattice(cfg, fid):
 
 
 def pipe_exact_residual(cfg, out):
-    hs = _get(cfg, "residual", "h_sequence", _floats, [1e-2, 5e-3, 2.5e-3])
+    hs = _get(cfg, "residual", "h_sequence", _some_floats, [1e-2, 5e-3, 2.5e-3])
     fam = build_family(cfg)
     fid = _get(cfg, "family", "id")
     radii, times = _residual_lattice(cfg, fid)
@@ -456,6 +467,21 @@ def pipe_exact_residual(cfg, out):
     return 0 if ok else 2
 
 
+def _export_lines(traj):
+    """`t,x,u` CSV lines of a trajectory, the same bytes as `add_row` gives.
+
+    Each time and each cell center is formatted once and each field row in
+    one pass: `'%.17g' % v` equals `format(v, '.17g')` on floats, `nan`,
+    `inf` and `-0` included."""
+    g17 = "%.17g".__mod__
+    xs = [x + "," for x in map(g17, traj.problem.grid.centers().tolist())]
+    lines = []
+    for t, u in zip(traj.times, traj.fields):
+        t_cell = fmt(t) + ","
+        lines.extend([t_cell + x + v for x, v in zip(xs, map(g17, u.tolist()))])
+    return lines
+
+
 def pipe_solve(cfg, out):
     traj = run_solver(cfg)
     if _get(cfg, "comparison", "enabled", _bool, False):
@@ -475,17 +501,14 @@ def pipe_solve(cfg, out):
         out.meta(f"comparison,{'pass' if result['passes'] else 'fail'}")
         return 0 if result["passes"] else 2
     out.set_header(["t", "x", "u"])
-    xs = traj.problem.grid.centers()
-    for t, u in zip(traj.times, traj.fields):
-        for x, v in zip(xs, u):
-            out.add_row([t, x, v])
+    out.add_lines(_export_lines(traj))
     out.meta(f"final_sup,{fmt(float(traj.fields[-1].max()))}")
     return 0
 
 
 def _probe_list(cfg):
-    x_os = _get(cfg, "probes", "x_o", _floats)
-    t_os = _get(cfg, "probes", "t_o", _floats)
+    x_os = _get(cfg, "probes", "x_o", _some_floats)
+    t_os = _get(cfg, "probes", "t_o", _some_floats)
     if len(t_os) == 1:
         t_os = t_os * len(x_os)
     if len(x_os) != len(t_os):
@@ -570,7 +593,7 @@ def _key(name, conv=float, default=None):
 def _gradbound_probes(cfg):
     """(x_o, t_o, rho) triples: radii paired with the base points when the
     lengths match, every radius at every base point otherwise."""
-    radii = _get(cfg, "probes", "radii", _floats)
+    radii = _get(cfg, "probes", "radii", _some_floats)
     base = _probe_list(cfg)
     if len(radii) == len(base):
         return [(x, t, r) for (x, t), r in zip(base, radii)]
@@ -607,7 +630,7 @@ COMMANDS = {
             "harnack_scan",
             build_source,
             ("base_points", _probe_list),
-            _key("radii", _floats),
+            _key("radii", _some_floats),
             _key("sigma", float, 0.25),
             _LATTICE,
         ),
@@ -646,7 +669,7 @@ COMMANDS = {
             "holder_fit",
             build_source,
             *_POINT,
-            _key("radii", _floats),
+            _key("radii", _some_floats),
             _key("lattice", int, 16),
         ),
     ),

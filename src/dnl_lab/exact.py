@@ -750,8 +750,11 @@ class SpecialLogProfile(ClosedFormSolution):
         return -self.neg_fprime(xi) * xi / (p * tt)
 
     def valid_rt(self, r, t):
-        xi, tt = self._xi(r, t)
-        return (xi > 1e-5) & (xi <= 0.95 * self.r_anchor) & (tt > 0)
+        # (T - t)^(-1/p) only where t < T: the power of tt <= 0 warns
+        tt = self.T - np.asarray(t, float)
+        live = tt > 0
+        xi = np.asarray(r, float) * np.where(live, tt, 1.0) ** (-1 / self.exponents.p)
+        return (xi > 1e-5) & (xi <= 0.95 * self.r_anchor) & live
 
     def validity_description(self):
         return "1e-5 < |x| (T-t)^{-1/p} <= 0.95 r_anchor and t < T"

@@ -224,18 +224,21 @@ class _Discretization:
         return ab
 
 
-def step(problem, u_prev, t, dt, config):
+def step(problem, u_prev, t, dt, config, disc=None):
     """Advance one implicit Euler step from time t to t+dt.
 
     Returns (u_new, diagnostics dict).  Newton with up-to-8 halvings of the
     update; after max_newton/2 failed Newton iterations, falls back to Picard
-    iterations with frozen flux coefficients."""
+    iterations with frozen flux coefficients.  `disc` is the problem's
+    `_Discretization`, built here when not given (`solve` builds one per
+    run)."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
     u_prev = np.asarray(u_prev, dtype=float)
     if np.any(u_prev < 0):
         raise ValueError("u_prev must be non-negative")
-    disc = _Discretization(problem, config)
+    if disc is None:
+        disc = _Discretization(problem, config)
     t_new = t + dt
     a_faces = disc._coef_faces(t_new)
     u = u_prev.copy()
@@ -308,8 +311,9 @@ def solve(problem, config):
     dts = [config.dt] * n_full
     if remainder > 1e-9 * config.dt:
         dts.append(remainder)
+    disc = _Discretization(problem, config)
     for i, dt in enumerate(dts):
-        u, info = step(problem, u, t, dt, config)
+        u, info = step(problem, u, t, dt, config, disc=disc)
         # recompute from the step index to avoid float drift in long runs
         t = problem.t_start + min((i + 1) * config.dt, span)
         traj.times.append(t)

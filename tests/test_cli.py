@@ -2,17 +2,21 @@
 
 import warnings
 
+import numpy as np
 import pytest
 
 from dnl_lab.cli import (
     ConfigError,
+    Output,
     _apply_overrides,
+    _export_lines,
     parse_config_text,
     serialize_config,
     PRESETS,
     SUBCOMMANDS,
     preset,
     run,
+    run_solver,
 )
 
 
@@ -148,6 +152,25 @@ class TestRun:
         assert err.startswith("error: nonlinear iteration did not converge")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["gradbound", "--preset", "gradbound-fail-trudinger", "--radii", ""],
+             "[probes] radii"),
+            (["harnack", "--preset", "harnack-fail-trudinger", "--radii", ""],
+             "[probes] radii"),
+            (["harnack", "--preset", "harnack-fail-trudinger", "--x_o", ""],
+             "[probes] x_o"),
+            (["exact-residual", "--preset", "residual-trudinger-gaussian",
+              "--h_sequence", ""], "[residual] h_sequence"),
+        ],
+    )
+    def test_empty_list_exits_1(self, capsys, argv, key):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad value for {key}: empty list\n"
+
     def test_subcommand_mismatch_exits_1(self, capsys):
         assert run(["regimes", "--preset", "model-classic-gas"]) == 1
         assert "belongs to subcommand" in capsys.readouterr().err
@@ -217,3 +240,42 @@ class TestRun:
         meta = (prefix.with_suffix(".meta")).read_text()
         assert "verdict,pass" in meta
         assert "fitted_order," in meta
+
+
+def _row_lines(traj):
+    """The `t,x,u` lines as `Output.add_row` formats them, cell by cell."""
+    out = Output(None)
+    xs = traj.problem.grid.centers()
+    for t, u in zip(traj.times, traj.fields):
+        for x, v in zip(xs, u):
+            out.add_row([t, x, v])
+    return out.lines
+
+
+class TestExportLines:
+    SPECIAL = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e22, 0.1]
+
+    def test_special_values_match_add_row(self):
+        _, cfg = preset("solver-supercritical-run")
+        cfg["grid"]["n_cells"] = str(len(self.SPECIAL))
+        cfg["solver"]["t_end"] = "4e-4"
+        traj = run_solver(cfg)
+        traj.fields[1] = np.array(self.SPECIAL)
+        traj.fields[2] = -np.array(self.SPECIAL)
+        traj.times[1] = np.float64(traj.times[1])
+        assert _export_lines(traj) == _row_lines(traj)
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [["--geometry", "radial"], ["--geometry", "cartesian", "--x_lo", "-1"]],
+    )
+    def test_solve_export_matches_add_row(self, tmp_path, geometry):
+        overrides = ["--n_cells", "9", "--t_end", "2e-3", *geometry]
+        prefix = tmp_path / "run"
+        argv = ["solve", "--preset", "solver-supercritical-run", *overrides]
+        assert run(argv + ["--out", str(prefix)]) == 0
+        _, cfg = preset("solver-supercritical-run")
+        traj = run_solver(_apply_overrides(cfg, overrides, "solve"))
+        want = "t,x,u\n" + "\n".join(_row_lines(traj)) + "\n"
+        assert prefix.with_suffix(".csv").read_text() == want
+        assert len(traj.times) == 11

@@ -11,6 +11,7 @@ from dnl_lab.solver import (
     CauchyDirichletProblem,
     SolverConfig,
     StepFailure,
+    _Discretization,
     _beta,
     step,
     solve,
@@ -105,6 +106,29 @@ class TestStepBasics:
             u, _ = step(pr, u, k * cfg.dt, cfg.dt, cfg)
             assert np.all(u >= 0.0)
             assert u.max() <= pr.initial.max() + 1e-12
+
+    def test_shared_discretization_same_arrays(self):
+        # solve builds one _Discretization per run; a step given it must
+        # give the bytes of a step that builds its own
+        for geometry, x_lo, coefficient in (
+            ("radial", 0.0, None),
+            ("cartesian", -1.0, lambda x, t: 1.0 + 0.5 * x * x + t),
+        ):
+            g = Grid1D(x_lo, 1.0, 24, geometry, 3)
+            pr = CauchyDirichletProblem(
+                ExponentTriple(3.0, 2.0, 3), g, _bump(g), 1.0,
+                coefficient=coefficient,
+            )
+            cfg = SolverConfig(dt=1e-3, flux_mean="harmonic")
+            disc = _Discretization(pr, cfg)
+            u_own = u_shared = pr.initial
+            for k in range(4):
+                u_own, info_own = step(pr, u_own, k * cfg.dt, cfg.dt, cfg)
+                u_shared, info_shared = step(
+                    pr, u_shared, k * cfg.dt, cfg.dt, cfg, disc=disc
+                )
+                assert np.array_equal(u_own, u_shared)
+                assert info_own == info_shared
 
     def test_step_errors(self):
         g = Grid1D(0.0, 1.0, 8)
