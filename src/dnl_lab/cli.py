@@ -23,6 +23,7 @@ byte-identical CSV output.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -197,6 +198,22 @@ def _some_floats(raw):
     if not values:
         raise ValueError("empty list")
     return values
+
+
+def _radii(raw):
+    """A non-empty list of radii, each finite and > 0."""
+    values = _some_floats(raw)
+    if not all(0 < v < math.inf for v in values):
+        raise ValueError("every radius must be finite and > 0")
+    return values
+
+
+def _lattice_size(raw):
+    """Lattice points per axis of a probe cylinder."""
+    n = int(raw)
+    if n < 1:
+        raise ValueError("must be >= 1")
+    return n
 
 
 def _bool(raw):
@@ -593,7 +610,7 @@ def _key(name, conv=float, default=None):
 def _gradbound_probes(cfg):
     """(x_o, t_o, rho) triples: radii paired with the base points when the
     lengths match, every radius at every base point otherwise."""
-    radii = _get(cfg, "probes", "radii", _some_floats)
+    radii = _get(cfg, "probes", "radii", _radii)
     base = _probe_list(cfg)
     if len(radii) == len(base):
         return [(x, t, r) for (x, t), r in zip(base, radii)]
@@ -601,14 +618,15 @@ def _gradbound_probes(cfg):
 
 
 def _scan(diagnostic, source, *args):
-    """Pipeline of one estimate scan: build the source, read the probe
-    arguments in order and report `dg.<diagnostic>`.  The diagnostic is looked
-    up by name on every call, so a wrapper installed on the module after
-    import (a tracer, a mock) is the one that runs."""
+    """Pipeline of one estimate scan: read the probe arguments in order (a
+    bad one fails before any solve), build the source and report
+    `dg.<diagnostic>`.  The diagnostic is looked up by name on every call,
+    so a wrapper installed on the module after import (a tracer, a mock) is
+    the one that runs."""
 
     def pipeline(cfg, out):
-        src = source(cfg)
         kwargs = {name: read(cfg) for name, read in args}
+        src = source(cfg)
         return _report(out, getattr(dg, diagnostic)(src, **kwargs))
 
     return pipeline
@@ -617,7 +635,7 @@ def _scan(diagnostic, source, *args):
 _SCAN = ("probes", "family", "exponents", "solver", "grid", "output")
 _POINT = (_key("x_o"), _key("t_o"))
 _CYLINDER = (*_POINT, _key("rho"), _key("s"))
-_LATTICE = _key("lattice", int, 32)
+_LATTICE = _key("lattice", _lattice_size, 32)
 
 # subcommand -> (section order resolving a bare --key, pipeline(cfg, out))
 COMMANDS = {
@@ -630,7 +648,7 @@ COMMANDS = {
             "harnack_scan",
             build_source,
             ("base_points", _probe_list),
-            _key("radii", _some_floats),
+            _key("radii", _radii),
             _key("sigma", float, 0.25),
             _LATTICE,
         ),
@@ -669,8 +687,8 @@ COMMANDS = {
             "holder_fit",
             build_source,
             *_POINT,
-            _key("radii", _some_floats),
-            _key("lattice", int, 16),
+            _key("radii", _radii),
+            _key("lattice", _lattice_size, 16),
         ),
     ),
     "model": (("model", "output"), pipe_model),

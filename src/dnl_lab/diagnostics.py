@@ -101,24 +101,22 @@ class SolutionSource:
         vals = np.interp(np.abs(x) if self._radial else x, self._xs, row)
         return vals if vals.ndim else float(vals)
 
-    # -- closed forms: point by point ---------------------------------------
-    # (array u_rt differs from scalar u_rt in the last bit for some families)
-    def _each(self, fn, x):
-        if np.ndim(x) == 0:
-            return fn([x])
-        return np.array([fn([v]) for v in np.asarray(x, dtype=float).tolist()])
-
+    # -- closed forms: values one probe line per call, gradients point by
+    # point (both the same bits as the scalar `eval`/`grad` of the family)
     def eval(self, x, t):
-        if self.kind == "closed_form":
-            return self._each(lambda v: self.backing.eval(v, t), x)
-        return self._at(self._U, x, t)
+        if self.kind != "closed_form":
+            return self._at(self._U, x, t)
+        if np.ndim(x) == 0:
+            return self.backing.eval([x], t)
+        return self.backing.eval_line(x, t)
 
     def grad_norm(self, x, t):
-        if self.kind == "closed_form":
-            return self._each(
-                lambda v: float(np.linalg.norm(self.backing.grad(v, t))), x
-            )
-        return abs(self._at(self._dU, x, t))
+        if self.kind != "closed_form":
+            return abs(self._at(self._dU, x, t))
+        norm = lambda v: float(np.linalg.norm(self.backing.grad([v], t)))
+        if np.ndim(x) == 0:
+            return norm(x)
+        return np.array([norm(v) for v in np.asarray(x, dtype=float).tolist()])
 
     def valid(self, x, t):
         r = np.asarray(x, dtype=float)
@@ -348,7 +346,8 @@ def extinction_analysis(traj, x_probes=(), extinct_tol=1e-8, skip_fraction=1e-3)
           constant mu = (q+1)/q min_t ||Du||_p^p / ||u||_{q+1}^p;
     (iii) implied constants of the decay estimates
           u(x_o,t_o) <= gamma [(T-t_o)/d^p]^{1/(q+1-p)} (and its gradient
-          form) at the probe points, for t_o in (T/2, T).
+          form) at the probe points, for t_o in (T/2, T).  A probe on or
+          past the domain edge (distance d <= 0) raises RegimeError.
 
     Verdict bounded iff v <= w up to 5% of v(0) and T_num <= T_bound."""
     e = traj.problem.exponents
@@ -357,6 +356,14 @@ def extinction_analysis(traj, x_probes=(), extinct_tol=1e-8, skip_fraction=1e-3)
         raise RegimeError("extinction analysis requires q + 1 > p")
     if traj.problem.boundary != "zero_dirichlet":
         raise RegimeError("extinction analysis requires zero Dirichlet boundary")
+    # signed distance to the boundary: <= 0 on or past the domain edge
+    g = traj.problem.grid
+    d_bound = lambda x: min(x - g.x_lo, g.x_hi - x) if (
+        g.geometry == "cartesian"
+    ) else (g.x_hi - abs(x))
+    for x_o in x_probes:
+        if not d_bound(x_o) > 0:
+            raise RegimeError(f"probe x_o={x_o} is not inside the domain")
     fn = slice_functionals(traj)
     times, v = fn["t"], fn["int_uq1"]
     sup_u = fn["sup_u"]
@@ -384,10 +391,6 @@ def extinction_analysis(traj, x_probes=(), extinct_tol=1e-8, skip_fraction=1e-3)
     max_excess = float(np.max((v - w)) / v0)
     # (iii) decay constants at probes
     src = SolutionSource(traj)
-    g = traj.problem.grid
-    d_bound = lambda x: min(abs(x - g.x_lo), abs(g.x_hi - x)) if (
-        g.geometry == "cartesian"
-    ) else (g.x_hi - abs(x))
     probe_consts = []
     for x_o in x_probes:
         d = d_bound(x_o)

@@ -27,7 +27,8 @@ class ClosedFormSolution:
     derivative and analytic d/dt(u^q).
 
     Subclasses implement u_rt / ur_rt / ut_rt / valid_rt on arrays of radii
-    and times.  The public eval/grad/dt_uq operate on coordinate vectors.
+    and times.  The public eval/grad/dt_uq operate on coordinate vectors;
+    eval_line evaluates u along a probe line at one time.
     """
 
     family = "abstract"
@@ -65,17 +66,37 @@ class ClosedFormSolution:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return float(np.linalg.norm(x)), x
 
+    def _outside(self, r, t):
+        return DomainError(
+            f"({r}, {t}) outside validity domain of {self.family}: "
+            + self.validity_description()
+        )
+
     def _check(self, r, t):
         if not np.all(self.valid_rt(np.asarray(r, float), np.asarray(t, float))):
-            raise DomainError(
-                f"({r}, {t}) outside validity domain of {self.family}: "
-                + self.validity_description()
-            )
+            raise self._outside(r, t)
 
     def eval(self, x, t):
         r, _ = self._radius(x)
         self._check(r, t)
         return float(self.u_rt(r, t))
+
+    def eval_line(self, x, t):
+        """u at every coordinate of the 1-D array x at the scalar time t: the
+        same bits as one `eval([v], t)` per coordinate, and the same
+        DomainError for the first point outside the validity domain."""
+        x = np.asarray(x, dtype=float)
+        r = np.sqrt(x * x)  # the bits of np.linalg.norm of a 1-vector
+        ok = np.broadcast_to(self.valid_rt(r, np.asarray(t, float)), r.shape)
+        if not ok.all():
+            raise self._outside(r[~ok][0].item(), t)
+        return self._u_line(r, t)
+
+    def _u_line(self, r, t):
+        """u_rt at the radii r (1-D) and the scalar t, one Python float at a
+        time.  An override computes the line at once but must keep every
+        value's bits: see `_pow_each`."""
+        return np.array([float(self.u_rt(v, t)) for v in r.tolist()], dtype=float)
 
     def grad(self, x, t):
         r, xv = self._radius(x)
@@ -159,6 +180,18 @@ def residual_order(sol, radii, times, h_values=(1e-2, 5e-3, 2.5e-3)):
 # ---------------------------------------------------------------------------
 
 
+def _pow_each(base, e):
+    """`v ** e` for every element v of the 1-D array base, on numpy scalars.
+
+    In `u_rt` at one point, a power whose base is the 0-d array
+    `np.asarray(r)` or `np.asarray(t)` runs numpy's array loop, which may
+    differ from libm `pow` in the last bit; a power of a numpy scalar runs
+    libm `pow`.  A line evaluation keeps the first kind as an array power and
+    takes the second kind here.  Numpy scalars rather than Python floats,
+    which raise where numpy warns (overflow, 0 to a negative power)."""
+    return np.array([v**e for v in base], dtype=float)
+
+
 class TrudingerGaussian(ClosedFormSolution):
     """Gaussian-type solution of the Trudinger borderline q = p-1:
     u = C t^{-N/(p(p-1))} exp{-((p-1)/p) (|x|^p/(p t))^{1/(p-1)}} on t > 0."""
@@ -180,6 +213,13 @@ class TrudingerGaussian(ClosedFormSolution):
             * t ** (-N / (p * (p - 1)))
             * np.exp(-((p - 1) / p) * (r**p / (p * t)) ** (1 / (p - 1)))
         )
+
+    def _u_line(self, r, t):
+        p, N = self.exponents.p, self.exponents.n_dim
+        t = np.asarray(t, float)
+        amp = self.C * t ** (-N / (p * (p - 1)))
+        xi = _pow_each(_pow_each(np.abs(r), p) / (p * t), 1 / (p - 1))
+        return amp * np.exp(-((p - 1) / p) * xi)
 
     def ur_rt(self, r, t):
         p = self.exponents.p
@@ -292,6 +332,10 @@ class CriticalHarnackWave(ClosedFormSolution):
         t = np.asarray(t, float)
         return (r**self.kappa + np.exp(self.b * t)) ** (-self.gamma)
 
+    def _u_line(self, r, t):
+        ebt = np.exp(self.b * np.asarray(t, float))
+        return _pow_each(r**self.kappa + ebt, -self.gamma)
+
     def ur_rt(self, r, t):
         r = np.asarray(r, float)
         base = r**self.kappa + np.exp(self.b * np.asarray(t, float))
@@ -351,6 +395,12 @@ class BoundednessBorderline(ClosedFormSolution):
         tt = np.clip(self.T - np.asarray(t, float), 0.0, None)
         r = np.asarray(r, float)
         return tt**self.m_t * (self.a + self.b * r**self.s_exp) ** (-N / (q + 1))
+
+    def _u_line(self, r, t):
+        N, q = self.exponents.n_dim, self.exponents.q
+        tt = np.clip(self.T - np.asarray(t, float), 0.0, None)
+        base = self.a + self.b * r**self.s_exp
+        return tt**self.m_t * _pow_each(base, -N / (q + 1))
 
     def ur_rt(self, r, t):
         N, q = self.exponents.n_dim, self.exponents.q

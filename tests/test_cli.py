@@ -171,6 +171,44 @@ class TestRun:
         assert captured.out == ""
         assert captured.err == f"error: bad value for {key}: empty list\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            *[
+                ([sub, "--preset", name, "--lattice", n],
+                 "bad value for [probes] lattice: must be >= 1")
+                for sub, name, n in [
+                    ("harnack", "harnack-fail-trudinger", "0"),
+                    ("gradbound", "gradbound-fail-trudinger", "-1"),
+                    ("integral-harnack", "integral-harnack-supercritical", "0"),
+                    ("supbound", "supbound-fast-diffusion", "-3"),
+                    ("holder", "holder-supercritical", "0"),
+                ]
+            ],
+            *[
+                ([sub, "--preset", name, "--radii", radii],
+                 "bad value for [probes] radii: every radius must be finite and > 0")
+                for sub, name, radii in [
+                    ("harnack", "harnack-fail-trudinger", "0"),
+                    ("gradbound", "gradbound-fail-trudinger", "-1"),
+                    ("holder", "holder-supercritical", "0.01,0.02,inf,0.04"),
+                    ("harnack", "harnack-fail-trudinger", "1,nan"),
+                ]
+            ],
+            (["extinction", "--preset", "extinction-bound", "--x_o", "1"],
+             "probe x_o=1.0 is not inside the domain"),
+            (["extinction", "--preset", "extinction-bound", "--x_o", "0.2,2"],
+             "probe x_o=2.0 is not inside the domain"),
+        ],
+    )
+    def test_bad_probe_exits_1(self, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_subcommand_mismatch_exits_1(self, capsys):
         assert run(["regimes", "--preset", "model-classic-gas"]) == 1
         assert "belongs to subcommand" in capsys.readouterr().err

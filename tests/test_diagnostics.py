@@ -344,6 +344,12 @@ class TestExtinction:
         with pytest.raises(RegimeError):
             extinction_analysis(slow)  # q + 1 <= p
 
+    def test_probe_outside_domain(self, bump_traj):
+        # cartesian (-1, 1): on the edge and past it on either side
+        for x_o in (1.0, 1.5, -1.2):
+            with pytest.raises(RegimeError, match="not inside the domain"):
+                extinction_analysis(bump_traj, x_probes=(0.0, x_o))
+
     def test_no_extinction_inconclusive(self, bump_traj):
         rep = extinction_analysis(bump_traj)
         assert rep.verdict == "inconclusive"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dnl_lab.core import ExponentTriple
 from dnl_lab.exact import (
@@ -249,3 +250,101 @@ class TestCriticalB:
     def test_precondition(self):
         with pytest.raises(ValueError):
             derive_critical_b_report(3, 1.5)
+
+
+# one or two instances of every family; the T of the T-families is 1 or 2
+_LINE_FAMILIES = [
+    TrudingerGaussian(p=2.0, n_dim=1),
+    TrudingerGaussian(p=1.5, n_dim=3, C=2.0),
+    SeparableBlowup(n_dim=3, p=2.0, q=5.0),
+    CriticalHarnackWave(n_dim=3, p=2.0),
+    CriticalHarnackWave(n_dim=5, p=2.5),
+    BoundednessBorderline(n_dim=3, p=2.0),
+    BoundednessBorderline(n_dim=4, p=1.7, a=0.3, T=2.0),
+    SupercriticalExtinction(n_dim=40, p=2.0, q=3.0),
+    SupercriticalExtinction(n_dim=40, p=2.0, q=3.0, T=2.0, C=-1.0),
+    DipoleSelfSimilar(n_dim=3, p=1.15),
+    IvanovSubsolution(),
+    SpecialLogProfile(),
+]
+_COORDS = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 0.05, 0.9, 1e-300, 1e200, math.inf, math.nan]),
+)
+
+
+@st.composite
+def _line_times(draw, sol):
+    """t in the body of the domain, at 0, and at, just before or past T."""
+    T = getattr(sol, "T", 1.0)
+    t = draw(
+        st.one_of(
+            st.floats(-2.0, 3.0),
+            st.sampled_from(
+                [0.0, -0.0, 1e-9, T, math.nextafter(T, -math.inf), T + 0.5, -40.0]
+            ),
+        )
+    )
+    return draw(st.sampled_from([t, np.float64(t)]))
+
+
+def _eval_each(sol, xs, t):
+    """Reference: one scalar `eval` per coordinate, or its DomainError."""
+    try:
+        return np.array([sol.eval([v], t) for v in xs.tolist()], dtype=float), None
+    except DomainError as exc:
+        return None, str(exc)
+
+
+def _eval_line(sol, xs, t):
+    try:
+        return sol.eval_line(xs, t), None
+    except DomainError as exc:
+        return None, str(exc)
+
+
+class TestEvalLine:
+    """`eval_line` equals one `eval` per point, bit for bit."""
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_matches_pointwise(self, data):
+        sol = data.draw(st.sampled_from(_LINE_FAMILIES), label="family")
+        xs = np.array(data.draw(st.lists(_COORDS, max_size=10), label="x"))
+        t = data.draw(_line_times(sol), label="t")
+        # compare values only: overflow and 0**-e warn point by point
+        with np.errstate(all="ignore"):
+            want, want_err = _eval_each(sol, xs, t)
+            got, got_err = _eval_line(sol, xs, t)
+            assert got_err == want_err
+            if want_err is not None:
+                ok = [
+                    bool(np.all(sol.valid_rt(np.linalg.norm([v]), np.asarray(t))))
+                    for v in xs.tolist()
+                ]
+                xs = xs[np.array(ok, dtype=bool)]
+                want, _ = _eval_each(sol, xs, t)
+                got, _ = _eval_line(sol, xs, t)
+        assert got.dtype == np.float64 and got.shape == xs.shape
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_lattice_lines(self):
+        # 32-point lines as the harnack scans take them, around the probes of
+        # two counterexample presets: numpy's array loops run full vectors
+        for sol, x_o, t_o, rho in [
+            (CriticalHarnackWave(n_dim=3, p=2.0), 1.0, -8.0, 1.0),
+            (BoundednessBorderline(n_dim=3, p=2.0), 2.0, 0.5, 16.0),
+        ]:
+            xs = np.linspace(x_o - rho, x_o + rho, 32)
+            for t in np.linspace(t_o - 0.4, min(t_o + 0.4, 0.99), 32):
+                want, _ = _eval_each(sol, xs, t)
+                assert sol.eval_line(xs, t).view(np.int64).tolist() == (
+                    want.view(np.int64).tolist()
+                )
+
+    def test_first_invalid_point_named(self):
+        sol = SeparableBlowup(n_dim=3, p=2.0, q=5.0)
+        with pytest.raises(DomainError, match=r"^\(0\.0, 0\.5\) outside"):
+            sol.eval_line(np.array([1.0, -0.0, 2.0, 0.0]), 0.5)
+        assert sol.eval_line(np.array([]), 0.5).shape == (0,)
