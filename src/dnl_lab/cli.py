@@ -200,12 +200,22 @@ def _some_floats(raw):
     return values
 
 
-def _radii(raw):
-    """A non-empty list of radii, each finite and > 0."""
-    values = _some_floats(raw)
-    if not all(0 < v < math.inf for v in values):
-        raise ValueError("every radius must be finite and > 0")
-    return values
+def _positive(conv, subject):
+    """Converter: `conv`, then the check that the number it gives, or every
+    number of the list it gives, is finite and > 0; `subject` names it in
+    the error."""
+
+    def read(raw):
+        value = conv(raw)
+        if not all(0 < v < math.inf for v in np.atleast_1d(value)):
+            raise ValueError(f"{subject} must be finite and > 0")
+        return value
+
+    return read
+
+
+_RADII = _positive(_some_floats, "every radius")
+_STEPS = _positive(_some_floats, "every step")
 
 
 def _lattice_size(raw):
@@ -449,7 +459,7 @@ def _residual_lattice(cfg, fid):
 
 
 def pipe_exact_residual(cfg, out):
-    hs = _get(cfg, "residual", "h_sequence", _some_floats, [1e-2, 5e-3, 2.5e-3])
+    hs = _get(cfg, "residual", "h_sequence", _STEPS, [1e-2, 5e-3, 2.5e-3])
     fam = build_family(cfg)
     fid = _get(cfg, "family", "id")
     radii, times = _residual_lattice(cfg, fid)
@@ -610,7 +620,7 @@ def _key(name, conv=float, default=None):
 def _gradbound_probes(cfg):
     """(x_o, t_o, rho) triples: radii paired with the base points when the
     lengths match, every radius at every base point otherwise."""
-    radii = _get(cfg, "probes", "radii", _radii)
+    radii = _get(cfg, "probes", "radii", _RADII)
     base = _probe_list(cfg)
     if len(radii) == len(base):
         return [(x, t, r) for (x, t), r in zip(base, radii)]
@@ -634,7 +644,8 @@ def _scan(diagnostic, source, *args):
 
 _SCAN = ("probes", "family", "exponents", "solver", "grid", "output")
 _POINT = (_key("x_o"), _key("t_o"))
-_CYLINDER = (*_POINT, _key("rho"), _key("s"))
+_RHO = _key("rho", _positive(float, "rho"))
+_CYLINDER = (*_POINT, _RHO, _key("s", _positive(float, "s")))
 _LATTICE = _key("lattice", _lattice_size, 32)
 
 # subcommand -> (section order resolving a bare --key, pipeline(cfg, out))
@@ -648,7 +659,7 @@ COMMANDS = {
             "harnack_scan",
             build_source,
             ("base_points", _probe_list),
-            _key("radii", _radii),
+            _key("radii", _RADII),
             _key("sigma", float, 0.25),
             _LATTICE,
         ),
@@ -667,8 +678,8 @@ COMMANDS = {
             "expansion_of_positivity",
             solved_source,
             *_POINT,
-            _key("rho"),
-            _key("M"),
+            _RHO,
+            _key("M", _positive(float, "M")),
             _key("alpha"),
             _key("delta_scan", int, 10),
         ),
@@ -687,7 +698,7 @@ COMMANDS = {
             "holder_fit",
             build_source,
             *_POINT,
-            _key("radii", _radii),
+            _key("radii", _RADII),
             _key("lattice", _lattice_size, 16),
         ),
     ),

@@ -370,6 +370,8 @@ class BoundednessBorderline(ClosedFormSolution):
         q = (N * (p - 1) + p) / (N - p)
         if not max((q + 1) / q, p) < N:
             raise ValueError("requires max{(q+1)/q, p} < N")
+        if not (0 < a < math.inf and 0 < T < math.inf):
+            raise ValueError("requires a and T finite and > 0")
         exps = ExponentTriple(p=p, q=q, n_dim=N)
         b = (N * q - q - 1) / N**2 * (
             q * (N + q + 1) / ((q + 1) ** 2 * N * a)

@@ -4,16 +4,17 @@
 
 on uniform 1-D cartesian or radial grids.  Backward Euler in time; Newton
 with damping on the cell residuals, falling back to Picard iteration (frozen
-flux coefficients) when Newton stalls.  Dirichlet boundaries are imposed by
-ghost values; radial grids use the r^{N-1} face weighting with zero flux
-through r = 0.
+flux coefficients) when Newton stalls.  Each iteration solves its tridiagonal
+system with LAPACK `dgtsv` (`solve_banded`).  Dirichlet boundaries are
+imposed by ghost values; radial grids use the r^{N-1} face weighting with
+zero flux through r = 0.
 """
 
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .core import ExponentTriple, Grid1D
 
@@ -52,6 +53,8 @@ class CauchyDirichletProblem:
             raise ValueError(f"unknown boundary {self.boundary!r}")
         if self.boundary == "from_exact" and self.exact is None:
             raise ValueError("from_exact boundary requires an exact solution")
+        if self.boundary == "dirichlet" and self.boundary_values is None:
+            raise ValueError("dirichlet boundary requires boundary_values")
 
     def ghost_values(self, u, t):
         """(left ghost, right ghost) cell values at time t."""
@@ -97,20 +100,36 @@ class Trajectory:
     residual_norms: list = dc_field(default_factory=list)
     clipped_mass: float = 0.0
 
-    def to_columnar(self):
-        """Columnar text format: '# t=<value>' headers followed by x,u rows."""
-        lines = []
-        xs = self.problem.grid.centers()
-        for t, u in zip(self.times, self.fields):
-            lines.append(f"# t={float(t)!r}")
-            for x, v in zip(xs, u):
-                lines.append(f"{float(x)!r},{float(v)!r}")
-        return "\n".join(lines) + "\n"
+
+def solve_banded(lower, main, upper, rhs):
+    """Solution of the tridiagonal system with diagonals `lower`, `main`,
+    `upper` by LAPACK `dgtsv`, which scipy's `solve_banded((1, 1), ...)`
+    calls too (same bits).  It overwrites the four distinct float64 arrays.
+    Raises ValueError on a non-finite entry, as scipy's `check_finite`
+    does, and LinAlgError on a singular system."""
+    if not np.isfinite(np.concatenate((lower, main, upper, rhs))).all():
+        raise ValueError("array must not contain infs or NaNs")
+    *_, x, info = dgtsv(lower, main, upper, rhs, 1, 1, 1, 1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+    return x
+
+
+def _times(a, b):
+    """a * b, where None stands for a factor of exactly 1 (1.0 * x == x)."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a * b
 
 
 def _beta(u, q):
+    """u^q as |u|^(q-1) u; at q = 1, `u` itself."""
     if q == 1:
-        return u.copy()
+        return u
     if q > 1:
         return np.abs(u) ** (q - 1) * u
     # q < 1: |u|^(q-1) is infinite at u = 0, where beta is 0
@@ -121,27 +140,30 @@ def _beta(u, q):
 
 
 def _beta_prime(u, q, eps=1e-12):
+    """q u^(q-1), regularized: singular at 0 for q < 1, degenerate for
+    q > 1; None (a factor of 1) at q = 1."""
     if q == 1:
-        return np.ones_like(u)
-    # regularized: singular at 0 for q < 1, degenerate for q > 1
+        return None
     return q * np.maximum(u, eps) ** (q - 1)
 
 
-def _phi(s2, mu, p):
-    """(mu^2 + s^2)^{(p-2)/2}; the scalar flux factor."""
-    base = mu * mu + s2
+def _phi(g, mu, p):
+    """(mu^2 + g^2)^{(p-2)/2}, the scalar flux factor; None (a factor of 1)
+    at p = 2."""
     if p == 2:
-        return np.ones_like(base)
+        return None
+    base = mu * mu + g * g
     with np.errstate(divide="ignore"):
         out = base ** ((p - 2) / 2)
     return np.where(base > 0, out, 0.0)
 
 
 def _phi_total_deriv(g, mu, p):
-    """d/dg [ phi(g) * g ] = (mu^2+g^2)^{(p-4)/2} (mu^2 + (p-1) g^2)."""
-    base = mu * mu + g * g
+    """d/dg [ phi(g) * g ] = (mu^2+g^2)^{(p-4)/2} (mu^2 + (p-1) g^2); None
+    (a factor of 1) at p = 2."""
     if p == 2:
-        return np.ones_like(base)
+        return None
+    base = mu * mu + g * g
     with np.errstate(divide="ignore", invalid="ignore"):
         out = base ** ((p - 4) / 2) * (mu * mu + (p - 1) * g * g)
     return np.where(base > 0, out, 0.0)
@@ -162,13 +184,14 @@ class _Discretization:
         else:
             self.area = np.ones(g.n_cells + 1)
         self.centers = g.centers()
-        # coefficient a at cell centers (and ghosts) is evaluated lazily per t
+        # zero flux through the face at r = 0
+        self.symmetric = g.geometry == "radial" and g.x_lo == 0.0
 
     def _coef_faces(self, t):
+        """Coefficient a at the faces at time t; None when a = 1."""
         a_fun = self.pr.coefficient
-        n = self.pr.grid.n_cells
         if a_fun is None:
-            return np.ones(n + 1)
+            return None
         h = self.h
         xs = np.concatenate(
             [[self.centers[0] - h], self.centers, [self.centers[-1] + h]]
@@ -182,46 +205,40 @@ class _Discretization:
             af = 0.5 * (ac[:-1] + ac[1:])
         return af
 
-    def residual(self, u, u_prev, t_new, dt, a_faces):
-        """Cell residuals R_i = (beta(u)-beta(u_prev)) V_i/dt - net flux."""
+    def residual(self, u, b_prev, t_new, dt, a_faces):
+        """Cell residuals R_i = (beta(u)-beta(u_prev)) V_i/dt - net flux,
+        with `b_prev` = beta(u_prev)."""
         pr = self.pr
         e = pr.exponents
         gl, gr = pr.ghost_values(u, t_new)
         ue = np.concatenate([[gl], u, [gr]])
         grads = (ue[1:] - ue[:-1]) / self.h  # one per face
-        flux = a_faces * _phi(grads * grads, pr.mu, e.p) * grads * self.area
-        if pr.grid.geometry == "radial" and pr.grid.x_lo == 0.0:
-            flux[0] = 0.0  # symmetry at r = 0
-        R = (_beta(u, e.q) - _beta(u_prev, e.q)) * self.vol / dt - (
-            flux[1:] - flux[:-1]
-        )
+        coef = _times(a_faces, _phi(grads, pr.mu, e.p))
+        flux = _times(coef, grads) * self.area
+        if self.symmetric:
+            flux[0] = 0.0
+        R = (_beta(u, e.q) - b_prev) * self.vol / dt - (flux[1:] - flux[:-1])
         return R, grads
 
     def jacobian_bands(self, u, grads, dt, a_faces, picard=False):
-        """Tridiagonal Jacobian in banded (3, n) storage."""
+        """Tridiagonal Jacobian as its three diagonals (lower, main, upper),
+        three distinct arrays."""
         pr = self.pr
         e = pr.exponents
-        n = u.size
-        if picard:
-            dflux = a_faces * _phi(grads * grads, pr.mu, e.p)
-        else:
-            dflux = a_faces * _phi_total_deriv(grads, pr.mu, e.p)
-        dflux = dflux * self.area / self.h  # d flux_f / d (u_right - u_left)
-        if pr.grid.geometry == "radial" and pr.grid.x_lo == 0.0:
+        phi = _phi if picard else _phi_total_deriv
+        coef = _times(a_faces, phi(grads, pr.mu, e.p))
+        # d flux_f / d (u_right - u_left)
+        dflux = _times(coef, self.area) / self.h
+        if self.symmetric:
             dflux[0] = 0.0
-        bp = _beta_prime(u, e.q, max(self.cfg.floor_eps, 1e-12)) * self.vol / dt
+        eps = max(self.cfg.floor_eps, 1e-12)
+        bp = _times(_beta_prime(u, e.q, eps), self.vol) / dt
         main = bp + dflux[:-1] + dflux[1:]
         # ghost coupling: d ghost/d u_first = -1 for dirichlet-type boundaries
         if pr.boundary != "from_exact":
             main[0] += dflux[0]  # left face gradient = (u_0 - gl)/h, d/du0 = 2
             main[-1] += dflux[-1]
-        lower = -dflux[1:-1]
-        upper = -dflux[1:-1]
-        ab = np.zeros((3, n))
-        ab[0, 1:] = upper
-        ab[1, :] = main
-        ab[2, :-1] = lower
-        return ab
+        return -dflux[1:-1], main, -dflux[1:-1]
 
 
 def step(problem, u_prev, t, dt, config, disc=None):
@@ -229,9 +246,11 @@ def step(problem, u_prev, t, dt, config, disc=None):
 
     Returns (u_new, diagnostics dict).  Newton with up-to-8 halvings of the
     update; after max_newton/2 failed Newton iterations, falls back to Picard
-    iterations with frozen flux coefficients.  `disc` is the problem's
-    `_Discretization`, built here when not given (`solve` builds one per
-    run)."""
+    iterations with frozen flux coefficients.  beta(u_prev) is computed once
+    per step and shared by the tolerance and every residual; each iteration
+    solves its tridiagonal system with `solve_banded` (LAPACK `dgtsv`).
+    `disc` is the problem's `_Discretization`, built here when not given
+    (`solve` builds one per run)."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
     u_prev = np.asarray(u_prev, dtype=float)
@@ -241,24 +260,27 @@ def step(problem, u_prev, t, dt, config, disc=None):
         disc = _Discretization(problem, config)
     t_new = t + dt
     a_faces = disc._coef_faces(t_new)
+    b_prev = _beta(u_prev, problem.exponents.q)
     u = u_prev.copy()
-    R, grads = disc.residual(u, u_prev, t_new, dt, a_faces)
-    norm = np.max(np.abs(R))
+    R, grads = disc.residual(u, b_prev, t_new, dt, a_faces)
+    norm = np.abs(R).max()
     iters = 0
     picard_mode = False
     # residuals scale like beta(u) * vol / dt; make the tolerance follow suit
     # (the 1e-14 floor keeps the tolerance meaningful on near-extinct states
     # without freezing them: an absolute floor of O(1) would let tiny-amplitude
     # tails pass the test with a zero update)
-    beta_amp = float(np.max(np.abs(_beta(u_prev, problem.exponents.q))))
+    beta_amp = float(np.max(np.abs(b_prev)))
     scale = (beta_amp + 1e-14) * np.max(disc.vol) / dt
     tol = config.newton_tol * scale
     while norm > tol and iters < config.max_newton:
         if iters >= config.max_newton // 2:
             picard_mode = True
-        ab = disc.jacobian_bands(u, grads, dt, a_faces, picard=picard_mode)
+        lower, main, upper = disc.jacobian_bands(
+            u, grads, dt, a_faces, picard=picard_mode
+        )
         try:
-            delta = solve_banded((1, 1), ab, -R)
+            delta = solve_banded(lower, main, upper, -R)
         except np.linalg.LinAlgError as exc:
             raise StepFailure(
                 f"linear solve failed at t={t_new}", time=t_new, residual=norm
@@ -267,8 +289,8 @@ def step(problem, u_prev, t, dt, config, disc=None):
         improved = False
         for _ in range(8):
             trial = np.maximum(u + lam * delta, 0.0)
-            R_t, g_t = disc.residual(trial, u_prev, t_new, dt, a_faces)
-            n_t = np.max(np.abs(R_t))
+            R_t, g_t = disc.residual(trial, b_prev, t_new, dt, a_faces)
+            n_t = np.abs(R_t).max()
             if n_t < norm:
                 u, R, grads, norm = trial, R_t, g_t, n_t
                 improved = True
@@ -280,8 +302,8 @@ def step(problem, u_prev, t, dt, config, disc=None):
             else:
                 # accept a small damped step to escape a flat spot
                 u = np.maximum(u + 0.1 * delta, 0.0)
-                R, grads = disc.residual(u, u_prev, t_new, dt, a_faces)
-                norm = np.max(np.abs(R))
+                R, grads = disc.residual(u, b_prev, t_new, dt, a_faces)
+                norm = np.abs(R).max()
         iters += 1
     if norm > tol * 100:
         raise StepFailure(

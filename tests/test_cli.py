@@ -199,6 +199,29 @@ class TestRun:
              "probe x_o=1.0 is not inside the domain"),
             (["extinction", "--preset", "extinction-bound", "--x_o", "0.2,2"],
              "probe x_o=2.0 is not inside the domain"),
+            *[
+                ([sub, "--preset", name, f"--{key}", value],
+                 f"bad value for [{section}] {key}: {subject} must be finite and > 0")
+                for sub, name, section, key, value, subject in [
+                    ("integral-harnack", "integral-harnack-supercritical",
+                     "probes", "rho", "-0.3", "rho"),
+                    ("supbound", "supbound-fast-diffusion",
+                     "probes", "s", "0", "s"),
+                    ("integral-harnack", "integral-harnack-supercritical",
+                     "probes", "s", "nan", "s"),
+                    ("expand", "expansion-positivity", "probes", "M", "0", "M"),
+                    ("exact-residual", "residual-trudinger-gaussian",
+                     "residual", "h_sequence", "0.01,0", "every step"),
+                ]
+            ],
+            *[
+                (["harnack", "--preset", "harnack-fail-borderline", "--a", a],
+                 "requires a and T finite and > 0")
+                for a in ("0", "-1")
+            ],
+            (["solve", "--preset", "solver-supercritical-run",
+              "--boundary", "dirichlet"],
+             "dirichlet boundary requires boundary_values"),
         ],
     )
     def test_bad_probe_exits_1(self, capsys, argv, message):

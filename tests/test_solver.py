@@ -1,10 +1,15 @@
 """Tests for the implicit finite-volume solver."""
 
+import hashlib
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from dnl_lab import solver
 from dnl_lab.core import ExponentTriple, Grid1D
 from dnl_lab.exact import TrudingerGaussian
 from dnl_lab.solver import (
@@ -78,6 +83,69 @@ class TestBeta:
         for q in (0.2, 0.7, 1.0, 2.0, 3.5):
             assert np.array_equal(_beta(u, q)[1:], np.abs(u[1:]) ** (q - 1) * u[1:])
             assert _beta(u, q)[0] == 0.0
+
+
+def _scipy_banded(lower, main, upper, rhs):
+    """scipy's solve_banded on the (3, n) banded form of the diagonals."""
+    ab = np.zeros((3, main.size))
+    ab[0, 1:] = upper
+    ab[1] = main
+    ab[2, :-1] = lower
+    return scipy.linalg.solve_banded((1, 1), ab, rhs)
+
+
+@st.composite
+def _dominant_system(draw):
+    """(lower, main, upper, rhs) of a strictly diagonally dominant system."""
+    n = draw(st.integers(2, 64))
+    entry = st.floats(-1e6, 1e6, allow_nan=False)
+    lower = draw(arrays(np.float64, n - 1, elements=entry))
+    upper = draw(arrays(np.float64, n - 1, elements=entry))
+    margin = draw(arrays(np.float64, n, elements=st.floats(1e-6, 1e6)))
+    sign = draw(arrays(np.float64, n, elements=st.sampled_from([-1.0, 1.0])))
+    # row i holds lower[i - 1] and upper[i]
+    off = np.abs(np.r_[0.0, lower]) + np.abs(np.r_[upper, 0.0])
+    main = sign * (off + margin)
+    rhs = draw(arrays(np.float64, n, elements=st.floats(-1e9, 1e9, allow_nan=False)))
+    return lower, main, upper, rhs
+
+
+class TestSolveBanded:
+    @given(_dominant_system())
+    def test_same_bits_as_scipy(self, system):
+        want = _scipy_banded(*system)
+        # solve_banded overwrites its arguments
+        got = solver.solve_banded(*(a.copy() for a in system))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("which", range(4))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input(self, which, bad):
+        system = [np.full(4, 0.5), np.full(5, 3.0), np.full(4, -1.0), np.ones(5)]
+        system[which][1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _scipy_banded(*system)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solver.solve_banded(*(a.copy() for a in system))
+
+    def test_singular(self):
+        # rows (1, 1) and (1, 1): the second pivot is zero
+        system = [np.ones(1), np.ones(2), np.ones(1), np.array([1.0, 2.0])]
+        with pytest.raises(np.linalg.LinAlgError):
+            _scipy_banded(*system)
+        with pytest.raises(np.linalg.LinAlgError):
+            solver.solve_banded(*(a.copy() for a in system))
+
+    def test_singular_jacobian_fails_the_step(self):
+        g = Grid1D(-1.0, 1.0, 8)
+        pr = CauchyDirichletProblem(ExponentTriple(2.0, 1.0, 1), g, _bump(g), 1.0)
+        cfg = SolverConfig(dt=1e-3)
+        disc = _Discretization(pr, cfg)
+        disc.jacobian_bands = lambda *args, **kwargs: (
+            np.zeros(7), np.zeros(8), np.zeros(7)
+        )
+        with pytest.raises(StepFailure, match="linear solve failed"):
+            step(pr, pr.initial, 0.0, cfg.dt, cfg, disc=disc)
 
 
 class TestStepBasics:
@@ -166,18 +234,128 @@ class TestSolve:
         exact = sol.u_rt(np.abs(g.centers()), 0.6)
         assert np.max(np.abs(traj.fields[-1] - exact)) < 2e-3
 
-    def test_to_columnar(self):
-        g = Grid1D(0.0, 1.0, 4)
-        e = ExponentTriple(2.0, 1.0, 1)
-        pr = CauchyDirichletProblem(e, g, np.zeros(4), 1e-3)
-        traj = solve(pr, SolverConfig(dt=1e-3))
-        text = traj.to_columnar()
-        lines = text.strip().split("\n")
-        assert lines[0].startswith("# t=")
-        assert len(lines) == 2 * (1 + 4)
-        x0, v0 = lines[1].split(",")
-        assert float(x0) == pytest.approx(0.125)
-        assert float(v0) == 0.0
+
+def _coefficient(x, t):
+    return 1.0 + 0.5 * x * x + t
+
+
+def _digest_run(name):
+    """(problem, config) of one trajectory-digest case."""
+    cart = Grid1D(-1.0, 1.0, 16)
+    ball = Grid1D(0.0, 1.0, 16, "radial", 3)
+    if name == "radial-coefficient-arithmetic-p2-q1":
+        return (
+            CauchyDirichletProblem(
+                ExponentTriple(2.0, 1.0, 3), ball, _bump(ball), 1.0,
+                coefficient=_coefficient,
+            ),
+            SolverConfig(dt=1e-3),
+        )
+    if name == "cartesian-coefficient-harmonic-dirichlet-p3-q2":
+        return (
+            CauchyDirichletProblem(
+                ExponentTriple(3.0, 2.0, 1), cart, _bump(cart) + 0.2, 1.0,
+                boundary="dirichlet",
+                boundary_values=lambda t: (0.2 + t, 0.2),
+                coefficient=_coefficient,
+            ),
+            SolverConfig(dt=1e-3, flux_mean="harmonic"),
+        )
+    if name == "cartesian-support-p1.5-q0.5":
+        u0 = np.clip(_bump(cart) - 0.3, 0.0, None)
+        return (
+            CauchyDirichletProblem(ExponentTriple(1.5, 0.5, 1), cart, u0, 1.0),
+            SolverConfig(dt=1e-3),
+        )
+    if name == "annulus-dirichlet-p3-q0.5":
+        g = Grid1D(0.5, 1.5, 16, "radial", 2)
+        return (
+            CauchyDirichletProblem(
+                ExponentTriple(3.0, 0.5, 2), g, _bump(g) + 0.1, 1.0,
+                boundary="dirichlet",
+                boundary_values=lambda t: (0.1, 0.1),
+            ),
+            SolverConfig(dt=1e-3),
+        )
+    if name == "radial-p1.5-q2":
+        return (
+            CauchyDirichletProblem(
+                ExponentTriple(1.5, 2.0, 3), ball, _bump(ball), 1.0
+            ),
+            SolverConfig(dt=1e-3),
+        )
+    if name == "cartesian-from-exact-p1.5-q0.5":
+        sol = TrudingerGaussian(p=1.5, n_dim=1)
+        g = Grid1D(-2.0, 2.0, 16)
+        u0 = sol.u_rt(np.abs(g.centers()), 0.5)
+        return (
+            CauchyDirichletProblem(
+                sol.exponents, g, u0, 1.0,
+                boundary="from_exact", exact=sol, t_start=0.5,
+            ),
+            SolverConfig(dt=1e-3),
+        )
+    if name == "radial-from-exact-p3-q2":
+        sol = TrudingerGaussian(p=3.0, n_dim=3)
+        g = Grid1D(0.0, 2.0, 16, "radial", 3)
+        return (
+            CauchyDirichletProblem(
+                sol.exponents, g, sol.u_rt(g.centers(), 0.5), 1.0,
+                boundary="from_exact", exact=sol, t_start=0.5,
+            ),
+            SolverConfig(dt=1e-3),
+        )
+    if name == "cartesian-picard-p3-q1":
+        # max_newton = 4: iterations 2 and 3 of a step run in Picard mode
+        return (
+            CauchyDirichletProblem(ExponentTriple(3.0, 1.0, 1), cart, _bump(cart), 1.0),
+            SolverConfig(dt=1e-3, max_newton=4),
+        )
+    if name == "cartesian-damped-escape-p3-q0.5":
+        # compact support at q < 1: the line search fails in Picard mode and
+        # the 0.1-damped escape runs
+        u0 = np.clip(_bump(cart) - 0.3, 0.0, None)
+        return (
+            CauchyDirichletProblem(ExponentTriple(3.0, 0.5, 1), cart, u0, 1.0),
+            SolverConfig(dt=1e-3),
+        )
+    raise KeyError(name)
+
+
+# sha256 of np.stack(traj.fields).tobytes() after five steps.  Recorded with
+# the Newton step that solved through scipy's solve_banded and recomputed
+# beta(u_prev) in every residual: the step's arithmetic must not change.
+# None of these paths (a coefficient, dirichlet/from_exact boundaries, an
+# annulus, Picard mode, the damped escape) is reached by a preset.
+TRAJECTORY_DIGESTS = {
+    "radial-coefficient-arithmetic-p2-q1":
+        "2da3895a17a5a3b281b88c72617e3823be538413033966ecdafff4d995f772dd",
+    "cartesian-coefficient-harmonic-dirichlet-p3-q2":
+        "6f46f50b7a9a9c2a6789b00e9cb0a10e6a579f3e86164dc5cf388a59e6677eba",
+    "cartesian-support-p1.5-q0.5":
+        "0db8cc7ae0766199be0da84cb342b3fab2211b7b7c05bef86960398af641ee2e",
+    "annulus-dirichlet-p3-q0.5":
+        "804bb0e6b9ec599d05642f6f441ef43cb6a71e85f69b99e76fc24882ee0079ce",
+    "radial-p1.5-q2":
+        "103c427439947898e40692efd54173ec4e19dcd9be837738024202c130cf8e1d",
+    "cartesian-from-exact-p1.5-q0.5":
+        "247a146517041e584cacfd017b3afa75337ddad4cddd7959d829f7b2abf5b37e",
+    "radial-from-exact-p3-q2":
+        "8ab97326c0cc256124e2ad5244c2287fbf96b6c43c3260a4d2983d03459cb36e",
+    "cartesian-picard-p3-q1":
+        "ce331d6bb3658afdf200d7b3d3fda35f374b5312ff65ab50567a876d4cce11eb",
+    "cartesian-damped-escape-p3-q0.5":
+        "82dc393d35f78c922901d1288eb0caf489ab82489c3eaecc6afb8e23e19cbbaf",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAJECTORY_DIGESTS))
+def test_trajectory_digest(name):
+    pr, cfg = _digest_run(name)
+    pr.t_end = pr.t_start + 5 * cfg.dt
+    traj = solve(pr, cfg)
+    digest = hashlib.sha256(np.stack(traj.fields).tobytes()).hexdigest()
+    assert digest == TRAJECTORY_DIGESTS[name]
 
 
 class TestComparison:
