@@ -67,63 +67,121 @@ class ConfigError(ValueError):
         self.column = column
 
 
-# Allowed sections and keys; unknown entries are rejected with location info.
+# `[solver] initial` profiles of xi = (x - x_lo)/(x_hi - x_lo)
+_PROFILES = {
+    "cos_bump": lambda xi: np.cos(np.pi * xi / 2) ** 2,
+    "steep_bump": lambda xi: np.cos(np.pi * xi / 2) ** 8,
+    "compact_bump": lambda xi: np.clip(1 - xi, 0, None) ** 2,
+    "inner_bump": lambda xi: np.where(
+        xi < 0.2, np.cos(np.pi * xi / 0.4) ** 2, 0.0
+    ),
+}
+
+
+# Allowed sections and keys, each with its one domain: `read(raw, key)` gives
+# the value the raw string holds, or raises one ValueError when it holds no
+# value of the domain.  Unknown entries are rejected with location info.
+
+
+def _scalar(conv, ok=None, rule=""):
+    """Domain of one value: `conv` reads it and `ok`, if given, accepts it;
+    `rule`, with `{key}` for the key's name, says what `ok` demands."""
+
+    def read(raw, key):
+        value = conv(raw)
+        if ok and not ok(value):
+            raise ValueError(rule.format(key=key))
+        return value
+
+    return read
+
+
+def _numbers(ok, rule):
+    """Domain of a non-empty comma-separated list of floats, each accepted
+    by `ok`; `rule` says what `ok` demands."""
+
+    def read(raw, key):
+        values = [float(tok) for tok in raw.split(",") if tok.strip()]
+        if not values:
+            raise ValueError("empty list")
+        if not all(map(ok, values)):
+            raise ValueError(rule)
+        return values
+
+    return read
+
+
+def _one_of(names):
+    rule = "must be one of " + ", ".join(sorted(names))
+    return _scalar(str, names.__contains__, rule)
+
+
+def _positive(value):
+    return 0 < value < math.inf
+
+
+def _bool(raw, key):
+    if raw.lower() in ("true", "yes", "1", "on"):
+        return True
+    if raw.lower() in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+_TEXT = _scalar(str)
+_FINITE = _scalar(float, math.isfinite, "{key} must be finite")
+_POSITIVE = _scalar(float, _positive, "{key} must be finite and > 0")
+_COUNT = _scalar(int, lambda n: n >= 1, "must be >= 1")
+_PROFILE = _one_of(_PROFILES)
+_POINTS = _numbers(math.isfinite, "every value must be finite")
+
+
 SCHEMA = {
-    "exponents": {"p", "q", "N"},
-    "family": {"id", "p", "q", "N", "T", "C", "a", "b", "r0", "h", "rmin"},
-    "grid": {"x_lo", "x_hi", "n_cells", "geometry"},
-    "solver": {
-        "dt",
-        "t_end",
-        "t_start",
-        "newton_tol",
-        "max_newton",
-        "floor_eps",
-        "flux_mean",
-        "boundary",
-        "initial",
-        "initial_scale",
+    "exponents": {"p": _FINITE, "q": _FINITE, "N": _COUNT},
+    "family": {
+        "id": _one_of(FAMILIES),
+        **dict.fromkeys(("p", "q", "C", "a", "b", "r0"), _FINITE),
+        **dict.fromkeys(("T", "h", "rmin"), _POSITIVE),
+        "N": _COUNT,
     },
-    "comparison": {"enabled", "initial_b", "scale_b", "tol"},
+    "grid": {
+        "x_lo": _FINITE, "x_hi": _FINITE, "n_cells": _scalar(int), "geometry": _TEXT
+    },
+    "solver": {
+        **dict.fromkeys(("t_end", "t_start", "floor_eps"), _FINITE),
+        "initial_scale": _FINITE,
+        "dt": _POSITIVE, "newton_tol": _POSITIVE,
+        "max_newton": _COUNT,
+        "flux_mean": _TEXT, "boundary": _TEXT,
+        "initial": _PROFILE,
+    },
+    "comparison": {
+        "enabled": _bool,
+        "initial_b": _PROFILE,
+        "scale_b": _FINITE,
+        "tol": _POSITIVE,
+    },
     "probes": {
-        "x_o",
-        "t_o",
-        "radii",
-        "sigma",
-        "lattice",
-        "rho",
-        "s",
-        "r",
-        "M",
-        "alpha",
-        "delta_scan",
+        "x_o": _POINTS, "t_o": _POINTS,
+        "radii": _numbers(_positive, "every radius must be finite and > 0"),
+        "sigma": _FINITE, "r": _FINITE,
+        **dict.fromkeys(("rho", "s", "M"), _POSITIVE),
+        "alpha": _scalar(float, lambda v: 0 < v <= 1, "{key} must be in (0, 1]"),
+        "lattice": _COUNT, "delta_scan": _COUNT,
     },
     "residual": {
-        "h_sequence",
-        "r_lo",
-        "r_hi",
-        "t_lo",
-        "t_hi",
-        "n_r",
-        "n_t",
-        "derive_b",
+        "h_sequence": _numbers(_positive, "every step must be finite and > 0"),
+        **dict.fromkeys(("r_lo", "r_hi", "t_lo", "t_hi"), _FINITE),
+        "n_r": _COUNT, "n_t": _COUNT,
+        "derive_b": _bool,
     },
     "model": {
-        "law",
-        "alpha",
-        "a",
-        "b",
-        "state",
-        "n",
-        "K",
-        "porosity",
-        "viscosity",
-        "prefactor",
-        "m",
-        "reynolds",
+        "law": _TEXT, "state": _TEXT,
+        **dict.fromkeys(("alpha", "a", "b", "n", "K", "porosity"), _FINITE),
+        **dict.fromkeys(("viscosity", "prefactor", "m", "reynolds"), _FINITE),
     },
-    "output": {"prefix"},
 }
+
 
 def parse_config_text(text):
     """Parse the section/key-value grammar into {section: {key: str}}."""
@@ -175,7 +233,9 @@ def _merge(base, extra):
     return out
 
 
-def _get(cfg, section, key, conv=str, default=None):
+def _get(cfg, section, key, default=None):
+    """[section] key as its domain in SCHEMA reads it; when the key is unset,
+    `default`, or a ConfigError if `default` is None."""
     try:
         raw = cfg[section][key]
     except KeyError:
@@ -183,55 +243,9 @@ def _get(cfg, section, key, conv=str, default=None):
             return default
         raise ConfigError(f"missing required key [{section}] {key}")
     try:
-        return conv(raw)
+        return SCHEMA[section][key](raw, key)
     except ValueError as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {exc}")
-
-
-def _floats(raw):
-    return [float(tok) for tok in raw.split(",") if tok.strip()]
-
-
-def _some_floats(raw):
-    """A comma-separated list that must hold at least one number."""
-    values = _floats(raw)
-    if not values:
-        raise ValueError("empty list")
-    return values
-
-
-def _positive(conv, subject):
-    """Converter: `conv`, then the check that the number it gives, or every
-    number of the list it gives, is finite and > 0; `subject` names it in
-    the error."""
-
-    def read(raw):
-        value = conv(raw)
-        if not all(0 < v < math.inf for v in np.atleast_1d(value)):
-            raise ValueError(f"{subject} must be finite and > 0")
-        return value
-
-    return read
-
-
-_RADII = _positive(_some_floats, "every radius")
-_STEPS = _positive(_some_floats, "every step")
-
-
-def _lattice_size(raw):
-    """Lattice points per axis of a probe cylinder."""
-    n = int(raw)
-    if n < 1:
-        raise ValueError("must be >= 1")
-    return n
-
-
-def _bool(raw):
-    if raw.lower() in ("true", "yes", "1", "on"):
-        return True
-    if raw.lower() in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
 
 
 def fmt(x):
@@ -297,84 +311,55 @@ class Output:
 # building blocks shared by pipelines
 
 
-_PROFILES = {
-    "cos_bump": lambda xi: np.cos(np.pi * xi / 2) ** 2,
-    "steep_bump": lambda xi: np.cos(np.pi * xi / 2) ** 8,
-    "compact_bump": lambda xi: np.clip(1 - xi, 0, None) ** 2,
-    "inner_bump": lambda xi: np.where(
-        xi < 0.2, np.cos(np.pi * xi / 0.4) ** 2, 0.0
-    ),
-}
-
-
 def build_grid(cfg):
     return Grid1D(
-        _get(cfg, "grid", "x_lo", float, 0.0),
-        _get(cfg, "grid", "x_hi", float),
-        _get(cfg, "grid", "n_cells", int),
-        _get(cfg, "grid", "geometry", str, "radial"),
-        _get(cfg, "exponents", "N", int),
+        _get(cfg, "grid", "x_lo", 0.0),
+        _get(cfg, "grid", "x_hi"),
+        _get(cfg, "grid", "n_cells"),
+        _get(cfg, "grid", "geometry", "radial"),
+        _get(cfg, "exponents", "N"),
     )
 
 
 def build_exponents(cfg):
     return ExponentTriple(
-        _get(cfg, "exponents", "p", float),
-        _get(cfg, "exponents", "q", float),
-        _get(cfg, "exponents", "N", int),
+        _get(cfg, "exponents", "p"),
+        _get(cfg, "exponents", "q"),
+        _get(cfg, "exponents", "N"),
     )
 
 
 def build_family(cfg):
+    """The [family] closed form; its key N is the constructors' n_dim."""
     fid = _get(cfg, "family", "id")
-    if fid not in FAMILIES:
-        raise ConfigError(
-            f"unknown family {fid!r}; available: {', '.join(sorted(FAMILIES))}"
-        )
-    params = {}
-    for key, target in (
-        ("p", "p"),
-        ("q", "q"),
-        ("N", "n_dim"),
-        ("T", "T"),
-        ("C", "C"),
-        ("a", "a"),
-        ("b", "b"),
-        ("r0", "r0"),
-        ("h", "h"),
-        ("rmin", "rmin"),
-    ):
-        if key in cfg.get("family", {}):
-            raw = cfg["family"][key]
-            params[target] = int(raw) if target == "n_dim" else float(raw)
+    params = {
+        "n_dim" if key == "N" else key: _get(cfg, "family", key)
+        for key in cfg["family"]
+        if key != "id"
+    }
     return make_family(fid, **params)
 
 
 def run_solver(cfg):
     e = build_exponents(cfg)
     g = build_grid(cfg)
-    name = _get(cfg, "solver", "initial", str, "cos_bump")
-    if name not in _PROFILES:
-        raise ConfigError(
-            f"unknown initial profile {name!r}; "
-            f"available: {', '.join(sorted(_PROFILES))}"
-        )
+    profile = _PROFILES[_get(cfg, "solver", "initial", "cos_bump")]
     xi = (g.centers() - g.x_lo) / (g.x_hi - g.x_lo)
-    u0 = _PROFILES[name](xi) * _get(cfg, "solver", "initial_scale", float, 1.0)
+    u0 = profile(xi) * _get(cfg, "solver", "initial_scale", 1.0)
     pr = CauchyDirichletProblem(
         e,
         g,
         u0,
-        _get(cfg, "solver", "t_end", float),
-        boundary=_get(cfg, "solver", "boundary", str, "zero_dirichlet"),
-        t_start=_get(cfg, "solver", "t_start", float, 0.0),
+        _get(cfg, "solver", "t_end"),
+        boundary=_get(cfg, "solver", "boundary", "zero_dirichlet"),
+        t_start=_get(cfg, "solver", "t_start", 0.0),
     )
     sc = SolverConfig(
-        dt=_get(cfg, "solver", "dt", float, 1e-3),
-        newton_tol=_get(cfg, "solver", "newton_tol", float, 1e-10),
-        max_newton=_get(cfg, "solver", "max_newton", int, 40),
-        floor_eps=_get(cfg, "solver", "floor_eps", float, 0.0),
-        flux_mean=_get(cfg, "solver", "flux_mean", str, "arithmetic"),
+        dt=_get(cfg, "solver", "dt", 1e-3),
+        newton_tol=_get(cfg, "solver", "newton_tol", 1e-10),
+        max_newton=_get(cfg, "solver", "max_newton", 40),
+        floor_eps=_get(cfg, "solver", "floor_eps", 0.0),
+        flux_mean=_get(cfg, "solver", "flux_mean", "arithmetic"),
     )
     return solve(pr, sc)
 
@@ -449,17 +434,17 @@ _RESIDUAL_WINDOWS = {
 
 def _residual_lattice(cfg, fid):
     win = _RESIDUAL_WINDOWS.get(fid, (0.5, 2.0, 0.0, 0.5))
-    r_lo = _get(cfg, "residual", "r_lo", float, win[0])
-    r_hi = _get(cfg, "residual", "r_hi", float, win[1])
-    t_lo = _get(cfg, "residual", "t_lo", float, win[2] if win[2] != 0.0 else 1e-9)
-    t_hi = _get(cfg, "residual", "t_hi", float, win[3])
-    n_r = _get(cfg, "residual", "n_r", int, 16)
-    n_t = _get(cfg, "residual", "n_t", int, 8)
+    r_lo = _get(cfg, "residual", "r_lo", win[0])
+    r_hi = _get(cfg, "residual", "r_hi", win[1])
+    t_lo = _get(cfg, "residual", "t_lo", win[2] if win[2] != 0.0 else 1e-9)
+    t_hi = _get(cfg, "residual", "t_hi", win[3])
+    n_r = _get(cfg, "residual", "n_r", 16)
+    n_t = _get(cfg, "residual", "n_t", 8)
     return np.linspace(r_lo, r_hi, n_r), np.linspace(t_lo, t_hi, n_t)
 
 
 def pipe_exact_residual(cfg, out):
-    hs = _get(cfg, "residual", "h_sequence", _STEPS, [1e-2, 5e-3, 2.5e-3])
+    hs = _get(cfg, "residual", "h_sequence", [1e-2, 5e-3, 2.5e-3])
     fam = build_family(cfg)
     fid = _get(cfg, "family", "id")
     radii, times = _residual_lattice(cfg, fid)
@@ -468,7 +453,7 @@ def pipe_exact_residual(cfg, out):
     for h, r in zip(hs, res):
         out.add_row([fid, h, r])
     out.meta(f"fitted_order,{fmt(float(order))}")
-    if _get(cfg, "residual", "derive_b", _bool, False):
+    if _get(cfg, "residual", "derive_b", False):
         rep = derive_critical_b_report(
             fam.exponents.n_dim, fam.exponents.p, tuple(hs)
         )
@@ -511,17 +496,14 @@ def _export_lines(traj):
 
 def pipe_solve(cfg, out):
     traj = run_solver(cfg)
-    if _get(cfg, "comparison", "enabled", _bool, False):
+    if _get(cfg, "comparison", "enabled", False):
         cfg2 = _merge(cfg, {})
-        cfg2.setdefault("solver", {})["initial"] = _get(
-            cfg, "comparison", "initial_b", str, "cos_bump"
-        )
-        cfg2["solver"]["initial_scale"] = fmt(
-            _get(cfg, "comparison", "scale_b", float, 0.5)
-        )
+        initial_b = _get(cfg, "comparison", "initial_b", "cos_bump")
+        cfg2.setdefault("solver", {})["initial"] = initial_b
+        cfg2["solver"]["initial_scale"] = fmt(_get(cfg, "comparison", "scale_b", 0.5))
         traj_b = run_solver(cfg2)
         result = check_comparison(
-            traj_b, traj, tol=_get(cfg, "comparison", "tol", float, 1e-8)
+            traj_b, traj, tol=_get(cfg, "comparison", "tol", 1e-8)
         )
         out.set_header(["violation", "passes", "tol"])
         out.add_row([result["violation"], result["passes"], result["tol"]])
@@ -534,8 +516,8 @@ def pipe_solve(cfg, out):
 
 
 def _probe_list(cfg):
-    x_os = _get(cfg, "probes", "x_o", _some_floats)
-    t_os = _get(cfg, "probes", "t_o", _some_floats)
+    x_os = _get(cfg, "probes", "x_o")
+    t_os = _get(cfg, "probes", "t_o")
     if len(t_os) == 1:
         t_os = t_os * len(x_os)
     if len(x_os) != len(t_os):
@@ -546,7 +528,7 @@ def _probe_list(cfg):
 def pipe_extinction(cfg, out):
     if "family" in cfg and "id" in cfg["family"]:
         fam = build_family(cfg)
-        slope, r2 = dg.decay_exponent_fit(fam, _get(cfg, "probes", "x_o", float, 0.0))
+        slope, r2 = dg.decay_exponent_fit(fam, _single(cfg, "x_o", [0.0]))
         want = 1.0 / (fam.exponents.q + 1 - fam.exponents.p)
         rel = abs(slope - want) / want
         out.set_header(["decay_slope", "reference_slope", "rel_deviation", "r_squared"])
@@ -555,44 +537,43 @@ def pipe_extinction(cfg, out):
         out.meta(f"decay_fit,{'pass' if ok else 'fail'}")
         return 0 if ok else 2
     traj = run_solver(cfg)
-    probes = _get(cfg, "probes", "x_o", _floats, [])
+    probes = _get(cfg, "probes", "x_o", [])
     return _report(out, dg.extinction_analysis(traj, x_probes=probes))
 
 
 def pipe_model(cfg, out):
-    if "reynolds" in cfg.get("model", {}):
-        law = reynolds_regime(_get(cfg, "model", "reynolds", float))
+    model = cfg.get("model", {})
+    if "reynolds" in model:
+        reynolds = _get(cfg, "model", "reynolds")
+        law = reynolds_regime(reynolds)
         out.set_header(["reynolds", "recommended_law", "alpha"])
-        out.add_row(
-            [_get(cfg, "model", "reynolds", float), law.kind, law.alpha or ""]
-        )
+        out.add_row([reynolds, law.kind, law.alpha or ""])
         return 0
-    lk = _get(cfg, "model", "law", str, "darcy")
+    lk = _get(cfg, "model", "law", "darcy")
     if lk == "power_law":
-        law = FiltrationLaw("power_law", alpha=_get(cfg, "model", "alpha", float))
+        law = FiltrationLaw("power_law", alpha=_get(cfg, "model", "alpha"))
     elif lk == "forchheimer":
         law = FiltrationLaw(
             "forchheimer",
-            a=_get(cfg, "model", "a", float, 1.0),
-            b=_get(cfg, "model", "b", float, 1.0),
+            a=_get(cfg, "model", "a", 1.0),
+            b=_get(cfg, "model", "b", 1.0),
         )
     else:
         law = FiltrationLaw(lk)
-    sk = _get(cfg, "model", "state", str)
+    sk = _get(cfg, "model", "state")
     if sk == "polytropic":
-        state = StateEquation("polytropic", n=_get(cfg, "model", "n", float))
+        state = StateEquation("polytropic", n=_get(cfg, "model", "n"))
     elif sk == "weakly_compressible":
         state = StateEquation(
-            "weakly_compressible", K=_get(cfg, "model", "K", float, 1.0)
+            "weakly_compressible", K=_get(cfg, "model", "K", 1.0)
         )
     else:
         state = StateEquation(sk)
-    m = cfg.get("model", {}).get("m")
     medium = MediumParams(
-        porosity=_get(cfg, "model", "porosity", float, 0.3),
-        viscosity=_get(cfg, "model", "viscosity", float, 1.0),
-        prefactor=_get(cfg, "model", "prefactor", float, 1.0),
-        nanoporous_m=float(m) if m is not None else None,
+        porosity=_get(cfg, "model", "porosity", 0.3),
+        viscosity=_get(cfg, "model", "viscosity", 1.0),
+        prefactor=_get(cfg, "model", "prefactor", 1.0),
+        nanoporous_m=_get(cfg, "model", "m") if "m" in model else None,
     )
     card = to_dnl(law, state, medium)
     result = verify_mapping(card, lambda x: 2.0 + np.sin(x))
@@ -612,15 +593,24 @@ def pipe_model(cfg, out):
     return 0 if result["passes"] else 2
 
 
-def _key(name, conv=float, default=None):
+def _key(name, default=None):
     """Probe argument `name` read from [probes] `name`."""
-    return name, lambda cfg: _get(cfg, "probes", name, conv, default)
+    return name, lambda cfg: _get(cfg, "probes", name, default)
+
+
+def _single(cfg, key, default=None):
+    """The one number of the [probes] list `key`, for a pipeline that takes
+    one probe point."""
+    values = _get(cfg, "probes", key, default)
+    if len(values) != 1:
+        raise ConfigError(f"bad value for [probes] {key}: takes one value")
+    return values[0]
 
 
 def _gradbound_probes(cfg):
     """(x_o, t_o, rho) triples: radii paired with the base points when the
     lengths match, every radius at every base point otherwise."""
-    radii = _get(cfg, "probes", "radii", _RADII)
+    radii = _get(cfg, "probes", "radii")
     base = _probe_list(cfg)
     if len(radii) == len(base):
         return [(x, t, r) for (x, t), r in zip(base, radii)]
@@ -642,25 +632,27 @@ def _scan(diagnostic, source, *args):
     return pipeline
 
 
-_SCAN = ("probes", "family", "exponents", "solver", "grid", "output")
-_POINT = (_key("x_o"), _key("t_o"))
-_RHO = _key("rho", _positive(float, "rho"))
-_CYLINDER = (*_POINT, _RHO, _key("s", _positive(float, "s")))
-_LATTICE = _key("lattice", _lattice_size, 32)
+_SCAN = ("probes", "family", "exponents", "solver", "grid")
+_POINT = (
+    ("x_o", lambda cfg: _single(cfg, "x_o")),
+    ("t_o", lambda cfg: _single(cfg, "t_o")),
+)
+_CYLINDER = (*_POINT, _key("rho"), _key("s"))
+_LATTICE = _key("lattice", 32)
 
 # subcommand -> (section order resolving a bare --key, pipeline(cfg, out))
 COMMANDS = {
     "regimes": (("exponents",), pipe_regimes),
-    "exact-residual": (("family", "residual", "output"), pipe_exact_residual),
-    "solve": (("solver", "grid", "exponents", "comparison", "output"), pipe_solve),
+    "exact-residual": (("family", "residual"), pipe_exact_residual),
+    "solve": (("solver", "grid", "exponents", "comparison"), pipe_solve),
     "harnack": (
         _SCAN,
         _scan(
             "harnack_scan",
             build_source,
             ("base_points", _probe_list),
-            _key("radii", _RADII),
-            _key("sigma", float, 0.25),
+            _key("radii"),
+            _key("sigma", 0.25),
             _LATTICE,
         ),
     ),
@@ -673,19 +665,19 @@ COMMANDS = {
         _scan("sup_bound", build_source, *_CYLINDER, _key("r"), _LATTICE),
     ),
     "expand": (
-        ("probes", "exponents", "solver", "grid", "output"),
+        ("probes", "exponents", "solver", "grid"),
         _scan(
             "expansion_of_positivity",
             solved_source,
             *_POINT,
-            _RHO,
-            _key("M", _positive(float, "M")),
+            _key("rho"),
+            _key("M"),
             _key("alpha"),
-            _key("delta_scan", int, 10),
+            _key("delta_scan", 10),
         ),
     ),
     "extinction": (
-        ("solver", "grid", "exponents", "family", "probes", "output"),
+        ("solver", "grid", "exponents", "family", "probes"),
         pipe_extinction,
     ),
     "gradbound": (
@@ -698,11 +690,11 @@ COMMANDS = {
             "holder_fit",
             build_source,
             *_POINT,
-            _key("radii", _RADII),
-            _key("lattice", _lattice_size, 16),
+            _key("radii"),
+            _key("lattice", 16),
         ),
     ),
-    "model": (("model", "output"), pipe_model),
+    "model": (("model",), pipe_model),
 }
 
 SUBCOMMANDS = sorted(COMMANDS)

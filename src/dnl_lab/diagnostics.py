@@ -304,7 +304,9 @@ def expansion_of_positivity(src, x_o, t_o, rho, M, alpha, delta_scan=10, lattice
     |{u(.,t_o) >= M} cap K_rho| >= alpha |K_rho|, scan delta in {2^-k} and
     report the largest measured eta(delta) = inf u / M over
     K_{2 rho}(x_o) x (t_o + delta/2 theta, t_o + delta theta],
-    theta = M^{q+1-p} rho^p."""
+    theta = M^{q+1-p} rho^p; the measure fraction alpha lies in (0, 1]."""
+    if not 0 < alpha <= 1:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     e = src.exponents
     xs = np.linspace(x_o - rho, x_o + rho, lattice)
     vals0 = src.eval(xs[src.valid(xs, t_o)], t_o)

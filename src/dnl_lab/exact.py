@@ -8,6 +8,7 @@ analytic derivatives; for families with role "weak_solution" the residual
 converges at order 2 in the stencil width.
 """
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -829,14 +830,21 @@ FAMILIES = {
 
 
 def make_family(name, **params):
-    """Construct a catalog family by its stable string identifier."""
+    """Construct a catalog family by its stable string identifier; a
+    parameter the family does not take is a ValueError."""
     try:
         cls = FAMILIES[name]
     except KeyError:
         raise ValueError(
             f"unknown family {name!r}; known: {sorted(FAMILIES)}"
         ) from None
-    return cls(**params)
+    try:
+        return cls(**params)
+    except TypeError:
+        extra = sorted(set(params) - set(inspect.signature(cls).parameters))
+        if not extra:
+            raise
+        raise ValueError(f"family {name!r} takes no {', '.join(extra)}") from None
 
 
 # fixed deterministic probe lattice for the arbitration (away from r=0)

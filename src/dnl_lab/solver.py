@@ -42,6 +42,8 @@ class CauchyDirichletProblem:
     t_start: float = 0.0
 
     def __post_init__(self):
+        if not -math.inf < self.t_start < self.t_end < math.inf:
+            raise ValueError("t_start and t_end must be finite, t_start < t_end")
         self.initial = np.asarray(self.initial, dtype=float)
         if self.initial.shape != (self.grid.n_cells,):
             raise ValueError("initial data must have one value per cell")
@@ -81,12 +83,12 @@ class SolverConfig:
     flux_mean: str = "arithmetic"  # "arithmetic" | "harmonic"
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be > 0")
-        if self.floor_eps < 0:
-            raise ValueError("floor_eps must be >= 0")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be finite and > 0")
+        if not 0 < self.newton_tol < math.inf:
+            raise ValueError("newton_tol must be finite and > 0")
+        if not 0 <= self.floor_eps < math.inf:
+            raise ValueError("floor_eps must be finite and >= 0")
         if self.flux_mean not in ("arithmetic", "harmonic"):
             raise ValueError(f"unknown flux_mean {self.flux_mean!r}")
 
@@ -251,8 +253,8 @@ def step(problem, u_prev, t, dt, config, disc=None):
     solves its tridiagonal system with `solve_banded` (LAPACK `dgtsv`).
     `disc` is the problem's `_Discretization`, built here when not given
     (`solve` builds one per run)."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be finite and > 0")
     u_prev = np.asarray(u_prev, dtype=float)
     if np.any(u_prev < 0):
         raise ValueError("u_prev must be non-negative")
@@ -305,7 +307,7 @@ def step(problem, u_prev, t, dt, config, disc=None):
                 R, grads = disc.residual(u, b_prev, t_new, dt, a_faces)
                 norm = np.abs(R).max()
         iters += 1
-    if norm > tol * 100:
+    if not norm <= tol * 100:  # a NaN residual fails too
         raise StepFailure(
             f"nonlinear iteration did not converge at t={t_new} "
             f"(residual {norm:.3e})",

@@ -222,6 +222,18 @@ class TestRun:
             (["solve", "--preset", "solver-supercritical-run",
               "--boundary", "dirichlet"],
              "dirichlet boundary requires boundary_values"),
+            *[
+                (["expand", "--preset", "expansion-positivity", "--alpha", alpha],
+                 "bad value for [probes] alpha: alpha must be in (0, 1]")
+                for alpha in ("0", "-1", "nan")
+            ],
+            (["solve", "--preset", "solver-supercritical-run",
+              "--newton_tol", "nan"],
+             "bad value for [solver] newton_tol: newton_tol must be finite and > 0"),
+            (["solve", "--preset", "solver-supercritical-run", "--t_end", "inf"],
+             "bad value for [solver] t_end: t_end must be finite"),
+            (["solve", "--preset", "solver-supercritical-run", "--t_end", "-1"],
+             "t_start and t_end must be finite, t_start < t_end"),
         ],
     )
     def test_bad_probe_exits_1(self, capsys, argv, message):
@@ -340,3 +352,58 @@ class TestExportLines:
         want = "t,x,u\n" + "\n".join(_row_lines(traj)) + "\n"
         assert prefix.with_suffix(".csv").read_text() == want
         assert len(traj.times) == 11
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["integral-harnack", "--preset", "integral-harnack-supercritical",
+          "--x_o", "0.4,0.5"], "x_o"),
+        (["supbound", "--preset", "supbound-fast-diffusion",
+          "--t_o", "0.02,0.03"], "t_o"),
+        (["expand", "--preset", "expansion-positivity",
+          "--x_o", "0.3,0.4"], "x_o"),
+        (["holder", "--preset", "holder-supercritical",
+          "--t_o", "0.01,0.02"], "t_o"),
+        (["extinction", "--preset", "extinction-decay-fit",
+          "--x_o", "0,1"], "x_o"),
+    ],
+)
+def test_one_probe_point_takes_one_value(capsys, argv, key):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad value for [probes] {key}: takes one value\n"
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_every_preset_key_fuzzed(capfd, name):
+    """Every key of the preset set to 0, -1, nan, inf and "": no exception
+    (warnings are errors) and no C-level output such as LAPACK's DLASCL
+    lines; exit 0, 1 or 2, and on exit 1 one `error:` line and nothing on
+    stdout; a value that is no finite number or is empty always exits 1."""
+    sub, cfg = preset(name)
+    for section, key in [(s, k) for s in sorted(cfg) for k in sorted(cfg[s])]:
+        for value in ("0", "-1", "nan", "inf", ""):
+            argv = [sub, "--preset", name, f"--{section}.{key}", value]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run(argv)
+            out, err = capfd.readouterr()
+            assert code in (0, 1, 2), argv
+            assert "DLASCL" not in out, argv
+            if code == 1:
+                assert out == "", argv
+                assert err.startswith("error: ") and err.count("\n") == 1, argv
+            else:
+                assert err == "", argv
+            if value in ("nan", "inf", ""):
+                assert code == 1, argv
+
+
+def test_family_key_the_family_does_not_take_exits_1(capsys):
+    argv = ["harnack", "--preset", "harnack-fail-trudinger", "--family.T", "1"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: family 'trudinger_gaussian' takes no T\n"

@@ -405,3 +405,10 @@ class TestHolderFit:
         assert rep.extras["lipschitz"] > 0
         assert rep.extras["r_squared"] > 0.9
         assert rep.verdict == "bounded"
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), 1.5])
+def test_expansion_alpha_outside_unit_interval(bump_traj, alpha):
+    src = SolutionSource(bump_traj)
+    with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\]"):
+        expansion_of_positivity(src, 0.0, 2e-3, 0.25, M=0.5, alpha=alpha)

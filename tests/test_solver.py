@@ -469,3 +469,40 @@ class TestFunctionals:
         traj = solve(pr, SolverConfig(dt=1e-3))
         # face quadrature: n+1 faces of weight h, each with |Du| = 1
         assert gradient_p_norm(traj, 0) == pytest.approx(1.0 + g.h, rel=1e-10)
+
+
+class TestNonFiniteInputs:
+    """NaN and inf fail loudly: they never pass as a converged step."""
+
+    def test_config_rejects_nan_and_inf(self):
+        nan, inf = float("nan"), float("inf")
+        for kwargs in (
+            {"dt": nan}, {"dt": inf}, {"newton_tol": nan}, {"newton_tol": inf},
+            {"floor_eps": nan}, {"floor_eps": inf},
+        ):
+            with pytest.raises(ValueError):
+                SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "t_start, t_end",
+        [(0.0, float("inf")), (0.0, float("nan")), (0.0, 0.0), (0.0, -1.0),
+         (-float("inf"), 1.0), (float("nan"), 1.0)],
+    )
+    def test_problem_rejects_bad_time_span(self, t_start, t_end):
+        g = Grid1D(0.0, 1.0, 8)
+        with pytest.raises(ValueError, match="t_start < t_end"):
+            CauchyDirichletProblem(
+                ExponentTriple(2.0, 1.0, 1), g, np.ones(8), t_end, t_start=t_start
+            )
+
+    def test_step_rejects_nan_residual(self):
+        # a NaN coefficient gives a NaN residual at the first iterate
+        g = Grid1D(0.0, 1.0, 8)
+        pr = CauchyDirichletProblem(
+            ExponentTriple(2.0, 1.0, 1), g, _bump(g), 1.0,
+            coefficient=lambda x, t: float("nan"),
+        )
+        with pytest.raises(StepFailure):
+            step(pr, pr.initial, 0.0, 1e-3, SolverConfig())
+        with pytest.raises(ValueError):
+            step(pr, pr.initial, 0.0, float("inf"), SolverConfig())
