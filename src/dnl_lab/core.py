@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 # relative tolerance used to detect exact critical exponents
 CRITICAL_RTOL = 1e-12
@@ -255,6 +254,8 @@ def g_signed(a, b, q, variant="full"):
         )
         # the closed form is >= 0 analytically; clip roundoff
         return max(val, 0.0)
+    from scipy.integrate import quad
+
     def _weight(s):
         # |s|^(q-1) has an integrable singularity at 0 for q < 1
         return abs(s) ** (q - 1) if s != 0.0 else 0.0

@@ -496,7 +496,9 @@ def holder_fit(src, x_o, t_o, radii, lattice=16):
         xs = np.linspace(x_o - rho, x_o + rho, lattice)
         ts = np.linspace(t_o - half, t_o + half, lattice)
         grads, us = _lattice(src, xs, ts, src.grad_norm, src.eval)
-        if not grads.size:
+        # both x-edges must lie in the domain at t_o, or part of every row
+        # would drop out; rows before the first time may still drop out
+        if not (grads.size and np.all(src.valid(xs[[0, -1]], t_o))):
             raise RegimeError(f"cylinder of radius {rho} leaves the domain")
         oscs.append(float(grads.max() - grads.min()))
         lips.append(float(us.max() - us.min()) / rho)

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from .core import ExponentTriple
 
@@ -559,6 +557,8 @@ class DipoleSelfSimilar(ClosedFormSolution):
         self._build_table()
 
     def _build_table(self):
+        from scipy.interpolate import CubicSpline
+
         N, p, C = self.exponents.n_dim, self.exponents.p, self.C
         nodes = np.logspace(-6, 6, 4096)
         gx, gw = np.polynomial.legendre.leggauss(7)
@@ -757,6 +757,9 @@ class SpecialLogProfile(ClosedFormSolution):
         )
 
     def _build_table(self):
+        from scipy.integrate import quad
+        from scipy.interpolate import CubicSpline
+
         nodes = np.logspace(-6, math.log10(0.96 * self.r_anchor), 2048)
         gx, gw = np.polynomial.legendre.leggauss(7)
         a, b = nodes[:-1], nodes[1:]
@@ -771,6 +774,8 @@ class SpecialLogProfile(ClosedFormSolution):
         self._spline = CubicSpline(np.log(nodes), np.log(f_tab))
 
     def f(self, r):
+        from scipy.integrate import quad
+
         r = np.asarray(r, float)
         rl = np.atleast_1d(r).ravel()
         out = np.empty(rl.shape)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .core import ExponentTriple, Grid1D
 
@@ -103,15 +102,22 @@ class Trajectory:
     clipped_mass: float = 0.0
 
 
+_dgtsv = None  # LAPACK dgtsv, bound by the first solve_banded call
+
+
 def solve_banded(lower, main, upper, rhs):
     """Solution of the tridiagonal system with diagonals `lower`, `main`,
     `upper` by LAPACK `dgtsv`, which scipy's `solve_banded((1, 1), ...)`
     calls too (same bits).  It overwrites the four distinct float64 arrays.
     Raises ValueError on a non-finite entry, as scipy's `check_finite`
-    does, and LinAlgError on a singular system."""
+    does, and LinAlgError on a singular system.  scipy.linalg is imported
+    here, on the first call, so that runs without a solve never load it."""
+    global _dgtsv
+    if _dgtsv is None:
+        from scipy.linalg.lapack import dgtsv as _dgtsv
     if not np.isfinite(np.concatenate((lower, main, upper, rhs))).all():
         raise ValueError("array must not contain infs or NaNs")
-    *_, x, info = dgtsv(lower, main, upper, rhs, 1, 1, 1, 1)
+    *_, x, info = _dgtsv(lower, main, upper, rhs, 1, 1, 1, 1)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
@@ -180,6 +186,7 @@ class _Discretization:
         g = problem.grid
         self.h = g.h
         self.vol = g.cell_volumes()
+        self.vol_max = self.vol.max()
         faces = g.faces()
         if g.geometry == "radial":
             self.area = faces ** (g.n_dim - 1)
@@ -272,8 +279,8 @@ def step(problem, u_prev, t, dt, config, disc=None):
     # (the 1e-14 floor keeps the tolerance meaningful on near-extinct states
     # without freezing them: an absolute floor of O(1) would let tiny-amplitude
     # tails pass the test with a zero update)
-    beta_amp = float(np.max(np.abs(b_prev)))
-    scale = (beta_amp + 1e-14) * np.max(disc.vol) / dt
+    beta_amp = float(np.abs(b_prev).max())
+    scale = (beta_amp + 1e-14) * disc.vol_max / dt
     tol = config.newton_tol * scale
     while norm > tol and iters < config.max_newton:
         if iters >= config.max_newton // 2:
@@ -326,7 +333,7 @@ def solve(problem, config):
     t = problem.t_start
     u = problem.initial.copy()
     traj.times.append(t)
-    traj.fields.append(u.copy())
+    traj.fields.append(u)
     traj.newton_iters.append(0)
     traj.residual_norms.append(0.0)
     span = problem.t_end - problem.t_start
@@ -341,7 +348,8 @@ def solve(problem, config):
         # recompute from the step index to avoid float drift in long runs
         t = problem.t_start + min((i + 1) * config.dt, span)
         traj.times.append(t)
-        traj.fields.append(u.copy())
+        # no copy: step returns a new array and never writes to u_prev
+        traj.fields.append(u)
         traj.newton_iters.append(info["iters"])
         traj.residual_norms.append(info["residual"])
         traj.clipped_mass += info["clipped"]

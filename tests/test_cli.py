@@ -234,6 +234,11 @@ class TestRun:
              "bad value for [solver] t_end: t_end must be finite"),
             (["solve", "--preset", "solver-supercritical-run", "--t_end", "-1"],
              "t_start and t_end must be finite, t_start < t_end"),
+            *[
+                (["holder", "--preset", "holder-supercritical", "--x_o", x_o],
+                 f"cylinder of radius {rho} leaves the domain")
+                for x_o, rho in (("1", 0.01), ("-1", 0.01), ("0.95", 0.06))
+            ],
         ],
     )
     def test_bad_probe_exits_1(self, capsys, argv, message):
