@@ -19,12 +19,26 @@ from .core import ExponentTriple, Grid1D
 
 
 class StepFailure(RuntimeError):
-    """Nonlinear iteration failed to converge for a time step."""
+    """Nonlinear iteration failed to converge for a time step.  The message
+    names the time, the step (when `solve` ran it) and the residual as a
+    multiple of its tolerance."""
 
-    def __init__(self, message, time=None, residual=None):
-        super().__init__(message)
+    def __init__(self, reason, time, residual, tol, where=None):
+        self.reason = reason
         self.time = time
         self.residual = residual
+        self.tol = tol
+        at = f"t={time:.6g}" if where is None else f"{where}, t={time:.6g}"
+        super().__init__(
+            f"{reason} at {at}: residual {residual:.3e} = {residual / tol:.3g}× tol"
+        )
+
+    def at_step(self, index, count):
+        """The same failure, named as step `index` of `count`."""
+        return StepFailure(
+            self.reason, self.time, self.residual, self.tol,
+            f"step {index} of {count}",
+        )
 
 
 @dataclass
@@ -178,13 +192,20 @@ def _phi_total_deriv(g, mu, p):
 
 
 class _Discretization:
-    """Per-problem geometric factors and the FV residual/Jacobian."""
+    """The per-run workspace of the Newton kernel: the geometric factors,
+    the exponents and floors read once, an owned (n+2) ghost buffer, and
+    the FV residual/Jacobian.  Every floating-point operation keeps the
+    order of the plain formulas in the comments, so the bits are those of
+    a step that allocates every temporary."""
 
     def __init__(self, problem, config):
         self.pr = problem
         self.cfg = config
         g = problem.grid
         self.h = g.h
+        self.p = problem.exponents.p
+        self.q = problem.exponents.q
+        self.eps = max(config.floor_eps, 1e-12)
         self.vol = g.cell_volumes()
         self.vol_max = self.vol.max()
         faces = g.faces()
@@ -195,6 +216,14 @@ class _Discretization:
         self.centers = g.centers()
         # zero flux through the face at r = 0
         self.symmetric = g.geometry == "radial" and g.x_lo == 0.0
+        # u with its two ghost values; residual overwrites it on every call
+        self.ue = np.empty(g.n_cells + 2)
+        # d flux_f / d (u_right - u_left) at p = 2 with no coefficient
+        self.dflux_p2 = None
+        if self.p == 2:
+            self.dflux_p2 = self.area / self.h
+            if self.symmetric:
+                self.dflux_p2[0] = 0.0
 
     def _coef_faces(self, t):
         """Coefficient a at the faces at time t; None when a = 1."""
@@ -214,37 +243,49 @@ class _Discretization:
             af = 0.5 * (ac[:-1] + ac[1:])
         return af
 
-    def residual(self, u, b_prev, t_new, dt, a_faces):
+    def residual(self, u, b_prev, t_new, dt, a_faces, b_u=None):
         """Cell residuals R_i = (beta(u)-beta(u_prev)) V_i/dt - net flux,
-        with `b_prev` = beta(u_prev)."""
-        pr = self.pr
-        e = pr.exponents
-        gl, gr = pr.ghost_values(u, t_new)
-        ue = np.concatenate([[gl], u, [gr]])
-        grads = (ue[1:] - ue[:-1]) / self.h  # one per face
-        coef = _times(a_faces, _phi(grads, pr.mu, e.p))
-        flux = _times(coef, grads) * self.area
+        with `b_prev` = beta(u_prev) and `b_u` = beta(u) when known.
+        Returns (R, face gradients), two fresh arrays."""
+        ue = self.ue
+        ue[1:-1] = u
+        ue[0], ue[-1] = self.pr.ghost_values(u, t_new)
+        grads = ue[1:] - ue[:-1]  # one per face
+        grads /= self.h
+        # flux = a * phi(grads) * grads * area
+        coef = _times(a_faces, _phi(grads, self.pr.mu, self.p))
+        if coef is None:
+            flux = grads * self.area
+        else:
+            flux = coef * grads
+            flux *= self.area
         if self.symmetric:
             flux[0] = 0.0
-        R = (_beta(u, e.q) - b_prev) * self.vol / dt - (flux[1:] - flux[:-1])
+        # R = (beta(u) - b_prev) * vol / dt - (flux[1:] - flux[:-1])
+        R = (_beta(u, self.q) if b_u is None else b_u) - b_prev
+        R *= self.vol
+        R /= dt
+        R -= flux[1:] - flux[:-1]
         return R, grads
 
     def jacobian_bands(self, u, grads, dt, a_faces, picard=False):
         """Tridiagonal Jacobian as its three diagonals (lower, main, upper),
-        three distinct arrays."""
-        pr = self.pr
-        e = pr.exponents
-        phi = _phi if picard else _phi_total_deriv
-        coef = _times(a_faces, phi(grads, pr.mu, e.p))
-        # d flux_f / d (u_right - u_left)
-        dflux = _times(coef, self.area) / self.h
-        if self.symmetric:
-            dflux[0] = 0.0
-        eps = max(self.cfg.floor_eps, 1e-12)
-        bp = _times(_beta_prime(u, e.q, eps), self.vol) / dt
-        main = bp + dflux[:-1] + dflux[1:]
+        three fresh arrays (`solve_banded` overwrites them)."""
+        if a_faces is None and self.dflux_p2 is not None:
+            dflux = self.dflux_p2
+        else:
+            phi = _phi if picard else _phi_total_deriv
+            coef = _times(a_faces, phi(grads, self.pr.mu, self.p))
+            # d flux_f / d (u_right - u_left)
+            dflux = _times(coef, self.area) / self.h
+            if self.symmetric:
+                dflux[0] = 0.0
+        # main = beta'(u) * vol / dt + dflux[:-1] + dflux[1:]
+        main = _times(_beta_prime(u, self.q, self.eps), self.vol) / dt
+        main += dflux[:-1]
+        main += dflux[1:]
         # ghost coupling: d ghost/d u_first = -1 for dirichlet-type boundaries
-        if pr.boundary != "from_exact":
+        if self.pr.boundary != "from_exact":
             main[0] += dflux[0]  # left face gradient = (u_0 - gl)/h, d/du0 = 2
             main[-1] += dflux[-1]
         return -dflux[1:-1], main, -dflux[1:-1]
@@ -258,20 +299,21 @@ def step(problem, u_prev, t, dt, config, disc=None):
     iterations with frozen flux coefficients.  beta(u_prev) is computed once
     per step and shared by the tolerance and every residual; each iteration
     solves its tridiagonal system with `solve_banded` (LAPACK `dgtsv`).
-    `disc` is the problem's `_Discretization`, built here when not given
-    (`solve` builds one per run)."""
+    `disc` is the problem's `_Discretization`, the run's workspace, built
+    here when not given (`solve` builds one per run).  Raises StepFailure,
+    which names t and the residual as a multiple of its tolerance."""
     if not 0 < dt < math.inf:
         raise ValueError("dt must be finite and > 0")
     u_prev = np.asarray(u_prev, dtype=float)
-    if np.any(u_prev < 0):
+    if (u_prev < 0).any():
         raise ValueError("u_prev must be non-negative")
     if disc is None:
         disc = _Discretization(problem, config)
     t_new = t + dt
     a_faces = disc._coef_faces(t_new)
-    b_prev = _beta(u_prev, problem.exponents.q)
+    b_prev = _beta(u_prev, disc.q)
     u = u_prev.copy()
-    R, grads = disc.residual(u, b_prev, t_new, dt, a_faces)
+    R, grads = disc.residual(u, b_prev, t_new, dt, a_faces, b_u=b_prev)
     norm = np.abs(R).max()
     iters = 0
     picard_mode = False
@@ -291,13 +333,14 @@ def step(problem, u_prev, t, dt, config, disc=None):
         try:
             delta = solve_banded(lower, main, upper, -R)
         except np.linalg.LinAlgError as exc:
-            raise StepFailure(
-                f"linear solve failed at t={t_new}", time=t_new, residual=norm
-            ) from exc
+            raise StepFailure("linear solve failed", t_new, norm, tol) from exc
+        # trial = max(u + lam * delta, 0), lam = 1, 1/2, ..., 1/128; at
+        # lam = 1 the product is skipped (1.0 * delta == delta)
         lam = 1.0
         improved = False
         for _ in range(8):
-            trial = np.maximum(u + lam * delta, 0.0)
+            trial = u + delta if lam == 1.0 else u + lam * delta
+            np.maximum(trial, 0.0, out=trial)
             R_t, g_t = disc.residual(trial, b_prev, t_new, dt, a_faces)
             n_t = np.abs(R_t).max()
             if n_t < norm:
@@ -315,20 +358,16 @@ def step(problem, u_prev, t, dt, config, disc=None):
                 norm = np.abs(R).max()
         iters += 1
     if not norm <= tol * 100:  # a NaN residual fails too
-        raise StepFailure(
-            f"nonlinear iteration did not converge at t={t_new} "
-            f"(residual {norm:.3e})",
-            time=t_new,
-            residual=norm,
-        )
-    clipped = float(np.sum(np.clip(config.floor_eps - u, 0.0, None)))
+        raise StepFailure("nonlinear iteration did not converge", t_new, norm, tol)
+    # maximum(x, 0) is what np.clip(x, 0.0, None) calls: the same bits
+    clipped = float(np.maximum(config.floor_eps - u, 0.0).sum())
     u = np.maximum(u, config.floor_eps)
     return u, {"iters": iters, "residual": norm, "clipped": clipped}
 
 
 def solve(problem, config):
     """Run repeated implicit steps from t_start to t_end (uniform dt, final
-    short step).  Returns a Trajectory."""
+    short step).  Returns a Trajectory.  A StepFailure names the step."""
     traj = Trajectory(problem)
     t = problem.t_start
     u = problem.initial.copy()
@@ -344,7 +383,10 @@ def solve(problem, config):
         dts.append(remainder)
     disc = _Discretization(problem, config)
     for i, dt in enumerate(dts):
-        u, info = step(problem, u, t, dt, config, disc=disc)
+        try:
+            u, info = step(problem, u, t, dt, config, disc=disc)
+        except StepFailure as exc:
+            raise exc.at_step(i + 1, len(dts)) from exc
         # recompute from the step index to avoid float drift in long runs
         t = problem.t_start + min((i + 1) * config.dt, span)
         traj.times.append(t)
@@ -425,20 +467,16 @@ def transform_to_v(traj, t_indices=None, positivity_floor=1e-12):
 
 
 def slice_functionals(traj):
-    """Per-time integrals {int u^q, int u^{q+1}, sup u, sup |Du|}; quadrature
-    consistent with the FV grid (radial runs include the unit-sphere area)."""
+    """Per-time {t, int u^{q+1}, sup u}; quadrature consistent with the FV
+    grid (radial runs include the unit-sphere area)."""
     e = traj.problem.exponents
     g = traj.problem.grid
     w = g.cell_volumes() * g.surface_constant()
-    h = g.h
-    out = {"t": [], "int_uq": [], "int_uq1": [], "sup_u": [], "sup_du": []}
+    out = {"t": [], "int_uq1": [], "sup_u": []}
     for t, u in zip(traj.times, traj.fields):
-        du = np.gradient(u, h)
         out["t"].append(t)
-        out["int_uq"].append(float(np.sum(w * u**e.q)))
         out["int_uq1"].append(float(np.sum(w * u ** (e.q + 1))))
         out["sup_u"].append(float(u.max()))
-        out["sup_du"].append(float(np.max(np.abs(du))))
     return {k: np.asarray(v) for k, v in out.items()}
 
 

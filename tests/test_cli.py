@@ -1,5 +1,6 @@
 """Tests for the config grammar and the experiment-runner CLI."""
 
+import re
 import warnings
 
 import numpy as np
@@ -151,6 +152,26 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: nonlinear iteration did not converge")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "overrides, where",
+        [
+            (["--p", "1.05", "--q", "0.2", "--dt", "0.01"], "step 1 of 4, t=0.01"),
+            (["--p", "4.5", "--q", "2", "--geometry", "cartesian",
+              "--x_lo", "-1", "--x_hi", "1"], "step 1 of 200, t=0.0002"),
+        ],
+    )
+    def test_solver_failure_names_step_and_ratio(self, capsys, overrides, where):
+        argv = ["solve", "--preset", "solver-supercritical-run", *overrides]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            rf"error: nonlinear iteration did not converge at {re.escape(where)}: "
+            r"residual \d\.\d{3}e[+-]\d\d = [0-9.e+]+× tol\n",
+            err,
+        ), err
+        ratio = float(err.split(" = ")[1].split("×")[0])
+        assert ratio > 100  # acceptance is at 100 × tol
 
     @pytest.mark.parametrize(
         "argv, key",

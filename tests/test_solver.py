@@ -178,13 +178,16 @@ class TestStepBasics:
     def test_shared_discretization_same_arrays(self):
         # solve builds one _Discretization per run; a step given it must
         # give the bytes of a step that builds its own
-        for geometry, x_lo, coefficient in (
-            ("radial", 0.0, None),
-            ("cartesian", -1.0, lambda x, t: 1.0 + 0.5 * x * x + t),
+        # (p = 2 with no coefficient takes the Jacobian face factor that
+        # the discretization builds once)
+        for p, geometry, x_lo, coefficient in (
+            (3.0, "radial", 0.0, None),
+            (2.0, "radial", 0.0, None),
+            (3.0, "cartesian", -1.0, lambda x, t: 1.0 + 0.5 * x * x + t),
         ):
             g = Grid1D(x_lo, 1.0, 24, geometry, 3)
             pr = CauchyDirichletProblem(
-                ExponentTriple(3.0, 2.0, 3), g, _bump(g), 1.0,
+                ExponentTriple(p, 2.0, 3), g, _bump(g), 1.0,
                 coefficient=coefficient,
             )
             cfg = SolverConfig(dt=1e-3, flux_mean="harmonic")
@@ -197,6 +200,21 @@ class TestStepBasics:
                 )
                 assert np.array_equal(u_own, u_shared)
                 assert info_own == info_shared
+
+    def test_failure_names_time_and_ratio(self):
+        # p = 4.5 on 200 cartesian cells fails at the first step
+        g = Grid1D(0.0, 1.0, 200)
+        u0 = np.cos(np.pi * g.centers() / 2) ** 2
+        pr = CauchyDirichletProblem(ExponentTriple(4.5, 2.0, 1), g, u0, 1.0)
+        with pytest.raises(StepFailure) as info:
+            step(pr, pr.initial, 0.0, 2e-4, SolverConfig(dt=2e-4))
+        exc = info.value
+        assert exc.time == pytest.approx(2e-4)
+        assert exc.residual > 100 * exc.tol
+        assert str(exc) == (
+            "nonlinear iteration did not converge at t=0.0002: "
+            f"residual {exc.residual:.3e} = {exc.residual / exc.tol:.3g}× tol"
+        )
 
     def test_step_errors(self):
         g = Grid1D(0.0, 1.0, 8)
@@ -451,7 +469,7 @@ class TestFunctionals:
         f = slice_functionals(traj)
         assert np.all(np.diff(f["int_uq1"]) <= 1e-12)
         assert np.all(np.diff(f["sup_u"]) <= 1e-12)
-        assert f["t"].shape == f["int_uq"].shape
+        assert f["t"].shape == f["int_uq1"].shape
 
     def test_gradient_p_norm_linear_profile(self):
         # u = x on (0,1) with matching boundary: |u'|^2 integrates to 1
