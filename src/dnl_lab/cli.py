@@ -261,7 +261,9 @@ class Output:
     def __init__(self, prefix):
         self.prefix = prefix
         self.header = None
-        self.lines = []  # finished CSV body lines, without newlines
+        # finished CSV body lines, or newline-joined blocks of lines; no
+        # item ends in a newline
+        self.lines = []
         self.meta_lines = []
 
     def set_header(self, cols):
@@ -271,7 +273,8 @@ class Output:
         self.lines.append(",".join([fmt(v) for v in values]))
 
     def add_lines(self, lines):
-        """Append finished CSV body lines (cells already formatted)."""
+        """Append finished CSV body lines, or newline-joined blocks of
+        lines, with cells already formatted and no trailing newline."""
         self.lines.extend(lines)
 
     def add_report(self, report):
@@ -289,21 +292,24 @@ class Output:
         self.meta_lines.append(line)
 
     def emit(self, cfg):
-        csv_text = ""
+        """Write the CSV (header, body, final newline) and the meta text to
+        `prefix.csv` and `prefix.meta`, or both to stdout without a prefix.
+        The body is joined once and written as it is."""
+        csv_parts = []
         if self.header:
-            csv_text = ",".join(self.header) + "\n"
+            csv_parts.append(",".join(self.header) + "\n")
         if self.lines:
-            csv_text += "\n".join(self.lines) + "\n"
+            csv_parts += ["\n".join(self.lines), "\n"]
         meta_text = serialize_config(cfg)
         if self.meta_lines:
             meta_text += "\n".join(self.meta_lines) + "\n"
         if self.prefix:
             with open(self.prefix + ".csv", "w") as f:
-                f.write(csv_text)
+                f.writelines(csv_parts)
             with open(self.prefix + ".meta", "w") as f:
                 f.write(meta_text)
         else:
-            sys.stdout.write(csv_text)
+            sys.stdout.writelines(csv_parts)
             sys.stdout.write(meta_text)
 
 
@@ -480,18 +486,21 @@ def pipe_exact_residual(cfg, out):
 
 
 def _export_lines(traj):
-    """`t,x,u` CSV lines of a trajectory, the same bytes as `add_row` gives.
+    """`t,x,u` CSV body of a trajectory, one block of lines per stored time:
+    joined with newlines, the same bytes as `add_row` gives row by row.
 
-    Each time and each cell center is formatted once and each field row in
-    one pass: `'%.17g' % v` equals `format(v, '.17g')` on floats, `nan`,
-    `inf` and `-0` included."""
-    g17 = "%.17g".__mod__
-    xs = [x + "," for x in map(g17, traj.problem.grid.centers().tolist())]
-    lines = []
+    The row template, one `<x_i>,%.17g` cell per cell center, is built
+    once; each time is formatted once and joined in front of every cell,
+    and each field row is formatted by a single `%`: `'%.17g' % v` equals
+    `format(v, '.17g')` on floats, `nan`, `inf` and `-0` included."""
+    xs = map("%.17g".__mod__, traj.problem.grid.centers().tolist())
+    cells = [x + ",%.17g" for x in xs]
+    blocks = []
     for t, u in zip(traj.times, traj.fields):
         t_cell = fmt(t) + ","
-        lines.extend([t_cell + x + v for x, v in zip(xs, map(g17, u.tolist()))])
-    return lines
+        row = t_cell + ("\n" + t_cell).join(cells)
+        blocks.append(row % tuple(u.tolist()))
+    return blocks
 
 
 def pipe_solve(cfg, out):

@@ -193,10 +193,11 @@ def _phi_total_deriv(g, mu, p):
 
 class _Discretization:
     """The per-run workspace of the Newton kernel: the geometric factors,
-    the exponents and floors read once, an owned (n+2) ghost buffer, and
-    the FV residual/Jacobian.  Every floating-point operation keeps the
-    order of the plain formulas in the comments, so the bits are those of
-    a step that allocates every temporary."""
+    the exponents and floors read once, an owned (n+2) ghost buffer, the
+    from_exact ghost pair of the current t, and the FV residual/Jacobian.
+    Every floating-point operation keeps the order of the plain formulas in
+    the comments, so the bits are those of a step that allocates every
+    temporary."""
 
     def __init__(self, problem, config):
         self.pr = problem
@@ -218,6 +219,12 @@ class _Discretization:
         self.symmetric = g.geometry == "radial" and g.x_lo == 0.0
         # u with its two ghost values; residual overwrites it on every call
         self.ue = np.empty(g.n_cells + 2)
+        # from_exact ghost values depend on t alone: the last t and its pair
+        self.exact_ghost_t = None
+        self.exact_ghosts = None
+        self.ghost_values = problem.ghost_values
+        if problem.boundary == "from_exact":
+            self.ghost_values = self._exact_ghost_values
         # d flux_f / d (u_right - u_left) at p = 2 with no coefficient
         self.dflux_p2 = None
         if self.p == 2:
@@ -243,13 +250,21 @@ class _Discretization:
             af = 0.5 * (ac[:-1] + ac[1:])
         return af
 
+    def _exact_ghost_values(self, u, t):
+        """`problem.ghost_values(u, t)` of a from_exact boundary, evaluated
+        once per t (a step's residuals share t_new) and kept here."""
+        if self.exact_ghost_t != t:
+            self.exact_ghosts = self.pr.ghost_values(u, t)
+            self.exact_ghost_t = t
+        return self.exact_ghosts
+
     def residual(self, u, b_prev, t_new, dt, a_faces, b_u=None):
         """Cell residuals R_i = (beta(u)-beta(u_prev)) V_i/dt - net flux,
         with `b_prev` = beta(u_prev) and `b_u` = beta(u) when known.
         Returns (R, face gradients), two fresh arrays."""
         ue = self.ue
         ue[1:-1] = u
-        ue[0], ue[-1] = self.pr.ghost_values(u, t_new)
+        ue[0], ue[-1] = self.ghost_values(u, t_new)
         grads = ue[1:] - ue[:-1]  # one per face
         grads /= self.h
         # flux = a * phi(grads) * grads * area

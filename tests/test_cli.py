@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dnl_lab import cli
 from dnl_lab.cli import (
     ConfigError,
     Output,
@@ -143,6 +144,17 @@ class TestRun:
     def test_unknown_preset_exits_1(self, capsys):
         assert run(["regimes", "--preset", "nope"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_solve_stdout_matches_out_files(self, capsys, tmp_path):
+        argv = ["solve", "--preset", "solver-supercritical-run"]
+        prefix = tmp_path / "run"
+        assert run(argv + ["--out", str(prefix)]) == 0
+        assert capsys.readouterr().out == ""
+        assert run(argv) == 0
+        files = prefix.with_suffix(".csv").read_text()
+        files += prefix.with_suffix(".meta").read_text()
+        assert capsys.readouterr().out.split("\n") == files.split("\n")
+        assert files.startswith("t,x,u\n0,")
 
     def test_solver_failure_exits_1(self, capsys):
         argv = ["solve", "--preset", "solver-supercritical-run"]
@@ -362,22 +374,41 @@ class TestExportLines:
         traj.fields[1] = np.array(self.SPECIAL)
         traj.fields[2] = -np.array(self.SPECIAL)
         traj.times[1] = np.float64(traj.times[1])
-        assert _export_lines(traj) == _row_lines(traj)
+        # items are blocks of lines; the body bytes are what `emit` writes
+        assert "\n".join(_export_lines(traj)) == "\n".join(_row_lines(traj))
 
-    @pytest.mark.parametrize(
-        "geometry",
-        [["--geometry", "radial"], ["--geometry", "cartesian", "--x_lo", "-1"]],
-    )
-    def test_solve_export_matches_add_row(self, tmp_path, geometry):
-        overrides = ["--n_cells", "9", "--t_end", "2e-3", *geometry]
+    @staticmethod
+    def _check_full_export(tmp_path, monkeypatch, overrides):
+        """`solve --out` of the full preset (200 cells, 201 times) against
+        the `add_row` text of the trajectory that same run solved."""
+        trajs = []
+
+        def recorded(cfg):
+            trajs.append(run_solver(cfg))
+            return trajs[-1]
+
+        monkeypatch.setattr(cli, "run_solver", recorded)
         prefix = tmp_path / "run"
         argv = ["solve", "--preset", "solver-supercritical-run", *overrides]
         assert run(argv + ["--out", str(prefix)]) == 0
-        _, cfg = preset("solver-supercritical-run")
-        traj = run_solver(_apply_overrides(cfg, overrides, "solve"))
-        want = "t,x,u\n" + "\n".join(_row_lines(traj)) + "\n"
-        assert prefix.with_suffix(".csv").read_text() == want
-        assert len(traj.times) == 11
+        (traj,) = trajs
+        want = ["t,x,u", *_row_lines(traj), ""]
+        # line lists: a failure names the first differing line at once
+        assert prefix.with_suffix(".csv").read_text().split("\n") == want
+        assert len(want) == 1 + 40_200 + 1
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [
+            ["--geometry", "radial"],
+            ["--geometry", "cartesian", "--x_lo", "-1", "--x_hi", "1"],
+        ],
+    )
+    def test_solve_export_matches_add_row(self, tmp_path, monkeypatch, geometry):
+        self._check_full_export(tmp_path, monkeypatch, geometry)
+
+    def test_q_below_one_export_matches_add_row(self, tmp_path, monkeypatch):
+        self._check_full_export(tmp_path, monkeypatch, ["--p", "1.2", "--q", "0.5"])
 
 
 @pytest.mark.parametrize(

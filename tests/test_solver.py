@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from dnl_lab import solver
 from dnl_lab.core import ExponentTriple, Grid1D
-from dnl_lab.exact import TrudingerGaussian
+from dnl_lab.exact import ClosedFormSolution, TrudingerGaussian
 from dnl_lab.solver import (
     CauchyDirichletProblem,
     SolverConfig,
@@ -374,6 +374,26 @@ def test_trajectory_digest(name):
     traj = solve(pr, cfg)
     digest = hashlib.sha256(np.stack(traj.fields).tobytes()).hexdigest()
     assert digest == TRAJECTORY_DIGESTS[name]
+
+
+def test_from_exact_ghosts_once_per_step(monkeypatch):
+    """A from_exact boundary evaluates the closed form at its two ghost cells
+    once per step (5 steps, 10 calls), not on every residual call (30), with
+    the same bits."""
+    pr, cfg = _digest_run("radial-from-exact-p3-q2")
+    pr.t_end = pr.t_start + 5 * cfg.dt
+    calls = []
+    eval_ = ClosedFormSolution.eval
+
+    def counted(self, x, t):
+        calls.append(t)
+        return eval_(self, x, t)
+
+    monkeypatch.setattr(ClosedFormSolution, "eval", counted)
+    traj = solve(pr, cfg)
+    assert len(calls) == 10
+    digest = hashlib.sha256(np.stack(traj.fields).tobytes()).hexdigest()
+    assert digest == TRAJECTORY_DIGESTS["radial-from-exact-p3-q2"]
 
 
 class TestComparison:
