@@ -183,9 +183,27 @@ SCHEMA = {
 }
 
 
+class Config(dict):
+    """A config tree {section: {key: raw str}} that records the entries
+    `_get` reads, so that a run can name the set entries it never used."""
+
+    def __init__(self, tree=()):
+        super().__init__(tree)
+        self.read = set()  # (section, key)
+
+    def unread(self):
+        """`[section] key` of every set entry that `_get` has not read."""
+        return [
+            f"[{s}] {k}"
+            for s in sorted(self)
+            for k in sorted(self[s])
+            if (s, k) not in self.read
+        ]
+
+
 def parse_config_text(text):
-    """Parse the section/key-value grammar into {section: {key: str}}."""
-    tree = {}
+    """Parse the section/key-value grammar into a Config."""
+    tree = Config()
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -227,7 +245,7 @@ def serialize_config(tree):
 
 
 def _merge(base, extra):
-    out = {s: dict(kv) for s, kv in base.items()}
+    out = Config({s: dict(kv) for s, kv in base.items()})
     for s, kv in extra.items():
         out.setdefault(s, {}).update(kv)
     return out
@@ -235,7 +253,9 @@ def _merge(base, extra):
 
 def _get(cfg, section, key, default=None):
     """[section] key as its domain in SCHEMA reads it; when the key is unset,
-    `default`, or a ConfigError if `default` is None."""
+    `default`, or a ConfigError if `default` is None.  `cfg` (a Config)
+    records the read."""
+    cfg.read.add((section, key))
     try:
         raw = cfg[section][key]
     except KeyError:
@@ -346,7 +366,8 @@ def build_family(cfg):
     return make_family(fid, **params)
 
 
-def run_solver(cfg):
+def build_problem(cfg):
+    """The (CauchyDirichletProblem, SolverConfig) pair of a numeric run."""
     e = build_exponents(cfg)
     g = build_grid(cfg)
     profile = _PROFILES[_get(cfg, "solver", "initial", "cos_bump")]
@@ -367,12 +388,18 @@ def run_solver(cfg):
         floor_eps=_get(cfg, "solver", "floor_eps", 0.0),
         flux_mean=_get(cfg, "solver", "flux_mean", "arithmetic"),
     )
-    return solve(pr, sc)
+    return pr, sc
+
+
+def run_solver(cfg):
+    """The numeric run solved over its whole span."""
+    return solve(*build_problem(cfg))
 
 
 def solved_source(cfg):
-    """Numeric run, even when a [family] is set."""
-    return dg.SolutionSource(run_solver(cfg))
+    """Numeric run, even when a [family] is set, solved on demand: a scan
+    steps it only as far as the last time it reads."""
+    return dg.SolutionSource(*build_problem(cfg))
 
 
 def build_source(cfg):
@@ -967,8 +994,11 @@ def _apply_overrides(cfg, tokens, subcommand):
             if section not in SCHEMA or key not in SCHEMA[section]:
                 raise ConfigError(f"unknown config key {section}.{key}")
         else:
-            # the subcommand's sections first, then every section in order
+            # the subcommand's sections first, then every section in order;
+            # [family] only when its id is set, for only then is it read
             order = (*COMMANDS[subcommand][0], *SCHEMA)
+            if "id" not in cfg.get("family", {}):
+                order = [c for c in order if c != "family"]
             section = next((c for c in order if key in SCHEMA[c]), None)
             if section is None:
                 raise ConfigError(f"unknown config key {key!r}")
@@ -988,7 +1018,7 @@ def run(argv):
     parser.add_argument("--out", help="output path prefix (csv + meta)")
     args, rest = parser.parse_known_args(argv)
     try:
-        cfg = {}
+        cfg = Config()
         if args.preset:
             psub, cfg = preset(args.preset)
             if psub != args.subcommand:
@@ -1001,6 +1031,9 @@ def run(argv):
         cfg = _apply_overrides(cfg, rest, args.subcommand)
         out = Output(args.out)
         code = COMMANDS[args.subcommand][1](cfg, out)
+        unread = cfg.unread()
+        if unread:
+            raise ConfigError(f"{args.subcommand} does not read {', '.join(unread)}")
         out.emit(cfg)
         return code
     except (ConfigError, ValueError, OSError, NotPowerLaw, StepFailure) as exc:

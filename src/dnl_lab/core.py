@@ -159,14 +159,6 @@ class IntrinsicCylinder:
         lo, hi = self.time_interval()
         return hi - lo
 
-    def contains(self, x, t):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        xo = np.atleast_1d(np.asarray(self.x_o, dtype=float))
-        lo, hi = self.time_interval()
-        inside_t = lo < t <= hi if self.scaling != "symmetric_u" else lo <= t <= hi
-        # K_rho is the cube of half side rho
-        return bool(np.all(np.abs(x - xo) <= self.radius) and inside_t)
-
 
 @dataclass(frozen=True)
 class Grid1D:

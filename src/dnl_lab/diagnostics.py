@@ -25,7 +25,15 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .exact import ClosedFormSolution
-from .solver import Trajectory, slice_functionals, gradient_p_norm
+from .solver import (
+    CauchyDirichletProblem,
+    StepFailure,
+    Trajectory,
+    gradient_p_norm,
+    march,
+    slice_functionals,
+    time_grid,
+)
 
 
 class RegimeError(ValueError):
@@ -63,40 +71,75 @@ class SolutionSource:
     trajectory (with bilinear interpolation in space-time; trajectory-backed
     gradients are one-sided at the boundary and O(h) accurate).
 
+    The trajectory is a finished `Trajectory`, or a `CauchyDirichletProblem`
+    with its `SolverConfig`, which is solved on demand: a read steps the
+    solver (`solver.march`) only until the stored rows bracketing its time
+    exist, and a row's gradient is taken on its first read.  The values are
+    the same bits as those of the solved `Trajectory`; `valid` spans the
+    whole [t_start, t_end] from the start.  A StepFailure surfaces in the
+    first read that needs the failed step, and in every read after it.
+
     `eval`, `grad_norm` and `valid` take coordinates x on a probe line, either
     a scalar or a 1-D array, and a scalar time t.  They return one value per
     coordinate: a float (a bool for `valid`) for a scalar x, an array for an
     array x.  A coordinate x stands for the radius |x| on radial grids and for
     closed forms, and for the signed position x on cartesian grids."""
 
-    def __init__(self, backing, exponents=None):
+    def __init__(self, backing, config=None):
         self.backing = backing
         if isinstance(backing, ClosedFormSolution):
             self.kind = "closed_form"
             self.exponents = backing.exponents
-        elif isinstance(backing, Trajectory):
-            self.kind = "trajectory"
-            self.exponents = backing.problem.exponents
-            self._radial = backing.problem.grid.geometry == "radial"
-            self._xs = backing.problem.grid.centers()
-            self._ts = np.asarray(backing.times)
-            self._U = np.vstack(backing.fields)  # (n_times, n_cells)
-            self._dU = np.gradient(self._U, backing.problem.grid.h, axis=1)
+            return
+        if isinstance(backing, Trajectory):
+            problem, times = backing.problem, backing.times
+            self._rows = list(backing.fields)
+            self._steps = None
+        elif isinstance(backing, CauchyDirichletProblem) and config is not None:
+            problem, times = backing, time_grid(backing, config)[0]
+            self._rows = [backing.initial]
+            self._steps = march(backing, config)
         else:
-            raise TypeError("source must be a ClosedFormSolution or Trajectory")
-        if exponents is not None:
-            self.exponents = exponents
+            raise TypeError(
+                "source must be a ClosedFormSolution, a Trajectory, or a"
+                " CauchyDirichletProblem with its SolverConfig"
+            )
+        self.kind = "trajectory"
+        self.exponents = problem.exponents
+        self._grid = problem.grid
+        self._radial = problem.grid.geometry == "radial"
+        self._xs = problem.grid.centers()
+        self._ts = np.asarray(times)
+        self._grads = {}  # row index -> np.gradient of that row
+        self._failure = None  # the StepFailure that ended the stepping
 
-    # -- trajectory interpolation ------------------------------------------
-    def _at(self, table, x, t):
-        """Blend the two stored time rows bracketing t, then interpolate the
-        blended row at every coordinate of x."""
+    # -- trajectory rows, stepped and differentiated on first read ----------
+    def _row(self, i):
+        rows = self._rows
+        while len(rows) <= i:
+            if self._failure is not None:
+                raise self._failure
+            try:
+                rows.append(next(self._steps)[0])
+            except StepFailure as exc:
+                self._failure = exc
+                raise
+        return rows[i]
+
+    def _grad_row(self, i):
+        if i not in self._grads:
+            self._grads[i] = np.gradient(self._row(i), self._grid.h)
+        return self._grads[i]
+
+    def _at(self, row, x, t):
+        """Blend the two stored time rows bracketing t, `row(i - 1)` and
+        `row(i)`, then interpolate the blended row at every coordinate of x."""
         ts = self._ts
         i = np.searchsorted(ts, t)
         i = min(max(i, 1), ts.size - 1)
         wt = (t - ts[i - 1]) / (ts[i] - ts[i - 1])
         wt = min(max(wt, 0.0), 1.0)
-        row = (1 - wt) * table[i - 1] + wt * table[i]
+        row = (1 - wt) * row(i - 1) + wt * row(i)
         x = np.asarray(x, dtype=float)
         vals = np.interp(np.abs(x) if self._radial else x, self._xs, row)
         return vals if vals.ndim else float(vals)
@@ -105,14 +148,14 @@ class SolutionSource:
     # point (both the same bits as the scalar `eval`/`grad` of the family)
     def eval(self, x, t):
         if self.kind != "closed_form":
-            return self._at(self._U, x, t)
+            return self._at(self._row, x, t)
         if np.ndim(x) == 0:
             return self.backing.eval([x], t)
         return self.backing.eval_line(x, t)
 
     def grad_norm(self, x, t):
         if self.kind != "closed_form":
-            return abs(self._at(self._dU, x, t))
+            return abs(self._at(self._grad_row, x, t))
         norm = lambda v: float(np.linalg.norm(self.backing.grad([v], t)))
         if np.ndim(x) == 0:
             return norm(x)
@@ -125,7 +168,7 @@ class SolutionSource:
                 self.backing.valid_rt(np.abs(r), np.asarray(t, float)), r.shape
             )
         else:
-            g, ts = self.backing.problem.grid, self._ts
+            g, ts = self._grid, self._ts
             if self._radial:
                 r = np.abs(r)
             # domain bounds, not cell-center bounds: interpolation clamps to

@@ -382,15 +382,6 @@ class BoundednessBorderline(ClosedFormSolution):
         self.m_t = (N + q + 1) / (q + 1) ** 2
         self.s_exp = N * (q + 1) / (N * q - q - 1)
 
-    @staticmethod
-    def b_p_form(n_dim, p, a):
-        """Equivalent parametrization of b through p:
-        b = (p-1)/(N-p) ((N(p-1)+p)/(p^2 N a))^{1/(p-1)}."""
-        N = n_dim
-        return (p - 1) / (N - p) * ((N * (p - 1) + p) / (p**2 * N * a)) ** (
-            1 / (p - 1)
-        )
-
     def u_rt(self, r, t):
         N, q = self.exponents.n_dim, self.exponents.q
         tt = np.clip(self.T - np.asarray(t, float), 0.0, None)

@@ -380,32 +380,43 @@ def step(problem, u_prev, t, dt, config, disc=None):
     return u, {"iters": iters, "residual": norm, "clipped": clipped}
 
 
-def solve(problem, config):
-    """Run repeated implicit steps from t_start to t_end (uniform dt, final
-    short step).  Returns a Trajectory.  A StepFailure names the step."""
-    traj = Trajectory(problem)
-    t = problem.t_start
-    u = problem.initial.copy()
-    traj.times.append(t)
-    traj.fields.append(u)
-    traj.newton_iters.append(0)
-    traj.residual_norms.append(0.0)
+def time_grid(problem, config):
+    """(stored times, step sizes) of a run: uniform dt from t_start with a
+    final short step to t_end.  Step i goes from times[i] by dts[i] to
+    times[i + 1] = t_start + min((i + 1) dt, span), recomputed from the step
+    index to avoid float drift in long runs."""
     span = problem.t_end - problem.t_start
     n_full = int(math.floor(span / config.dt * (1.0 + 1e-12)))
     remainder = span - n_full * config.dt
     dts = [config.dt] * n_full
     if remainder > 1e-9 * config.dt:
         dts.append(remainder)
+    t0 = problem.t_start
+    times = [t0] + [t0 + min((i + 1) * config.dt, span) for i in range(len(dts))]
+    return times, dts
+
+
+def march(problem, config):
+    """Yield (u, info) of each implicit step from `problem.initial`, on the
+    grid of `time_grid`, for as long as the caller iterates.  A StepFailure
+    names the step."""
+    times, dts = time_grid(problem, config)
     disc = _Discretization(problem, config)
+    u = problem.initial
     for i, dt in enumerate(dts):
         try:
-            u, info = step(problem, u, t, dt, config, disc=disc)
+            # step returns a new array and never writes to u_prev
+            u, info = step(problem, u, times[i], dt, config, disc=disc)
         except StepFailure as exc:
             raise exc.at_step(i + 1, len(dts)) from exc
-        # recompute from the step index to avoid float drift in long runs
-        t = problem.t_start + min((i + 1) * config.dt, span)
-        traj.times.append(t)
-        # no copy: step returns a new array and never writes to u_prev
+        yield u, info
+
+
+def solve(problem, config):
+    """Every step of `march` from t_start to t_end, as a Trajectory."""
+    times, _ = time_grid(problem, config)
+    traj = Trajectory(problem, times, [problem.initial.copy()], [0], [0.0])
+    for u, info in march(problem, config):
         traj.fields.append(u)
         traj.newton_iters.append(info["iters"])
         traj.residual_norms.append(info["residual"])

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dnl_lab import cli
+from dnl_lab import cli, solver
 from dnl_lab.cli import (
     ConfigError,
     Output,
@@ -20,6 +20,7 @@ from dnl_lab.cli import (
     run,
     run_solver,
 )
+from dnl_lab.solver import StepFailure
 
 
 class TestConfigGrammar:
@@ -118,6 +119,17 @@ class TestOverrides:
             "model": {"alpha": "1"}
         }
 
+    def test_bare_key_reaches_family_only_when_its_id_is_set(self):
+        # p is a [family] and an [exponents] key; scans read [family] only
+        # when a family is set
+        assert _apply_overrides({}, ["--p", "3"], "harnack") == {
+            "exponents": {"p": "3"}
+        }
+        cfg = {"family": {"id": "trudinger_gaussian"}}
+        assert _apply_overrides(cfg, ["--p", "3"], "harnack") == {
+            "family": {"id": "trudinger_gaussian", "p": "3"}
+        }
+
 
 class TestRun:
     def test_regimes_stdout(self, capsys):
@@ -155,6 +167,76 @@ class TestRun:
         files += prefix.with_suffix(".meta").read_text()
         assert capsys.readouterr().out.split("\n") == files.split("\n")
         assert files.startswith("t,x,u\n0,")
+
+    SOLVER_SCANS = [
+        ("harnack", "thm-harnack-supercritical"),
+        ("integral-harnack", "integral-harnack-supercritical"),
+        ("supbound", "supbound-fast-diffusion"),
+        ("holder", "holder-supercritical"),
+    ]
+
+    @pytest.mark.parametrize("sub, name", SOLVER_SCANS)
+    def test_unread_family_keys_exit_1(self, capsys, sub, name):
+        # a solver-backed preset sets no [family] id, so [family] is unread
+        argv = [sub, "--preset", name, "--family.p", "3", "--family.q", "2.5"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {sub} does not read [family] p, [family] q\n"
+
+    @pytest.mark.parametrize("sub, name", SOLVER_SCANS)
+    def test_bare_exponent_override_reaches_the_solver(self, capsys, sub, name):
+        assert run([sub, "--preset", name]) == 0
+        before = capsys.readouterr().out
+        run([sub, "--preset", name, "--q", "2.5"])
+        after = capsys.readouterr().out
+        assert "[family]" not in after
+        assert "[exponents]\nN = 3\np = 2\nq = 2.5\n" in after
+        # the summary line is the last line: the run used q = 2.5
+        assert after.splitlines()[-1] != before.splitlines()[-1]
+
+    def test_unread_solver_key_of_a_family_preset_exits_1(self, capsys):
+        argv = ["harnack", "--preset", "harnack-fail-trudinger", "--n_cells", "10"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: harnack does not read [grid] n_cells\n"
+
+    def test_scan_solver_failure_exits_1(self, capsys):
+        argv = ["harnack", "--preset", "thm-harnack-supercritical", "--p", "4.5",
+                "--geometry", "cartesian", "--x_lo", "-1", "--x_hi", "1"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: nonlinear iteration did not converge at step 1 of 200, t=0.0002: "
+        )
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("k, code", [(100, 1), (106, 1), (107, 0), (200, 0)])
+    def test_scan_fails_only_on_a_step_it_reads(self, monkeypatch, capsys, k, code):
+        # the preset reads no time past t = 0.0212, stored row 106 of 200
+        real = solver.step
+        calls = []
+
+        def failing(problem, u_prev, t, dt, config, disc=None):
+            calls.append(t)
+            if len(calls) == k:
+                raise StepFailure("nonlinear iteration did not converge",
+                                  t + dt, 1.0, 1e-3)
+            return real(problem, u_prev, t, dt, config, disc=disc)
+
+        monkeypatch.setattr(solver, "step", failing)
+        assert run(["harnack", "--preset", "thm-harnack-supercritical"]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            assert captured.err.startswith(
+                f"error: nonlinear iteration did not converge at step {k} of 200, t="
+            )
+        else:
+            assert captured.err == ""
+            assert captured.out.endswith("harnack,bounded,1.3057754146851066\n")
 
     def test_solver_failure_exits_1(self, capsys):
         argv = ["solve", "--preset", "solver-supercritical-run"]

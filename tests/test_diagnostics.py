@@ -7,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dnl_lab import cli
+from dnl_lab import cli, solver
 from dnl_lab.core import ExponentTriple, Grid1D
 from dnl_lab.exact import (
     IvanovSubsolution,
@@ -16,7 +17,13 @@ from dnl_lab.exact import (
     SupercriticalExtinction,
     TrudingerGaussian,
 )
-from dnl_lab.solver import CauchyDirichletProblem, SolverConfig, solve
+from dnl_lab.solver import (
+    CauchyDirichletProblem,
+    SolverConfig,
+    StepFailure,
+    solve,
+    time_grid,
+)
 from dnl_lab.diagnostics import (
     RegimeError,
     DiagnosticReport,
@@ -232,6 +239,135 @@ class TestArrayPath:
             assert type(src.grad_norm(0.1, 1e-2)) is float
             assert type(src.valid(0.1, 1e-2)) is bool
             assert src.eval(np.array([0.1]), 1e-2).shape == (1,)
+
+
+@st.composite
+def _on_demand_case(draw):
+    """A small radial or cartesian run and a read sequence in any time order:
+    (method, x, t) with t before t_start, at a stored time, between two, at
+    t_end or past it, and x a probe line or a scalar."""
+    if draw(st.booleans()):
+        g = Grid1D(0.0, 1.0, draw(st.integers(4, 14)), "radial", 3)
+    else:
+        g = Grid1D(-1.0, 1.0, draw(st.integers(4, 14)))
+    p, q = draw(st.sampled_from([(2.0, 2.0), (2.0, 1.0), (3.0, 2.0), (2.5, 0.7)]))
+    dt = draw(st.sampled_from([1e-3, 7e-4]))
+    t_start = draw(st.sampled_from([0.0, 0.02]))
+    span = dt * (draw(st.integers(1, 12)) + draw(st.sampled_from([0.0, 0.4])))
+    u0 = 0.2 + np.cos(0.5 * np.pi * (g.centers() - g.x_lo) / (g.x_hi - g.x_lo))
+    pr = CauchyDirichletProblem(
+        ExponentTriple(p, q, g.n_dim), g, u0 ** 2, t_start + span, t_start=t_start
+    )
+    cfg = SolverConfig(dt=dt)
+    times = time_grid(pr, cfg)[0]
+    j = st.integers(0, len(times) - 1)
+    t = st.one_of(
+        st.floats(0.01, 2.0).map(lambda d: t_start - d * dt),
+        j.map(times.__getitem__),
+        st.tuples(j, st.floats(0.0, 1.0)).map(
+            lambda a: times[max(a[0] - 1, 0)] * (1 - a[1]) + times[a[0]] * a[1]
+        ),
+        st.just(times[-1]),
+        st.floats(0.01, 2.0).map(lambda d: times[-1] + d * dt),
+    )
+    h = g.h
+    line = np.linspace(-g.x_hi - h, g.x_hi + h, 29)
+    x = st.one_of(st.just(line), st.floats(-1.2, 1.2))
+    method = st.sampled_from(["eval", "grad_norm", "valid"])
+    return pr, cfg, draw(st.lists(st.tuples(method, x, t), min_size=1, max_size=12))
+
+
+@settings(max_examples=60)
+@given(_on_demand_case())
+def test_on_demand_source_matches_solved_source(case):
+    """A source stepped on demand gives the bits of the solved trajectory's
+    source, whatever the order of the reads, and both give those of the
+    whole-table reference (every row stacked and differentiated at once)."""
+    pr, cfg, reads = case
+    traj = solve(pr, cfg)
+    on_demand = SolutionSource(pr, cfg)
+    solved = SolutionSource(traj)
+    U = np.vstack(traj.fields)
+    tables = {"eval": U, "grad_norm": np.gradient(U, pr.grid.h, axis=1)}
+    bits = lambda a: np.asarray(a, dtype=float).view(np.int64).tolist()
+    for method, x, t in reads:
+        got = np.asarray(getattr(on_demand, method)(x, t))
+        want = np.asarray(getattr(solved, method)(x, t))
+        if method == "valid":
+            assert got.tolist() == want.tolist()
+            continue
+        assert got.shape == want.shape
+        assert bits(got) == bits(want)
+        ref = [_pointwise(traj, tables[method], v, t) for v in np.ravel(x)]
+        if method == "grad_norm":
+            ref = np.abs(ref)
+        assert bits(np.ravel(got)) == bits(ref)
+
+
+@pytest.mark.parametrize(
+    "sub, name, steps",
+    [
+        ("harnack", "thm-harnack-supercritical", 106),
+        ("integral-harnack", "integral-harnack-supercritical", 150),
+        ("supbound", "supbound-fast-diffusion", 150),
+        ("expand", "expansion-positivity", 51),
+        ("holder", "holder-supercritical", 110),
+    ],
+)
+def test_scan_steps_only_to_its_last_read(monkeypatch, capsys, sub, name, steps):
+    """Each trajectory-backed preset (200 steps to t_end) steps the solver
+    only up to the stored row bracketing the latest time it reads."""
+    calls = []
+    real = solver.step
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "step", counted)
+    assert cli.run([sub, "--preset", name]) == 0
+    assert len(calls) == steps
+
+
+def _failing_step(k, calls):
+    """`solver.step` that raises a StepFailure on its k-th call."""
+    real = solver.step
+
+    def stepped(problem, u_prev, t, dt, config, disc=None):
+        calls.append(t)
+        if len(calls) == k:
+            raise StepFailure("nonlinear iteration did not converge", t + dt, 1.0, 1e-3)
+        return real(problem, u_prev, t, dt, config, disc=disc)
+
+    return stepped
+
+
+def test_step_failure_surfaces_at_the_first_read_that_needs_it(monkeypatch):
+    g = Grid1D(-1.0, 1.0, 20)
+    pr = CauchyDirichletProblem(ExponentTriple(2.0, 2.0, 1), g, _bump(g), 2e-2)
+    cfg = SolverConfig(dt=1e-3)
+    solved = SolutionSource(solve(pr, cfg))
+    ts = solved._ts
+    k, calls = 7, []
+    monkeypatch.setattr(solver, "step", _failing_step(k, calls))
+    src = SolutionSource(pr, cfg)
+    xs = np.linspace(-1.0, 1.0, 11)
+    # rows 0 .. k-1 exist without step k: every read at t <= t_{k-1} succeeds
+    for t in (ts[0] - 1e-3, ts[0], ts[3], 0.5 * (ts[4] + ts[5]), ts[k - 1]):
+        assert src.eval(xs, t).tolist() == solved.eval(xs, t).tolist()
+        assert src.grad_norm(xs, t).tolist() == solved.grad_norm(xs, t).tolist()
+    assert len(calls) == k - 1
+    # a read later than t_{k-1} blends row k in, and fails with its step;
+    # so does every read after the failure that needs a later row
+    for t in (0.5 * (ts[k - 1] + ts[k]), ts[k], ts[-1], ts[-1] + 1.0):
+        with pytest.raises(StepFailure, match=rf"at step {k} of 20, t=0\.007:"):
+            src.eval(xs, t)
+        with pytest.raises(StepFailure, match=rf"at step {k} of 20"):
+            src.grad_norm(0.0, t)
+    assert len(calls) == k
+    # rows already stepped and the validity span are unaffected
+    assert src.eval(xs, ts[2]).tolist() == solved.eval(xs, ts[2]).tolist()
+    assert src.valid(xs, ts[-1]).tolist() == solved.valid(xs, ts[-1]).tolist()
 
 
 _EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"

@@ -101,13 +101,6 @@ class TestPointValues:
         eps = 1e-8
         assert sol.eval([1.0] + [0.0] * 39, 1.0 - eps) < 1e-3
 
-    def test_borderline_b_forms_agree(self):
-        # the q-parametrized and p-parametrized amplitude formulas agree
-        sol = BoundednessBorderline(n_dim=3, p=2.0, a=1.0)
-        assert sol.b == pytest.approx(
-            BoundednessBorderline.b_p_form(3, 2.0, 1.0), rel=1e-12
-        )
-
 
 class TestResidualOracle:
     def test_residual_small_on_exact_solution(self):

@@ -20,6 +20,7 @@ from dnl_lab.solver import (
     _beta,
     step,
     solve,
+    time_grid,
     check_comparison,
     transform_to_v,
     slice_functionals,
@@ -238,6 +239,20 @@ class TestSolve:
         dts = np.diff(traj.times)
         assert np.allclose(dts[:-1], 1e-3)
         assert dts[-1] == pytest.approx(5e-4, rel=1e-6)
+
+    def test_shared_time_grid_is_the_solved_grid(self):
+        # t_start > 0 and a short final step: the stored times of `solve`
+        # are the floats `time_grid` gives, element for element
+        g = Grid1D(0.0, 1.0, 12, "radial", 3)
+        e = ExponentTriple(2.0, 2.0, 3)
+        pr = CauchyDirichletProblem(e, g, _bump(g), 0.0437, t_start=0.03)
+        cfg = SolverConfig(dt=7e-4)
+        times, dts = time_grid(pr, cfg)
+        solved = solve(pr, cfg).times
+        assert len(times) == len(solved) == len(dts) + 1 == 21
+        assert all(a == b and type(a) is type(b) for a, b in zip(times, solved))
+        assert dts[:-1] == [7e-4] * 19
+        assert 0 < dts[-1] < 7e-4
 
     def test_exact_tracking(self):
         # heat equation (p=2, q=1) against the gaussian kernel
