@@ -40,6 +40,7 @@ from .solver import (
     CauchyDirichletProblem,
     SolverConfig,
     StepFailure,
+    Trajectory,
     solve,
     check_comparison,
 )
@@ -152,7 +153,7 @@ SCHEMA = {
         "initial_scale": _FINITE,
         "dt": _POSITIVE, "newton_tol": _POSITIVE,
         "max_newton": _COUNT,
-        "flux_mean": _TEXT, "boundary": _TEXT,
+        "boundary": _TEXT,
         "initial": _PROFILE,
     },
     "comparison": {
@@ -386,7 +387,6 @@ def build_problem(cfg):
         newton_tol=_get(cfg, "solver", "newton_tol", 1e-10),
         max_newton=_get(cfg, "solver", "max_newton", 40),
         floor_eps=_get(cfg, "solver", "floor_eps", 0.0),
-        flux_mean=_get(cfg, "solver", "flux_mean", "arithmetic"),
     )
     return pr, sc
 
@@ -399,7 +399,7 @@ def run_solver(cfg):
 def solved_source(cfg):
     """Numeric run, even when a [family] is set, solved on demand: a scan
     steps it only as far as the last time it reads."""
-    return dg.SolutionSource(*build_problem(cfg))
+    return dg.SolutionSource(Trajectory(*build_problem(cfg)))
 
 
 def build_source(cfg):
@@ -545,6 +545,9 @@ def pipe_solve(cfg, out):
         out.add_row([result["violation"], result["passes"], result["tol"]])
         out.meta(f"comparison,{'pass' if result['passes'] else 'fail'}")
         return 0 if result["passes"] else 2
+    if "enabled" in cfg.get("comparison", {}):
+        # `enabled = false` switches the section off: its other keys go unused
+        cfg.read.update(("comparison", key) for key in cfg["comparison"])
     out.set_header(["t", "x", "u"])
     out.add_lines(_export_lines(traj))
     out.meta(f"final_sup,{fmt(float(traj.fields[-1].max()))}")

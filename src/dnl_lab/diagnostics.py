@@ -25,15 +25,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .exact import ClosedFormSolution
-from .solver import (
-    CauchyDirichletProblem,
-    StepFailure,
-    Trajectory,
-    gradient_p_norm,
-    march,
-    slice_functionals,
-    time_grid,
-)
+from .solver import Trajectory, gradient_p_norm, slice_functionals
 
 
 class RegimeError(ValueError):
@@ -68,16 +60,14 @@ class DiagnosticReport:
 
 class SolutionSource:
     """Uniform eval/grad/validity view over a closed-form family or a
-    trajectory (with bilinear interpolation in space-time; trajectory-backed
+    `Trajectory` (with bilinear interpolation in space-time; trajectory-backed
     gradients are one-sided at the boundary and O(h) accurate).
 
-    The trajectory is a finished `Trajectory`, or a `CauchyDirichletProblem`
-    with its `SolverConfig`, which is solved on demand: a read steps the
-    solver (`solver.march`) only until the stored rows bracketing its time
-    exist, and a row's gradient is taken on its first read.  The values are
-    the same bits as those of the solved `Trajectory`; `valid` spans the
-    whole [t_start, t_end] from the start.  A StepFailure surfaces in the
-    first read that needs the failed step, and in every read after it.
+    A read of a trajectory takes the stored rows bracketing its time with
+    `Trajectory.row`, which steps the solver only until they exist, and takes
+    a row's gradient on its first read.  `valid` spans the whole
+    [t_start, t_end] from the start.  A StepFailure surfaces in the first
+    read that needs the failed step, and in every read after it.
 
     `eval`, `grad_norm` and `valid` take coordinates x on a probe line, either
     a scalar or a 1-D array, and a scalar time t.  They return one value per
@@ -85,50 +75,27 @@ class SolutionSource:
     array x.  A coordinate x stands for the radius |x| on radial grids and for
     closed forms, and for the signed position x on cartesian grids."""
 
-    def __init__(self, backing, config=None):
+    def __init__(self, backing):
         self.backing = backing
         if isinstance(backing, ClosedFormSolution):
             self.kind = "closed_form"
             self.exponents = backing.exponents
             return
-        if isinstance(backing, Trajectory):
-            problem, times = backing.problem, backing.times
-            self._rows = list(backing.fields)
-            self._steps = None
-        elif isinstance(backing, CauchyDirichletProblem) and config is not None:
-            problem, times = backing, time_grid(backing, config)[0]
-            self._rows = [backing.initial]
-            self._steps = march(backing, config)
-        else:
-            raise TypeError(
-                "source must be a ClosedFormSolution, a Trajectory, or a"
-                " CauchyDirichletProblem with its SolverConfig"
-            )
+        if not isinstance(backing, Trajectory):
+            raise TypeError("source must be a ClosedFormSolution or a Trajectory")
+        problem = backing.problem
         self.kind = "trajectory"
         self.exponents = problem.exponents
         self._grid = problem.grid
         self._radial = problem.grid.geometry == "radial"
         self._xs = problem.grid.centers()
-        self._ts = np.asarray(times)
+        self._ts = np.asarray(backing.times)
         self._grads = {}  # row index -> np.gradient of that row
-        self._failure = None  # the StepFailure that ended the stepping
 
-    # -- trajectory rows, stepped and differentiated on first read ----------
-    def _row(self, i):
-        rows = self._rows
-        while len(rows) <= i:
-            if self._failure is not None:
-                raise self._failure
-            try:
-                rows.append(next(self._steps)[0])
-            except StepFailure as exc:
-                self._failure = exc
-                raise
-        return rows[i]
-
+    # -- trajectory rows, differentiated on first read -----------------------
     def _grad_row(self, i):
         if i not in self._grads:
-            self._grads[i] = np.gradient(self._row(i), self._grid.h)
+            self._grads[i] = np.gradient(self.backing.row(i), self._grid.h)
         return self._grads[i]
 
     def _at(self, row, x, t):
@@ -148,7 +115,7 @@ class SolutionSource:
     # point (both the same bits as the scalar `eval`/`grad` of the family)
     def eval(self, x, t):
         if self.kind != "closed_form":
-            return self._at(self._row, x, t)
+            return self._at(self.backing.row, x, t)
         if np.ndim(x) == 0:
             return self.backing.eval([x], t)
         return self.backing.eval_line(x, t)

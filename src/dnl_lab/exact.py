@@ -25,9 +25,10 @@ class ClosedFormSolution:
     """Base class: a radial space-time profile u(|x|, t) with analytic radial
     derivative and analytic d/dt(u^q).
 
-    Subclasses implement u_rt / ur_rt / ut_rt / valid_rt on arrays of radii
-    and times.  The public eval/grad/dt_uq operate on coordinate vectors;
-    eval_line evaluates u along a probe line at one time.
+    Subclasses implement u_rt / ur_rt / valid_rt on arrays of radii and
+    times, and ut_rt or, in its place, dtuq_rt.  The public eval/grad/dt_uq
+    operate on coordinate vectors; eval_line evaluates u along a probe line
+    at one time.
     """
 
     family = "abstract"
@@ -272,10 +273,6 @@ class SeparableBlowup(ClosedFormSolution):
         p = self.exponents.p
         return -(p / self.k) * self.u_rt(r, t) / np.asarray(r, float)
 
-    def ut_rt(self, r, t):
-        tt = self.T - np.asarray(t, float)
-        return -(1 / self.k) * self.u_rt(r, t) / tt
-
     def dtuq_rt(self, r, t):
         q, p = self.exponents.q, self.exponents.p
         tt = np.clip(self.T - np.asarray(t, float), 0.0, None)
@@ -407,10 +404,6 @@ class BoundednessBorderline(ClosedFormSolution):
             * r ** (self.s_exp - 1)
             * base ** (-N / (q + 1) - 1)
         )
-
-    def ut_rt(self, r, t):
-        tt = self.T - np.asarray(t, float)
-        return np.where(tt > 0, -self.m_t * self.u_rt(r, t) / tt, 0.0)
 
     def dtuq_rt(self, r, t):
         N, q = self.exponents.n_dim, self.exponents.q
@@ -688,11 +681,6 @@ class IvanovSubsolution(ClosedFormSolution):
         q = self.exponents.q
         tf = np.clip(1 - self.h_rate * np.asarray(t, float), 0.0, None)
         return tf ** (1 / q) * self.phi_prime(r)
-
-    def ut_rt(self, r, t):
-        q = self.exponents.q
-        tf = np.clip(1 - self.h_rate * np.asarray(t, float), 0.0, None)
-        return -(self.h_rate / q) * tf ** (1 / q - 1) * self.phi(r)
 
     def dtuq_rt(self, r, t):
         q = self.exponents.q

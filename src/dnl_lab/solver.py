@@ -11,7 +11,7 @@ zero flux through r = 0.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +20,8 @@ from .core import ExponentTriple, Grid1D
 
 class StepFailure(RuntimeError):
     """Nonlinear iteration failed to converge for a time step.  The message
-    names the time, the step (when `solve` ran it) and the residual as a
-    multiple of its tolerance."""
+    names the time, the step (when a `Trajectory` ran it) and the residual
+    as a multiple of its tolerance."""
 
     def __init__(self, reason, time, residual, tol, where=None):
         self.reason = reason
@@ -104,16 +104,6 @@ class SolverConfig:
             raise ValueError("floor_eps must be finite and >= 0")
         if self.flux_mean not in ("arithmetic", "harmonic"):
             raise ValueError(f"unknown flux_mean {self.flux_mean!r}")
-
-
-@dataclass
-class Trajectory:
-    problem: CauchyDirichletProblem
-    times: list = dc_field(default_factory=list)
-    fields: list = dc_field(default_factory=list)  # list of np.ndarray
-    newton_iters: list = dc_field(default_factory=list)
-    residual_norms: list = dc_field(default_factory=list)
-    clipped_mass: float = 0.0
 
 
 _dgtsv = None  # LAPACK dgtsv, bound by the first solve_banded call
@@ -315,8 +305,9 @@ def step(problem, u_prev, t, dt, config, disc=None):
     per step and shared by the tolerance and every residual; each iteration
     solves its tridiagonal system with `solve_banded` (LAPACK `dgtsv`).
     `disc` is the problem's `_Discretization`, the run's workspace, built
-    here when not given (`solve` builds one per run).  Raises StepFailure,
-    which names t and the residual as a multiple of its tolerance."""
+    here when not given (a `Trajectory` builds one per run).  Raises
+    StepFailure, which names t and the residual as a multiple of its
+    tolerance."""
     if not 0 < dt < math.inf:
         raise ValueError("dt must be finite and > 0")
     u_prev = np.asarray(u_prev, dtype=float)
@@ -396,31 +387,56 @@ def time_grid(problem, config):
     return times, dts
 
 
-def march(problem, config):
-    """Yield (u, info) of each implicit step from `problem.initial`, on the
-    grid of `time_grid`, for as long as the caller iterates.  A StepFailure
-    names the step."""
-    times, dts = time_grid(problem, config)
-    disc = _Discretization(problem, config)
-    u = problem.initial
-    for i, dt in enumerate(dts):
-        try:
-            # step returns a new array and never writes to u_prev
-            u, info = step(problem, u, times[i], dt, config, disc=disc)
-        except StepFailure as exc:
-            raise exc.at_step(i + 1, len(dts)) from exc
-        yield u, info
+class Trajectory:
+    """The record of one run on the grid of `time_grid`, stepped on demand:
+    `row(i)` runs implicit steps from `problem.initial` until the field at
+    `times[i]` exists.  `fields`, `newton_iters` and `residual_norms` hold
+    one entry per stored row so far (0 and 0.0 for the initial row), and
+    `clipped_mass` sums over the steps taken.  The readers below take rows
+    with `row`, so they step a trajectory that is not yet solved."""
+
+    def __init__(self, problem, config):
+        self.problem = problem
+        self.config = config
+        self.times, self._dts = time_grid(problem, config)
+        self.fields = [problem.initial.copy()]
+        self.newton_iters = [0]
+        self.residual_norms = [0.0]
+        self.clipped_mass = 0.0
+        self._disc = _Discretization(problem, config)
+        self._failure = None  # the StepFailure that ended the stepping
+
+    def row(self, i):
+        """The field at `times[i]`, stepped to on first read.  A StepFailure
+        names its step, and every later read that needs that step raises it
+        again."""
+        if not 0 <= i < len(self.times):
+            raise IndexError(f"row {i} of {len(self.times)}")
+        fields = self.fields
+        while len(fields) <= i:
+            if self._failure is not None:
+                raise self._failure
+            k = len(fields) - 1
+            try:
+                # step returns a new array and never writes to u_prev
+                u, info = step(
+                    self.problem, fields[k], self.times[k], self._dts[k],
+                    self.config, disc=self._disc,
+                )
+            except StepFailure as exc:
+                self._failure = exc.at_step(k + 1, len(self._dts))
+                raise self._failure from exc
+            fields.append(u)
+            self.newton_iters.append(info["iters"])
+            self.residual_norms.append(info["residual"])
+            self.clipped_mass += info["clipped"]
+        return fields[i]
 
 
 def solve(problem, config):
-    """Every step of `march` from t_start to t_end, as a Trajectory."""
-    times, _ = time_grid(problem, config)
-    traj = Trajectory(problem, times, [problem.initial.copy()], [0], [0.0])
-    for u, info in march(problem, config):
-        traj.fields.append(u)
-        traj.newton_iters.append(info["iters"])
-        traj.residual_norms.append(info["residual"])
-        traj.clipped_mass += info["clipped"]
+    """Every step from t_start to t_end, as a Trajectory."""
+    traj = Trajectory(problem, config)
+    traj.row(len(traj.times) - 1)
     return traj
 
 
@@ -439,7 +455,8 @@ def check_comparison(traj_v, traj_w, tol=1e-8):
         raise ValueError("mismatched exponents")
     violation = 0.0
     where = None
-    for i, (v, w) in enumerate(zip(traj_v.fields, traj_w.fields)):
+    for i in range(len(traj_v.times)):
+        v, w = traj_v.row(i), traj_w.row(i)
         d = np.max(v - w)
         if d > violation:
             violation = float(d)
@@ -467,7 +484,7 @@ def transform_to_v(traj, t_indices=None, positivity_floor=1e-12):
     a_min, a_max = math.inf, -math.inf
     hgrid = traj.problem.grid.h
     for i in t_indices:
-        u = traj.fields[i]
+        u = traj.row(i)
         if np.any(u <= positivity_floor):
             raise ValueError(
                 f"trajectory not strictly positive at t={traj.times[i]}"
@@ -499,7 +516,8 @@ def slice_functionals(traj):
     g = traj.problem.grid
     w = g.cell_volumes() * g.surface_constant()
     out = {"t": [], "int_uq1": [], "sup_u": []}
-    for t, u in zip(traj.times, traj.fields):
+    for i, t in enumerate(traj.times):
+        u = traj.row(i)
         out["t"].append(t)
         out["int_uq1"].append(float(np.sum(w * u ** (e.q + 1))))
         out["sup_u"].append(float(u.max()))
@@ -516,7 +534,7 @@ def gradient_p_norm(traj, i):
     pr = traj.problem
     e = pr.exponents
     g = pr.grid
-    u = traj.fields[i]
+    u = traj.row(i)
     gl, gr = pr.ghost_values(u, traj.times[i])
     ue = np.concatenate([[gl], u, [gr]])
     grads = (ue[1:] - ue[:-1]) / g.h

@@ -202,6 +202,34 @@ class TestRun:
         assert captured.out == ""
         assert captured.err == "error: harnack does not read [grid] n_cells\n"
 
+    def test_flux_mean_is_no_config_key(self, capsys):
+        argv = ["solve", "--preset", "solver-supercritical-run",
+                "--flux_mean", "harmonic"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown config key 'flux_mean'\n"
+
+    def test_comparison_switched_off_is_the_plain_solve(self, capsys, tmp_path):
+        # `enabled = false` leaves initial_b, scale_b and tol unused, not unread
+        off, plain = tmp_path / "off", tmp_path / "plain"
+        argv = ["solve", "--preset", "comparison-ordered",
+                "--comparison.enabled", "false", "--out", str(off)]
+        assert run(argv) == 0
+        argv = ["solve", "--preset", "solver-supercritical-run", "--out", str(plain)]
+        assert run(argv) == 0
+        assert capsys.readouterr().err == ""
+        csv = lambda prefix: prefix.with_suffix(".csv").read_bytes()
+        assert csv(off) == csv(plain)
+
+    def test_comparison_key_without_its_switch_exits_1(self, capsys):
+        argv = ["solve", "--preset", "solver-supercritical-run",
+                "--comparison.tol", "1e-3"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: solve does not read [comparison] tol\n"
+
     def test_scan_solver_failure_exits_1(self, capsys):
         argv = ["harnack", "--preset", "thm-harnack-supercritical", "--p", "4.5",
                 "--geometry", "cartesian", "--x_lo", "-1", "--x_hi", "1"]

@@ -285,7 +285,7 @@ def test_on_demand_source_matches_solved_source(case):
     whole-table reference (every row stacked and differentiated at once)."""
     pr, cfg, reads = case
     traj = solve(pr, cfg)
-    on_demand = SolutionSource(pr, cfg)
+    on_demand = SolutionSource(solver.Trajectory(pr, cfg))
     solved = SolutionSource(traj)
     U = np.vstack(traj.fields)
     tables = {"eval": U, "grad_norm": np.gradient(U, pr.grid.h, axis=1)}
@@ -350,7 +350,7 @@ def test_step_failure_surfaces_at_the_first_read_that_needs_it(monkeypatch):
     ts = solved._ts
     k, calls = 7, []
     monkeypatch.setattr(solver, "step", _failing_step(k, calls))
-    src = SolutionSource(pr, cfg)
+    src = SolutionSource(solver.Trajectory(pr, cfg))
     xs = np.linspace(-1.0, 1.0, 11)
     # rows 0 .. k-1 exist without step k: every read at t <= t_{k-1} succeeds
     for t in (ts[0] - 1e-3, ts[0], ts[3], 0.5 * (ts[4] + ts[5]), ts[k - 1]):

@@ -254,6 +254,42 @@ class TestSolve:
         assert dts[:-1] == [7e-4] * 19
         assert 0 < dts[-1] < 7e-4
 
+    @pytest.mark.parametrize("geometry", ["radial", "cartesian"])
+    def test_trajectory_steps_to_the_row_it_reads(self, monkeypatch, geometry):
+        # rows read out of order are those of `solve`, bit for bit, with the
+        # record of the steps taken so far; a row read again takes no step.
+        # The floor clips mass on both grids.
+        if geometry == "radial":
+            g = Grid1D(0.0, 1.0, 12, "radial", 3)
+        else:
+            g = Grid1D(-1.0, 1.0, 12)
+        u0 = np.clip(_bump(g) - 0.3, 0.0, None)
+        pr = CauchyDirichletProblem(ExponentTriple(2.5, 1.5, g.n_dim), g, u0, 0.02)
+        cfg = SolverConfig(dt=1e-3, floor_eps=1e-2)
+        solved = solve(pr, cfg)
+        traj = solver.Trajectory(pr, cfg)
+        bits = lambda a: np.asarray(a, dtype=float).view(np.int64).tolist()
+        for i in (3, 1, 5):
+            assert bits(traj.row(i)) == bits(solved.fields[i])
+        assert bits(traj.fields) == bits(solved.fields[:6])
+        assert traj.newton_iters == solved.newton_iters[:6]
+        assert bits(traj.residual_norms) == bits(solved.residual_norms[:6])
+        infos = [step(pr, solved.fields[k], solved.times[k], 1e-3, cfg)[1]
+                 for k in range(5)]
+        assert traj.clipped_mass == sum(info["clipped"] for info in infos) > 0
+        calls = []
+        real = solver.step
+        monkeypatch.setattr(
+            solver, "step", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        traj.row(5)
+        assert calls == []
+        # a row index off the time grid names no row
+        for i in (-1, len(traj.times)):
+            with pytest.raises(IndexError):
+                traj.row(i)
+        assert calls == []
+
     def test_exact_tracking(self):
         # heat equation (p=2, q=1) against the gaussian kernel
         sol = TrudingerGaussian(p=2.0, n_dim=1)
@@ -505,6 +541,28 @@ class TestFunctionals:
         assert np.all(np.diff(f["int_uq1"]) <= 1e-12)
         assert np.all(np.diff(f["sup_u"]) <= 1e-12)
         assert f["t"].shape == f["int_uq1"].shape
+
+    def test_readers_step_an_unstepped_trajectory(self):
+        # the run's readers take rows with `row`: on a Trajectory not yet
+        # stepped they give the results of the solved one
+        g = Grid1D(-1.0, 1.0, 16)
+        pr = CauchyDirichletProblem(ExponentTriple(2.0, 2.0, 1), g,
+                                    _bump(g) + 0.5, 5e-3)
+        cfg = SolverConfig(dt=1e-3)
+        lazy = lambda: solver.Trajectory(pr, cfg)
+        solved = solve(pr, cfg)
+        got, want = slice_functionals(lazy()), slice_functionals(solved)
+        assert all(got[k].tolist() == want[k].tolist() for k in want)
+        assert gradient_p_norm(lazy(), 5) == gradient_p_norm(solved, 5)
+        assert transform_to_v(lazy())[2] == transform_to_v(solved)[2]
+        # a rising boundary value puts the largest violation past row 0
+        rising = CauchyDirichletProblem(
+            pr.exponents, g, pr.initial, 5e-3, boundary="dirichlet",
+            boundary_values=lambda t: (0.5 + 100 * t, 0.5),
+        )
+        want = check_comparison(solve(rising, cfg), solved)
+        assert want["where"][0] > 0
+        assert check_comparison(solver.Trajectory(rising, cfg), lazy()) == want
 
     def test_gradient_p_norm_linear_profile(self):
         # u = x on (0,1) with matching boundary: |u'|^2 integrates to 1
