@@ -1,6 +1,6 @@
 """Implicit finite-volume solver for the Cauchy-Dirichlet problem
 
-    d/dt(u^q) = div( a(x,t) (mu^2 + |Du|^2)^{(p-2)/2} Du )
+    d/dt(u^q) = div( (mu^2 + |Du|^2)^{(p-2)/2} Du )
 
 on uniform 1-D cartesian or radial grids.  Backward Euler in time; Newton
 with damping on the cell residuals, falling back to Picard iteration (frozen
@@ -43,6 +43,10 @@ class StepFailure(RuntimeError):
 
 @dataclass
 class CauchyDirichletProblem:
+    """The paper's equation on `grid` from `initial` at t_start to t_end,
+    with zero, time-dependent (`boundary_values`) or closed-form (`exact`)
+    Dirichlet data."""
+
     exponents: ExponentTriple
     grid: Grid1D
     initial: np.ndarray
@@ -50,8 +54,6 @@ class CauchyDirichletProblem:
     boundary: str = "zero_dirichlet"  # "zero_dirichlet" | "dirichlet" | "from_exact"
     boundary_values: object = None  # callable t -> (left, right) for "dirichlet"
     exact: object = None  # ClosedFormSolution for "from_exact"
-    coefficient: object = None  # callable a(x, t); None -> 1 (prototype)
-    mu: float = None  # flux regularization; default 0 for p>=2, 1e-8 for p<2
     t_start: float = 0.0
 
     def __post_init__(self):
@@ -62,14 +64,17 @@ class CauchyDirichletProblem:
             raise ValueError("initial data must have one value per cell")
         if np.any(self.initial < 0):
             raise ValueError("initial data must be non-negative")
-        if self.mu is None:
-            self.mu = 0.0 if self.exponents.p >= 2 else 1e-8
         if self.boundary not in ("zero_dirichlet", "dirichlet", "from_exact"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
         if self.boundary == "from_exact" and self.exact is None:
             raise ValueError("from_exact boundary requires an exact solution")
         if self.boundary == "dirichlet" and self.boundary_values is None:
             raise ValueError("dirichlet boundary requires boundary_values")
+
+    @property
+    def mu(self):
+        """Flux regularization: 0 for p >= 2, 1e-8 for p < 2."""
+        return 0.0 if self.exponents.p >= 2 else 1e-8
 
     def ghost_values(self, u, t):
         """(left ghost, right ghost) cell values at time t."""
@@ -93,7 +98,6 @@ class SolverConfig:
     newton_tol: float = 1e-10
     max_newton: int = 40
     floor_eps: float = 0.0
-    flux_mean: str = "arithmetic"  # "arithmetic" | "harmonic"
 
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
@@ -102,8 +106,6 @@ class SolverConfig:
             raise ValueError("newton_tol must be finite and > 0")
         if not 0 <= self.floor_eps < math.inf:
             raise ValueError("floor_eps must be finite and >= 0")
-        if self.flux_mean not in ("arithmetic", "harmonic"):
-            raise ValueError(f"unknown flux_mean {self.flux_mean!r}")
 
 
 _dgtsv = None  # LAPACK dgtsv, bound by the first solve_banded call
@@ -127,15 +129,6 @@ def solve_banded(lower, main, upper, rhs):
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
     return x
-
-
-def _times(a, b):
-    """a * b, where None stands for a factor of exactly 1 (1.0 * x == x)."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a * b
 
 
 def _beta(u, q):
@@ -183,19 +176,19 @@ def _phi_total_deriv(g, mu, p):
 
 class _Discretization:
     """The per-run workspace of the Newton kernel: the geometric factors,
-    the exponents and floors read once, an owned (n+2) ghost buffer, the
-    from_exact ghost pair of the current t, and the FV residual/Jacobian.
-    Every floating-point operation keeps the order of the plain formulas in
-    the comments, so the bits are those of a step that allocates every
-    temporary."""
+    the exponents, mu and floors read once, an owned (n+2) ghost buffer, the
+    from_exact ghost pair of the current t, the face gradients, and the FV
+    residual/Jacobian.  Every floating-point operation keeps the order of
+    the plain formulas in the comments, so the bits are those of a step
+    that allocates every temporary."""
 
     def __init__(self, problem, config):
         self.pr = problem
-        self.cfg = config
         g = problem.grid
         self.h = g.h
         self.p = problem.exponents.p
         self.q = problem.exponents.q
+        self.mu = problem.mu
         self.eps = max(config.floor_eps, 1e-12)
         self.vol = g.cell_volumes()
         self.vol_max = self.vol.max()
@@ -204,10 +197,9 @@ class _Discretization:
             self.area = faces ** (g.n_dim - 1)
         else:
             self.area = np.ones(g.n_cells + 1)
-        self.centers = g.centers()
         # zero flux through the face at r = 0
         self.symmetric = g.geometry == "radial" and g.x_lo == 0.0
-        # u with its two ghost values; residual overwrites it on every call
+        # u with its two ghost values; face_gradients overwrites it per call
         self.ue = np.empty(g.n_cells + 2)
         # from_exact ghost values depend on t alone: the last t and its pair
         self.exact_ghost_t = None
@@ -215,30 +207,12 @@ class _Discretization:
         self.ghost_values = problem.ghost_values
         if problem.boundary == "from_exact":
             self.ghost_values = self._exact_ghost_values
-        # d flux_f / d (u_right - u_left) at p = 2 with no coefficient
+        # d flux_f / d (u_right - u_left) at p = 2
         self.dflux_p2 = None
         if self.p == 2:
             self.dflux_p2 = self.area / self.h
             if self.symmetric:
                 self.dflux_p2[0] = 0.0
-
-    def _coef_faces(self, t):
-        """Coefficient a at the faces at time t; None when a = 1."""
-        a_fun = self.pr.coefficient
-        if a_fun is None:
-            return None
-        h = self.h
-        xs = np.concatenate(
-            [[self.centers[0] - h], self.centers, [self.centers[-1] + h]]
-        )
-        ac = np.asarray([a_fun(x, t) for x in xs], dtype=float)
-        if np.any(ac <= 0):
-            raise ValueError("coefficient a(x,t) must be positive")
-        if self.cfg.flux_mean == "harmonic":
-            af = 2.0 * ac[:-1] * ac[1:] / (ac[:-1] + ac[1:])
-        else:
-            af = 0.5 * (ac[:-1] + ac[1:])
-        return af
 
     def _exact_ghost_values(self, u, t):
         """`problem.ghost_values(u, t)` of a from_exact boundary, evaluated
@@ -248,21 +222,27 @@ class _Discretization:
             self.exact_ghost_t = t
         return self.exact_ghosts
 
-    def residual(self, u, b_prev, t_new, dt, a_faces, b_u=None):
+    def face_gradients(self, u, t):
+        """(ue[1:] - ue[:-1]) / h, one gradient per face as a fresh array,
+        after writing u and its ghost values at t into `ue`."""
+        ue = self.ue
+        ue[1:-1] = u
+        ue[0], ue[-1] = self.ghost_values(u, t)
+        grads = ue[1:] - ue[:-1]
+        grads /= self.h
+        return grads
+
+    def residual(self, u, b_prev, t_new, dt, b_u=None):
         """Cell residuals R_i = (beta(u)-beta(u_prev)) V_i/dt - net flux,
         with `b_prev` = beta(u_prev) and `b_u` = beta(u) when known.
         Returns (R, face gradients), two fresh arrays."""
-        ue = self.ue
-        ue[1:-1] = u
-        ue[0], ue[-1] = self.ghost_values(u, t_new)
-        grads = ue[1:] - ue[:-1]  # one per face
-        grads /= self.h
-        # flux = a * phi(grads) * grads * area
-        coef = _times(a_faces, _phi(grads, self.pr.mu, self.p))
-        if coef is None:
+        grads = self.face_gradients(u, t_new)
+        # flux = phi(grads) * grads * area
+        phi = _phi(grads, self.mu, self.p)
+        if phi is None:
             flux = grads * self.area
         else:
-            flux = coef * grads
+            flux = phi * grads
             flux *= self.area
         if self.symmetric:
             flux[0] = 0.0
@@ -273,20 +253,20 @@ class _Discretization:
         R -= flux[1:] - flux[:-1]
         return R, grads
 
-    def jacobian_bands(self, u, grads, dt, a_faces, picard=False):
+    def jacobian_bands(self, u, grads, dt, picard=False):
         """Tridiagonal Jacobian as its three diagonals (lower, main, upper),
         three fresh arrays (`solve_banded` overwrites them)."""
-        if a_faces is None and self.dflux_p2 is not None:
+        if self.p == 2:
             dflux = self.dflux_p2
         else:
             phi = _phi if picard else _phi_total_deriv
-            coef = _times(a_faces, phi(grads, self.pr.mu, self.p))
             # d flux_f / d (u_right - u_left)
-            dflux = _times(coef, self.area) / self.h
+            dflux = phi(grads, self.mu, self.p) * self.area / self.h
             if self.symmetric:
                 dflux[0] = 0.0
         # main = beta'(u) * vol / dt + dflux[:-1] + dflux[1:]
-        main = _times(_beta_prime(u, self.q, self.eps), self.vol) / dt
+        bp = _beta_prime(u, self.q, self.eps)
+        main = (self.vol if bp is None else bp * self.vol) / dt
         main += dflux[:-1]
         main += dflux[1:]
         # ghost coupling: d ghost/d u_first = -1 for dirichlet-type boundaries
@@ -316,10 +296,9 @@ def step(problem, u_prev, t, dt, config, disc=None):
     if disc is None:
         disc = _Discretization(problem, config)
     t_new = t + dt
-    a_faces = disc._coef_faces(t_new)
     b_prev = _beta(u_prev, disc.q)
     u = u_prev.copy()
-    R, grads = disc.residual(u, b_prev, t_new, dt, a_faces, b_u=b_prev)
+    R, grads = disc.residual(u, b_prev, t_new, dt, b_u=b_prev)
     norm = np.abs(R).max()
     iters = 0
     picard_mode = False
@@ -333,9 +312,7 @@ def step(problem, u_prev, t, dt, config, disc=None):
     while norm > tol and iters < config.max_newton:
         if iters >= config.max_newton // 2:
             picard_mode = True
-        lower, main, upper = disc.jacobian_bands(
-            u, grads, dt, a_faces, picard=picard_mode
-        )
+        lower, main, upper = disc.jacobian_bands(u, grads, dt, picard=picard_mode)
         try:
             delta = solve_banded(lower, main, upper, -R)
         except np.linalg.LinAlgError as exc:
@@ -347,7 +324,7 @@ def step(problem, u_prev, t, dt, config, disc=None):
         for _ in range(8):
             trial = u + delta if lam == 1.0 else u + lam * delta
             np.maximum(trial, 0.0, out=trial)
-            R_t, g_t = disc.residual(trial, b_prev, t_new, dt, a_faces)
+            R_t, g_t = disc.residual(trial, b_prev, t_new, dt)
             n_t = np.abs(R_t).max()
             if n_t < norm:
                 u, R, grads, norm = trial, R_t, g_t, n_t
@@ -360,7 +337,7 @@ def step(problem, u_prev, t, dt, config, disc=None):
             else:
                 # accept a small damped step to escape a flat spot
                 u = np.maximum(u + 0.1 * delta, 0.0)
-                R, grads = disc.residual(u, b_prev, t_new, dt, a_faces)
+                R, grads = disc.residual(u, b_prev, t_new, dt)
                 norm = np.abs(R).max()
         iters += 1
     if not norm <= tol * 100:  # a NaN residual fails too
@@ -375,12 +352,13 @@ def time_grid(problem, config):
     """(stored times, step sizes) of a run: uniform dt from t_start with a
     final short step to t_end.  Step i goes from times[i] by dts[i] to
     times[i + 1] = t_start + min((i + 1) dt, span), recomputed from the step
-    index to avoid float drift in long runs."""
+    index to avoid float drift in long runs.  A short step under 1e-9 dt is
+    dropped, unless it is the run's only step."""
     span = problem.t_end - problem.t_start
     n_full = int(math.floor(span / config.dt * (1.0 + 1e-12)))
     remainder = span - n_full * config.dt
     dts = [config.dt] * n_full
-    if remainder > 1e-9 * config.dt:
+    if remainder > 1e-9 * config.dt or not dts:
         dts.append(remainder)
     t0 = problem.t_start
     times = [t0] + [t0 + min((i + 1) * config.dt, span) for i in range(len(dts))]
@@ -531,16 +509,8 @@ def gradient_p_norm(traj, i):
     values) and weighted by face area x h, matching the discrete energy
     dissipation of the FV scheme; a center-based quadrature misses the
     boundary-layer contribution that dominates dissipation near extinction."""
-    pr = traj.problem
-    e = pr.exponents
-    g = pr.grid
-    u = traj.row(i)
-    gl, gr = pr.ghost_values(u, traj.times[i])
-    ue = np.concatenate([[gl], u, [gr]])
-    grads = (ue[1:] - ue[:-1]) / g.h
-    if g.geometry == "radial":
-        area = g.faces() ** (g.n_dim - 1)
-    else:
-        area = np.ones(g.n_cells + 1)
-    w = area * g.h * g.surface_constant()
-    return float(np.sum(w * np.abs(grads) ** e.p))
+    g = traj.problem.grid
+    disc = traj._disc
+    grads = disc.face_gradients(traj.row(i), traj.times[i])
+    w = disc.area * g.h * g.surface_constant()
+    return float(np.sum(w * np.abs(grads) ** traj.problem.exponents.p))

@@ -12,7 +12,8 @@ Each test pins one headline capability with explicit tolerances:
  8. time-mollifier discrete identities
  9. g-function two-sided power sandwich
 10. porous-media model reduction cards
-11. gradient Hoelder-exponent fit stability under grid refinement
+11. gradient Hoelder-exponent fit stability under grid refinement, and its
+    calibration on a profile of known exponent
 """
 
 import math
@@ -450,3 +451,14 @@ class Test11HolderFit:
             assert 0 < rep.extras["alpha_fit"] <= 1.0
             assert rep.extras["r_squared"] >= 0.9
         assert abs(coarse.extras["alpha_fit"] - fine.extras["alpha_fit"]) < 0.1
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+    def test_fit_recovers_known_exponent(self, p):
+        # TrudingerGaussian is exp(-c |x|^{p/(p-1)}) in x, so Du ~ |x|^{1/(p-1)}
+        # at x = 0 and the fit at (0, 1) over the preset's radii must find
+        # 1/(p-1); the bounds were fixed before the first run
+        src = dg.SolutionSource(TrudingerGaussian(p=p, n_dim=1))
+        rep = dg.holder_fit(src, 0.0, 1.0, self.RADII)
+        want = 1.0 / (p - 1.0)
+        assert abs(rep.extras["alpha_fit"] - want) <= 0.05 * want
+        assert rep.extras["r_squared"] >= 0.999

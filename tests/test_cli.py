@@ -241,6 +241,22 @@ class TestRun:
         )
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("sub, name", [
+        ("harnack", "thm-harnack-supercritical"),
+        ("holder", "holder-supercritical"),
+        ("expand", "expansion-positivity"),
+        ("supbound", "supbound-fast-diffusion"),
+        ("integral-harnack", "integral-harnack-supercritical"),
+    ])
+    def test_scan_over_a_sliver_span_exits_1(self, capsys, sub, name):
+        # a span under 1e-9 dt is one short step, not a grid with no step
+        assert run([sub, "--preset", name, "--t_end", "1e-15"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("k, code", [(100, 1), (106, 1), (107, 0), (200, 0)])
     def test_scan_fails_only_on_a_step_it_reads(self, monkeypatch, capsys, k, code):
         # the preset reads no time past t = 0.0212, stored row 106 of 200

@@ -67,8 +67,6 @@ class TestConfigValidation:
             SolverConfig(newton_tol=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(floor_eps=-1e-3)
-        with pytest.raises(ValueError):
-            SolverConfig(flux_mean="bogus")
 
 
 class TestBeta:
@@ -179,19 +177,18 @@ class TestStepBasics:
     def test_shared_discretization_same_arrays(self):
         # solve builds one _Discretization per run; a step given it must
         # give the bytes of a step that builds its own
-        # (p = 2 with no coefficient takes the Jacobian face factor that
-        # the discretization builds once)
-        for p, geometry, x_lo, coefficient in (
-            (3.0, "radial", 0.0, None),
-            (2.0, "radial", 0.0, None),
-            (3.0, "cartesian", -1.0, lambda x, t: 1.0 + 0.5 * x * x + t),
+        # (p = 2 takes the Jacobian face factor that the discretization
+        # builds once)
+        for p, geometry, x_lo in (
+            (3.0, "radial", 0.0),
+            (2.0, "radial", 0.0),
+            (3.0, "cartesian", -1.0),
         ):
             g = Grid1D(x_lo, 1.0, 24, geometry, 3)
             pr = CauchyDirichletProblem(
-                ExponentTriple(p, 2.0, 3), g, _bump(g), 1.0,
-                coefficient=coefficient,
+                ExponentTriple(p, 2.0, 3), g, _bump(g), 1.0
             )
-            cfg = SolverConfig(dt=1e-3, flux_mean="harmonic")
+            cfg = SolverConfig(dt=1e-3)
             disc = _Discretization(pr, cfg)
             u_own = u_shared = pr.initial
             for k in range(4):
@@ -254,6 +251,19 @@ class TestSolve:
         assert dts[:-1] == [7e-4] * 19
         assert 0 < dts[-1] < 7e-4
 
+    def test_time_grid_keeps_a_sliver_that_is_the_only_step(self):
+        # a short step under 1e-9 dt is dropped after a full step, but a
+        # span that short is one step, not a grid with no step
+        g = Grid1D(0.0, 1.0, 8)
+        e = ExponentTriple(2.0, 1.0, 1)
+        cfg = SolverConfig(dt=1e-3)
+        times, dts = time_grid(CauchyDirichletProblem(e, g, _bump(g), 1e-15), cfg)
+        assert times == [0.0, 1e-15] and dts == [1e-15]
+        times, dts = time_grid(
+            CauchyDirichletProblem(e, g, _bump(g), 1e-3 + 1e-15), cfg
+        )
+        assert times == [0.0, 1e-3] and dts == [1e-3]
+
     @pytest.mark.parametrize("geometry", ["radial", "cartesian"])
     def test_trajectory_steps_to_the_row_it_reads(self, monkeypatch, geometry):
         # rows read out of order are those of `solve`, bit for bit, with the
@@ -304,31 +314,18 @@ class TestSolve:
         assert np.max(np.abs(traj.fields[-1] - exact)) < 2e-3
 
 
-def _coefficient(x, t):
-    return 1.0 + 0.5 * x * x + t
-
-
 def _digest_run(name):
     """(problem, config) of one trajectory-digest case."""
     cart = Grid1D(-1.0, 1.0, 16)
     ball = Grid1D(0.0, 1.0, 16, "radial", 3)
-    if name == "radial-coefficient-arithmetic-p2-q1":
-        return (
-            CauchyDirichletProblem(
-                ExponentTriple(2.0, 1.0, 3), ball, _bump(ball), 1.0,
-                coefficient=_coefficient,
-            ),
-            SolverConfig(dt=1e-3),
-        )
-    if name == "cartesian-coefficient-harmonic-dirichlet-p3-q2":
+    if name == "cartesian-dirichlet-p3-q2":
         return (
             CauchyDirichletProblem(
                 ExponentTriple(3.0, 2.0, 1), cart, _bump(cart) + 0.2, 1.0,
                 boundary="dirichlet",
                 boundary_values=lambda t: (0.2 + t, 0.2),
-                coefficient=_coefficient,
             ),
-            SolverConfig(dt=1e-3, flux_mean="harmonic"),
+            SolverConfig(dt=1e-3),
         )
     if name == "cartesian-support-p1.5-q0.5":
         u0 = np.clip(_bump(cart) - 0.3, 0.0, None)
@@ -394,13 +391,11 @@ def _digest_run(name):
 # sha256 of np.stack(traj.fields).tobytes() after five steps.  Recorded with
 # the Newton step that solved through scipy's solve_banded and recomputed
 # beta(u_prev) in every residual: the step's arithmetic must not change.
-# None of these paths (a coefficient, dirichlet/from_exact boundaries, an
-# annulus, Picard mode, the damped escape) is reached by a preset.
+# None of these paths (dirichlet/from_exact boundaries, an annulus, Picard
+# mode, the damped escape) is reached by a preset.
 TRAJECTORY_DIGESTS = {
-    "radial-coefficient-arithmetic-p2-q1":
-        "2da3895a17a5a3b281b88c72617e3823be538413033966ecdafff4d995f772dd",
-    "cartesian-coefficient-harmonic-dirichlet-p3-q2":
-        "6f46f50b7a9a9c2a6789b00e9cb0a10e6a579f3e86164dc5cf388a59e6677eba",
+    "cartesian-dirichlet-p3-q2":
+        "8285318a9bce1cdc93e5b78cb5193e271d2971f958376cf9ea16da2885928f1b",
     "cartesian-support-p1.5-q0.5":
         "0db8cc7ae0766199be0da84cb342b3fab2211b7b7c05bef86960398af641ee2e",
     "annulus-dirichlet-p3-q0.5":
@@ -581,6 +576,37 @@ class TestFunctionals:
         # face quadrature: n+1 faces of weight h, each with |Du| = 1
         assert gradient_p_norm(traj, 0) == pytest.approx(1.0 + g.h, rel=1e-10)
 
+    @pytest.mark.parametrize("name", [
+        "radial-p1.5-q2", "cartesian-support-p1.5-q0.5",
+        "annulus-dirichlet-p3-q0.5", "cartesian-from-exact-p1.5-q0.5",
+        "radial-from-exact-p3-q2",
+    ])
+    def test_gradient_p_norm_same_bits_as_plain_formula(self, name):
+        # the face gradients of the run's discretization, read between its
+        # steps, give the bits of ghosts concatenated and the face area
+        # taken from faces(); the run's fields keep their digest
+        def plain(traj, i):
+            pr, g = traj.problem, traj.problem.grid
+            u = traj.row(i)
+            gl, gr = pr.ghost_values(u, traj.times[i])
+            ue = np.concatenate([[gl], u, [gr]])
+            grads = (ue[1:] - ue[:-1]) / g.h
+            if g.geometry == "radial":
+                area = g.faces() ** (g.n_dim - 1)
+            else:
+                area = np.ones(g.n_cells + 1)
+            w = area * g.h * g.surface_constant()
+            return float(np.sum(w * np.abs(grads) ** pr.exponents.p))
+
+        pr, cfg = _digest_run(name)
+        pr.t_end = pr.t_start + 5 * cfg.dt
+        traj = solver.Trajectory(pr, cfg)
+        bits = lambda x: np.float64(x).view(np.int64)
+        for i in (3, 0, 5, 4):
+            assert bits(gradient_p_norm(traj, i)) == bits(plain(traj, i))
+        digest = hashlib.sha256(np.stack(traj.fields).tobytes()).hexdigest()
+        assert digest == TRAJECTORY_DIGESTS[name]
+
 
 class TestNonFiniteInputs:
     """NaN and inf fail loudly: they never pass as a converged step."""
@@ -607,11 +633,11 @@ class TestNonFiniteInputs:
             )
 
     def test_step_rejects_nan_residual(self):
-        # a NaN coefficient gives a NaN residual at the first iterate
+        # a NaN boundary value gives a NaN residual at the first iterate
         g = Grid1D(0.0, 1.0, 8)
         pr = CauchyDirichletProblem(
             ExponentTriple(2.0, 1.0, 1), g, _bump(g), 1.0,
-            coefficient=lambda x, t: float("nan"),
+            boundary="dirichlet", boundary_values=lambda t: (float("nan"), 0.0),
         )
         with pytest.raises(StepFailure):
             step(pr, pr.initial, 0.0, 1e-3, SolverConfig())

@@ -20,17 +20,23 @@ from dnl_lab.solver import (
     _Discretization,
     _phi,
     _phi_total_deriv,
-    _times,
     solve,
     solve_banded,
     step,
 )
 
 
+def _times(a, b):
+    """a * b, where None stands for a factor of exactly 1 (1.0 * x == x)."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a * b
+
+
 class _Reference:
     """Geometric factors and the FV residual/Jacobian, every array fresh."""
-
-    _coef_faces = _Discretization._coef_faces
 
     def __init__(self, problem, config):
         self.pr = problem
@@ -44,28 +50,25 @@ class _Reference:
             self.area = faces ** (g.n_dim - 1)
         else:
             self.area = np.ones(g.n_cells + 1)
-        self.centers = g.centers()
         self.symmetric = g.geometry == "radial" and g.x_lo == 0.0
 
-    def residual(self, u, b_prev, t_new, dt, a_faces):
+    def residual(self, u, b_prev, t_new, dt):
         pr = self.pr
         e = pr.exponents
         gl, gr = pr.ghost_values(u, t_new)
         ue = np.concatenate([[gl], u, [gr]])
         grads = (ue[1:] - ue[:-1]) / self.h
-        coef = _times(a_faces, _phi(grads, pr.mu, e.p))
-        flux = _times(coef, grads) * self.area
+        flux = _times(_phi(grads, pr.mu, e.p), grads) * self.area
         if self.symmetric:
             flux[0] = 0.0
         R = (_beta(u, e.q) - b_prev) * self.vol / dt - (flux[1:] - flux[:-1])
         return R, grads
 
-    def jacobian_bands(self, u, grads, dt, a_faces, picard=False):
+    def jacobian_bands(self, u, grads, dt, picard=False):
         pr = self.pr
         e = pr.exponents
         phi = _phi if picard else _phi_total_deriv
-        coef = _times(a_faces, phi(grads, pr.mu, e.p))
-        dflux = _times(coef, self.area) / self.h
+        dflux = _times(phi(grads, pr.mu, e.p), self.area) / self.h
         if self.symmetric:
             dflux[0] = 0.0
         eps = max(self.cfg.floor_eps, 1e-12)
@@ -82,10 +85,9 @@ def _reference_step(problem, u_prev, t, dt, config):
     disc = _Reference(problem, config)
     u_prev = np.asarray(u_prev, dtype=float)
     t_new = t + dt
-    a_faces = disc._coef_faces(t_new)
     b_prev = _beta(u_prev, problem.exponents.q)
     u = u_prev.copy()
-    R, grads = disc.residual(u, b_prev, t_new, dt, a_faces)
+    R, grads = disc.residual(u, b_prev, t_new, dt)
     norm = np.abs(R).max()
     iters = 0
     picard_mode = False
@@ -95,9 +97,7 @@ def _reference_step(problem, u_prev, t, dt, config):
     while norm > tol and iters < config.max_newton:
         if iters >= config.max_newton // 2:
             picard_mode = True
-        lower, main, upper = disc.jacobian_bands(
-            u, grads, dt, a_faces, picard=picard_mode
-        )
+        lower, main, upper = disc.jacobian_bands(u, grads, dt, picard=picard_mode)
         try:
             delta = solve_banded(lower, main, upper, -R)
         except np.linalg.LinAlgError:
@@ -106,7 +106,7 @@ def _reference_step(problem, u_prev, t, dt, config):
         improved = False
         for _ in range(8):
             trial = np.maximum(u + lam * delta, 0.0)
-            R_t, g_t = disc.residual(trial, b_prev, t_new, dt, a_faces)
+            R_t, g_t = disc.residual(trial, b_prev, t_new, dt)
             n_t = np.abs(R_t).max()
             if n_t < norm:
                 u, R, grads, norm = trial, R_t, g_t, n_t
@@ -118,7 +118,7 @@ def _reference_step(problem, u_prev, t, dt, config):
                 picard_mode = True
             else:
                 u = np.maximum(u + 0.1 * delta, 0.0)
-                R, grads = disc.residual(u, b_prev, t_new, dt, a_faces)
+                R, grads = disc.residual(u, b_prev, t_new, dt)
                 norm = np.abs(R).max()
         iters += 1
     if not norm <= tol * 100:
@@ -228,7 +228,7 @@ class TestWorkspace:
             disc = _Discretization(pr, cfg)
             u, t = pr.initial, 0.0
             b_prev = _beta(u, pr.exponents.q)
-            R, grads = disc.residual(u, b_prev, t + cfg.dt, cfg.dt, None)
+            R, grads = disc.residual(u, b_prev, t + cfg.dt, cfg.dt)
             for out in (R, grads):
                 assert not np.shares_memory(out, disc.ue)
             for _ in range(3):
