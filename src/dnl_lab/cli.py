@@ -23,6 +23,7 @@ byte-identical CSV output.
 """
 
 import argparse
+import functools
 import math
 import sys
 
@@ -1009,7 +1010,9 @@ def _apply_overrides(cfg, tokens, subcommand):
     return cfg
 
 
-def run(argv):
+@functools.cache
+def _parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="dnl-lab",
         description="experiment runner for the doubly nonlinear diffusion lab",
@@ -1019,7 +1022,11 @@ def run(argv):
     parser.add_argument("--config", help="config file path")
     parser.add_argument("--preset", help="named preset config")
     parser.add_argument("--out", help="output path prefix (csv + meta)")
-    args, rest = parser.parse_known_args(argv)
+    return parser
+
+
+def run(argv):
+    args, rest = _parser().parse_known_args(argv)
     try:
         cfg = Config()
         if args.preset:

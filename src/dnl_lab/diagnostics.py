@@ -147,7 +147,11 @@ class SolutionSource:
 
 def _lattice(src, xs, ts, *fields):
     """Each field (a `SolutionSource` method) at the valid points of the
-    lattice ts x xs, one time row per call, as one array per field."""
+    lattice ts x xs, time row by time row, as one array per field.  The
+    values of a closed form come from one `eval_lattice` call; every other
+    field and source takes one call per time row."""
+    if src.kind == "closed_form" and fields == (src.eval,):
+        return [src.backing.eval_lattice(xs, ts)]
     rows = []
     for t in ts:
         x = xs[src.valid(xs, t)]

@@ -28,7 +28,7 @@ class ClosedFormSolution:
     Subclasses implement u_rt / ur_rt / valid_rt on arrays of radii and
     times, and ut_rt or, in its place, dtuq_rt.  The public eval/grad/dt_uq
     operate on coordinate vectors; eval_line evaluates u along a probe line
-    at one time.
+    at one time and eval_lattice over a lattice of probe-line times.
     """
 
     family = "abstract"
@@ -90,13 +90,27 @@ class ClosedFormSolution:
         ok = np.broadcast_to(self.valid_rt(r, np.asarray(t, float)), r.shape)
         if not ok.all():
             raise self._outside(r[~ok][0].item(), t)
-        return self._u_line(r, t)
+        return self._u_grid(r, [t])[0]
 
-    def _u_line(self, r, t):
-        """u_rt at the radii r (1-D) and the scalar t, one Python float at a
-        time.  An override computes the line at once but must keep every
-        value's bits: see `_pow_each`."""
-        return np.array([float(self.u_rt(v, t)) for v in r.tolist()], dtype=float)
+    def eval_lattice(self, xs, ts):
+        """u at the points of the lattice ts x xs that `valid_rt(|x|, t)`
+        accepts, time row by time row, as one 1-D array: the same bits and
+        the same DomainError as one `eval_line` per row over its valid
+        points.  The whole table is computed at once only when every point
+        is valid under both |x| and the radius `eval_line` takes."""
+        xs = np.asarray(xs, dtype=float)
+        r = np.sqrt(xs * xs)
+        tcol = np.asarray(ts, dtype=float)[:, None]
+        ok = np.broadcast_to(self.valid_rt(np.abs(xs), tcol), (tcol.size, xs.size))
+        if ok.all() and np.all(self.valid_rt(r, tcol)):
+            return self._u_grid(r, ts).ravel()
+        return np.concatenate([self.eval_line(xs[row], t) for row, t in zip(ok, ts)])
+
+    def _u_grid(self, r, ts):
+        """u_rt at the radii r (1-D) and each time of ts, one row per time,
+        one Python float at a time.  An override computes the table at once
+        but must keep every value's bits: see `_pow_each`."""
+        return np.array([[float(self.u_rt(v, t)) for v in r.tolist()] for t in ts])
 
     def grad(self, x, t):
         r, xv = self._radius(x)
@@ -181,15 +195,16 @@ def residual_order(sol, radii, times, h_values=(1e-2, 5e-3, 2.5e-3)):
 
 
 def _pow_each(base, e):
-    """`v ** e` for every element v of the 1-D array base, on numpy scalars.
+    """`v ** e` for every element v of the array base, on numpy scalars.
 
     In `u_rt` at one point, a power whose base is the 0-d array
     `np.asarray(r)` or `np.asarray(t)` runs numpy's array loop, which may
     differ from libm `pow` in the last bit; a power of a numpy scalar runs
-    libm `pow`.  A line evaluation keeps the first kind as an array power and
-    takes the second kind here.  Numpy scalars rather than Python floats,
-    which raise where numpy warns (overflow, 0 to a negative power)."""
-    return np.array([v**e for v in base], dtype=float)
+    libm `pow`.  A table evaluation keeps the first kind as an array power
+    of a contiguous row or column and takes the second kind here.  Numpy
+    scalars rather than Python floats, which raise where numpy warns
+    (overflow, 0 to a negative power)."""
+    return np.array([v**e for v in base.ravel()], dtype=float).reshape(base.shape)
 
 
 class TrudingerGaussian(ClosedFormSolution):
@@ -214,12 +229,12 @@ class TrudingerGaussian(ClosedFormSolution):
             * np.exp(-((p - 1) / p) * (r**p / (p * t)) ** (1 / (p - 1)))
         )
 
-    def _u_line(self, r, t):
+    def _u_grid(self, r, ts):
         p, N = self.exponents.p, self.exponents.n_dim
-        t = np.asarray(t, float)
+        t = np.asarray(ts, float)
         amp = self.C * t ** (-N / (p * (p - 1)))
-        xi = _pow_each(_pow_each(np.abs(r), p) / (p * t), 1 / (p - 1))
-        return amp * np.exp(-((p - 1) / p) * xi)
+        xi = _pow_each(_pow_each(np.abs(r), p) / (p * t)[:, None], 1 / (p - 1))
+        return amp[:, None] * np.exp(-((p - 1) / p) * xi)
 
     def ur_rt(self, r, t):
         p = self.exponents.p
@@ -328,9 +343,9 @@ class CriticalHarnackWave(ClosedFormSolution):
         t = np.asarray(t, float)
         return (r**self.kappa + np.exp(self.b * t)) ** (-self.gamma)
 
-    def _u_line(self, r, t):
-        ebt = np.exp(self.b * np.asarray(t, float))
-        return _pow_each(r**self.kappa + ebt, -self.gamma)
+    def _u_grid(self, r, ts):
+        ebt = np.exp(self.b * np.asarray(ts, float))
+        return _pow_each(r**self.kappa + ebt[:, None], -self.gamma)
 
     def ur_rt(self, r, t):
         r = np.asarray(r, float)
@@ -385,11 +400,11 @@ class BoundednessBorderline(ClosedFormSolution):
         r = np.asarray(r, float)
         return tt**self.m_t * (self.a + self.b * r**self.s_exp) ** (-N / (q + 1))
 
-    def _u_line(self, r, t):
+    def _u_grid(self, r, ts):
         N, q = self.exponents.n_dim, self.exponents.q
-        tt = np.clip(self.T - np.asarray(t, float), 0.0, None)
+        tt = np.clip(self.T - np.asarray(ts, float), 0.0, None)
         base = self.a + self.b * r**self.s_exp
-        return tt**self.m_t * _pow_each(base, -N / (q + 1))
+        return _pow_each(tt, self.m_t)[:, None] * _pow_each(base, -N / (q + 1))
 
     def ur_rt(self, r, t):
         N, q = self.exponents.n_dim, self.exponents.q

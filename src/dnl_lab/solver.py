@@ -508,9 +508,13 @@ def gradient_p_norm(traj, i):
     Gradients are taken at cell faces (including the boundary faces via ghost
     values) and weighted by face area x h, matching the discrete energy
     dissipation of the FV scheme; a center-based quadrature misses the
-    boundary-layer contribution that dominates dissipation near extinction."""
+    boundary-layer contribution that dominates dissipation near extinction.
+    The face at r = 0 carries no flux, so it has no weight (its area 0^0 is
+    1 on a radial N = 1 grid)."""
     g = traj.problem.grid
     disc = traj._disc
     grads = disc.face_gradients(traj.row(i), traj.times[i])
     w = disc.area * g.h * g.surface_constant()
+    if disc.symmetric:
+        w[0] = 0.0
     return float(np.sum(w * np.abs(grads) ** traj.problem.exponents.p))

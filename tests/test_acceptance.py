@@ -14,8 +14,11 @@ Each test pins one headline capability with explicit tolerances:
 10. porous-media model reduction cards
 11. gradient Hoelder-exponent fit stability under grid refinement, and its
     calibration on a profile of known exponent
+12. the estimate constants of the trajectory-backed presets under refinement
 """
 
+import contextlib
+import io
 import math
 import time
 
@@ -39,6 +42,7 @@ from dnl_lab.solver import (
     check_comparison,
 )
 from dnl_lab import diagnostics as dg
+from dnl_lab.cli import run
 
 H_SEQ = (1e-2, 5e-3, 2.5e-3)
 
@@ -462,3 +466,37 @@ class Test11HolderFit:
         want = 1.0 / (p - 1.0)
         assert abs(rep.extras["alpha_fit"] - want) <= 0.05 * want
         assert rep.extras["r_squared"] >= 0.999
+
+
+# -- 12. estimate constants under refinement ---------------------------------
+
+
+def _implied_constant(argv):
+    """The implied constant on the summary line of one `dnl-lab` run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(argv) == 0
+    verdicts = ("bounded", "diverging", "inconclusive")
+    (line,) = [
+        ln for ln in out.getvalue().splitlines()
+        if ln.count(",") == 2 and ln.split(",")[1] in verdicts
+    ]
+    return float(line.split(",")[2])
+
+
+class Test12Refinement:
+    @pytest.mark.parametrize("sub, name", [
+        ("harnack", "thm-harnack-supercritical"),
+        ("integral-harnack", "integral-harnack-supercritical"),
+        ("supbound", "supbound-fast-diffusion"),
+        ("expand", "expansion-positivity"),
+        ("holder", "holder-supercritical"),
+    ])
+    def test_constant_stable_under_refinement(self, sub, name):
+        # cells x 2 and dt / 4 (200 -> 400 cells, 2e-4 -> 5e-5) move each
+        # constant by less than 0.5%, the bound fixed before the first run
+        coarse = _implied_constant([sub, "--preset", name])
+        fine = _implied_constant(
+            [sub, "--preset", name, "--n_cells", "400", "--dt", "5e-5"]
+        )
+        assert abs(fine - coarse) < 0.005 * abs(coarse)

@@ -408,6 +408,22 @@ class TestRun:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    def test_parser_survives_a_rejected_run(self, tmp_path, capsys):
+        # the parser is built once per process: a run that argparse rejects
+        # leaves it as it was
+        def good(tag):
+            prefix = tmp_path / tag
+            argv = ["harnack", "--preset", "harnack-fail-borderline"]
+            assert run(argv + ["--out", str(prefix)]) == 2
+            return [prefix.with_suffix(s).read_bytes() for s in (".csv", ".meta")]
+
+        first = good("a")
+        with pytest.raises(SystemExit) as exc:
+            run(["bogus-subcommand"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus-subcommand'" in capsys.readouterr().err
+        assert good("b") == first
+
     def test_subcommand_mismatch_exits_1(self, capsys):
         assert run(["regimes", "--preset", "model-classic-gas"]) == 1
         assert "belongs to subcommand" in capsys.readouterr().err

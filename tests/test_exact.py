@@ -341,3 +341,86 @@ class TestEvalLine:
         with pytest.raises(DomainError, match=r"^\(0\.0, 0\.5\) outside"):
             sol.eval_line(np.array([1.0, -0.0, 2.0, 0.0]), 0.5)
         assert sol.eval_line(np.array([]), 0.5).shape == (0,)
+
+
+@st.composite
+def _lattice_axes(draw, sol):
+    """(xs, ts) of 1 to 40 points each: an evenly spaced probe line, which
+    may cross 0, or drawn coordinates; an evenly spaced time column, which
+    may reach T, or drawn times."""
+    nx, nt = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        c, half = draw(st.floats(-3.0, 3.0)), draw(st.floats(0.0, 3.0))
+        xs = np.linspace(c - half, c + half, nx)
+    else:
+        xs = np.array(draw(st.lists(_COORDS, min_size=nx, max_size=nx)))
+    if draw(st.booleans()):
+        t_o, half = draw(_line_times(sol)), draw(st.floats(0.0, 2.0))
+        ts = np.linspace(t_o - half, t_o + half, nt)
+    else:
+        ts = draw(st.lists(_line_times(sol), min_size=nt, max_size=nt))
+    return xs, ts
+
+
+def _lattice_each(sol, xs, ts):
+    """Reference: one scalar `eval` per point that `valid_rt(|x|, t)`
+    accepts, row by row, or the first DomainError."""
+    vals = []
+    try:
+        for t in ts:
+            ok = sol.valid_rt(np.abs(xs), np.asarray(t, float))
+            keep = xs[np.broadcast_to(ok, xs.shape)].tolist()
+            vals += [sol.eval([v], t) for v in keep]
+    except DomainError as exc:
+        return None, str(exc)
+    return np.array(vals, dtype=float), None
+
+
+def _eval_lattice(sol, xs, ts):
+    try:
+        return sol.eval_lattice(xs, ts), None
+    except DomainError as exc:
+        return None, str(exc)
+
+
+class TestEvalLattice:
+    """`eval_lattice` equals one `eval` per valid lattice point, bit for bit."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_matches_pointwise(self, data):
+        sol = data.draw(st.sampled_from(_LINE_FAMILIES), label="family")
+        xs, ts = data.draw(_lattice_axes(sol), label="lattice")
+        # compare values only: overflow and 0**-e warn point by point
+        with np.errstate(all="ignore"):
+            want, want_err = _lattice_each(sol, xs, ts)
+            got, got_err = _eval_lattice(sol, xs, ts)
+        assert got_err == want_err
+        if want_err is None:
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("sol, x_o, t_os, radii", [
+        (CriticalHarnackWave(n_dim=3, p=2.0), 1.0, [-2, -4, -8, -16, -32], [1.0]),
+        (BoundednessBorderline(n_dim=3, p=2.0), 2.0, [0.5], [1, 2, 4, 8, 16]),
+    ])
+    def test_preset_cylinders(self, sol, x_o, t_os, radii):
+        # the 32 x 32 cylinders of the harnack-fail-critical-wave and
+        # harnack-fail-borderline presets (sigma = 0.25)
+        e = sol.exponents
+        for t_o in t_os:
+            u_o = sol.eval([x_o], t_o)
+            for rho in radii:
+                half = 0.25 * u_o ** (e.q + 1 - e.p) * rho**e.p
+                xs = np.linspace(x_o - rho, x_o + rho, 32)
+                ts = np.linspace(t_o - half, t_o + half, 32)
+                want, _ = _lattice_each(sol, xs, ts)
+                got = sol.eval_lattice(xs, ts)
+                assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_first_invalid_point_named(self):
+        # |x| accepts 1e-300, its radius sqrt(x * x) = 0 does not
+        sol = SeparableBlowup(n_dim=3, p=2.0, q=5.0)
+        with pytest.raises(DomainError, match=r"^\(0\.0, 0\.25\) outside"):
+            sol.eval_lattice(np.array([1.0, 1e-300, 2.0]), [0.25, 0.5])
+        assert sol.eval_lattice(np.array([1.0, -0.0, 2.0]), [0.5, 2.0]).size == 2

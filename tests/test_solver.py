@@ -576,6 +576,17 @@ class TestFunctionals:
         # face quadrature: n+1 faces of weight h, each with |Du| = 1
         assert gradient_p_norm(traj, 0) == pytest.approx(1.0 + g.h, rel=1e-10)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_gradient_p_norm_radial_n1_is_the_cartesian_norm(self, p):
+        # an even profile on the radial N = 1 grid [0, 1] is the cartesian
+        # profile on [-1, 1]: the face at r = 0 carries no flux and no weight
+        norms = []
+        for g in (Grid1D(0.0, 1.0, 100, "radial", 1), Grid1D(-1.0, 1.0, 200)):
+            u = np.cos(0.5 * np.pi * g.centers()) ** 2
+            pr = CauchyDirichletProblem(ExponentTriple(p, 1.0, 1), g, u, 1e-3)
+            norms.append(gradient_p_norm(solver.Trajectory(pr, SolverConfig()), 0))
+        assert abs(norms[0] - norms[1]) <= 1e-12 * norms[1]
+
     @pytest.mark.parametrize("name", [
         "radial-p1.5-q2", "cartesian-support-p1.5-q0.5",
         "annulus-dirichlet-p3-q0.5", "cartesian-from-exact-p1.5-q0.5",
