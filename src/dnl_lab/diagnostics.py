@@ -63,9 +63,9 @@ class SolutionSource:
     `Trajectory` (with bilinear interpolation in space-time; trajectory-backed
     gradients are one-sided at the boundary and O(h) accurate).
 
-    A read of a trajectory takes the stored rows bracketing its time with
-    `Trajectory.row`, which steps the solver only until they exist, and takes
-    a row's gradient on its first read.  `valid` spans the whole
+    A read of a trajectory takes the stored rows bracketing its times with
+    `Trajectory.row`, which steps the solver only until they exist, and
+    differentiates the rows it takes when it reads gradients.  `valid` spans the whole
     [t_start, t_end] from the start.  A StepFailure surfaces in the first
     read that needs the failed step, and in every read after it.
 
@@ -73,7 +73,13 @@ class SolutionSource:
     a scalar or a 1-D array, and a scalar time t.  They return one value per
     coordinate: a float (a bool for `valid`) for a scalar x, an array for an
     array x.  A coordinate x stands for the radius |x| on radial grids and for
-    closed forms, and for the signed position x on cartesian grids."""
+    closed forms, and for the signed position x on cartesian grids.
+
+    `lattice` reads a whole trajectory lattice ts x xs at once, and a
+    trajectory's `eval` and `grad_norm` are its one-row case: one
+    interpolation, with the bits of `np.interp`.  The reads that stay one
+    call per point or row are the scalar u(x_o, t_o) of a probe and the
+    gradients of a closed form."""
 
     def __init__(self, backing):
         self.backing = backing
@@ -90,39 +96,77 @@ class SolutionSource:
         self._radial = problem.grid.geometry == "radial"
         self._xs = problem.grid.centers()
         self._ts = np.asarray(backing.times)
-        self._grads = {}  # row index -> np.gradient of that row
 
-    # -- trajectory rows, differentiated on first read -----------------------
-    def _grad_row(self, i):
-        if i not in self._grads:
-            self._grads[i] = np.gradient(self.backing.row(i), self._grid.h)
-        return self._grads[i]
+    def _table(self, fields, x, ts):
+        """Each trajectory field ("eval" or "grad_norm") at every point of the
+        lattice ts x x, as one (len(ts), len(x)) array per field.  Each time
+        blends its bracketing stored rows, `row(i - 1)` and `row(i)`; every
+        blended row is then interpolated at x by `np.interp`'s own formula.
+        Each bracketing row is read once, and the fields share the bracket
+        indices, the weights and the interpolation indices."""
+        times = self._ts
+        t = np.asarray(ts, dtype=float)
+        # a search of the inner times keeps 1 <= i <= len(times) - 1
+        i = np.searchsorted(times[1:-1], t) + 1
+        w = (t - times[i - 1]) / (times[i] - times[i - 1])
+        w = np.minimum(np.maximum(w, 0.0), 1.0)[:, None]
+        # row i - 1 of a time sits at k0 in `read`, and row i at k1 = k0 + 1
+        read = sorted({*(i - 1).tolist(), *i.tolist()})
+        k0 = np.searchsorted(read, i - 1)
+        k1 = k0 + 1
+        rows = np.array([self.backing.row(n) for n in read])
+        # np.interp: at or below the first center, on a center, and at or
+        # past the last one the value is that of the center (node); in
+        # between it is slope * (r - x_j) + f_j with j the interval of r.
+        # r is clamped to the centers, so no discarded slope form overflows
+        xp = self._xs
+        r = np.minimum(np.maximum(np.abs(x) if self._radial else x, xp[0]), xp[-1])
+        j = np.minimum(np.searchsorted(xp, r, "right") - 1, xp.size - 2)
+        j1 = j + 1
+        xj = xp[j]
+        dx, off = xp[j1] - xj, r - xj
+        last = r == xp[-1]
+        on_node = (off == 0) | last
+        node = (j + last)[on_node]
+        tables = []
+        for f in fields:
+            u = np.gradient(rows, self._grid.h, axis=1) if f == "grad_norm" else rows
+            blend = (1 - w) * u[k0] + w * u[k1]
+            lo = blend[:, j]
+            vals = (blend[:, j1] - lo) / dx * off + lo
+            vals[:, on_node] = blend[:, node]
+            tables.append(np.abs(vals) if f == "grad_norm" else vals)
+        return tables
 
-    def _at(self, row, x, t):
-        """Blend the two stored time rows bracketing t, `row(i - 1)` and
-        `row(i)`, then interpolate the blended row at every coordinate of x."""
-        ts = self._ts
-        i = np.searchsorted(ts, t)
-        i = min(max(i, 1), ts.size - 1)
-        wt = (t - ts[i - 1]) / (ts[i] - ts[i - 1])
-        wt = min(max(wt, 0.0), 1.0)
-        row = (1 - wt) * row(i - 1) + wt * row(i)
+    def _at(self, field, x, t):
+        """One field at every coordinate of x and the time t: the one-row
+        case of `_table`."""
         x = np.asarray(x, dtype=float)
-        vals = np.interp(np.abs(x) if self._radial else x, self._xs, row)
-        return vals if vals.ndim else float(vals)
+        (vals,) = self._table((field,), np.atleast_1d(x), [t])
+        return vals[0] if x.ndim else float(vals[0, 0])
+
+    def _x_ok(self, x):
+        r = np.abs(x) if self._radial else x
+        # domain bounds, not cell-center bounds: interpolation clamps to
+        # the edge cell over the half-cell collar, an O(h) extension
+        lo = 0.0 if self._radial else self._grid.x_lo
+        return (lo <= r) & (r <= self._grid.x_hi)
+
+    def _t_ok(self, t):
+        return (self._ts[0] <= t) & (t <= self._ts[-1])
 
     # -- closed forms: values one probe line per call, gradients point by
     # point (both the same bits as the scalar `eval`/`grad` of the family)
     def eval(self, x, t):
         if self.kind != "closed_form":
-            return self._at(self.backing.row, x, t)
+            return self._at("eval", x, t)
         if np.ndim(x) == 0:
             return self.backing.eval([x], t)
         return self.backing.eval_line(x, t)
 
     def grad_norm(self, x, t):
         if self.kind != "closed_form":
-            return abs(self._at(self._grad_row, x, t))
+            return self._at("grad_norm", x, t)
         norm = lambda v: float(np.linalg.norm(self.backing.grad([v], t)))
         if np.ndim(x) == 0:
             return norm(x)
@@ -135,27 +179,46 @@ class SolutionSource:
                 self.backing.valid_rt(np.abs(r), np.asarray(t, float)), r.shape
             )
         else:
-            g, ts = self._grid, self._ts
-            if self._radial:
-                r = np.abs(r)
-            # domain bounds, not cell-center bounds: interpolation clamps to
-            # the edge cell over the half-cell collar, an O(h) extension
-            lo = 0.0 if self._radial else g.x_lo
-            ok = (lo <= r) & (r <= g.x_hi) & (ts[0] <= t <= ts[-1])
+            ok = self._x_ok(r) & self._t_ok(t)
         return ok if ok.ndim else bool(ok)
+
+    def valid_lattice(self, xs, ts):
+        """`valid` over the lattice ts x xs, one row per time.  On a
+        trajectory x validity does not depend on t, and t validity is the
+        [t_start, t_end] span, so each is taken once."""
+        xs = np.asarray(xs, dtype=float)
+        tcol = np.asarray(ts, dtype=float)[:, None]
+        if self.kind == "closed_form":
+            # the mask `eval_lattice` takes its points by
+            ok = self.backing.valid_rt(np.abs(xs), tcol)
+            return np.broadcast_to(ok, (tcol.size, xs.size))
+        return self._t_ok(tcol) & self._x_ok(xs)
+
+    def lattice(self, fields, xs, ts):
+        """Each trajectory field ("eval" or "grad_norm") at the valid points
+        of the lattice ts x xs, row-major, as one array per field, in one
+        read.  Every time's bracketing rows are read, inside the
+        [t_start, t_end] span or not, so a lattice steps the solver as far as
+        one read per time row would."""
+        xs, ts = np.asarray(xs, dtype=float), np.asarray(ts, dtype=float)
+        tables = self._table(fields, xs[self._x_ok(xs)], ts)
+        return [table[self._t_ok(ts)].ravel() for table in tables]
 
 
 def _lattice(src, xs, ts, *fields):
-    """Each field (a `SolutionSource` method) at the valid points of the
-    lattice ts x xs, time row by time row, as one array per field.  The
-    values of a closed form come from one `eval_lattice` call; every other
-    field and source takes one call per time row."""
-    if src.kind == "closed_form" and fields == (src.eval,):
+    """Each field ("eval" or "grad_norm") at the valid points of the lattice
+    ts x xs, time row by time row, as one array per field.  A trajectory
+    lattice is one `SolutionSource.lattice` read, and the values of a closed
+    form one `eval_lattice` call; closed-form gradients take one call per
+    time row."""
+    if src.kind == "trajectory":
+        return src.lattice(fields, xs, ts)
+    if fields == ("eval",):
         return [src.backing.eval_lattice(xs, ts)]
     rows = []
     for t in ts:
         x = xs[src.valid(xs, t)]
-        rows.append([f(x, t) for f in fields])
+        rows.append([getattr(src, f)(x, t) for f in fields])
     return [np.concatenate(col) for col in zip(*rows)]
 
 
@@ -187,10 +250,21 @@ def _cyl_lattice(src, x_o, t_o, rho, half_time, n=32):
     """Sup/inf of u over the symmetric cylinder lattice (n x n points)."""
     xs = np.linspace(x_o - rho, x_o + rho, n)
     ts = np.linspace(t_o - half_time, t_o + half_time, n) if half_time > 0 else [t_o]
-    (vals,) = _lattice(src, xs, ts, src.eval)
+    (vals,) = _lattice(src, xs, ts, "eval")
     if not vals.size:
         raise RegimeError("cylinder lattice has no valid points")
     return float(vals.max()), float(vals.min())
+
+
+def _half_cylinder_sup(src, x_o, t_o, rho, s, n):
+    """Sup of u over the n x n lattice of Q_{rho/2,s/2} = K_{rho/2}(x_o) x
+    [t_o - s/2, t_o], which must have a valid point in every time row."""
+    xs = np.linspace(x_o - rho / 2, x_o + rho / 2, n)
+    ts = np.linspace(t_o - s / 2, t_o, n)
+    if not src.valid_lattice(xs, ts).any(axis=1).all():
+        raise RegimeError("cylinder lattice has no valid points")
+    (vals,) = _lattice(src, xs, ts, "eval")
+    return float(vals.max())
 
 
 def harnack_scan(src, base_points, radii, sigma=0.25, lattice=32):
@@ -251,18 +325,16 @@ def integral_harnack(src, x_o, t_o, rho, s, lattice=32):
             f"integral Harnack requires lambda_q > 0, got {lam_q}"
         )
     N, p, q = e.n_dim, e.p, e.q
-    sup_u, _ = _cyl_lattice(src, x_o, t_o, rho / 2, 0.0, lattice)
-    for t in np.linspace(t_o - s / 2, t_o, lattice):
-        m, _ = _cyl_lattice(src, x_o, t, rho / 2, 0.0, lattice)
-        sup_u = max(sup_u, m)
+    sup_u = _half_cylinder_sup(src, x_o, t_o, rho, s, lattice)
     # slice means of u^q over K_rho
     xs = np.linspace(x_o - rho, x_o + rho, lattice)
-    slice_means = []
-    for t in np.linspace(t_o - s, t_o, lattice):
-        vals = src.eval(xs[src.valid(xs, t)], t).tolist()
-        if vals:
-            # scalar powers: numpy's SIMD power differs from libm in the last bit
-            slice_means.append(float(np.mean([v**q for v in vals])))
+    ts = np.linspace(t_o - s, t_o, lattice)
+    (vals,) = _lattice(src, xs, ts, "eval")
+    rows = np.split(vals, np.cumsum(src.valid_lattice(xs, ts).sum(axis=1))[:-1])
+    # scalar powers: numpy's SIMD power differs from libm in the last bit
+    slice_means = [
+        float(np.mean([v**q for v in row.tolist()])) for row in rows if row.size
+    ]
     if not slice_means:
         raise RegimeError("no valid slices in the cylinder")
     inf_mean = min(slice_means)
@@ -293,12 +365,9 @@ def sup_bound(src, x_o, t_o, rho, s, r, lattice=32):
     if lam_r <= 0:
         raise RegimeError(f"sup bound requires lambda_r > 0, got {lam_r}")
     N, p, q = e.n_dim, e.p, e.q
-    sup_u = -math.inf
-    for t in np.linspace(t_o - s / 2, t_o, lattice):
-        m, _ = _cyl_lattice(src, x_o, t, rho / 2, 0.0, lattice)
-        sup_u = max(sup_u, m)
+    sup_u = _half_cylinder_sup(src, x_o, t_o, rho, s, lattice)
     xs = np.linspace(x_o - rho, x_o + rho, lattice)
-    (vals,) = _lattice(src, xs, np.linspace(t_o - s, t_o, lattice), src.eval)
+    (vals,) = _lattice(src, xs, np.linspace(t_o - s, t_o, lattice), "eval")
     # scalar powers: numpy's SIMD power differs from libm in the last bit
     mean_ur = float(np.mean([v**r for v in vals.tolist()]))
     core = (rho**p / s) ** (N / lam_r) * mean_ur ** (p / lam_r)
@@ -323,7 +392,7 @@ def expansion_of_positivity(src, x_o, t_o, rho, M, alpha, delta_scan=10, lattice
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     e = src.exponents
     xs = np.linspace(x_o - rho, x_o + rho, lattice)
-    vals0 = src.eval(xs[src.valid(xs, t_o)], t_o)
+    (vals0,) = _lattice(src, xs, [t_o], "eval")
     if vals0.size == 0:
         raise RegimeError("initial slice outside the domain")
     frac = float(np.mean(vals0 >= M))
@@ -339,9 +408,10 @@ def expansion_of_positivity(src, x_o, t_o, rho, M, alpha, delta_scan=10, lattice
         delta = 2.0**-k
         t_lo, t_hi = t_o + delta / 2 * theta, t_o + delta * theta
         ts = np.linspace(t_lo, t_hi, 8)
-        if not all(src.valid(xs2, t).all() for t in ts):
+        if not src.valid_lattice(xs2, ts).all():
             continue
-        eta = min(float(src.eval(xs2, t).min()) for t in ts) / M
+        (vals,) = _lattice(src, xs2, ts, "eval")
+        eta = float(vals.min()) / M
         rep.probes.append({"delta": delta, "t_lo": t_lo, "t_hi": t_hi})
         rep.lhs.append(eta)
         rep.rhs.append(1.0)
@@ -470,7 +540,7 @@ def gradient_bound(src, probes, lattice=32):
             half = u_o ** (e.q + 1 - e.p) * rho**e.p
             xs = np.linspace(x_o - rho, x_o + rho, lattice)
             ts = np.linspace(t_o - half, t_o + half, lattice)
-            (grads,) = _lattice(src, xs, ts, src.grad_norm)
+            (grads,) = _lattice(src, xs, ts, "grad_norm")
             if not grads.size:
                 raise RegimeError(f"cylinder leaves the domain at probe {probe}")
             sup_du = float(grads.max())
@@ -509,7 +579,7 @@ def holder_fit(src, x_o, t_o, radii, lattice=16):
         half = u_o ** (e.q + 1 - e.p) * rho**e.p
         xs = np.linspace(x_o - rho, x_o + rho, lattice)
         ts = np.linspace(t_o - half, t_o + half, lattice)
-        grads, us = _lattice(src, xs, ts, src.grad_norm, src.eval)
+        grads, us = _lattice(src, xs, ts, "grad_norm", "eval")
         # both x-edges must lie in the domain at t_o, or part of every row
         # would drop out; rows before the first time may still drop out
         if not (grads.size and np.all(src.valid(xs[[0, -1]], t_o))):

@@ -28,6 +28,7 @@ from dnl_lab.diagnostics import (
     RegimeError,
     DiagnosticReport,
     SolutionSource,
+    _lattice,
     _monotone_exceedance,
     _verdict,
     harnack_scan,
@@ -242,10 +243,9 @@ class TestArrayPath:
 
 
 @st.composite
-def _on_demand_case(draw):
-    """A small radial or cartesian run and a read sequence in any time order:
-    (method, x, t) with t before t_start, at a stored time, between two, at
-    t_end or past it, and x a probe line or a scalar."""
+def _small_run(draw):
+    """A small radial or cartesian run and a strategy of times: before
+    t_start, at a stored time, between two, at t_end or past it."""
     if draw(st.booleans()):
         g = Grid1D(0.0, 1.0, draw(st.integers(4, 14)), "radial", 3)
     else:
@@ -270,6 +270,15 @@ def _on_demand_case(draw):
         st.just(times[-1]),
         st.floats(0.01, 2.0).map(lambda d: times[-1] + d * dt),
     )
+    return pr, cfg, t
+
+
+@st.composite
+def _on_demand_case(draw):
+    """A small run and a read sequence in any time order: (method, x, t)
+    with x a probe line or a scalar."""
+    pr, cfg, t = draw(_small_run())
+    g = pr.grid
     h = g.h
     line = np.linspace(-g.x_hi - h, g.x_hi + h, 29)
     x = st.one_of(st.just(line), st.floats(-1.2, 1.2))
@@ -302,6 +311,79 @@ def test_on_demand_source_matches_solved_source(case):
         if method == "grad_norm":
             ref = np.abs(ref)
         assert bits(np.ravel(got)) == bits(ref)
+
+
+@st.composite
+def _lattice_case(draw):
+    """A small run, a lattice ts x xs, the fields read on it and the step
+    that fails (None for none).  The x line joins pieces that sweep across
+    the half-cell collars and past the domain, hit cell centers exactly
+    (with either sign) and sit on the domain edges; the times are those of
+    `_small_run`, in any order."""
+    pr, cfg, t = draw(_small_run())
+    g = pr.grid
+    h, c = g.h, g.centers()
+    lo = 0.0 if g.geometry == "radial" else g.x_lo
+    a = draw(st.floats(-g.x_hi - 2 * h, g.x_hi + 2 * h))
+    b = draw(st.floats(-g.x_hi - 2 * h, g.x_hi + 2 * h))
+    pieces = [
+        np.linspace(a, b, draw(st.integers(1, 12))),
+        np.array(draw(st.lists(st.sampled_from([*c, *-c]), max_size=6))),
+        np.array(
+            draw(
+                st.lists(
+                    st.sampled_from(
+                        [lo, lo + h / 4, g.x_hi - h / 4, g.x_hi, g.x_hi + h / 4]
+                    ),
+                    max_size=5,
+                )
+            )
+        ),
+    ]
+    xs = np.concatenate(draw(st.permutations(pieces)))
+    ts = draw(st.lists(t, min_size=1, max_size=10))
+    fields = draw(
+        st.sampled_from([("eval",), ("grad_norm",), ("grad_norm", "eval")])
+    )
+    n_steps = len(time_grid(pr, cfg)[1])
+    fail_at = draw(st.one_of(st.none(), st.integers(1, n_steps)))
+    return pr, cfg, xs, ts, fields, fail_at
+
+
+@settings(max_examples=80, deadline=None)
+@given(_lattice_case())
+def test_trajectory_lattice_is_the_pointwise_reads(case):
+    """A trajectory lattice read equals the scalar reference at each valid
+    point, bit for bit and in row-major order, for values and gradients.  It
+    steps the solver as far as one read per time row does, and a StepFailure
+    that such a read would meet surfaces in the lattice read."""
+    pr, cfg, xs, ts, fields, fail_at = case
+    traj = solve(pr, cfg)
+    U = np.vstack(traj.fields)
+    tables = {"eval": U, "grad_norm": np.gradient(U, pr.grid.h, axis=1)}
+    bits = lambda a: np.asarray(a, dtype=float).view(np.int64).tolist()
+    times = np.asarray(traj.times)
+    # a read per time row steps to the later of the two rows bracketing t
+    last = max(min(max(int(np.searchsorted(times, t)), 1), times.size - 1) for t in ts)
+    rows = last + 1
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        if fail_at is not None:
+            mp.setattr(solver, "step", _failing_step(fail_at, calls))
+        src = SolutionSource(solver.Trajectory(pr, cfg))
+        if fail_at is not None and rows > fail_at:
+            with pytest.raises(StepFailure, match=rf"at step {fail_at} of "):
+                _lattice(src, xs, ts, *fields)
+            assert len(src.backing.fields) == fail_at
+            return
+        got = _lattice(src, xs, ts, *fields)
+    assert len(src.backing.fields) == rows
+    points = [(x, t) for t in ts for x in xs if _pointwise_valid(traj, x, t)]
+    for f, values in zip(fields, got):
+        want = [_pointwise(traj, tables[f], x, t) for x, t in points]
+        if f == "grad_norm":
+            want = np.abs(want)
+        assert bits(values) == bits(want)
 
 
 @pytest.mark.parametrize(
@@ -385,6 +467,59 @@ def test_diagnostic_preset_bytes(op, tmp_path):
     for suffix in ("csv", "meta"):
         data = (tmp_path / f"op.{suffix}").read_bytes()
         assert hashlib.sha256(data).hexdigest() == rec[f"{suffix}_sha256"]
+
+
+_NO_POINTS = "cylinder lattice has no valid points"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["integral-harnack", "--preset", "integral-harnack-supercritical",
+          "--t_o", "0.001"], _NO_POINTS),
+        (["integral-harnack", "--preset", "integral-harnack-supercritical",
+          "--t_o", "0.001", "--s", "1"], _NO_POINTS),
+        (["supbound", "--preset", "supbound-fast-diffusion", "--t_o", "0.001"],
+         _NO_POINTS),
+        (["supbound", "--preset", "supbound-fast-diffusion", "--t_o", "0.001",
+          "--x_o", "1.5"], _NO_POINTS),
+        (["harnack", "--preset", "thm-harnack-supercritical",
+          "--radii", "0.5,1,2,4"], _NO_POINTS),
+        (["expand", "--preset", "expansion-positivity", "--x_o", "1.2"],
+         "initial slice outside the domain"),
+    ],
+)
+def test_edge_scan_exits_1(argv, message, capsys):
+    """Lattices that leave the run: Q_{rho/2,s/2} of the integral Harnack
+    and sup bounds with time rows before t_start (and, at x_o = 1.5, every
+    point past the domain), a Harnack cylinder (rho = 4) whose time rows all
+    miss [t_start, t_end], and an initial slice past the domain."""
+    assert cli.run(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, csv_sha256, meta_sha256",
+    [
+        (["harnack", "--preset", "thm-harnack-supercritical", "--t_o", "0.0"],
+         "f85b176826e77c1f7ec9bfacb4c73015579d722c488aaac55a54edd4a966f765",
+         "6a1f58214fa75cd125877de31d5c496484bb2ec86132412ee18a7e7de64fb3bd"),
+        (["expand", "--preset", "expansion-positivity", "--t_o", "0.039"],
+         "9fa93e0647d6be5ae3d4ac5e0b163aa7c552446bc89fedcea3333e2ddc34cf11",
+         "cb6b204d7b31a1764771e62efd6992ceb152e58332fdf575aa5c321b0c004c83"),
+        (["holder", "--preset", "holder-supercritical", "--t_o", "0.0"],
+         "ba6e0fcc561d166160d85d77c9ff91804fea5148817a5a0b1985308ebe006ff0",
+         "ccf01dc3a9383cdb2d0a612831eef61a2b9e217dcc3c48a211baa12bd7fe7d5d"),
+    ],
+)
+def test_edge_scan_bytes(argv, csv_sha256, meta_sha256, tmp_path):
+    """Scans whose lattices are cut by t_start or t_end (part of a cylinder,
+    or of the later expansion windows, outside the run) keep their bytes."""
+    prefix = tmp_path / "op"
+    assert cli.run(argv + ["--out", str(prefix)]) == 0
+    for suffix, want in (("csv", csv_sha256), ("meta", meta_sha256)):
+        data = (tmp_path / f"op.{suffix}").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == want
 
 
 class TestHarnackScan:
