@@ -63,23 +63,24 @@ class SolutionSource:
     `Trajectory` (with bilinear interpolation in space-time; trajectory-backed
     gradients are one-sided at the boundary and O(h) accurate).
 
-    A read of a trajectory takes the stored rows bracketing its times with
-    `Trajectory.row`, which steps the solver only until they exist, and
-    differentiates the rows it takes when it reads gradients.  `valid` spans the whole
-    [t_start, t_end] from the start.  A StepFailure surfaces in the first
-    read that needs the failed step, and in every read after it.
+    `lattice` reads the points of a lattice ts x xs that its mask,
+    `valid_lattice`, accepts.  The two kinds differ only in the mask and in
+    the read: `_read`, under `lattice`, and the closed-form scalar case of
+    its one-row form `_row`, which costs less than a 1 x 1 table.  A
+    coordinate x stands for the radius |x| on radial grids and for closed
+    forms, and for the signed position x on cartesian grids.  A trajectory's
+    mask is x in the domain and t in [t_start, t_end], so it reads only
+    in-span times: it takes the stored rows bracketing them with
+    `Trajectory.row`, which steps the solver only until they exist, and a
+    StepFailure surfaces in the first read that needs the failed step, and
+    in every read after it.
 
-    `eval`, `grad_norm` and `valid` take coordinates x on a probe line, either
-    a scalar or a 1-D array, and a scalar time t.  They return one value per
-    coordinate: a float (a bool for `valid`) for a scalar x, an array for an
-    array x.  A coordinate x stands for the radius |x| on radial grids and for
-    closed forms, and for the signed position x on cartesian grids.
-
-    `lattice` reads a whole trajectory lattice ts x xs at once, and a
-    trajectory's `eval` and `grad_norm` are its one-row case: one
-    interpolation, with the bits of `np.interp`.  The reads that stay one
-    call per point or row are the scalar u(x_o, t_o) of a probe and the
-    gradients of a closed form."""
+    `eval`, `grad_norm` and `valid` are the one-row cases of the read and of
+    the mask: coordinates x on a probe line, a scalar or a 1-D array, and a
+    scalar time t.  They return one value per coordinate, a float (a bool for
+    `valid`) for a scalar x and an array for an array x, and drop no point: a
+    closed form raises DomainError outside its validity domain, and a
+    trajectory clamps to its edge cells and end rows."""
 
     def __init__(self, backing):
         self.backing = backing
@@ -97,13 +98,69 @@ class SolutionSource:
         self._xs = problem.grid.centers()
         self._ts = np.asarray(backing.times)
 
-    def _table(self, fields, x, ts):
-        """Each trajectory field ("eval" or "grad_norm") at every point of the
-        lattice ts x x, as one (len(ts), len(x)) array per field.  Each time
-        blends its bracketing stored rows, `row(i - 1)` and `row(i)`; every
-        blended row is then interpolated at x by `np.interp`'s own formula.
-        Each bracketing row is read once, and the fields share the bracket
-        indices, the weights and the interpolation indices."""
+    def eval(self, x, t):
+        return self._row("eval", x, t)
+
+    def grad_norm(self, x, t):
+        return self._row("grad_norm", x, t)
+
+    def valid(self, x, t):
+        ok = self.valid_lattice(np.atleast_1d(x), [t])[0]
+        return ok if np.ndim(x) else bool(ok[0])
+
+    def _row(self, field, x, t):
+        x = np.asarray(x, dtype=float)
+        if not x.ndim and self.kind == "closed_form":
+            # a closed form's own scalar read costs less than a 1 x 1 table
+            v = [x.item()]
+            if field == "eval":
+                return self.backing.eval(v, t)
+            return float(np.linalg.norm(self.backing.grad(v, t)))
+        (vals,) = self._read((field,), np.atleast_1d(x), [t])
+        return vals[0] if x.ndim else float(vals[0, 0])
+
+    def valid_lattice(self, xs, ts):
+        """The mask of the lattice ts x xs, one row per time."""
+        xs = np.asarray(xs, dtype=float)
+        tcol = np.asarray(ts, dtype=float)[:, None]
+        if self.kind == "closed_form":
+            ok = self.backing.valid_rt(np.abs(xs), tcol)
+            return np.broadcast_to(ok, (tcol.size, xs.size))
+        r = np.abs(xs) if self._radial else xs
+        # domain bounds, not cell-center bounds: interpolation clamps to
+        # the edge cell over the half-cell collar, an O(h) extension
+        lo = 0.0 if self._radial else self._grid.x_lo
+        ok_x = (lo <= r) & (r <= self._grid.x_hi)
+        return (self._ts[0] <= tcol) & (tcol <= self._ts[-1]) & ok_x
+
+    def lattice(self, fields, xs, ts):
+        """Each field ("eval" or "grad_norm") at the valid points of the
+        lattice ts x xs, row-major, one array per field.  Valid points that
+        fill a sub-lattice, as a trajectory's always do, take one read, and
+        other masks one read per time row; a lattice without a valid point
+        reads nothing."""
+        xs, ts = np.asarray(xs, dtype=float), np.asarray(ts, dtype=float)
+        ok = self.valid_lattice(xs, ts)
+        rows, cols = ok.any(axis=1), ok.any(axis=0)
+        if not rows.any():
+            return [np.empty(0) for _ in fields]
+        if np.array_equal(ok, rows[:, None] & cols):
+            reads = [self._read(fields, xs[cols], ts[rows])]
+        else:
+            reads = [self._read(fields, xs[k], [t]) for k, t in zip(ok, ts)]
+        return [np.concatenate([a.ravel() for a in col]) for col in zip(*reads)]
+
+    def _read(self, fields, x, ts):
+        """Each field at every point of the lattice ts x x (x 1-D), one
+        (len(ts), len(x)) table per field, with no point dropped.  A closed
+        form takes one `eval_lattice` per field.  A trajectory blends each
+        time's bracketing stored rows, `row(i - 1)` and `row(i)`, clamped to
+        the end rows, and interpolates every blended row at x by
+        `np.interp`'s own formula; each bracketing row is read once, and the
+        fields share the bracket indices, the weights and the interpolation
+        indices."""
+        if self.kind == "closed_form":
+            return [self.backing.eval_lattice(x, ts, f) for f in fields]
         times = self._ts
         t = np.asarray(ts, dtype=float)
         # a search of the inner times keeps 1 <= i <= len(times) - 1
@@ -138,89 +195,6 @@ class SolutionSource:
             tables.append(np.abs(vals) if f == "grad_norm" else vals)
         return tables
 
-    def _at(self, field, x, t):
-        """One field at every coordinate of x and the time t: the one-row
-        case of `_table`."""
-        x = np.asarray(x, dtype=float)
-        (vals,) = self._table((field,), np.atleast_1d(x), [t])
-        return vals[0] if x.ndim else float(vals[0, 0])
-
-    def _x_ok(self, x):
-        r = np.abs(x) if self._radial else x
-        # domain bounds, not cell-center bounds: interpolation clamps to
-        # the edge cell over the half-cell collar, an O(h) extension
-        lo = 0.0 if self._radial else self._grid.x_lo
-        return (lo <= r) & (r <= self._grid.x_hi)
-
-    def _t_ok(self, t):
-        return (self._ts[0] <= t) & (t <= self._ts[-1])
-
-    # -- closed forms: values one probe line per call, gradients point by
-    # point (both the same bits as the scalar `eval`/`grad` of the family)
-    def eval(self, x, t):
-        if self.kind != "closed_form":
-            return self._at("eval", x, t)
-        if np.ndim(x) == 0:
-            return self.backing.eval([x], t)
-        return self.backing.eval_line(x, t)
-
-    def grad_norm(self, x, t):
-        if self.kind != "closed_form":
-            return self._at("grad_norm", x, t)
-        norm = lambda v: float(np.linalg.norm(self.backing.grad([v], t)))
-        if np.ndim(x) == 0:
-            return norm(x)
-        return np.array([norm(v) for v in np.asarray(x, dtype=float).tolist()])
-
-    def valid(self, x, t):
-        r = np.asarray(x, dtype=float)
-        if self.kind == "closed_form":
-            ok = np.broadcast_to(
-                self.backing.valid_rt(np.abs(r), np.asarray(t, float)), r.shape
-            )
-        else:
-            ok = self._x_ok(r) & self._t_ok(t)
-        return ok if ok.ndim else bool(ok)
-
-    def valid_lattice(self, xs, ts):
-        """`valid` over the lattice ts x xs, one row per time.  On a
-        trajectory x validity does not depend on t, and t validity is the
-        [t_start, t_end] span, so each is taken once."""
-        xs = np.asarray(xs, dtype=float)
-        tcol = np.asarray(ts, dtype=float)[:, None]
-        if self.kind == "closed_form":
-            # the mask `eval_lattice` takes its points by
-            ok = self.backing.valid_rt(np.abs(xs), tcol)
-            return np.broadcast_to(ok, (tcol.size, xs.size))
-        return self._t_ok(tcol) & self._x_ok(xs)
-
-    def lattice(self, fields, xs, ts):
-        """Each trajectory field ("eval" or "grad_norm") at the valid points
-        of the lattice ts x xs, row-major, as one array per field, in one
-        read.  Every time's bracketing rows are read, inside the
-        [t_start, t_end] span or not, so a lattice steps the solver as far as
-        one read per time row would."""
-        xs, ts = np.asarray(xs, dtype=float), np.asarray(ts, dtype=float)
-        tables = self._table(fields, xs[self._x_ok(xs)], ts)
-        return [table[self._t_ok(ts)].ravel() for table in tables]
-
-
-def _lattice(src, xs, ts, *fields):
-    """Each field ("eval" or "grad_norm") at the valid points of the lattice
-    ts x xs, time row by time row, as one array per field.  A trajectory
-    lattice is one `SolutionSource.lattice` read, and the values of a closed
-    form one `eval_lattice` call; closed-form gradients take one call per
-    time row."""
-    if src.kind == "trajectory":
-        return src.lattice(fields, xs, ts)
-    if fields == ("eval",):
-        return [src.backing.eval_lattice(xs, ts)]
-    rows = []
-    for t in ts:
-        x = xs[src.valid(xs, t)]
-        rows.append([getattr(src, f)(x, t) for f in fields])
-    return [np.concatenate(col) for col in zip(*rows)]
-
 
 def _monotone_exceedance(values, factor=2.0, scales=4):
     """True iff the last `scales` values form a strictly increasing run and
@@ -246,16 +220,6 @@ def _verdict(constants):
     return "diverging" if _monotone_exceedance(c) else "inconclusive"
 
 
-def _cyl_lattice(src, x_o, t_o, rho, half_time, n=32):
-    """Sup/inf of u over the symmetric cylinder lattice (n x n points)."""
-    xs = np.linspace(x_o - rho, x_o + rho, n)
-    ts = np.linspace(t_o - half_time, t_o + half_time, n) if half_time > 0 else [t_o]
-    (vals,) = _lattice(src, xs, ts, "eval")
-    if not vals.size:
-        raise RegimeError("cylinder lattice has no valid points")
-    return float(vals.max()), float(vals.min())
-
-
 def _half_cylinder_sup(src, x_o, t_o, rho, s, n):
     """Sup of u over the n x n lattice of Q_{rho/2,s/2} = K_{rho/2}(x_o) x
     [t_o - s/2, t_o], which must have a valid point in every time row."""
@@ -263,7 +227,7 @@ def _half_cylinder_sup(src, x_o, t_o, rho, s, n):
     ts = np.linspace(t_o - s / 2, t_o, n)
     if not src.valid_lattice(xs, ts).any(axis=1).all():
         raise RegimeError("cylinder lattice has no valid points")
-    (vals,) = _lattice(src, xs, ts, "eval")
+    (vals,) = src.lattice(("eval",), xs, ts)
     return float(vals.max())
 
 
@@ -273,25 +237,34 @@ def harnack_scan(src, base_points, radii, sigma=0.25, lattice=32):
     cylinder K_rho(x_o) x (t_o +- sigma u_o^{q+1-p} rho^p).
 
     sigma = 0 collapses the cylinder to the single time slice t_o (used for
-    the Trudinger closed-form ratio probes).  Verdict by `_verdict` over
-    gamma_emp across all probes/radii."""
+    the Trudinger closed-form ratio probes).  Every cylinder (a lattice x
+    lattice grid) must have a valid point, which is checked before the first
+    is read.  Verdict by `_verdict` over gamma_emp across all probes/radii."""
     if not 0 <= sigma < 1:
         raise ValueError("sigma must be in [0, 1)")
     e = src.exponents
     probes = [(x_o, t_o, rho) for (x_o, t_o) in base_points for rho in radii]
 
-    def one(probe):
+    def cylinder(probe):
         x_o, t_o, rho = probe
         u_o = src.eval(x_o, t_o)
         if u_o <= 0:
             raise RegimeError(f"u(x_o,t_o) <= 0 at probe {probe}")
         half = sigma * u_o ** (e.q + 1 - e.p) * rho**e.p
-        sup_u, inf_u = _cyl_lattice(src, x_o, t_o, rho, half, lattice)
+        xs = np.linspace(x_o - rho, x_o + rho, lattice)
+        ts = np.linspace(t_o - half, t_o + half, lattice) if half > 0 else [t_o]
+        if not src.valid_lattice(xs, ts).any():
+            raise RegimeError("cylinder lattice has no valid points")
+        return u_o, xs, ts
+
+    def one(u_o, xs, ts):
+        (vals,) = src.lattice(("eval",), xs, ts)
+        sup_u, inf_u = float(vals.max()), float(vals.min())
         if inf_u <= 0:
             return math.inf, u_o
         return max(sup_u / u_o, u_o / inf_u), u_o
 
-    results = [one(probe) for probe in probes]
+    results = [one(*cyl) for cyl in [cylinder(probe) for probe in probes]]
     gammas = [g for g, _ in results]
     rep = DiagnosticReport(estimate_id="harnack")
     for (x_o, t_o, rho), (g, u_o) in zip(probes, results):
@@ -329,7 +302,7 @@ def integral_harnack(src, x_o, t_o, rho, s, lattice=32):
     # slice means of u^q over K_rho
     xs = np.linspace(x_o - rho, x_o + rho, lattice)
     ts = np.linspace(t_o - s, t_o, lattice)
-    (vals,) = _lattice(src, xs, ts, "eval")
+    (vals,) = src.lattice(("eval",), xs, ts)
     rows = np.split(vals, np.cumsum(src.valid_lattice(xs, ts).sum(axis=1))[:-1])
     # scalar powers: numpy's SIMD power differs from libm in the last bit
     slice_means = [
@@ -367,7 +340,7 @@ def sup_bound(src, x_o, t_o, rho, s, r, lattice=32):
     N, p, q = e.n_dim, e.p, e.q
     sup_u = _half_cylinder_sup(src, x_o, t_o, rho, s, lattice)
     xs = np.linspace(x_o - rho, x_o + rho, lattice)
-    (vals,) = _lattice(src, xs, np.linspace(t_o - s, t_o, lattice), "eval")
+    (vals,) = src.lattice(("eval",), xs, np.linspace(t_o - s, t_o, lattice))
     # scalar powers: numpy's SIMD power differs from libm in the last bit
     mean_ur = float(np.mean([v**r for v in vals.tolist()]))
     core = (rho**p / s) ** (N / lam_r) * mean_ur ** (p / lam_r)
@@ -392,7 +365,7 @@ def expansion_of_positivity(src, x_o, t_o, rho, M, alpha, delta_scan=10, lattice
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     e = src.exponents
     xs = np.linspace(x_o - rho, x_o + rho, lattice)
-    (vals0,) = _lattice(src, xs, [t_o], "eval")
+    (vals0,) = src.lattice(("eval",), xs, [t_o])
     if vals0.size == 0:
         raise RegimeError("initial slice outside the domain")
     frac = float(np.mean(vals0 >= M))
@@ -410,7 +383,7 @@ def expansion_of_positivity(src, x_o, t_o, rho, M, alpha, delta_scan=10, lattice
         ts = np.linspace(t_lo, t_hi, 8)
         if not src.valid_lattice(xs2, ts).all():
             continue
-        (vals,) = _lattice(src, xs2, ts, "eval")
+        (vals,) = src.lattice(("eval",), xs2, ts)
         eta = float(vals.min()) / M
         rep.probes.append({"delta": delta, "t_lo": t_lo, "t_hi": t_hi})
         rep.lhs.append(eta)
@@ -478,12 +451,14 @@ def extinction_analysis(traj, x_probes=(), extinct_tol=1e-8, skip_fraction=1e-3)
     # (iii) decay constants at probes
     src = SolutionSource(traj)
     probe_consts = []
+    t_os = np.linspace(0.55 * T_num, 0.9 * T_num, 4)
     for x_o in x_probes:
         d = d_bound(x_o)
-        for t_o in np.linspace(0.55 * T_num, 0.9 * T_num, 4):
+        # `_read` keeps one row per t_o: a t_o before t_start clamps to
+        # the first stored row, as the scalar `eval` does
+        us, grads = src._read(("eval", "grad_norm"), np.array([x_o]), t_os)
+        for t_o, uval, gval in zip(t_os, us.ravel().tolist(), grads.ravel().tolist()):
             rate = ((T_num - t_o) / d**p) ** (1 / kexp)
-            uval = src.eval(x_o, t_o)
-            gval = src.grad_norm(x_o, t_o)
             probe_consts.append(
                 {
                     "x_o": x_o,
@@ -511,7 +486,7 @@ def decay_exponent_fit(sol, x_o, t_lo_frac=0.9, t_hi_frac=0.999, n=24):
     ts = T - (T * (1 - t_lo_frac)) * np.logspace(
         0, math.log10((1 - t_hi_frac) / (1 - t_lo_frac)), n
     )
-    vals = np.array([sol.eval([x_o] if np.isscalar(x_o) else x_o, t) for t in ts])
+    vals = np.array([sol.eval([x_o], t) for t in ts])
     X = np.log(T - ts)
     Y = np.log(vals)
     slope, intercept = np.polyfit(X, Y, 1)
@@ -540,7 +515,7 @@ def gradient_bound(src, probes, lattice=32):
             half = u_o ** (e.q + 1 - e.p) * rho**e.p
             xs = np.linspace(x_o - rho, x_o + rho, lattice)
             ts = np.linspace(t_o - half, t_o + half, lattice)
-            (grads,) = _lattice(src, xs, ts, "grad_norm")
+            (grads,) = src.lattice(("grad_norm",), xs, ts)
             if not grads.size:
                 raise RegimeError(f"cylinder leaves the domain at probe {probe}")
             sup_du = float(grads.max())
@@ -579,7 +554,7 @@ def holder_fit(src, x_o, t_o, radii, lattice=16):
         half = u_o ** (e.q + 1 - e.p) * rho**e.p
         xs = np.linspace(x_o - rho, x_o + rho, lattice)
         ts = np.linspace(t_o - half, t_o + half, lattice)
-        grads, us = _lattice(src, xs, ts, "grad_norm", "eval")
+        grads, us = src.lattice(("grad_norm", "eval"), xs, ts)
         # both x-edges must lie in the domain at t_o, or part of every row
         # would drop out; rows before the first time may still drop out
         if not (grads.size and np.all(src.valid(xs[[0, -1]], t_o))):

@@ -27,8 +27,8 @@ class ClosedFormSolution:
 
     Subclasses implement u_rt / ur_rt / valid_rt on arrays of radii and
     times, and ut_rt or, in its place, dtuq_rt.  The public eval/grad/dt_uq
-    operate on coordinate vectors; eval_line evaluates u along a probe line
-    at one time and eval_lattice over a lattice of probe-line times.
+    operate on coordinate vectors; eval_lattice evaluates u or |Du| over a
+    lattice of probe-line times.
     """
 
     family = "abstract"
@@ -73,7 +73,7 @@ class ClosedFormSolution:
         )
 
     def _check(self, r, t):
-        if not np.all(self.valid_rt(np.asarray(r, float), np.asarray(t, float))):
+        if not self.valid_rt(np.asarray(r, float), np.asarray(t, float)).all():
             raise self._outside(r, t)
 
     def eval(self, x, t):
@@ -81,30 +81,27 @@ class ClosedFormSolution:
         self._check(r, t)
         return float(self.u_rt(r, t))
 
-    def eval_line(self, x, t):
-        """u at every coordinate of the 1-D array x at the scalar time t: the
-        same bits as one `eval([v], t)` per coordinate, and the same
-        DomainError for the first point outside the validity domain."""
-        x = np.asarray(x, dtype=float)
-        r = np.sqrt(x * x)  # the bits of np.linalg.norm of a 1-vector
-        ok = np.broadcast_to(self.valid_rt(r, np.asarray(t, float)), r.shape)
-        if not ok.all():
-            raise self._outside(r[~ok][0].item(), t)
-        return self._u_grid(r, [t])[0]
-
-    def eval_lattice(self, xs, ts):
-        """u at the points of the lattice ts x xs that `valid_rt(|x|, t)`
-        accepts, time row by time row, as one 1-D array: the same bits and
-        the same DomainError as one `eval_line` per row over its valid
-        points.  The whole table is computed at once only when every point
-        is valid under both |x| and the radius `eval_line` takes."""
+    def eval_lattice(self, xs, ts, field="eval"):
+        """u (field "eval") or |Du| (field "grad_norm") at every point of the
+        lattice ts x xs, one row per time: the same bits as one `eval([v], t)`
+        or one `float(np.linalg.norm(grad([v], t)))` per point, and the same
+        DomainError for the first point, row by row, outside the validity
+        domain."""
         xs = np.asarray(xs, dtype=float)
-        r = np.sqrt(xs * xs)
-        tcol = np.asarray(ts, dtype=float)[:, None]
-        ok = np.broadcast_to(self.valid_rt(np.abs(xs), tcol), (tcol.size, xs.size))
-        if ok.all() and np.all(self.valid_rt(r, tcol)):
-            return self._u_grid(r, ts).ravel()
-        return np.concatenate([self.eval_line(xs[row], t) for row, t in zip(ok, ts)])
+        r = np.sqrt(xs * xs)  # the bits of np.linalg.norm of a 1-vector
+        tcol = np.asarray(ts, float)[:, None]
+        ok = np.broadcast_to(self.valid_rt(r, tcol), (len(ts), r.size))
+        if not ok.all():
+            i, j = np.argwhere(~ok)[0]
+            raise self._outside(r[j].item(), ts[i])
+        if field == "eval":
+            return self._u_grid(r, ts)
+        # `grad`'s bits: the 1-vector y = ur * x / r (0 at r = 0), and the
+        # norm sqrt(y * y) of it
+        ur = [[float(self.ur_rt(v, t)) if v else 0.0 for v in r.tolist()] for t in ts]
+        y = np.zeros((len(ts), r.size))
+        np.divide(np.reshape(ur, y.shape) * xs, r, out=y, where=r != 0)
+        return np.sqrt(y * y)
 
     def _u_grid(self, r, ts):
         """u_rt at the radii r (1-D) and each time of ts, one row per time,

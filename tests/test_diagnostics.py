@@ -28,7 +28,6 @@ from dnl_lab.diagnostics import (
     RegimeError,
     DiagnosticReport,
     SolutionSource,
-    _lattice,
     _monotone_exceedance,
     _verdict,
     harnack_scan,
@@ -355,16 +354,19 @@ def _lattice_case(draw):
 def test_trajectory_lattice_is_the_pointwise_reads(case):
     """A trajectory lattice read equals the scalar reference at each valid
     point, bit for bit and in row-major order, for values and gradients.  It
-    steps the solver as far as one read per time row does, and a StepFailure
-    that such a read would meet surfaces in the lattice read."""
+    steps the solver as far as one read per in-span time row does, and not at
+    all without a valid point, and a StepFailure that such a read would meet
+    surfaces in the lattice read."""
     pr, cfg, xs, ts, fields, fail_at = case
     traj = solve(pr, cfg)
     U = np.vstack(traj.fields)
     tables = {"eval": U, "grad_norm": np.gradient(U, pr.grid.h, axis=1)}
     bits = lambda a: np.asarray(a, dtype=float).view(np.int64).tolist()
     times = np.asarray(traj.times)
+    points = [(x, t) for t in ts for x in xs if _pointwise_valid(traj, x, t)]
     # a read per time row steps to the later of the two rows bracketing t
-    last = max(min(max(int(np.searchsorted(times, t)), 1), times.size - 1) for t in ts)
+    bracket = lambda t: min(max(int(np.searchsorted(times, t)), 1), times.size - 1)
+    last = max((bracket(t) for _, t in points), default=0)
     rows = last + 1
     calls = []
     with pytest.MonkeyPatch.context() as mp:
@@ -373,12 +375,11 @@ def test_trajectory_lattice_is_the_pointwise_reads(case):
         src = SolutionSource(solver.Trajectory(pr, cfg))
         if fail_at is not None and rows > fail_at:
             with pytest.raises(StepFailure, match=rf"at step {fail_at} of "):
-                _lattice(src, xs, ts, *fields)
+                src.lattice(fields, xs, ts)
             assert len(src.backing.fields) == fail_at
             return
-        got = _lattice(src, xs, ts, *fields)
+        got = src.lattice(fields, xs, ts)
     assert len(src.backing.fields) == rows
-    points = [(x, t) for t in ts for x in xs if _pointwise_valid(traj, x, t)]
     for f, values in zip(fields, got):
         want = [_pointwise(traj, tables[f], x, t) for x, t in points]
         if f == "grad_norm":
@@ -399,6 +400,24 @@ def test_trajectory_lattice_is_the_pointwise_reads(case):
 def test_scan_steps_only_to_its_last_read(monkeypatch, capsys, sub, name, steps):
     """Each trajectory-backed preset (200 steps to t_end) steps the solver
     only up to the stored row bracketing the latest time it reads."""
+    calls = _count_steps(monkeypatch)
+    assert cli.run([sub, "--preset", name]) == 0
+    assert len(calls) == steps
+
+
+def test_scan_fails_before_reading_its_cylinders(monkeypatch, capsys):
+    """A Harnack scan whose rho = 4 cylinders miss [t_start, t_end] exits 1
+    after the 100 steps of its u(x_o, t_o) reads, before any cylinder read
+    steps to the later rows that the rho <= 2 cylinders reach."""
+    calls = _count_steps(monkeypatch)
+    argv = ["harnack", "--preset", "thm-harnack-supercritical", "--radii", "0.5,1,2,4"]
+    assert cli.run(argv) == 1
+    assert capsys.readouterr().err == f"error: {_NO_POINTS}\n"
+    assert len(calls) == 100
+
+
+def _count_steps(monkeypatch):
+    """Wrap `solver.step`; the returned list gets the time of each call."""
     calls = []
     real = solver.step
 
@@ -407,8 +426,7 @@ def test_scan_steps_only_to_its_last_read(monkeypatch, capsys, sub, name, steps)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(solver, "step", counted)
-    assert cli.run([sub, "--preset", name]) == 0
-    assert len(calls) == steps
+    return calls
 
 
 def _failing_step(k, calls):
@@ -487,36 +505,46 @@ _NO_POINTS = "cylinder lattice has no valid points"
           "--radii", "0.5,1,2,4"], _NO_POINTS),
         (["expand", "--preset", "expansion-positivity", "--x_o", "1.2"],
          "initial slice outside the domain"),
+        (["holder", "--preset", "holder-supercritical", "--t_o", "1.0"],
+         "cylinder of radius 0.01 leaves the domain"),
     ],
 )
 def test_edge_scan_exits_1(argv, message, capsys):
     """Lattices that leave the run: Q_{rho/2,s/2} of the integral Harnack
     and sup bounds with time rows before t_start (and, at x_o = 1.5, every
     point past the domain), a Harnack cylinder (rho = 4) whose time rows all
-    miss [t_start, t_end], and an initial slice past the domain."""
+    miss [t_start, t_end], an initial slice past the domain, and a Hoelder
+    cylinder of gradients and values whose time rows all lie past t_end."""
     assert cli.run(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
-    "argv, csv_sha256, meta_sha256",
+    "argv, csv_sha256, meta_sha256, code",
     [
         (["harnack", "--preset", "thm-harnack-supercritical", "--t_o", "0.0"],
          "f85b176826e77c1f7ec9bfacb4c73015579d722c488aaac55a54edd4a966f765",
-         "6a1f58214fa75cd125877de31d5c496484bb2ec86132412ee18a7e7de64fb3bd"),
+         "6a1f58214fa75cd125877de31d5c496484bb2ec86132412ee18a7e7de64fb3bd", 0),
         (["expand", "--preset", "expansion-positivity", "--t_o", "0.039"],
          "9fa93e0647d6be5ae3d4ac5e0b163aa7c552446bc89fedcea3333e2ddc34cf11",
-         "cb6b204d7b31a1764771e62efd6992ceb152e58332fdf575aa5c321b0c004c83"),
+         "cb6b204d7b31a1764771e62efd6992ceb152e58332fdf575aa5c321b0c004c83", 0),
         (["holder", "--preset", "holder-supercritical", "--t_o", "0.0"],
          "ba6e0fcc561d166160d85d77c9ff91804fea5148817a5a0b1985308ebe006ff0",
-         "ccf01dc3a9383cdb2d0a612831eef61a2b9e217dcc3c48a211baa12bd7fe7d5d"),
+         "ccf01dc3a9383cdb2d0a612831eef61a2b9e217dcc3c48a211baa12bd7fe7d5d", 0),
+        (["gradbound", "--preset", "gradbound-supercritical", "--lattice", "8"],
+         "0a06d6a7010bcbf74fe255451013c2203d49af7c72e19de9a523c5a80a07b71b",
+         "8b73cb837eb1dd2e6213a59c6be0606383a6a6f7611a737bbabf04ff3cb0ecd8", 0),
+        (["gradbound", "--preset", "gradbound-fail-trudinger", "--lattice", "8"],
+         "42da8b03e8d5f2be6eba48a38315f38f53c09add4659cf93e65e45d3a1c02602",
+         "53f1a1e2ea6a4f0d89a6fe4f040159420d333c5f6d1daf21d26deb55bbf34158", 2),
     ],
 )
-def test_edge_scan_bytes(argv, csv_sha256, meta_sha256, tmp_path):
+def test_edge_scan_bytes(argv, csv_sha256, meta_sha256, code, tmp_path):
     """Scans whose lattices are cut by t_start or t_end (part of a cylinder,
-    or of the later expansion windows, outside the run) keep their bytes."""
+    or of the later expansion windows, outside the run) and closed-form
+    gradient cylinders keep their bytes and exit codes."""
     prefix = tmp_path / "op"
-    assert cli.run(argv + ["--out", str(prefix)]) == 0
+    assert cli.run(argv + ["--out", str(prefix)]) == code
     for suffix, want in (("csv", csv_sha256), ("meta", meta_sha256)):
         data = (tmp_path / f"op.{suffix}").read_bytes()
         assert hashlib.sha256(data).hexdigest() == want
@@ -620,6 +648,39 @@ class TestExtinction:
         for x_o in (1.0, 1.5, -1.2):
             with pytest.raises(RegimeError, match="not inside the domain"):
                 extinction_analysis(bump_traj, x_probes=(0.0, x_o))
+
+    def test_probe_times_before_t_start_clamp(self):
+        # extinction at T_num = 0.164 from t_start = 0.1: the first probe
+        # time 0.55 T_num lies before t_start and reads the first stored row
+        g = Grid1D(0.0, 1.0, 24, "radial", 3)
+        xi = (g.centers() - g.x_lo) / (g.x_hi - g.x_lo)
+        pr = CauchyDirichletProblem(
+            ExponentTriple(2.0, 2.0, 3), g, np.cos(np.pi * xi / 2) ** 8, 0.4,
+            t_start=0.1,
+        )
+        traj = solve(pr, SolverConfig(dt=2e-3))
+        rep = extinction_analysis(traj, x_probes=(0.2, 0.5))
+        T_num = rep.extras["T_num"]
+        t_os = np.linspace(0.55 * T_num, 0.9 * T_num, 4)
+        assert t_os[0] < 0.1
+        # one row per (x_o, t_o), with the scalar reads' bits
+        src = SolutionSource(traj)
+        want = []
+        for x_o in (0.2, 0.5):
+            d = 1.0 - x_o
+            for t_o in t_os:
+                rate = ((T_num - t_o) / d**2.0) ** (1 / 1.0)
+                want.append(
+                    {
+                        "x_o": x_o,
+                        "t_o": float(t_o),
+                        "gamma_u": src.eval(x_o, t_o) / rate,
+                        "gamma_du": src.grad_norm(x_o, t_o) / (rate / d),
+                    }
+                )
+        assert rep.probes == want
+        assert src.eval(0.2, t_os[0]) == src.eval(0.2, 0.1)
+        assert rep.implied_constant == max(pc["gamma_u"] for pc in want)
 
     def test_no_extinction_inconclusive(self, bump_traj):
         rep = extinction_analysis(bump_traj)

@@ -27,6 +27,7 @@ from dnl_lab.exact import (
     derive_critical_b,
     derive_critical_b_report,
 )
+from dnl_lab.diagnostics import SolutionSource
 
 
 class TestForcedExponents:
@@ -290,15 +291,16 @@ def _eval_each(sol, xs, t):
         return None, str(exc)
 
 
-def _eval_line(sol, xs, t):
+def _lattice_row(sol, xs, t):
+    """A one-row `eval_lattice` at the time t, or its DomainError."""
     try:
-        return sol.eval_line(xs, t), None
+        return sol.eval_lattice(xs, [t])[0], None
     except DomainError as exc:
         return None, str(exc)
 
 
 class TestEvalLine:
-    """`eval_line` equals one `eval` per point, bit for bit."""
+    """A one-row `eval_lattice` equals one `eval` per point, bit for bit."""
 
     @settings(max_examples=200)
     @given(st.data())
@@ -309,7 +311,7 @@ class TestEvalLine:
         # compare values only: overflow and 0**-e warn point by point
         with np.errstate(all="ignore"):
             want, want_err = _eval_each(sol, xs, t)
-            got, got_err = _eval_line(sol, xs, t)
+            got, got_err = _lattice_row(sol, xs, t)
             assert got_err == want_err
             if want_err is not None:
                 ok = [
@@ -318,7 +320,7 @@ class TestEvalLine:
                 ]
                 xs = xs[np.array(ok, dtype=bool)]
                 want, _ = _eval_each(sol, xs, t)
-                got, _ = _eval_line(sol, xs, t)
+                got, _ = _lattice_row(sol, xs, t)
         assert got.dtype == np.float64 and got.shape == xs.shape
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
@@ -332,15 +334,15 @@ class TestEvalLine:
             xs = np.linspace(x_o - rho, x_o + rho, 32)
             for t in np.linspace(t_o - 0.4, min(t_o + 0.4, 0.99), 32):
                 want, _ = _eval_each(sol, xs, t)
-                assert sol.eval_line(xs, t).view(np.int64).tolist() == (
+                assert sol.eval_lattice(xs, [t])[0].view(np.int64).tolist() == (
                     want.view(np.int64).tolist()
                 )
 
     def test_first_invalid_point_named(self):
         sol = SeparableBlowup(n_dim=3, p=2.0, q=5.0)
         with pytest.raises(DomainError, match=r"^\(0\.0, 0\.5\) outside"):
-            sol.eval_line(np.array([1.0, -0.0, 2.0, 0.0]), 0.5)
-        assert sol.eval_line(np.array([]), 0.5).shape == (0,)
+            sol.eval_lattice(np.array([1.0, -0.0, 2.0, 0.0]), [0.5])
+        assert sol.eval_lattice(np.array([]), [0.5])[0].shape == (0,)
 
 
 @st.composite
@@ -362,43 +364,77 @@ def _lattice_axes(draw, sol):
     return xs, ts
 
 
-def _lattice_each(sol, xs, ts):
-    """Reference: one scalar `eval` per point that `valid_rt(|x|, t)`
-    accepts, row by row, or the first DomainError."""
+def _point_read(sol, field):
+    """Reference read of one coordinate v at the time t: `eval`, or the
+    norm of `grad`."""
+    if field == "eval":
+        return lambda v, t: sol.eval([v], t)
+    return lambda v, t: float(np.linalg.norm(sol.grad([v], t)))
+
+
+def _lattice_each(sol, xs, ts, field="eval", drop=True):
+    """Reference: one scalar read per point, row by row, of the points that
+    `valid_rt(|x|, t)` accepts (of every point without drop), or the first
+    DomainError."""
+    read = _point_read(sol, field)
     vals = []
     try:
         for t in ts:
             ok = sol.valid_rt(np.abs(xs), np.asarray(t, float))
-            keep = xs[np.broadcast_to(ok, xs.shape)].tolist()
-            vals += [sol.eval([v], t) for v in keep]
+            keep = xs[np.broadcast_to(ok, xs.shape)] if drop else xs
+            vals += [read(v, t) for v in keep.tolist()]
     except DomainError as exc:
         return None, str(exc)
     return np.array(vals, dtype=float), None
 
 
-def _eval_lattice(sol, xs, ts):
+def _result(read):
     try:
-        return sol.eval_lattice(xs, ts), None
+        return read(), None
     except DomainError as exc:
         return None, str(exc)
 
 
-class TestEvalLattice:
-    """`eval_lattice` equals one `eval` per valid lattice point, bit for bit."""
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.data())
-    def test_matches_pointwise(self, data):
-        sol = data.draw(st.sampled_from(_LINE_FAMILIES), label="family")
-        xs, ts = data.draw(_lattice_axes(sol), label="lattice")
+def _assert_lattice_reads(sol, xs, ts, field):
+    """A closed-form `SolutionSource.lattice` equals the reference over the
+    valid points, and `eval_lattice` over every point: the same bits, or
+    the same DomainError."""
+    src = SolutionSource(sol)
+    for drop, read in [
+        (True, lambda: src.lattice((field,), xs, ts)[0]),
+        (False, lambda: sol.eval_lattice(xs, ts, field).ravel()),
+    ]:
         # compare values only: overflow and 0**-e warn point by point
         with np.errstate(all="ignore"):
-            want, want_err = _lattice_each(sol, xs, ts)
-            got, got_err = _eval_lattice(sol, xs, ts)
+            want, want_err = _lattice_each(sol, xs, ts, field, drop)
+            got, got_err = _result(read)
         assert got_err == want_err
         if want_err is None:
             assert got.dtype == np.float64 and got.shape == want.shape
             assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+class TestEvalLattice:
+    """`eval_lattice` equals one `eval` or |`grad`| per lattice point, and a
+    closed-form `SolutionSource.lattice` one per valid point, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_pointwise(self, data):
+        sol = data.draw(st.sampled_from(_LINE_FAMILIES), label="family")
+        xs, ts = data.draw(_lattice_axes(sol), label="lattice")
+        field = data.draw(st.sampled_from(["eval", "grad_norm"]), label="field")
+        _assert_lattice_reads(sol, xs, ts, field)
+
+    @pytest.mark.parametrize("sol", _LINE_FAMILIES)
+    def test_origin_and_tiny_radii(self, sol):
+        # r = 0 from 0.0 and -0.0, and from 1e-300, whose square underflows
+        # while |x| stays positive; t = 0 and 0.75 make rows of some families
+        # invalid or mixed
+        xs = np.array([0.3, 0.0, -0.0, 1e-300, -1e-300, 0.05, 0.9, -2.0])
+        for field in ("eval", "grad_norm"):
+            _assert_lattice_reads(sol, xs, [0.25, 0.0, 0.75], field)
+            _assert_lattice_reads(sol, xs[[0, 5, 6, 7]], [0.25, 0.75], field)
 
     @pytest.mark.parametrize("sol, x_o, t_os, radii", [
         (CriticalHarnackWave(n_dim=3, p=2.0), 1.0, [-2, -4, -8, -16, -32], [1.0]),
@@ -415,12 +451,17 @@ class TestEvalLattice:
                 xs = np.linspace(x_o - rho, x_o + rho, 32)
                 ts = np.linspace(t_o - half, t_o + half, 32)
                 want, _ = _lattice_each(sol, xs, ts)
-                got = sol.eval_lattice(xs, ts)
+                got = sol.eval_lattice(xs, ts).ravel()
                 assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
     def test_first_invalid_point_named(self):
-        # |x| accepts 1e-300, its radius sqrt(x * x) = 0 does not
         sol = SeparableBlowup(n_dim=3, p=2.0, q=5.0)
-        with pytest.raises(DomainError, match=r"^\(0\.0, 0\.25\) outside"):
-            sol.eval_lattice(np.array([1.0, 1e-300, 2.0]), [0.25, 0.5])
-        assert sol.eval_lattice(np.array([1.0, -0.0, 2.0]), [0.5, 2.0]).size == 2
+        src = SolutionSource(sol)
+        for field in ("eval", "grad_norm"):
+            # |x| accepts 1e-300, its radius sqrt(x * x) = 0 does not
+            with pytest.raises(DomainError, match=r"^\(0\.0, 0\.25\) outside"):
+                src.lattice((field,), np.array([1.0, 1e-300, 2.0]), [0.25, 0.5])
+            xs = np.array([1.0, -0.0, 2.0])
+            assert src.lattice((field,), xs, [0.5, 2.0])[0].size == 2
+            with pytest.raises(DomainError, match=r"^\(0\.0, 0\.5\) outside"):
+                sol.eval_lattice(xs, [0.5, 2.0], field)
