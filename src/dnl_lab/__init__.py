@@ -3,7 +3,7 @@
     d/dt (u^q) - div(|Du|^(p-2) Du) = 0.
 
 Subpackages:
-    core        exponent arithmetic, regime classification, intrinsic geometry,
+    core        exponent arithmetic, regime classification, the 1-D grid,
                 g-functions, time mollifiers
     exact       catalog of closed-form solutions / counterexample families
     solver      implicit finite-volume solver for Cauchy-Dirichlet problems
@@ -16,13 +16,9 @@ Subpackages:
 from .core import (
     ExponentTriple,
     RegimeFlags,
-    IntrinsicCylinder,
     Grid1D,
-    Field,
-    lambda_r,
     classify,
     g_signed,
-    intrinsic_distance,
     mollify_exp,
     steklov,
 )

@@ -1,14 +1,14 @@
 """Core objects shared by the whole laboratory.
 
 Exponent arithmetic and regime classification for the doubly nonlinear
-equation d/dt(u^q) = div(|Du|^(p-2) Du), the intrinsic parabolic geometry
-(cylinders, intrinsic distance), the g-functions that replace the missing
-chain rule in the fast-diffusion energy estimates, and discrete time
-mollifiers (exponential kernel and forward Steklov average).
+equation d/dt(u^q) = div(|Du|^(p-2) Du), the 1-D grid, the g-functions
+that replace the missing chain rule in the fast-diffusion energy estimates,
+and discrete time mollifiers (exponential kernel and forward Steklov
+average).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,17 +58,6 @@ class ExponentTriple:
     def lam_q(self):
         return self.lambda_r(self.q)
 
-    @property
-    def lam_q1(self):
-        return self.lambda_r(self.q + 1)
-
-
-def lambda_r(e, r):
-    """lambda_r = N(p-q-1) + r p for the exponent triple ``e``."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    return e.lambda_r(r)
-
 
 @dataclass(frozen=True)
 class RegimeFlags:
@@ -81,29 +70,29 @@ class RegimeFlags:
     at_boundedness_critical: bool
 
 
-def _close(a, b, rtol=CRITICAL_RTOL):
+def _close(a, b):
     if math.isinf(b):
         return False
-    return abs(a - b) <= rtol * max(1.0, abs(a), abs(b))
+    return abs(a - b) <= CRITICAL_RTOL * max(1.0, abs(a), abs(b))
 
 
-def classify(e, rtol=CRITICAL_RTOL):
+def classify(e):
     """Classify an exponent triple into diffusion kind and Harnack /
     boundedness regimes.
 
     Equality with a critical exponent is detected with relative tolerance
-    ``rtol`` so that classification survives serialization round-trips.
+    ``CRITICAL_RTOL`` so that classification survives serialization round-trips.
     """
     qc_har = e.critical_harnack_q()
     qc_bdd = e.boundedness_q()
-    if _close(e.q, e.p - 1, rtol):
+    if _close(e.q, e.p - 1):
         kind = "trudinger"
     elif e.q < e.p - 1:
         kind = "slow"
     else:
         kind = "fast"
-    at_har = _close(e.q, qc_har, rtol)
-    at_bdd = _close(e.q, qc_bdd, rtol)
+    at_har = _close(e.q, qc_har)
+    at_bdd = _close(e.q, qc_bdd)
     supercritical = kind == "fast" and not at_har and e.q < qc_har
     bounded = not at_bdd and e.q < qc_bdd
     return RegimeFlags(
@@ -113,51 +102,6 @@ def classify(e, rtol=CRITICAL_RTOL):
         bounded_guaranteed=bounded,
         at_boundedness_critical=at_bdd,
     )
-
-
-@dataclass(frozen=True)
-class IntrinsicCylinder:
-    """Intrinsic parabolic cylinder K_rho(x_o) x (time interval).
-
-    scaling:
-        "theta_backward"  -> (t_o - theta rho^p, t_o]
-        "lambda_backward" -> (t_o - lam^(2-p) rho^2, t_o]
-        "symmetric_u"     -> (t_o - u_o^(q+1-p) rho^p, t_o + u_o^(q+1-p) rho^p)
-    The scaling parameter (theta, lam or u_o) goes into ``scale_param``;
-    symmetric cylinders additionally need the exponents.
-    """
-
-    x_o: tuple
-    t_o: float
-    radius: float
-    scaling: str
-    scale_param: float
-    p: float = 2.0
-    q: float = 1.0
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be > 0")
-        if self.scaling not in ("theta_backward", "lambda_backward", "symmetric_u"):
-            raise ValueError(f"unknown scaling {self.scaling!r}")
-        if self.time_extent() <= 0:
-            raise ValueError("cylinder has non-positive time extent")
-
-    def time_interval(self):
-        """(t_lo, t_hi) of the cylinder's time slab."""
-        if self.scaling == "theta_backward":
-            return (self.t_o - self.scale_param * self.radius**self.p, self.t_o)
-        if self.scaling == "lambda_backward":
-            return (
-                self.t_o - self.scale_param ** (2 - self.p) * self.radius**2,
-                self.t_o,
-            )
-        half = self.scale_param ** (self.q + 1 - self.p) * self.radius**self.p
-        return (self.t_o - half, self.t_o + half)
-
-    def time_extent(self):
-        lo, hi = self.time_interval()
-        return hi - lo
 
 
 @dataclass(frozen=True)
@@ -207,22 +151,6 @@ class Grid1D:
             return 1.0
         N = self.n_dim
         return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
-
-
-@dataclass
-class Field:
-    """A cell-centered scalar field at a fixed time."""
-
-    grid: Grid1D
-    time: float
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n_cells,):
-            raise ValueError("values must have one entry per cell")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field values must be finite")
 
 
 def g_signed(a, b, q, variant="full"):
@@ -275,19 +203,6 @@ def g_signed(a, b, q, variant="full"):
         )
         return max(q * val, 0.0)
     raise ValueError(f"unknown variant {variant!r}")
-
-
-def intrinsic_distance(z1, z2, lam, p):
-    """Intrinsic parabolic distance |x1-x2| + sqrt(lam^(p-2) |t1-t2|)."""
-    if lam <= 0:
-        raise ValueError("lambda must be > 0")
-    x1, t1 = z1
-    x2, t2 = z2
-    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    return float(
-        np.linalg.norm(x1 - x2) + math.sqrt(lam ** (p - 2) * abs(t1 - t2))
-    )
 
 
 def mollify_exp(samples, dt, h, direction="forward"):

@@ -196,19 +196,17 @@ class SolutionSource:
         return tables
 
 
-def _monotone_exceedance(values, factor=2.0, scales=4):
-    """True iff the last `scales` values form a strictly increasing run and
-    the overall spread exceeds `factor` (guards against noise-triggered
+def _monotone_exceedance(values):
+    """True iff some 4 consecutive values form a strictly increasing run and
+    the overall spread exceeds a factor 2 (guards against noise-triggered
     divergence verdicts)."""
     v = np.asarray(values, dtype=float)
-    if v.size < scales:
-        return False
     runs = 1
     best = 1
     for i in range(1, v.size):
         runs = runs + 1 if v[i] > v[i - 1] else 1
         best = max(best, runs)
-    return best >= scales and v.max() / max(v.min(), 1e-300) > factor
+    return best >= 4 and v.max() / max(v.min(), 1e-300) > 2.0
 
 
 def _verdict(constants):
@@ -396,19 +394,19 @@ def expansion_of_positivity(src, x_o, t_o, rho, M, alpha, delta_scan=10, lattice
     return rep
 
 
-def extinction_analysis(traj, x_probes=(), extinct_tol=1e-8, skip_fraction=1e-3):
+def extinction_analysis(traj, x_probes=()):
     """Extinction diagnostics on a zero-boundary fast-diffusion run:
 
-    (i)   numerical extinction time T_num (first time max u < extinct_tol);
-    (ii)  energy comparison v(t) = ||u||_{q+1}^{q+1} <= w(t), with w the
-          explicit ODE solution built from the discrete Rayleigh-quotient
+    (i)   numerical extinction time T_num (first time max u < 1e-8);
+    (ii)  energy comparison v(t) = ||u||_{q+1}^{q+1} <= w(t - t_start), with w
+          the explicit ODE solution built from the discrete Rayleigh-quotient
           constant mu = (q+1)/q min_t ||Du||_p^p / ||u||_{q+1}^p;
     (iii) implied constants of the decay estimates
           u(x_o,t_o) <= gamma [(T-t_o)/d^p]^{1/(q+1-p)} (and its gradient
           form) at the probe points, for t_o in (T/2, T).  A probe on or
           past the domain edge (distance d <= 0) raises RegimeError.
 
-    Verdict bounded iff v <= w up to 5% of v(0) and T_num <= T_bound."""
+    Verdict bounded iff v <= w up to 5% of v0 and T_num - t_start <= T_bound."""
     e = traj.problem.exponents
     p, q = e.p, e.q
     if q + 1 - p <= 0:
@@ -428,7 +426,7 @@ def extinction_analysis(traj, x_probes=(), extinct_tol=1e-8, skip_fraction=1e-3)
     sup_u = fn["sup_u"]
     rep = DiagnosticReport(estimate_id="extinction")
     # (i) numerical extinction time
-    extinct = np.nonzero(sup_u < extinct_tol)[0]
+    extinct = np.nonzero(sup_u < 1e-8)[0]
     if extinct.size == 0:
         rep.verdict = "inconclusive"
         rep.notes = "no extinction before t_end"
@@ -438,14 +436,16 @@ def extinction_analysis(traj, x_probes=(), extinct_tol=1e-8, skip_fraction=1e-3)
     v0 = v[0]
     ratios = []
     for i in range(len(times)):
-        if v[i] > skip_fraction * v0:
+        if v[i] > 1e-3 * v0:
             norm_u = v[i] ** (1.0 / (q + 1))
             ratios.append(gradient_p_norm(traj, i) / norm_u**p)
     mu = (q + 1) / q * float(np.min(ratios))
     kexp = q + 1 - p
     T_bound = float((q + 1) * v0 ** (kexp / (q + 1)) / (mu * kexp))
+    t_start = traj.problem.t_start
+    elapsed = times - t_start
     w = v0 * np.clip(
-        1.0 - mu * kexp * times / ((q + 1) * v0 ** (kexp / (q + 1))), 0.0, None
+        1.0 - mu * kexp * elapsed / ((q + 1) * v0 ** (kexp / (q + 1))), 0.0, None
     ) ** ((q + 1) / kexp)
     max_excess = float(np.max((v - w)) / v0)
     # (iii) decay constants at probes
@@ -473,18 +473,20 @@ def extinction_analysis(traj, x_probes=(), extinct_tol=1e-8, skip_fraction=1e-3)
     rep.implied_constant = max(
         [pc["gamma_u"] for pc in probe_consts], default=0.0
     )
-    within = max_excess <= 0.05 and T_num <= T_bound * (1 + 1e-12)
+    within = max_excess <= 0.05 and T_num - t_start <= T_bound * (1 + 1e-12)
     rep.verdict = "bounded" if within else "diverging"
     rep.extras = dict(T_num=T_num, T_bound=T_bound, mu=mu, max_excess=max_excess)
     return rep
 
 
-def decay_exponent_fit(sol, x_o, t_lo_frac=0.9, t_hi_frac=0.999, n=24):
-    """Log-log fit of u(x_o, t) against (T - t) near the extinction time of a
-    closed-form family with a T parameter.  Returns (slope, r_squared)."""
-    T = sol.T
-    ts = T - (T * (1 - t_lo_frac)) * np.logspace(
-        0, math.log10((1 - t_hi_frac) / (1 - t_lo_frac)), n
+def decay_exponent_fit(sol, x_o):
+    """Log-log fit of u(x_o, t) against (T - t) at 24 times in [0.9 T, 0.999 T]
+    of a closed-form family with a T parameter.  Returns (slope, r_squared)."""
+    T = getattr(sol, "T", None)
+    if T is None:
+        raise RegimeError(f"decay fit needs a family with a time T, not {sol.family}")
+    ts = T - (T * (1 - 0.9)) * np.logspace(
+        0, math.log10((1 - 0.999) / (1 - 0.9)), 24
     )
     vals = np.array([sol.eval([x_o], t) for t in ts])
     X = np.log(T - ts)

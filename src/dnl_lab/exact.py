@@ -3,9 +3,10 @@ d/dt(u^q) = div(|Du|^(p-2) Du).
 
 Every family is radially symmetric and evaluable pointwise with an analytic
 gradient and analytic d/dt(u^q).  An independent second-order central
-finite-difference residual oracle (``pde_residual``) cross-validates the
-analytic derivatives; for families with role "weak_solution" the residual
-converges at order 2 in the stencil width.
+finite-difference residual oracle (``pde_residual``) checks u against the
+equation; for families with role "weak_solution" the residual converges at
+order 2 in the stencil width.  The oracle reads u alone: the tests check the
+analytic gradient against a central difference of u.
 """
 
 import inspect
@@ -827,7 +828,8 @@ FAMILIES = {
 
 def make_family(name, **params):
     """Construct a catalog family by its stable string identifier; a
-    parameter the family does not take is a ValueError."""
+    parameter the family does not take, or a required one left out, is a
+    ValueError."""
     try:
         cls = FAMILIES[name]
     except KeyError:
@@ -837,10 +839,14 @@ def make_family(name, **params):
     try:
         return cls(**params)
     except TypeError:
-        extra = sorted(set(params) - set(inspect.signature(cls).parameters))
-        if not extra:
+        sig = inspect.signature(cls).parameters
+        extra = sorted(set(params) - set(sig))
+        if extra:
+            raise ValueError(f"family {name!r} takes no {', '.join(extra)}") from None
+        missing = [k for k in sig if sig[k].default is sig[k].empty and k not in params]
+        if not missing:
             raise
-        raise ValueError(f"family {name!r} takes no {', '.join(extra)}") from None
+        raise ValueError(f"family {name!r} requires {', '.join(missing)}") from None
 
 
 # fixed deterministic probe lattice for the arbitration (away from r=0)

@@ -7,9 +7,9 @@ state for the fluid reduces, for power-type laws, to
 
 in the density or pressure variable v; the substitution u = v^{1/q_exp} with
 q_exp = 1 / (1 + (m_u - 1)/(p_exp - 1)) turns it into the prototype
-d/dt(u^q) = div(|Du|^{p-2} Du) up to a collected constant.  Non-power laws
-(Forchheimer, Khristianovich) are represented but deliberately not reduced:
-forcing a power fit would misstate the model.
+d/dt(u^q) = div(|Du|^{p-2} Du) up to a collected constant.  The non-power
+Forchheimer law is represented but deliberately not reduced: forcing a power
+fit would misstate the model.
 """
 
 import math
@@ -29,13 +29,10 @@ class NotPowerLaw(ValueError):
 
 @dataclass(frozen=True)
 class FiltrationLaw:
-    kind: str  # "darcy" | "power_law" | "forchheimer" | "khristianovich"
+    kind: str  # "darcy" | "power_law" | "forchheimer"
     alpha: float = None  # power_law exponent (> 0)
     a: float = None  # forchheimer linear coefficient (>= 0)
     b: float = None  # forchheimer quadratic coefficient (>= 0)
-    phi_fun: object = None  # khristianovich tabulated monotone function
-    pi_const: float = None
-    lambda_char: float = None
 
     def __post_init__(self):
         if self.kind == "power_law":
@@ -46,11 +43,6 @@ class FiltrationLaw:
                 raise ValueError("forchheimer requires a, b >= 0")
             if self.a == 0 and self.b == 0:
                 raise ValueError("forchheimer requires a, b not both zero")
-        elif self.kind == "khristianovich":
-            if self.phi_fun is None:
-                raise ValueError("khristianovich requires the tabulated function")
-            if self.phi_fun(0.0) < 0:
-                raise ValueError("khristianovich function must satisfy phi(0) >= 0")
         elif self.kind != "darcy":
             raise ValueError(f"unknown filtration law {self.kind!r}")
 
@@ -59,11 +51,7 @@ class FiltrationLaw:
 class StateEquation:
     kind: str  # "polytropic" | "ideal_isothermal" | "weakly_compressible" | "incompressible"
     n: float = None  # polytropic exponent (> 1)
-    p_bar: float = 1.0
-    rho_bar: float = 1.0
     K: float = None  # weakly-compressible modulus (> 0)
-    rho_o: float = 1.0
-    p_o: float = 0.0
 
     def __post_init__(self):
         if self.kind == "polytropic":
@@ -128,7 +116,7 @@ def to_dnl(law, state, medium):
     q_exp the prototype exponent of the u = v^{1/q_exp} substitution.  The
     nanoporous pressure-dependent permeability k = A|dp/dx|^m (set via
     medium.nanoporous_m) works in the pressure variable."""
-    if law.kind in ("forchheimer", "khristianovich"):
+    if law.kind == "forchheimer":
         raise NotPowerLaw(
             law,
             "only Darcy and power filtration laws reduce to (p, q) exponents; "
@@ -174,12 +162,12 @@ def to_dnl(law, state, medium):
     prov["law"] = f"velocity = c |grad p|^(alpha-1) grad p, alpha = {alpha!r}"
     if state.kind == "polytropic":
         m_u = 2.0 + (state.n - 1.0) * alpha
-        k_state = state.n * state.p_bar / state.rho_bar**state.n
+        k_state = state.n
         prov["state"] = f"polytropic, n = {state.n!r}"
         variable = "density"
     elif state.kind == "ideal_isothermal":
         m_u = 2.0
-        k_state = state.p_bar / state.rho_bar
+        k_state = 1.0
         prov["state"] = "ideal isothermal gas (n -> 1 limit)"
         variable = "density"
     elif state.kind == "weakly_compressible":
@@ -196,22 +184,19 @@ def to_dnl(law, state, medium):
     return ParameterCard(p_exp, m_u, q_exp, base * k_state, variable, prov)
 
 
-def reynolds_regime(reynolds, thresholds=(1.0, 10.0)):
+def reynolds_regime(reynolds):
     """Recommended filtration law by Reynolds number range:
 
-    below the low threshold  -> power law with alpha > 1 (pre-linear regime)
-    between the thresholds   -> Darcy (linear seepage)
-    above the high threshold -> post-linear law (power alpha in (1/2, 1);
-                                Forchheimer is the drag-corrected alternative)
+    below 1       -> power law with alpha > 1 (pre-linear regime)
+    from 1 to 10  -> Darcy (linear seepage)
+    above 10      -> post-linear law (power alpha in (1/2, 1);
+                     Forchheimer is the drag-corrected alternative)
     """
-    lo, hi = thresholds
-    if not lo < hi:
-        raise ValueError("thresholds must be increasing")
     if reynolds <= 0:
         raise ValueError("Reynolds number must be positive")
-    if reynolds < lo:
+    if reynolds < 1.0:
         return FiltrationLaw("power_law", alpha=2.0)
-    if reynolds <= hi:
+    if reynolds <= 10.0:
         return FiltrationLaw("darcy")
     return FiltrationLaw("power_law", alpha=0.75)
 
@@ -225,8 +210,9 @@ def _div_flux_fd(flux_of_v, v_fun, xs, h):
     return (flux_of_v(vp, dvp) - flux_of_v(vm, dvm)) / h
 
 
-def verify_mapping(card, probe, x_lo=0.2, x_hi=1.2, n_points=41, h_values=(1e-2, 5e-3, 2.5e-3)):
-    """Numerically verify the u = v^{1/q_exp} reduction on a 1-D probe.
+def verify_mapping(card, probe):
+    """Numerically verify the u = v^{1/q_exp} reduction on a 1-D probe over
+    41 points of [0.2, 1.2], at the steps h = 1e-2, 5e-3 and 2.5e-3.
 
     Substitutes the positive probe v(x) into the physical flux divergence
     K div(v^{m_u-1}|v'|^{p-2}v') and into the prototype flux divergence of
@@ -235,7 +221,8 @@ def verify_mapping(card, probe, x_lo=0.2, x_hi=1.2, n_points=41, h_values=(1e-2,
     agree to O(h^2).  Returns {h, max_diff, order, passes, scale}."""
     p, m_u, q = card.p_exp, card.m_u, card.q_exp
     s = 1.0 / q
-    xs = np.linspace(x_lo, x_hi, n_points)
+    xs = np.linspace(0.2, 1.2, 41)
+    h_values = (1e-2, 5e-3, 2.5e-3)
     v0 = probe(xs)
     if np.any(v0 <= 0):
         raise ValueError("probe must be positive on the window")

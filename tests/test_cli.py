@@ -398,6 +398,12 @@ class TestRun:
                  f"cylinder of radius {rho} leaves the domain")
                 for x_o, rho in (("1", 0.01), ("-1", 0.01), ("0.95", 0.06))
             ],
+            (["extinction", "--family.id", "trudinger_gaussian",
+              "--family.p", "2", "--family.N", "1"],
+             "decay fit needs a family with a time T, not trudinger_gaussian"),
+            (["harnack", "--family.id", "separable_blowup", "--x_o", "1",
+              "--t_o", "0.5", "--radii", "1"],
+             "family 'separable_blowup' requires n_dim, p, q"),
         ],
     )
     def test_bad_probe_exits_1(self, capsys, argv, message):
@@ -606,3 +612,16 @@ def test_family_key_the_family_does_not_take_exits_1(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: family 'trudinger_gaussian' takes no T\n"
+
+
+@pytest.mark.parametrize("fid", sorted(cli.FAMILIES))
+def test_family_without_its_parameters_exits_cleanly(capsys, fid):
+    # a family given by its id alone: runs with the defaults or names what
+    # it misses in one line
+    code = run(["harnack", "--family.id", fid, "--x_o", "1", "--t_o", "0.5",
+                "--radii", "1"])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,4 +1,4 @@
-"""Tests for exponent arithmetic, regimes, geometry, g-functions, mollifiers."""
+"""Tests for exponent arithmetic, regimes, the grid, g-functions, mollifiers."""
 
 import math
 
@@ -7,13 +7,9 @@ import pytest
 
 from dnl_lab.core import (
     ExponentTriple,
-    IntrinsicCylinder,
     Grid1D,
-    Field,
-    lambda_r,
     classify,
     g_signed,
-    intrinsic_distance,
     mollify_exp,
     steklov,
 )
@@ -42,10 +38,6 @@ class TestExponentTriple:
         # N(p - q - 1) + r p = 3*(-1) + 2 r
         assert e.lambda_r(0.0) == pytest.approx(-3.0)
         assert e.lam_q == pytest.approx(1.0)
-        assert e.lam_q1 == pytest.approx(3.0)
-        assert lambda_r(e, 2.0) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            lambda_r(e, -1.0)
 
 
 class TestClassify:
@@ -71,28 +63,6 @@ class TestClassify:
     def test_critical_detection_tolerance(self):
         q = 3.0 * (1.0 + 1e-14)
         assert classify(ExponentTriple(2.0, q, 3)).at_harnack_critical
-
-
-class TestIntrinsicCylinder:
-    def test_theta_backward(self):
-        c = IntrinsicCylinder((0.0,), 1.0, 0.5, "theta_backward", 2.0, p=2.0)
-        assert c.time_interval() == pytest.approx((1.0 - 2.0 * 0.25, 1.0))
-
-    def test_lambda_backward(self):
-        c = IntrinsicCylinder((0.0,), 0.0, 1.0, "lambda_backward", 4.0, p=3.0)
-        # lam^(2-p) rho^2 = 4^-1
-        assert c.time_extent() == pytest.approx(0.25)
-
-    def test_symmetric(self):
-        c = IntrinsicCylinder((0.0,), 0.0, 1.0, "symmetric_u", 2.0, p=2.0, q=3.0)
-        # half length = u_o^(q+1-p) rho^p = 4
-        assert c.time_interval() == pytest.approx((-4.0, 4.0))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            IntrinsicCylinder((0.0,), 0.0, -1.0, "theta_backward", 1.0)
-        with pytest.raises(ValueError):
-            IntrinsicCylinder((0.0,), 0.0, 1.0, "bogus", 1.0)
 
 
 class TestGrid1D:
@@ -121,16 +91,6 @@ class TestGrid1D:
             Grid1D(0.0, 1.0, 3)
         with pytest.raises(ValueError):
             Grid1D(-1.0, 1.0, 10, "radial", 3)
-
-
-class TestField:
-    def test_shape_and_finite(self):
-        g = Grid1D(0.0, 1.0, 4)
-        Field(g, 0.0, np.ones(4))
-        with pytest.raises(ValueError):
-            Field(g, 0.0, np.ones(5))
-        with pytest.raises(ValueError):
-            Field(g, 0.0, np.array([1.0, np.nan, 1.0, 1.0]))
 
 
 class TestGFunction:
@@ -176,20 +136,6 @@ class TestGFunction:
             g_signed(1.0, 0.0, -1.0)
         with pytest.raises(ValueError):
             g_signed(1.0, 0.0, 2.0, "bogus")
-
-
-class TestIntrinsicDistance:
-    def test_basic(self):
-        d = intrinsic_distance(((0.0,), 0.0), ((3.0,), 4.0), lam=1.0, p=2.0)
-        assert d == pytest.approx(3.0 + 2.0)
-
-    def test_lambda_weight(self):
-        d = intrinsic_distance(((0.0,), 0.0), ((0.0,), 1.0), lam=4.0, p=3.0)
-        assert d == pytest.approx(2.0)
-
-    def test_error(self):
-        with pytest.raises(ValueError):
-            intrinsic_distance(((0.0,), 0.0), ((0.0,), 1.0), lam=0.0, p=2.0)
 
 
 class TestMollifiers:

@@ -682,6 +682,32 @@ class TestExtinction:
         assert src.eval(0.2, t_os[0]) == src.eval(0.2, 0.1)
         assert rep.implied_constant == max(pc["gamma_u"] for pc in want)
 
+    @pytest.mark.parametrize("n_cells, dt, span, verdict", [
+        (24, 2e-3, 0.3, "diverging"),  # T_num 0.064 > T_bound 0.0566
+        (80, 2.5e-4, 0.1, "bounded"),
+    ])
+    def test_shifted_start_reads_the_same(self, n_cells, dt, span, verdict):
+        # the same run from t_start = 0 and from t_start = 0.1: the energy
+        # comparison and the extinction bound see elapsed time
+        g = Grid1D(0.0, 1.0, n_cells, "radial", 3)
+        xi = (g.centers() - g.x_lo) / (g.x_hi - g.x_lo)
+        reps = []
+        for t_start in (0.0, 0.1):
+            pr = CauchyDirichletProblem(
+                ExponentTriple(2.0, 2.0, 3), g, np.cos(np.pi * xi / 2) ** 8,
+                t_start + span, t_start=t_start,
+            )
+            reps.append(extinction_analysis(solve(pr, SolverConfig(dt=dt))))
+        base, shifted = reps
+        assert shifted.verdict == base.verdict == verdict
+        for key in ("max_excess", "T_bound", "mu"):
+            assert shifted.extras[key] == pytest.approx(
+                base.extras[key], rel=1e-9, abs=1e-12
+            )
+        assert shifted.extras["T_num"] == pytest.approx(
+            base.extras["T_num"] + 0.1, abs=1e-12
+        )
+
     def test_no_extinction_inconclusive(self, bump_traj):
         rep = extinction_analysis(bump_traj)
         assert rep.verdict == "inconclusive"

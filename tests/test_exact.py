@@ -27,6 +27,7 @@ from dnl_lab.exact import (
     derive_critical_b,
     derive_critical_b_report,
 )
+from dnl_lab import cli
 from dnl_lab.diagnostics import SolutionSource
 
 
@@ -465,3 +466,32 @@ class TestEvalLattice:
             assert src.lattice((field,), xs, [0.5, 2.0])[0].size == 2
             with pytest.raises(DomainError, match=r"^\(0\.0, 0\.5\) outside"):
                 sol.eval_lattice(xs, [0.5, 2.0], field)
+
+
+class TestAnalyticGradient:
+    """`ur_rt`, which every closed-form `grad_norm` reads, against the
+    central difference of `u_rt` on the family's residual-sweep lattice."""
+
+    HS = (1e-3, 5e-4, 2.5e-4)
+
+    @pytest.mark.parametrize("sol", _LINE_FAMILIES)
+    def test_matches_central_difference(self, sol):
+        radii, times = cli._residual_lattice(cli.Config(), sol.family)
+        r, t = (a.ravel() for a in np.meshgrid(radii, times))
+        # only points whose widest stencil lies in the validity domain
+        h = self.HS[0]
+        ok = sol.valid_rt(r - h, t) & sol.valid_rt(r, t) & sol.valid_rt(r + h, t)
+        r, t = r[ok], t[ok]
+        assert r.size >= 8
+        ur = sol.ur_rt(r, t)
+        scale = np.max(np.abs(ur))
+        errs = [
+            np.max(np.abs((sol.u_rt(r + h, t) - sol.u_rt(r - h, t)) / (2 * h) - ur))
+            / scale
+            for h in self.HS
+        ]
+        assert errs[-1] <= 1e-4
+        if sol.family != "special_log_profile":
+            # the log profile's u is a spline of a tabulated f, so its error
+            # levels off instead of falling as h^2
+            assert math.log2(errs[-2] / errs[-1]) == pytest.approx(2.0, abs=0.2)

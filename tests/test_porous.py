@@ -127,9 +127,6 @@ class TestReduction:
         with pytest.raises(NotPowerLaw) as exc:
             to_dnl(law, StateEquation("ideal_isothermal"), MEDIUM)
         assert exc.value.law is law
-        khr = FiltrationLaw("khristianovich", phi_fun=lambda s: max(s - 1.0, 0.0))
-        with pytest.raises(NotPowerLaw):
-            to_dnl(khr, StateEquation("ideal_isothermal"), MEDIUM)
 
     def test_card_printout(self):
         card = to_dnl(FiltrationLaw("darcy"), StateEquation("polytropic", n=2.0), MEDIUM)
@@ -149,8 +146,6 @@ class TestReynolds:
     def test_errors(self):
         with pytest.raises(ValueError):
             reynolds_regime(-1.0)
-        with pytest.raises(ValueError):
-            reynolds_regime(5.0, thresholds=(10.0, 1.0))
 
 
 class TestVerifyMapping:
