@@ -365,7 +365,10 @@ def build_family(cfg):
         for key in cfg["family"]
         if key != "id"
     }
-    return make_family(fid, **params)
+    try:
+        return make_family(fid, **params)
+    except ValueError as exc:
+        raise ValueError(str(exc).replace("n_dim", "N")) from None
 
 
 def build_problem(cfg):
@@ -499,13 +502,8 @@ def pipe_exact_residual(cfg, out):
             )
     if getattr(fam, "role", "weak_solution") == "weak_subsolution":
         # sign check instead of convergence: residual must stay negative
-        ok = bool(np.all(res <= 0.0)) or float(
-            np.max(
-                exact.pde_residual_rt(
-                    fam, radii[:, None], times[None, :], hs[-1]
-                )
-            )
-        ) <= 0.0
+        last = exact.pde_residual_rt(fam, radii[:, None], times[None, :], hs[-1])
+        ok = float(np.max(last)) <= 0.0
         out.meta(f"subsolution_sign,{'pass' if ok else 'fail'}")
         return 0 if ok else 2
     ok = order >= 1.5
@@ -672,7 +670,7 @@ def _scan(diagnostic, source, *args):
     return pipeline
 
 
-_SCAN = ("probes", "family", "exponents", "solver", "grid")
+_SCAN = ("probes", "exponents", "solver", "grid")
 _POINT = (
     ("x_o", lambda cfg: _single(cfg, "x_o")),
     ("t_o", lambda cfg: _single(cfg, "t_o")),
@@ -683,7 +681,7 @@ _LATTICE = _key("lattice", 32)
 # subcommand -> (section order resolving a bare --key, pipeline(cfg, out))
 COMMANDS = {
     "regimes": (("exponents",), pipe_regimes),
-    "exact-residual": (("family", "residual"), pipe_exact_residual),
+    "exact-residual": (("residual",), pipe_exact_residual),
     "solve": (("solver", "grid", "exponents", "comparison"), pipe_solve),
     "harnack": (
         _SCAN,
@@ -717,7 +715,7 @@ COMMANDS = {
         ),
     ),
     "extinction": (
-        ("solver", "grid", "exponents", "family", "probes"),
+        ("solver", "grid", "exponents", "probes"),
         pipe_extinction,
     ),
     "gradbound": (
@@ -998,11 +996,12 @@ def _apply_overrides(cfg, tokens, subcommand):
             if section not in SCHEMA or key not in SCHEMA[section]:
                 raise ConfigError(f"unknown config key {section}.{key}")
         else:
-            # the subcommand's sections first, then every section in order;
-            # [family] only when its id is set, for only then is it read
-            order = (*COMMANDS[subcommand][0], *SCHEMA)
-            if "id" not in cfg.get("family", {}):
-                order = [c for c in order if c != "family"]
+            # [family] first when its id is set and not at all otherwise, for
+            # only then is it read; then the subcommand's, then all sections
+            order = [*COMMANDS[subcommand][0], *SCHEMA]
+            order.remove("family")
+            if "id" in cfg.get("family", {}):
+                order.insert(0, "family")
             section = next((c for c in order if key in SCHEMA[c]), None)
             if section is None:
                 raise ConfigError(f"unknown config key {key!r}")

@@ -65,21 +65,24 @@ class SolutionSource:
 
     `lattice` reads the points of a lattice ts x xs that its mask,
     `valid_lattice`, accepts.  The two kinds differ only in the mask and in
-    the read: `_read`, under `lattice`, and the closed-form scalar case of
-    its one-row form `_row`, which costs less than a 1 x 1 table.  A
-    coordinate x stands for the radius |x| on radial grids and for closed
-    forms, and for the signed position x on cartesian grids.  A trajectory's
-    mask is x in the domain and t in [t_start, t_end], so it reads only
-    in-span times: it takes the stored rows bracketing them with
-    `Trajectory.row`, which steps the solver only until they exist, and a
-    StepFailure surfaces in the first read that needs the failed step, and
-    in every read after it.
+    the read: `_read`, under `lattice`, and the closed-form case of its
+    one-row form `_row`.  A coordinate x stands for the radius |x| on radial
+    grids and for closed forms, and for the signed position x on cartesian
+    grids.  A closed form's mask is the one decision of its validity: it
+    takes `valid_rt` at the radius sqrt(x * x), which has the bits of the
+    `np.linalg.norm` that the family's `eval` and `grad` take, and the read,
+    `eval_lattice`, checks no point again.  A trajectory's mask is x in the
+    domain and t in [t_start, t_end], so it reads only in-span times: it
+    takes the stored rows bracketing them with `Trajectory.row`, which steps
+    the solver only until they exist, and a StepFailure surfaces in the
+    first read that needs the failed step, and in every read after it.
 
     `eval`, `grad_norm` and `valid` are the one-row cases of the read and of
     the mask: coordinates x on a probe line, a scalar or a 1-D array, and a
     scalar time t.  They return one value per coordinate, a float (a bool for
     `valid`) for a scalar x and an array for an array x, and drop no point: a
-    closed form raises DomainError outside its validity domain, and a
+    closed form reads point by point with the family's own `eval` and
+    `grad`, which raise DomainError outside its validity domain, and a
     trajectory clamps to its edge cells and end rows."""
 
     def __init__(self, backing):
@@ -110,12 +113,14 @@ class SolutionSource:
 
     def _row(self, field, x, t):
         x = np.asarray(x, dtype=float)
-        if not x.ndim and self.kind == "closed_form":
-            # a closed form's own scalar read costs less than a 1 x 1 table
-            v = [x.item()]
-            if field == "eval":
-                return self.backing.eval(v, t)
-            return float(np.linalg.norm(self.backing.grad(v, t)))
+        if self.kind == "closed_form":
+            sol = self.backing
+            vals = [
+                sol.eval([v], t) if field == "eval"
+                else float(np.linalg.norm(sol.grad([v], t)))
+                for v in np.atleast_1d(x).tolist()
+            ]
+            return np.array(vals) if x.ndim else vals[0]
         (vals,) = self._read((field,), np.atleast_1d(x), [t])
         return vals[0] if x.ndim else float(vals[0, 0])
 
@@ -124,7 +129,7 @@ class SolutionSource:
         xs = np.asarray(xs, dtype=float)
         tcol = np.asarray(ts, dtype=float)[:, None]
         if self.kind == "closed_form":
-            ok = self.backing.valid_rt(np.abs(xs), tcol)
+            ok = self.backing.valid_rt(np.sqrt(xs * xs), tcol)
             return np.broadcast_to(ok, (tcol.size, xs.size))
         r = np.abs(xs) if self._radial else xs
         # domain bounds, not cell-center bounds: interpolation clamps to
@@ -153,7 +158,8 @@ class SolutionSource:
     def _read(self, fields, x, ts):
         """Each field at every point of the lattice ts x x (x 1-D), one
         (len(ts), len(x)) table per field, with no point dropped.  A closed
-        form takes one `eval_lattice` per field.  A trajectory blends each
+        form takes one `eval_lattice` per field, so every point must be one
+        that `valid_lattice` accepts.  A trajectory blends each
         time's bracketing stored rows, `row(i - 1)` and `row(i)`, clamped to
         the end rows, and interpolates every blended row at x by
         `np.interp`'s own formula; each bracketing row is read once, and the

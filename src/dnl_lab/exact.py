@@ -28,8 +28,9 @@ class ClosedFormSolution:
 
     Subclasses implement u_rt / ur_rt / valid_rt on arrays of radii and
     times, and ut_rt or, in its place, dtuq_rt.  The public eval/grad/dt_uq
-    operate on coordinate vectors; eval_lattice evaluates u or |Du| over a
-    lattice of probe-line times.
+    operate on coordinate vectors and raise DomainError outside the validity
+    domain; eval_lattice evaluates u or |Du| over a lattice of probe-line
+    times whose points all lie inside it, and checks none of them.
     """
 
     family = "abstract"
@@ -37,9 +38,8 @@ class ClosedFormSolution:
     # radius of a spatial singularity (for stencil collars), or None
     r_singular = None
 
-    def __init__(self, exponents, params):
+    def __init__(self, exponents):
         self.exponents = exponents
-        self.params = dict(params)
 
     # -- radial profile interface (vectorized over r, t) --------------------
     def u_rt(self, r, t):
@@ -67,15 +67,12 @@ class ClosedFormSolution:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return float(np.linalg.norm(x)), x
 
-    def _outside(self, r, t):
-        return DomainError(
-            f"({r}, {t}) outside validity domain of {self.family}: "
-            + self.validity_description()
-        )
-
     def _check(self, r, t):
         if not self.valid_rt(np.asarray(r, float), np.asarray(t, float)).all():
-            raise self._outside(r, t)
+            raise DomainError(
+                f"({r}, {t}) outside validity domain of {self.family}: "
+                + self.validity_description()
+            )
 
     def eval(self, x, t):
         r, _ = self._radius(x)
@@ -85,16 +82,11 @@ class ClosedFormSolution:
     def eval_lattice(self, xs, ts, field="eval"):
         """u (field "eval") or |Du| (field "grad_norm") at every point of the
         lattice ts x xs, one row per time: the same bits as one `eval([v], t)`
-        or one `float(np.linalg.norm(grad([v], t)))` per point, and the same
-        DomainError for the first point, row by row, outside the validity
-        domain."""
+        or one `float(np.linalg.norm(grad([v], t)))` per point.  It checks no
+        point: every point must lie in the validity domain, as the caller's
+        mask (`SolutionSource.valid_lattice`) has decided."""
         xs = np.asarray(xs, dtype=float)
         r = np.sqrt(xs * xs)  # the bits of np.linalg.norm of a 1-vector
-        tcol = np.asarray(ts, float)[:, None]
-        ok = np.broadcast_to(self.valid_rt(r, tcol), (len(ts), r.size))
-        if not ok.all():
-            i, j = np.argwhere(~ok)[0]
-            raise self._outside(r[j].item(), ts[i])
         if field == "eval":
             return self._u_grid(r, ts)
         # `grad`'s bits: the 1-vector y = ur * x / r (0 at r = 0), and the
@@ -214,7 +206,7 @@ class TrudingerGaussian(ClosedFormSolution):
 
     def __init__(self, p, n_dim, C=1.0):
         exps = ExponentTriple(p=p, q=p - 1, n_dim=n_dim)
-        super().__init__(exps, {"C": C})
+        super().__init__(exps)
         self.C = C
 
     def u_rt(self, r, t):
@@ -271,7 +263,7 @@ class SeparableBlowup(ClosedFormSolution):
                 "requires q > p-1 and N(q-(p-1)) > pq for a real amplitude"
             )
         C = (num * (p / k) ** (p - 1)) ** (1 / k)
-        super().__init__(exps, {"T": T, "C": C})
+        super().__init__(exps)
         self.T = T
         self.C = C
         self.k = k
@@ -331,7 +323,7 @@ class CriticalHarnackWave(ClosedFormSolution):
         exps = ExponentTriple(p=p, q=q, n_dim=N)
         if b is None:
             b = critical_wave_b(N, p)
-        super().__init__(exps, {"b": b})
+        super().__init__(exps)
         self.b = b
         self.kappa = N * (q + 1) / (q * (N - 1))
         self.gamma = (N - 1) / (q + 1)
@@ -385,7 +377,7 @@ class BoundednessBorderline(ClosedFormSolution):
         b = (N * q - q - 1) / N**2 * (
             q * (N + q + 1) / ((q + 1) ** 2 * N * a)
         ) ** ((N + q + 1) / (N * q - q - 1))
-        super().__init__(exps, {"a": a, "b": b, "T": T})
+        super().__init__(exps)
         self.a = a
         self.b = b
         self.T = T
@@ -449,7 +441,7 @@ class SupercriticalExtinction(ClosedFormSolution):
         if not (p < n_dim and lam < 0):
             raise ValueError("requires p < N and lambda_q < 0")
         a = (q / abs(lam)) ** (1 / (p - 1)) * (q + 1 - p) / p
-        super().__init__(exps, {"T": T, "C": C, "a": a})
+        super().__init__(exps)
         self.T = T
         self.C = C
         self.a = a
@@ -547,7 +539,7 @@ class DipoleSelfSimilar(ClosedFormSolution):
         if not 1 < p < 2 * n_dim / (n_dim + 2):
             raise ValueError("requires 1 < p < 2N/(N+2) (so N >= 3)")
         exps = ExponentTriple(p=p, q=1.0, n_dim=n_dim)
-        super().__init__(exps, {"T": T, "C": C})
+        super().__init__(exps)
         self.T = T
         self.C = C
         self.lam1 = n_dim * (p - 2) + p
@@ -650,10 +642,9 @@ class IvanovSubsolution(ClosedFormSolution):
         self.r0 = r0
         self.rmin = rmin
         self.s = (n_dim / p) * (1 + q - p)
-        self.exponents = exps
+        super().__init__(exps)
         if h is None:
             h = 1.1 * self._required_rate() * q ** (p - 1)
-        super().__init__(exps, {"r0": r0, "h": h, "rmin": rmin, "s": self.s})
         self.h_w = h  # decay rate in the paper's w = u^q time variable
         self.h_rate = h * q ** (1 - p)  # decay rate in prototype time
 
@@ -733,7 +724,7 @@ class SpecialLogProfile(ClosedFormSolution):
             raise ValueError("requires N >= 2")
         p = 2 * n_dim / (n_dim + 1)
         exps = ExponentTriple(p=p, q=1.0, n_dim=n_dim)
-        super().__init__(exps, {"C": C, "T": T})
+        super().__init__(exps)
         self.C = C
         self.T = T
         self.c_log = (n_dim + 1) / (n_dim * (n_dim - 1))

@@ -164,10 +164,8 @@ def _phi(g, mu, p):
 
 
 def _phi_total_deriv(g, mu, p):
-    """d/dg [ phi(g) * g ] = (mu^2+g^2)^{(p-4)/2} (mu^2 + (p-1) g^2); None
-    (a factor of 1) at p = 2."""
-    if p == 2:
-        return None
+    """d/dg [ phi(g) * g ] = (mu^2+g^2)^{(p-4)/2} (mu^2 + (p-1) g^2), for
+    p != 2 (`jacobian_bands` takes its own face factor at p = 2)."""
     base = mu * mu + g * g
     with np.errstate(divide="ignore", invalid="ignore"):
         out = base ** ((p - 4) / 2) * (mu * mu + (p - 1) * g * g)

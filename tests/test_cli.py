@@ -129,6 +129,14 @@ class TestOverrides:
         assert _apply_overrides(cfg, ["--p", "3"], "harnack") == {
             "family": {"id": "trudinger_gaussian", "p": "3"}
         }
+        # extinction lists [exponents] first, for its solver run
+        cfg = {"family": {"id": "supercritical_extinction"}}
+        assert _apply_overrides(cfg, ["--q", "4"], "extinction") == {
+            "family": {"id": "supercritical_extinction", "q": "4"}
+        }
+        assert _apply_overrides({}, ["--q", "4"], "extinction") == {
+            "exponents": {"q": "4"}
+        }
 
 
 class TestRun:
@@ -194,6 +202,18 @@ class TestRun:
         assert "[exponents]\nN = 3\np = 2\nq = 2.5\n" in after
         # the summary line is the last line: the run used q = 2.5
         assert after.splitlines()[-1] != before.splitlines()[-1]
+
+    def test_bare_exponent_override_reaches_the_family(self, capsys):
+        # the closed-form decay fit of extinction reads [family], not
+        # [exponents]
+        assert run(["extinction", "--preset", "extinction-decay-fit", "--q", "4"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "[exponents]" not in captured.out
+        assert (
+            "[family]\nN = 40\nT = 1\nid = supercritical_extinction\np = 2\nq = 4\n"
+            in captured.out
+        )
 
     def test_unread_solver_key_of_a_family_preset_exits_1(self, capsys):
         argv = ["harnack", "--preset", "harnack-fail-trudinger", "--n_cells", "10"]
@@ -403,7 +423,7 @@ class TestRun:
              "decay fit needs a family with a time T, not trudinger_gaussian"),
             (["harnack", "--family.id", "separable_blowup", "--x_o", "1",
               "--t_o", "0.5", "--radii", "1"],
-             "family 'separable_blowup' requires n_dim, p, q"),
+             "family 'separable_blowup' requires N, p, q"),
         ],
     )
     def test_bad_probe_exits_1(self, capsys, argv, message):
@@ -625,3 +645,53 @@ def test_family_without_its_parameters_exits_cleanly(capsys, fid):
     assert "Traceback" not in err
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1
+    # what a family misses is named by its config keys: N, not n_dim
+    missing = re.fullmatch(rf"error: family '{fid}' requires (.+)\n", err)
+    if missing:
+        assert set(missing[1].split(", ")) <= set(cli.SCHEMA["family"])
+    assert "n_dim" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        (["model", "--reynolds", "0.5"], 0, "0.5,power_law,2"),
+        (["model", "--law", "power_law", "--alpha", "2", "--state", "polytropic",
+          "--n", "2"], 0, "3,0.40000000000000002,4,6.666666666666667,density,"),
+        (["model", "--law", "forchheimer", "--state", "ideal_isothermal"], 1,
+         "error: forchheimer law does not reduce to a power law: "),
+        (["model", "--state", "weakly_compressible", "--K", "2"], 0,
+         "2,1,1,6.666666666666667,pressure,inf,True"),
+        (["model", "--state", "incompressible"], 0,
+         "2,1,1,3.3333333333333335,pressure,inf,True"),
+        (["model", "--law", "power_law", "--alpha", "2", "--state",
+          "ideal_isothermal", "--m", "1"], 1,
+         "error: pressure-dependent permeability is formulated on the Darcy law"),
+        (["regimes", "oops", "1"], 1, "error: expected --key, got 'oops'"),
+        (["regimes", "--p", "2", "--x_o"], 1, "error: missing value for --x_o"),
+        (["regimes", "--nosuch.key", "1"], 1,
+         "error: unknown config key nosuch.key"),
+        # p >= N: no finite critical Harnack exponent to be close to
+        (["regimes", "--p", "3", "--q", "2", "--N", "2"], 0,
+         "3,2,2,trudinger,False,False,True,False,6"),
+        (["supbound", "--preset", "supbound-fast-diffusion", "--q", "0.5"], 1,
+         "error: sup bound requires fast diffusion q > p - 1"),
+        (["exact-residual", "--family.id", "ivanov_subsolution"], 0,
+         "subsolution_sign,pass"),
+    ],
+)
+def test_branch_exit_code(capsys, argv, code, line):
+    """Branches of the model cards, the override grammar, `classify` and the
+    sub-solution check: exit 0 with `line` starting a line of stdout, or exit
+    1 with one `error:` line that `line` starts and nothing on stdout."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == code
+    captured = capsys.readouterr()
+    if code == 1:
+        assert captured.out == ""
+        assert captured.err.startswith(line) and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+    else:
+        assert captured.err == ""
+        assert any(out.startswith(line) for out in captured.out.splitlines())

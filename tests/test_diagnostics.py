@@ -225,7 +225,7 @@ class TestArrayPath:
             src = SolutionSource(sol)
             for t in times:
                 want = [
-                    bool(np.all(sol.valid_rt(np.asarray(abs(x)), np.asarray(t))))
+                    bool(np.all(sol.valid_rt(np.linalg.norm([x]), np.asarray(t))))
                     for x in xs
                 ]
                 assert src.valid(xs, t).tolist() == want

@@ -267,6 +267,13 @@ _COORDS = st.one_of(
     st.floats(-1e3, 1e3),
     st.sampled_from([0.0, -0.0, 0.05, 0.9, 1e-300, 1e200, math.inf, math.nan]),
 )
+# radii 0 (from +-0.0, and from +-1e-300, whose square underflows) and inf
+# (from +-1e200, whose square overflows)
+_EDGE_COORDS = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e200, -1e200])
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
 
 
 @st.composite
@@ -292,16 +299,18 @@ def _eval_each(sol, xs, t):
         return None, str(exc)
 
 
-def _lattice_row(sol, xs, t):
-    """A one-row `eval_lattice` at the time t, or its DomainError."""
+def _result(read):
     try:
-        return sol.eval_lattice(xs, [t])[0], None
+        return read(), None
     except DomainError as exc:
         return None, str(exc)
 
 
 class TestEvalLine:
-    """A one-row `eval_lattice` equals one `eval` per point, bit for bit."""
+    """A closed-form source's array `eval` is one `eval` per point, with the
+    DomainError of the first point outside the domain, and a one-row
+    `eval_lattice` at the points that `valid` accepts equals it bit for
+    bit."""
 
     @settings(max_examples=200)
     @given(st.data())
@@ -309,21 +318,33 @@ class TestEvalLine:
         sol = data.draw(st.sampled_from(_LINE_FAMILIES), label="family")
         xs = np.array(data.draw(st.lists(_COORDS, max_size=10), label="x"))
         t = data.draw(_line_times(sol), label="t")
+        src = SolutionSource(sol)
         # compare values only: overflow and 0**-e warn point by point
         with np.errstate(all="ignore"):
             want, want_err = _eval_each(sol, xs, t)
-            got, got_err = _lattice_row(sol, xs, t)
+            got, got_err = _result(lambda: src.eval(xs, t))
             assert got_err == want_err
-            if want_err is not None:
-                ok = [
-                    bool(np.all(sol.valid_rt(np.linalg.norm([v]), np.asarray(t))))
-                    for v in xs.tolist()
-                ]
-                xs = xs[np.array(ok, dtype=bool)]
-                want, _ = _eval_each(sol, xs, t)
-                got, _ = _lattice_row(sol, xs, t)
+            if want_err is None:
+                assert _bits(got) == _bits(want)
+            xs = xs[src.valid(xs, t)]
+            want, want_err = _eval_each(sol, xs, t)
+            got = sol.eval_lattice(xs, [t])[0]
+        assert want_err is None
         assert got.dtype == np.float64 and got.shape == xs.shape
-        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert _bits(got) == _bits(want)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_valid_iff_point_read_succeeds(self, data):
+        # the mask and the family's own reads decide at the same radius
+        sol = data.draw(st.sampled_from(_LINE_FAMILIES), label="family")
+        x = data.draw(st.one_of(_EDGE_COORDS, _COORDS), label="x")
+        t = data.draw(_line_times(sol), label="t")
+        src = SolutionSource(sol)
+        with np.errstate(all="ignore"):
+            valid = src.valid(x, t)
+            for read in (src.eval, src.grad_norm):
+                assert valid == (_result(lambda: read(x, t))[1] is None)
 
     def test_lattice_lines(self):
         # 32-point lines as the harnack scans take them, around the probes of
@@ -341,8 +362,10 @@ class TestEvalLine:
 
     def test_first_invalid_point_named(self):
         sol = SeparableBlowup(n_dim=3, p=2.0, q=5.0)
-        with pytest.raises(DomainError, match=r"^\(0\.0, 0\.5\) outside"):
-            sol.eval_lattice(np.array([1.0, -0.0, 2.0, 0.0]), [0.5])
+        src = SolutionSource(sol)
+        for read in (src.eval, src.grad_norm):
+            with pytest.raises(DomainError, match=r"^\(0\.0, 0\.5\) outside"):
+                read(np.array([1.0, -0.0, 2.0, 0.0]), 0.5)
         assert sol.eval_lattice(np.array([]), [0.5])[0].shape == (0,)
 
 
@@ -373,46 +396,43 @@ def _point_read(sol, field):
     return lambda v, t: float(np.linalg.norm(sol.grad([v], t)))
 
 
-def _lattice_each(sol, xs, ts, field="eval", drop=True):
-    """Reference: one scalar read per point, row by row, of the points that
-    `valid_rt(|x|, t)` accepts (of every point without drop), or the first
-    DomainError."""
+def _lattice_each(sol, xs, ts, field="eval"):
+    """Reference: one scalar read per point, row by row, of every point that
+    the read does not reject with a DomainError."""
     read = _point_read(sol, field)
     vals = []
-    try:
-        for t in ts:
-            ok = sol.valid_rt(np.abs(xs), np.asarray(t, float))
-            keep = xs[np.broadcast_to(ok, xs.shape)] if drop else xs
-            vals += [read(v, t) for v in keep.tolist()]
-    except DomainError as exc:
-        return None, str(exc)
-    return np.array(vals, dtype=float), None
-
-
-def _result(read):
-    try:
-        return read(), None
-    except DomainError as exc:
-        return None, str(exc)
+    for t in ts:
+        for v in xs.tolist():
+            val, err = _result(lambda: read(v, t))
+            if err is None:
+                vals.append(val)
+    return np.array(vals, dtype=float)
 
 
 def _assert_lattice_reads(sol, xs, ts, field):
-    """A closed-form `SolutionSource.lattice` equals the reference over the
-    valid points, and `eval_lattice` over every point: the same bits, or
-    the same DomainError."""
+    """A closed-form `SolutionSource.lattice` calls `valid_rt` once, for its
+    mask, and equals the reference: the same bits at the same points.  So
+    does `eval_lattice`, row by row, over the points the mask accepts."""
     src = SolutionSource(sol)
-    for drop, read in [
-        (True, lambda: src.lattice((field,), xs, ts)[0]),
-        (False, lambda: sol.eval_lattice(xs, ts, field).ravel()),
-    ]:
-        # compare values only: overflow and 0**-e warn point by point
-        with np.errstate(all="ignore"):
-            want, want_err = _lattice_each(sol, xs, ts, field, drop)
-            got, got_err = _result(read)
-        assert got_err == want_err
-        if want_err is None:
-            assert got.dtype == np.float64 and got.shape == want.shape
-            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    calls = []
+    valid_rt = type(sol).valid_rt
+
+    def spy(self, r, t):
+        calls.append(r)
+        return valid_rt(self, r, t)
+
+    # compare values only: overflow and 0**-e warn point by point
+    with np.errstate(all="ignore"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(type(sol), "valid_rt", spy)
+            (got,) = src.lattice((field,), xs, ts)
+        want = _lattice_each(sol, xs, ts, field)
+        ok = src.valid_lattice(xs, ts)
+        rows = [sol.eval_lattice(xs[k], [t], field)[0] for k, t in zip(ok, ts)]
+    assert len(calls) == 1
+    for values in (got, np.concatenate(rows)):
+        assert values.dtype == np.float64 and values.shape == want.shape
+        assert _bits(values) == _bits(want)
 
 
 class TestEvalLattice:
@@ -429,9 +449,8 @@ class TestEvalLattice:
 
     @pytest.mark.parametrize("sol", _LINE_FAMILIES)
     def test_origin_and_tiny_radii(self, sol):
-        # r = 0 from 0.0 and -0.0, and from 1e-300, whose square underflows
-        # while |x| stays positive; t = 0 and 0.75 make rows of some families
-        # invalid or mixed
+        # r = 0 from 0.0 and -0.0, and from 1e-300, whose square underflows;
+        # t = 0 and 0.75 make rows of some families invalid or mixed
         xs = np.array([0.3, 0.0, -0.0, 1e-300, -1e-300, 0.05, 0.9, -2.0])
         for field in ("eval", "grad_norm"):
             _assert_lattice_reads(sol, xs, [0.25, 0.0, 0.75], field)
@@ -451,21 +470,28 @@ class TestEvalLattice:
                 half = 0.25 * u_o ** (e.q + 1 - e.p) * rho**e.p
                 xs = np.linspace(x_o - rho, x_o + rho, 32)
                 ts = np.linspace(t_o - half, t_o + half, 32)
-                want, _ = _lattice_each(sol, xs, ts)
+                want = _lattice_each(sol, xs, ts)
                 got = sol.eval_lattice(xs, ts).ravel()
                 assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
     def test_first_invalid_point_named(self):
+        # |x| would accept 1e-300, but its radius sqrt(x * x) = 0 is outside:
+        # the lattice drops the point, and the one-row read names it
         sol = SeparableBlowup(n_dim=3, p=2.0, q=5.0)
         src = SolutionSource(sol)
         for field in ("eval", "grad_norm"):
-            # |x| accepts 1e-300, its radius sqrt(x * x) = 0 does not
+            read = getattr(src, field)
+            xs = np.array([1.0, 1e-300, 2.0])
+            got = src.lattice((field,), xs, [0.25, 0.5])[0]
+            assert _bits(got) == _bits(
+                _lattice_each(sol, xs[[0, 2]], [0.25, 0.5], field)
+            )
             with pytest.raises(DomainError, match=r"^\(0\.0, 0\.25\) outside"):
-                src.lattice((field,), np.array([1.0, 1e-300, 2.0]), [0.25, 0.5])
+                read(xs, 0.25)
             xs = np.array([1.0, -0.0, 2.0])
             assert src.lattice((field,), xs, [0.5, 2.0])[0].size == 2
             with pytest.raises(DomainError, match=r"^\(0\.0, 0\.5\) outside"):
-                sol.eval_lattice(xs, [0.5, 2.0], field)
+                read(xs, 0.5)
 
 
 class TestAnalyticGradient:

@@ -67,7 +67,8 @@ class _Reference:
     def jacobian_bands(self, u, grads, dt, picard=False):
         pr = self.pr
         e = pr.exponents
-        phi = _phi if picard else _phi_total_deriv
+        # at p = 2 both factors are exactly 1, and `_phi` gives None for it
+        phi = _phi if picard or e.p == 2 else _phi_total_deriv
         dflux = _times(phi(grads, pr.mu, e.p), self.area) / self.h
         if self.symmetric:
             dflux[0] = 0.0
