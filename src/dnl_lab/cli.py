@@ -980,7 +980,15 @@ def preset(name):
 
 
 def _apply_overrides(cfg, tokens, subcommand):
-    """Apply --key value (or --section.key value) pairs onto the config."""
+    """Apply --key value (or --section.key value) pairs onto the config.  A
+    bare key resolves to [family] first when its id is set, by the preset,
+    the config file or a --family.id anywhere in the tokens, and not at all
+    otherwise, for only then is it read; then to the subcommand's sections,
+    then to all sections."""
+    order = [*COMMANDS[subcommand][0], *SCHEMA]
+    order.remove("family")
+    if "id" in cfg.get("family", {}) or "--family.id" in tokens[::2]:
+        order.insert(0, "family")
     i = 0
     while i < len(tokens):
         tok = tokens[i]
@@ -996,12 +1004,6 @@ def _apply_overrides(cfg, tokens, subcommand):
             if section not in SCHEMA or key not in SCHEMA[section]:
                 raise ConfigError(f"unknown config key {section}.{key}")
         else:
-            # [family] first when its id is set and not at all otherwise, for
-            # only then is it read; then the subcommand's, then all sections
-            order = [*COMMANDS[subcommand][0], *SCHEMA]
-            order.remove("family")
-            if "id" in cfg.get("family", {}):
-                order.insert(0, "family")
             section = next((c for c in order if key in SCHEMA[c]), None)
             if section is None:
                 raise ConfigError(f"unknown config key {key!r}")

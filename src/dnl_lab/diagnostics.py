@@ -129,7 +129,9 @@ class SolutionSource:
         xs = np.asarray(xs, dtype=float)
         tcol = np.asarray(ts, dtype=float)[:, None]
         if self.kind == "closed_form":
-            ok = self.backing.valid_rt(np.sqrt(xs * xs), tcol)
+            with np.errstate(over="ignore"):  # inf where x * x overflows
+                r = np.sqrt(xs * xs)
+            ok = self.backing.valid_rt(r, tcol)
             return np.broadcast_to(ok, (tcol.size, xs.size))
         r = np.abs(xs) if self._radial else xs
         # domain bounds, not cell-center bounds: interpolation clamps to
@@ -224,17 +226,6 @@ def _verdict(constants):
     return "diverging" if _monotone_exceedance(c) else "inconclusive"
 
 
-def _half_cylinder_sup(src, x_o, t_o, rho, s, n):
-    """Sup of u over the n x n lattice of Q_{rho/2,s/2} = K_{rho/2}(x_o) x
-    [t_o - s/2, t_o], which must have a valid point in every time row."""
-    xs = np.linspace(x_o - rho / 2, x_o + rho / 2, n)
-    ts = np.linspace(t_o - s / 2, t_o, n)
-    if not src.valid_lattice(xs, ts).any(axis=1).all():
-        raise RegimeError("cylinder lattice has no valid points")
-    (vals,) = src.lattice(("eval",), xs, ts)
-    return float(vals.max())
-
-
 def harnack_scan(src, base_points, radii, sigma=0.25, lattice=32):
     """Backward-forward Harnack scan: per probe (z_o, rho), measure
     gamma_emp = max(sup u / u_o, u_o / inf u) over the symmetric intrinsic
@@ -284,91 +275,84 @@ def harnack_scan(src, base_points, radii, sigma=0.25, lattice=32):
     return rep
 
 
-def integral_harnack(src, x_o, t_o, rho, s, lattice=32):
-    """Integral Harnack measurement on Q_{rho,s} = K_rho(x_o) x (t_o-s, t_o]:
+def _sup_estimate(src, estimate_id, name, lam_name, lam, average, probe, lattice):
+    """The L^inf measurement of `integral_harnack` and `sup_bound` on
+    Q_{rho,s} = K_rho(x_o) x (t_o-s, t_o]:
 
         sup_{Q_{rho/2,s/2}} u  vs
-        (rho^p/s)^{N/lam_q} [inf_t avg_{K_rho} u^q dx]^{p/lam_q}
-        + (s/rho^p)^{1/(q+1-p)}
+        (rho^p/s)^{N/lam} A^{p/lam} + (s/rho^p)^{1/(q+1-p)}
 
-    Requires lam_q > 0 (supercritical regime).  Returns the report with the
-    implied gamma solving the inequality with equality."""
+    Requires q > p - 1 and lam > 0.  The sup is over the lattice x lattice
+    grid of Q_{rho/2,s/2}, which must have a valid point in every time row;
+    A = average(rows), rows the values at the valid points of each time row
+    of the Q_{rho,s} lattice, which must have one.  Returns the one-probe
+    report with the implied gamma solving the inequality with equality."""
     e = src.exponents
-    lam_q = e.lam_q
-    if e.q + 1 - e.p <= 0:
-        raise RegimeError("integral Harnack requires fast diffusion q > p - 1")
-    if lam_q <= 0:
-        raise RegimeError(
-            f"integral Harnack requires lambda_q > 0, got {lam_q}"
-        )
     N, p, q = e.n_dim, e.p, e.q
-    sup_u = _half_cylinder_sup(src, x_o, t_o, rho, s, lattice)
-    # slice means of u^q over K_rho
+    if q + 1 - p <= 0:
+        raise RegimeError(f"{name} requires fast diffusion q > p - 1")
+    if lam <= 0:
+        raise RegimeError(f"{name} requires {lam_name} > 0, got {lam}")
+    x_o, t_o, rho, s = probe["x_o"], probe["t_o"], probe["rho"], probe["s"]
+    xs = np.linspace(x_o - rho / 2, x_o + rho / 2, lattice)
+    ts = np.linspace(t_o - s / 2, t_o, lattice)
+    if not src.valid_lattice(xs, ts).any(axis=1).all():
+        raise RegimeError("cylinder lattice has no valid points")
+    (vals,) = src.lattice(("eval",), xs, ts)
+    sup_u = float(vals.max())
     xs = np.linspace(x_o - rho, x_o + rho, lattice)
     ts = np.linspace(t_o - s, t_o, lattice)
     (vals,) = src.lattice(("eval",), xs, ts)
-    rows = np.split(vals, np.cumsum(src.valid_lattice(xs, ts).sum(axis=1))[:-1])
-    # scalar powers: numpy's SIMD power differs from libm in the last bit
-    slice_means = [
-        float(np.mean([v**q for v in row.tolist()])) for row in rows if row.size
-    ]
-    if not slice_means:
+    if not vals.size:
         raise RegimeError("no valid slices in the cylinder")
-    inf_mean = min(slice_means)
-    core = (rho**p / s) ** (N / lam_q) * inf_mean ** (p / lam_q)
+    rows = np.split(vals, np.cumsum(src.valid_lattice(xs, ts).sum(axis=1))[:-1])
+    # scalar powers in `average`: numpy's SIMD power differs from libm in
+    # the last bit
+    mean = average([row.tolist() for row in rows if row.size])
+    core = (rho**p / s) ** (N / lam) * mean ** (p / lam)
     tail = (s / rho**p) ** (1 / (q + 1 - p))
     rhs = core + tail
-    rep = DiagnosticReport(estimate_id="integral_harnack")
-    rep.probes.append({"x_o": x_o, "t_o": t_o, "rho": rho, "s": s})
+    rep = DiagnosticReport(estimate_id=estimate_id, probes=[probe])
     rep.lhs.append(sup_u)
     rep.rhs.append(rhs)
     rep.implied_constant = sup_u / rhs
     rep.verdict = _verdict([rep.implied_constant])
     return rep
+
+
+def integral_harnack(src, x_o, t_o, rho, s, lattice=32):
+    """Integral Harnack measurement: `_sup_estimate` with lam = lambda_q and
+    A = inf_t avg_{K_rho} u^q, the least slice mean.  lambda_q > 0 is the
+    supercritical regime."""
+    e = src.exponents
+    return _sup_estimate(
+        src, "integral_harnack", "integral Harnack", "lambda_q", e.lam_q,
+        lambda rows: min(float(np.mean([v**e.q for v in row])) for row in rows),
+        {"x_o": x_o, "t_o": t_o, "rho": rho, "s": s}, lattice,
+    )
 
 
 def sup_bound(src, x_o, t_o, rho, s, r, lattice=32):
     """Quantitative L^inf bound measurement with integrability exponent r:
-
-        sup_{Q_{rho/2,s/2}} u  vs
-        (rho^p/s)^{N/lam_r} [avg_{Q_{rho,s}} u^r]^{p/lam_r}
-        + (s/rho^p)^{1/(q+1-p)}
-
-    Requires lam_r > 0."""
-    e = src.exponents
-    lam_r = e.lambda_r(r)
-    if e.q + 1 - e.p <= 0:
-        raise RegimeError("sup bound requires fast diffusion q > p - 1")
-    if lam_r <= 0:
-        raise RegimeError(f"sup bound requires lambda_r > 0, got {lam_r}")
-    N, p, q = e.n_dim, e.p, e.q
-    sup_u = _half_cylinder_sup(src, x_o, t_o, rho, s, lattice)
-    xs = np.linspace(x_o - rho, x_o + rho, lattice)
-    (vals,) = src.lattice(("eval",), xs, np.linspace(t_o - s, t_o, lattice))
-    # scalar powers: numpy's SIMD power differs from libm in the last bit
-    mean_ur = float(np.mean([v**r for v in vals.tolist()]))
-    core = (rho**p / s) ** (N / lam_r) * mean_ur ** (p / lam_r)
-    tail = (s / rho**p) ** (1 / (q + 1 - p))
-    rhs = core + tail
-    rep = DiagnosticReport(estimate_id="sup_bound")
-    rep.probes.append({"x_o": x_o, "t_o": t_o, "rho": rho, "s": s, "r": r})
-    rep.lhs.append(sup_u)
-    rep.rhs.append(rhs)
-    rep.implied_constant = sup_u / rhs
-    rep.verdict = _verdict([rep.implied_constant])
-    return rep
+    `_sup_estimate` with lam = lambda_r and A = avg_{Q_{rho,s}} u^r."""
+    return _sup_estimate(
+        src, "sup_bound", "sup bound", "lambda_r", src.exponents.lambda_r(r),
+        lambda rows: float(np.mean([v**r for row in rows for v in row])),
+        {"x_o": x_o, "t_o": t_o, "rho": rho, "s": s, "r": r}, lattice,
+    )
 
 
-def expansion_of_positivity(src, x_o, t_o, rho, M, alpha, delta_scan=10, lattice=64):
+def expansion_of_positivity(src, x_o, t_o, rho, M, alpha, delta_scan=10):
     """Expansion of positivity: given measure-theoretic positivity
     |{u(.,t_o) >= M} cap K_rho| >= alpha |K_rho|, scan delta in {2^-k} and
     report the largest measured eta(delta) = inf u / M over
     K_{2 rho}(x_o) x (t_o + delta/2 theta, t_o + delta theta],
-    theta = M^{q+1-p} rho^p; the measure fraction alpha lies in (0, 1]."""
+    theta = M^{q+1-p} rho^p; the measure fraction alpha lies in (0, 1].
+    Both balls take 64 lattice points."""
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     e = src.exponents
-    xs = np.linspace(x_o - rho, x_o + rho, lattice)
+    xs = np.linspace(x_o - rho, x_o + rho, 64)
     (vals0,) = src.lattice(("eval",), xs, [t_o])
     if vals0.size == 0:
         raise RegimeError("initial slice outside the domain")
@@ -380,7 +364,7 @@ def expansion_of_positivity(src, x_o, t_o, rho, M, alpha, delta_scan=10, lattice
     theta = M ** (e.q + 1 - e.p) * rho**e.p
     rep = DiagnosticReport(estimate_id="expansion_of_positivity")
     best_eta, best_delta = 0.0, None
-    xs2 = np.linspace(x_o - 2 * rho, x_o + 2 * rho, lattice)
+    xs2 = np.linspace(x_o - 2 * rho, x_o + 2 * rho, 64)
     for k in range(delta_scan):
         delta = 2.0**-k
         t_lo, t_hi = t_o + delta / 2 * theta, t_o + delta * theta
@@ -495,11 +479,18 @@ def decay_exponent_fit(sol, x_o):
         0, math.log10((1 - 0.999) / (1 - 0.9)), 24
     )
     vals = np.array([sol.eval([x_o], t) for t in ts])
-    X = np.log(T - ts)
-    Y = np.log(vals)
+    return _loglog_fit(np.log(T - ts), np.log(vals))
+
+
+def _loglog_fit(X, Y):
+    """Slope and r^2 of the least-squares line through (X, Y), logs of the
+    data.  The 1e-300 guard on the total sum of squares keeps a constant Y
+    from dividing by zero."""
     slope, intercept = np.polyfit(X, Y, 1)
     resid = Y - (slope * X + intercept)
-    r2 = 1.0 - float(np.sum(resid**2)) / float(np.sum((Y - Y.mean()) ** 2))
+    r2 = 1.0 - float(np.sum(resid**2)) / max(
+        float(np.sum((Y - Y.mean()) ** 2)), 1e-300
+    )
     return float(slope), r2
 
 
@@ -580,13 +571,8 @@ def holder_fit(src, x_o, t_o, radii, lattice=16):
         alpha = slope = math.inf
         r2 = 1.0
     else:
-        X, Y = np.log(radii), np.log(np.maximum(oscs, 1e-300))
-        slope, intercept = np.polyfit(X, Y, 1)
-        resid = Y - (slope * X + intercept)
-        r2 = 1.0 - float(np.sum(resid**2)) / max(
-            float(np.sum((Y - Y.mean()) ** 2)), 1e-300
-        )
-        alpha = float(min(slope, 1.0))
+        slope, r2 = _loglog_fit(np.log(radii), np.log(np.maximum(oscs, 1e-300)))
+        alpha = min(slope, 1.0)
         rep.implied_constant = float(np.max(oscs / np.asarray(radii) ** alpha))
     rep.verdict = "bounded" if 0 < alpha <= 1 and r2 >= 0.9 else "inconclusive"
     rep.extras = {

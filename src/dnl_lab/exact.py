@@ -26,11 +26,12 @@ class ClosedFormSolution:
     """Base class: a radial space-time profile u(|x|, t) with analytic radial
     derivative and analytic d/dt(u^q).
 
-    Subclasses implement u_rt / ur_rt / valid_rt on arrays of radii and
-    times, and ut_rt or, in its place, dtuq_rt.  The public eval/grad/dt_uq
-    operate on coordinate vectors and raise DomainError outside the validity
-    domain; eval_lattice evaluates u or |Du| over a lattice of probe-line
-    times whose points all lie inside it, and checks none of them.
+    Subclasses implement u_rt / ur_rt on arrays of radii and times, ut_rt
+    or, in its place, dtuq_rt, and valid_rt unless the family is valid
+    everywhere.  The public eval/grad/dt_uq operate on coordinate vectors and
+    raise DomainError outside the validity domain; eval_lattice evaluates u
+    or |Du| over a lattice of probe-line times whose points all lie inside
+    it, and checks none of them.
     """
 
     family = "abstract"
@@ -57,7 +58,7 @@ class ClosedFormSolution:
         return q * np.asarray(u) ** (q - 1) * self.ut_rt(r, t)
 
     def valid_rt(self, r, t):
-        raise NotImplementedError
+        return np.full(np.broadcast(np.asarray(r), np.asarray(t)).shape, True)
 
     def validity_description(self):
         return "everywhere"
@@ -65,7 +66,8 @@ class ClosedFormSolution:
     # -- public pointwise API ----------------------------------------------
     def _radius(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(np.linalg.norm(x)), x
+        with np.errstate(over="ignore"):  # inf where x . x overflows
+            return float(np.linalg.norm(x)), x
 
     def _check(self, r, t):
         if not self.valid_rt(np.asarray(r, float), np.asarray(t, float)).all():
@@ -86,7 +88,9 @@ class ClosedFormSolution:
         point: every point must lie in the validity domain, as the caller's
         mask (`SolutionSource.valid_lattice`) has decided."""
         xs = np.asarray(xs, dtype=float)
-        r = np.sqrt(xs * xs)  # the bits of np.linalg.norm of a 1-vector
+        # the bits of np.linalg.norm of a 1-vector, inf where x * x overflows
+        with np.errstate(over="ignore"):
+            r = np.sqrt(xs * xs)
         if field == "eval":
             return self._u_grid(r, ts)
         # `grad`'s bits: the 1-vector y = ur * x / r (0 at r = 0), and the
@@ -350,9 +354,6 @@ class CriticalHarnackWave(ClosedFormSolution):
         base = r**self.kappa + ebt
         return -self.gamma * self.b * ebt * base ** (-self.gamma - 1)
 
-    def valid_rt(self, r, t):
-        return np.full(np.broadcast(np.asarray(r), np.asarray(t)).shape, True)
-
 
 class BoundednessBorderline(ClosedFormSolution):
     """Two-parameter family at the boundedness threshold
@@ -419,9 +420,6 @@ class BoundednessBorderline(ClosedFormSolution):
             tt > 0, 1.0, 0.0
         )
 
-    def valid_rt(self, r, t):
-        return np.full(np.broadcast(np.asarray(r), np.asarray(t)).shape, True)
-
 
 class SupercriticalExtinction(ClosedFormSolution):
     """Two-parameter extinction family for q beyond the critical Harnack
@@ -455,7 +453,8 @@ class SupercriticalExtinction(ClosedFormSolution):
             return np.zeros_like(np.asarray(t, float))
         p, q = self.exponents.p, self.exponents.q
         tt = np.clip(self.T - np.asarray(t, float), 0.0, None)
-        return (abs(self.C) / self.a) ** ((p - 1) / p) * tt ** (q / self.lam)
+        with np.errstate(divide="ignore"):  # R = inf at t >= T
+            return (abs(self.C) / self.a) ** ((p - 1) / p) * tt ** (q / self.lam)
 
     def _base(self, r, t):
         p = self.exponents.p
@@ -510,30 +509,59 @@ class SupercriticalExtinction(ClosedFormSolution):
         return "|x| > R(t) for the C < 0 variant"
 
 
-def _dipole_neg_fprime(r, n_dim, p, C):
-    """-f'(r) for the dipole profile: r^{-2/(2-p)}
-    [C r^{|lam1|/(p-1)} + (2-p)/(p |lam1|)]^{-1/(2-p)} with
-    lam1 = N(p-2)+p < 0."""
-    lam1 = n_dim * (p - 2) + p
-    r = np.asarray(r, float)
-    return r ** (-2 / (2 - p)) * (
-        C * r ** (abs(lam1) / (p - 1)) + (2 - p) / (p * abs(lam1))
-    ) ** (-1 / (2 - p))
+class _SelfSimilar(ClosedFormSolution):
+    """A self-similar profile u(x, t) = f(|x| (T-t)^{-1/p}) with -f' explicit
+    (`neg_fprime`).  f is tabulated once on a log grid of nodes with
+    per-segment 7-point Gauss-Legendre quadrature summed from the tail inward
+    (the profile decays like a power of r, so left-to-right accumulation
+    would lose the tail to cancellation), plus `_tail` at the last node, f
+    there, and interpolated by a log-log cubic spline.  A subclass gives
+    neg_fprime, the grid, `_tail` and f, which reads the spline on the
+    grid."""
+
+    r_singular = 0.0
+
+    def _build_table(self, nodes):
+        from scipy.interpolate import CubicSpline
+
+        gx, gw = np.polynomial.legendre.leggauss(7)
+        a, b = nodes[:-1], nodes[1:]
+        mid, half = (a + b) / 2, (b - a) / 2
+        seg = (
+            half[:, None] * gw * self.neg_fprime(mid[:, None] + half[:, None] * gx)
+        ).sum(axis=1)
+        tail = self._tail(nodes[-1])
+        f_tab = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]]) + tail
+        self._nodes = nodes
+        self._spline = CubicSpline(np.log(nodes), np.log(f_tab))
+
+    def _xi(self, r, t):
+        tt = self.T - np.asarray(t, float)
+        return np.asarray(r, float) * tt ** (-1 / self.exponents.p), tt
+
+    def u_rt(self, r, t):
+        xi, _ = self._xi(r, t)
+        return self.f(xi)
+
+    def ur_rt(self, r, t):
+        xi, tt = self._xi(r, t)
+        return -self.neg_fprime(xi) * tt ** (-1 / self.exponents.p)
+
+    def ut_rt(self, r, t):
+        xi, tt = self._xi(r, t)
+        return -self.neg_fprime(xi) * xi / (self.exponents.p * tt)
 
 
-class DipoleSelfSimilar(ClosedFormSolution):
+class DipoleSelfSimilar(_SelfSimilar):
     """Dipole-type self-similar solution for q = 1, 1 < p < 2N/(N+2):
-    u(x, t) = f(|x| (T-t)_+^{-1/p}) where f' is explicit and f is recovered by
-    quadrature with f(inf) = 0.
+    -f'(r) = r^{-2/(2-p)} [C r^{|lam1|/(p-1)} + (2-p)/(p |lam1|)]^{-1/(2-p)}
+    with lam1 = N(p-2)+p < 0, and f(inf) = 0.
 
-    f is tabulated once on a log grid (1e-6 .. 1e6, 4096 nodes) with
-    per-segment Gauss quadrature summed from the tail inward (the profile
-    decays like r^{-(N-p)/(p-1)}, so left-to-right accumulation would lose the
-    tail to cancellation), plus the analytic tail beyond the grid."""
+    f is tabulated on 1e-6 .. 1e6 (4096 nodes), with the analytic tail
+    beyond the grid and f ~ K0 r^{-p/(2-p)} below it."""
 
     family = "dipole_self_similar"
     role = "weak_solution"
-    r_singular = 0.0
 
     def __init__(self, n_dim, p, T=1.0, C=1.0):
         if not 1 < p < 2 * n_dim / (n_dim + 2):
@@ -543,67 +571,33 @@ class DipoleSelfSimilar(ClosedFormSolution):
         self.T = T
         self.C = C
         self.lam1 = n_dim * (p - 2) + p
-        self._build_table()
-
-    def _build_table(self):
-        from scipy.interpolate import CubicSpline
-
-        N, p, C = self.exponents.n_dim, self.exponents.p, self.C
-        nodes = np.logspace(-6, 6, 4096)
-        gx, gw = np.polynomial.legendre.leggauss(7)
-        a, b = nodes[:-1], nodes[1:]
-        mid, half = (a + b) / 2, (b - a) / 2
-        seg = (
-            half[:, None] * gw * _dipole_neg_fprime(
-                mid[:, None] + half[:, None] * gx, N, p, C
-            )
-        ).sum(axis=1)
-        tail = C * (p - 1) / (N - p) * nodes[-1] ** (-(N - p) / (p - 1))
-        f_tab = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]]) + tail
-        self._nodes = nodes
-        self._spline = CubicSpline(np.log(nodes), np.log(f_tab))
-        # small-radius amplitude: f ~ K0 r^{-p/(2-p)} as r -> 0
         self._K0 = ((p / (2 - p)) ** (p - 1) * abs(self.lam1)) ** (1 / (2 - p))
+        self._build_table(np.logspace(-6, 6, 4096))
+
+    def neg_fprime(self, r):
+        p, lam1 = self.exponents.p, self.lam1
+        r = np.asarray(r, float)
+        return r ** (-2 / (2 - p)) * (
+            self.C * r ** (abs(lam1) / (p - 1)) + (2 - p) / (p * abs(lam1))
+        ) ** (-1 / (2 - p))
+
+    def _tail(self, r):
+        N, p = self.exponents.n_dim, self.exponents.p
+        return self.C * (p - 1) / (N - p) * r ** (-(N - p) / (p - 1))
 
     def f(self, r):
-        """Tabulated self-similar profile (asymptotic forms off the table)."""
-        N, p, C = self.exponents.n_dim, self.exponents.p, self.C
+        """The profile: K0 r^{-p/(2-p)} below the grid, the tail beyond it,
+        the spline on it (and at nan)."""
+        p = self.exponents.p
         r = np.asarray(r, float)
-        out = np.empty(np.shape(r))
-        rl = np.atleast_1d(r)
-        outl = np.atleast_1d(out)
-        lo = rl < self._nodes[0]
-        hi = rl > self._nodes[-1]
+        rl = np.atleast_1d(r).ravel()
+        out = np.empty(rl.shape)
+        lo, hi = rl < self._nodes[0], rl > self._nodes[-1]
+        out[lo] = self._K0 * rl[lo] ** (-p / (2 - p))
+        out[hi] = self._tail(rl[hi])
         mid = ~(lo | hi)
-        if np.any(mid):
-            outl[mid] = np.exp(self._spline(np.log(rl[mid])))
-        if np.any(lo):
-            outl[lo] = self._K0 * rl[lo] ** (-p / (2 - p))
-        if np.any(hi):
-            outl[hi] = C * (p - 1) / (N - p) * rl[hi] ** (-(N - p) / (p - 1))
-        return out if out.shape else float(outl[0])
-
-    def fprime(self, r):
-        return -_dipole_neg_fprime(r, self.exponents.n_dim, self.exponents.p, self.C)
-
-    def _xi(self, r, t):
-        p = self.exponents.p
-        tt = self.T - np.asarray(t, float)
-        return np.asarray(r, float) * tt ** (-1 / p), tt
-
-    def u_rt(self, r, t):
-        xi, _ = self._xi(r, t)
-        return self.f(xi)
-
-    def ur_rt(self, r, t):
-        p = self.exponents.p
-        xi, tt = self._xi(r, t)
-        return self.fprime(xi) * tt ** (-1 / p)
-
-    def ut_rt(self, r, t):
-        p = self.exponents.p
-        xi, tt = self._xi(r, t)
-        return self.fprime(xi) * xi / (p * tt)
+        out[mid] = np.exp(self._spline(np.log(rl[mid])))
+        return out.reshape(r.shape) if r.shape else float(out[0])
 
     def valid_rt(self, r, t):
         return (np.asarray(r, float) > 0) & (np.asarray(t, float) < self.T)
@@ -705,7 +699,7 @@ class IvanovSubsolution(ClosedFormSolution):
         return "rmin <= |x| < r0, 0 <= t <= 0.9/extinction rate"
 
 
-class SpecialLogProfile(ClosedFormSolution):
+class SpecialLogProfile(_SelfSimilar):
     """Logarithmic self-similar profile at p = 2N/(N+1), q = 1 (the exponent
     where the dipole construction degenerates):
     f'(r) = -r^{-(N+1)} [C - ((N+1)/(N(N-1))) ln r]^{-(N+1)/2}.
@@ -713,11 +707,12 @@ class SpecialLogProfile(ClosedFormSolution):
     The primitive f decreases from +inf at r = 0 to -inf at
     r_max = exp(C N(N-1)/(N+1)); u = f(|x| (T-t)^{-1/p}) therefore cannot be a
     (non-negative) weak solution.  We anchor f(sqrt(r_max)) = 0 and restrict
-    the validity domain to the region where f >= 0."""
+    the validity domain to the region where f >= 0.  f is tabulated on
+    1e-6 .. 0.96 sqrt(r_max) (2048 nodes); off the grid, and beyond it for
+    the table, it is the integral of -f' up to the anchor."""
 
     family = "special_log_profile"
     role = "not_weak_solution"
-    r_singular = 0.0
 
     def __init__(self, n_dim=3, C=1.0, T=1.0):
         if n_dim < 2:
@@ -730,7 +725,7 @@ class SpecialLogProfile(ClosedFormSolution):
         self.c_log = (n_dim + 1) / (n_dim * (n_dim - 1))
         self.r_max = math.exp(C / self.c_log)
         self.r_anchor = math.sqrt(self.r_max)
-        self._build_table()
+        self._build_table(np.logspace(-6, math.log10(0.96 * self.r_anchor), 2048))
 
     def neg_fprime(self, r):
         N = self.exponents.n_dim
@@ -739,56 +734,21 @@ class SpecialLogProfile(ClosedFormSolution):
             -(N + 1) / 2
         )
 
-    def _build_table(self):
+    def _tail(self, r):
         from scipy.integrate import quad
-        from scipy.interpolate import CubicSpline
 
-        nodes = np.logspace(-6, math.log10(0.96 * self.r_anchor), 2048)
-        gx, gw = np.polynomial.legendre.leggauss(7)
-        a, b = nodes[:-1], nodes[1:]
-        mid, half = (a + b) / 2, (b - a) / 2
-        seg = (
-            half[:, None] * gw * self.neg_fprime(mid[:, None] + half[:, None] * gx)
-        ).sum(axis=1)
-        # integral from the last node to the anchor (smooth integrand)
-        tail, _ = quad(lambda s: float(self.neg_fprime(s)), nodes[-1], self.r_anchor)
-        f_tab = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]]) + tail
-        self._nodes = nodes
-        self._spline = CubicSpline(np.log(nodes), np.log(f_tab))
+        return quad(lambda s: float(self.neg_fprime(s)), r, self.r_anchor, limit=200)[0]
 
     def f(self, r):
-        from scipy.integrate import quad
-
+        """The profile: the spline on the grid, the tail off it (and at
+        nan)."""
         r = np.asarray(r, float)
         rl = np.atleast_1d(r).ravel()
         out = np.empty(rl.shape)
         inside = (rl >= self._nodes[0]) & (rl <= self._nodes[-1])
         out[inside] = np.exp(self._spline(np.log(rl[inside])))
-        for i in np.nonzero(~inside)[0]:
-            val, _ = quad(
-                lambda s: float(self.neg_fprime(s)), rl[i], self.r_anchor,
-                limit=200,
-            )
-            out[i] = val
+        out[~inside] = [self._tail(v) for v in rl[~inside]]
         return out.reshape(r.shape) if r.shape else float(out[0])
-
-    def _xi(self, r, t):
-        p = self.exponents.p
-        tt = self.T - np.asarray(t, float)
-        return np.asarray(r, float) * tt ** (-1 / p), tt
-
-    def u_rt(self, r, t):
-        xi, _ = self._xi(r, t)
-        return self.f(xi)
-
-    def ur_rt(self, r, t):
-        xi, tt = self._xi(r, t)
-        return -self.neg_fprime(xi) * tt ** (-1 / self.exponents.p)
-
-    def ut_rt(self, r, t):
-        p = self.exponents.p
-        xi, tt = self._xi(r, t)
-        return -self.neg_fprime(xi) * xi / (p * tt)
 
     def valid_rt(self, r, t):
         # (T - t)^(-1/p) only where t < T: the power of tt <= 0 warns

@@ -215,6 +215,17 @@ class TestRun:
             in captured.out
         )
 
+    def test_bare_key_section_does_not_depend_on_token_order(self, tmp_path):
+        # a --family.id after a bare key still sends the key to [family]
+        tail = ["--N", "3", "--p", "2", "--x_o", "1", "--t_o", "0.5", "--radii", "1"]
+        outputs = []
+        for head in (["--q", "5", "--family.id", "separable_blowup"],
+                     ["--family.id", "separable_blowup", "--q", "5"]):
+            prefix = tmp_path / str(len(outputs))
+            assert run(["harnack", *head, *tail, "--out", str(prefix)]) == 0
+            outputs.append([prefix.with_suffix(s).read_bytes() for s in (".csv", ".meta")])
+        assert outputs[0] == outputs[1]
+
     def test_unread_solver_key_of_a_family_preset_exits_1(self, capsys):
         argv = ["harnack", "--preset", "harnack-fail-trudinger", "--n_cells", "10"]
         assert run(argv) == 1
@@ -424,6 +435,49 @@ class TestRun:
             (["harnack", "--family.id", "separable_blowup", "--x_o", "1",
               "--t_o", "0.5", "--radii", "1"],
              "family 'separable_blowup' requires N, p, q"),
+            # a radius whose square overflows is inf, with no numpy warning
+            (["harnack", "--preset", "harnack-fail-trudinger", "--x_o", "1e200"],
+             "u(x_o,t_o) <= 0 at probe (1e+200, 2.0, 1.0)"),
+            (["gradbound", "--preset", "gradbound-supercritical", "--x_o", "1e200",
+              "--t_o", "0.5", "--radii", "4"],
+             "u(x_o,t_o) <= 0 at probe (1e+200, 0.5, 4.0)"),
+            *[
+                ([sub, "--preset", name, "--x_o", "0", "--rho", "1.5",
+                  "--lattice", "2"], "no valid slices in the cylinder")
+                for sub, name in [
+                    ("integral-harnack", "integral-harnack-supercritical"),
+                    ("supbound", "supbound-fast-diffusion"),
+                ]
+            ],
+            (["gradbound", "--family.id", "ivanov_subsolution", "--x_o", "0.5",
+              "--t_o", "0", "--radii", "0.46", "--lattice", "2"],
+             "cylinder leaves the domain at probe (0.5, 0.0, 0.46)"),
+            (["holder", "--family.id", "supercritical_extinction", "--family.p", "2",
+              "--family.q", "3", "--family.N", "40", "--x_o", "1", "--t_o", "1.5",
+              "--radii", "1,2,3,4"],
+             "u(x_o, t_o) must be positive"),
+            # the family constructors' guards
+            *[
+                (["harnack", "--x_o", "1", "--t_o", "0", "--radii", "1",
+                  "--family.id", fid, *keys], message)
+                for fid, keys, message in [
+                    ("separable_blowup", ["--N", "3", "--p", "2", "--q", "0.5"],
+                     "requires q > p-1 and N(q-(p-1)) > pq for a real amplitude"),
+                    ("critical_harnack_wave", ["--p", "2", "--N", "1"],
+                     "requires N >= 2 and p < N"),
+                    ("boundedness_borderline", ["--p", "3", "--N", "3"],
+                     "requires p < N"),
+                    ("boundedness_borderline", ["--p", "1", "--N", "2"],
+                     "requires max{(q+1)/q, p} < N"),
+                    ("ivanov_subsolution", ["--p", "3", "--N", "3"],
+                     "requires p < N"),
+                    ("ivanov_subsolution", ["--q", "0.1"],
+                     "requires 1+q >= Np/(N-p)"),
+                    ("ivanov_subsolution", ["--r0", "1.5"],
+                     "requires r0 in (0, 1)"),
+                    ("special_log_profile", ["--N", "1"], "requires N >= 2"),
+                ]
+            ],
         ],
     )
     def test_bad_probe_exits_1(self, capsys, argv, message):
@@ -678,6 +732,10 @@ def test_family_without_its_parameters_exits_cleanly(capsys, fid):
          "error: sup bound requires fast diffusion q > p - 1"),
         (["exact-residual", "--family.id", "ivanov_subsolution"], 0,
          "subsolution_sign,pass"),
+        # C < 0: the inner radius R(t) is inf at t >= T, with no warning
+        (["gradbound", "--preset", "gradbound-supercritical", "--lattice", "4",
+          "--x_o", "16", "--t_o", "0.5", "--radii", "4", "--family.C", "-1"], 0,
+         "gradient_bound,bounded,0.9132642227262018"),
     ],
 )
 def test_branch_exit_code(capsys, argv, code, line):

@@ -617,6 +617,26 @@ class TestIntegralEstimates:
         assert rep2.verdict == "bounded"
         assert 0 < rep2.implied_constant < 10
 
+    def test_partial_rows_keep_their_bits(self):
+        # closed forms whose masks drop part of every row: the ivanov
+        # sub-solution below r_min, and the log profile past a moving edge,
+        # which leaves every row of its cylinder a different length.  Only
+        # the ivanov sup bound is in its regime; the others measure the
+        # same lattices under exponents with lambda_q > 0
+        ivanov = SolutionSource(IvanovSubsolution())
+        log = SolutionSource(SpecialLogProfile(3))
+        assert sup_bound(ivanov, 0.1, 0.02, 0.2, 0.015, r=3.0).implied_constant \
+            == float.fromhex("0x1.4c91725d01ab1p-6")
+        ivanov.exponents = log.exponents = ExponentTriple(p=2.0, q=1.5, n_dim=1)
+        assert integral_harnack(ivanov, 0.1, 0.02, 0.2, 0.015).implied_constant \
+            == float.fromhex("0x1.53dc1aaa076aep+1")
+        rows = log.valid_lattice(np.linspace(0.7, 1.9, 32), np.linspace(0.1, 0.5, 32))
+        assert len(set(rows.sum(axis=1).tolist())) > 10
+        assert integral_harnack(log, 1.3, 0.5, 0.6, 0.4).implied_constant \
+            == float.fromhex("0x1.93025e5461a0dp-3")
+        assert sup_bound(log, 1.3, 0.5, 0.6, 0.4, r=2.5).implied_constant \
+            == float.fromhex("0x1.6aef19a7420dep-3")
+
 
 class TestExpansionOfPositivity:
     def test_bounded_on_bump(self, bump_traj):
@@ -719,6 +739,17 @@ class TestExtinction:
         # exact decay exponent at the origin is N/|lambda_q| = 40/74
         assert slope == pytest.approx(40.0 / 74.0, rel=1e-6)
         assert r2 > 0.999999
+
+    def test_decay_fit_of_a_constant_series(self):
+        # a constant u has a total sum of squares of 0 in the fit
+        class Flat:
+            T = 1.0
+
+            def eval(self, x, t):
+                return 2.0
+
+        slope, _ = decay_exponent_fit(Flat(), 0.0)
+        assert abs(slope) < 1e-12
 
 
 class TestGradientBound:

@@ -197,6 +197,48 @@ class TestSpecialLogProfile:
         assert sol.neg_fprime(sol.r_anchor) > 0
 
 
+# u_rt, ur_rt and dtuq_rt of the two self-similar profiles at points of their
+# validity domains, as float.hex: the dipole's include one point below and one
+# above its table, where f takes its asymptotic forms
+_SELF_SIMILAR_BITS = {
+    "dipole": (
+        DipoleSelfSimilar(3, 1.1),
+        {
+            (1e-7, 0.0): ("0x1.2766230e0f49dp+29", "-0x1.ae65a319abd52p+52",
+                          "-0x1.483898ba49df1p+29"),
+            (0.3, 0.5): ("0x1.9f1874f6bd77dp+0", "-0x1.c510dd92f1feap+3",
+                         "-0x1.ee40f1b793a15p+2"),
+            (2.0, 0.9): ("0x1.4b9a70d0c95f2p-81", "-0x1.89c765f7ef234p-78",
+                         "-0x1.bf79dc99be4b0p-74"),
+            (2e6, 0.0): ("0x1.0971f1b47b9a9p-402", "-0x1.4a8729fc3e3edp-419",
+                         "-0x1.1e8f5f1d05743p-398"),
+        },
+    ),
+    "special_log": (
+        SpecialLogProfile(3),
+        {
+            (1e-4, 0.0): ("0x1.a08ffa35cac95p+32", "-0x1.64c8ddc161e7bp+47",
+                          "-0x1.85b436e46dab5p+33"),
+            (0.3, 0.5): ("0x1.085551270a4cep+1", "-0x1.ba25258ead522p+3",
+                         "-0x1.61b7513ef10e8p+2"),
+            (1.2, 0.1): ("0x1.077a881f32414p-2", "-0x1.212f254e2f158p-1",
+                         "-0x1.010d767e62bddp-1"),
+            (0.3, 0.9): ("0x1.a796daf0aadd2p-3", "-0x1.0438572ac3171p+1",
+                         "-0x1.0438572ac3171p+2"),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SELF_SIMILAR_BITS))
+def test_self_similar_profile_bits(name):
+    sol, points = _SELF_SIMILAR_BITS[name]
+    for (r, t), want in points.items():
+        assert sol.valid_rt(r, t)
+        got = tuple(float(m(r, t)).hex() for m in (sol.u_rt, sol.ur_rt, sol.dtuq_rt))
+        assert got == want, (r, t)
+
+
 class TestRegistry:
     def test_families_constructible(self):
         make_family("trudinger_gaussian", p=2.0, n_dim=1)
