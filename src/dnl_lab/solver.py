@@ -116,12 +116,23 @@ def solve_banded(lower, main, upper, rhs):
     `upper` by LAPACK `dgtsv`, which scipy's `solve_banded((1, 1), ...)`
     calls too (same bits).  It overwrites the four distinct float64 arrays.
     Raises ValueError on a non-finite entry, as scipy's `check_finite`
-    does, and LinAlgError on a singular system.  scipy.linalg is imported
-    here, on the first call, so that runs without a solve never load it."""
+    does, and LinAlgError on a singular system.  Four views that tile one
+    buffer, as the workspace's bands do, are checked as that buffer.
+    scipy.linalg is imported here, on the first call, so that runs without
+    a solve never load it."""
     global _dgtsv
     if _dgtsv is None:
         from scipy.linalg.lapack import dgtsv as _dgtsv
-    if not np.isfinite(np.concatenate((lower, main, upper, rhs))).all():
+    buf = lower.base
+    if (
+        buf is not None
+        and buf is main.base is upper.base is rhs.base
+        and buf.size == lower.size + main.size + upper.size + rhs.size
+    ):
+        finite = np.isfinite(buf).all()
+    else:
+        finite = all(np.isfinite(a).all() for a in (lower, main, upper, rhs))
+    if not finite:
         raise ValueError("array must not contain infs or NaNs")
     *_, x, info = _dgtsv(lower, main, upper, rhs, 1, 1, 1, 1)
     if info > 0:
@@ -131,58 +142,102 @@ def solve_banded(lower, main, upper, rhs):
     return x
 
 
-def _beta(u, q):
-    """u^q as |u|^(q-1) u; at q = 1, `u` itself."""
+def _beta(u, q, out=None):
+    """u^q as |u|^(q-1) u, into `out` when given; at q = 1, `u` itself, and
+    at q = 2, |u| u (x**1.0 == x)."""
     if q == 1:
         return u
+    out = np.abs(u, out=out)
+    if q == 2:
+        return np.multiply(out, u, out=out)
     if q > 1:
-        return np.abs(u) ** (q - 1) * u
+        np.power(out, q - 1, out=out)
+        return np.multiply(out, u, out=out)
     # q < 1: |u|^(q-1) is infinite at u = 0, where beta is 0
-    out = np.zeros_like(u)
     nz = u != 0
-    out[nz] = np.abs(u[nz]) ** (q - 1) * u[nz]
+    np.power(out, q - 1, out=out, where=nz)
+    return np.multiply(out, u, out=out, where=nz)
+
+
+def _beta_prime(u, q, eps, out):
+    """q u^(q-1), regularized: singular at 0 for q < 1, degenerate for
+    q > 1; written into `out`, and None (a factor of 1) at q = 1.  At q = 2
+    the power is skipped (x**1.0 == x)."""
+    if q == 1:
+        return None
+    np.maximum(u, eps, out=out)
+    if q != 2:
+        np.power(out, q - 1, out=out)
+    out *= q
     return out
 
 
-def _beta_prime(u, q, eps=1e-12):
-    """q u^(q-1), regularized: singular at 0 for q < 1, degenerate for
-    q > 1; None (a factor of 1) at q = 1."""
-    if q == 1:
-        return None
-    return q * np.maximum(u, eps) ** (q - 1)
+def _mu2_plus_g2(g, mu):
+    """mu^2 + g^2 as a fresh array; mu = 0 adds nothing (x + 0.0 == x for
+    x = g^2 >= 0)."""
+    base = g * g
+    if mu:
+        base += mu * mu
+    return base
 
 
-def _phi(g, mu, p):
-    """(mu^2 + g^2)^{(p-2)/2}, the scalar flux factor; None (a factor of 1)
-    at p = 2."""
-    if p == 2:
-        return None
-    base = mu * mu + g * g
-    with np.errstate(divide="ignore"):
-        out = base ** ((p - 2) / 2)
-    return np.where(base > 0, out, 0.0)
+def _phi(g, mu, p, out):
+    """(mu^2 + g^2)^{(p-2)/2}, the scalar flux factor for p != 2, written
+    into `out`; 0 where the base is 0."""
+    base = _mu2_plus_g2(g, mu)
+    out.fill(0.0)
+    return np.power(base, (p - 2) / 2, out=out, where=base > 0)
 
 
-def _phi_total_deriv(g, mu, p):
+def _phi_total_deriv(g, mu, p, out):
     """d/dg [ phi(g) * g ] = (mu^2+g^2)^{(p-4)/2} (mu^2 + (p-1) g^2), for
-    p != 2 (`jacobian_bands` takes its own face factor at p = 2)."""
-    base = mu * mu + g * g
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = base ** ((p - 4) / 2) * (mu * mu + (p - 1) * g * g)
-    return np.where(base > 0, out, 0.0)
+    p != 2, written into `out`; 0 where the base is 0."""
+    base = _mu2_plus_g2(g, mu)
+    pos = base > 0
+    out.fill(0.0)
+    np.power(base, (p - 4) / 2, out=out, where=pos)
+    # the second factor, (p - 1) * g * g + mu^2, in the base's array
+    np.multiply(g, p - 1, out=base)
+    base *= g
+    if mu:
+        base += mu * mu
+    return np.multiply(out, base, out=out, where=pos)
+
+
+class _State:
+    """An iterate u, the interior of its ghost-extended array `ue` (`hi` and
+    `lo` are ue[1:] and ue[:-1]), with its residual, face gradients and
+    flux difference."""
+
+    __slots__ = ("ue", "u", "hi", "lo", "R", "grads", "div")
+
+    def __init__(self, n):
+        self.ue = np.empty(n + 2)
+        self.u = self.ue[1:-1]
+        self.hi = self.ue[1:]
+        self.lo = self.ue[:-1]
+        self.R = np.empty(n)
+        self.grads = np.empty(n + 1)
+        self.div = np.empty(n)
 
 
 class _Discretization:
-    """The per-run workspace of the Newton kernel: the geometric factors,
-    the exponents, mu and floors read once, an owned (n+2) ghost buffer, the
-    from_exact ghost pair of the current t, the face gradients, and the FV
-    residual/Jacobian.  Every floating-point operation keeps the order of
-    the plain formulas in the comments, so the bits are those of a step
-    that allocates every temporary."""
+    """The per-run workspace of the Newton kernel.  It reads the geometric
+    factors, the exponents, mu and floors once, and it owns every array an
+    iteration writes:
+    - two `_State`s, the iterate's and a line-search trial's, which `step`
+      swaps when it accepts the trial;
+    - the flux, its derivative and |R|;
+    - one buffer of 4n - 2 floats whose views are `dgtsv`'s dl, d, du and b.
+    With a zero Dirichlet boundary and no floor, the state a step accepts
+    is the start of the next step (see `step`).  Every floating-point
+    operation keeps the order of the plain formulas in the comments, so the
+    bits are those of a step that allocates every temporary."""
 
     def __init__(self, problem, config):
         self.pr = problem
         g = problem.grid
+        n = g.n_cells
         self.h = g.h
         self.p = problem.exponents.p
         self.q = problem.exponents.q
@@ -194,23 +249,39 @@ class _Discretization:
         if g.geometry == "radial":
             self.area = faces ** (g.n_dim - 1)
         else:
-            self.area = np.ones(g.n_cells + 1)
+            self.area = np.ones(n + 1)
         # zero flux through the face at r = 0
         self.symmetric = g.geometry == "radial" and g.x_lo == 0.0
-        # u with its two ghost values; face_gradients overwrites it per call
-        self.ue = np.empty(g.n_cells + 2)
+        # ghost coupling: d ghost / d u_first = -1 for dirichlet-type data
+        self.ghost_coupled = problem.boundary != "from_exact"
+        self.ghost_values = problem.ghost_values
         # from_exact ghost values depend on t alone: the last t and its pair
         self.exact_ghost_t = None
         self.exact_ghosts = None
-        self.ghost_values = problem.ghost_values
         if problem.boundary == "from_exact":
             self.ghost_values = self._exact_ghost_values
-        # d flux_f / d (u_right - u_left) at p = 2
-        self.dflux_p2 = None
+        self.states = (_State(n), _State(n))
+        self.flux = np.empty(n + 1)
+        self.flux_hi, self.flux_lo = self.flux[1:], self.flux[:-1]
+        # d flux_f / d (u_right - u_left); at p = 2 it is area / h, built once
+        self.dflux = np.empty(n + 1)
+        self.dflux_hi, self.dflux_lo = self.dflux[1:], self.dflux[:-1]
+        self.dflux_in = self.dflux[1:-1]
         if self.p == 2:
-            self.dflux_p2 = self.area / self.h
+            np.divide(self.area, self.h, out=self.dflux)
             if self.symmetric:
-                self.dflux_p2[0] = 0.0
+                self.dflux[0] = 0.0
+        self.abs_R = np.empty(n)
+        self.bands = np.empty(4 * n - 2)
+        self.lower = self.bands[: n - 1]
+        self.main = self.bands[n - 1 : 2 * n - 1]
+        self.upper = self.bands[2 * n - 1 : 3 * n - 2]
+        self.rhs = self.bands[3 * n - 2 :]
+        self.b_prev = np.empty(n)
+        # zero Dirichlet ghosts do not move with t: the state a step accepts
+        # may start the next one (see `step`), which `returned` keys
+        self.zero_dirichlet = problem.boundary == "zero_dirichlet"
+        self.returned = None
 
     def _exact_ghost_values(self, u, t):
         """`problem.ghost_values(u, t)` of a from_exact boundary, evaluated
@@ -220,58 +291,73 @@ class _Discretization:
             self.exact_ghost_t = t
         return self.exact_ghosts
 
-    def face_gradients(self, u, t):
-        """(ue[1:] - ue[:-1]) / h, one gradient per face as a fresh array,
-        after writing u and its ghost values at t into `ue`."""
-        ue = self.ue
-        ue[1:-1] = u
-        ue[0], ue[-1] = self.ghost_values(u, t)
-        grads = ue[1:] - ue[:-1]
+    def _gradients(self, state, t, out=None):
+        """(ue[1:] - ue[:-1]) / h, one gradient per face of `state`'s
+        iterate, after writing its ghost values at t into its `ue`."""
+        state.ue[0], state.ue[-1] = self.ghost_values(state.u, t)
+        grads = np.subtract(state.hi, state.lo, out=out)
         grads /= self.h
         return grads
 
-    def residual(self, u, b_prev, t_new, dt, b_u=None):
-        """Cell residuals R_i = (beta(u)-beta(u_prev)) V_i/dt - net flux,
-        with `b_prev` = beta(u_prev) and `b_u` = beta(u) when known.
-        Returns (R, face gradients), two fresh arrays."""
-        grads = self.face_gradients(u, t_new)
+    def face_gradients(self, u, t):
+        """The face gradients of u at t as a fresh array."""
+        state = _State(len(u))
+        state.u[...] = u
+        return self._gradients(state, t)
+
+    def residual(self, state, b_prev, t_new, dt, b_u=None):
+        """Cell residuals R_i = (beta(u)-beta(u_prev)) V_i/dt - net flux of
+        `state`'s iterate, with `b_prev` = beta(u_prev) and `b_u` = beta(u)
+        when known, written into `state` with the face gradients and the
+        flux difference.  Returns max |R_i|."""
+        self._gradients(state, t_new, out=state.grads)
         # flux = phi(grads) * grads * area
-        phi = _phi(grads, self.mu, self.p)
-        if phi is None:
-            flux = grads * self.area
+        flux = self.flux
+        if self.p == 2:
+            np.multiply(state.grads, self.area, out=flux)
         else:
-            flux = phi * grads
+            _phi(state.grads, self.mu, self.p, flux)
+            flux *= state.grads
             flux *= self.area
         if self.symmetric:
             flux[0] = 0.0
+        np.subtract(self.flux_hi, self.flux_lo, out=state.div)
         # R = (beta(u) - b_prev) * vol / dt - (flux[1:] - flux[:-1])
-        R = (_beta(u, self.q) if b_u is None else b_u) - b_prev
+        R = state.R
+        if b_u is None:
+            b_u = _beta(state.u, self.q, out=R)
+        np.subtract(b_u, b_prev, out=R)
         R *= self.vol
         R /= dt
-        R -= flux[1:] - flux[:-1]
-        return R, grads
+        R -= state.div
+        return np.maximum.reduce(np.abs(R, out=self.abs_R))
 
     def jacobian_bands(self, u, grads, dt, picard=False):
         """Tridiagonal Jacobian as its three diagonals (lower, main, upper),
-        three fresh arrays (`solve_banded` overwrites them)."""
-        if self.p == 2:
-            dflux = self.dflux_p2
-        else:
-            phi = _phi if picard else _phi_total_deriv
-            # d flux_f / d (u_right - u_left)
-            dflux = phi(grads, self.mu, self.p) * self.area / self.h
+        written into the band buffer (`solve_banded` overwrites them)."""
+        dflux = self.dflux
+        if self.p != 2:
+            # d flux_f / d (u_right - u_left) = phi'(grads) * area / h
+            (_phi if picard else _phi_total_deriv)(grads, self.mu, self.p, dflux)
+            dflux *= self.area
+            dflux /= self.h
             if self.symmetric:
                 dflux[0] = 0.0
         # main = beta'(u) * vol / dt + dflux[:-1] + dflux[1:]
-        bp = _beta_prime(u, self.q, self.eps)
-        main = (self.vol if bp is None else bp * self.vol) / dt
-        main += dflux[:-1]
-        main += dflux[1:]
-        # ghost coupling: d ghost/d u_first = -1 for dirichlet-type boundaries
-        if self.pr.boundary != "from_exact":
+        main = self.main
+        if _beta_prime(u, self.q, self.eps, main) is None:
+            np.divide(self.vol, dt, out=main)
+        else:
+            main *= self.vol
+            main /= dt
+        main += self.dflux_lo
+        main += self.dflux_hi
+        if self.ghost_coupled:
             main[0] += dflux[0]  # left face gradient = (u_0 - gl)/h, d/du0 = 2
             main[-1] += dflux[-1]
-        return -dflux[1:-1], main, -dflux[1:-1]
+        lower = np.negative(self.dflux_in, out=self.lower)
+        np.copyto(self.upper, lower)
+        return lower, main, self.upper
 
 
 def step(problem, u_prev, t, dt, config, disc=None):
@@ -283,36 +369,54 @@ def step(problem, u_prev, t, dt, config, disc=None):
     per step and shared by the tolerance and every residual; each iteration
     solves its tridiagonal system with `solve_banded` (LAPACK `dgtsv`).
     `disc` is the problem's `_Discretization`, the run's workspace, built
-    here when not given (a `Trajectory` builds one per run).  Raises
-    StepFailure, which names t and the residual as a multiple of its
-    tolerance."""
+    here when not given (a `Trajectory` builds one per run).
+
+    The first residual is R(u_prev) = (beta(u_prev) - beta(u_prev)) V/dt -
+    (flux difference) = 0 - (flux difference).  With a zero Dirichlet
+    boundary, whose ghosts do not move with t, and no floor, a step returns
+    the bits of the iterate it accepted, so when `u_prev` is the very array
+    the workspace's last step returned, unchanged, that step's flux
+    difference and face gradients start this one.  Raises StepFailure,
+    which names t and the residual as a multiple of its tolerance."""
     if not 0 < dt < math.inf:
         raise ValueError("dt must be finite and > 0")
     u_prev = np.asarray(u_prev, dtype=float)
-    if (u_prev < 0).any():
-        raise ValueError("u_prev must be non-negative")
     if disc is None:
         disc = _Discretization(problem, config)
+    cur, spare = disc.states
+    # the last step's return, unchanged, is its accepted iterate: >= 0
+    carried = disc.returned is u_prev and (cur.u == u_prev).all()
+    disc.returned = None
+    if not carried and (u_prev < 0).any():
+        raise ValueError("u_prev must be non-negative")
     t_new = t + dt
-    b_prev = _beta(u_prev, disc.q)
-    u = u_prev.copy()
-    R, grads = disc.residual(u, b_prev, t_new, dt, b_u=b_prev)
-    norm = np.abs(R).max()
+    b_prev = _beta(u_prev, disc.q, out=disc.b_prev)
+    cur.u[...] = u_prev
+    if carried:
+        # R(u_prev) = 0 - (flux difference), as computed afresh
+        np.subtract(0.0, cur.div, out=cur.R)
+        norm = np.maximum.reduce(np.abs(cur.R, out=disc.abs_R))
+    else:
+        norm = disc.residual(cur, b_prev, t_new, dt, b_u=b_prev)
     iters = 0
     picard_mode = False
     # residuals scale like beta(u) * vol / dt; make the tolerance follow suit
     # (the 1e-14 floor keeps the tolerance meaningful on near-extinct states
     # without freezing them: an absolute floor of O(1) would let tiny-amplitude
     # tails pass the test with a zero update)
-    beta_amp = float(np.abs(b_prev).max())
+    beta_amp = float(np.maximum.reduce(np.abs(b_prev, out=disc.abs_R)))
     scale = (beta_amp + 1e-14) * disc.vol_max / dt
     tol = config.newton_tol * scale
     while norm > tol and iters < config.max_newton:
         if iters >= config.max_newton // 2:
             picard_mode = True
-        lower, main, upper = disc.jacobian_bands(u, grads, dt, picard=picard_mode)
+        lower, main, upper = disc.jacobian_bands(
+            cur.u, cur.grads, dt, picard=picard_mode
+        )
         try:
-            delta = solve_banded(lower, main, upper, -R)
+            delta = solve_banded(
+                lower, main, upper, np.negative(cur.R, out=disc.rhs)
+            )
         except np.linalg.LinAlgError as exc:
             raise StepFailure("linear solve failed", t_new, norm, tol) from exc
         # trial = max(u + lam * delta, 0), lam = 1, 1/2, ..., 1/128; at
@@ -320,12 +424,16 @@ def step(problem, u_prev, t, dt, config, disc=None):
         lam = 1.0
         improved = False
         for _ in range(8):
-            trial = u + delta if lam == 1.0 else u + lam * delta
+            trial = spare.u
+            if lam == 1.0:
+                np.add(cur.u, delta, out=trial)
+            else:
+                np.multiply(delta, lam, out=trial)
+                trial += cur.u
             np.maximum(trial, 0.0, out=trial)
-            R_t, g_t = disc.residual(trial, b_prev, t_new, dt)
-            n_t = np.abs(R_t).max()
+            n_t = disc.residual(spare, b_prev, t_new, dt)
             if n_t < norm:
-                u, R, grads, norm = trial, R_t, g_t, n_t
+                cur, spare, norm = spare, cur, n_t
                 improved = True
                 break
             lam *= 0.5
@@ -333,16 +441,24 @@ def step(problem, u_prev, t, dt, config, disc=None):
             if not picard_mode:
                 picard_mode = True
             else:
-                # accept a small damped step to escape a flat spot
-                u = np.maximum(u + 0.1 * delta, 0.0)
-                R, grads = disc.residual(u, b_prev, t_new, dt)
-                norm = np.abs(R).max()
+                # accept a small damped step, max(u + 0.1 delta, 0), to
+                # escape a flat spot
+                np.multiply(delta, 0.1, out=spare.u)
+                spare.u += cur.u
+                np.maximum(spare.u, 0.0, out=spare.u)
+                norm = disc.residual(spare, b_prev, t_new, dt)
+                cur, spare = spare, cur
         iters += 1
+    disc.states = cur, spare
     if not norm <= tol * 100:  # a NaN residual fails too
         raise StepFailure("nonlinear iteration did not converge", t_new, norm, tol)
-    # maximum(x, 0) is what np.clip(x, 0.0, None) calls: the same bits
-    clipped = float(np.maximum(config.floor_eps - u, 0.0).sum())
-    u = np.maximum(u, config.floor_eps)
+    # maximum(x, 0) is what np.clip(x, 0.0, None) calls: the same bits; with
+    # no floor every entry of floor_eps - u is <= 0, so the sum is 0.0
+    floor = config.floor_eps
+    clipped = float(np.maximum(floor - cur.u, 0.0).sum()) if floor else 0.0
+    u = np.maximum(cur.u, floor)
+    if disc.zero_dirichlet and not floor:
+        disc.returned = u
     return u, {"iters": iters, "residual": norm, "clipped": clipped}
 
 

@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 from dnl_lab.core import ExponentTriple, Grid1D
+from dnl_lab.exact import TrudingerGaussian
 from dnl_lab.solver import (
     CauchyDirichletProblem,
     SolverConfig,
     StepFailure,
-    _beta,
+    Trajectory,
     _Discretization,
     solve,
     step,
@@ -238,13 +239,120 @@ class TestWorkspace:
             for a, b in itertools.combinations(fields, 2):
                 assert not np.shares_memory(a, b)
             disc = _Discretization(pr, cfg)
+            owned = [disc.flux, disc.dflux, disc.abs_R, disc.bands, disc.b_prev]
+            owned += [a for s in disc.states for a in (s.ue, s.R, s.grads, s.div)]
+            for a, b in itertools.combinations(owned, 2):
+                assert not np.shares_memory(a, b)
             u, t = pr.initial, 0.0
-            b_prev = _beta(u, pr.exponents.q)
-            R, grads = disc.residual(u, b_prev, t + cfg.dt, cfg.dt)
-            for out in (R, grads):
-                assert not np.shares_memory(out, disc.ue)
             for _ in range(3):
                 u_next, _ = step(pr, u, t, cfg.dt, cfg, disc=disc)
-                assert not np.shares_memory(u_next, disc.ue)
+                for a in owned:
+                    assert not np.shares_memory(u_next, a)
                 assert not np.shares_memory(u_next, u)
                 u, t = u_next, t + cfg.dt
+
+
+def _carry_problem(p, q, geometry, boundary):
+    """cos_bump data less 0.3 (zero near the edge, where a floor binds) on
+    [0, 1] (radial, N = 3) or [-1, 1] (cartesian), with zero, moving
+    (`dirichlet`) or closed-form (`from_exact`) boundary data."""
+    x_lo = 0.0 if geometry == "radial" else -1.0
+    g = Grid1D(x_lo, 1.0, 24, geometry, 3)
+    u0 = np.maximum(np.cos(np.pi * g.centers() / 2) ** 2 - 0.3, 0.0)
+    kwargs = {}
+    if boundary == "dirichlet":
+        kwargs["boundary_values"] = lambda t: (0.1 + t, 0.2 + t)
+    elif boundary == "from_exact":
+        kwargs["exact"] = TrudingerGaussian(p=p, n_dim=3)
+    return CauchyDirichletProblem(
+        ExponentTriple(p, q, 3), g, u0, 1.0, boundary=boundary, **kwargs
+    )
+
+
+class TestCarriedResidual:
+    """A zero Dirichlet run without a floor starts each step from the state
+    the last step accepted; every other run computes its first residual."""
+
+    @pytest.mark.parametrize("geometry", ["radial", "cartesian"])
+    @pytest.mark.parametrize(
+        "boundary", ["zero_dirichlet", "dirichlet", "from_exact"]
+    )
+    def test_trajectory_same_bits_as_fresh_steps(self, geometry, boundary):
+        for p, q, floor in itertools.product(
+            (1.5, 2.0, 3.0), (0.5, 1.0, 2.0), (0.0, 1e-6)
+        ):
+            pr = _carry_problem(p, q, geometry, boundary)
+            cfg = SolverConfig(dt=2e-4, floor_eps=floor)
+            pr.t_end = 6 * cfg.dt
+            traj = Trajectory(pr, cfg)
+            carries = boundary == "zero_dirichlet" and floor == 0.0
+            u = pr.initial
+            for k in range(6):
+                where = (p, q, floor, k)
+                try:
+                    # no workspace: a fresh first residual on every step
+                    u, info = step(pr, u, traj.times[k], cfg.dt, cfg)
+                except StepFailure as exc:
+                    # q < 1 runs may fail where the data vanish
+                    with pytest.raises(StepFailure) as failed:
+                        traj.row(k + 1)
+                    assert failed.value.time == exc.time, where
+                    assert _bits(failed.value.residual) == _bits(exc.residual)
+                    break
+                row = traj.row(k + 1)
+                assert np.array_equal(_bits(u), _bits(row)), where
+                assert info["iters"] == traj.newton_iters[k + 1], where
+                assert _bits(info["residual"]) == _bits(traj.residual_norms[k + 1])
+                assert (traj._disc.returned is row) == carries, where
+
+    def _first_residuals(self, disc):
+        """Wrap `disc.residual`; the list gets True for each first residual
+        computed afresh (the one call given beta(u))."""
+        fresh = []
+        real = disc.residual
+
+        def counted(state, b_prev, t_new, dt, b_u=None):
+            fresh.append(b_u is not None)
+            return real(state, b_prev, t_new, dt, b_u=b_u)
+
+        disc.residual = counted
+        return fresh
+
+    @pytest.mark.parametrize("change", ["copy", "in-place"])
+    def test_copied_or_changed_return_is_computed_afresh(self, change):
+        pr = _carry_problem(3.0, 2.0, "radial", "zero_dirichlet")
+        cfg = SolverConfig(dt=2e-4)
+        dt = cfg.dt
+        disc = _Discretization(pr, cfg)
+        fresh = self._first_residuals(disc)
+        u1, _ = step(pr, pr.initial, 0.0, dt, cfg, disc=disc)
+        u2, _ = step(pr, u1, dt, dt, cfg, disc=disc)
+        assert sum(fresh) == 1  # the first step only
+        if change == "copy":
+            u2 = u2.copy()
+        else:
+            u2[5] *= 0.5
+        want = step(pr, u2, 2 * dt, dt, cfg)[0]
+        del fresh[:]
+        got = step(pr, u2, 2 * dt, dt, cfg, disc=disc)[0]
+        assert fresh[0]
+        assert np.array_equal(_bits(got), _bits(want))
+        # the step after is carried again
+        del fresh[:]
+        step(pr, got, 3 * dt, dt, cfg, disc=disc)
+        assert not any(fresh)
+
+    def test_failed_step_drops_the_carry(self):
+        pr = _carry_problem(3.0, 2.0, "radial", "zero_dirichlet")
+        cfg = SolverConfig(dt=2e-4)
+        disc = _Discretization(pr, cfg)
+        fresh = self._first_residuals(disc)
+        u1, _ = step(pr, pr.initial, 0.0, cfg.dt, cfg, disc=disc)
+        no_iterations = SolverConfig(dt=cfg.dt, max_newton=0)
+        with pytest.raises(StepFailure):
+            step(pr, u1, cfg.dt, cfg.dt, no_iterations, disc=disc)
+        del fresh[:]
+        got = step(pr, u1, cfg.dt, cfg.dt, cfg, disc=disc)[0]
+        assert fresh[0]
+        want = step(pr, u1, cfg.dt, cfg.dt, cfg)[0]
+        assert np.array_equal(_bits(got), _bits(want))
