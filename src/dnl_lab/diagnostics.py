@@ -32,6 +32,15 @@ class RegimeError(ValueError):
     """Exponents outside the regime required by an estimate."""
 
 
+def _radius_power(rho, p):
+    """rho^p of a radius; one whose power overflows is a RegimeError that
+    names it."""
+    try:
+        return rho**p
+    except OverflowError:
+        raise RegimeError(f"radius {rho} is too large: rho^p overflows") from None
+
+
 @dataclass
 class DiagnosticReport:
     estimate_id: str
@@ -245,7 +254,7 @@ def harnack_scan(src, base_points, radii, sigma=0.25, lattice=32):
         u_o = src.eval(x_o, t_o)
         if u_o <= 0:
             raise RegimeError(f"u(x_o,t_o) <= 0 at probe {probe}")
-        half = sigma * u_o ** (e.q + 1 - e.p) * rho**e.p
+        half = sigma * u_o ** (e.q + 1 - e.p) * _radius_power(rho, e.p)
         xs = np.linspace(x_o - rho, x_o + rho, lattice)
         ts = np.linspace(t_o - half, t_o + half, lattice) if half > 0 else [t_o]
         if not src.valid_lattice(xs, ts).any():
@@ -309,8 +318,9 @@ def _sup_estimate(src, estimate_id, name, lam_name, lam, average, probe, lattice
     # scalar powers in `average`: numpy's SIMD power differs from libm in
     # the last bit
     mean = average([row.tolist() for row in rows if row.size])
-    core = (rho**p / s) ** (N / lam) * mean ** (p / lam)
-    tail = (s / rho**p) ** (1 / (q + 1 - p))
+    rho_p = _radius_power(rho, p)
+    core = (rho_p / s) ** (N / lam) * mean ** (p / lam)
+    tail = (s / rho_p) ** (1 / (q + 1 - p))
     rhs = core + tail
     rep = DiagnosticReport(estimate_id=estimate_id, probes=[probe])
     rep.lhs.append(sup_u)
@@ -361,7 +371,7 @@ def expansion_of_positivity(src, x_o, t_o, rho, M, alpha, delta_scan=10):
         raise RegimeError(
             f"measure hypothesis fails: |u >= M| fraction {frac:.3f} < alpha={alpha}"
         )
-    theta = M ** (e.q + 1 - e.p) * rho**e.p
+    theta = M ** (e.q + 1 - e.p) * _radius_power(rho, e.p)
     rep = DiagnosticReport(estimate_id="expansion_of_positivity")
     best_eta, best_delta = 0.0, None
     xs2 = np.linspace(x_o - 2 * rho, x_o + 2 * rho, 64)
@@ -484,13 +494,12 @@ def decay_exponent_fit(sol, x_o):
 
 def _loglog_fit(X, Y):
     """Slope and r^2 of the least-squares line through (X, Y), logs of the
-    data.  The 1e-300 guard on the total sum of squares keeps a constant Y
-    from dividing by zero."""
+    data.  A constant Y shows no power law: slope 0.0 and r^2 0.0."""
+    if Y.min() == Y.max():
+        return 0.0, 0.0
     slope, intercept = np.polyfit(X, Y, 1)
     resid = Y - (slope * X + intercept)
-    r2 = 1.0 - float(np.sum(resid**2)) / max(
-        float(np.sum((Y - Y.mean()) ** 2)), 1e-300
-    )
+    r2 = 1.0 - float(np.sum(resid**2)) / float(np.sum((Y - Y.mean()) ** 2))
     return float(slope), r2
 
 
@@ -511,7 +520,7 @@ def gradient_bound(src, probes, lattice=32):
         if lattice == 1:
             sup_du = src.grad_norm(x_o, t_o)
         else:
-            half = u_o ** (e.q + 1 - e.p) * rho**e.p
+            half = u_o ** (e.q + 1 - e.p) * _radius_power(rho, e.p)
             xs = np.linspace(x_o - rho, x_o + rho, lattice)
             ts = np.linspace(t_o - half, t_o + half, lattice)
             (grads,) = src.lattice(("grad_norm",), xs, ts)
@@ -550,7 +559,7 @@ def holder_fit(src, x_o, t_o, radii, lattice=16):
         raise RegimeError("u(x_o, t_o) must be positive")
     oscs, lips = [], []
     for rho in radii:
-        half = u_o ** (e.q + 1 - e.p) * rho**e.p
+        half = u_o ** (e.q + 1 - e.p) * _radius_power(rho, e.p)
         xs = np.linspace(x_o - rho, x_o + rho, lattice)
         ts = np.linspace(t_o - half, t_o + half, lattice)
         grads, us = src.lattice(("grad_norm", "eval"), xs, ts)

@@ -478,6 +478,12 @@ class TestRun:
                     ("special_log_profile", ["--N", "1"], "requires N >= 2"),
                 ]
             ],
+            # a radius whose p-th power overflows
+            (["harnack", "--preset", "harnack-fail-trudinger", "--radii", "1e200"],
+             "radius 1e+200 is too large: rho^p overflows"),
+            (["holder", "--preset", "holder-supercritical",
+              "--radii", "0.01,0.02,0.03,1e200"],
+             "radius 1e+200 is too large: rho^p overflows"),
         ],
     )
     def test_bad_probe_exits_1(self, capsys, argv, message):
