@@ -574,8 +574,10 @@ def pipe_extinction(cfg, out):
         ok = rel <= 0.10
         out.meta(f"decay_fit,{'pass' if ok else 'fail'}")
         return 0 if ok else 2
-    traj = run_solver(cfg)
+    problem, config = build_problem(cfg)
     probes = _get(cfg, "probes", "x_o", [])
+    dg.check_extinction_run(problem, probes)  # before any step
+    traj = solve(problem, config)
     return _report(out, dg.extinction_analysis(traj, x_probes=probes))
 
 

@@ -394,6 +394,25 @@ def expansion_of_positivity(src, x_o, t_o, rho, M, alpha, delta_scan=10):
     return rep
 
 
+def check_extinction_run(problem, x_probes=()):
+    """The signed distance to the boundary (<= 0 on or past the edge) of a
+    zero-boundary problem with q + 1 > p and every probe inside, checked
+    before any step; a RegimeError otherwise."""
+    e = problem.exponents
+    if e.q + 1 - e.p <= 0:
+        raise RegimeError("extinction analysis requires q + 1 > p")
+    if problem.boundary != "zero_dirichlet":
+        raise RegimeError("extinction analysis requires zero Dirichlet boundary")
+    g = problem.grid
+    d_bound = lambda x: min(x - g.x_lo, g.x_hi - x) if (
+        g.geometry == "cartesian"
+    ) else (g.x_hi - abs(x))
+    for x_o in x_probes:
+        if not d_bound(x_o) > 0:
+            raise RegimeError(f"probe x_o={x_o} is not inside the domain")
+    return d_bound
+
+
 def extinction_analysis(traj, x_probes=()):
     """Extinction diagnostics on a zero-boundary fast-diffusion run:
 
@@ -407,20 +426,9 @@ def extinction_analysis(traj, x_probes=()):
           past the domain edge (distance d <= 0) raises RegimeError.
 
     Verdict bounded iff v <= w up to 5% of v0 and T_num - t_start <= T_bound."""
+    d_bound = check_extinction_run(traj.problem, x_probes)
     e = traj.problem.exponents
     p, q = e.p, e.q
-    if q + 1 - p <= 0:
-        raise RegimeError("extinction analysis requires q + 1 > p")
-    if traj.problem.boundary != "zero_dirichlet":
-        raise RegimeError("extinction analysis requires zero Dirichlet boundary")
-    # signed distance to the boundary: <= 0 on or past the domain edge
-    g = traj.problem.grid
-    d_bound = lambda x: min(x - g.x_lo, g.x_hi - x) if (
-        g.geometry == "cartesian"
-    ) else (g.x_hi - abs(x))
-    for x_o in x_probes:
-        if not d_bound(x_o) > 0:
-            raise RegimeError(f"probe x_o={x_o} is not inside the domain")
     fn = slice_functionals(traj)
     times, v = fn["t"], fn["int_uq1"]
     sup_u = fn["sup_u"]

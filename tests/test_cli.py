@@ -322,6 +322,36 @@ class TestRun:
         assert err.startswith("error: nonlinear iteration did not converge")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("p", ["3", "1e200"])
+    def test_extinction_regime_checked_before_solving(self, monkeypatch, capsys, p):
+        # q + 1 <= p: one error line, no warning and no step
+        calls = []
+        real = solver.step
+        monkeypatch.setattr(
+            solver, "step", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["extinction", "--preset", "extinction-bound", "--p", p]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: extinction analysis requires q + 1 > p\n"
+        assert calls == []
+
+    @pytest.mark.parametrize("geometry", [
+        [], ["--geometry", "cartesian", "--x_lo", "-1", "--x_hi", "1"],
+    ])
+    def test_floor_leaves_beta_prime_alone(self, capsys, tmp_path, geometry):
+        # beta' is regularized at 1e-12 whatever the floor: with a floor of
+        # 1e-6, q < 1 data that vanish converge as they do with no floor
+        argv = ["solve", "--preset", "solver-supercritical-run", "--p", "2",
+                "--q", "0.5", "--initial", "steep_bump", "--floor_eps", "1e-6",
+                "--out", str(tmp_path / "run"), *geometry]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "overrides, where",
         [

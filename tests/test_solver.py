@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dnl_lab import solver
+from dnl_lab import cli, solver
 from dnl_lab.core import ExponentTriple, Grid1D
 from dnl_lab.exact import ClosedFormSolution, TrudingerGaussian
 from dnl_lab.solver import (
@@ -536,6 +536,27 @@ class TestFunctionals:
         assert np.all(np.diff(f["int_uq1"]) <= 1e-12)
         assert np.all(np.diff(f["sup_u"]) <= 1e-12)
         assert f["t"].shape == f["int_uq1"].shape
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("extinction-bound", []),
+        ("comparison-ordered", ["--n_cells", "1600"]),
+    ])
+    def test_stacked_rows_same_bits_as_row_loop(self, name, overrides):
+        # one (rows, n) array summed along its rows, against one sum per row
+        sub, cfg = cli.preset(name)
+        traj = solve(*cli.build_problem(cli._apply_overrides(cfg, overrides, sub)))
+        e, g = traj.problem.exponents, traj.problem.grid
+        w = g.cell_volumes() * g.surface_constant()
+        want = {
+            "t": traj.times,
+            "int_uq1": [float(np.sum(w * u ** (e.q + 1))) for u in traj.fields],
+            "sup_u": [float(u.max()) for u in traj.fields],
+        }
+        got = slice_functionals(traj)
+        bits = lambda a: np.asarray(a, dtype=float).view(np.int64).tolist()
+        assert sorted(got) == sorted(want)
+        for key in want:
+            assert bits(got[key]) == bits(want[key]), key
 
     def test_readers_step_an_unstepped_trajectory(self):
         # the run's readers take rows with `row`: on a Trajectory not yet

@@ -9,10 +9,13 @@ the exponent map that `classify` describes."""
 
 import hashlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from dnl_lab import cli, solver
 from dnl_lab.core import ExponentTriple, Grid1D
 from dnl_lab.exact import TrudingerGaussian
 from dnl_lab.solver import (
@@ -356,3 +359,187 @@ class TestCarriedResidual:
         assert fresh[0]
         want = step(pr, u1, cfg.dt, cfg.dt, cfg)[0]
         assert np.array_equal(_bits(got), _bits(want))
+
+
+def _extinction_problem():
+    """The `extinction-bound` preset's run: p = 2, q = 2, radial N = 3,
+    steep bump data that vanish by t = 0.06, 1,200 steps of 2.5e-4."""
+    return cli.build_problem(cli.preset("extinction-bound")[1])
+
+
+class TestIdleStep:
+    """A carried step whose previous step took no iteration, at the same
+    dt, tolerance and no floor, returns that step's residual at once."""
+
+    def _computed(self, monkeypatch):
+        """The list gets one entry per step that computes beta(u_prev)."""
+        calls = []
+        real = solver._beta
+        monkeypatch.setattr(
+            solver, "_beta", lambda *a: calls.append(1) or real(*a)
+        )
+        return calls
+
+    def test_trajectory_same_bits_as_fresh_steps(self, monkeypatch):
+        pr, cfg = _extinction_problem()
+        traj = Trajectory(pr, cfg)
+        computed = self._computed(monkeypatch)
+        traj.row(len(traj.times) - 1)
+        steps = len(traj.times) - 1
+        idle = steps - len(computed)
+        assert idle > 900  # past extinction
+        u = pr.initial
+        for k in range(steps):
+            u, info = step(pr, u, traj.times[k], traj._dts[k], cfg)
+            assert np.array_equal(_bits(u), _bits(traj.fields[k + 1])), k
+            assert info["iters"] == traj.newton_iters[k + 1], k
+            assert _bits(info["residual"]) == _bits(traj.residual_norms[k + 1])
+            assert info["clipped"] == 0.0
+        assert traj.clipped_mass == 0.0
+
+    def _idle(self):
+        """(problem, config, workspace, the last step's return, t) with the
+        workspace's last two steps idle."""
+        pr, cfg = _extinction_problem()
+        traj = Trajectory(pr, cfg)
+        k = 1000
+        u = traj.row(k)
+        disc = traj._disc
+        assert traj.newton_iters[k - 1] == traj.newton_iters[k] == 0
+        assert disc.idle is not None and disc.returned is u
+        return pr, cfg, disc, u, traj.times[k]
+
+    @pytest.mark.parametrize("change", [
+        "dt", "newton_tol", "floor_eps", "copy", "in-place", "failure",
+        "other-array",
+    ])
+    def test_every_change_clears_it(self, monkeypatch, change):
+        pr, cfg, disc, u, t = self._idle()
+        dt = cfg.dt
+        computed = self._computed(monkeypatch)
+        # a larger dt or a smaller tolerance shrinks the residual's
+        # tolerance: these steps iterate
+        if change == "dt":
+            dt = cfg.dt * 1e7
+        elif change == "newton_tol":
+            cfg = SolverConfig(dt=dt, newton_tol=1e-17)
+        elif change == "floor_eps":
+            cfg = SolverConfig(dt=dt, floor_eps=1e-30)
+        elif change == "copy":
+            u = u.copy()
+        elif change == "in-place":
+            u[3] *= 0.5
+        elif change == "failure":
+            strict = SolverConfig(dt=dt, newton_tol=1e-30, max_newton=0)
+            with pytest.raises(StepFailure):
+                step(pr, u, t, dt, strict, disc=disc)
+        else:
+            step(pr, u.copy(), t, dt, cfg, disc=disc)
+        del computed[:]
+        got = step(pr, u, t, dt, cfg, disc=disc)
+        assert computed == [1]
+        want = step(pr, u, t, dt, cfg)
+        assert np.array_equal(_bits(got[0]), _bits(want[0]))
+        assert got[1] == want[1]
+        assert _bits(got[1]["residual"]) == _bits(want[1]["residual"])
+        assert (got[1]["iters"] > 0) == (change in ("dt", "newton_tol"))
+        # the next step, from the return, is idle unless this one iterated
+        # or had a floor
+        del computed[:]
+        again = step(pr, got[0], t + dt, dt, cfg, disc=disc)
+        idle = got[1]["iters"] == 0 and not cfg.floor_eps
+        assert computed == ([] if idle else [1])
+        want = step(pr, got[0], t + dt, dt, cfg)
+        assert np.array_equal(_bits(again[0]), _bits(want[0]))
+        assert again[1] == want[1]
+
+
+    def test_step_accepted_over_its_tolerance_is_not_idle(self, monkeypatch):
+        # no iteration allowed, the residual at 10x its tolerance is
+        # accepted; the next step, allowed to iterate, does
+        pr, cfg, disc, u, t = self._idle()
+        norm = disc.idle[1]
+        scale = (float((u * u).max()) + 1e-14) * disc.vol_max / cfg.dt
+        newton_tol = norm / scale / 10
+        lax = SolverConfig(dt=cfg.dt, newton_tol=newton_tol, max_newton=0)
+        u1, info = step(pr, u, t, cfg.dt, lax, disc=disc)
+        assert info["iters"] == 0 and info["residual"] == norm
+        strict = SolverConfig(dt=cfg.dt, newton_tol=newton_tol)
+        computed = self._computed(monkeypatch)
+        got = step(pr, u1, t + cfg.dt, cfg.dt, strict, disc=disc)
+        assert computed == [1] and got[1]["iters"] > 0
+        want = step(pr, u1, t + cfg.dt, cfg.dt, strict)
+        assert np.array_equal(_bits(got[0]), _bits(want[0]))
+        assert got[1] == want[1]
+
+def _masked_phi(g, mu, p):
+    """(mu^2 + g^2)^{(p-2)/2} with every entry whose base is not > 0 set
+    to 0: the formula before the mask was dropped."""
+    base = g * g + mu * mu
+    out = np.zeros_like(g)
+    return np.power(base, (p - 2) / 2, out=out, where=base > 0)
+
+
+def _masked_phi_total_deriv(g, mu, p):
+    """(mu^2+g^2)^{(p-4)/2} (mu^2 + (p-1) g^2), masked as `_masked_phi`."""
+    base = g * g + mu * mu
+    pos = base > 0
+    out = np.zeros_like(g)
+    np.power(base, (p - 4) / 2, out=out, where=pos)
+    second = g * (p - 1) * g + mu * mu
+    return np.multiply(out, second, out=out, where=pos)
+
+
+class TestFluxFactors:
+    """`_phi` takes no mask, `_phi_total_deriv` one for 2 < p < 4 only; the
+    bits are those of the masked formulas wherever g is a number."""
+
+    G = np.array([0.0, -0.0, 1e-200, -1e-200, 1e-3, -2.5, 1e200, np.inf,
+                  -np.inf, np.nan])
+
+    @pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0, 4.5])
+    def test_same_bits_as_masked_formula(self, p):
+        mu = 1e-8 if p < 2 else 0.0
+        with np.errstate(all="ignore"):
+            phi = solver._phi(self.G, mu, p, np.empty_like(self.G))
+            deriv = solver._phi_total_deriv(self.G, mu, p, np.empty_like(self.G))
+            want_phi = _masked_phi(self.G, mu, p)
+            want_deriv = _masked_phi_total_deriv(self.G, mu, p)
+            flux, want_flux = phi * self.G, want_phi * self.G
+        num = slice(None, -1)
+        assert np.array_equal(_bits(phi[num]), _bits(want_phi[num]))
+        assert np.array_equal(_bits(deriv[num]), _bits(want_deriv[num]))
+        # at g = nan the flux phi(g) g is nan either way
+        assert np.isnan(flux[-1]) and np.isnan(want_flux[-1])
+        # the residual of a nan gradient is nan, so the step fails before any
+        # Jacobian (`TestNonFiniteInputs`); unmasked, the derivative is nan
+        assert want_deriv[-1] == 0.0
+        assert (deriv[-1] == 0.0) if 2 < p < 4 else np.isnan(deriv[-1])
+        # p = 4: 0^0 = 1 times a second factor of 0
+        if p == 4:
+            assert deriv[0] == 0.0 and not np.signbit(deriv[0])
+
+    def test_solve_banded_on_entries_whose_dot_overflows(self):
+        # entries of 1e200 are finite, but their dot product is inf: the
+        # entrywise check runs and passes, and the solve is scipy's
+        n = 6
+        buf = np.empty(4 * n - 2)
+        lower, upper = buf[: n - 1], buf[n - 1 : 2 * n - 2]
+        main, rhs = buf[2 * n - 2 : 3 * n - 2], buf[3 * n - 2 :]
+        lower[...], upper[...] = -1e200, -1e200
+        main[...] = 4e200
+        rhs[...] = np.arange(1.0, n + 1) * 1e200
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(buf.dot(buf))
+        ab = np.zeros((3, n))
+        ab[0, 1:], ab[1], ab[2, :-1] = upper, main, lower
+        want = scipy.linalg.solve_banded((1, 1), ab, rhs.copy())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = solver.solve_banded(lower, main, upper, rhs)
+        assert np.array_equal(_bits(got), _bits(want))
+        # one inf among them still raises
+        main[...], rhs[...] = 4e200, 1e200
+        upper[2] = np.inf
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solver.solve_banded(lower, main, upper, rhs)
