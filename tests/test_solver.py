@@ -135,6 +135,29 @@ class TestSolveBanded:
         with pytest.raises(np.linalg.LinAlgError):
             solver.solve_banded(*(a.copy() for a in system))
 
+    def test_solve_banded_on_entries_whose_dot_overflows(self):
+        # entries of 1e200 are finite, but their dot product is inf: the
+        # entrywise check runs and passes, and the solve is scipy's
+        n = 6
+        buf = np.empty(4 * n - 2)
+        lower, upper = buf[: n - 1], buf[n - 1 : 2 * n - 2]
+        main, rhs = buf[2 * n - 2 : 3 * n - 2], buf[3 * n - 2 :]
+        lower[...], upper[...] = -1e200, -1e200
+        main[...] = 4e200
+        rhs[...] = np.arange(1.0, n + 1) * 1e200
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(buf.dot(buf))
+        want = _scipy_banded(lower, main, upper, rhs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = solver.solve_banded(lower, main, upper, rhs)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # one inf among them still raises
+        main[...], rhs[...] = 4e200, 1e200
+        upper[2] = np.inf
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solver.solve_banded(lower, main, upper, rhs)
+
     def test_singular_jacobian_fails_the_step(self):
         g = Grid1D(-1.0, 1.0, 8)
         pr = CauchyDirichletProblem(ExponentTriple(2.0, 1.0, 1), g, _bump(g), 1.0)
