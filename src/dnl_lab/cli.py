@@ -138,6 +138,15 @@ _PROFILE = _one_of(_PROFILES)
 _POINTS = _numbers(math.isfinite, "every value must be finite")
 
 
+def _lattice_side(raw, key):
+    """A scan's lattice side, bounded before any lattice x lattice array is
+    built."""
+    n = _COUNT(raw, key)
+    if n > 1024:
+        raise ValueError("must be <= 1024")
+    return n
+
+
 SCHEMA = {
     "exponents": {"p": _FINITE, "q": _FINITE, "N": _COUNT},
     "family": {
@@ -169,7 +178,7 @@ SCHEMA = {
         "sigma": _FINITE, "r": _FINITE,
         **dict.fromkeys(("rho", "s", "M"), _POSITIVE),
         "alpha": _scalar(float, lambda v: 0 < v <= 1, "{key} must be in (0, 1]"),
-        "lattice": _COUNT, "delta_scan": _COUNT,
+        "lattice": _lattice_side, "delta_scan": _COUNT,
     },
     "residual": {
         "h_sequence": _numbers(_positive, "every step must be finite and > 0"),
@@ -511,21 +520,78 @@ def pipe_exact_residual(cfg, out):
     return 0 if ok else 2
 
 
+_POW10 = np.array([1e16, 1e17, 1e18, 1e19, 1e20, 1e21])  # exact doubles
+
+
+def _digits17(x):
+    """`(z, m)` with `'%.17g' % v == '0.' + '0' * z + '%d' % m` for each v
+    of `x`, a float array in [1e-4, 1), where the decimal exponent is
+    X = -1 - z and m holds the 17 significant digits, trailing zeros cut.
+
+    Dekker's two-product gives x·10^(16−X) exactly as hi + lo: the factor
+    is an exact double, nothing overflows or underflows, and separate ufunc
+    calls cannot fuse into an FMA.  X starts at floor(log10 x) and moves by
+    one where the exact product (hi, and the sign of lo where hi equals the
+    bound) lies outside [1e16, 1e17).  m rounds lo's fraction half to even,
+    as dtoa does.  No double in [1e-4, 1) comes within 1/2 of 1e17, so m
+    never rounds up to 10^17."""
+
+    def product(X):
+        s = _POW10[-X]
+        hi = x * s
+        c = x * 134217729.0
+        xh = c - (c - x)
+        c = s * 134217729.0
+        sh = c - (c - s)
+        xl, sl = x - xh, s - sh
+        return hi, ((xh * sh - hi) + xh * sl + xl * sh) + xl * sl
+
+    X = np.floor(np.log10(x)).astype(np.int64)
+    hi, lo = product(X)
+    X += (hi > 1e17) | (hi == 1e17) & (lo >= 0)
+    X -= (hi < 1e16) | (hi == 1e16) & (lo < 0)
+    hi, lo = product(X)
+    floor = np.floor(lo)
+    frac = lo - floor
+    m = hi.astype(np.int64) + floor.astype(np.int64)
+    m += (frac > 0.5) | (frac == 0.5) & (m & 1 == 1)
+    flat = m.reshape(-1)
+    ends0 = np.flatnonzero(flat % 10 == 0)
+    while ends0.size:
+        flat[ends0] //= 10
+        ends0 = ends0[flat[ends0] % 10 == 0]
+    return -1 - X, m
+
+
 def _export_lines(traj):
     """`t,x,u` CSV body of a trajectory, one block of lines per stored time:
     joined with newlines, the same bytes as `add_row` gives row by row.
 
-    The row template, one `<x_i>,%.17g` cell per cell center, is built
-    once; each time is formatted once and joined in front of every cell,
-    and each field row is formatted by a single `%`: `'%.17g' % v` equals
-    `format(v, '.17g')` on floats, `nan`, `inf` and `-0` included."""
-    xs = map("%.17g".__mod__, traj.problem.grid.centers().tolist())
+    Each time is formatted once and joined in front of every cell, and each
+    row is formatted by a single `%`.  A row whose values all lie in
+    [1e-4, 1) joins cells `<x_j>,0.<z zeros>%d`, picked by each value's
+    leading-zero count z from a (4, n) table built once, and fills them with
+    the integers of `_digits17`: no value goes through dtoa.  Any other row
+    (0, -0, >= 1, < 1e-4, nan, inf) joins `<x_j>,%.17g` cells and fills
+    them with its floats: `'%.17g' % v` equals `format(v, '.17g')`, `nan`,
+    `inf` and `-0` included.  Rows go through numpy in chunks of about
+    6,400 values, so the arrays and lists of a chunk stay small."""
+    xs = ["%.17g" % x for x in traj.problem.grid.centers().tolist()]
     cells = [x + ",%.17g" for x in xs]
+    table = np.array([[f"{x},0.{'0' * z}%d" for x in xs] for z in range(4)], object)
+    cols = np.arange(len(xs))
+    step = max(1, 6400 // len(xs))
     blocks = []
-    for t, u in zip(traj.times, traj.fields):
-        t_cell = fmt(t) + ","
-        row = t_cell + ("\n" + t_cell).join(cells)
-        blocks.append(row % tuple(u.tolist()))
+    for i in range(0, len(traj.times), step):
+        us = np.array(traj.fields[i : i + step])
+        band = ((us >= 1e-4) & (us < 1.0)).all(axis=1)
+        z, m = _digits17(us[band])
+        band_rows = zip(table[z, cols].tolist(), m.tolist())
+        for t, u, in_band in zip(traj.times[i : i + step], us, band):
+            t_cell = fmt(t) + ","
+            row_cells, values = next(band_rows) if in_band else (cells, u.tolist())
+            row = t_cell + ("\n" + t_cell).join(row_cells)
+            blocks.append(row % tuple(values))
     return blocks
 
 

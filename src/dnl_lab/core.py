@@ -124,6 +124,10 @@ class Grid1D:
             raise ValueError(f"unknown geometry {self.geometry!r}")
         if self.geometry == "radial" and self.x_lo < 0:
             raise ValueError("radial grid requires x_lo >= 0")
+        # the radial cell volumes take x^N
+        x_max = np.finfo(float).max ** (1 / self.n_dim)
+        if self.geometry == "radial" and self.x_hi > x_max:
+            raise ValueError("radial grid requires x_hi^N finite")
 
     @property
     def h(self):

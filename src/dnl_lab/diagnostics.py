@@ -319,9 +319,16 @@ def _sup_estimate(src, estimate_id, name, lam_name, lam, average, probe, lattice
     # the last bit
     mean = average([row.tolist() for row in rows if row.size])
     rho_p = _radius_power(rho, p)
-    core = (rho_p / s) ** (N / lam) * mean ** (p / lam)
-    tail = (s / rho_p) ** (1 / (q + 1 - p))
-    rhs = core + tail
+    try:
+        rhs = (rho_p / s) ** (N / lam) * mean ** (p / lam) + (s / rho_p) ** (
+            1 / (q + 1 - p)
+        )
+    except OverflowError:
+        rhs = math.inf
+    if rhs == math.inf:
+        raise RegimeError(
+            f"{name} right-hand side overflows at {lam_name} = {lam:.6g}"
+        )
     rep = DiagnosticReport(estimate_id=estimate_id, probes=[probe])
     rep.lhs.append(sup_u)
     rep.rhs.append(rhs)

@@ -212,6 +212,7 @@ class TrudingerGaussian(ClosedFormSolution):
         exps = ExponentTriple(p=p, q=p - 1, n_dim=n_dim)
         super().__init__(exps)
         self.C = C
+        self.r_overflow = np.finfo(float).max ** (1 / p)  # |x|^p overflows past it
 
     def u_rt(self, r, t):
         p, N = self.exponents.p, self.exponents.n_dim
@@ -243,10 +244,12 @@ class TrudingerGaussian(ClosedFormSolution):
         return self.u_rt(r, t) * (-N / (p * (p - 1) * t) + xi / (p * t))
 
     def valid_rt(self, r, t):
-        return np.asarray(t, float) > 0
+        # at |x| = inf, u = 0 exactly
+        r = np.asarray(r, float)
+        return (np.asarray(t, float) > 0) & ((r <= self.r_overflow) | (r == np.inf))
 
     def validity_description(self):
-        return "t > 0"
+        return "t > 0 and |x|^p does not overflow"
 
 
 class SeparableBlowup(ClosedFormSolution):

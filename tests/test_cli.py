@@ -1,7 +1,9 @@
 """Tests for the config grammar and the experiment-runner CLI."""
 
+import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from dnl_lab.cli import (
     ConfigError,
     Output,
     _apply_overrides,
+    _digits17,
     _export_lines,
     parse_config_text,
     serialize_config,
@@ -669,6 +672,118 @@ class TestExportLines:
         self._check_full_export(tmp_path, monkeypatch, ["--p", "1.2", "--q", "0.5"])
 
 
+def _band_values(lo, hi, count, seed):
+    """`count` floats drawn uniformly over the bit patterns of [lo, hi)."""
+    bits = np.array([lo, hi]).view(np.int64)
+    return np.random.default_rng(seed).integers(*bits, count).view(np.float64)
+
+
+def _near_powers_of_ten(steps=40):
+    """The doubles within `steps` ulps of 1e-4, 1e-3, 0.01, 0.1 and 1 that
+    lie in [1e-4, 1)."""
+    near = []
+    for power in (1e-4, 1e-3, 1e-2, 1e-1, 1.0):
+        for toward in (0.0, 2.0):
+            v = power
+            for _ in range(steps):
+                near.append(v)
+                v = np.nextafter(v, toward)
+    near = np.unique(near)
+    return near[(near >= 1e-4) & (near < 1.0)]
+
+
+class TestDigits17:
+    """`_digits17` against dtoa: '0.' + z zeros + m is `'%.17g' % v`."""
+
+    @staticmethod
+    def _check(values):
+        z, m = _digits17(np.asarray(values, dtype=float))
+        got = ["0." + "0" * a + "%d" % b for a, b in zip(z.tolist(), m.tolist())]
+        want = ["%.17g" % v for v in values.tolist()]
+        assert got == want
+
+    def test_random_bit_patterns(self):
+        self._check(_band_values(1e-4, 1.0, 200_000, seed=22))
+
+    def test_next_to_powers_of_ten(self):
+        near = _near_powers_of_ten()
+        assert near.size > 300
+        self._check(near)
+
+    def test_shape_is_kept(self):
+        values = _band_values(1e-4, 1.0, 12, seed=3).reshape(3, 4)
+        z, m = _digits17(values)
+        assert z.shape == m.shape == (3, 4)
+        self._check(values.ravel())
+
+    def test_value_written_at_the_next_power(self):
+        # 0.099999999999999999 parses to the double nearest 0.1, above it
+        self._check(np.array([0.099999999999999999, 0.0099999999999999999,
+                              0.00099999999999999999, 0.5, 0.25, 0.125]))
+
+    @pytest.mark.parametrize(
+        "bits, lo, hi, X", [(18, 0.1, 1.0, -1), (21, 1e-4, 1e-3, -4),
+                            (24, 1e-4, 1.0, None), (28, 1e-4, 1.0, None)]
+    )
+    def test_binary_fractions_round_half_to_even(self, bits, lo, hi, X):
+        """k / 2^bits with k odd, up to about 40,000 of them in [lo, hi):
+        x·10^(16−X) = k·5^(16−X)·2^(16−X−bits) ends in exactly .5 where
+        X = 17 − bits, so every value at 2^18 in [0.1, 1) and at 2^21 in
+        [1e-4, 1e-3) is a tie of 17 digits."""
+        # an odd half-stride: k mod 4, and so m's parity, alternates
+        first = math.ceil(lo * 2**bits) | 1
+        stride = 2 * (int((hi - lo) * 2**bits) // 80_000 | 1)
+        values = np.arange(first, hi * 2**bits, stride) / 2.0**bits
+        assert values[0] >= lo and values.size > 900
+        if X is not None:
+            scaled = [Fraction(v) * Fraction(10) ** (16 - X) for v in values[:50]]
+            assert {f.denominator for f in scaled} == {2}
+        self._check(values)
+
+    @pytest.mark.parametrize("toward", [-np.inf, np.inf])
+    def test_log10_one_ulp_off(self, monkeypatch, toward):
+        """A log10 one ulp low or high gives X one too small at the powers of
+        ten, or one too large just below them: the exact product moves X
+        back."""
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: np.nextafter(log10(x), toward))
+        self._check(np.concatenate([_near_powers_of_ten(),
+                                    _band_values(1e-4, 1.0, 20_000, seed=7)]))
+
+    def test_no_double_in_the_band_rounds_to_ten_to_the_17(self):
+        """The largest double below each power of ten 10^k in (1e-4, 1]
+        scales, exactly, to less than 1e17 - 1/2 at X = k - 1: so m never
+        rounds up to 10^17 and needs no carry."""
+        for k in range(-3, 1):
+            below = np.nextafter(float(Fraction(10) ** k), 0.0)
+            if Fraction(below) >= Fraction(10) ** k:
+                below = np.nextafter(below, 0.0)
+            assert Fraction(below) < Fraction(10) ** k
+            assert Fraction(below) * 10 ** (17 - k) < 10**17 - Fraction(1, 2)
+
+    def test_mixed_rows_match_add_row(self):
+        """Rows in the band and rows the `%.17g` path keeps, across the
+        chunks of 32 rows that 200 cells make: the same bytes as
+        `add_row`."""
+        _, cfg = preset("solver-supercritical-run")
+        cfg["solver"]["t_end"] = "0.014"
+        traj = run_solver(cfg)
+        assert len(traj.fields) == 71
+        specials = [0.0, -0.0, 1.0, 1.5, 1e-5, 5e-324, float("nan"),
+                    float("inf"), -float("inf")]
+        band = _band_values(1e-4, 1.0, 200, seed=5)
+        for i, special in zip((0, 3, 31, 32, 40, 63, 64, 69, 70), specials):
+            row = band.copy()
+            row[(7 * i) % 200] = special
+            traj.fields[i] = row
+        traj.fields[33] = _near_powers_of_ten()[:200]
+        for i in (34, 35):
+            traj.fields[i] = band
+        lines = "\n".join(_export_lines(traj))
+        assert lines == "\n".join(_row_lines(traj))
+        assert lines.count("\n") == 71 * 200 - 1
+
+
 @pytest.mark.parametrize(
     "argv, key",
     [
@@ -772,6 +887,23 @@ def test_family_without_its_parameters_exits_cleanly(capsys, fid):
         (["gradbound", "--preset", "gradbound-supercritical", "--lattice", "4",
           "--x_o", "16", "--t_o", "0.5", "--radii", "4", "--family.C", "-1"], 0,
          "gradient_bound,bounded,0.9132642227262018"),
+        # lambda_r = 0.002: (rho^p/s)^(N/lambda_r) overflows
+        (["supbound", "--family.id", "boundedness_borderline", "--family.p", "2",
+          "--family.N", "3", "--x_o", "0", "--t_o", "0.5", "--rho", "1", "--s",
+          "0.2", "--r", "6.001"], 1,
+         "error: sup bound right-hand side overflows at lambda_r = 0.002\n"),
+        # x_hi^3 overflows: the radial cell volumes cannot be formed
+        (["solve", "--preset", "comparison-ordered", "--x_hi", "1e300", "--dt",
+          "0.999"], 1, "error: radial grid requires x_hi^N finite\n"),
+        # 5^p overflows: the Gaussian's exponent cannot be formed
+        (["harnack", "--preset", "harnack-fail-trudinger", "--p", "1e200"], 1,
+         "error: (5.0, 2.0) outside validity domain of trudinger_gaussian: "
+         "t > 0 and |x|^p does not overflow\n"),
+        # rejected before a lattice x lattice array is built
+        (["holder", "--preset", "holder-supercritical", "--lattice", "100000000"],
+         1, "error: bad value for [probes] lattice: must be <= 1024\n"),
+        (["gradbound", "--preset", "gradbound-supercritical", "--lattice", "1025"],
+         1, "error: bad value for [probes] lattice: must be <= 1024\n"),
     ],
 )
 def test_branch_exit_code(capsys, argv, code, line):
