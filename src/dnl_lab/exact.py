@@ -212,7 +212,6 @@ class TrudingerGaussian(ClosedFormSolution):
         exps = ExponentTriple(p=p, q=p - 1, n_dim=n_dim)
         super().__init__(exps)
         self.C = C
-        self.r_overflow = np.finfo(float).max ** (1 / p)  # |x|^p overflows past it
 
     def u_rt(self, r, t):
         p, N = self.exponents.p, self.exponents.n_dim
@@ -245,11 +244,14 @@ class TrudingerGaussian(ClosedFormSolution):
 
     def valid_rt(self, r, t):
         # at |x| = inf, u = 0 exactly
-        r = np.asarray(r, float)
-        return (np.asarray(t, float) > 0) & ((r <= self.r_overflow) | (r == np.inf))
+        p, N = self.exponents.p, self.exponents.n_dim
+        r, t = np.asarray(r, float), np.asarray(t, float)
+        with np.errstate(all="ignore"):
+            amp, xi = t ** (-N / (p * (p - 1))), r**p / (p * t)
+        return (t > 0) & np.isfinite(amp) & (np.isfinite(xi) | (r == np.inf))
 
     def validity_description(self):
-        return "t > 0 and |x|^p does not overflow"
+        return "t > 0 and neither t^(-N/(p(p-1))) nor |x|^p/(p t) overflows"
 
 
 class SeparableBlowup(ClosedFormSolution):

@@ -3,8 +3,8 @@
     d/dt(u^q) = div( (mu^2 + |Du|^2)^{(p-2)/2} Du )
 
 on uniform 1-D cartesian or radial grids.  Backward Euler in time; Newton
-with damping on the cell residuals, falling back to Picard iteration (frozen
-flux coefficients) when Newton stalls.  Each iteration solves its tridiagonal
+with a line search on the cell residuals; a `Trajectory` retries a step that
+stalls as two steps of half its size.  Each iteration solves its tridiagonal
 system with LAPACK `dgtsv` (`solve_banded`).  Dirichlet boundaries are
 imposed by ghost values; radial grids use the r^{N-1} face weighting with
 zero flux through r = 0.
@@ -339,7 +339,7 @@ class _Discretization:
         np.subtract(R, div, R)
         return np.maximum.reduce(np.abs(R, self.abs_R))
 
-    def jacobian_bands(self, u, grads, dt, picard=False):
+    def jacobian_bands(self, u, grads, dt):
         """Tridiagonal Jacobian as its three diagonals (lower, main, upper),
         written into the band buffer (`solve_banded` overwrites them)."""
         dflux = self.dflux
@@ -347,7 +347,7 @@ class _Discretization:
             self.off[...] = self.off_p2
         else:
             # d flux_f / d (u_right - u_left) = phi'(grads) * area / h
-            (_phi if picard else _phi_total_deriv)(grads, self.mu, self.p, dflux)
+            _phi_total_deriv(grads, self.mu, self.p, dflux)
             np.multiply(dflux, self.area, dflux)
             np.divide(dflux, self.h, dflux)
             if self.symmetric:
@@ -375,13 +375,18 @@ class _Discretization:
         return self.lower, main, self.upper
 
 
+# the line search's update sizes: 1, 1/2, ..., 1/128, then 0.1, which is
+# taken even where it does not lower the residual, to escape a flat spot
+_LINE_SEARCH = [0.5**k for k in range(8)] + [0.1]
+
+
 def step(problem, u_prev, t, dt, config, disc=None):
     """Advance one implicit Euler step from time t to t+dt.
 
-    Returns (u_new, diagnostics dict).  Newton with up-to-8 halvings of the
-    update; after max_newton/2 failed Newton iterations, falls back to Picard
-    iterations with frozen flux coefficients.  beta(u_prev) is computed once
-    per step and shared by the tolerance and every residual; each iteration
+    Returns (u_new, diagnostics dict).  Newton with a line search
+    (`_LINE_SEARCH`); a residual within 100 times its tolerance after
+    max_newton iterations is accepted.  beta(u_prev) is computed once per
+    step and shared by the tolerance and every residual; each iteration
     solves its tridiagonal system with `solve_banded` (LAPACK `dgtsv`).
     `disc` is the problem's `_Discretization`, the run's kernel, built here
     when not given (a `Trajectory` builds one per run).
@@ -425,7 +430,6 @@ def step(problem, u_prev, t, dt, config, disc=None):
         cur.u[...] = u_prev
         norm = disc.residual(cur, b_prev, t_new, dt0, b_u=b_prev)
     iters = 0
-    picard_mode = False
     # residuals scale like beta(u) * vol / dt; make the tolerance follow suit
     # (the 1e-14 floor keeps the tolerance meaningful on near-extinct states
     # without freezing them: an absolute floor of O(1) would let tiny-amplitude
@@ -434,20 +438,15 @@ def step(problem, u_prev, t, dt, config, disc=None):
     scale = (beta_amp + 1e-14) * disc.vol_max / dt
     tol = config.newton_tol * scale
     while norm > tol and iters < config.max_newton:
-        if iters >= config.max_newton // 2:
-            picard_mode = True
-        lower, main, upper = disc.jacobian_bands(
-            cur.u, cur.grads, dt0, picard=picard_mode
-        )
+        lower, main, upper = disc.jacobian_bands(cur.u, cur.grads, dt0)
         try:
             delta = solve_banded(lower, main, upper, np.negative(cur.R, disc.rhs))
         except np.linalg.LinAlgError as exc:
             raise StepFailure("linear solve failed", t_new, norm, tol) from exc
-        # trial = max(u + lam * delta, 0), lam = 1, 1/2, ..., 1/128; at
-        # lam = 1 the product is skipped (1.0 * delta == delta)
-        lam = 1.0
-        improved = False
-        for _ in range(8):
+        # trial = max(u + lam * delta, 0) for lam in _LINE_SEARCH until one
+        # lowers the residual; at lam = 1 the product is skipped
+        # (1.0 * delta == delta)
+        for lam in _LINE_SEARCH:
             trial = spare.u
             if lam == 1.0:
                 np.add(cur.u, delta, trial)
@@ -456,22 +455,9 @@ def step(problem, u_prev, t, dt, config, disc=None):
                 np.add(trial, cur.u, trial)
             np.maximum(trial, zero, out=trial)
             n_t = disc.residual(spare, b_prev, t_new, dt0)
-            if n_t < norm:
+            if n_t < norm or lam == 0.1:
                 cur, spare, norm = spare, cur, n_t
-                improved = True
                 break
-            lam *= 0.5
-        if not improved:
-            if not picard_mode:
-                picard_mode = True
-            else:
-                # accept a small damped step, max(u + 0.1 delta, 0), to
-                # escape a flat spot
-                np.multiply(delta, 0.1, spare.u)
-                np.add(spare.u, cur.u, spare.u)
-                np.maximum(spare.u, zero, out=spare.u)
-                norm = disc.residual(spare, b_prev, t_new, dt0)
-                cur, spare = spare, cur
         iters += 1
     disc.states = cur, spare
     if not norm <= tol * 100:  # a NaN residual fails too
@@ -508,10 +494,11 @@ def time_grid(problem, config):
 class Trajectory:
     """The record of one run on the grid of `time_grid`, stepped on demand:
     `row(i)` runs implicit steps from `problem.initial` until the field at
-    `times[i]` exists.  `fields`, `newton_iters` and `residual_norms` hold
-    one entry per stored row so far (0 and 0.0 for the initial row), and
-    `clipped_mass` sums over the steps taken.  The readers below take rows
-    with `row`, so they step a trajectory that is not yet solved."""
+    `times[i]`, splitting a step that fails (`_advance`).  `fields`,
+    `newton_iters` and `residual_norms` hold one entry per stored row so far
+    (0 and 0.0 for the initial row), and `clipped_mass` sums over the steps
+    taken.  The readers below take rows with `row`, so they step a
+    trajectory that is not yet solved."""
 
     def __init__(self, problem, config):
         self.problem = problem
@@ -536,11 +523,7 @@ class Trajectory:
                 raise self._failure
             k = len(fields) - 1
             try:
-                # step returns a new array and never writes to u_prev
-                u, info = step(
-                    self.problem, fields[k], self.times[k], self._dts[k],
-                    self.config, disc=self._disc,
-                )
+                u, info = self._advance(fields[k], self.times[k], self._dts[k])
             except StepFailure as exc:
                 self._failure = exc.at_step(k + 1, len(self._dts))
                 raise self._failure from exc
@@ -549,6 +532,21 @@ class Trajectory:
             self.residual_norms.append(info["residual"])
             self.clipped_mass += info["clipped"]
         return fields[i]
+
+    def _advance(self, u, t, dt, splits=7):
+        """`step` from u at t by dt or, where that raises StepFailure and a
+        split is left, two `_advance`s by dt/2; their info sums iterations
+        and clipped mass and keeps the larger residual."""
+        try:
+            # step returns a new array and never writes to u_prev
+            return step(self.problem, u, t, dt, self.config, disc=self._disc)
+        except StepFailure:
+            if not splits:
+                raise
+        u, a = self._advance(u, t, dt / 2, splits - 1)
+        u, b = self._advance(u, t + dt / 2, dt / 2, splits - 1)
+        info = {key: a[key] + b[key] for key in ("iters", "clipped")}
+        return u, {**info, "residual": max(a["residual"], b["residual"])}
 
 
 def solve(problem, config):

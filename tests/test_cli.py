@@ -265,13 +265,15 @@ class TestRun:
         assert captured.err == "error: solve does not read [comparison] tol\n"
 
     def test_scan_solver_failure_exits_1(self, capsys):
-        argv = ["harnack", "--preset", "thm-harnack-supercritical", "--p", "4.5",
-                "--geometry", "cartesian", "--x_lo", "-1", "--x_hi", "1"]
+        # the first step fails, and so does a split of it at t = 31/128 dt
+        argv = ["harnack", "--preset", "thm-harnack-supercritical", "--p", "1.5",
+                "--q", "0.3", "--initial", "inner_bump"]
         assert run(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(
-            "error: nonlinear iteration did not converge at step 1 of 200, t=0.0002: "
+            "error: nonlinear iteration did not converge at step 1 of 200, "
+            "t=4.84375e-05: "
         )
         assert captured.err.count("\n") == 1
 
@@ -293,13 +295,14 @@ class TestRun:
 
     @pytest.mark.parametrize("k, code", [(100, 1), (106, 1), (107, 0), (200, 0)])
     def test_scan_fails_only_on_a_step_it_reads(self, monkeypatch, capsys, k, code):
-        # the preset reads no time past t = 0.0212, stored row 106 of 200
+        # the preset reads no time past t = 0.0212, stored row 106 of 200;
+        # every step fails from call k on, so step k fails split 7 times
         real = solver.step
         calls = []
 
         def failing(problem, u_prev, t, dt, config, disc=None):
             calls.append(t)
-            if len(calls) == k:
+            if len(calls) >= k:
                 raise StepFailure("nonlinear iteration did not converge",
                                   t + dt, 1.0, 1e-3)
             return real(problem, u_prev, t, dt, config, disc=disc)
@@ -309,9 +312,12 @@ class TestRun:
         captured = capsys.readouterr()
         if code:
             assert captured.out == ""
+            # the last substep to fail ends dt/128 after step k starts
             assert captured.err.startswith(
-                f"error: nonlinear iteration did not converge at step {k} of 200, t="
+                f"error: nonlinear iteration did not converge at step {k} of 200, "
+                f"t={(k - 1) * 2e-4 + 2e-4 / 128:.6g}: "
             )
+            assert len(calls) == k + 7
         else:
             assert captured.err == ""
             assert captured.out.endswith("harnack,bounded,1.3057754146851066\n")
@@ -320,7 +326,8 @@ class TestRun:
         argv = ["solve", "--preset", "solver-supercritical-run"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # q < 1 at u = 0 must not warn
-            assert run(argv + ["--p", "1.05", "--q", "0.2", "--dt", "0.01"]) == 1
+            argv += ["--p", "1.5", "--q", "0.3", "--initial", "inner_bump"]
+            assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: nonlinear iteration did not converge")
         assert err.count("\n") == 1
@@ -358,13 +365,16 @@ class TestRun:
     @pytest.mark.parametrize(
         "overrides, where",
         [
-            (["--p", "1.05", "--q", "0.2", "--dt", "0.01"], "step 1 of 4, t=0.01"),
-            (["--p", "4.5", "--q", "2", "--geometry", "cartesian",
-              "--x_lo", "-1", "--x_hi", "1"], "step 1 of 200, t=0.0002"),
+            # the t of the split substep that fails last
+            ([], "step 1 of 200, t=4.84375e-05"),
+            (["--geometry", "cartesian", "--x_lo", "-1", "--x_hi", "1"],
+             "step 1 of 200, t=4.53125e-05"),
         ],
+        ids=["radial", "cartesian"],
     )
     def test_solver_failure_names_step_and_ratio(self, capsys, overrides, where):
-        argv = ["solve", "--preset", "solver-supercritical-run", *overrides]
+        argv = ["solve", "--preset", "solver-supercritical-run", "--p", "1.5",
+                "--q", "0.3", "--initial", "inner_bump", *overrides]
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert re.fullmatch(
@@ -898,12 +908,16 @@ def test_family_without_its_parameters_exits_cleanly(capsys, fid):
         # 5^p overflows: the Gaussian's exponent cannot be formed
         (["harnack", "--preset", "harnack-fail-trudinger", "--p", "1e200"], 1,
          "error: (5.0, 2.0) outside validity domain of trudinger_gaussian: "
-         "t > 0 and |x|^p does not overflow\n"),
+         "t > 0 and neither t^(-N/(p(p-1))) nor |x|^p/(p t) overflows\n"),
         # rejected before a lattice x lattice array is built
         (["holder", "--preset", "holder-supercritical", "--lattice", "100000000"],
          1, "error: bad value for [probes] lattice: must be <= 1024\n"),
         (["gradbound", "--preset", "gradbound-supercritical", "--lattice", "1025"],
          1, "error: bad value for [probes] lattice: must be <= 1024\n"),
+        # 5^2/(2 t) overflows at t = 1e-308
+        (["harnack", "--preset", "harnack-fail-trudinger", "--t_o", "1e-308"], 1,
+         "error: (5.0, 1e-308) outside validity domain of trudinger_gaussian: "
+         "t > 0 and neither t^(-N/(p(p-1))) nor |x|^p/(p t) overflows\n"),
     ],
 )
 def test_branch_exit_code(capsys, argv, code, line):

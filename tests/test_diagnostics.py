@@ -430,12 +430,13 @@ def _count_steps(monkeypatch):
 
 
 def _failing_step(k, calls):
-    """`solver.step` that raises a StepFailure on its k-th call."""
+    """`solver.step` that raises a StepFailure from its k-th call on, so that
+    the 7 splits of step k fail too."""
     real = solver.step
 
     def stepped(problem, u_prev, t, dt, config, disc=None):
         calls.append(t)
-        if len(calls) == k:
+        if len(calls) >= k:
             raise StepFailure("nonlinear iteration did not converge", t + dt, 1.0, 1e-3)
         return real(problem, u_prev, t, dt, config, disc=disc)
 
@@ -457,14 +458,15 @@ def test_step_failure_surfaces_at_the_first_read_that_needs_it(monkeypatch):
         assert src.eval(xs, t).tolist() == solved.eval(xs, t).tolist()
         assert src.grad_norm(xs, t).tolist() == solved.grad_norm(xs, t).tolist()
     assert len(calls) == k - 1
-    # a read later than t_{k-1} blends row k in, and fails with its step;
-    # so does every read after the failure that needs a later row
+    # a read later than t_{k-1} blends row k in, and fails with its step and
+    # the last of its splits, which ends at t_{k-1} + dt/128; so does every
+    # read after the failure that needs a later row
     for t in (0.5 * (ts[k - 1] + ts[k]), ts[k], ts[-1], ts[-1] + 1.0):
-        with pytest.raises(StepFailure, match=rf"at step {k} of 20, t=0\.007:"):
+        with pytest.raises(StepFailure, match=rf"at step {k} of 20, t=0\.00600781:"):
             src.eval(xs, t)
         with pytest.raises(StepFailure, match=rf"at step {k} of 20"):
             src.grad_norm(0.0, t)
-    assert len(calls) == k
+    assert len(calls) == k + 7
     # rows already stepped and the validity span are unaffected
     assert src.eval(xs, ts[2]).tolist() == solved.eval(xs, ts[2]).tolist()
     assert src.valid(xs, ts[-1]).tolist() == solved.valid(xs, ts[-1]).tolist()

@@ -1,6 +1,7 @@
 """Tests for the implicit finite-volume solver."""
 
 import hashlib
+import itertools
 import warnings
 
 import numpy as np
@@ -223,10 +224,12 @@ class TestStepBasics:
                 assert info_own == info_shared
 
     def test_failure_names_time_and_ratio(self):
-        # p = 4.5 on 200 cartesian cells fails at the first step
-        g = Grid1D(0.0, 1.0, 200)
-        u0 = np.cos(np.pi * g.centers() / 2) ** 2
-        pr = CauchyDirichletProblem(ExponentTriple(4.5, 2.0, 1), g, u0, 1.0)
+        # p = 1.5, q = 0.3 with data on [0, 0.2) of 200 radial cells fails
+        # at the first step (and at every split of it)
+        g = Grid1D(0.0, 1.0, 200, "radial", 3)
+        x = g.centers()
+        u0 = np.where(x < 0.2, np.cos(np.pi * x / 0.4) ** 2, 0.0)
+        pr = CauchyDirichletProblem(ExponentTriple(1.5, 0.3, 3), g, u0, 1.0)
         with pytest.raises(StepFailure) as info:
             step(pr, pr.initial, 0.0, 2e-4, SolverConfig(dt=2e-4))
         exc = info.value
@@ -394,15 +397,9 @@ def _digest_run(name):
             ),
             SolverConfig(dt=1e-3),
         )
-    if name == "cartesian-picard-p3-q1":
-        # max_newton = 4: iterations 2 and 3 of a step run in Picard mode
-        return (
-            CauchyDirichletProblem(ExponentTriple(3.0, 1.0, 1), cart, _bump(cart), 1.0),
-            SolverConfig(dt=1e-3, max_newton=4),
-        )
     if name == "cartesian-damped-escape-p3-q0.5":
-        # compact support at q < 1: the line search fails in Picard mode and
-        # the 0.1-damped escape runs
+        # compact support at q < 1: the line search fails, the 0.1-damped
+        # escape runs, and the first step, which fails, is split
         u0 = np.clip(_bump(cart) - 0.3, 0.0, None)
         return (
             CauchyDirichletProblem(ExponentTriple(3.0, 0.5, 1), cart, u0, 1.0),
@@ -414,8 +411,9 @@ def _digest_run(name):
 # sha256 of np.stack(traj.fields).tobytes() after five steps.  Recorded with
 # the Newton step that solved through scipy's solve_banded and recomputed
 # beta(u_prev) in every residual: the step's arithmetic must not change.
-# None of these paths (dirichlet/from_exact boundaries, an annulus, Picard
-# mode, the damped escape) is reached by a preset.
+# The damped escape's digest was recorded again when it came to split its
+# first step.  None of these paths (dirichlet/from_exact boundaries, an
+# annulus, the damped escape) is reached by a preset.
 TRAJECTORY_DIGESTS = {
     "cartesian-dirichlet-p3-q2":
         "8285318a9bce1cdc93e5b78cb5193e271d2971f958376cf9ea16da2885928f1b",
@@ -429,10 +427,8 @@ TRAJECTORY_DIGESTS = {
         "247a146517041e584cacfd017b3afa75337ddad4cddd7959d829f7b2abf5b37e",
     "radial-from-exact-p3-q2":
         "8ab97326c0cc256124e2ad5244c2287fbf96b6c43c3260a4d2983d03459cb36e",
-    "cartesian-picard-p3-q1":
-        "ce331d6bb3658afdf200d7b3d3fda35f374b5312ff65ab50567a876d4cce11eb",
     "cartesian-damped-escape-p3-q0.5":
-        "82dc393d35f78c922901d1288eb0caf489ab82489c3eaecc6afb8e23e19cbbaf",
+        "7a7fc18edc2efb09f61794995419f45cfded670ce28313f1d09ab144f069b4c6",
 }
 
 
@@ -463,6 +459,113 @@ def test_from_exact_ghosts_once_per_step(monkeypatch):
     assert len(calls) == 10
     digest = hashlib.sha256(np.stack(traj.fields).tobytes()).hexdigest()
     assert digest == TRAJECTORY_DIGESTS["radial-from-exact-p3-q2"]
+
+
+class TestEscapeRoutes:
+    """Each way a stalled Newton iteration gets on, shown running on a
+    preset run that needs it."""
+
+    def _trials(self, monkeypatch):
+        """Spy on every workspace; the list gets, per Newton iteration, its
+        count of trial residuals: 9 is 8 halvings that all failed and the
+        0.1-damped step."""
+        trials = []
+        jacobian, residual = _Discretization.jacobian_bands, _Discretization.residual
+
+        def counted_jacobian(disc, *args):
+            trials.append(0)
+            return jacobian(disc, *args)
+
+        def counted_residual(disc, state, b_prev, t_new, dt, b_u=None):
+            if b_u is None:
+                trials[-1] += 1
+            return residual(disc, state, b_prev, t_new, dt, b_u=b_u)
+
+        monkeypatch.setattr(_Discretization, "jacobian_bands", counted_jacobian)
+        monkeypatch.setattr(_Discretization, "residual", counted_residual)
+        return trials
+
+    def _steps(self, monkeypatch):
+        """Spy on `solver.step`; the list gets (dt, residual / tolerance) of
+        each step that returns and (dt, None) of each that fails."""
+        calls = []
+        real = solver.step
+
+        def spied(problem, u_prev, t, dt, config, disc=None):
+            try:
+                u, info = real(problem, u_prev, t, dt, config, disc=disc)
+            except StepFailure:
+                calls.append((dt, None))
+                raise
+            scale = (float(_beta(u_prev, disc.q).max()) + 1e-14) * disc.vol_max / dt
+            calls.append((dt, info["residual"] / (config.newton_tol * scale)))
+            return u, info
+
+        monkeypatch.setattr(solver, "step", spied)
+        return calls
+
+    def test_damped_step_and_tolerance_band(self, monkeypatch, capsys, tmp_path):
+        # the floor run of `test_floor_leaves_beta_prime_alone` on [-1, 1]:
+        # 8 iterations take the damped step, and one step is accepted over
+        # its tolerance, within 100 times it; no step is split
+        trials = self._trials(monkeypatch)
+        calls = self._steps(monkeypatch)
+        argv = ["solve", "--preset", "solver-supercritical-run", "--p", "2",
+                "--q", "0.5", "--initial", "steep_bump", "--floor_eps", "1e-6",
+                "--geometry", "cartesian", "--x_lo", "-1", "--x_hi", "1",
+                "--out", str(tmp_path / "run")]
+        assert cli.run(argv) == 0
+        assert trials.count(9) == 8 and max(trials) == 9
+        assert [dt for dt, _ in calls] == [2e-4] * 200
+        ratios = [ratio for _, ratio in calls]
+        assert sum(ratio > 1 for ratio in ratios) == 1 and max(ratios) <= 100
+
+    def test_split(self, monkeypatch, capsys, tmp_path):
+        # p = 1.5, q = 0.5 on [-1, 1]: step 7 fails, and its two halves,
+        # taken instead, make one stored row
+        calls = self._steps(monkeypatch)
+        kept = []
+        run_solver = cli.run_solver
+        monkeypatch.setattr(
+            cli, "run_solver", lambda cfg: kept.append(run_solver(cfg)) or kept[-1]
+        )
+        argv = ["solve", "--preset", "solver-supercritical-run", "--p", "1.5",
+                "--q", "0.5", "--t_end", "0.01", "--geometry", "cartesian",
+                "--x_lo", "-1", "--x_hi", "1", "--out", str(tmp_path / "run")]
+        assert cli.run(argv) == 0
+        assert [dt for dt, _ in calls] == [2e-4] * 7 + [1e-4] * 2 + [2e-4] * 43
+        assert calls[6][1] is None
+        [traj] = kept
+        assert len(traj.fields) == len(traj.times) == 51
+        assert traj.newton_iters[7] == 15  # 5 and 10 in its halves
+
+
+@pytest.mark.parametrize("p", [1.3, 1.6, 2.0, 3.0, 4.5])
+def test_regime_sweep(p):
+    """`solver-supercritical-run` over slow, Trudinger and fast diffusion,
+    p < 2, q < 1 and p >= N, radial N = 1, 3 and cartesian (which ignores
+    N): 15 runs per p, five steps each from cos_bump data scaled by 1 and by
+    0.5.  Every run steps to t_end with finite values, u >= 0 and sup u
+    non-increasing, and the 0.5 run stays below the 1 run."""
+    base = cli.preset("solver-supercritical-run")[1]
+    for q, (n_dim, geometry) in itertools.product(
+        (0.3, 0.6, 1.0, 2.0, 4.0), ((1, "radial"), (3, "radial"), (1, "cartesian"))
+    ):
+        where = (p, q, n_dim, geometry)
+        runs = []
+        for scale in ("1", "0.5"):
+            cfg = cli._merge(base, {
+                "exponents": {"p": f"{p}", "q": f"{q}", "N": f"{n_dim}"},
+                "grid": {"geometry": geometry},
+                "solver": {"t_end": "1e-3", "initial_scale": scale},
+            })
+            traj = solve(*cli.build_problem(cfg))
+            u = np.stack(traj.fields)
+            assert u.shape == (6, 200), where
+            assert np.isfinite(u).all() and (u >= 0).all(), where
+            assert (np.diff(u.max(axis=1)) <= 0).all(), where
+            runs.append(traj)
+        assert check_comparison(runs[1], runs[0])["passes"], where
 
 
 class TestComparison:

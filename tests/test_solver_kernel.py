@@ -2,10 +2,12 @@
 
 `KERNEL_DIGESTS` holds the sha256 of three steps' fields, infos and any
 failure for every run of the exponent lattice below, and of the first step of
-two runs that fail.  They were recorded from the kernel as it was before
-`_Discretization` became a workspace: every temporary freshly allocated, the
-ghost array built by `np.concatenate`.  The kernel must give the same bits on
-the exponent map that `classify` describes."""
+two runs that fail.  The lattice digests were recorded from the kernel as it
+was before `_Discretization` became a workspace: every temporary freshly
+allocated, the ghost array built by `np.concatenate`.  The kernel must give
+the same bits on the exponent map that `classify` describes.  The failure
+digests were recorded again when the Picard fallback was removed, because the
+two runs recorded before now converge."""
 
 import hashlib
 import itertools
@@ -55,8 +57,8 @@ def _steps(problem, config, count):
     return fields, infos, None
 
 
-# (p, q, N, geometry) or (p, q, "fail") and the digest; a cartesian run
-# ignores N
+# (p, q, N, geometry) or (p, q, geometry, "fail") and the digest; a
+# cartesian run ignores N
 _DIGEST_TABLE = """\
 1.3 0.3 1 radial fd6d7854da5bdd6de8e67f848576cd9a6a8dab3408ed6ab7648e8e1310c31e6a
 1.3 0.3 1 cartesian 31a0d7b40e104064d71ff6da970ce55ecc3434f42591e511ce8cd186ed1c107d
@@ -158,8 +160,8 @@ _DIGEST_TABLE = """\
 4.5 4.0 1 cartesian 5a7ae2c663b468f5922eb95e703cfcaae6bd78bc8e060177d6f24a3b364e34dd
 4.5 4.0 3 radial 859857bb453e00c2ae5d1bb7b1ae24db82dba97e6da6e3a4d0349d439065003f
 4.5 4.0 3 cartesian 5a7ae2c663b468f5922eb95e703cfcaae6bd78bc8e060177d6f24a3b364e34dd
-1.3 0.3 fail bed995730cff76717c969b3739ff09b140d5083a6a2ba86366f887d8b6f44143
-4.5 2.0 fail e599fbded51ef63baca38a7e132af12691b4913ffc9c3223458036e891207e27
+1.5 0.3 radial fail 6aa2a8dbcb13b3e84304b05453e2dddd347f9051768acd6d698474c11a14160a
+1.5 0.3 cartesian fail 432117a8ec509cafbfae6d17f2186d88adea6166e3d9d0a20584a4b2bb9402ab
 """
 KERNEL_DIGESTS = {
     tuple(row[:-1]): row[-1]
@@ -203,15 +205,18 @@ def test_same_bits_as_reference_over_exponent_map(n_dim, geometry):
         assert got == KERNEL_DIGESTS[f"{p}", f"{q}", f"{n_dim}", geometry], (p, q)
 
 
-@pytest.mark.parametrize("p, q", [(1.3, 0.3), (4.5, 2.0)])
-def test_same_failure_as_reference(p, q):
-    # every lattice run passes three steps at 32 cells; on the preset's 200
-    # cartesian cells these fail at the first step
+@pytest.mark.parametrize("geometry", ["radial", "cartesian"])
+def test_same_failure_as_reference(geometry):
+    # `solver-supercritical-run` at p = 1.5, q = 0.3 with `inner_bump` data
+    # (on [0, 0.2) of [0, 1]) fails at the first step
     cfg = SolverConfig(dt=2e-4)
-    pr = _lattice_problem(p, q, 1, "cartesian", n_cells=200)
+    g = Grid1D(0.0, 1.0, 200, geometry, 3)
+    x = g.centers()
+    u0 = np.where(x < 0.2, np.cos(np.pi * x / 0.4) ** 2, 0.0)
+    pr = CauchyDirichletProblem(ExponentTriple(1.5, 0.3, 3), g, u0, 1.0)
     run = _steps(pr, cfg, 1)
     assert run[0] == [] and run[2] is not None
-    assert _digest(run) == KERNEL_DIGESTS[f"{p}", f"{q}", "fail"]
+    assert _digest(run) == KERNEL_DIGESTS["1.5", "0.3", geometry, "fail"]
 
 
 class TestWorkspace:
@@ -270,6 +275,25 @@ def _carry_problem(p, q, geometry, boundary):
     )
 
 
+def _split_steps(problem, u, t, dt, config, failed, splits=7):
+    """`Trajectory`'s step from u at t by dt, split where it fails, by bare
+    steps with a fresh workspace each; `failed` gets the t of each step that
+    fails."""
+    try:
+        return step(problem, u, t, dt, config)
+    except StepFailure:
+        failed.append(t)
+        if not splits:
+            raise
+    u, a = _split_steps(problem, u, t, dt / 2, config, failed, splits - 1)
+    u, b = _split_steps(problem, u, t + dt / 2, dt / 2, config, failed, splits - 1)
+    return u, {
+        "iters": a["iters"] + b["iters"],
+        "residual": max(a["residual"], b["residual"]),
+        "clipped": a["clipped"] + b["clipped"],
+    }
+
+
 class TestCarriedResidual:
     """A zero Dirichlet run without a floor starts each step from the state
     the last step accepted; every other run computes its first residual."""
@@ -279,6 +303,7 @@ class TestCarriedResidual:
         "boundary", ["zero_dirichlet", "dirichlet", "from_exact"]
     )
     def test_trajectory_same_bits_as_fresh_steps(self, geometry, boundary):
+        failed = []
         for p, q, floor in itertools.product(
             (1.5, 2.0, 3.0), (0.5, 1.0, 2.0), (0.0, 1e-6)
         ):
@@ -290,21 +315,16 @@ class TestCarriedResidual:
             u = pr.initial
             for k in range(6):
                 where = (p, q, floor, k)
-                try:
-                    # no workspace: a fresh first residual on every step
-                    u, info = step(pr, u, traj.times[k], cfg.dt, cfg)
-                except StepFailure as exc:
-                    # q < 1 runs may fail where the data vanish
-                    with pytest.raises(StepFailure) as failed:
-                        traj.row(k + 1)
-                    assert failed.value.time == exc.time, where
-                    assert _bits(failed.value.residual) == _bits(exc.residual)
-                    break
+                # no workspace: a fresh first residual on every step
+                u, info = _split_steps(pr, u, traj.times[k], cfg.dt, cfg, failed)
                 row = traj.row(k + 1)
                 assert np.array_equal(_bits(u), _bits(row)), where
                 assert info["iters"] == traj.newton_iters[k + 1], where
                 assert _bits(info["residual"]) == _bits(traj.residual_norms[k + 1])
                 assert (traj._disc.returned is row) == carries, where
+        # q < 1 data that vanish: the radial p = 3, q = 0.5 run without a
+        # floor splits its second step
+        assert failed == ([2e-4] if geometry == "radial" else [])
 
     def _first_residuals(self, disc):
         """Wrap `disc.residual`; the list gets True for each first residual
@@ -451,6 +471,34 @@ class TestIdleStep:
         assert np.array_equal(_bits(again[0]), _bits(want[0]))
         assert again[1] == want[1]
 
+
+    def test_full_step_after_a_split_is_not_idle(self, monkeypatch):
+        # step 1001, made to fail once at full dt, is split: the second half
+        # returns at once, idle at dt/2.  Step 1002, at dt, is carried but
+        # computes its residual, with the bits of a fresh step
+        pr, cfg = _extinction_problem()
+        traj = Trajectory(pr, cfg)
+        traj.row(1000)
+        dts = []
+        real = solver.step
+
+        def fails_once(problem, u_prev, t, dt, config, disc=None):
+            dts.append(dt)
+            if len(dts) == 1:
+                raise StepFailure("nonlinear iteration did not converge",
+                                  t + dt, 1.0, 1e-3)
+            return real(problem, u_prev, t, dt, config, disc=disc)
+
+        monkeypatch.setattr(solver, "step", fails_once)
+        computed = self._computed(monkeypatch)
+        traj.row(1001)
+        assert dts == [cfg.dt, cfg.dt / 2, cfg.dt / 2]
+        assert computed == [1] and traj.newton_iters[1001] == 0
+        del computed[:]
+        got = traj.row(1002)
+        assert computed == [1] and traj._disc.idle[0][0] == cfg.dt
+        want = step(pr, traj.fields[1001], traj.times[1001], cfg.dt, cfg)[0]
+        assert np.array_equal(_bits(got), _bits(want))
 
     def test_step_accepted_over_its_tolerance_is_not_idle(self, monkeypatch):
         # no iteration allowed, the residual at 10x its tolerance is
