@@ -404,15 +404,35 @@ def build_problem(cfg):
     return pr, sc
 
 
+def solvable(pr, sc):
+    """(pr, sc), checked before any step: u^q of the initial data and the
+    floor, and the flux at the data's steepest inner face, must not
+    overflow, where the solver would warn at every step before the run
+    fails.  Python's ** raises OverflowError where numpy warns."""
+    e, u0 = pr.exponents, pr.initial
+    u_top = max(float(u0.max()), sc.floor_eps)
+    g_top = float(np.abs(np.diff(u0)).max() / pr.grid.h)
+    try:
+        tops = u_top**e.q, (pr.mu**2 + g_top**2) ** ((e.p - 2) / 2) * g_top
+    except OverflowError:
+        tops = (math.inf,)
+    if math.inf in tops:
+        raise ValueError(
+            f"u^q or the flux |Du|^(p-2) Du overflows at u = {u_top:g} (initial"
+            f" data or floor_eps), |Du| = {g_top:g}, q = {e.q:g}, p = {e.p:g}"
+        )
+    return pr, sc
+
+
 def run_solver(cfg):
     """The numeric run solved over its whole span."""
-    return solve(*build_problem(cfg))
+    return solve(*solvable(*build_problem(cfg)))
 
 
 def solved_source(cfg):
     """Numeric run, even when a [family] is set, solved on demand: a scan
     steps it only as far as the last time it reads."""
-    return dg.SolutionSource(Trajectory(*build_problem(cfg)))
+    return dg.SolutionSource(Trajectory(*solvable(*build_problem(cfg))))
 
 
 def build_source(cfg):
@@ -643,7 +663,7 @@ def pipe_extinction(cfg, out):
     problem, config = build_problem(cfg)
     probes = _get(cfg, "probes", "x_o", [])
     dg.check_extinction_run(problem, probes)  # before any step
-    traj = solve(problem, config)
+    traj = solve(*solvable(problem, config))
     return _report(out, dg.extinction_analysis(traj, x_probes=probes))
 
 

@@ -117,7 +117,9 @@ def solve_banded(lower, main, upper, rhs):
     calls too (same bits).  It overwrites the four distinct float64 arrays.
     Raises ValueError on a non-finite entry, as scipy's `check_finite`
     does, and LinAlgError on a singular system.  Four views that tile one
-    buffer, as the workspace's bands do, are checked as that buffer: a
+    buffer, as the bands of each iterate state in the Newton kernel do
+    (their b is the negated residual F that the state's residual wrote,
+    and the solution overwrites it there), are checked as that buffer: a
     finite BLAS dot product with itself means every entry is finite, so
     only a non-finite or overflowing one (whose ddot, unlike numpy's dot,
     warns of nothing) runs the entrywise check.  scipy.linalg is imported
@@ -147,67 +149,78 @@ def solve_banded(lower, main, upper, rhs):
 
 def _beta(u, q, out=None):
     """u^q as |u|^(q-1) u, into `out` when given; at q = 1, `u` itself, and
-    at q = 2, |u| u (x**1.0 == x)."""
+    at q = 2, |u| u (x**1.0 == x).  For q < 1, |u|^(q-1) is infinite at
+    u = 0, where beta is 0: only a u with a zero takes the masked ufuncs,
+    whose bits are the unmasked ones wherever u != 0."""
     if q == 1:
         return u
     out = np.abs(u, out)
     if q == 2:
         return np.multiply(out, u, out)
-    if q > 1:
+    if q > 1 or u.all():
         np.power(out, q - 1, out)
         return np.multiply(out, u, out)
-    # q < 1: |u|^(q-1) is infinite at u = 0, where beta is 0
     nz = u != 0
     np.power(out, q - 1, out=out, where=nz)
     return np.multiply(out, u, out=out, where=nz)
 
 
-def _phi(g, mu, p, out):
+def _phi(g, mu, p, out, base):
     """(mu^2 + g^2)^{(p-2)/2}, the scalar flux factor for p != 2, written
-    into `out`.  No entry needs a mask: for p < 2 the base is at least
-    mu^2 > 0, and for p > 2, 0^{(p-2)/2} = 0."""
-    np.multiply(g, g, out)
-    if mu:
-        np.add(out, mu * mu, out)
-    return np.power(out, (p - 2) / 2, out)
-
-
-def _phi_total_deriv(g, mu, p, out):
-    """d/dg [ phi(g) * g ] = (mu^2+g^2)^{(p-4)/2} (mu^2 + (p-1) g^2), for
-    p != 2, written into `out`.  Only 2 < p < 4 needs a mask, for the inf
-    power of a 0 base, where the derivative is 0: for p < 2 the base is at
-    least mu^2 > 0, and for p >= 4 the power of 0 is finite."""
-    base = np.multiply(g, g)
+    into `out`, with its base mu^2 + g^2 kept in `base` for
+    `_phi_total_deriv`.  No entry needs a mask: for p < 2 the base is at
+    least mu^2 > 0, and for p > 2, 0^{(p-2)/2} = 0."""
+    np.multiply(g, g, base)
     if mu:
         np.add(base, mu * mu, base)
-    pos = True
-    if 2 < p < 4:
+    return np.power(base, (p - 2) / 2, out)
+
+
+def _phi_total_deriv(g, mu, p, out, base, second):
+    """d/dg [ phi(g) * g ] = (mu^2+g^2)^{(p-4)/2} (mu^2 + (p-1) g^2), for
+    p != 2, written into `out`, from the `base` mu^2 + g^2 that `_phi` left;
+    `second` takes the second factor.  Only 2 < p < 4 with a zero base needs
+    a mask, for the inf power of 0, where the derivative is 0: for p < 2 the
+    base is at least mu^2 > 0, for p >= 4 the power of 0 is finite, and off
+    its zeros the masked ufuncs give the unmasked bits."""
+    np.multiply(g, p - 1, second)
+    np.multiply(second, g, second)
+    if mu:
+        np.add(second, mu * mu, second)
+    if 2 < p < 4 and not base.all():
         pos = np.greater(base, 0.0)
         out.fill(0.0)
-    np.power(base, (p - 4) / 2, out=out, where=pos)
-    # the second factor, (p - 1) * g * g + mu^2, in the base's array
-    np.multiply(g, p - 1, base)
-    np.multiply(base, g, base)
-    if mu:
-        np.add(base, mu * mu, base)
-    return np.multiply(out, base, out=out, where=pos)
+        np.power(base, (p - 4) / 2, out=out, where=pos)
+        return np.multiply(out, second, out=out, where=pos)
+    np.power(base, (p - 4) / 2, out)
+    return np.multiply(out, second, out)
 
 
 class _State:
     """An iterate u, the interior of its ghost-extended array `ue` (`hi` and
-    `lo` are ue[1:] and ue[:-1]), with its residual, face gradients and
-    flux difference."""
+    `lo` are ue[1:] and ue[:-1]), with its face gradients, flux difference,
+    beta(u), phi's base mu^2 + g^2, and its own buffer of 4n - 2 floats
+    whose views are `dgtsv`'s dl, du, d and b: `lower`, `upper`, `main`
+    and `F`, the negated residual, which is the next solve's right-hand
+    side."""
 
-    __slots__ = ("ue", "u", "hi", "lo", "R", "grads", "div")
+    __slots__ = ("ue", "u", "hi", "lo", "grads", "div", "beta", "base", "bands",
+                 "lower", "upper", "off", "main", "F")
 
     def __init__(self, n):
         self.ue = np.empty(n + 2)
         self.u = self.ue[1:-1]
         self.hi = self.ue[1:]
         self.lo = self.ue[:-1]
-        self.R = np.empty(n)
         self.grads = np.empty(n + 1)
         self.div = np.empty(n)
+        self.beta = np.empty(n)
+        self.base = np.empty(n + 1)
+        self.bands = np.empty(4 * n - 2)
+        self.lower, self.upper, self.main, self.F = np.split(
+            self.bands, [n - 1, 2 * n - 2, 3 * n - 2]
+        )
+        self.off = self.bands[: 2 * n - 2]
 
 
 class _Discretization:
@@ -215,17 +228,26 @@ class _Discretization:
     exponents, mu and the boundary once, and it owns every array an
     iteration writes:
     - two `_State`s, the iterate's and a line-search trial's, which `step`
-      swaps when it accepts the trial;
-    - the flux, its derivative and |R|;
-    - one buffer of 4n - 2 floats whose views are `dgtsv`'s dl, du, d and
-      b, in that order; at p = 2 the off-diagonals are constant, and one
-      copy of a template refills dl and du.
+      swaps when it accepts the trial.  Each has its own band buffer, so
+      the residual of a state is written as F = -R straight into the
+      right-hand side view of its bands, and a trial's residual leaves the
+      iterate's update, solved in place in the iterate's F, alone;
+    - beta(u_prev), the flux, its derivative, the second factor of that
+      derivative and |F|;
+    - at p = 2 the off-diagonals are constant, and one copy of a template
+      refills dl and du.
+    When q is a power of two from 2^-6 to 2^7 and q V is exact (checked
+    here), q is folded into the volumes of beta'(u) V/dt: the product
+    (m q) V then equals m (q V) for every m = max(u, eps)^(q-1), because
+    m q is exact unless it overflows, and for q <= 2^7 it overflows only
+    where u^q does, whose residual makes the solve raise.
     With a zero Dirichlet boundary and no floor, the state a step accepts
     is the start of the next step (see `step`).  Every floating-point
     operation keeps the order of the plain formulas in the comments, so the
-    bits are those of a step that allocates every temporary.  Calls take
-    `out` positionally (but `np.maximum`, where that is deprecated) and
-    scalars as 0-d arrays, which numpy dispatches fastest."""
+    bits are those of a step that allocates every temporary, but for the
+    sign of an exact zero of F (see `residual`).  Calls take `out`
+    positionally (but `np.maximum`, where that is deprecated) and scalars
+    as 0-d arrays, which numpy dispatches fastest."""
 
     def __init__(self, problem, config):
         self.pr = problem
@@ -233,14 +255,18 @@ class _Discretization:
         n = g.n_cells
         self.h = np.array(g.h)
         self.p = problem.exponents.p
-        self.q = problem.exponents.q
-        self.q0 = np.array(self.q)
+        self.q = q = problem.exponents.q
+        self.q0 = np.array(q)
         self.zero = np.array(0.0)
         # beta'(u)'s regularization, whatever the floor
         self.eps = np.array(1e-12)
         self.mu = problem.mu
         self.vol = g.cell_volumes()
         self.vol_max = self.vol.max()
+        qvol = q * self.vol
+        frac, exp = math.frexp(q)
+        self.fold_q = frac == 0.5 and -5 <= exp <= 8 and (qvol / q == self.vol).all()
+        self.jac_vol = qvol if self.fold_q else self.vol
         faces = g.faces()
         if g.geometry == "radial":
             self.area = faces ** (g.n_dim - 1)
@@ -263,13 +289,8 @@ class _Discretization:
         self.dflux = np.empty(n + 1)
         self.dflux_hi, self.dflux_lo = self.dflux[1:], self.dflux[:-1]
         self.dflux_in = self.dflux[1:-1]
+        self.second = np.empty(n + 1)
         self.abs_R = np.empty(n)
-        self.bands = np.empty(4 * n - 2)
-        self.lower = self.bands[: n - 1]
-        self.upper = self.bands[n - 1 : 2 * n - 2]
-        self.main = self.bands[2 * n - 2 : 3 * n - 2]
-        self.rhs = self.bands[3 * n - 2 :]
-        self.off = self.bands[: 2 * n - 2]
         if self.p == 2:
             np.divide(self.area, self.h, self.dflux)
             if self.symmetric:
@@ -303,12 +324,16 @@ class _Discretization:
         return np.divide(grads, self.h, grads)
 
     def residual(self, state, b_prev, t_new, dt, b_u=None):
-        """Cell residuals R_i = (beta(u)-beta(u_prev)) V_i/dt - net flux of
-        `state`'s iterate, with `b_prev` = beta(u_prev) and `b_u` = beta(u)
-        when known, written into `state` with the face gradients and the
-        flux difference.  An iterate whose beta is not given is a trial,
-        max(., 0.0), which holds no -0.0.  Returns max |R_i|."""
-        ue, grads, div, R = state.ue, state.grads, state.div, state.R
+        """The negated cell residuals F_i = net flux - (beta(u)-beta(u_prev))
+        V_i/dt of `state`'s iterate, with `b_prev` = beta(u_prev) and `b_u`
+        = beta(u) when known, written into `state`'s F with the face
+        gradients, phi's base and the flux difference.  An iterate whose
+        beta is not given is a trial, max(., 0.0), which holds no -0.0; its
+        beta(u) is written into `state.beta`.  F is -R but for the sign of
+        an exact zero (a - b is -(b - a), and both are +0.0 where a == b);
+        that sign reaches only the zeros of the update, which u + (+-0) and
+        max(., 0.0) remove.  Returns max |F_i|."""
+        ue, grads, F = state.ue, state.grads, state.F
         if self.zero_dirichlet:
             # ghost = 2 * 0.0 - first interior cell
             ue[0] = 0.0 - ue[1]
@@ -322,57 +347,63 @@ class _Discretization:
         if self.p == 2:
             np.multiply(grads, self.area, flux)
         else:
-            _phi(grads, self.mu, self.p, flux)
+            _phi(grads, self.mu, self.p, flux, state.base)
             np.multiply(flux, grads, flux)
             np.multiply(flux, self.area, flux)
         if self.symmetric:
             flux[0] = 0.0
-        np.subtract(self.flux_hi, self.flux_lo, div)
-        # R = (beta(u) - b_prev) * vol / dt - (flux[1:] - flux[:-1])
+        np.subtract(self.flux_hi, self.flux_lo, state.div)
+        # F = (flux[1:] - flux[:-1]) - (beta(u) - b_prev) * vol / dt
         if b_u is None:
-            u, q = state.u, self.q
+            u, q, b = state.u, self.q, state.beta
             # u >= +0.0, so at q = 2, u * u == |u| u
-            b_u = u if q == 1 else np.multiply(u, u, R) if q == 2 else _beta(u, q, R)
-        np.subtract(b_u, b_prev, R)
-        np.multiply(R, self.vol, R)
-        np.divide(R, dt, R)
-        np.subtract(R, div, R)
-        return np.maximum.reduce(np.abs(R, self.abs_R))
+            b_u = u if q == 1 else np.multiply(u, u, b) if q == 2 else _beta(u, q, b)
+        np.subtract(b_u, b_prev, F)
+        np.multiply(F, self.vol, F)
+        np.divide(F, dt, F)
+        np.subtract(state.div, F, F)
+        abs_F = np.abs(F, self.abs_R)
+        return abs_F[abs_F.argmax()]
 
-    def jacobian_bands(self, u, grads, dt):
-        """Tridiagonal Jacobian as its three diagonals (lower, main, upper),
-        written into the band buffer (`solve_banded` overwrites them)."""
+    def jacobian_bands(self, state, dt):
+        """Tridiagonal Jacobian at `state` as its three diagonals (lower,
+        main, upper), written into the state's bands (`solve_banded`
+        overwrites them)."""
         dflux = self.dflux
         if self.p == 2:
-            self.off[...] = self.off_p2
+            state.off[...] = self.off_p2
         else:
             # d flux_f / d (u_right - u_left) = phi'(grads) * area / h
-            _phi_total_deriv(grads, self.mu, self.p, dflux)
+            g, base = state.grads, state.base
+            _phi_total_deriv(g, self.mu, self.p, dflux, base, self.second)
             np.multiply(dflux, self.area, dflux)
             np.divide(dflux, self.h, dflux)
             if self.symmetric:
                 dflux[0] = 0.0
-            np.negative(self.dflux_in, self.lower)
-            self.upper[...] = self.lower
+            np.negative(self.dflux_in, state.lower)
+            state.upper[...] = state.lower
         # main = beta'(u) * vol / dt + dflux[:-1] + dflux[1:], with
         # beta'(u) = q max(u, eps)^(q-1), which is singular at 0 for q < 1
         # and degenerate for q > 1; 1 at q = 1, and x**1.0 == x at q = 2
-        main, q = self.main, self.q
+        main, q = state.main, self.q
         if q == 1:
             np.divide(self.vol, dt, main)
         else:
-            np.maximum(u, self.eps, out=main)
+            np.maximum(state.u, self.eps, out=main)
             if q != 2:
                 np.power(main, q - 1, main)
-            np.multiply(main, self.q0, main)
-            np.multiply(main, self.vol, main)
+            if not self.fold_q:
+                np.multiply(main, self.q0, main)
+            np.multiply(main, self.jac_vol, main)
             np.divide(main, dt, main)
         np.add(main, self.dflux_lo, main)
         np.add(main, self.dflux_hi, main)
         if self.ghost_coupled:
-            main[0] += dflux[0]  # left face gradient = (u_0 - gl)/h, d/du0 = 2
-            main[-1] += dflux[-1]
-        return self.lower, main, self.upper
+            # the ghost gl = 2 bl - u_0 doubles d/du_0 of (u_0 - gl)/h; so
+            # at the right face
+            main[0] = main.item(0) + dflux.item(0)
+            main[-1] = main.item(-1) + dflux.item(-1)
+        return state.lower, main, state.upper
 
 
 # the line search's update sizes: 1, 1/2, ..., 1/128, then 0.1, which is
@@ -387,18 +418,23 @@ def step(problem, u_prev, t, dt, config, disc=None):
     (`_LINE_SEARCH`); a residual within 100 times its tolerance after
     max_newton iterations is accepted.  beta(u_prev) is computed once per
     step and shared by the tolerance and every residual; each iteration
-    solves its tridiagonal system with `solve_banded` (LAPACK `dgtsv`).
-    `disc` is the problem's `_Discretization`, the run's kernel, built here
-    when not given (a `Trajectory` builds one per run).
+    solves its tridiagonal system, whose right-hand side is the negated
+    residual F that the iterate's residual wrote into its bands, with
+    `solve_banded` (LAPACK `dgtsv`).  `disc` is the problem's
+    `_Discretization`, the run's kernel, built here when not given (a
+    `Trajectory` builds one per run).
 
-    The first residual is R(u_prev) = (beta(u_prev) - beta(u_prev)) V/dt -
-    (flux difference) = 0 - (flux difference).  With a zero Dirichlet
+    The first residual is F(u_prev) = (flux difference) - (beta(u_prev) -
+    beta(u_prev)) V/dt = (flux difference) - 0.  With a zero Dirichlet
     boundary, whose ghosts do not move with t, and no floor, a step returns
     the bits of the iterate it accepted, so when `u_prev` is the very array
     the workspace's last step returned, with the same bytes, that step's
-    flux difference and face gradients start this one.  If that step took
-    no iteration, this one, at the same dt, tolerance and no floor, has its
-    residual and tolerance and takes none either: it returns at once.
+    flux difference, face gradients and phi base start this one, and its
+    beta(u) is this step's beta(u_prev): a step that iterated swaps its
+    accepted trial's beta(u) into `b_prev`, and one that did not leaves
+    beta(u_prev), which is beta of its return, there.  If that step took
+    no iteration, this one, at the same dt, tolerance and no floor, has
+    its residual and tolerance and takes none either: it returns at once.
     Raises StepFailure, which names t and the residual as a multiple of its
     tolerance."""
     if not 0 < dt < math.inf:
@@ -420,41 +456,44 @@ def step(problem, u_prev, t, dt, config, disc=None):
         raise ValueError("u_prev must be non-negative")
     t_new = t + dt
     dt0 = np.array(dt)
-    b_prev = _beta(u_prev, disc.q, disc.b_prev)
-    zero = disc.zero
+    q, zero, abs_R = disc.q, disc.zero, disc.abs_R
+    residual, jacobian_bands = disc.residual, disc.jacobian_bands
     if carried:
-        # R(u_prev) = 0 - (flux difference), as computed afresh
-        np.subtract(zero, cur.div, cur.R)
-        norm = np.maximum.reduce(np.abs(cur.R, disc.abs_R))
+        # F(u_prev) = (flux difference) - 0, as computed afresh
+        b_prev = u_prev if q == 1 else disc.b_prev
+        cur.F[...] = cur.div
+        np.abs(cur.F, abs_R)
+        norm = abs_R[abs_R.argmax()]
     else:
+        b_prev = _beta(u_prev, q, disc.b_prev)
         cur.u[...] = u_prev
-        norm = disc.residual(cur, b_prev, t_new, dt0, b_u=b_prev)
-    iters = 0
+        norm = residual(cur, b_prev, t_new, dt0, b_u=b_prev)
+    iters, max_newton = 0, config.max_newton
     # residuals scale like beta(u) * vol / dt; make the tolerance follow suit
     # (the 1e-14 floor keeps the tolerance meaningful on near-extinct states
     # without freezing them: an absolute floor of O(1) would let tiny-amplitude
     # tails pass the test with a zero update); beta(u_prev) >= 0
-    beta_amp = float(np.maximum.reduce(b_prev))
+    beta_amp = float(b_prev[b_prev.argmax()])
     scale = (beta_amp + 1e-14) * disc.vol_max / dt
     tol = config.newton_tol * scale
-    while norm > tol and iters < config.max_newton:
-        lower, main, upper = disc.jacobian_bands(cur.u, cur.grads, dt0)
+    while norm > tol and iters < max_newton:
+        lower, main, upper = jacobian_bands(cur, dt0)
         try:
-            delta = solve_banded(lower, main, upper, np.negative(cur.R, disc.rhs))
+            delta = solve_banded(lower, main, upper, cur.F)
         except np.linalg.LinAlgError as exc:
             raise StepFailure("linear solve failed", t_new, norm, tol) from exc
         # trial = max(u + lam * delta, 0) for lam in _LINE_SEARCH until one
         # lowers the residual; at lam = 1 the product is skipped
         # (1.0 * delta == delta)
+        u, trial = cur.u, spare.u
         for lam in _LINE_SEARCH:
-            trial = spare.u
             if lam == 1.0:
-                np.add(cur.u, delta, trial)
+                np.add(u, delta, trial)
             else:
                 np.multiply(delta, lam, trial)
-                np.add(trial, cur.u, trial)
+                np.add(trial, u, trial)
             np.maximum(trial, zero, out=trial)
-            n_t = disc.residual(spare, b_prev, t_new, dt0)
+            n_t = residual(spare, b_prev, t_new, dt0)
             if n_t < norm or lam == 0.1:
                 cur, spare, norm = spare, cur, n_t
                 break
@@ -469,6 +508,8 @@ def step(problem, u_prev, t, dt, config, disc=None):
     u = np.maximum(cur.u, floor)
     if disc.zero_dirichlet and not floor:
         disc.returned = u
+        if iters and q != 1:  # the next step's beta(u_prev), if carried
+            disc.b_prev, cur.beta = cur.beta, disc.b_prev
         if not iters and norm <= tol:
             disc.idle = key, norm
     return u, {"iters": iters, "residual": norm, "clipped": clipped}
@@ -479,9 +520,15 @@ def time_grid(problem, config):
     final short step to t_end.  Step i goes from times[i] by dts[i] to
     times[i + 1] = t_start + min((i + 1) dt, span), recomputed from the step
     index to avoid float drift in long runs.  A short step under 1e-9 dt is
-    dropped, unless it is the run's only step."""
+    dropped, unless it is the run's only step.  More than 10^6 steps (the
+    span over dt, not finite too) raise ValueError before any list is
+    built."""
     span = problem.t_end - problem.t_start
-    n_full = int(math.floor(span / config.dt * (1.0 + 1e-12)))
+    count = span / config.dt * (1.0 + 1e-12)
+    # inf too; the step list and every stored field are held in memory
+    if not count <= 1e6:
+        raise ValueError(f"t_end - t_start is {count:.3g} steps of dt: over 10^6")
+    n_full = int(math.floor(count))
     remainder = span - n_full * config.dt
     dts = [config.dt] * n_full
     if remainder > 1e-9 * config.dt or not dts:
@@ -517,15 +564,20 @@ class Trajectory:
         again."""
         if not 0 <= i < len(self.times):
             raise IndexError(f"row {i} of {len(self.times)}")
-        fields = self.fields
+        fields, times, dts = self.fields, self.times, self._dts
         while len(fields) <= i:
             if self._failure is not None:
                 raise self._failure
             k = len(fields) - 1
+            u, t, dt = fields[k], times[k], dts[k]
             try:
-                u, info = self._advance(fields[k], self.times[k], self._dts[k])
+                try:
+                    # step returns a new array and never writes to u_prev
+                    u, info = step(self.problem, u, t, dt, self.config, disc=self._disc)
+                except StepFailure:
+                    u, info = self._advance(u, t, dt)
             except StepFailure as exc:
-                self._failure = exc.at_step(k + 1, len(self._dts))
+                self._failure = exc.at_step(k + 1, len(dts))
                 raise self._failure from exc
             fields.append(u)
             self.newton_iters.append(info["iters"])
@@ -534,17 +586,20 @@ class Trajectory:
         return fields[i]
 
     def _advance(self, u, t, dt, splits=7):
-        """`step` from u at t by dt or, where that raises StepFailure and a
-        split is left, two `_advance`s by dt/2; their info sums iterations
-        and clipped mass and keeps the larger residual."""
-        try:
-            # step returns a new array and never writes to u_prev
-            return step(self.problem, u, t, dt, self.config, disc=self._disc)
-        except StepFailure:
-            if not splits:
-                raise
-        u, a = self._advance(u, t, dt / 2, splits - 1)
-        u, b = self._advance(u, t + dt / 2, dt / 2, splits - 1)
+        """Two `step`s by dt/2 in place of a step from u at t by dt that
+        raised StepFailure, each split again by `_advance` where it fails,
+        down to dt/2^splits; their info sums iterations and clipped mass
+        and keeps the larger residual."""
+        half, infos = dt / 2, []
+        for t0 in (t, t + half):
+            try:
+                u, info = step(self.problem, u, t0, half, self.config, disc=self._disc)
+            except StepFailure:
+                if splits == 1:
+                    raise
+                u, info = self._advance(u, t0, half, splits - 1)
+            infos.append(info)
+        a, b = infos
         info = {key: a[key] + b[key] for key in ("iters", "clipped")}
         return u, {**info, "residual": max(a["residual"], b["residual"])}
 

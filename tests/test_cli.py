@@ -918,6 +918,19 @@ def test_family_without_its_parameters_exits_cleanly(capsys, fid):
         (["harnack", "--preset", "harnack-fail-trudinger", "--t_o", "1e-308"], 1,
          "error: (5.0, 1e-308) outside validity domain of trudinger_gaussian: "
          "t > 0 and neither t^(-N/(p(p-1))) nor |x|^p/(p t) overflows\n"),
+        # more than 10^6 steps: refused before the step list is built
+        (["solve", "--preset", "solver-supercritical-run", "--dt", "1e-300"], 1,
+         "error: t_end - t_start is 4e+298 steps of dt: over 10^6\n"),
+        (["solve", "--preset", "solver-supercritical-run", "--t_end", "1e300"], 1,
+         "error: t_end - t_start is 5e+303 steps of dt: over 10^6\n"),
+        # the flux factor's power and beta(floor) overflow: refused before
+        # any step, which would warn
+        (["solve", "--preset", "solver-supercritical-run", "--p", "1e200"], 1,
+         "error: u^q or the flux |Du|^(p-2) Du overflows at u = 0.999985 "
+         "(initial data or floor_eps), |Du| = 1.57078, q = 2, p = 1e+200\n"),
+        (["solve", "--preset", "solver-supercritical-run", "--floor_eps", "1e300"],
+         1, "error: u^q or the flux |Du|^(p-2) Du overflows at u = 1e+300 "
+         "(initial data or floor_eps), |Du| = 1.57078, q = 2, p = 2\n"),
     ],
 )
 def test_branch_exit_code(capsys, argv, code, line):

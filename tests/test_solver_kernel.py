@@ -11,6 +11,8 @@ two runs recorded before now converge."""
 
 import hashlib
 import itertools
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -245,8 +247,11 @@ class TestWorkspace:
             for a, b in itertools.combinations(fields, 2):
                 assert not np.shares_memory(a, b)
             disc = _Discretization(pr, cfg)
-            owned = [disc.flux, disc.dflux, disc.abs_R, disc.bands, disc.b_prev]
-            owned += [a for s in disc.states for a in (s.ue, s.R, s.grads, s.div)]
+            owned = [disc.flux, disc.dflux, disc.second, disc.abs_R, disc.b_prev]
+            owned += [
+                a for s in disc.states
+                for a in (s.ue, s.grads, s.div, s.beta, s.base, s.bands)
+            ]
             for a, b in itertools.combinations(owned, 2):
                 assert not np.shares_memory(a, b)
             u, t = pr.initial, 0.0
@@ -303,9 +308,15 @@ class TestCarriedResidual:
         "boundary", ["zero_dirichlet", "dirichlet", "from_exact"]
     )
     def test_trajectory_same_bits_as_fresh_steps(self, geometry, boundary):
-        failed = []
-        for p, q, floor in itertools.product(
-            (1.5, 2.0, 3.0), (0.5, 1.0, 2.0), (0.0, 1e-6)
+        # q = 0.3 takes beta's masked ufuncs where u vanishes and q = 4 the
+        # q V fold.  Some q = 0.3 runs stall at every split, and the
+        # trajectory then stalls with the fresh steps' failure; q = 0.3 runs
+        # at p = 2 only, as a p = 1.5 stall splits down to dt/128 for up to
+        # 4.5 s
+        failed, stalled = [], []
+        exponents = list(itertools.product((1.5, 2.0, 3.0), (0.5, 1.0, 2.0, 4.0)))
+        for (p, q), floor in itertools.product(
+            exponents + [(2.0, 0.3)], (0.0, 1e-6)
         ):
             pr = _carry_problem(p, q, geometry, boundary)
             cfg = SolverConfig(dt=2e-4, floor_eps=floor)
@@ -316,12 +327,23 @@ class TestCarriedResidual:
             for k in range(6):
                 where = (p, q, floor, k)
                 # no workspace: a fresh first residual on every step
-                u, info = _split_steps(pr, u, traj.times[k], cfg.dt, cfg, failed)
+                try:
+                    u, info = _split_steps(
+                        pr, u, traj.times[k], cfg.dt, cfg, [] if q == 0.3 else failed
+                    )
+                except StepFailure as exc:
+                    with pytest.raises(StepFailure) as stall:
+                        traj.row(k + 1)
+                    assert stall.value.time == exc.time, where
+                    assert _bits(stall.value.residual) == _bits(exc.residual)
+                    stalled.append(q)
+                    break
                 row = traj.row(k + 1)
                 assert np.array_equal(_bits(u), _bits(row)), where
                 assert info["iters"] == traj.newton_iters[k + 1], where
                 assert _bits(info["residual"]) == _bits(traj.residual_norms[k + 1])
                 assert (traj._disc.returned is row) == carries, where
+        assert set(stalled) <= {0.3}
         # q < 1 data that vanish: the radial p = 3, q = 0.5 run without a
         # floor splits its second step
         assert failed == ([2e-4] if geometry == "radial" else [])
@@ -390,12 +412,15 @@ class TestIdleStep:
     dt, tolerance and no floor, returns that step's residual at once."""
 
     def _computed(self, monkeypatch):
-        """The list gets one entry per step that computes beta(u_prev)."""
+        """The list gets one entry per step that computes: each builds its
+        dt as a 0-d array (`np.array(dt)`) once, and an idle step does not.
+        (A carried step takes beta(u_prev) from the step before, so
+        counting `_beta` calls would miss it.)"""
         calls = []
-        real = solver._beta
-        monkeypatch.setattr(
-            solver, "_beta", lambda *a: calls.append(1) or real(*a)
-        )
+        spied = types.ModuleType("numpy")
+        spied.__getattr__ = lambda name: getattr(np, name)
+        spied.array = lambda *a: calls.append(1) or np.array(*a)
+        monkeypatch.setattr(solver, "np", spied)
         return calls
 
     def test_trajectory_same_bits_as_fresh_steps(self, monkeypatch):
@@ -537,18 +562,28 @@ def _masked_phi_total_deriv(g, mu, p):
 
 
 class TestFluxFactors:
-    """`_phi` takes no mask, `_phi_total_deriv` one for 2 < p < 4 only; the
-    bits are those of the masked formulas wherever g is a number."""
+    """`_phi` takes no mask, `_phi_total_deriv` one for 2 < p < 4 only and
+    there only when its base has a zero; the bits are those of the masked
+    formulas wherever g is a number."""
 
     G = np.array([0.0, -0.0, 1e-200, -1e-200, 1e-3, -2.5, 1e200, np.inf,
                   -np.inf, np.nan])
+    # no g whose base mu^2 + g^2 is 0 (1e-200 squared underflows to 0)
+    G_FREE = np.array([1e-150, -1e-150, 1e-3, -2.5, 7.0, 1e200, np.inf, -np.inf])
+
+    def _factors(self, g, mu, p):
+        """(phi, its total derivative) as the residual and the Jacobian
+        compute them: the derivative from the base `_phi` left."""
+        phi, deriv, base, second = (np.empty_like(g) for _ in range(4))
+        solver._phi(g, mu, p, phi, base)
+        solver._phi_total_deriv(g, mu, p, deriv, base, second)
+        return phi, deriv
 
     @pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0, 4.5])
     def test_same_bits_as_masked_formula(self, p):
         mu = 1e-8 if p < 2 else 0.0
         with np.errstate(all="ignore"):
-            phi = solver._phi(self.G, mu, p, np.empty_like(self.G))
-            deriv = solver._phi_total_deriv(self.G, mu, p, np.empty_like(self.G))
+            phi, deriv = self._factors(self.G, mu, p)
             want_phi = _masked_phi(self.G, mu, p)
             want_deriv = _masked_phi_total_deriv(self.G, mu, p)
             flux, want_flux = phi * self.G, want_phi * self.G
@@ -564,3 +599,43 @@ class TestFluxFactors:
         # p = 4: 0^0 = 1 times a second factor of 0
         if p == 4:
             assert deriv[0] == 0.0 and not np.signbit(deriv[0])
+
+    @pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0, 4.5])
+    def test_zero_free_base_same_bits_as_masked_formula(self, p):
+        # the unmasked branch, taken at every p here, against the mask
+        mu = 1e-8 if p < 2 else 0.0
+        with np.errstate(all="ignore"):
+            phi, deriv = self._factors(self.G_FREE, mu, p)
+            want_phi = _masked_phi(self.G_FREE, mu, p)
+            want_deriv = _masked_phi_total_deriv(self.G_FREE, mu, p)
+        assert np.array_equal(_bits(phi), _bits(want_phi))
+        assert np.array_equal(_bits(deriv), _bits(want_deriv))
+        # and against the same g beside a zero, which takes the mask
+        with_zero = np.append(self.G_FREE, 0.0)
+        with np.errstate(all="ignore"):
+            masked = self._factors(with_zero, mu, p)[1][:-1]
+        assert np.array_equal(_bits(deriv), _bits(masked))
+
+
+class TestBetaBranches:
+    """`_beta` at q < 1 takes the masked ufuncs only for a u with a zero;
+    elsewhere the unmasked ones give the same bits."""
+
+    U = np.array([1e-300, 5e-7, 1e-3, 0.25, 0.5, 0.999, 1.0, 3.0, 1e10, 1e300])
+
+    @pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.6, 0.7, 0.9])
+    def test_unmasked_same_bits_as_masked(self, q):
+        with_zero = np.append(self.U, [0.0, -0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unmasked = solver._beta(self.U, q)
+            masked = solver._beta(with_zero, q)
+        assert np.array_equal(_bits(unmasked), _bits(masked[:-2]))
+        assert np.array_equal(_bits(masked[-2:]), _bits(np.zeros(2)))
+        # both are |u|^(q-1) u as numpy's power takes it
+        want = np.power(self.U, q - 1) * self.U
+        assert np.array_equal(_bits(unmasked), _bits(want))
+        # into `out` too, as the kernel calls it
+        out = np.empty_like(self.U)
+        assert solver._beta(self.U, q, out) is out
+        assert np.array_equal(_bits(out), _bits(want))
