@@ -286,6 +286,11 @@ def fmt(x):
     return str(x)
 
 
+# bytes of the CSV file's write buffer; a `solve` export streams 201 blocks
+# of about 11 kB through it
+_WRITE_BUFFER = 1 << 17
+
+
 class Output:
     """Collects CSV lines + meta text; writes files or stdout."""
 
@@ -325,23 +330,27 @@ class Output:
     def emit(self, cfg):
         """Write the CSV (header, body, final newline) and the meta text to
         `prefix.csv` and `prefix.meta`, or both to stdout without a prefix.
-        The body is joined once and written as it is."""
-        csv_parts = []
-        if self.header:
-            csv_parts.append(",".join(self.header) + "\n")
-        if self.lines:
-            csv_parts += ["\n".join(self.lines), "\n"]
+        The body is streamed, never joined: each item of `lines` is written
+        with its newline, to the CSV file through a write buffer of
+        `_WRITE_BUFFER` bytes, or to stdout through the stream's own."""
         meta_text = serialize_config(cfg)
         if self.meta_lines:
             meta_text += "\n".join(self.meta_lines) + "\n"
         if self.prefix:
-            with open(self.prefix + ".csv", "w") as f:
-                f.writelines(csv_parts)
+            with open(self.prefix + ".csv", "w", buffering=_WRITE_BUFFER) as f:
+                self._write_csv(f)
             with open(self.prefix + ".meta", "w") as f:
                 f.write(meta_text)
         else:
-            sys.stdout.writelines(csv_parts)
+            self._write_csv(sys.stdout)
             sys.stdout.write(meta_text)
+
+    def _write_csv(self, f):
+        if self.header:
+            f.write(",".join(self.header) + "\n")
+        for item in self.lines:
+            f.write(item)
+            f.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -449,11 +449,11 @@ def extinction_analysis(traj, x_probes=()):
     T_num = float(times[extinct[0]])
     # (ii) Rayleigh-quotient constant from slices with non-trivial mass
     v0 = v[0]
-    ratios = []
-    for i in range(len(times)):
-        if v[i] > 1e-3 * v0:
-            norm_u = v[i] ** (1.0 / (q + 1))
-            ratios.append(gradient_p_norm(traj, i) / norm_u**p)
+    rows = np.flatnonzero(v > 1e-3 * v0)
+    # ||u||_{q+1}^p as powers of numpy scalars, row by row: numpy's array
+    # power may differ from them in the last bit
+    norms_u = [(v_i ** (1.0 / (q + 1))) ** p for v_i in v[rows]]
+    ratios = gradient_p_norm(traj, rows) / norms_u
     mu = (q + 1) / q * float(np.min(ratios))
     kexp = q + 1 - p
     T_bound = float((q + 1) * v0 ** (kexp / (q + 1)) / (mu * kexp))
@@ -462,7 +462,8 @@ def extinction_analysis(traj, x_probes=()):
     w = v0 * np.clip(
         1.0 - mu * kexp * elapsed / ((q + 1) * v0 ** (kexp / (q + 1))), 0.0, None
     ) ** ((q + 1) / kexp)
-    max_excess = float(np.max((v - w)) / v0)
+    excess = np.max(v - w)
+    max_excess = float(excess / v0)
     # (iii) decay constants at probes
     src = SolutionSource(traj)
     probe_consts = []
@@ -483,7 +484,7 @@ def extinction_analysis(traj, x_probes=()):
                 }
             )
     rep.probes = probe_consts
-    rep.lhs = [float(np.max((v - w))) if len(v) else 0.0]
+    rep.lhs = [float(excess)]
     rep.rhs = [float(v0)]
     rep.implied_constant = max(
         [pc["gamma_u"] for pc in probe_consts], default=0.0

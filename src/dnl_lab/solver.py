@@ -314,15 +314,6 @@ class _Discretization:
             self.exact_ghost_t = t
         return self.exact_ghosts
 
-    def face_gradients(self, u, t):
-        """The face gradients (ue[1:] - ue[:-1]) / h of u at t, with its
-        ghost values at t, as a fresh array."""
-        state = _State(len(u))
-        state.u[...] = u
-        state.ue[0], state.ue[-1] = self.ghost_values(state.u, t)
-        grads = np.subtract(state.hi, state.lo)
-        return np.divide(grads, self.h, grads)
-
     def residual(self, state, b_prev, t_new, dt, b_u=None):
         """The negated cell residuals F_i = net flux - (beta(u)-beta(u_prev))
         V_i/dt of `state`'s iterate, with `b_prev` = beta(u_prev) and `b_u`
@@ -627,11 +618,12 @@ def check_comparison(traj_v, traj_w, tol=1e-8):
     violation = 0.0
     where = None
     for i in range(len(traj_v.times)):
-        v, w = traj_v.row(i), traj_w.row(i)
-        d = np.max(v - w)
-        if d > violation:
-            violation = float(d)
-            where = (traj_v.times[i], int(np.argmax(v - w)))
+        d = traj_v.row(i) - traj_w.row(i)
+        # the first largest entry, NaN included, as np.max reads it
+        k = int(d.argmax())
+        if d[k] > violation:
+            violation = float(d[k])
+            where = (traj_v.times[i], k)
     return {
         "violation": max(violation, 0.0),
         "passes": violation <= tol,
@@ -682,18 +674,22 @@ def transform_to_v(traj, t_indices=None, positivity_floor=1e-12):
 
 def slice_functionals(traj):
     """Per-time {t, int u^{q+1}, sup u}; quadrature consistent with the FV
-    grid (radial runs include the unit-sphere area).  The rows are stacked
-    into one (rows, n) array; a sum along a row takes the bits of the sum of
-    that row alone."""
+    grid (radial runs include the unit-sphere area).  The trajectory is
+    stepped once, to its last row, and its fields are stacked into one
+    (rows, n) array; a sum along a row takes the bits of the sum of that
+    row alone."""
     e = traj.problem.exponents
     g = traj.problem.grid
     w = g.cell_volumes() * g.surface_constant()
-    u = np.array([traj.row(i) for i in range(len(traj.times))])
-    uq1 = u ** (e.q + 1)
+    traj.row(len(traj.times) - 1)
+    u = np.array(traj.fields)
+    sup_u = u.max(axis=1)
+    # w u^{q+1}, in place
+    u **= e.q + 1
     return {
         "t": np.asarray(traj.times),
-        "int_uq1": np.sum(np.multiply(w, uq1, uq1), axis=1),
-        "sup_u": u.max(axis=1),
+        "int_uq1": np.sum(np.multiply(w, u, u), axis=1),
+        "sup_u": sup_u,
     }
 
 
@@ -705,11 +701,27 @@ def gradient_p_norm(traj, i):
     dissipation of the FV scheme; a center-based quadrature misses the
     boundary-layer contribution that dominates dissipation near extinction.
     The face at r = 0 carries no flux, so it has no weight (its area 0^0 is
-    1 on a radial N = 1 grid)."""
-    g = traj.problem.grid
-    disc = traj._disc
-    grads = disc.face_gradients(traj.row(i), traj.times[i])
+    1 on a radial N = 1 grid).
+
+    `i` is a row, or a sequence of rows: then one norm per row comes back
+    as an array, as `SolutionSource.eval` does for an array of points.  The
+    rows, each with its ghosts from `problem.ghost_values`, fill one
+    (rows, n + 2) array, and each norm is a sum along its row, with the
+    bits of that row alone (numpy's power gives the same bits wherever an
+    element sits)."""
+    pr, g, disc = traj.problem, traj.problem.grid, traj._disc
+    rows = np.ravel(i).tolist()
+    ue = np.empty((len(rows), g.n_cells + 2))
+    for k, r in enumerate(rows):
+        u = ue[k, 1:-1] = traj.row(r)
+        ue[k, 0], ue[k, -1] = pr.ghost_values(u, traj.times[r])
     w = disc.area * g.h * g.surface_constant()
     if disc.symmetric:
         w[0] = 0.0
-    return float(np.sum(w * np.abs(grads) ** traj.problem.exponents.p))
+    # w |(ue[1:] - ue[:-1]) / h|^p, in place in one array
+    terms = np.subtract(ue[:, 1:], ue[:, :-1])
+    np.divide(terms, g.h, terms)
+    np.abs(terms, terms)
+    terms **= pr.exponents.p
+    norms = np.sum(np.multiply(w, terms, terms), axis=1)
+    return float(norms[0]) if np.ndim(i) == 0 else norms

@@ -682,6 +682,46 @@ class TestExportLines:
         self._check_full_export(tmp_path, monkeypatch, ["--p", "1.2", "--q", "0.5"])
 
 
+class TestEmit:
+    """`emit` writes the header line, the body items joined by newlines and
+    a final newline, to `prefix.csv` and to stdout, followed by the meta."""
+
+    CFG = {"solver": {"dt": "0.001"}}
+
+    @staticmethod
+    def _output(case, prefix):
+        out = Output(prefix)
+        if case != "no-header":
+            out.set_header(["t", "x", "u"])
+        if case == "add-row":
+            for k in range(5):
+                out.add_row([0.1 * k, k, -0.0])
+        else:
+            line = "0.25,0.123456789,0.98765432101234567"
+            out.add_lines(
+                "\n".join(f"{k}.{j},{line}" for j in range(300)) for k in range(60)
+            )
+        return out
+
+    @staticmethod
+    def _want(out):
+        header = ",".join(out.header) + "\n" if out.header else ""
+        return header + "\n".join(out.lines) + "\n"
+
+    @pytest.mark.parametrize("case", ["add-row", "blocks", "no-header"])
+    def test_file_and_stdout(self, case, tmp_path, capsys):
+        prefix = str(tmp_path / "run")
+        out = self._output(case, prefix)
+        want = self._want(out)
+        if case != "add-row":
+            assert len(want) >= 3 * cli._WRITE_BUFFER
+        out.emit(self.CFG)
+        assert (tmp_path / "run.csv").read_bytes() == want.encode()
+        assert (tmp_path / "run.meta").read_text() == serialize_config(self.CFG)
+        self._output(case, None).emit(self.CFG)
+        assert capsys.readouterr().out == want + serialize_config(self.CFG)
+
+
 def _band_values(lo, hi, count, seed):
     """`count` floats drawn uniformly over the bit patterns of [lo, hi)."""
     bits = np.array([lo, hi]).view(np.int64)

@@ -696,6 +696,11 @@ class TestFunctionals:
         got, want = slice_functionals(lazy()), slice_functionals(solved)
         assert all(got[k].tolist() == want[k].tolist() for k in want)
         assert gradient_p_norm(lazy(), 5) == gradient_p_norm(solved, 5)
+        # a list of rows steps to the largest and keeps the order asked for
+        traj = lazy()
+        want = [gradient_p_norm(solved, 5), gradient_p_norm(solved, 2)]
+        assert gradient_p_norm(traj, [5, 2]).tolist() == want
+        assert len(traj.fields) == 6
         assert transform_to_v(lazy())[2] == transform_to_v(solved)[2]
         # a rising boundary value puts the largest violation past row 0
         rising = CauchyDirichletProblem(
@@ -758,10 +763,14 @@ class TestFunctionals:
 
         pr, cfg = _digest_run(name)
         pr.t_end = pr.t_start + 5 * cfg.dt
+        rows = (3, 0, 5, 4)
+        # the rows in one call, on a trajectory that call steps
+        bulk = gradient_p_norm(solver.Trajectory(pr, cfg), rows)
         traj = solver.Trajectory(pr, cfg)
         bits = lambda x: np.float64(x).view(np.int64)
-        for i in (3, 0, 5, 4):
+        for i, norm in zip(rows, bulk, strict=True):
             assert bits(gradient_p_norm(traj, i)) == bits(plain(traj, i))
+            assert bits(norm) == bits(plain(traj, i))
         digest = hashlib.sha256(np.stack(traj.fields).tobytes()).hexdigest()
         assert digest == TRAJECTORY_DIGESTS[name]
 
