@@ -1144,7 +1144,9 @@ def run(argv):
             raise ConfigError(f"{args.subcommand} does not read {', '.join(unread)}")
         out.emit(cfg)
         return code
-    except (ConfigError, ValueError, OSError, NotPowerLaw, StepFailure) as exc:
+    except (
+        ConfigError, ValueError, OSError, ImportError, NotPowerLaw, StepFailure
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,6 +11,8 @@ zero flux through r = 0.
 """
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +64,8 @@ class CauchyDirichletProblem:
         self.initial = np.asarray(self.initial, dtype=float)
         if self.initial.shape != (self.grid.n_cells,):
             raise ValueError("initial data must have one value per cell")
+        if not np.isfinite(self.initial).all():
+            raise ValueError("initial data must be finite")
         if np.any(self.initial < 0):
             raise ValueError("initial data must be non-negative")
         if self.boundary not in ("zero_dirichlet", "dirichlet", "from_exact"):
@@ -111,6 +115,44 @@ class SolverConfig:
 _dgtsv = _ddot = None  # LAPACK dgtsv and BLAS ddot, bound by the first solve
 
 
+def _scipy_root():
+    """The directory of the installed scipy package, found without
+    importing it."""
+    import importlib.util
+
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("scipy is not installed")
+    return spec.submodule_search_locations[0]
+
+
+def _linalg_extension(name):
+    """scipy.linalg's f2py extension module `name` (`_flapack`, `_fblas`),
+    loaded from its file without running the scipy.linalg package.  Its
+    routines are the objects that scipy.linalg.lapack and .blas export.  A
+    module already imported is used as it is.  A module loaded here is
+    taken out of sys.modules again: the interpreter keeps the extension,
+    so a later `import scipy.linalg` gets the same routines and binds the
+    module to its package.  Raises ImportError naming the directory
+    searched when the file is missing."""
+    import importlib.machinery
+
+    full = f"scipy.linalg.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    where = os.path.join(_scipy_root(), "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(where, name + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(full, path)
+            spec = importlib.machinery.ModuleSpec(full, loader, origin=path)
+            module = loader.create_module(spec)
+            loader.exec_module(module)
+            sys.modules.pop(full, None)
+            return module
+    raise ImportError(f"no {full} extension in {where}")
+
+
 def solve_banded(lower, main, upper, rhs):
     """Solution of the tridiagonal system with diagonals `lower`, `main`,
     `upper` by LAPACK `dgtsv`, which scipy's `solve_banded((1, 1), ...)`
@@ -122,12 +164,13 @@ def solve_banded(lower, main, upper, rhs):
     and the solution overwrites it there), are checked as that buffer: a
     finite BLAS dot product with itself means every entry is finite, so
     only a non-finite or overflowing one (whose ddot, unlike numpy's dot,
-    warns of nothing) runs the entrywise check.  scipy.linalg is imported
-    here, on the first call, so that runs without a solve never load it."""
+    warns of nothing) runs the entrywise check.  The first call binds both
+    routines from scipy.linalg's extension files (`_linalg_extension`), so
+    that no run imports the scipy.linalg package for them."""
     global _dgtsv, _ddot
     if _dgtsv is None:
-        from scipy.linalg.blas import ddot as _ddot
-        from scipy.linalg.lapack import dgtsv as _dgtsv
+        _ddot = _linalg_extension("_fblas").ddot
+        _dgtsv = _linalg_extension("_flapack").dgtsv
     buf = lower.base
     if (
         buf is not None

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 import warnings
 from fractions import Fraction
 
@@ -331,6 +332,20 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: nonlinear iteration did not converge")
         assert err.count("\n") == 1
+
+    def test_missing_lapack_extension_exits_1(self, monkeypatch, capsys, tmp_path):
+        # the extension files are searched for under an empty scipy root
+        for name in ("_flapack", "_fblas"):
+            monkeypatch.delitem(sys.modules, f"scipy.linalg.{name}", raising=False)
+        monkeypatch.setattr(solver, "_dgtsv", None)
+        monkeypatch.setattr(solver, "_ddot", None)
+        monkeypatch.setattr(solver, "_scipy_root", lambda: str(tmp_path))
+        assert run(["solve", "--preset", "solver-supercritical-run"]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: no scipy.linalg._fblas extension in {tmp_path / 'linalg'}\n"
+        )
+        assert solver._dgtsv is None
 
     @pytest.mark.parametrize("p", ["3", "1e200"])
     def test_extinction_regime_checked_before_solving(self, monkeypatch, capsys, p):

@@ -48,6 +48,15 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             CauchyDirichletProblem(e, g, np.ones(8), 1.0, boundary="from_exact")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_initial_data(self, bad):
+        u0 = np.ones(8)
+        u0[3] = bad
+        with pytest.raises(ValueError, match="initial data must be finite"):
+            CauchyDirichletProblem(
+                ExponentTriple(2.0, 1.0, 1), Grid1D(0.0, 1.0, 8), u0, 1.0
+            )
+
     def test_mu_default(self):
         g = Grid1D(0.0, 1.0, 8)
         pr = CauchyDirichletProblem(
