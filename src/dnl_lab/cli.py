@@ -297,8 +297,8 @@ class Output:
     def __init__(self, prefix):
         self.prefix = prefix
         self.header = None
-        # finished CSV body lines, or newline-joined blocks of lines; no
-        # item ends in a newline
+        # the CSV body as bytes: finished lines, or blocks of lines, each
+        # item ending in a newline
         self.lines = []
         self.meta_lines = []
 
@@ -306,11 +306,11 @@ class Output:
         self.header = list(cols)
 
     def add_row(self, values):
-        self.lines.append(",".join([fmt(v) for v in values]))
+        self.lines.append((",".join([fmt(v) for v in values]) + "\n").encode())
 
     def add_lines(self, lines):
-        """Append finished CSV body lines, or newline-joined blocks of
-        lines, with cells already formatted and no trailing newline."""
+        """Append finished CSV body lines, or blocks of lines, as bytes with
+        cells already formatted and every line ending in a newline."""
         self.lines.extend(lines)
 
     def add_report(self, report):
@@ -328,29 +328,39 @@ class Output:
         self.meta_lines.append(line)
 
     def emit(self, cfg):
-        """Write the CSV (header, body, final newline) and the meta text to
-        `prefix.csv` and `prefix.meta`, or both to stdout without a prefix.
-        The body is streamed, never joined: each item of `lines` is written
-        with its newline, to the CSV file through a write buffer of
-        `_WRITE_BUFFER` bytes, or to stdout through the stream's own."""
-        meta_text = serialize_config(cfg)
-        if self.meta_lines:
-            meta_text += "\n".join(self.meta_lines) + "\n"
+        """Write the CSV (header and body) and the meta text as bytes, to
+        `prefix.csv` and `prefix.meta` opened in binary mode, or both to
+        stdout without a prefix.  The body is streamed item by item, never
+        joined: to the CSV file through a write buffer of `_WRITE_BUFFER`
+        bytes, or to stdout's binary buffer once its text layer is flushed.
+        A text stream with no binary buffer (an `io.StringIO` under
+        `redirect_stdout`) is written the decoded text instead."""
+        meta = serialize_config(cfg)
+        meta += "".join(line + "\n" for line in self.meta_lines)
         if self.prefix:
-            with open(self.prefix + ".csv", "w", buffering=_WRITE_BUFFER) as f:
-                self._write_csv(f)
-            with open(self.prefix + ".meta", "w") as f:
-                f.write(meta_text)
+            with open(self.prefix + ".csv", "wb", buffering=_WRITE_BUFFER) as f:
+                self._write_csv(f.write)
+            with open(self.prefix + ".meta", "wb") as f:
+                f.write(meta.encode())
+            return
+        stream = sys.stdout
+        binary = getattr(stream, "buffer", None)
+        if binary is not None:
+            stream.flush()
+            write = binary.write
         else:
-            self._write_csv(sys.stdout)
-            sys.stdout.write(meta_text)
 
-    def _write_csv(self, f):
+            def write(data):
+                stream.write(data.decode())
+
+        self._write_csv(write)
+        write(meta.encode())
+
+    def _write_csv(self, write):
         if self.header:
-            f.write(",".join(self.header) + "\n")
+            write((",".join(self.header) + "\n").encode())
         for item in self.lines:
-            f.write(item)
-            f.write("\n")
+            write(item)
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +562,13 @@ def pipe_exact_residual(cfg, out):
 _POW10 = np.array([1e16, 1e17, 1e18, 1e19, 1e20, 1e21])  # exact doubles
 
 
+def _split(v):
+    """Dekker's split of v into a high part of 26 bits and the exact rest."""
+    c = v * 134217729.0
+    high = c - (c - v)
+    return high, v - high
+
+
 def _digits17(x):
     """`(z, m)` with `'%.17g' % v == '0.' + '0' * z + '%d' % m` for each v
     of `x`, a float array in [1e-4, 1), where the decimal exponent is
@@ -559,55 +576,58 @@ def _digits17(x):
 
     Dekker's two-product gives x·10^(16−X) exactly as hi + lo: the factor
     is an exact double, nothing overflows or underflows, and separate ufunc
-    calls cannot fuse into an FMA.  X starts at floor(log10 x) and moves by
-    one where the exact product (hi, and the sign of lo where hi equals the
-    bound) lies outside [1e16, 1e17).  m rounds lo's fraction half to even,
-    as dtoa does.  No double in [1e-4, 1) comes within 1/2 of 1e17, so m
-    never rounds up to 10^17."""
+    calls cannot fuse into an FMA.  X starts at floor(log10 x); where the
+    exact product (hi, and the sign of lo where hi equals the bound) lies
+    outside [1e16, 1e17), X moves by one and the product is taken again.
+    hi is an even integer, as every double above 2^53 is, so `rint`, which
+    rounds lo half to even, rounds hi + lo half to even, as dtoa does.  No
+    double in [1e-4, 1) comes within 1/2 of 1e17, so m never rounds up to
+    10^17."""
+    xh, xl = _split(x)
 
     def product(X):
         s = _POW10[-X]
+        sh, sl = _split(s)
         hi = x * s
-        c = x * 134217729.0
-        xh = c - (c - x)
-        c = s * 134217729.0
-        sh = c - (c - s)
-        xl, sl = x - xh, s - sh
         return hi, ((xh * sh - hi) + xh * sl + xl * sh) + xl * sl
 
     X = np.floor(np.log10(x)).astype(np.int64)
     hi, lo = product(X)
-    X += (hi > 1e17) | (hi == 1e17) & (lo >= 0)
-    X -= (hi < 1e16) | (hi == 1e16) & (lo < 0)
-    hi, lo = product(X)
-    floor = np.floor(lo)
-    frac = lo - floor
-    m = hi.astype(np.int64) + floor.astype(np.int64)
-    m += (frac > 0.5) | (frac == 0.5) & (m & 1 == 1)
+    up = (hi > 1e17) | (hi == 1e17) & (lo >= 0)
+    down = (hi < 1e16) | (hi == 1e16) & (lo < 0)
+    if up.any() or down.any():
+        X += up
+        X -= down
+        hi, lo = product(X)
+    m = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # `//` by a constant is several times faster than `%` on int64
     flat = m.reshape(-1)
-    ends0 = np.flatnonzero(flat % 10 == 0)
+    ends0 = np.flatnonzero(flat // 10 * 10 == flat)
     while ends0.size:
-        flat[ends0] //= 10
-        ends0 = ends0[flat[ends0] % 10 == 0]
+        cut = flat[ends0] // 10
+        flat[ends0] = cut
+        ends0 = ends0[cut // 10 * 10 == cut]
     return -1 - X, m
 
 
 def _export_lines(traj):
-    """`t,x,u` CSV body of a trajectory, one block of lines per stored time:
-    joined with newlines, the same bytes as `add_row` gives row by row.
+    """`t,x,u` CSV body of a trajectory as bytes, one block of lines per
+    stored time, each line ending in a newline: the same bytes as `add_row`
+    gives row by row.
 
     Each time is formatted once and joined in front of every cell, and each
-    row is formatted by a single `%`.  A row whose values all lie in
+    row is formatted by a single bytes `%`.  A row whose values all lie in
     [1e-4, 1) joins cells `<x_j>,0.<z zeros>%d`, picked by each value's
     leading-zero count z from a (4, n) table built once, and fills them with
     the integers of `_digits17`: no value goes through dtoa.  Any other row
     (0, -0, >= 1, < 1e-4, nan, inf) joins `<x_j>,%.17g` cells and fills
-    them with its floats: `'%.17g' % v` equals `format(v, '.17g')`, `nan`,
-    `inf` and `-0` included.  Rows go through numpy in chunks of about
-    6,400 values, so the arrays and lists of a chunk stay small."""
-    xs = ["%.17g" % x for x in traj.problem.grid.centers().tolist()]
-    cells = [x + ",%.17g" for x in xs]
-    table = np.array([[f"{x},0.{'0' * z}%d" for x in xs] for z in range(4)], object)
+    them with its floats: `b'%.17g' % v` is `format(v, '.17g')` encoded,
+    `nan`, `inf` and `-0` included.  Rows go through numpy in chunks of
+    about 6,400 values, so the arrays and lists of a chunk stay small."""
+    xs = [b"%.17g" % x for x in traj.problem.grid.centers().tolist()]
+    cells = [x + b",%.17g\n" for x in xs]
+    zeros = [b",0." + b"0" * z + b"%d\n" for z in range(4)]
+    table = np.array([[x + cell for x in xs] for cell in zeros], object)
     cols = np.arange(len(xs))
     step = max(1, 6400 // len(xs))
     blocks = []
@@ -617,10 +637,9 @@ def _export_lines(traj):
         z, m = _digits17(us[band])
         band_rows = zip(table[z, cols].tolist(), m.tolist())
         for t, u, in_band in zip(traj.times[i : i + step], us, band):
-            t_cell = fmt(t) + ","
+            t_cell = b"%.17g," % t
             row_cells, values = next(band_rows) if in_band else (cells, u.tolist())
-            row = t_cell + ("\n" + t_cell).join(row_cells)
-            blocks.append(row % tuple(values))
+            blocks.append((t_cell + t_cell.join(row_cells)) % tuple(values))
     return blocks
 
 

@@ -247,19 +247,21 @@ def harnack_scan(src, base_points, radii, sigma=0.25, lattice=32):
     if not 0 <= sigma < 1:
         raise ValueError("sigma must be in [0, 1)")
     e = src.exponents
-    probes = [(x_o, t_o, rho) for (x_o, t_o) in base_points for rho in radii]
-
-    def cylinder(probe):
-        x_o, t_o, rho = probe
+    radii = list(radii)
+    probes, cylinders = [], []
+    # u_o is read once per base point, at its first probe
+    for x_o, t_o in base_points if radii else ():
         u_o = src.eval(x_o, t_o)
         if u_o <= 0:
-            raise RegimeError(f"u(x_o,t_o) <= 0 at probe {probe}")
-        half = sigma * u_o ** (e.q + 1 - e.p) * _radius_power(rho, e.p)
-        xs = np.linspace(x_o - rho, x_o + rho, lattice)
-        ts = np.linspace(t_o - half, t_o + half, lattice) if half > 0 else [t_o]
-        if not src.valid_lattice(xs, ts).any():
-            raise RegimeError("cylinder lattice has no valid points")
-        return u_o, xs, ts
+            raise RegimeError(f"u(x_o,t_o) <= 0 at probe {(x_o, t_o, radii[0])}")
+        for rho in radii:
+            half = sigma * u_o ** (e.q + 1 - e.p) * _radius_power(rho, e.p)
+            xs = np.linspace(x_o - rho, x_o + rho, lattice)
+            ts = np.linspace(t_o - half, t_o + half, lattice) if half > 0 else [t_o]
+            if not src.valid_lattice(xs, ts).any():
+                raise RegimeError("cylinder lattice has no valid points")
+            probes.append((x_o, t_o, rho))
+            cylinders.append((u_o, xs, ts))
 
     def one(u_o, xs, ts):
         (vals,) = src.lattice(("eval",), xs, ts)
@@ -268,7 +270,7 @@ def harnack_scan(src, base_points, radii, sigma=0.25, lattice=32):
             return math.inf, u_o
         return max(sup_u / u_o, u_o / inf_u), u_o
 
-    results = [one(*cyl) for cyl in [cylinder(probe) for probe in probes]]
+    results = [one(*cyl) for cyl in cylinders]
     gammas = [g for g, _ in results]
     rep = DiagnosticReport(estimate_id="harnack")
     for (x_o, t_o, rho), (g, u_o) in zip(probes, results):
@@ -527,12 +529,15 @@ def gradient_bound(src, probes, lattice=32):
     the cylinder to its center point (used by the closed-form ratio presets).
     Verdict by `_verdict` over K_emp."""
     e = src.exponents
+    u_at = {}  # u_o of each base point (x_o, t_o), read at its first probe
 
     def one(probe):
         x_o, t_o, rho = probe
-        u_o = src.eval(x_o, t_o)
-        if u_o <= 0:
-            raise RegimeError(f"u(x_o,t_o) <= 0 at probe {probe}")
+        u_o = u_at.get((x_o, t_o))
+        if u_o is None:
+            u_o = u_at[x_o, t_o] = src.eval(x_o, t_o)
+            if u_o <= 0:
+                raise RegimeError(f"u(x_o,t_o) <= 0 at probe {probe}")
         if lattice == 1:
             sup_du = src.grad_norm(x_o, t_o)
         else:

@@ -1,5 +1,7 @@
 """Tests for the config grammar and the experiment-runner CLI."""
 
+import contextlib
+import io
 import math
 import re
 import sys
@@ -640,7 +642,8 @@ class TestRun:
 
 
 def _row_lines(traj):
-    """The `t,x,u` lines as `Output.add_row` formats them, cell by cell."""
+    """The `t,x,u` lines as `Output.add_row` formats them, cell by cell:
+    bytes, each ending in a newline."""
     out = Output(None)
     xs = traj.problem.grid.centers()
     for t, u in zip(traj.times, traj.fields):
@@ -661,7 +664,7 @@ class TestExportLines:
         traj.fields[2] = -np.array(self.SPECIAL)
         traj.times[1] = np.float64(traj.times[1])
         # items are blocks of lines; the body bytes are what `emit` writes
-        assert "\n".join(_export_lines(traj)) == "\n".join(_row_lines(traj))
+        assert b"".join(_export_lines(traj)) == b"".join(_row_lines(traj))
 
     @staticmethod
     def _check_full_export(tmp_path, monkeypatch, overrides):
@@ -678,10 +681,12 @@ class TestExportLines:
         argv = ["solve", "--preset", "solver-supercritical-run", *overrides]
         assert run(argv + ["--out", str(prefix)]) == 0
         (traj,) = trajs
-        want = ["t,x,u", *_row_lines(traj), ""]
+        want = b"t,x,u\n" + b"".join(_row_lines(traj))
+        got = prefix.with_suffix(".csv").read_bytes()
         # line lists: a failure names the first differing line at once
-        assert prefix.with_suffix(".csv").read_text().split("\n") == want
-        assert len(want) == 1 + 40_200 + 1
+        assert got.split(b"\n") == want.split(b"\n")
+        assert got.count(b"\n") == 1 + 40_200
+        assert b"\r" not in got
 
     @pytest.mark.parametrize(
         "geometry",
@@ -698,32 +703,39 @@ class TestExportLines:
 
 
 class TestEmit:
-    """`emit` writes the header line, the body items joined by newlines and
-    a final newline, to `prefix.csv` and to stdout, followed by the meta."""
+    """`emit` writes the header line and the body items, each ending in a
+    newline, to `prefix.csv` and to stdout, followed by the meta: the same
+    bytes on both paths, with no carriage return."""
 
     CFG = {"solver": {"dt": "0.001"}}
+    META = serialize_config(CFG)
 
     @staticmethod
     def _output(case, prefix):
         out = Output(prefix)
         if case != "no-header":
             out.set_header(["t", "x", "u"])
-        if case == "add-row":
+        if case in ("add-row", "mixed"):
             for k in range(5):
                 out.add_row([0.1 * k, k, -0.0])
-        else:
+        if case != "add-row":
             line = "0.25,0.123456789,0.98765432101234567"
             out.add_lines(
-                "\n".join(f"{k}.{j},{line}" for j in range(300)) for k in range(60)
+                "".join(f"{k}.{j},{line}\n" for j in range(300)).encode()
+                for k in range(60)
             )
+        if case == "mixed":
+            out.add_row(["nan", float("inf"), 1e-300])
         return out
 
     @staticmethod
     def _want(out):
         header = ",".join(out.header) + "\n" if out.header else ""
-        return header + "\n".join(out.lines) + "\n"
+        return header.encode() + b"".join(out.lines)
 
-    @pytest.mark.parametrize("case", ["add-row", "blocks", "no-header"])
+    CASES = ["add-row", "blocks", "no-header", "mixed"]
+
+    @pytest.mark.parametrize("case", CASES)
     def test_file_and_stdout(self, case, tmp_path, capsys):
         prefix = str(tmp_path / "run")
         out = self._output(case, prefix)
@@ -731,10 +743,38 @@ class TestEmit:
         if case != "add-row":
             assert len(want) >= 3 * cli._WRITE_BUFFER
         out.emit(self.CFG)
-        assert (tmp_path / "run.csv").read_bytes() == want.encode()
-        assert (tmp_path / "run.meta").read_text() == serialize_config(self.CFG)
+        csv = (tmp_path / "run.csv").read_bytes()
+        assert csv == want
+        assert b"\r" not in csv
+        meta = (tmp_path / "run.meta").read_bytes()
+        assert meta == self.META.encode()
         self._output(case, None).emit(self.CFG)
-        assert capsys.readouterr().out == want + serialize_config(self.CFG)
+        # stdout is the two files, one after the other
+        assert capsys.readouterr().out.encode() == csv + meta
+
+    def test_text_layer_flushed_before_the_binary_writes(self, monkeypatch):
+        """Text already written to stdout's text layer comes first: `emit`
+        flushes it before it writes the bytes to the binary buffer."""
+        raw = io.BytesIO()
+        stream = io.TextIOWrapper(raw, encoding="ascii", newline="\n")
+        monkeypatch.setattr(sys, "stdout", stream)
+        stream.write("before\n")
+        out = self._output("mixed", None)
+        out.emit(self.CFG)
+        stream.write("after\n")
+        stream.flush()
+        want = b"before\n" + self._want(out) + self.META.encode() + b"after\n"
+        assert raw.getvalue() == want
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_text_stream_without_buffer(self, case):
+        """A text stream with no binary buffer gets the decoded text."""
+        stream = io.StringIO()
+        assert not hasattr(stream, "buffer")
+        out = self._output(case, None)
+        with contextlib.redirect_stdout(stream):
+            out.emit(self.CFG)
+        assert stream.getvalue() == self._want(out).decode() + self.META
 
 
 def _band_values(lo, hi, count, seed):
@@ -844,9 +884,9 @@ class TestDigits17:
         traj.fields[33] = _near_powers_of_ten()[:200]
         for i in (34, 35):
             traj.fields[i] = band
-        lines = "\n".join(_export_lines(traj))
-        assert lines == "\n".join(_row_lines(traj))
-        assert lines.count("\n") == 71 * 200 - 1
+        lines = b"".join(_export_lines(traj))
+        assert lines == b"".join(_row_lines(traj))
+        assert lines.count(b"\n") == 71 * 200
 
 
 @pytest.mark.parametrize(

@@ -586,6 +586,27 @@ class TestHarnackScan:
         with pytest.raises(RegimeError):
             harnack_scan(src, [(0.0, 1e-3)], [0.1], sigma=0.0)
 
+    def test_zero_center_names_first_probe(self, zero_traj):
+        src = SolutionSource(zero_traj)
+        with pytest.raises(RegimeError, match=r"at probe \(0\.0, 0\.001, 0\.1\)$"):
+            harnack_scan(src, [(0.0, 1e-3)], [0.1, 0.2], sigma=0.0)
+
+    def test_u_o_read_once_per_base_point(self, monkeypatch):
+        """Every radius of a base point shares its one u_o: the same report
+        as one scan per probe, with one `eval` per base point."""
+        src = SolutionSource(TrudingerGaussian(p=2.0, n_dim=1))
+        base, radii = [(5.0, 2.0), (8.0, 2.0), (12.0, 2.0)], [0.5, 1.0, 1.5, 2.0]
+        singles = [
+            harnack_scan(src, [b], [rho], sigma=0.25) for b in base for rho in radii
+        ]
+        calls = []
+        eval_ = src.eval
+        monkeypatch.setattr(src, "eval", lambda *a: calls.append(a) or eval_(*a))
+        rep = harnack_scan(src, base, radii, sigma=0.25)
+        assert calls == base
+        assert rep.lhs == [g for r in singles for g in r.lhs]
+        assert rep.probes == [pr for r in singles for pr in r.probes]
+
     def test_scaling_invariance(self):
         # gamma_emp is invariant under the intrinsic rescaling of the probes
         src = SolutionSource(TrudingerGaussian(p=2.0, n_dim=1))
@@ -774,6 +795,27 @@ class TestGradientBound:
         src = SolutionSource(zero_traj)
         with pytest.raises(RegimeError):
             gradient_bound(src, [(0.0, 1e-3, 0.1)], lattice=1)
+
+    def test_nonpositive_center_names_first_probe(self, zero_traj):
+        src = SolutionSource(zero_traj)
+        probes = [(0.0, 1e-3, 0.1), (0.0, 1e-3, 0.2)]
+        with pytest.raises(RegimeError, match=r"at probe \(0\.0, 0\.001, 0\.1\)$"):
+            gradient_bound(src, probes, lattice=1)
+
+    @pytest.mark.parametrize("lattice", [1, 8])
+    def test_u_o_read_once_per_base_point(self, monkeypatch, lattice):
+        """Probes that share a base point share its one u_o: the same report
+        as one probe per call, with one `eval` per base point."""
+        src = SolutionSource(TrudingerGaussian(p=2.0, n_dim=1))
+        probes = [(4.0, 1.0, 0.5), (4.0, 1.0, 1.0), (6.0, 1.0, 1.0), (4.0, 1.0, 2.0)]
+        singles = [gradient_bound(src, [pr], lattice) for pr in probes]
+        calls = []
+        eval_ = src.eval
+        monkeypatch.setattr(src, "eval", lambda *a: calls.append(a) or eval_(*a))
+        rep = gradient_bound(src, probes, lattice)
+        assert calls == [(4.0, 1.0), (6.0, 1.0)]
+        assert rep.lhs == [k for r in singles for k in r.lhs]
+        assert rep.probes == [pr for r in singles for pr in r.probes]
 
 
 class TestHolderFit:
