@@ -330,11 +330,9 @@ class Output:
     def emit(self, cfg):
         """Write the CSV (header and body) and the meta text as bytes, to
         `prefix.csv` and `prefix.meta` opened in binary mode, or both to
-        stdout without a prefix.  The body is streamed item by item, never
-        joined: to the CSV file through a write buffer of `_WRITE_BUFFER`
-        bytes, or to stdout's binary buffer once its text layer is flushed.
-        A text stream with no binary buffer (an `io.StringIO` under
-        `redirect_stdout`) is written the decoded text instead."""
+        stdout, decoded, without a prefix.  The body is streamed item by
+        item, never joined: to the CSV file through a write buffer of
+        `_WRITE_BUFFER` bytes."""
         meta = serialize_config(cfg)
         meta += "".join(line + "\n" for line in self.meta_lines)
         if self.prefix:
@@ -343,18 +341,12 @@ class Output:
             with open(self.prefix + ".meta", "wb") as f:
                 f.write(meta.encode())
             return
-        stream = sys.stdout
-        binary = getattr(stream, "buffer", None)
-        if binary is not None:
-            stream.flush()
-            write = binary.write
-        else:
 
-            def write(data):
-                stream.write(data.decode())
+        def write(data):
+            sys.stdout.write(data.decode())
 
         self._write_csv(write)
-        write(meta.encode())
+        sys.stdout.write(meta)
 
     def _write_csv(self, write):
         if self.header:

@@ -752,23 +752,10 @@ class TestEmit:
         # stdout is the two files, one after the other
         assert capsys.readouterr().out.encode() == csv + meta
 
-    def test_text_layer_flushed_before_the_binary_writes(self, monkeypatch):
-        """Text already written to stdout's text layer comes first: `emit`
-        flushes it before it writes the bytes to the binary buffer."""
-        raw = io.BytesIO()
-        stream = io.TextIOWrapper(raw, encoding="ascii", newline="\n")
-        monkeypatch.setattr(sys, "stdout", stream)
-        stream.write("before\n")
-        out = self._output("mixed", None)
-        out.emit(self.CFG)
-        stream.write("after\n")
-        stream.flush()
-        want = b"before\n" + self._want(out) + self.META.encode() + b"after\n"
-        assert raw.getvalue() == want
-
     @pytest.mark.parametrize("case", CASES)
     def test_text_stream_without_buffer(self, case):
-        """A text stream with no binary buffer gets the decoded text."""
+        """stdout redirected to a text stream with no binary buffer gets
+        the same text."""
         stream = io.StringIO()
         assert not hasattr(stream, "buffer")
         out = self._output(case, None)
