@@ -162,7 +162,6 @@ SCHEMA = {
         **dict.fromkeys(("t_end", "t_start", "floor_eps"), _FINITE),
         "initial_scale": _FINITE,
         "dt": _POSITIVE, "newton_tol": _POSITIVE,
-        "max_newton": _COUNT,
         "boundary": _TEXT,
         "initial": _PROFILE,
     },
@@ -178,18 +177,15 @@ SCHEMA = {
         "sigma": _FINITE, "r": _FINITE,
         **dict.fromkeys(("rho", "s", "M"), _POSITIVE),
         "alpha": _scalar(float, lambda v: 0 < v <= 1, "{key} must be in (0, 1]"),
-        "lattice": _lattice_side, "delta_scan": _COUNT,
+        "lattice": _lattice_side,
     },
     "residual": {
         "h_sequence": _numbers(_positive, "every step must be finite and > 0"),
-        **dict.fromkeys(("r_lo", "r_hi", "t_lo", "t_hi"), _FINITE),
-        "n_r": _COUNT, "n_t": _COUNT,
         "derive_b": _bool,
     },
     "model": {
         "law": _TEXT, "state": _TEXT,
-        **dict.fromkeys(("alpha", "a", "b", "n", "K", "porosity"), _FINITE),
-        **dict.fromkeys(("viscosity", "prefactor", "m", "reynolds"), _FINITE),
+        **dict.fromkeys(("alpha", "a", "b", "n", "K", "m", "reynolds"), _FINITE),
     },
 }
 
@@ -277,6 +273,13 @@ def _get(cfg, section, key, default=None):
         return SCHEMA[section][key](raw, key)
     except ValueError as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {exc}")
+
+
+def _given(cfg, section, *keys):
+    """{key: value} of those `keys` that [section] sets, for a library call
+    whose own defaults stand for the keys the config leaves unset."""
+    given = cfg.get(section, {})
+    return {key: _get(cfg, section, key) for key in keys if key in given}
 
 
 def fmt(x):
@@ -403,15 +406,9 @@ def build_problem(cfg):
         g,
         u0,
         _get(cfg, "solver", "t_end"),
-        boundary=_get(cfg, "solver", "boundary", "zero_dirichlet"),
-        t_start=_get(cfg, "solver", "t_start", 0.0),
+        **_given(cfg, "solver", "boundary", "t_start"),
     )
-    sc = SolverConfig(
-        dt=_get(cfg, "solver", "dt", 1e-3),
-        newton_tol=_get(cfg, "solver", "newton_tol", 1e-10),
-        max_newton=_get(cfg, "solver", "max_newton", 40),
-        floor_eps=_get(cfg, "solver", "floor_eps", 0.0),
-    )
+    sc = SolverConfig(**_given(cfg, "solver", "dt", "newton_tol", "floor_eps"))
     return pr, sc
 
 
@@ -496,35 +493,31 @@ def pipe_regimes(cfg, out):
     return 0
 
 
-# per-family probe lattices for the residual sweep (kept off closed-form
-# singularities and validity boundaries)
+# per-family residual sweep windows (r_lo, r_hi, t_lo, t_hi), kept off
+# closed-form singularities and validity boundaries
 _RESIDUAL_WINDOWS = {
     "trudinger_gaussian": (0.2, 2.0, 0.5, 1.5),
-    "separable_blowup": (0.5, 2.0, 0.0, 0.6),
+    "separable_blowup": (0.5, 2.0, 1e-9, 0.6),
     "critical_harnack_wave": (0.5, 2.0, -0.5, 0.5),
     "boundedness_borderline": (0.5, 2.0, 0.1, 0.6),
-    "supercritical_extinction": (4.0, 10.0, 0.0, 0.6),
-    "dipole_self_similar": (1.5, 4.0, 0.0, 0.6),
-    "ivanov_subsolution": (0.1, 0.85, 0.0, 0.01),
+    "supercritical_extinction": (4.0, 10.0, 1e-9, 0.6),
+    "dipole_self_similar": (1.5, 4.0, 1e-9, 0.6),
+    "ivanov_subsolution": (0.1, 0.85, 1e-9, 0.01),
+    "special_log_profile": (0.5, 2.0, 1e-9, 0.5),
 }
 
 
-def _residual_lattice(cfg, fid):
-    win = _RESIDUAL_WINDOWS.get(fid, (0.5, 2.0, 0.0, 0.5))
-    r_lo = _get(cfg, "residual", "r_lo", win[0])
-    r_hi = _get(cfg, "residual", "r_hi", win[1])
-    t_lo = _get(cfg, "residual", "t_lo", win[2] if win[2] != 0.0 else 1e-9)
-    t_hi = _get(cfg, "residual", "t_hi", win[3])
-    n_r = _get(cfg, "residual", "n_r", 16)
-    n_t = _get(cfg, "residual", "n_t", 8)
-    return np.linspace(r_lo, r_hi, n_r), np.linspace(t_lo, t_hi, n_t)
+def _residual_lattice(fid):
+    """16 radii x 8 times spanning the family's residual window."""
+    r_lo, r_hi, t_lo, t_hi = _RESIDUAL_WINDOWS[fid]
+    return np.linspace(r_lo, r_hi, 16), np.linspace(t_lo, t_hi, 8)
 
 
 def pipe_exact_residual(cfg, out):
-    hs = _get(cfg, "residual", "h_sequence", [1e-2, 5e-3, 2.5e-3])
+    hs = _get(cfg, "residual", "h_sequence", exact.STENCIL_WIDTHS)
     fam = build_family(cfg)
     fid = _get(cfg, "family", "id")
-    radii, times = _residual_lattice(cfg, fid)
+    radii, times = _residual_lattice(fid)
     out.set_header(["family", "h", "max_residual"])
     res, order = residual_order(fam, radii, times, hs)
     for h, r in zip(hs, res):
@@ -643,9 +636,7 @@ def pipe_solve(cfg, out):
         cfg2.setdefault("solver", {})["initial"] = initial_b
         cfg2["solver"]["initial_scale"] = fmt(_get(cfg, "comparison", "scale_b", 0.5))
         traj_b = run_solver(cfg2)
-        result = check_comparison(
-            traj_b, traj, tol=_get(cfg, "comparison", "tol", 1e-8)
-        )
+        result = check_comparison(traj_b, traj, **_given(cfg, "comparison", "tol"))
         out.set_header(["violation", "passes", "tol"])
         out.add_row([result["violation"], result["passes"], result["tol"]])
         out.meta(f"comparison,{'pass' if result['passes'] else 'fail'}")
@@ -716,10 +707,7 @@ def pipe_model(cfg, out):
     else:
         state = StateEquation(sk)
     medium = MediumParams(
-        porosity=_get(cfg, "model", "porosity", 0.3),
-        viscosity=_get(cfg, "model", "viscosity", 1.0),
-        prefactor=_get(cfg, "model", "prefactor", 1.0),
-        nanoporous_m=_get(cfg, "model", "m") if "m" in model else None,
+        nanoporous_m=_get(cfg, "model", "m") if "m" in model else None
     )
     card = to_dnl(law, state, medium)
     result = verify_mapping(card, lambda x: 2.0 + np.sin(x))
@@ -739,9 +727,9 @@ def pipe_model(cfg, out):
     return 0 if result["passes"] else 2
 
 
-def _key(name, default=None):
+def _key(name):
     """Probe argument `name` read from [probes] `name`."""
-    return name, lambda cfg: _get(cfg, "probes", name, default)
+    return name, lambda cfg: _get(cfg, "probes", name)
 
 
 def _single(cfg, key, default=None):
@@ -763,15 +751,16 @@ def _gradbound_probes(cfg):
     return [(x, t, r) for (x, t) in base for r in radii]
 
 
-def _scan(diagnostic, source, *args):
-    """Pipeline of one estimate scan: read the probe arguments in order (a
-    bad one fails before any solve), build the source and report
-    `dg.<diagnostic>`.  The diagnostic is looked up by name on every call,
-    so a wrapper installed on the module after import (a tracer, a mock) is
-    the one that runs."""
+def _scan(diagnostic, source, *args, optional=("lattice",)):
+    """Pipeline of one estimate scan: read the probe arguments in order, then
+    the `optional` [probes] keys that the config sets (a bad one fails
+    before any solve), build the source and report `dg.<diagnostic>`.  The
+    diagnostic is looked up by name on every call, so a wrapper installed on
+    the module after import (a tracer, a mock) is the one that runs."""
 
     def pipeline(cfg, out):
         kwargs = {name: read(cfg) for name, read in args}
+        kwargs.update(_given(cfg, "probes", *optional))
         src = source(cfg)
         return _report(out, getattr(dg, diagnostic)(src, **kwargs))
 
@@ -784,7 +773,6 @@ _POINT = (
     ("t_o", lambda cfg: _single(cfg, "t_o")),
 )
 _CYLINDER = (*_POINT, _key("rho"), _key("s"))
-_LATTICE = _key("lattice", 32)
 
 # subcommand -> (section order resolving a bare --key, pipeline(cfg, out))
 COMMANDS = {
@@ -798,17 +786,16 @@ COMMANDS = {
             build_source,
             ("base_points", _probe_list),
             _key("radii"),
-            _key("sigma", 0.25),
-            _LATTICE,
+            optional=("sigma", "lattice"),
         ),
     ),
     "integral-harnack": (
         _SCAN,
-        _scan("integral_harnack", build_source, *_CYLINDER, _LATTICE),
+        _scan("integral_harnack", build_source, *_CYLINDER),
     ),
     "supbound": (
         _SCAN,
-        _scan("sup_bound", build_source, *_CYLINDER, _key("r"), _LATTICE),
+        _scan("sup_bound", build_source, *_CYLINDER, _key("r")),
     ),
     "expand": (
         ("probes", "exponents", "solver", "grid"),
@@ -819,7 +806,7 @@ COMMANDS = {
             _key("rho"),
             _key("M"),
             _key("alpha"),
-            _key("delta_scan", 10),
+            optional=(),
         ),
     ),
     "extinction": (
@@ -828,17 +815,11 @@ COMMANDS = {
     ),
     "gradbound": (
         _SCAN,
-        _scan("gradient_bound", build_source, ("probes", _gradbound_probes), _LATTICE),
+        _scan("gradient_bound", build_source, ("probes", _gradbound_probes)),
     ),
     "holder": (
         _SCAN,
-        _scan(
-            "holder_fit",
-            build_source,
-            *_POINT,
-            _key("radii"),
-            _key("lattice", 16),
-        ),
+        _scan("holder_fit", build_source, *_POINT, _key("radii")),
     ),
     "model": (("model",), pipe_model),
 }

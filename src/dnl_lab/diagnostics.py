@@ -361,10 +361,10 @@ def sup_bound(src, x_o, t_o, rho, s, r, lattice=32):
     )
 
 
-def expansion_of_positivity(src, x_o, t_o, rho, M, alpha, delta_scan=10):
+def expansion_of_positivity(src, x_o, t_o, rho, M, alpha):
     """Expansion of positivity: given measure-theoretic positivity
-    |{u(.,t_o) >= M} cap K_rho| >= alpha |K_rho|, scan delta in {2^-k} and
-    report the largest measured eta(delta) = inf u / M over
+    |{u(.,t_o) >= M} cap K_rho| >= alpha |K_rho|, scan delta = 2^-k for
+    k < 10 and report the largest measured eta(delta) = inf u / M over
     K_{2 rho}(x_o) x (t_o + delta/2 theta, t_o + delta theta],
     theta = M^{q+1-p} rho^p; the measure fraction alpha lies in (0, 1].
     Both balls take 64 lattice points."""
@@ -384,7 +384,7 @@ def expansion_of_positivity(src, x_o, t_o, rho, M, alpha, delta_scan=10):
     rep = DiagnosticReport(estimate_id="expansion_of_positivity")
     best_eta, best_delta = 0.0, None
     xs2 = np.linspace(x_o - 2 * rho, x_o + 2 * rho, 64)
-    for k in range(delta_scan):
+    for k in range(10):
         delta = 2.0**-k
         t_lo, t_hi = t_o + delta / 2 * theta, t_o + delta * theta
         ts = np.linspace(t_lo, t_hi, 8)

@@ -123,6 +123,9 @@ class ClosedFormSolution:
 # residual oracle
 # ---------------------------------------------------------------------------
 
+# stencil widths h of a residual sweep, halving, for the order fit
+STENCIL_WIDTHS = (1e-2, 5e-3, 2.5e-3)
+
 
 def pde_residual_rt(sol, r, t, h):
     """Second-order central-difference residual of d/dt(u^q) - div(|Du|^{p-2}Du)
@@ -176,7 +179,7 @@ def max_residual(sol, radii, times, h):
     return float(np.max(np.abs(pde_residual_rt(sol, R, T, h))))
 
 
-def residual_order(sol, radii, times, h_values=(1e-2, 5e-3, 2.5e-3)):
+def residual_order(sol, radii, times, h_values=STENCIL_WIDTHS):
     """Max residuals over the lattice for each h and the fitted log-log order."""
     res = np.array([max_residual(sol, radii, times, h) for h in h_values])
     slope = np.polyfit(np.log(np.asarray(h_values)), np.log(res), 1)[0]
@@ -453,9 +456,7 @@ class SupercriticalExtinction(ClosedFormSolution):
         self.sigma = p * q / ((p - 1) * lam)  # negative
 
     def R_t(self, t):
-        """Inner boundary radius for the C < 0 variant (0 for C > 0)."""
-        if self.C >= 0:
-            return np.zeros_like(np.asarray(t, float))
+        """Inner boundary radius of the C < 0 variant."""
         p, q = self.exponents.p, self.exponents.q
         tt = np.clip(self.T - np.asarray(t, float), 0.0, None)
         with np.errstate(divide="ignore"):  # R = inf at t >= T
@@ -810,7 +811,7 @@ _B_PROBE_RADII = np.linspace(0.5, 2.0, 16)
 _B_PROBE_TIMES = np.linspace(-0.5, 0.5, 8)
 
 
-def derive_critical_b_report(n_dim, p, h_values=(1e-2, 5e-3, 2.5e-3)):
+def derive_critical_b_report(n_dim, p, h_values=STENCIL_WIDTHS):
     """Numerically arbitrate the time constant b of the critical Harnack wave
     between the two printed candidates (N/q)^p and (N/q)^q.
 
@@ -844,7 +845,7 @@ def derive_critical_b_report(n_dim, p, h_values=(1e-2, 5e-3, 2.5e-3)):
     }
 
 
-def derive_critical_b(n_dim, p, h_values=(1e-2, 5e-3, 2.5e-3)):
+def derive_critical_b(n_dim, p, h_values=STENCIL_WIDTHS):
     """Return the arbitrated b.  If the candidates coincide (within 1e-6
     relative) the common value is returned directly; otherwise the candidate
     whose residual converges under refinement wins.  If neither candidate's

@@ -898,29 +898,85 @@ def test_one_probe_point_takes_one_value(capsys, argv, key):
     assert captured.err == f"error: bad value for [probes] {key}: takes one value\n"
 
 
+def _fuzz(capfd, name, section, key):
+    """[section] key set to 0, -1, nan, inf and "" on the preset: no
+    exception (warnings are errors) and no C-level output such as LAPACK's
+    DLASCL lines; exit 0, 1 or 2, and on exit 1 one `error:` line and
+    nothing on stdout; a value that is no finite number or is empty always
+    exits 1."""
+    sub = PRESETS[name][0]
+    for value in ("0", "-1", "nan", "inf", ""):
+        argv = [sub, "--preset", name, f"--{section}.{key}", value]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(argv)
+        out, err = capfd.readouterr()
+        assert code in (0, 1, 2), argv
+        assert "DLASCL" not in out, argv
+        if code == 1:
+            assert out == "", argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+        else:
+            assert err == "", argv
+        if value in ("nan", "inf", ""):
+            assert code == 1, argv
+
+
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_every_preset_key_fuzzed(capfd, name):
-    """Every key of the preset set to 0, -1, nan, inf and "": no exception
-    (warnings are errors) and no C-level output such as LAPACK's DLASCL
-    lines; exit 0, 1 or 2, and on exit 1 one `error:` line and nothing on
-    stdout; a value that is no finite number or is empty always exits 1."""
-    sub, cfg = preset(name)
+    """Every key of the preset, fuzzed as `_fuzz` says."""
+    _, cfg = preset(name)
     for section, key in [(s, k) for s in sorted(cfg) for k in sorted(cfg[s])]:
-        for value in ("0", "-1", "nan", "inf", ""):
-            argv = [sub, "--preset", name, f"--{section}.{key}", value]
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                code = run(argv)
-            out, err = capfd.readouterr()
-            assert code in (0, 1, 2), argv
-            assert "DLASCL" not in out, argv
-            if code == 1:
-                assert out == "", argv
-                assert err.startswith("error: ") and err.count("\n") == 1, argv
-            else:
-                assert err == "", argv
-            if value in ("nan", "inf", ""):
-                assert code == 1, argv
+        _fuzz(capfd, name, section, key)
+
+
+@pytest.mark.parametrize(
+    "name, section, key",
+    [
+        ("solver-supercritical-run", "solver", "t_start"),
+        ("solver-supercritical-run", "solver", "floor_eps"),
+        ("solver-supercritical-run", "solver", "initial_scale"),
+        ("solver-supercritical-run", "solver", "newton_tol"),
+        ("residual-trudinger-gaussian", "residual", "h_sequence"),
+        ("model-classic-gas", "model", "reynolds"),
+    ],
+)
+def test_non_preset_key_fuzzed(capfd, name, section, key):
+    """A key that no preset sets, fuzzed on a preset whose run reads it."""
+    _fuzz(capfd, name, section, key)
+
+
+@pytest.mark.parametrize(
+    "name, section, key",
+    [
+        ("residual-trudinger-gaussian", "residual", key)
+        for key in ("r_lo", "r_hi", "t_lo", "t_hi", "n_r", "n_t")
+    ]
+    + [
+        ("expansion-positivity", "probes", "delta_scan"),
+        ("solver-supercritical-run", "solver", "max_newton"),
+    ]
+    + [
+        ("model-classic-gas", "model", key)
+        for key in ("porosity", "viscosity", "prefactor")
+    ],
+)
+def test_removed_key_is_unknown(capsys, tmp_path, name, section, key):
+    """A key that the schema no longer has exits 1 with one `error:` line,
+    given on the command line or in a config file."""
+    sub = PRESETS[name][0]
+    assert run([sub, "--preset", name, f"--{section}.{key}", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown config key {section}.{key}\n"
+    cfgfile = tmp_path / "removed.cfg"
+    cfgfile.write_text(f"[{section}]\n{key} = 1\n")
+    assert run([sub, "--preset", name, "--config", str(cfgfile)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: unknown key {key!r} in section [{section}] at line 2, column 1\n"
+    )
 
 
 def test_family_key_the_family_does_not_take_exits_1(capsys):

@@ -187,5 +187,12 @@ class TestMollifiers:
     def test_errors(self):
         with pytest.raises(ValueError):
             mollify_exp(self.v, self.dt, -1.0)
+        with pytest.raises(ValueError, match="^dt must be > 0$"):
+            mollify_exp(self.v, 0.0, 1e-2)
         with pytest.raises(ValueError):
             mollify_exp(self.v, self.dt, 1e-2, "sideways")
+        with pytest.raises(ValueError, match="^only the forward"):
+            steklov(self.v, self.dt, 1e-2, "backward")
+        for dt, h in [(self.dt, 0.0), (self.dt, -1e-2), (0.0, 1e-2), (-self.dt, 1e-2)]:
+            with pytest.raises(ValueError, match="^h and dt must be > 0$"):
+                steklov(self.v, dt, h)

@@ -544,7 +544,7 @@ class TestAnalyticGradient:
 
     @pytest.mark.parametrize("sol", _LINE_FAMILIES)
     def test_matches_central_difference(self, sol):
-        radii, times = cli._residual_lattice(cli.Config(), sol.family)
+        radii, times = cli._residual_lattice(sol.family)
         r, t = (a.ravel() for a in np.meshgrid(radii, times))
         # only points whose widest stencil lies in the validity domain
         h = self.HS[0]

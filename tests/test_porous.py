@@ -28,6 +28,9 @@ class TestValidation:
             FiltrationLaw("power_law", alpha=-1.0)
         with pytest.raises(ValueError):
             FiltrationLaw("forchheimer", a=0.0, b=0.0)
+        for a, b in [(-1.0, 1.0), (1.0, -1.0)]:
+            with pytest.raises(ValueError, match="^forchheimer requires a, b >= 0"):
+                FiltrationLaw("forchheimer", a=a, b=b)
         with pytest.raises(ValueError):
             FiltrationLaw("khristianovich")
         with pytest.raises(ValueError):
@@ -121,6 +124,15 @@ class TestReduction:
                 StateEquation("ideal_isothermal"),
                 medium,
             )
+
+    @pytest.mark.parametrize(
+        "state",
+        [StateEquation("polytropic", n=2.0), StateEquation("incompressible")],
+    )
+    def test_nanoporous_other_state(self, state):
+        medium = MediumParams(nanoporous_m=1.0)
+        with pytest.raises(ValueError, match="^nanoporous reduction implemented"):
+            to_dnl(FiltrationLaw("darcy"), state, medium)
 
     def test_not_power_law(self):
         law = FiltrationLaw("forchheimer", a=1.0, b=0.1)

@@ -578,9 +578,9 @@ def test_regime_sweep(p):
 
 
 class TestComparison:
-    def _traj(self, amp, n=24, t_end=5e-3):
+    def _traj(self, amp, n=24, t_end=5e-3, q=2.0):
         g = Grid1D(-1.0, 1.0, n)
-        e = ExponentTriple(2.0, 2.0, 1)
+        e = ExponentTriple(2.0, q, 1)
         pr = CauchyDirichletProblem(e, g, _bump(g, amp), t_end)
         return solve(pr, SolverConfig(dt=1e-3))
 
@@ -608,6 +608,9 @@ class TestComparison:
         c = self._traj(1.0, t_end=4e-3)
         with pytest.raises(ValueError):
             check_comparison(a, c)
+        d = self._traj(1.0, q=1.5)
+        with pytest.raises(ValueError, match="^mismatched exponents$"):
+            check_comparison(a, d)
 
 
 class TestTransformToV:
