@@ -144,13 +144,35 @@ class TestOverrides:
             "exponents": {"q": "4"}
         }
 
+    @pytest.mark.parametrize("family_set", [False, True])
+    @pytest.mark.parametrize("key", ["p", "q", "N", "a", "b", "alpha"])
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_shared_bare_key_section(self, sub, key, family_set):
+        # the six keys that two sections share: [family] takes p, q, N, a
+        # and b when its id is set; else p, q, N go to [exponents], a and b
+        # to [model], and alpha to [model] under `model`, [probes] otherwise
+        if family_set and key != "alpha":
+            section = "family"
+        elif key in ("p", "q", "N"):
+            section = "exponents"
+        elif key in ("a", "b") or sub == "model":
+            section = "model"
+        else:
+            section = "probes"
+        cfg = {"family": {"id": "trudinger_gaussian"}} if family_set else {}
+        want = {**cfg, section: {**cfg.get(section, {}), key: "7"}}
+        assert _apply_overrides(cfg, [f"--{key}", "7"], sub) == want
+
 
 class TestRun:
     def test_regimes_stdout(self, capsys):
         code = run(["regimes", "--p", "2", "--q", "2", "--N", "3"])
         assert code == 0
         text = capsys.readouterr().out
-        assert "diffusion_kind" in text
+        assert text.split("\n", 1)[0] == (
+            "p,q,N,diffusion_kind,supercritical_harnack,at_harnack_critical,"
+            "bounded_guaranteed,at_boundedness_critical,lambda_q"
+        )
         assert "fast" in text
 
     def test_counterexample_preset_exits_2(self, capsys):
