@@ -23,13 +23,14 @@ byte-identical CSV output.
 """
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
 
 import numpy as np
 
-from .core import ExponentTriple, Grid1D, classify
+from .core import STENCIL_WIDTHS, ExponentTriple, Grid1D, classify
 from . import exact
 from .exact import (
     FAMILIES,
@@ -463,65 +464,21 @@ def _report(out, rep):
 def pipe_regimes(cfg, out):
     e = build_exponents(cfg)
     flags = classify(e)
-    out.set_header(
-        [
-            "p",
-            "q",
-            "N",
-            "diffusion_kind",
-            "supercritical_harnack",
-            "at_harnack_critical",
-            "bounded_guaranteed",
-            "at_boundedness_critical",
-            "lambda_q",
-        ]
-    )
-    out.add_row(
-        [
-            e.p,
-            e.q,
-            e.n_dim,
-            flags.diffusion_kind,
-            flags.supercritical_harnack,
-            flags.at_harnack_critical,
-            flags.bounded_guaranteed,
-            flags.at_boundedness_critical,
-            e.lam_q,
-        ]
-    )
+    names = [f.name for f in dataclasses.fields(flags)]
+    out.set_header(["p", "q", "N", *names, "lambda_q"])
+    out.add_row([e.p, e.q, e.n_dim, *dataclasses.astuple(flags), e.lam_q])
     out.meta(f"classification,{flags.diffusion_kind}")
     return 0
 
 
-# per-family residual sweep windows (r_lo, r_hi, t_lo, t_hi), kept off
-# closed-form singularities and validity boundaries
-_RESIDUAL_WINDOWS = {
-    "trudinger_gaussian": (0.2, 2.0, 0.5, 1.5),
-    "separable_blowup": (0.5, 2.0, 1e-9, 0.6),
-    "critical_harnack_wave": (0.5, 2.0, -0.5, 0.5),
-    "boundedness_borderline": (0.5, 2.0, 0.1, 0.6),
-    "supercritical_extinction": (4.0, 10.0, 1e-9, 0.6),
-    "dipole_self_similar": (1.5, 4.0, 1e-9, 0.6),
-    "ivanov_subsolution": (0.1, 0.85, 1e-9, 0.01),
-    "special_log_profile": (0.5, 2.0, 1e-9, 0.5),
-}
-
-
-def _residual_lattice(fid):
-    """16 radii x 8 times spanning the family's residual window."""
-    r_lo, r_hi, t_lo, t_hi = _RESIDUAL_WINDOWS[fid]
-    return np.linspace(r_lo, r_hi, 16), np.linspace(t_lo, t_hi, 8)
-
-
 def pipe_exact_residual(cfg, out):
-    hs = _get(cfg, "residual", "h_sequence", exact.STENCIL_WIDTHS)
+    hs = _get(cfg, "residual", "h_sequence", STENCIL_WIDTHS)
     fam = build_family(cfg)
-    fid = _get(cfg, "family", "id")
-    radii, times = _residual_lattice(fid)
+    radii, times = fam.residual_lattice()
     out.set_header(["family", "h", "max_residual"])
     res, order = residual_order(fam, radii, times, hs)
     for h, r in zip(hs, res):
-        out.add_row([fid, h, r])
+        out.add_row([fam.family, h, r])
     out.meta(f"fitted_order,{fmt(float(order))}")
     if _get(cfg, "residual", "derive_b", False):
         rep = derive_critical_b_report(
@@ -533,13 +490,13 @@ def pipe_exact_residual(cfg, out):
                 f"candidate_{i},{fmt(cand)},residuals,"
                 + ",".join(fmt(float(r)) for r in rep["residuals"][i])
             )
-    if getattr(fam, "role", "weak_solution") == "weak_subsolution":
+    if fam.role == "weak_subsolution":
         # sign check instead of convergence: residual must stay negative
         last = exact.pde_residual_rt(fam, radii[:, None], times[None, :], hs[-1])
         ok = float(np.max(last)) <= 0.0
         out.meta(f"subsolution_sign,{'pass' if ok else 'fail'}")
         return 0 if ok else 2
-    ok = order >= 1.5
+    ok = order >= exact.CONVERGENT_ORDER
     out.meta(f"verdict,{'pass' if ok else 'fail'}")
     return 0 if ok else 2
 
@@ -672,10 +629,10 @@ def pipe_extinction(cfg, out):
         out.meta(f"decay_fit,{'pass' if ok else 'fail'}")
         return 0 if ok else 2
     problem, config = build_problem(cfg)
-    probes = _get(cfg, "probes", "x_o", [])
-    dg.check_extinction_run(problem, probes)  # before any step
+    probes = _given(cfg, "probes", "x_o")
+    dg.check_extinction_run(problem, **probes)  # before any step
     traj = solve(*solvable(problem, config))
-    return _report(out, dg.extinction_analysis(traj, x_probes=probes))
+    return _report(out, dg.extinction_analysis(traj, **probes))
 
 
 def pipe_model(cfg, out):
@@ -767,61 +724,39 @@ def _scan(diagnostic, source, *args, optional=("lattice",)):
     return pipeline
 
 
-_SCAN = ("probes", "exponents", "solver", "grid")
 _POINT = (
     ("x_o", lambda cfg: _single(cfg, "x_o")),
     ("t_o", lambda cfg: _single(cfg, "t_o")),
 )
 _CYLINDER = (*_POINT, _key("rho"), _key("s"))
 
-# subcommand -> (section order resolving a bare --key, pipeline(cfg, out))
+# subcommand -> pipeline(cfg, out)
 COMMANDS = {
-    "regimes": (("exponents",), pipe_regimes),
-    "exact-residual": (("residual",), pipe_exact_residual),
-    "solve": (("solver", "grid", "exponents", "comparison"), pipe_solve),
-    "harnack": (
-        _SCAN,
-        _scan(
-            "harnack_scan",
-            build_source,
-            ("base_points", _probe_list),
-            _key("radii"),
-            optional=("sigma", "lattice"),
-        ),
+    "regimes": pipe_regimes,
+    "exact-residual": pipe_exact_residual,
+    "solve": pipe_solve,
+    "harnack": _scan(
+        "harnack_scan",
+        build_source,
+        ("base_points", _probe_list),
+        _key("radii"),
+        optional=("sigma", "lattice"),
     ),
-    "integral-harnack": (
-        _SCAN,
-        _scan("integral_harnack", build_source, *_CYLINDER),
+    "integral-harnack": _scan("integral_harnack", build_source, *_CYLINDER),
+    "supbound": _scan("sup_bound", build_source, *_CYLINDER, _key("r")),
+    "expand": _scan(
+        "expansion_of_positivity",
+        solved_source,
+        *_POINT,
+        _key("rho"),
+        _key("M"),
+        _key("alpha"),
+        optional=(),
     ),
-    "supbound": (
-        _SCAN,
-        _scan("sup_bound", build_source, *_CYLINDER, _key("r")),
-    ),
-    "expand": (
-        ("probes", "exponents", "solver", "grid"),
-        _scan(
-            "expansion_of_positivity",
-            solved_source,
-            *_POINT,
-            _key("rho"),
-            _key("M"),
-            _key("alpha"),
-            optional=(),
-        ),
-    ),
-    "extinction": (
-        ("solver", "grid", "exponents", "probes"),
-        pipe_extinction,
-    ),
-    "gradbound": (
-        _SCAN,
-        _scan("gradient_bound", build_source, ("probes", _gradbound_probes)),
-    ),
-    "holder": (
-        _SCAN,
-        _scan("holder_fit", build_source, *_POINT, _key("radii")),
-    ),
-    "model": (("model",), pipe_model),
+    "extinction": pipe_extinction,
+    "gradbound": _scan("gradient_bound", build_source, ("probes", _gradbound_probes)),
+    "holder": _scan("holder_fit", build_source, *_POINT, _key("radii")),
+    "model": pipe_model,
 }
 
 SUBCOMMANDS = sorted(COMMANDS)
@@ -847,6 +782,22 @@ initial = cos_bump
 boundary = zero_dirichlet
 """
 
+_TRUDINGER_FAMILY = """
+[family]
+id = trudinger_gaussian
+p = 2
+N = 1
+"""
+
+_EXTINCTION_FAMILY = """
+[family]
+id = supercritical_extinction
+p = 2
+q = 3
+N = 40
+T = 1
+"""
+
 PRESETS = {
     # Harnack scans (acceptance 5a-5c)
     "thm-harnack-supercritical": (
@@ -862,11 +813,8 @@ sigma = 0.25
     ),
     "harnack-fail-trudinger": (
         "harnack",
-        """
-[family]
-id = trudinger_gaussian
-p = 2
-N = 1
+        _TRUDINGER_FAMILY
+        + """
 [probes]
 x_o = 5,8,12,16,20,25
 t_o = 2
@@ -905,13 +853,8 @@ sigma = 0.25
     # gradient bound (acceptance 6)
     "gradbound-supercritical": (
         "gradbound",
-        """
-[family]
-id = supercritical_extinction
-p = 2
-q = 3
-N = 40
-T = 1
+        _EXTINCTION_FAMILY
+        + """
 [probes]
 x_o = 16,32,64,128,16,32,64,128
 t_o = 0.5,0.5,0.5,0.5,0.25,0.25,0.25,0.25
@@ -921,11 +864,8 @@ lattice = 1
     ),
     "gradbound-fail-trudinger": (
         "gradbound",
-        """
-[family]
-id = trudinger_gaussian
-p = 2
-N = 1
+        _TRUDINGER_FAMILY
+        + """
 [probes]
 x_o = 2,4,8,16,32
 t_o = 1
@@ -957,13 +897,8 @@ x_o = 0.2,0.5
     ),
     "extinction-decay-fit": (
         "extinction",
-        """
-[family]
-id = supercritical_extinction
-p = 2
-q = 3
-N = 40
-T = 1
+        _EXTINCTION_FAMILY
+        + """
 [probes]
 x_o = 0
 """,
@@ -1016,10 +951,7 @@ radii = 0.01,0.015,0.02,0.03,0.04,0.06
 """,
     ),
     # residuals / critical-b (acceptance 1-2)
-    "residual-trudinger-gaussian": (
-        "exact-residual",
-        "[family]\nid = trudinger_gaussian\np = 2\nN = 1\n",
-    ),
+    "residual-trudinger-gaussian": ("exact-residual", _TRUDINGER_FAMILY),
     "critical-b-arbitration": (
         "exact-residual",
         "[family]\nid = critical_harnack_wave\np = 2\nN = 4\n"
@@ -1072,10 +1004,10 @@ def _apply_overrides(cfg, tokens, subcommand):
     """Apply --key value (or --section.key value) pairs onto the config.  A
     bare key resolves to [family] first when its id is set, by the preset,
     the config file or a --family.id anywhere in the tokens, and not at all
-    otherwise, for only then is it read; then to the subcommand's sections,
-    then to all sections."""
-    order = [*COMMANDS[subcommand][0], *SCHEMA]
-    order.remove("family")
+    otherwise, for only then is it read; then to the section named like the
+    subcommand, then to the sections in SCHEMA order."""
+    order = [section for section in SCHEMA if section != "family"]
+    order.sort(key=lambda section: section != subcommand)
     if "id" in cfg.get("family", {}) or "--family.id" in tokens[::2]:
         order.insert(0, "family")
     i = 0
@@ -1130,7 +1062,7 @@ def run(argv):
                 cfg = _merge(cfg, parse_config_text(f.read()))
         cfg = _apply_overrides(cfg, rest, args.subcommand)
         out = Output(args.out)
-        code = COMMANDS[args.subcommand][1](cfg, out)
+        code = COMMANDS[args.subcommand](cfg, out)
         unread = cfg.unread()
         if unread:
             raise ConfigError(f"{args.subcommand} does not read {', '.join(unread)}")

@@ -15,6 +15,9 @@ import numpy as np
 # relative tolerance used to detect exact critical exponents
 CRITICAL_RTOL = 1e-12
 
+# stencil widths h of a finite-difference sweep, halving, for the order fit
+STENCIL_WIDTHS = (1e-2, 5e-3, 2.5e-3)
+
 
 @dataclass(frozen=True)
 class ExponentTriple:

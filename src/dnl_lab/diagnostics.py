@@ -49,7 +49,6 @@ class DiagnosticReport:
     rhs: list = dc_field(default_factory=list)
     implied_constant: float = 0.0
     verdict: str = "inconclusive"
-    notes: str = ""
     extras: dict = dc_field(default_factory=dict)  # meta lines, in order
 
     def summary_line(self):
@@ -282,7 +281,6 @@ def harnack_scan(src, base_points, radii, sigma=0.25, lattice=32):
     finite = [g for g in gammas if math.isfinite(g)]
     rep.implied_constant = max(finite) if finite else math.inf
     rep.verdict = _verdict(gammas)
-    rep.notes = f"gamma_emp spread {max(gammas) / min(gammas):.6g}" if gammas else ""
     return rep
 
 
@@ -382,7 +380,7 @@ def expansion_of_positivity(src, x_o, t_o, rho, M, alpha):
         )
     theta = M ** (e.q + 1 - e.p) * _radius_power(rho, e.p)
     rep = DiagnosticReport(estimate_id="expansion_of_positivity")
-    best_eta, best_delta = 0.0, None
+    best_eta = 0.0
     xs2 = np.linspace(x_o - 2 * rho, x_o + 2 * rho, 64)
     for k in range(10):
         delta = 2.0**-k
@@ -395,18 +393,16 @@ def expansion_of_positivity(src, x_o, t_o, rho, M, alpha):
         rep.probes.append({"delta": delta, "t_lo": t_lo, "t_hi": t_hi})
         rep.lhs.append(eta)
         rep.rhs.append(1.0)
-        if eta > best_eta:
-            best_eta, best_delta = eta, delta
+        best_eta = max(best_eta, eta)
     rep.implied_constant = best_eta
     rep.verdict = "bounded" if best_eta > 0 else "inconclusive"
-    rep.notes = f"best eta={best_eta:.6g} at delta={best_delta}"
     return rep
 
 
-def check_extinction_run(problem, x_probes=()):
+def check_extinction_run(problem, x_o=()):
     """The signed distance to the boundary (<= 0 on or past the edge) of a
-    zero-boundary problem with q + 1 > p and every probe inside, checked
-    before any step; a RegimeError otherwise."""
+    zero-boundary problem with q + 1 > p and every probe of x_o inside,
+    checked before any step; a RegimeError otherwise."""
     e = problem.exponents
     if e.q + 1 - e.p <= 0:
         raise RegimeError("extinction analysis requires q + 1 > p")
@@ -416,13 +412,13 @@ def check_extinction_run(problem, x_probes=()):
     d_bound = lambda x: min(x - g.x_lo, g.x_hi - x) if (
         g.geometry == "cartesian"
     ) else (g.x_hi - abs(x))
-    for x_o in x_probes:
-        if not d_bound(x_o) > 0:
-            raise RegimeError(f"probe x_o={x_o} is not inside the domain")
+    for x in x_o:
+        if not d_bound(x) > 0:
+            raise RegimeError(f"probe x_o={x} is not inside the domain")
     return d_bound
 
 
-def extinction_analysis(traj, x_probes=()):
+def extinction_analysis(traj, x_o=()):
     """Extinction diagnostics on a zero-boundary fast-diffusion run:
 
     (i)   numerical extinction time T_num (first time max u < 1e-8);
@@ -435,7 +431,7 @@ def extinction_analysis(traj, x_probes=()):
           past the domain edge (distance d <= 0) raises RegimeError.
 
     Verdict bounded iff v <= w up to 5% of v0 and T_num - t_start <= T_bound."""
-    d_bound = check_extinction_run(traj.problem, x_probes)
+    d_bound = check_extinction_run(traj.problem, x_o)
     e = traj.problem.exponents
     p, q = e.p, e.q
     fn = slice_functionals(traj)
@@ -446,7 +442,6 @@ def extinction_analysis(traj, x_probes=()):
     extinct = np.nonzero(sup_u < 1e-8)[0]
     if extinct.size == 0:
         rep.verdict = "inconclusive"
-        rep.notes = "no extinction before t_end"
         return rep
     T_num = float(times[extinct[0]])
     # (ii) Rayleigh-quotient constant from slices with non-trivial mass
@@ -470,16 +465,16 @@ def extinction_analysis(traj, x_probes=()):
     src = SolutionSource(traj)
     probe_consts = []
     t_os = np.linspace(0.55 * T_num, 0.9 * T_num, 4)
-    for x_o in x_probes:
-        d = d_bound(x_o)
+    for x in x_o:
+        d = d_bound(x)
         # `_read` keeps one row per t_o: a t_o before t_start clamps to
         # the first stored row, as the scalar `eval` does
-        us, grads = src._read(("eval", "grad_norm"), np.array([x_o]), t_os)
+        us, grads = src._read(("eval", "grad_norm"), np.array([x]), t_os)
         for t_o, uval, gval in zip(t_os, us.ravel().tolist(), grads.ravel().tolist()):
             rate = ((T_num - t_o) / d**p) ** (1 / kexp)
             probe_consts.append(
                 {
-                    "x_o": x_o,
+                    "x_o": x,
                     "t_o": float(t_o),
                     "gamma_u": uval / rate,
                     "gamma_du": gval / (rate / d),
@@ -597,7 +592,6 @@ def holder_fit(src, x_o, t_o, radii, lattice=16):
         rep.lhs.append(float(osc))
         rep.rhs.append(1.0)
     if np.all(oscs < 1e-12):
-        rep.notes = "oscillations below 1e-12: alpha effectively infinite"
         alpha = slope = math.inf
         r2 = 1.0
     else:

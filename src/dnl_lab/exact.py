@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExponentTriple
+from .core import STENCIL_WIDTHS, ExponentTriple
 
 
 class DomainError(ValueError):
@@ -27,11 +27,12 @@ class ClosedFormSolution:
     derivative and analytic d/dt(u^q).
 
     Subclasses implement u_rt / ur_rt on arrays of radii and times, ut_rt
-    or, in its place, dtuq_rt, and valid_rt unless the family is valid
-    everywhere.  The public eval/grad/dt_uq operate on coordinate vectors and
-    raise DomainError outside the validity domain; eval_lattice evaluates u
-    or |Du| over a lattice of probe-line times whose points all lie inside
-    it, and checks none of them.
+    or, in its place, dtuq_rt, valid_rt and validity_description unless
+    the family is valid everywhere, and set a residual_window.  The public
+    eval/grad/dt_uq operate on coordinate vectors and raise DomainError
+    outside the validity domain; eval_lattice evaluates u or |Du| over a
+    lattice of probe-line times whose points all lie inside it, and checks
+    none of them.
     """
 
     family = "abstract"
@@ -43,12 +44,6 @@ class ClosedFormSolution:
         self.exponents = exponents
 
     # -- radial profile interface (vectorized over r, t) --------------------
-    def u_rt(self, r, t):
-        raise NotImplementedError
-
-    def ur_rt(self, r, t):
-        raise NotImplementedError
-
     def ut_rt(self, r, t):
         raise NotImplementedError
 
@@ -60,8 +55,12 @@ class ClosedFormSolution:
     def valid_rt(self, r, t):
         return np.full(np.broadcast(np.asarray(r), np.asarray(t)).shape, True)
 
-    def validity_description(self):
-        return "everywhere"
+    def residual_lattice(self):
+        """16 radii x 8 times spanning the family's `residual_window`
+        (r_lo, r_hi, t_lo, t_hi), kept off closed-form singularities and
+        validity boundaries."""
+        r_lo, r_hi, t_lo, t_hi = self.residual_window
+        return np.linspace(r_lo, r_hi, 16), np.linspace(t_lo, t_hi, 8)
 
     # -- public pointwise API ----------------------------------------------
     def _radius(self, x):
@@ -123,8 +122,8 @@ class ClosedFormSolution:
 # residual oracle
 # ---------------------------------------------------------------------------
 
-# stencil widths h of a residual sweep, halving, for the order fit
-STENCIL_WIDTHS = (1e-2, 5e-3, 2.5e-3)
+# a fitted residual order at or above this counts as convergence
+CONVERGENT_ORDER = 1.5
 
 
 def pde_residual_rt(sol, r, t, h):
@@ -210,6 +209,7 @@ class TrudingerGaussian(ClosedFormSolution):
 
     family = "trudinger_gaussian"
     role = "weak_solution"
+    residual_window = (0.2, 2.0, 0.5, 1.5)
 
     def __init__(self, p, n_dim, C=1.0):
         exps = ExponentTriple(p=p, q=p - 1, n_dim=n_dim)
@@ -264,6 +264,7 @@ class SeparableBlowup(ClosedFormSolution):
 
     family = "separable_blowup"
     role = "weak_solution"
+    residual_window = (0.5, 2.0, 1e-9, 0.6)
     r_singular = 0.0
 
     def __init__(self, n_dim, p, q, T=1.0):
@@ -326,6 +327,7 @@ class CriticalHarnackWave(ClosedFormSolution):
 
     family = "critical_harnack_wave"
     role = "weak_solution"
+    residual_window = (0.5, 2.0, -0.5, 0.5)
 
     def __init__(self, n_dim, p, b=None):
         if not (2 <= n_dim and p < n_dim):
@@ -372,6 +374,7 @@ class BoundednessBorderline(ClosedFormSolution):
 
     family = "boundedness_borderline"
     role = "weak_solution"
+    residual_window = (0.5, 2.0, 0.1, 0.6)
 
     def __init__(self, n_dim, p, a=1.0, T=1.0):
         if not p < n_dim:
@@ -440,6 +443,7 @@ class SupercriticalExtinction(ClosedFormSolution):
 
     family = "supercritical_extinction"
     role = "weak_solution"
+    residual_window = (4.0, 10.0, 1e-9, 0.6)
 
     def __init__(self, n_dim, p, q, T=1.0, C=1.0):
         exps = ExponentTriple(p=p, q=q, n_dim=n_dim)
@@ -568,6 +572,7 @@ class DipoleSelfSimilar(_SelfSimilar):
 
     family = "dipole_self_similar"
     role = "weak_solution"
+    residual_window = (1.5, 4.0, 1e-9, 0.6)
 
     def __init__(self, n_dim, p, T=1.0, C=1.0):
         if not 1 < p < 2 * n_dim / (n_dim + 2):
@@ -626,6 +631,7 @@ class IvanovSubsolution(ClosedFormSolution):
 
     family = "ivanov_subsolution"
     role = "weak_subsolution"
+    residual_window = (0.1, 0.85, 1e-9, 0.01)
     r_singular = 0.0
 
     def __init__(self, n_dim=3, p=1.2, q=None, r0=0.9, h=None, rmin=0.05):
@@ -719,6 +725,7 @@ class SpecialLogProfile(_SelfSimilar):
 
     family = "special_log_profile"
     role = "not_weak_solution"
+    residual_window = (0.5, 2.0, 1e-9, 0.5)
 
     def __init__(self, n_dim=3, C=1.0, T=1.0):
         if n_dim < 2:
@@ -806,17 +813,12 @@ def make_family(name, **params):
         raise ValueError(f"family {name!r} requires {', '.join(missing)}") from None
 
 
-# fixed deterministic probe lattice for the arbitration (away from r=0)
-_B_PROBE_RADII = np.linspace(0.5, 2.0, 16)
-_B_PROBE_TIMES = np.linspace(-0.5, 0.5, 8)
-
-
 def derive_critical_b_report(n_dim, p, h_values=STENCIL_WIDTHS):
     """Numerically arbitrate the time constant b of the critical Harnack wave
     between the two printed candidates (N/q)^p and (N/q)^q.
 
     Returns a dict with the candidates, their max residuals per stencil width
-    on a fixed probe lattice, the selected b and a convergence flag."""
+    on the wave's residual lattice, the selected b and a convergence flag."""
     if not (2 <= p < n_dim and n_dim >= 2):
         raise ValueError("requires 2 <= p < N")
     q = n_dim * (p - 1) / (n_dim - p)
@@ -825,14 +827,14 @@ def derive_critical_b_report(n_dim, p, h_values=STENCIL_WIDTHS):
     orders = []
     for b in candidates:
         sol = CriticalHarnackWave(n_dim, p, b=b)
-        res, order = residual_order(sol, _B_PROBE_RADII, _B_PROBE_TIMES, h_values)
+        res, order = residual_order(sol, *sol.residual_lattice(), h_values)
         residuals.append(res)
         orders.append(order)
     coincide = abs(candidates[0] - candidates[1]) <= 1e-6 * max(
         1.0, abs(candidates[0]), abs(candidates[1])
     )
     winner_idx = int(np.argmin([r[-1] for r in residuals]))
-    winner_converged = orders[winner_idx] >= 1.5
+    winner_converged = orders[winner_idx] >= CONVERGENT_ORDER
     return {
         "q": q,
         "candidates": candidates,

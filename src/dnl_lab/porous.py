@@ -17,6 +17,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .core import STENCIL_WIDTHS
+
+# the medium: porosity phi, fluid viscosity mu_f and permeability prefactor A
+POROSITY, VISCOSITY, PREFACTOR = 0.3, 1.0, 1.0
+
 
 class NotPowerLaw(ValueError):
     """Raised when a filtration law does not reduce to power-law exponents."""
@@ -66,16 +71,9 @@ class StateEquation:
 
 @dataclass(frozen=True)
 class MediumParams:
-    porosity: float = 0.3
-    viscosity: float = 1.0
-    prefactor: float = 1.0  # permeability prefactor A
     nanoporous_m: float = None  # k = A |dp/dx|^m when set (m >= 0)
 
     def __post_init__(self):
-        if not 0 < self.porosity < 1:
-            raise ValueError("porosity must lie in (0, 1)")
-        if self.viscosity <= 0 or self.prefactor <= 0:
-            raise ValueError("viscosity and prefactor must be positive")
         if self.nanoporous_m is not None and self.nanoporous_m < 0:
             raise ValueError("nanoporous exponent m must be >= 0")
 
@@ -123,11 +121,8 @@ def to_dnl(law, state, medium):
             "this law needs its own quasilinear structure",
         )
     prov = {}
-    base = medium.prefactor / (medium.viscosity * medium.porosity)
-    prov["medium"] = (
-        f"A/(mu_f*phi) = {medium.prefactor!r}/"
-        f"({medium.viscosity!r}*{medium.porosity!r})"
-    )
+    base = PREFACTOR / (VISCOSITY * POROSITY)
+    prov["medium"] = f"A/(mu_f*phi) = {PREFACTOR!r}/({VISCOSITY!r}*{POROSITY!r})"
 
     if medium.nanoporous_m is not None:
         if law.kind != "darcy":
@@ -212,7 +207,7 @@ def _div_flux_fd(flux_of_v, v_fun, xs, h):
 
 def verify_mapping(card, probe):
     """Numerically verify the u = v^{1/q_exp} reduction on a 1-D probe over
-    41 points of [0.2, 1.2], at the steps h = 1e-2, 5e-3 and 2.5e-3.
+    41 points of [0.2, 1.2], at the steps h of STENCIL_WIDTHS.
 
     Substitutes the positive probe v(x) into the physical flux divergence
     K div(v^{m_u-1}|v'|^{p-2}v') and into the prototype flux divergence of
@@ -222,7 +217,6 @@ def verify_mapping(card, probe):
     p, m_u, q = card.p_exp, card.m_u, card.q_exp
     s = 1.0 / q
     xs = np.linspace(0.2, 1.2, 41)
-    h_values = (1e-2, 5e-3, 2.5e-3)
     v0 = probe(xs)
     if np.any(v0 <= 0):
         raise ValueError("probe must be positive on the window")
@@ -238,7 +232,7 @@ def verify_mapping(card, probe):
         return card.K_diff * s ** (1.0 - p) * np.abs(du) ** (p - 2.0) * du
 
     diffs = []
-    for h in h_values:
+    for h in STENCIL_WIDTHS:
         d_phys = _div_flux_fd(flux_phys, probe, xs, h)
         d_proto = _div_flux_fd(flux_proto, u_fun, xs, h)
         diffs.append(float(np.max(np.abs(d_phys - d_proto))))
@@ -248,12 +242,10 @@ def verify_mapping(card, probe):
         order = math.inf
         passes = True
     else:
-        order = float(
-            np.polyfit(np.log(np.asarray(h_values)), np.log(diffs), 1)[0]
-        )
+        order = float(np.polyfit(np.log(STENCIL_WIDTHS), np.log(diffs), 1)[0])
         passes = order >= 1.7
     return {
-        "h": list(h_values),
+        "h": list(STENCIL_WIDTHS),
         "max_diff": diffs.tolist(),
         "order": order,
         "passes": passes,

@@ -292,7 +292,7 @@ class _Discretization:
     positionally (but `np.maximum`, where that is deprecated) and scalars
     as 0-d arrays, which numpy dispatches fastest."""
 
-    def __init__(self, problem, config):
+    def __init__(self, problem):
         self.pr = problem
         g = problem.grid
         n = g.n_cells
@@ -475,7 +475,7 @@ def step(problem, u_prev, t, dt, config, disc=None):
         raise ValueError("dt must be finite and > 0")
     u_prev = np.asarray(u_prev, dtype=float)
     if disc is None:
-        disc = _Discretization(problem, config)
+        disc = _Discretization(problem)
     cur, spare = disc.states
     # the last step's return, unchanged, is its accepted iterate: >= 0
     carried = disc.returned is u_prev and cur.u.tobytes() == u_prev.tobytes()
@@ -589,7 +589,7 @@ class Trajectory:
         self.newton_iters = [0]
         self.residual_norms = [0.0]
         self.clipped_mass = 0.0
-        self._disc = _Discretization(problem, config)
+        self._disc = _Discretization(problem)
         self._failure = None  # the StepFailure that ended the stepping
 
     def row(self, i):

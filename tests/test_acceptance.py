@@ -409,7 +409,7 @@ def analysis():
     e = ExponentTriple(2.0, 2.0, 3)
     pr = CauchyDirichletProblem(e, g, _bump(g, power=8), 0.3)
     traj = solve(pr, SolverConfig(dt=2.5e-4))
-    return dg.extinction_analysis(traj, x_probes=(0.2, 0.5))
+    return dg.extinction_analysis(traj, x_o=(0.2, 0.5))
 
 
 class Test7Extinction:

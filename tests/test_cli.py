@@ -112,37 +112,9 @@ class TestPresets:
 
 class TestOverrides:
     def test_bare_key_outside_subcommand_sections(self):
-        # no section of `solve` has h_sequence; the schema order finds it
+        # no section is named `solve`; the schema order finds h_sequence
         cfg = _apply_overrides({}, ["--h_sequence", "0.1"], "solve")
         assert cfg == {"residual": {"h_sequence": "0.1"}}
-
-    def test_subcommand_sections_first(self):
-        # alpha is a [probes] and a [model] key
-        assert _apply_overrides({}, ["--alpha", "1"], "expand") == {
-            "probes": {"alpha": "1"}
-        }
-        assert _apply_overrides({}, ["--alpha", "1"], "model") == {
-            "model": {"alpha": "1"}
-        }
-
-    def test_bare_key_reaches_family_only_when_its_id_is_set(self):
-        # p is a [family] and an [exponents] key; scans read [family] only
-        # when a family is set
-        assert _apply_overrides({}, ["--p", "3"], "harnack") == {
-            "exponents": {"p": "3"}
-        }
-        cfg = {"family": {"id": "trudinger_gaussian"}}
-        assert _apply_overrides(cfg, ["--p", "3"], "harnack") == {
-            "family": {"id": "trudinger_gaussian", "p": "3"}
-        }
-        # extinction lists [exponents] first, for its solver run
-        cfg = {"family": {"id": "supercritical_extinction"}}
-        assert _apply_overrides(cfg, ["--q", "4"], "extinction") == {
-            "family": {"id": "supercritical_extinction", "q": "4"}
-        }
-        assert _apply_overrides({}, ["--q", "4"], "extinction") == {
-            "exponents": {"q": "4"}
-        }
 
     @pytest.mark.parametrize("family_set", [False, True])
     @pytest.mark.parametrize("key", ["p", "q", "N", "a", "b", "alpha"])

@@ -27,7 +27,6 @@ from dnl_lab.exact import (
     derive_critical_b,
     derive_critical_b_report,
 )
-from dnl_lab import cli
 from dnl_lab.diagnostics import SolutionSource
 
 
@@ -544,7 +543,7 @@ class TestAnalyticGradient:
 
     @pytest.mark.parametrize("sol", _LINE_FAMILIES)
     def test_matches_central_difference(self, sol):
-        radii, times = cli._residual_lattice(sol.family)
+        radii, times = sol.residual_lattice()
         r, t = (a.ravel() for a in np.meshgrid(radii, times))
         # only points whose widest stencil lies in the validity domain
         h = self.HS[0]

@@ -17,7 +17,7 @@ from dnl_lab.porous import (
 )
 
 
-MEDIUM = MediumParams(porosity=0.3, viscosity=1.0, prefactor=1.0)
+MEDIUM = MediumParams()
 
 
 class TestValidation:
@@ -49,10 +49,6 @@ class TestValidation:
         StateEquation("incompressible")
 
     def test_medium(self):
-        with pytest.raises(ValueError):
-            MediumParams(porosity=0.0)
-        with pytest.raises(ValueError):
-            MediumParams(viscosity=-1.0)
         with pytest.raises(ValueError):
             MediumParams(nanoporous_m=-0.5)
 

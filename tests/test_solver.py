@@ -172,7 +172,7 @@ class TestSolveBanded:
         g = Grid1D(-1.0, 1.0, 8)
         pr = CauchyDirichletProblem(ExponentTriple(2.0, 1.0, 1), g, _bump(g), 1.0)
         cfg = SolverConfig(dt=1e-3)
-        disc = _Discretization(pr, cfg)
+        disc = _Discretization(pr)
         disc.jacobian_bands = lambda *args, **kwargs: (
             np.zeros(7), np.zeros(8), np.zeros(7)
         )
@@ -222,7 +222,7 @@ class TestStepBasics:
                 ExponentTriple(p, 2.0, 3), g, _bump(g), 1.0
             )
             cfg = SolverConfig(dt=1e-3)
-            disc = _Discretization(pr, cfg)
+            disc = _Discretization(pr)
             u_own = u_shared = pr.initial
             for k in range(4):
                 u_own, info_own = step(pr, u_own, k * cfg.dt, cfg.dt, cfg)

@@ -231,7 +231,7 @@ class TestWorkspace:
         cfg = SolverConfig(dt=2e-4)
         problems = self._pair()
         alone = [_steps(pr, cfg, 4)[0] for pr in problems]
-        discs = [_Discretization(pr, cfg) for pr in problems]
+        discs = [_Discretization(pr) for pr in problems]
         us = [pr.initial for pr in problems]
         for k in range(4):
             for j, pr in enumerate(problems):
@@ -246,7 +246,7 @@ class TestWorkspace:
             assert not np.shares_memory(fields[0], pr.initial)
             for a, b in itertools.combinations(fields, 2):
                 assert not np.shares_memory(a, b)
-            disc = _Discretization(pr, cfg)
+            disc = _Discretization(pr)
             owned = [disc.flux, disc.dflux, disc.second, disc.abs_R, disc.b_prev]
             owned += [
                 a for s in disc.states
@@ -366,7 +366,7 @@ class TestCarriedResidual:
         pr = _carry_problem(3.0, 2.0, "radial", "zero_dirichlet")
         cfg = SolverConfig(dt=2e-4)
         dt = cfg.dt
-        disc = _Discretization(pr, cfg)
+        disc = _Discretization(pr)
         fresh = self._first_residuals(disc)
         u1, _ = step(pr, pr.initial, 0.0, dt, cfg, disc=disc)
         u2, _ = step(pr, u1, dt, dt, cfg, disc=disc)
@@ -388,7 +388,7 @@ class TestCarriedResidual:
     def test_failed_step_drops_the_carry(self):
         pr = _carry_problem(3.0, 2.0, "radial", "zero_dirichlet")
         cfg = SolverConfig(dt=2e-4)
-        disc = _Discretization(pr, cfg)
+        disc = _Discretization(pr)
         fresh = self._first_residuals(disc)
         u1, _ = step(pr, pr.initial, 0.0, cfg.dt, cfg, disc=disc)
         no_iterations = SolverConfig(dt=cfg.dt, max_newton=0)
