@@ -163,7 +163,7 @@ SCHEMA = {
         **dict.fromkeys(("t_end", "t_start", "floor_eps"), _FINITE),
         "initial_scale": _FINITE,
         "dt": _POSITIVE, "newton_tol": _POSITIVE,
-        "boundary": _TEXT,
+        "boundary": _one_of({"zero_dirichlet"}),
         "initial": _PROFILE,
     },
     "comparison": {
@@ -474,13 +474,16 @@ def pipe_regimes(cfg, out):
 def pipe_exact_residual(cfg, out):
     hs = _get(cfg, "residual", "h_sequence", STENCIL_WIDTHS)
     fam = build_family(cfg)
+    derive_b = _get(cfg, "residual", "derive_b", False)
+    if derive_b and fam.family != "critical_harnack_wave":
+        raise ConfigError(f"derive_b is for critical_harnack_wave, not {fam.family}")
     radii, times = fam.residual_lattice()
     out.set_header(["family", "h", "max_residual"])
     res, order = residual_order(fam, radii, times, hs)
     for h, r in zip(hs, res):
         out.add_row([fam.family, h, r])
     out.meta(f"fitted_order,{fmt(float(order))}")
-    if _get(cfg, "residual", "derive_b", False):
+    if derive_b:
         rep = derive_critical_b_report(
             fam.exponents.n_dim, fam.exponents.p, tuple(hs)
         )

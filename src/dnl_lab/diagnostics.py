@@ -15,6 +15,16 @@ an exponent or a time instead and state their own "bounded" condition in
 their docstrings.  Only "bounded" passes: the CLI exits 0 on it and 2 on any
 other verdict.
 
+Domain rules.  `_cylinders` builds the cylinders of the Harnack, gradient
+and Hoelder scans, K_rho(x_o) x (t_o +- sigma u_o^{q+1-p} rho^p) with
+u_o = u(x_o, t_o) > 0 and the half-height of `_intrinsic_time`.  Before any
+is read, one with no point in the domain is refused with "cylinder leaves
+the domain at probe (x_o, t_o, rho)", and so are the sup estimates' Q_{rho,s}
+and expansion of positivity's slice t_o.  The Hoelder fit also needs both
+x-edges inside at t_o, and the sup estimates every time row of
+Q_{rho/2,s/2}; expansion of positivity skips a window with a point outside.
+A point outside is otherwise dropped.
+
 The paper-side constants (gamma, eta, alpha_o, ...) are non-explicit, so all
 checks are stability/boundedness checks, never comparisons to printed numbers.
 """
@@ -32,15 +42,6 @@ class RegimeError(ValueError):
     """Exponents outside the regime required by an estimate."""
 
 
-def _radius_power(rho, p):
-    """rho^p of a radius; one whose power overflows is a RegimeError that
-    names it."""
-    try:
-        return rho**p
-    except OverflowError:
-        raise RegimeError(f"radius {rho} is too large: rho^p overflows") from None
-
-
 @dataclass
 class DiagnosticReport:
     estimate_id: str
@@ -50,6 +51,11 @@ class DiagnosticReport:
     implied_constant: float = 0.0
     verdict: str = "inconclusive"
     extras: dict = dc_field(default_factory=dict)  # meta lines, in order
+
+    def add(self, probe, lhs, rhs=1.0):
+        self.probes.append(probe)
+        self.lhs.append(lhs)
+        self.rhs.append(rhs)
 
     def summary_line(self):
         return f"{self.estimate_id},{self.verdict},{self.implied_constant!r}"
@@ -234,53 +240,70 @@ def _verdict(constants):
     return "diverging" if _monotone_exceedance(c) else "inconclusive"
 
 
+def _intrinsic_time(e, u, rho, sigma=1.0):
+    """sigma u^{q+1-p} rho^p, the half-height of an intrinsic cylinder; a
+    radius whose rho^p overflows is a RegimeError that names it."""
+    try:
+        rho_p = rho**e.p
+    except OverflowError:
+        raise RegimeError(f"radius {rho} is too large: rho^p overflows") from None
+    return sigma * u ** (e.q + 1 - e.p) * rho_p
+
+
+def _leaves_domain(x_o, t_o, rho, part="cylinder"):
+    """The refusal of a cylinder, or a `part` of one, with no point inside."""
+    return RegimeError(f"{part} leaves the domain at probe {(x_o, t_o, rho)}")
+
+
+def _cylinders(src, probes, sigma, lattice):
+    """(probe, u_o, xs, ts) of each probe (x_o, t_o, rho): u_o = u(x_o, t_o)
+    and the lattice xs x ts of K_rho(x_o) x (t_o +- sigma u_o^{q+1-p} rho^p),
+    the slice t_o at half-height 0 and the center at lattice 1, checked by the
+    module docstring's rules before the first cylinder is read.  A closed
+    form's `eval` raises DomainError exactly where `valid_lattice` is False,
+    so its u_o read has checked its center."""
+    u_at, cylinders = {}, []
+    for probe in probes:
+        x_o, t_o, rho = probe
+        u_o = u_at.get((x_o, t_o))
+        if u_o is None:
+            u_o = u_at[x_o, t_o] = src.eval(x_o, t_o)
+            if u_o <= 0:
+                raise RegimeError(f"u(x_o,t_o) <= 0 at probe {probe}")
+        xs, ts = [x_o], [t_o]
+        if lattice > 1:
+            half = _intrinsic_time(src.exponents, u_o, rho, sigma)
+            xs = np.linspace(x_o - rho, x_o + rho, lattice)
+            if half > 0:
+                ts = np.linspace(t_o - half, t_o + half, lattice)
+        centered = lattice == 1 and src.kind == "closed_form"
+        if not (centered or src.valid_lattice(xs, ts).any()):
+            raise _leaves_domain(*probe)
+        cylinders.append((probe, u_o, xs, ts))
+    return cylinders
+
+
 def harnack_scan(src, base_points, radii, sigma=0.25, lattice=32):
     """Backward-forward Harnack scan: per probe (z_o, rho), measure
     gamma_emp = max(sup u / u_o, u_o / inf u) over the symmetric intrinsic
-    cylinder K_rho(x_o) x (t_o +- sigma u_o^{q+1-p} rho^p).
+    cylinder K_rho(x_o) x (t_o +- sigma u_o^{q+1-p} rho^p) of `_cylinders`.
 
     sigma = 0 collapses the cylinder to the single time slice t_o (used for
-    the Trudinger closed-form ratio probes).  Every cylinder (a lattice x
-    lattice grid) must have a valid point, which is checked before the first
-    is read.  Verdict by `_verdict` over gamma_emp across all probes/radii."""
+    the Trudinger closed-form ratio probes).  Verdict by `_verdict` over
+    gamma_emp across all probes/radii."""
     if not 0 <= sigma < 1:
         raise ValueError("sigma must be in [0, 1)")
-    e = src.exponents
     radii = list(radii)
-    probes, cylinders = [], []
-    # u_o is read once per base point, at its first probe
-    for x_o, t_o in base_points if radii else ():
-        u_o = src.eval(x_o, t_o)
-        if u_o <= 0:
-            raise RegimeError(f"u(x_o,t_o) <= 0 at probe {(x_o, t_o, radii[0])}")
-        for rho in radii:
-            half = sigma * u_o ** (e.q + 1 - e.p) * _radius_power(rho, e.p)
-            xs = np.linspace(x_o - rho, x_o + rho, lattice)
-            ts = np.linspace(t_o - half, t_o + half, lattice) if half > 0 else [t_o]
-            if not src.valid_lattice(xs, ts).any():
-                raise RegimeError("cylinder lattice has no valid points")
-            probes.append((x_o, t_o, rho))
-            cylinders.append((u_o, xs, ts))
-
-    def one(u_o, xs, ts):
-        (vals,) = src.lattice(("eval",), xs, ts)
-        sup_u, inf_u = float(vals.max()), float(vals.min())
-        if inf_u <= 0:
-            return math.inf, u_o
-        return max(sup_u / u_o, u_o / inf_u), u_o
-
-    results = [one(*cyl) for cyl in cylinders]
-    gammas = [g for g, _ in results]
+    probes = [(x_o, t_o, rho) for x_o, t_o in base_points for rho in radii]
     rep = DiagnosticReport(estimate_id="harnack")
-    for (x_o, t_o, rho), (g, u_o) in zip(probes, results):
-        rep.probes.append(
-            {"x_o": x_o, "t_o": t_o, "rho": rho, "sigma": sigma, "u_o": u_o}
-        )
-        rep.lhs.append(g)
-        rep.rhs.append(1.0)
-    finite = [g for g in gammas if math.isfinite(g)]
-    rep.implied_constant = max(finite) if finite else math.inf
-    rep.verdict = _verdict(gammas)
+    for (x_o, t_o, rho), u_o, xs, ts in _cylinders(src, probes, sigma, lattice):
+        (vals,) = src.lattice(("eval",), xs, ts)
+        inf_u = float(vals.min())
+        g = math.inf if inf_u <= 0 else max(float(vals.max()) / u_o, u_o / inf_u)
+        rep.add({"x_o": x_o, "t_o": t_o, "rho": rho, "sigma": sigma, "u_o": u_o}, g)
+    finite = [g for g in rep.lhs if math.isfinite(g)]
+    rep.implied_constant = max(finite, default=math.inf)
+    rep.verdict = _verdict(rep.lhs)
     return rep
 
 
@@ -305,20 +328,22 @@ def _sup_estimate(src, estimate_id, name, lam_name, lam, average, probe, lattice
     x_o, t_o, rho, s = probe["x_o"], probe["t_o"], probe["rho"], probe["s"]
     xs = np.linspace(x_o - rho / 2, x_o + rho / 2, lattice)
     ts = np.linspace(t_o - s / 2, t_o, lattice)
+    xs2 = np.linspace(x_o - rho, x_o + rho, lattice)
+    ts2 = np.linspace(t_o - s, t_o, lattice)
     if not src.valid_lattice(xs, ts).any(axis=1).all():
-        raise RegimeError("cylinder lattice has no valid points")
+        raise _leaves_domain(x_o, t_o, rho, "a time row of the inner cylinder")
+    ok = src.valid_lattice(xs2, ts2)
+    if not ok.any():
+        raise _leaves_domain(x_o, t_o, rho)
     (vals,) = src.lattice(("eval",), xs, ts)
     sup_u = float(vals.max())
-    xs = np.linspace(x_o - rho, x_o + rho, lattice)
-    ts = np.linspace(t_o - s, t_o, lattice)
-    (vals,) = src.lattice(("eval",), xs, ts)
-    if not vals.size:
-        raise RegimeError("no valid slices in the cylinder")
-    rows = np.split(vals, np.cumsum(src.valid_lattice(xs, ts).sum(axis=1))[:-1])
+    (vals,) = src.lattice(("eval",), xs2, ts2)
+    rows = np.split(vals, np.cumsum(ok.sum(axis=1))[:-1])
     # scalar powers in `average`: numpy's SIMD power differs from libm in
     # the last bit
     mean = average([row.tolist() for row in rows if row.size])
-    rho_p = _radius_power(rho, p)
+    # rho^p, the intrinsic time of level 1: (s/rho^p)^{1/(q+1-p)} is s's level
+    rho_p = _intrinsic_time(e, 1.0, rho)
     try:
         rhs = (rho_p / s) ** (N / lam) * mean ** (p / lam) + (s / rho_p) ** (
             1 / (q + 1 - p)
@@ -329,9 +354,8 @@ def _sup_estimate(src, estimate_id, name, lam_name, lam, average, probe, lattice
         raise RegimeError(
             f"{name} right-hand side overflows at {lam_name} = {lam:.6g}"
         )
-    rep = DiagnosticReport(estimate_id=estimate_id, probes=[probe])
-    rep.lhs.append(sup_u)
-    rep.rhs.append(rhs)
+    rep = DiagnosticReport(estimate_id=estimate_id)
+    rep.add(probe, sup_u, rhs)
     rep.implied_constant = sup_u / rhs
     rep.verdict = _verdict([rep.implied_constant])
     return rep
@@ -368,17 +392,16 @@ def expansion_of_positivity(src, x_o, t_o, rho, M, alpha):
     Both balls take 64 lattice points."""
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    e = src.exponents
     xs = np.linspace(x_o - rho, x_o + rho, 64)
     (vals0,) = src.lattice(("eval",), xs, [t_o])
     if vals0.size == 0:
-        raise RegimeError("initial slice outside the domain")
+        raise _leaves_domain(x_o, t_o, rho)
     frac = float(np.mean(vals0 >= M))
     if frac < alpha:
         raise RegimeError(
             f"measure hypothesis fails: |u >= M| fraction {frac:.3f} < alpha={alpha}"
         )
-    theta = M ** (e.q + 1 - e.p) * _radius_power(rho, e.p)
+    theta = _intrinsic_time(src.exponents, M, rho)
     rep = DiagnosticReport(estimate_id="expansion_of_positivity")
     best_eta = 0.0
     xs2 = np.linspace(x_o - 2 * rho, x_o + 2 * rho, 64)
@@ -390,9 +413,7 @@ def expansion_of_positivity(src, x_o, t_o, rho, M, alpha):
             continue
         (vals,) = src.lattice(("eval",), xs2, ts)
         eta = float(vals.min()) / M
-        rep.probes.append({"delta": delta, "t_lo": t_lo, "t_hi": t_hi})
-        rep.lhs.append(eta)
-        rep.rhs.append(1.0)
+        rep.add({"delta": delta, "t_lo": t_lo, "t_hi": t_hi}, eta)
         best_eta = max(best_eta, eta)
     rep.implied_constant = best_eta
     rep.verdict = "bounded" if best_eta > 0 else "inconclusive"
@@ -523,38 +544,16 @@ def gradient_bound(src, probes, lattice=32):
     probe, with Q_o the symmetric intrinsic cylinder.  lattice=1 degenerates
     the cylinder to its center point (used by the closed-form ratio presets).
     Verdict by `_verdict` over K_emp."""
-    e = src.exponents
-    u_at = {}  # u_o of each base point (x_o, t_o), read at its first probe
-
-    def one(probe):
-        x_o, t_o, rho = probe
-        u_o = u_at.get((x_o, t_o))
-        if u_o is None:
-            u_o = u_at[x_o, t_o] = src.eval(x_o, t_o)
-            if u_o <= 0:
-                raise RegimeError(f"u(x_o,t_o) <= 0 at probe {probe}")
+    rep = DiagnosticReport(estimate_id="gradient_bound")
+    for (x_o, t_o, rho), u_o, xs, ts in _cylinders(src, probes, 1.0, lattice):
         if lattice == 1:
             sup_du = src.grad_norm(x_o, t_o)
         else:
-            half = u_o ** (e.q + 1 - e.p) * _radius_power(rho, e.p)
-            xs = np.linspace(x_o - rho, x_o + rho, lattice)
-            ts = np.linspace(t_o - half, t_o + half, lattice)
             (grads,) = src.lattice(("grad_norm",), xs, ts)
-            if not grads.size:
-                raise RegimeError(f"cylinder leaves the domain at probe {probe}")
             sup_du = float(grads.max())
-        return sup_du * rho / u_o, u_o
-
-    probes = list(probes)
-    results = [one(probe) for probe in probes]
-    ks = [k for k, _ in results]
-    rep = DiagnosticReport(estimate_id="gradient_bound")
-    for (x_o, t_o, rho), (k, u_o) in zip(probes, results):
-        rep.probes.append({"x_o": x_o, "t_o": t_o, "rho": rho, "u_o": u_o})
-        rep.lhs.append(k)
-        rep.rhs.append(1.0)
-    rep.implied_constant = max(ks)
-    rep.verdict = _verdict(ks)
+        rep.add({"x_o": x_o, "t_o": t_o, "rho": rho, "u_o": u_o}, sup_du * rho / u_o)
+    rep.implied_constant = max(rep.lhs)
+    rep.verdict = _verdict(rep.lhs)
     return rep
 
 
@@ -569,28 +568,20 @@ def holder_fit(src, x_o, t_o, radii, lattice=16):
     radii = list(radii)
     if len(radii) < 4:
         raise ValueError("need at least 4 radii for the fit")
-    e = src.exponents
-    u_o = src.eval(x_o, t_o)
-    if u_o <= 0:
-        raise RegimeError("u(x_o, t_o) must be positive")
-    oscs, lips = [], []
+    cylinders = _cylinders(src, [(x_o, t_o, rho) for rho in radii], 1.0, lattice)
+    # both x-edges inside at t_o, or part of every row would drop out
     for rho in radii:
-        half = u_o ** (e.q + 1 - e.p) * _radius_power(rho, e.p)
-        xs = np.linspace(x_o - rho, x_o + rho, lattice)
-        ts = np.linspace(t_o - half, t_o + half, lattice)
-        grads, us = src.lattice(("grad_norm", "eval"), xs, ts)
-        # both x-edges must lie in the domain at t_o, or part of every row
-        # would drop out; rows before the first time may still drop out
-        if not (grads.size and np.all(src.valid(xs[[0, -1]], t_o))):
+        if not np.all(src.valid([x_o - rho, x_o + rho], t_o)):
             raise RegimeError(f"cylinder of radius {rho} leaves the domain")
+    oscs, lips = [], []
+    for (_, _, rho), _, xs, ts in cylinders:
+        grads, us = src.lattice(("grad_norm", "eval"), xs, ts)
         oscs.append(float(grads.max() - grads.min()))
         lips.append(float(us.max() - us.min()) / rho)
     oscs = np.asarray(oscs)
     rep = DiagnosticReport(estimate_id="holder_fit")
     for rho, osc in zip(radii, oscs):
-        rep.probes.append({"rho": rho})
-        rep.lhs.append(float(osc))
-        rep.rhs.append(1.0)
+        rep.add({"rho": rho}, float(osc))
     if np.all(oscs < 1e-12):
         alpha = slope = math.inf
         r2 = 1.0

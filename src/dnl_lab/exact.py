@@ -342,27 +342,31 @@ class CriticalHarnackWave(ClosedFormSolution):
         self.kappa = N * (q + 1) / (q * (N - 1))
         self.gamma = (N - 1) / (q + 1)
 
+    def _ebt(self, t):
+        """e^{bt}; inf where it overflows, where u, Du and u_t take 0, their limit."""
+        with np.errstate(over="ignore"):
+            return np.exp(self.b * np.asarray(t, float))
+
     def u_rt(self, r, t):
         r = np.asarray(r, float)
-        t = np.asarray(t, float)
-        return (r**self.kappa + np.exp(self.b * t)) ** (-self.gamma)
+        return (r**self.kappa + self._ebt(t)) ** (-self.gamma)
 
     def _u_grid(self, r, ts):
-        ebt = np.exp(self.b * np.asarray(ts, float))
-        return _pow_each(r**self.kappa + ebt[:, None], -self.gamma)
+        return _pow_each(r**self.kappa + self._ebt(ts)[:, None], -self.gamma)
 
     def ur_rt(self, r, t):
         r = np.asarray(r, float)
-        base = r**self.kappa + np.exp(self.b * np.asarray(t, float))
+        base = r**self.kappa + self._ebt(t)
         return -self.gamma * self.kappa * r ** (self.kappa - 1) * base ** (
             -self.gamma - 1
         )
 
     def ut_rt(self, r, t):
-        r = np.asarray(r, float)
-        ebt = np.exp(self.b * np.asarray(t, float))
-        base = r**self.kappa + ebt
-        return -self.gamma * self.b * ebt * base ** (-self.gamma - 1)
+        ebt = self._ebt(t)
+        base = np.asarray(r, float) ** self.kappa + ebt
+        with np.errstate(invalid="ignore"):  # inf * 0 where e^{bt} overflows
+            ut = -self.gamma * self.b * ebt * base ** (-self.gamma - 1)
+        return np.where(ebt == np.inf, 0.0, ut)
 
 
 class BoundednessBorderline(ClosedFormSolution):

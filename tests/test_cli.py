@@ -463,9 +463,14 @@ class TestRun:
                  "requires a and T finite and > 0")
                 for a in ("0", "-1")
             ],
-            (["solve", "--preset", "solver-supercritical-run",
-              "--boundary", "dirichlet"],
-             "dirichlet boundary requires boundary_values"),
+            # rows whose message was reworded keep their pytest ids, which
+            # name the message they had before
+            pytest.param(
+                ["solve", "--preset", "solver-supercritical-run",
+                 "--boundary", "dirichlet"],
+                "bad value for [solver] boundary: must be one of zero_dirichlet",
+                id="argv18-dirichlet boundary requires boundary_values",
+            ),
             *[
                 (["expand", "--preset", "expansion-positivity", "--alpha", alpha],
                  "bad value for [probes] alpha: alpha must be in (0, 1]")
@@ -496,20 +501,27 @@ class TestRun:
               "--t_o", "0.5", "--radii", "4"],
              "u(x_o,t_o) <= 0 at probe (1e+200, 0.5, 4.0)"),
             *[
-                ([sub, "--preset", name, "--x_o", "0", "--rho", "1.5",
-                  "--lattice", "2"], "no valid slices in the cylinder")
-                for sub, name in [
-                    ("integral-harnack", "integral-harnack-supercritical"),
-                    ("supbound", "supbound-fast-diffusion"),
+                pytest.param(
+                    [sub, "--preset", name, "--x_o", "0", "--rho", "1.5",
+                     "--lattice", "2"],
+                    "cylinder leaves the domain at probe (0.0, 0.03, 1.5)",
+                    id=f"argv{i}-no valid slices in the cylinder",
+                )
+                for i, sub, name in [
+                    (32, "integral-harnack", "integral-harnack-supercritical"),
+                    (33, "supbound", "supbound-fast-diffusion"),
                 ]
             ],
             (["gradbound", "--family.id", "ivanov_subsolution", "--x_o", "0.5",
               "--t_o", "0", "--radii", "0.46", "--lattice", "2"],
              "cylinder leaves the domain at probe (0.5, 0.0, 0.46)"),
-            (["holder", "--family.id", "supercritical_extinction", "--family.p", "2",
-              "--family.q", "3", "--family.N", "40", "--x_o", "1", "--t_o", "1.5",
-              "--radii", "1,2,3,4"],
-             "u(x_o, t_o) must be positive"),
+            pytest.param(
+                ["holder", "--family.id", "supercritical_extinction",
+                 "--family.p", "2", "--family.q", "3", "--family.N", "40",
+                 "--x_o", "1", "--t_o", "1.5", "--radii", "1,2,3,4"],
+                "u(x_o,t_o) <= 0 at probe (1.0, 1.5, 1.0)",
+                id="argv35-u(x_o, t_o) must be positive",
+            ),
             # the family constructors' guards
             *[
                 (["harnack", "--x_o", "1", "--t_o", "0", "--radii", "1",
@@ -538,6 +550,14 @@ class TestRun:
             (["holder", "--preset", "holder-supercritical",
               "--radii", "0.01,0.02,0.03,1e200"],
              "radius 1e+200 is too large: rho^p overflows"),
+            # the critical wave's arbitration, refused for any other family
+            (["exact-residual", "--family.id", "supercritical_extinction",
+              "--p", "2", "--q", "3", "--N", "4", "--T", "1", "--derive_b", "true"],
+             "derive_b is for critical_harnack_wave, not "
+             "supercritical_extinction"),
+            (["solve", "--preset", "solver-supercritical-run",
+              "--boundary", "from_exact"],
+             "bad value for [solver] boundary: must be one of zero_dirichlet"),
         ],
     )
     def test_bad_probe_exits_1(self, capsys, argv, message):
@@ -1063,6 +1083,9 @@ def test_family_without_its_parameters_exits_cleanly(capsys, fid):
         (["solve", "--preset", "solver-supercritical-run", "--floor_eps", "1e300"],
          1, "error: u^q or the flux |Du|^(p-2) Du overflows at u = 1e+300 "
          "(initial data or floor_eps), |Du| = 1.57078, q = 2, p = 2\n"),
+        # b = (N/q)^p = 1444 at N = 40: e^{bt} overflows, where u = 0
+        (["exact-residual", "--preset", "critical-b-arbitration", "--N", "40"], 0,
+         "critical_b,1444"),
     ],
 )
 def test_branch_exit_code(capsys, argv, code, line):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -405,15 +406,27 @@ def test_scan_steps_only_to_its_last_read(monkeypatch, capsys, sub, name, steps)
     assert len(calls) == steps
 
 
-def test_scan_fails_before_reading_its_cylinders(monkeypatch, capsys):
-    """A Harnack scan whose rho = 4 cylinders miss [t_start, t_end] exits 1
-    after the 100 steps of its u(x_o, t_o) reads, before any cylinder read
-    steps to the later rows that the rho <= 2 cylinders reach."""
-    calls = _count_steps(monkeypatch)
-    argv = ["harnack", "--preset", "thm-harnack-supercritical", "--radii", "0.5,1,2,4"]
-    assert cli.run(argv) == 1
-    assert capsys.readouterr().err == f"error: {_NO_POINTS}\n"
-    assert len(calls) == 100
+def test_scan_fails_before_reading_its_cylinders(monkeypatch, capsys, tmp_path):
+    """A symmetric-cylinder scan on the 200-step run, with one cylinder whose
+    time rows all miss [t_start, t_end], exits 1 with the shared refusal
+    after the 100 steps of its u(x_o, t_o) reads (t_o = 0.02), before any
+    cylinder read steps to the later rows that the others reach."""
+    run = tmp_path / "run.cfg"
+    run.write_text(cli._SUPERCRITICAL_RUN)
+    rows = [
+        (["harnack", "--preset", "thm-harnack-supercritical",
+          "--radii", "0.5,1,2,4"], (0.2, 0.02, 2.0)),
+        (["gradbound", "--config", str(run), "--x_o", "0.2", "--t_o", "0.02",
+          "--radii", "0.01,0.02,1", "--lattice", "4"], (0.2, 0.02, 1.0)),
+        (["holder", "--preset", "holder-supercritical",
+          "--radii", "0.01,0.02,0.04,1"], (0.4, 0.02, 1.0)),
+    ]
+    for argv, probe in rows:
+        calls = _count_steps(monkeypatch)
+        assert cli.run(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cylinder leaves the domain at probe {probe}\n"
+        assert len(calls) == 100
 
 
 def _count_steps(monkeypatch):
@@ -478,45 +491,79 @@ with open(_EXPECTED) as f:
 
 
 @pytest.mark.parametrize("op", sorted(_BENCH_OPS))
-def test_diagnostic_preset_bytes(op, tmp_path):
+def test_diagnostic_preset_bytes(op, tmp_path, monkeypatch):
     """Every benchmark operation, diagnostic or not, reproduces its recorded
-    exit code and output bytes."""
+    exit code and output bytes, and no lattice mask that it builds drops a
+    point."""
+    masks = []
+    real = SolutionSource.valid_lattice
+
+    def recorded(self, xs, ts):
+        masks.append(real(self, xs, ts))
+        return masks[-1]
+
+    monkeypatch.setattr(SolutionSource, "valid_lattice", recorded)
     rec = _BENCH_OPS[op]
     prefix = tmp_path / "op"
     assert cli.run(rec["argv"] + ["--out", str(prefix)]) == rec["exit"]
     for suffix in ("csv", "meta"):
         data = (tmp_path / f"op.{suffix}").read_bytes()
         assert hashlib.sha256(data).hexdigest() == rec[f"{suffix}_sha256"]
+    assert all(mask.all() for mask in masks)
 
 
-_NO_POINTS = "cylinder lattice has no valid points"
+_INNER_ROW = "a time row of the inner cylinder leaves the domain at probe"
+_OUTSIDE = "cylinder leaves the domain at probe"
 
 
+# each row keeps its pytest id, which names the message it had before the
+# scans shared one refusal
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["integral-harnack", "--preset", "integral-harnack-supercritical",
-          "--t_o", "0.001"], _NO_POINTS),
-        (["integral-harnack", "--preset", "integral-harnack-supercritical",
-          "--t_o", "0.001", "--s", "1"], _NO_POINTS),
-        (["supbound", "--preset", "supbound-fast-diffusion", "--t_o", "0.001"],
-         _NO_POINTS),
-        (["supbound", "--preset", "supbound-fast-diffusion", "--t_o", "0.001",
-          "--x_o", "1.5"], _NO_POINTS),
-        (["harnack", "--preset", "thm-harnack-supercritical",
-          "--radii", "0.5,1,2,4"], _NO_POINTS),
-        (["expand", "--preset", "expansion-positivity", "--x_o", "1.2"],
-         "initial slice outside the domain"),
-        (["holder", "--preset", "holder-supercritical", "--t_o", "1.0"],
-         "cylinder of radius 0.01 leaves the domain"),
+        pytest.param(
+            ["integral-harnack", "--preset", "integral-harnack-supercritical",
+             "--t_o", "0.001"], f"{_INNER_ROW} (0.5, 0.001, 0.3)",
+            id="argv0-cylinder lattice has no valid points",
+        ),
+        pytest.param(
+            ["integral-harnack", "--preset", "integral-harnack-supercritical",
+             "--t_o", "0.001", "--s", "1"], f"{_INNER_ROW} (0.5, 0.001, 0.3)",
+            id="argv1-cylinder lattice has no valid points",
+        ),
+        pytest.param(
+            ["supbound", "--preset", "supbound-fast-diffusion", "--t_o", "0.001"],
+            f"{_INNER_ROW} (0.5, 0.001, 0.3)",
+            id="argv2-cylinder lattice has no valid points",
+        ),
+        pytest.param(
+            ["supbound", "--preset", "supbound-fast-diffusion", "--t_o", "0.001",
+             "--x_o", "1.5"], f"{_INNER_ROW} (1.5, 0.001, 0.3)",
+            id="argv3-cylinder lattice has no valid points",
+        ),
+        pytest.param(
+            ["harnack", "--preset", "thm-harnack-supercritical",
+             "--radii", "0.5,1,2,4"], f"{_OUTSIDE} (0.2, 0.02, 2.0)",
+            id="argv4-cylinder lattice has no valid points",
+        ),
+        pytest.param(
+            ["expand", "--preset", "expansion-positivity", "--x_o", "1.2"],
+            f"{_OUTSIDE} (1.2, 0.005, 0.1)",
+            id="argv5-initial slice outside the domain",
+        ),
+        pytest.param(
+            ["holder", "--preset", "holder-supercritical", "--t_o", "1.0"],
+            f"{_OUTSIDE} (0.4, 1.0, 0.01)",
+            id="argv6-cylinder of radius 0.01 leaves the domain",
+        ),
     ],
 )
 def test_edge_scan_exits_1(argv, message, capsys):
     """Lattices that leave the run: Q_{rho/2,s/2} of the integral Harnack
     and sup bounds with time rows before t_start (and, at x_o = 1.5, every
-    point past the domain), a Harnack cylinder (rho = 4) whose time rows all
-    miss [t_start, t_end], an initial slice past the domain, and a Hoelder
-    cylinder of gradients and values whose time rows all lie past t_end."""
+    point past the domain), a Harnack cylinder (rho = 2 at x_o = 0.2) whose
+    time rows all miss [t_start, t_end], an initial slice past the domain,
+    and a Hoelder cylinder whose time rows all lie past t_end."""
     assert cli.run(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -800,6 +847,15 @@ class TestGradientBound:
         probes = [(0.0, 1e-3, 0.1), (0.0, 1e-3, 0.2)]
         with pytest.raises(RegimeError, match=r"at probe \(0\.0, 0\.001, 0\.1\)$"):
             gradient_bound(src, probes, lattice=1)
+
+    @pytest.mark.parametrize("x_o, t_o", [(5.0, 0.05), (0.0, 3.0)])
+    def test_center_outside_the_run_is_refused(self, const_traj, x_o, t_o):
+        """A lattice-1 cylinder is its center: on a run, one past the domain
+        or past t_end is refused, not read at the clamped edge (K = 0.0)."""
+        src = SolutionSource(const_traj)
+        message = f"cylinder leaves the domain at probe {(x_o, t_o, 0.5)}"
+        with pytest.raises(RegimeError, match=f"^{re.escape(message)}$"):
+            gradient_bound(src, [(x_o, t_o, 0.5)], lattice=1)
 
     @pytest.mark.parametrize("lattice", [1, 8])
     def test_u_o_read_once_per_base_point(self, monkeypatch, lattice):
