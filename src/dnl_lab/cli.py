@@ -160,8 +160,7 @@ SCHEMA = {
         "x_lo": _FINITE, "x_hi": _FINITE, "n_cells": _scalar(int), "geometry": _TEXT
     },
     "solver": {
-        **dict.fromkeys(("t_end", "t_start", "floor_eps"), _FINITE),
-        "initial_scale": _FINITE,
+        **dict.fromkeys(("t_end", "t_start", "initial_scale"), _FINITE),
         "dt": _POSITIVE, "newton_tol": _POSITIVE,
         "boundary": _one_of({"zero_dirichlet"}),
         "initial": _PROFILE,
@@ -409,17 +408,17 @@ def build_problem(cfg):
         _get(cfg, "solver", "t_end"),
         **_given(cfg, "solver", "boundary", "t_start"),
     )
-    sc = SolverConfig(**_given(cfg, "solver", "dt", "newton_tol", "floor_eps"))
+    sc = SolverConfig(**_given(cfg, "solver", "dt", "newton_tol"))
     return pr, sc
 
 
 def solvable(pr, sc):
-    """(pr, sc), checked before any step: u^q of the initial data and the
-    floor, and the flux at the data's steepest inner face, must not
-    overflow, where the solver would warn at every step before the run
-    fails.  Python's ** raises OverflowError where numpy warns."""
+    """(pr, sc), checked before any step: u^q of the initial data, and the
+    flux at the data's steepest inner face, must not overflow, where the
+    solver would warn at every step before the run fails.  Python's **
+    raises OverflowError where numpy warns."""
     e, u0 = pr.exponents, pr.initial
-    u_top = max(float(u0.max()), sc.floor_eps)
+    u_top = float(u0.max())
     g_top = float(np.abs(np.diff(u0)).max() / pr.grid.h)
     try:
         tops = u_top**e.q, (pr.mu**2 + g_top**2) ** ((e.p - 2) / 2) * g_top
@@ -428,7 +427,7 @@ def solvable(pr, sc):
     if math.inf in tops:
         raise ValueError(
             f"u^q or the flux |Du|^(p-2) Du overflows at u = {u_top:g} (initial"
-            f" data or floor_eps), |Du| = {g_top:g}, q = {e.q:g}, p = {e.p:g}"
+            f" data), |Du| = {g_top:g}, q = {e.q:g}, p = {e.p:g}"
         )
     return pr, sc
 

@@ -242,12 +242,19 @@ def _verdict(constants):
 
 def _intrinsic_time(e, u, rho, sigma=1.0):
     """sigma u^{q+1-p} rho^p, the half-height of an intrinsic cylinder; a
-    radius whose rho^p overflows is a RegimeError that names it."""
+    radius whose rho^p overflows, and a half-height that overflows, are
+    RegimeErrors that name them."""
     try:
         rho_p = rho**e.p
     except OverflowError:
         raise RegimeError(f"radius {rho} is too large: rho^p overflows") from None
-    return sigma * u ** (e.q + 1 - e.p) * rho_p
+    try:
+        half = sigma * u ** (e.q + 1 - e.p) * rho_p
+    except OverflowError:
+        half = math.inf
+    if half == math.inf:
+        raise RegimeError(f"cylinder half-height overflows at u = {u:g}, radius {rho}")
+    return half
 
 
 def _leaves_domain(x_o, t_o, rho, part="cylinder"):

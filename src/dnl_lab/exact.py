@@ -648,6 +648,8 @@ class IvanovSubsolution(ClosedFormSolution):
             raise ValueError("requires 1+q >= Np/(N-p)")
         if not 0 < r0 < 1:
             raise ValueError("requires r0 in (0, 1)")
+        if not rmin < r0:
+            raise ValueError("requires rmin < r0")
         exps = ExponentTriple(p=p, q=q, n_dim=n_dim)
         self.r0 = r0
         self.rmin = rmin
@@ -740,8 +742,13 @@ class SpecialLogProfile(_SelfSimilar):
         self.C = C
         self.T = T
         self.c_log = (n_dim + 1) / (n_dim * (n_dim - 1))
-        self.r_max = math.exp(C / self.c_log)
+        try:
+            self.r_max = math.exp(C / self.c_log)
+        except OverflowError:
+            self.r_max = math.inf
         self.r_anchor = math.sqrt(self.r_max)
+        if not (self.r_max < math.inf and 0.96 * self.r_anchor > 1e-6):
+            raise ValueError("requires r_max finite and 0.96 sqrt(r_max) > 1e-6")
         self._build_table(np.logspace(-6, math.log10(0.96 * self.r_anchor), 2048))
 
     def neg_fprime(self, r):

@@ -101,15 +101,12 @@ class SolverConfig:
     dt: float = 1e-3
     newton_tol: float = 1e-10
     max_newton: int = 40
-    floor_eps: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
             raise ValueError("dt must be finite and > 0")
         if not 0 < self.newton_tol < math.inf:
             raise ValueError("newton_tol must be finite and > 0")
-        if not 0 <= self.floor_eps < math.inf:
-            raise ValueError("floor_eps must be finite and >= 0")
 
 
 _dgtsv = _ddot = None  # LAPACK dgtsv and BLAS ddot, bound by the first solve
@@ -284,13 +281,13 @@ class _Discretization:
     (m q) V then equals m (q V) for every m = max(u, eps)^(q-1), because
     m q is exact unless it overflows, and for q <= 2^7 it overflows only
     where u^q does, whose residual makes the solve raise.
-    With a zero Dirichlet boundary and no floor, the state a step accepts
-    is the start of the next step (see `step`).  Every floating-point
-    operation keeps the order of the plain formulas in the comments, so the
-    bits are those of a step that allocates every temporary, but for the
-    sign of an exact zero of F (see `residual`).  Calls take `out`
-    positionally (but `np.maximum`, where that is deprecated) and scalars
-    as 0-d arrays, which numpy dispatches fastest."""
+    With a zero Dirichlet boundary, the state a step accepts is the start
+    of the next step (see `step`).  Every floating-point operation keeps
+    the order of the plain formulas in the comments, so the bits are those
+    of a step that allocates every temporary, but for the sign of an exact
+    zero of F (see `residual`).  Calls take `out` positionally (but
+    `np.maximum`, where that is deprecated) and scalars as 0-d arrays,
+    which numpy dispatches fastest."""
 
     def __init__(self, problem):
         self.pr = problem
@@ -301,7 +298,7 @@ class _Discretization:
         self.q = q = problem.exponents.q
         self.q0 = np.array(q)
         self.zero = np.array(0.0)
-        # beta'(u)'s regularization, whatever the floor
+        # beta'(u)'s regularization
         self.eps = np.array(1e-12)
         self.mu = problem.mu
         self.vol = g.cell_volumes()
@@ -343,8 +340,8 @@ class _Discretization:
         self.b_prev = np.empty(n)
         # zero Dirichlet ghosts do not move with t: the state a step accepts
         # may start the next one (see `step`), which `returned` keys; `idle`
-        # holds the (dt, newton_tol, floor_eps) and residual of a returned
-        # step that took no iteration
+        # holds the (dt, newton_tol) and residual of a returned step that
+        # took no iteration
         self.zero_dirichlet = problem.boundary == "zero_dirichlet"
         self.returned = None
         self.idle = None
@@ -460,15 +457,15 @@ def step(problem, u_prev, t, dt, config, disc=None):
 
     The first residual is F(u_prev) = (flux difference) - (beta(u_prev) -
     beta(u_prev)) V/dt = (flux difference) - 0.  With a zero Dirichlet
-    boundary, whose ghosts do not move with t, and no floor, a step returns
-    the bits of the iterate it accepted, so when `u_prev` is the very array
-    the workspace's last step returned, with the same bytes, that step's
-    flux difference, face gradients and phi base start this one, and its
+    boundary, whose ghosts do not move with t, a step returns the bits of
+    the iterate it accepted, so when `u_prev` is the very array the
+    workspace's last step returned, with the same bytes, that step's flux
+    difference, face gradients and phi base start this one, and its
     beta(u) is this step's beta(u_prev): a step that iterated swaps its
     accepted trial's beta(u) into `b_prev`, and one that did not leaves
     beta(u_prev), which is beta of its return, there.  If that step took
-    no iteration, this one, at the same dt, tolerance and no floor, has
-    its residual and tolerance and takes none either: it returns at once.
+    no iteration, this one, at the same dt and tolerance, has its residual
+    and tolerance and takes none either: it returns at once.
     Raises StepFailure, which names t and the residual as a multiple of its
     tolerance."""
     if not 0 < dt < math.inf:
@@ -481,11 +478,11 @@ def step(problem, u_prev, t, dt, config, disc=None):
     carried = disc.returned is u_prev and cur.u.tobytes() == u_prev.tobytes()
     disc.returned = None
     idle, disc.idle = disc.idle, None
-    key = (dt, config.newton_tol, config.floor_eps)
+    key = (dt, config.newton_tol)
     if carried and idle is not None and idle[0] == key:
         u = np.maximum(cur.u, 0.0)
         disc.returned, disc.idle = u, idle
-        return u, {"iters": 0, "residual": idle[1], "clipped": 0.0}
+        return u, {"iters": 0, "residual": idle[1]}
     if not carried and (u_prev < 0).any():
         raise ValueError("u_prev must be non-negative")
     t_new = t + dt
@@ -535,18 +532,14 @@ def step(problem, u_prev, t, dt, config, disc=None):
     disc.states = cur, spare
     if not norm <= tol * 100:  # a NaN residual fails too
         raise StepFailure("nonlinear iteration did not converge", t_new, norm, tol)
-    # maximum(x, 0) is what np.clip(x, 0.0, None) calls: the same bits; with
-    # no floor every entry of floor_eps - u is <= 0, so the sum is 0.0
-    floor = config.floor_eps
-    clipped = float(np.maximum(floor - cur.u, 0.0).sum()) if floor else 0.0
-    u = np.maximum(cur.u, floor)
-    if disc.zero_dirichlet and not floor:
+    u = np.maximum(cur.u, 0.0)
+    if disc.zero_dirichlet:
         disc.returned = u
         if iters and q != 1:  # the next step's beta(u_prev), if carried
             disc.b_prev, cur.beta = cur.beta, disc.b_prev
         if not iters and norm <= tol:
             disc.idle = key, norm
-    return u, {"iters": iters, "residual": norm, "clipped": clipped}
+    return u, {"iters": iters, "residual": norm}
 
 
 def time_grid(problem, config):
@@ -577,9 +570,8 @@ class Trajectory:
     `row(i)` runs implicit steps from `problem.initial` until the field at
     `times[i]`, splitting a step that fails (`_advance`).  `fields`,
     `newton_iters` and `residual_norms` hold one entry per stored row so far
-    (0 and 0.0 for the initial row), and `clipped_mass` sums over the steps
-    taken.  The readers below take rows with `row`, so they step a
-    trajectory that is not yet solved."""
+    (0 and 0.0 for the initial row).  The readers below take rows with
+    `row`, so they step a trajectory that is not yet solved."""
 
     def __init__(self, problem, config):
         self.problem = problem
@@ -588,7 +580,6 @@ class Trajectory:
         self.fields = [problem.initial.copy()]
         self.newton_iters = [0]
         self.residual_norms = [0.0]
-        self.clipped_mass = 0.0
         self._disc = _Discretization(problem)
         self._failure = None  # the StepFailure that ended the stepping
 
@@ -605,37 +596,30 @@ class Trajectory:
             k = len(fields) - 1
             u, t, dt = fields[k], times[k], dts[k]
             try:
-                try:
-                    # step returns a new array and never writes to u_prev
-                    u, info = step(self.problem, u, t, dt, self.config, disc=self._disc)
-                except StepFailure:
-                    u, info = self._advance(u, t, dt)
+                u, info = self._advance(u, t, dt)
             except StepFailure as exc:
                 self._failure = exc.at_step(k + 1, len(dts))
                 raise self._failure from exc
             fields.append(u)
             self.newton_iters.append(info["iters"])
             self.residual_norms.append(info["residual"])
-            self.clipped_mass += info["clipped"]
         return fields[i]
 
     def _advance(self, u, t, dt, splits=7):
-        """Two `step`s by dt/2 in place of a step from u at t by dt that
-        raised StepFailure, each split again by `_advance` where it fails,
-        down to dt/2^splits; their info sums iterations and clipped mass
-        and keeps the larger residual."""
-        half, infos = dt / 2, []
-        for t0 in (t, t + half):
-            try:
-                u, info = step(self.problem, u, t0, half, self.config, disc=self._disc)
-            except StepFailure:
-                if splits == 1:
-                    raise
-                u, info = self._advance(u, t0, half, splits - 1)
-            infos.append(info)
-        a, b = infos
-        info = {key: a[key] + b[key] for key in ("iters", "clipped")}
-        return u, {**info, "residual": max(a["residual"], b["residual"])}
+        """A `step` from u at t by dt, or, where it raises StepFailure, two
+        `_advance`s by dt/2 in its place, down to steps of dt/2^splits; the
+        info of a split step sums the iterations and keeps the larger
+        residual.  `step` returns a new array and never writes to u."""
+        try:
+            return step(self.problem, u, t, dt, self.config, disc=self._disc)
+        except StepFailure:
+            if not splits:
+                raise
+        half = dt / 2
+        u, a = self._advance(u, t, half, splits - 1)
+        u, b = self._advance(u, t + half, half, splits - 1)
+        residual = max(a["residual"], b["residual"])
+        return u, {"iters": a["iters"] + b["iters"], "residual": residual}
 
 
 def solve(problem, config):

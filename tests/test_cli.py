@@ -362,11 +362,11 @@ class TestRun:
     @pytest.mark.parametrize("geometry", [
         [], ["--geometry", "cartesian", "--x_lo", "-1", "--x_hi", "1"],
     ])
-    def test_floor_leaves_beta_prime_alone(self, capsys, tmp_path, geometry):
-        # beta' is regularized at 1e-12 whatever the floor: with a floor of
-        # 1e-6, q < 1 data that vanish converge as they do with no floor
+    def test_vanishing_data_below_q_one_converge(self, capsys, tmp_path, geometry):
+        # q < 1 data that vanish converge, with no warning, where beta' is
+        # regularized at 1e-12
         argv = ["solve", "--preset", "solver-supercritical-run", "--p", "2",
-                "--q", "0.5", "--initial", "steep_bump", "--floor_eps", "1e-6",
+                "--q", "0.5", "--initial", "steep_bump",
                 "--out", str(tmp_path / "run"), *geometry]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -558,6 +558,35 @@ class TestRun:
             (["solve", "--preset", "solver-supercritical-run",
               "--boundary", "from_exact"],
              "bad value for [solver] boundary: must be one of zero_dirichlet"),
+            # a cylinder whose half-height's u power overflows (u_o = 8e159)
+            *[
+                ([sub, "--family.id", "separable_blowup", "--N", "5", "--p", "2",
+                  "--q", "3", "--x_o", "1e-160", "--t_o", "0.5",
+                  "--radii", "1,2,3,4", *lattice],
+                 "cylinder half-height overflows at u = 8.16501e+159, radius 1.0")
+                for sub, lattice in [
+                    ("harnack", []), ("gradbound", ["--lattice", "4"]), ("holder", []),
+                ]
+            ],
+            # more of the family constructors' guards, after the rows above so
+            # that those keep their ids
+            *[
+                (["exact-residual", "--family.id", fid, *keys], message)
+                for fid, keys, message in [
+                    *[
+                        ("special_log_profile", keys,
+                         "requires r_max finite and 0.96 sqrt(r_max) > 1e-6")
+                        for keys in (
+                            ["--family.C", "1e300"], ["--family.N", "1000"],
+                            ["--family.C", "-50"],
+                        )
+                    ],
+                    ("ivanov_subsolution", ["--family.r0", "0.01"],
+                     "requires rmin < r0"),
+                    ("ivanov_subsolution", ["--family.r0", "1e-300"],
+                     "requires rmin < r0"),
+                ]
+            ],
         ],
     )
     def test_bad_probe_exits_1(self, capsys, argv, message):
@@ -948,7 +977,6 @@ def test_every_preset_key_fuzzed(capfd, name):
     "name, section, key",
     [
         ("solver-supercritical-run", "solver", "t_start"),
-        ("solver-supercritical-run", "solver", "floor_eps"),
         ("solver-supercritical-run", "solver", "initial_scale"),
         ("solver-supercritical-run", "solver", "newton_tol"),
         ("residual-trudinger-gaussian", "residual", "h_sequence"),
@@ -969,6 +997,7 @@ def test_non_preset_key_fuzzed(capfd, name, section, key):
     + [
         ("expansion-positivity", "probes", "delta_scan"),
         ("solver-supercritical-run", "solver", "max_newton"),
+        ("solver-supercritical-run", "solver", "floor_eps"),
     ]
     + [
         ("model-classic-gas", "model", key)
@@ -977,12 +1006,17 @@ def test_non_preset_key_fuzzed(capfd, name, section, key):
 )
 def test_removed_key_is_unknown(capsys, tmp_path, name, section, key):
     """A key that the schema no longer has exits 1 with one `error:` line,
-    given on the command line or in a config file."""
+    given on the command line, bare or with its section, or in a config
+    file."""
     sub = PRESETS[name][0]
     assert run([sub, "--preset", name, f"--{section}.{key}", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: unknown config key {section}.{key}\n"
+    assert run([sub, "--preset", name, f"--{key}", "1e-6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown config key {key!r}\n"
     cfgfile = tmp_path / "removed.cfg"
     cfgfile.write_text(f"[{section}]\n{key} = 1\n")
     assert run([sub, "--preset", name, "--config", str(cfgfile)]) == 1
@@ -1075,14 +1109,15 @@ def test_family_without_its_parameters_exits_cleanly(capsys, fid):
          "error: t_end - t_start is 4e+298 steps of dt: over 10^6\n"),
         (["solve", "--preset", "solver-supercritical-run", "--t_end", "1e300"], 1,
          "error: t_end - t_start is 5e+303 steps of dt: over 10^6\n"),
-        # the flux factor's power and beta(floor) overflow: refused before
-        # any step, which would warn
+        # the flux factor's power and beta(u0) overflow: refused before any
+        # step, which would warn
         (["solve", "--preset", "solver-supercritical-run", "--p", "1e200"], 1,
          "error: u^q or the flux |Du|^(p-2) Du overflows at u = 0.999985 "
-         "(initial data or floor_eps), |Du| = 1.57078, q = 2, p = 1e+200\n"),
-        (["solve", "--preset", "solver-supercritical-run", "--floor_eps", "1e300"],
-         1, "error: u^q or the flux |Du|^(p-2) Du overflows at u = 1e+300 "
-         "(initial data or floor_eps), |Du| = 1.57078, q = 2, p = 2\n"),
+         "(initial data), |Du| = 1.57078, q = 2, p = 1e+200\n"),
+        (["solve", "--preset", "solver-supercritical-run", "--q", "400",
+          "--initial_scale", "10"],
+         1, "error: u^q or the flux |Du|^(p-2) Du overflows at u = 9.99985 "
+         "(initial data), |Du| = 15.7078, q = 400, p = 2\n"),
         # b = (N/q)^p = 1444 at N = 40: e^{bt} overflows, where u = 0
         (["exact-residual", "--preset", "critical-b-arbitration", "--N", "40"], 0,
          "critical_b,1444"),

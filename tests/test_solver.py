@@ -1,5 +1,6 @@
 """Tests for the implicit finite-volume solver."""
 
+import dataclasses
 import hashlib
 import itertools
 import warnings
@@ -47,6 +48,8 @@ class TestProblemValidation:
             CauchyDirichletProblem(e, g, np.ones(8), 1.0, boundary="bogus")
         with pytest.raises(ValueError):
             CauchyDirichletProblem(e, g, np.ones(8), 1.0, boundary="from_exact")
+        with pytest.raises(ValueError, match="requires boundary_values"):
+            CauchyDirichletProblem(e, g, np.ones(8), 1.0, boundary="dirichlet")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_initial_data(self, bad):
@@ -75,8 +78,11 @@ class TestConfigValidation:
             SolverConfig(dt=0.0)
         with pytest.raises(ValueError):
             SolverConfig(newton_tol=-1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(floor_eps=-1e-3)
+
+    def test_fields(self):
+        # no positivity floor: a step's return is max(u, 0) of its iterate
+        fields = [f.name for f in dataclasses.fields(SolverConfig)]
+        assert fields == ["dt", "newton_tol", "max_newton"]
 
 
 class TestBeta:
@@ -302,15 +308,14 @@ class TestSolve:
     @pytest.mark.parametrize("geometry", ["radial", "cartesian"])
     def test_trajectory_steps_to_the_row_it_reads(self, monkeypatch, geometry):
         # rows read out of order are those of `solve`, bit for bit, with the
-        # record of the steps taken so far; a row read again takes no step.
-        # The floor clips mass on both grids.
+        # record of the steps taken so far; a row read again takes no step
         if geometry == "radial":
             g = Grid1D(0.0, 1.0, 12, "radial", 3)
         else:
             g = Grid1D(-1.0, 1.0, 12)
         u0 = np.clip(_bump(g) - 0.3, 0.0, None)
         pr = CauchyDirichletProblem(ExponentTriple(2.5, 1.5, g.n_dim), g, u0, 0.02)
-        cfg = SolverConfig(dt=1e-3, floor_eps=1e-2)
+        cfg = SolverConfig(dt=1e-3)
         solved = solve(pr, cfg)
         traj = solver.Trajectory(pr, cfg)
         bits = lambda a: np.asarray(a, dtype=float).view(np.int64).tolist()
@@ -319,9 +324,6 @@ class TestSolve:
         assert bits(traj.fields) == bits(solved.fields[:6])
         assert traj.newton_iters == solved.newton_iters[:6]
         assert bits(traj.residual_norms) == bits(solved.residual_norms[:6])
-        infos = [step(pr, solved.fields[k], solved.times[k], 1e-3, cfg)[1]
-                 for k in range(5)]
-        assert traj.clipped_mass == sum(info["clipped"] for info in infos) > 0
         calls = []
         real = solver.step
         monkeypatch.setattr(
@@ -514,20 +516,20 @@ class TestEscapeRoutes:
         return calls
 
     def test_damped_step_and_tolerance_band(self, monkeypatch, capsys, tmp_path):
-        # the floor run of `test_floor_leaves_beta_prime_alone` on [-1, 1]:
-        # 8 iterations take the damped step, and one step is accepted over
-        # its tolerance, within 100 times it; no step is split
+        # the run of `test_vanishing_data_below_q_one_converge` on [-1, 1]:
+        # 212 iterations take the damped step, and 35 steps are accepted over
+        # their tolerance, within 100 times it; no step is split
         trials = self._trials(monkeypatch)
         calls = self._steps(monkeypatch)
         argv = ["solve", "--preset", "solver-supercritical-run", "--p", "2",
-                "--q", "0.5", "--initial", "steep_bump", "--floor_eps", "1e-6",
+                "--q", "0.5", "--initial", "steep_bump",
                 "--geometry", "cartesian", "--x_lo", "-1", "--x_hi", "1",
                 "--out", str(tmp_path / "run")]
         assert cli.run(argv) == 0
-        assert trials.count(9) == 8 and max(trials) == 9
+        assert trials.count(9) == 212 and max(trials) == 9
         assert [dt for dt, _ in calls] == [2e-4] * 200
         ratios = [ratio for _, ratio in calls]
-        assert sum(ratio > 1 for ratio in ratios) == 1 and max(ratios) <= 100
+        assert sum(ratio > 1 for ratio in ratios) == 35 and max(ratios) <= 100
 
     def test_split(self, monkeypatch, capsys, tmp_path):
         # p = 1.5, q = 0.5 on [-1, 1]: step 7 fails, and its two halves,
@@ -794,7 +796,6 @@ class TestNonFiniteInputs:
         nan, inf = float("nan"), float("inf")
         for kwargs in (
             {"dt": nan}, {"dt": inf}, {"newton_tol": nan}, {"newton_tol": inf},
-            {"floor_eps": nan}, {"floor_eps": inf},
         ):
             with pytest.raises(ValueError):
                 SolverConfig(**kwargs)

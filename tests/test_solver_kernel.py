@@ -172,14 +172,16 @@ KERNEL_DIGESTS = {
 
 
 def _digest(run):
-    """sha256 of `_steps`' fields, infos and failure, as recorded."""
+    """sha256 of `_steps`' fields, infos and failure, as recorded: each info
+    is hashed as (iters, residual, 0.0), whose last slot held the clipped
+    mass of the positivity floor the solver had when they were recorded,
+    0.0 in every recorded run."""
     fields, infos, failure = run
     h = hashlib.sha256()
     for u, info in zip(fields, infos):
-        assert sorted(info) == ["clipped", "iters", "residual"]
+        assert sorted(info) == ["iters", "residual"]
         h.update(u.tobytes())
-        info = [info["iters"], info["residual"], info["clipped"]]
-        h.update(np.array(info).tobytes())
+        h.update(np.array([info["iters"], info["residual"], 0.0]).tobytes())
     if failure is not None:
         h.update(np.array(failure).tobytes())
     return h.hexdigest()
@@ -264,9 +266,9 @@ class TestWorkspace:
 
 
 def _carry_problem(p, q, geometry, boundary):
-    """cos_bump data less 0.3 (zero near the edge, where a floor binds) on
-    [0, 1] (radial, N = 3) or [-1, 1] (cartesian), with zero, moving
-    (`dirichlet`) or closed-form (`from_exact`) boundary data."""
+    """cos_bump data less 0.3 (zero near the edge) on [0, 1] (radial,
+    N = 3) or [-1, 1] (cartesian), with zero, moving (`dirichlet`) or
+    closed-form (`from_exact`) boundary data."""
     x_lo = 0.0 if geometry == "radial" else -1.0
     g = Grid1D(x_lo, 1.0, 24, geometry, 3)
     u0 = np.maximum(np.cos(np.pi * g.centers() / 2) ** 2 - 0.3, 0.0)
@@ -295,13 +297,12 @@ def _split_steps(problem, u, t, dt, config, failed, splits=7):
     return u, {
         "iters": a["iters"] + b["iters"],
         "residual": max(a["residual"], b["residual"]),
-        "clipped": a["clipped"] + b["clipped"],
     }
 
 
 class TestCarriedResidual:
-    """A zero Dirichlet run without a floor starts each step from the state
-    the last step accepted; every other run computes its first residual."""
+    """A zero Dirichlet run starts each step from the state the last step
+    accepted; every other run computes its first residual."""
 
     @pytest.mark.parametrize("geometry", ["radial", "cartesian"])
     @pytest.mark.parametrize(
@@ -315,17 +316,15 @@ class TestCarriedResidual:
         # 4.5 s
         failed, stalled = [], []
         exponents = list(itertools.product((1.5, 2.0, 3.0), (0.5, 1.0, 2.0, 4.0)))
-        for (p, q), floor in itertools.product(
-            exponents + [(2.0, 0.3)], (0.0, 1e-6)
-        ):
+        carries = boundary == "zero_dirichlet"
+        for p, q in exponents + [(2.0, 0.3)]:
             pr = _carry_problem(p, q, geometry, boundary)
-            cfg = SolverConfig(dt=2e-4, floor_eps=floor)
+            cfg = SolverConfig(dt=2e-4)
             pr.t_end = 6 * cfg.dt
             traj = Trajectory(pr, cfg)
-            carries = boundary == "zero_dirichlet" and floor == 0.0
             u = pr.initial
             for k in range(6):
-                where = (p, q, floor, k)
+                where = (p, q, k)
                 # no workspace: a fresh first residual on every step
                 try:
                     u, info = _split_steps(
@@ -344,8 +343,8 @@ class TestCarriedResidual:
                 assert _bits(info["residual"]) == _bits(traj.residual_norms[k + 1])
                 assert (traj._disc.returned is row) == carries, where
         assert set(stalled) <= {0.3}
-        # q < 1 data that vanish: the radial p = 3, q = 0.5 run without a
-        # floor splits its second step
+        # q < 1 data that vanish: the radial p = 3, q = 0.5 run splits its
+        # second step
         assert failed == ([2e-4] if geometry == "radial" else [])
 
     def _first_residuals(self, disc):
@@ -409,7 +408,7 @@ def _extinction_problem():
 
 class TestIdleStep:
     """A carried step whose previous step took no iteration, at the same
-    dt, tolerance and no floor, returns that step's residual at once."""
+    dt and tolerance, returns that step's residual at once."""
 
     def _computed(self, monkeypatch):
         """The list gets one entry per step that computes: each builds its
@@ -437,8 +436,6 @@ class TestIdleStep:
             assert np.array_equal(_bits(u), _bits(traj.fields[k + 1])), k
             assert info["iters"] == traj.newton_iters[k + 1], k
             assert _bits(info["residual"]) == _bits(traj.residual_norms[k + 1])
-            assert info["clipped"] == 0.0
-        assert traj.clipped_mass == 0.0
 
     def _idle(self):
         """(problem, config, workspace, the last step's return, t) with the
@@ -453,8 +450,7 @@ class TestIdleStep:
         return pr, cfg, disc, u, traj.times[k]
 
     @pytest.mark.parametrize("change", [
-        "dt", "newton_tol", "floor_eps", "copy", "in-place", "failure",
-        "other-array",
+        "dt", "newton_tol", "copy", "in-place", "failure", "other-array",
     ])
     def test_every_change_clears_it(self, monkeypatch, change):
         pr, cfg, disc, u, t = self._idle()
@@ -466,8 +462,6 @@ class TestIdleStep:
             dt = cfg.dt * 1e7
         elif change == "newton_tol":
             cfg = SolverConfig(dt=dt, newton_tol=1e-17)
-        elif change == "floor_eps":
-            cfg = SolverConfig(dt=dt, floor_eps=1e-30)
         elif change == "copy":
             u = u.copy()
         elif change == "in-place":
@@ -487,11 +481,9 @@ class TestIdleStep:
         assert _bits(got[1]["residual"]) == _bits(want[1]["residual"])
         assert (got[1]["iters"] > 0) == (change in ("dt", "newton_tol"))
         # the next step, from the return, is idle unless this one iterated
-        # or had a floor
         del computed[:]
         again = step(pr, got[0], t + dt, dt, cfg, disc=disc)
-        idle = got[1]["iters"] == 0 and not cfg.floor_eps
-        assert computed == ([] if idle else [1])
+        assert computed == ([1] if got[1]["iters"] else [])
         want = step(pr, got[0], t + dt, dt, cfg)
         assert np.array_equal(_bits(again[0]), _bits(want[0]))
         assert again[1] == want[1]
