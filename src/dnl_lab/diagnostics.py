@@ -15,15 +15,10 @@ an exponent or a time instead and state their own "bounded" condition in
 their docstrings.  Only "bounded" passes: the CLI exits 0 on it and 2 on any
 other verdict.
 
-Domain rules.  `_cylinders` builds the cylinders of the Harnack, gradient
-and Hoelder scans, K_rho(x_o) x (t_o +- sigma u_o^{q+1-p} rho^p) with
-u_o = u(x_o, t_o) > 0 and the half-height of `_intrinsic_time`.  Before any
-is read, one with no point in the domain is refused with "cylinder leaves
-the domain at probe (x_o, t_o, rho)", and so are the sup estimates' Q_{rho,s}
-and expansion of positivity's slice t_o.  The Hoelder fit also needs both
-x-edges inside at t_o, and the sup estimates every time row of
-Q_{rho/2,s/2}; expansion of positivity skips a window with a point outside.
-A point outside is otherwise dropped.
+Domain rule.  The estimates hold on cylinders inside the domain, so a scan
+refuses, before its first read, every cylinder with a lattice point that
+`SolutionSource.valid_lattice` rejects: "cylinder leaves the domain at probe
+(x_o, t_o, rho)".
 
 The paper-side constants (gamma, eta, alpha_o, ...) are non-explicit, so all
 checks are stability/boundedness checks, never comparisons to printed numbers.
@@ -77,19 +72,20 @@ class SolutionSource:
     `Trajectory` (with bilinear interpolation in space-time; trajectory-backed
     gradients are one-sided at the boundary and O(h) accurate).
 
-    `lattice` reads the points of a lattice ts x xs that its mask,
-    `valid_lattice`, accepts.  The two kinds differ only in the mask and in
-    the read: `_read`, under `lattice`, and the closed-form case of its
-    one-row form `_row`.  A coordinate x stands for the radius |x| on radial
-    grids and for closed forms, and for the signed position x on cartesian
-    grids.  A closed form's mask is the one decision of its validity: it
-    takes `valid_rt` at the radius sqrt(x * x), which has the bits of the
-    `np.linalg.norm` that the family's `eval` and `grad` take, and the read,
-    `eval_lattice`, checks no point again.  A trajectory's mask is x in the
-    domain and t in [t_start, t_end], so it reads only in-span times: it
-    takes the stored rows bracketing them with `Trajectory.row`, which steps
-    the solver only until they exist, and a StepFailure surfaces in the
-    first read that needs the failed step, and in every read after it.
+    `lattice` reads every point of a lattice ts x xs, and `valid_lattice`
+    is its mask, which a scan checks whole before the read (the module
+    docstring's rule).  The two kinds differ only in the mask and in the
+    read: `lattice` and the closed-form case of its one-row form `_row`.  A
+    coordinate x stands for the radius |x| on radial grids and for closed
+    forms, and for the signed position x on cartesian grids.  A closed
+    form's mask is the one decision of its validity: it takes `valid_rt` at
+    the radius sqrt(x * x), which has the bits of the `np.linalg.norm` that
+    the family's `eval` and `grad` take, and the read, `eval_lattice`, checks
+    no point again.  A trajectory's mask is x in the domain and t in
+    [t_start, t_end], so a scan reads only in-span times: the read takes the
+    stored rows bracketing them with `Trajectory.row`, which steps the solver
+    only until they exist, and a StepFailure surfaces in the first read that
+    needs the failed step, and in every read after it.
 
     `eval`, `grad_norm` and `valid` are the one-row cases of the read and of
     the mask: coordinates x on a probe line, a scalar or a 1-D array, and a
@@ -135,7 +131,7 @@ class SolutionSource:
                 for v in np.atleast_1d(x).tolist()
             ]
             return np.array(vals) if x.ndim else vals[0]
-        (vals,) = self._read((field,), np.atleast_1d(x), [t])
+        (vals,) = self.lattice((field,), np.atleast_1d(x), [t])
         return vals[0] if x.ndim else float(vals[0, 0])
 
     def valid_lattice(self, xs, ts):
@@ -155,36 +151,19 @@ class SolutionSource:
         return (self._ts[0] <= tcol) & (tcol <= self._ts[-1]) & ok_x
 
     def lattice(self, fields, xs, ts):
-        """Each field ("eval" or "grad_norm") at the valid points of the
-        lattice ts x xs, row-major, one array per field.  Valid points that
-        fill a sub-lattice, as a trajectory's always do, take one read, and
-        other masks one read per time row; a lattice without a valid point
-        reads nothing."""
-        xs, ts = np.asarray(xs, dtype=float), np.asarray(ts, dtype=float)
-        ok = self.valid_lattice(xs, ts)
-        rows, cols = ok.any(axis=1), ok.any(axis=0)
-        if not rows.any():
-            return [np.empty(0) for _ in fields]
-        if np.array_equal(ok, rows[:, None] & cols):
-            reads = [self._read(fields, xs[cols], ts[rows])]
-        else:
-            reads = [self._read(fields, xs[k], [t]) for k, t in zip(ok, ts)]
-        return [np.concatenate([a.ravel() for a in col]) for col in zip(*reads)]
-
-    def _read(self, fields, x, ts):
-        """Each field at every point of the lattice ts x x (x 1-D), one
-        (len(ts), len(x)) table per field, with no point dropped.  A closed
-        form takes one `eval_lattice` per field, so every point must be one
-        that `valid_lattice` accepts.  A trajectory blends each
-        time's bracketing stored rows, `row(i - 1)` and `row(i)`, clamped to
-        the end rows, and interpolates every blended row at x by
+        """Each field ("eval" or "grad_norm") at every point of the lattice
+        ts x xs (xs 1-D), one (len(ts), len(xs)) table per field, with no
+        point dropped.  A closed form takes one `eval_lattice` per field, so
+        every point must be one that `valid_lattice` accepts.  A trajectory
+        blends each time's bracketing stored rows, `row(i - 1)` and `row(i)`,
+        clamped to the end rows, and interpolates every blended row at xs by
         `np.interp`'s own formula; each bracketing row is read once, and the
         fields share the bracket indices, the weights and the interpolation
         indices."""
         if self.kind == "closed_form":
-            return [self.backing.eval_lattice(x, ts, f) for f in fields]
+            return [self.backing.eval_lattice(xs, ts, f) for f in fields]
         times = self._ts
-        t = np.asarray(ts, dtype=float)
+        xs, t = np.asarray(xs, dtype=float), np.asarray(ts, dtype=float)
         # a search of the inner times keeps 1 <= i <= len(times) - 1
         i = np.searchsorted(times[1:-1], t) + 1
         w = (t - times[i - 1]) / (times[i] - times[i - 1])
@@ -199,7 +178,7 @@ class SolutionSource:
         # between it is slope * (r - x_j) + f_j with j the interval of r.
         # r is clamped to the centers, so no discarded slope form overflows
         xp = self._xs
-        r = np.minimum(np.maximum(np.abs(x) if self._radial else x, xp[0]), xp[-1])
+        r = np.minimum(np.maximum(np.abs(xs) if self._radial else xs, xp[0]), xp[-1])
         j = np.minimum(np.searchsorted(xp, r, "right") - 1, xp.size - 2)
         j1 = j + 1
         xj = xp[j]
@@ -257,18 +236,20 @@ def _intrinsic_time(e, u, rho, sigma=1.0):
     return half
 
 
-def _leaves_domain(x_o, t_o, rho, part="cylinder"):
-    """The refusal of a cylinder, or a `part` of one, with no point inside."""
-    return RegimeError(f"{part} leaves the domain at probe {(x_o, t_o, rho)}")
+def _refuse_outside(src, probe, *cylinders):
+    """The module docstring's rule: refuse `probe` (x_o, t_o, rho) unless
+    every point of each of its lattices (xs, ts) lies in the domain."""
+    if not all(src.valid_lattice(xs, ts).all() for xs, ts in cylinders):
+        raise RegimeError(f"cylinder leaves the domain at probe {tuple(probe)}")
 
 
 def _cylinders(src, probes, sigma, lattice):
     """(probe, u_o, xs, ts) of each probe (x_o, t_o, rho): u_o = u(x_o, t_o)
     and the lattice xs x ts of K_rho(x_o) x (t_o +- sigma u_o^{q+1-p} rho^p),
-    the slice t_o at half-height 0 and the center at lattice 1, checked by the
-    module docstring's rules before the first cylinder is read.  A closed
-    form's `eval` raises DomainError exactly where `valid_lattice` is False,
-    so its u_o read has checked its center."""
+    the slice t_o at half-height 0 and the center at lattice 1, each refused
+    by `_refuse_outside` before the first cylinder is read.  A closed form's
+    `eval` raises DomainError exactly where `valid_lattice` is False, so its
+    u_o read has checked its center."""
     u_at, cylinders = {}, []
     for probe in probes:
         x_o, t_o, rho = probe
@@ -283,9 +264,8 @@ def _cylinders(src, probes, sigma, lattice):
             xs = np.linspace(x_o - rho, x_o + rho, lattice)
             if half > 0:
                 ts = np.linspace(t_o - half, t_o + half, lattice)
-        centered = lattice == 1 and src.kind == "closed_form"
-        if not (centered or src.valid_lattice(xs, ts).any()):
-            raise _leaves_domain(*probe)
+        if not (lattice == 1 and src.kind == "closed_form"):
+            _refuse_outside(src, probe, (xs, ts))
         cylinders.append((probe, u_o, xs, ts))
     return cylinders
 
@@ -322,9 +302,8 @@ def _sup_estimate(src, estimate_id, name, lam_name, lam, average, probe, lattice
         (rho^p/s)^{N/lam} A^{p/lam} + (s/rho^p)^{1/(q+1-p)}
 
     Requires q > p - 1 and lam > 0.  The sup is over the lattice x lattice
-    grid of Q_{rho/2,s/2}, which must have a valid point in every time row;
-    A = average(rows), rows the values at the valid points of each time row
-    of the Q_{rho,s} lattice, which must have one.  Returns the one-probe
+    grid of Q_{rho/2,s/2}, and A = average(rows), rows the time rows of the
+    Q_{rho,s} lattice; both lie inside the domain.  Returns the one-probe
     report with the implied gamma solving the inequality with equality."""
     e = src.exponents
     N, p, q = e.n_dim, e.p, e.q
@@ -333,22 +312,21 @@ def _sup_estimate(src, estimate_id, name, lam_name, lam, average, probe, lattice
     if lam <= 0:
         raise RegimeError(f"{name} requires {lam_name} > 0, got {lam}")
     x_o, t_o, rho, s = probe["x_o"], probe["t_o"], probe["rho"], probe["s"]
-    xs = np.linspace(x_o - rho / 2, x_o + rho / 2, lattice)
-    ts = np.linspace(t_o - s / 2, t_o, lattice)
-    xs2 = np.linspace(x_o - rho, x_o + rho, lattice)
-    ts2 = np.linspace(t_o - s, t_o, lattice)
-    if not src.valid_lattice(xs, ts).any(axis=1).all():
-        raise _leaves_domain(x_o, t_o, rho, "a time row of the inner cylinder")
-    ok = src.valid_lattice(xs2, ts2)
-    if not ok.any():
-        raise _leaves_domain(x_o, t_o, rho)
-    (vals,) = src.lattice(("eval",), xs, ts)
+    inner = (
+        np.linspace(x_o - rho / 2, x_o + rho / 2, lattice),
+        np.linspace(t_o - s / 2, t_o, lattice),
+    )
+    outer = (
+        np.linspace(x_o - rho, x_o + rho, lattice),
+        np.linspace(t_o - s, t_o, lattice),
+    )
+    _refuse_outside(src, (x_o, t_o, rho), inner, outer)
+    (vals,) = src.lattice(("eval",), *inner)
     sup_u = float(vals.max())
-    (vals,) = src.lattice(("eval",), xs2, ts2)
-    rows = np.split(vals, np.cumsum(ok.sum(axis=1))[:-1])
+    (vals,) = src.lattice(("eval",), *outer)
     # scalar powers in `average`: numpy's SIMD power differs from libm in
     # the last bit
-    mean = average([row.tolist() for row in rows if row.size])
+    mean = average(vals.tolist())
     # rho^p, the intrinsic time of level 1: (s/rho^p)^{1/(q+1-p)} is s's level
     rho_p = _intrinsic_time(e, 1.0, rho)
     try:
@@ -396,28 +374,26 @@ def expansion_of_positivity(src, x_o, t_o, rho, M, alpha):
     k < 10 and report the largest measured eta(delta) = inf u / M over
     K_{2 rho}(x_o) x (t_o + delta/2 theta, t_o + delta theta],
     theta = M^{q+1-p} rho^p; the measure fraction alpha lies in (0, 1].
-    Both balls take 64 lattice points."""
+    Both balls take 64 lattice points, and the slice and every window lie
+    inside the domain."""
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     xs = np.linspace(x_o - rho, x_o + rho, 64)
+    theta = _intrinsic_time(src.exponents, M, rho)
+    xs2 = np.linspace(x_o - 2 * rho, x_o + 2 * rho, 64)
+    deltas = [2.0**-k for k in range(10)]
+    windows = [(d, t_o + d / 2 * theta, t_o + d * theta) for d in deltas]
+    times = [np.linspace(t_lo, t_hi, 8) for _, t_lo, t_hi in windows]
+    _refuse_outside(src, (x_o, t_o, rho), (xs, [t_o]), *((xs2, ts) for ts in times))
     (vals0,) = src.lattice(("eval",), xs, [t_o])
-    if vals0.size == 0:
-        raise _leaves_domain(x_o, t_o, rho)
     frac = float(np.mean(vals0 >= M))
     if frac < alpha:
         raise RegimeError(
             f"measure hypothesis fails: |u >= M| fraction {frac:.3f} < alpha={alpha}"
         )
-    theta = _intrinsic_time(src.exponents, M, rho)
     rep = DiagnosticReport(estimate_id="expansion_of_positivity")
     best_eta = 0.0
-    xs2 = np.linspace(x_o - 2 * rho, x_o + 2 * rho, 64)
-    for k in range(10):
-        delta = 2.0**-k
-        t_lo, t_hi = t_o + delta / 2 * theta, t_o + delta * theta
-        ts = np.linspace(t_lo, t_hi, 8)
-        if not src.valid_lattice(xs2, ts).all():
-            continue
+    for (delta, t_lo, t_hi), ts in zip(windows, times):
         (vals,) = src.lattice(("eval",), xs2, ts)
         eta = float(vals.min()) / M
         rep.add({"delta": delta, "t_lo": t_lo, "t_hi": t_hi}, eta)
@@ -495,9 +471,9 @@ def extinction_analysis(traj, x_o=()):
     t_os = np.linspace(0.55 * T_num, 0.9 * T_num, 4)
     for x in x_o:
         d = d_bound(x)
-        # `_read` keeps one row per t_o: a t_o before t_start clamps to
+        # `lattice` keeps one row per t_o: a t_o before t_start clamps to
         # the first stored row, as the scalar `eval` does
-        us, grads = src._read(("eval", "grad_norm"), np.array([x]), t_os)
+        us, grads = src.lattice(("eval", "grad_norm"), [x], t_os)
         for t_o, uval, gval in zip(t_os, us.ravel().tolist(), grads.ravel().tolist()):
             rate = ((T_num - t_o) / d**p) ** (1 / kexp)
             probe_consts.append(
@@ -576,10 +552,6 @@ def holder_fit(src, x_o, t_o, radii, lattice=16):
     if len(radii) < 4:
         raise ValueError("need at least 4 radii for the fit")
     cylinders = _cylinders(src, [(x_o, t_o, rho) for rho in radii], 1.0, lattice)
-    # both x-edges inside at t_o, or part of every row would drop out
-    for rho in radii:
-        if not np.all(src.valid([x_o - rho, x_o + rho], t_o)):
-            raise RegimeError(f"cylinder of radius {rho} leaves the domain")
     oscs, lips = [], []
     for (_, _, rho), _, xs, ts in cylinders:
         grads, us = src.lattice(("grad_norm", "eval"), xs, ts)

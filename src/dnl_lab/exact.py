@@ -57,10 +57,16 @@ class ClosedFormSolution:
 
     def residual_lattice(self):
         """16 radii x 8 times spanning the family's `residual_window`
-        (r_lo, r_hi, t_lo, t_hi), kept off closed-form singularities and
-        validity boundaries."""
+        (r_lo, r_hi, t_lo, t_hi), kept off closed-form singularities; a
+        lattice with a point outside the validity domain is a DomainError."""
         r_lo, r_hi, t_lo, t_hi = self.residual_window
-        return np.linspace(r_lo, r_hi, 16), np.linspace(t_lo, t_hi, 8)
+        radii, times = np.linspace(r_lo, r_hi, 16), np.linspace(t_lo, t_hi, 8)
+        if not self.valid_rt(radii, times[:, None]).all():
+            raise DomainError(
+                f"residual lattice leaves the validity domain of {self.family}: "
+                + self.validity_description()
+            )
+        return radii, times
 
     # -- public pointwise API ----------------------------------------------
     def _radius(self, x):
@@ -546,6 +552,8 @@ class _SelfSimilar(ClosedFormSolution):
         ).sum(axis=1)
         tail = self._tail(nodes[-1])
         f_tab = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]]) + tail
+        if not (f_tab > 0).all():  # an underflowed f has no log
+            raise ValueError("requires f > 0 at every node of the profile table")
         self._nodes = nodes
         self._spline = CubicSpline(np.log(nodes), np.log(f_tab))
 
@@ -731,7 +739,7 @@ class SpecialLogProfile(_SelfSimilar):
 
     family = "special_log_profile"
     role = "not_weak_solution"
-    residual_window = (0.5, 2.0, 1e-9, 0.5)
+    residual_window = (0.5, 1.2, 1e-9, 0.5)
 
     def __init__(self, n_dim=3, C=1.0, T=1.0):
         if n_dim < 2:

@@ -217,7 +217,7 @@ class TestRun:
 
     def test_bare_key_section_does_not_depend_on_token_order(self, tmp_path):
         # a --family.id after a bare key still sends the key to [family]
-        tail = ["--N", "3", "--p", "2", "--x_o", "1", "--t_o", "0.5", "--radii", "1"]
+        tail = ["--N", "3", "--p", "2", "--x_o", "1", "--t_o", "0.5", "--radii", "0.5"]
         outputs = []
         for head in (["--q", "5", "--family.id", "separable_blowup"],
                      ["--family.id", "separable_blowup", "--q", "5"]):
@@ -483,10 +483,17 @@ class TestRun:
              "bad value for [solver] t_end: t_end must be finite"),
             (["solve", "--preset", "solver-supercritical-run", "--t_end", "-1"],
              "t_start and t_end must be finite, t_start < t_end"),
+            # each keeps its pytest id, which names the message it had
+            # before the scans shared one refusal
             *[
-                (["holder", "--preset", "holder-supercritical", "--x_o", x_o],
-                 f"cylinder of radius {rho} leaves the domain")
-                for x_o, rho in (("1", 0.01), ("-1", 0.01), ("0.95", 0.06))
+                pytest.param(
+                    ["holder", "--preset", "holder-supercritical", "--x_o", x_o],
+                    f"cylinder leaves the domain at probe ({x_o}, 0.02, {rho})",
+                    id=f"argv{i}-cylinder of radius {rho} leaves the domain",
+                )
+                for i, x_o, rho in (
+                    (25, "1.0", 0.01), (26, "-1.0", 0.01), (27, "0.95", 0.06)
+                )
             ],
             (["extinction", "--family.id", "trudinger_gaussian",
               "--family.p", "2", "--family.N", "1"],
@@ -587,6 +594,15 @@ class TestRun:
                      "requires rmin < r0"),
                 ]
             ],
+            # a residual lattice with times past T, and a log profile whose
+            # table underflows to 0 (log would warn, then the spline fail)
+            (["exact-residual", "--family.id", "separable_blowup", "--N", "5",
+              "--p", "2", "--q", "3", "--T", "0.3"],
+             "residual lattice leaves the validity domain of separable_blowup: "
+             "|x| > 0 and t < T"),
+            (["exact-residual", "--family.id", "special_log_profile",
+              "--family.C", "250"],
+             "requires f > 0 at every node of the profile table"),
         ],
     )
     def test_bad_probe_exits_1(self, capsys, argv, message):
@@ -1079,10 +1095,16 @@ def test_family_without_its_parameters_exits_cleanly(capsys, fid):
          "error: sup bound requires fast diffusion q > p - 1"),
         (["exact-residual", "--family.id", "ivanov_subsolution"], 0,
          "subsolution_sign,pass"),
-        # C < 0: the inner radius R(t) is inf at t >= T, with no warning
-        (["gradbound", "--preset", "gradbound-supercritical", "--lattice", "4",
-          "--x_o", "16", "--t_o", "0.5", "--radii", "4", "--family.C", "-1"], 0,
-         "gradient_bound,bounded,0.9132642227262018"),
+        # C < 0: the inner radius R(t) is inf at t >= T, with no warning, and
+        # the cylinder that reaches it is refused.  The row keeps its pytest
+        # id, which names the line it read before cylinders had to lie
+        # inside the domain whole
+        pytest.param(
+            ["gradbound", "--preset", "gradbound-supercritical", "--lattice", "4",
+             "--x_o", "16", "--t_o", "0.5", "--radii", "4", "--family.C", "-1"], 1,
+            "error: cylinder leaves the domain at probe (16.0, 0.5, 4.0)\n",
+            id="argv12-0-gradient_bound,bounded,0.9132642227262018",
+        ),
         # lambda_r = 0.002: (rho^p/s)^(N/lambda_r) overflows
         (["supbound", "--family.id", "boundedness_borderline", "--family.p", "2",
           "--family.N", "3", "--x_o", "0", "--t_o", "0.5", "--rho", "1", "--s",

@@ -451,9 +451,10 @@ def _lattice_each(sol, xs, ts, field="eval"):
 
 
 def _assert_lattice_reads(sol, xs, ts, field):
-    """A closed-form `SolutionSource.lattice` calls `valid_rt` once, for its
-    mask, and equals the reference: the same bits at the same points.  So
-    does `eval_lattice`, row by row, over the points the mask accepts."""
+    """`eval_lattice`, row by row over the points that a closed-form
+    `SolutionSource`'s mask accepts, equals the reference: the same bits at
+    the same points.  So does `SolutionSource.lattice` over the whole lattice
+    of the coordinates valid at every time, and it calls no `valid_rt`."""
     src = SolutionSource(sol)
     calls = []
     valid_rt = type(sol).valid_rt
@@ -464,21 +465,26 @@ def _assert_lattice_reads(sol, xs, ts, field):
 
     # compare values only: overflow and 0**-e warn point by point
     with np.errstate(all="ignore"):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(type(sol), "valid_rt", spy)
-            (got,) = src.lattice((field,), xs, ts)
-        want = _lattice_each(sol, xs, ts, field)
         ok = src.valid_lattice(xs, ts)
         rows = [sol.eval_lattice(xs[k], [t], field)[0] for k, t in zip(ok, ts)]
-    assert len(calls) == 1
-    for values in (got, np.concatenate(rows)):
+        checks = [(np.concatenate(rows), _lattice_each(sol, xs, ts, field))]
+        whole = xs[ok.all(axis=0)]
+        if whole.size:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(type(sol), "valid_rt", spy)
+                (got,) = src.lattice((field,), whole, ts)
+            assert got.shape == (len(ts), whole.size)
+            checks.append((got.ravel(), _lattice_each(sol, whole, ts, field)))
+    assert calls == []
+    for values, want in checks:
         assert values.dtype == np.float64 and values.shape == want.shape
         assert _bits(values) == _bits(want)
 
 
 class TestEvalLattice:
-    """`eval_lattice` equals one `eval` or |`grad`| per lattice point, and a
-    closed-form `SolutionSource.lattice` one per valid point, bit for bit."""
+    """`eval_lattice` equals one `eval` or |`grad`| per valid lattice point,
+    and so does a closed-form `SolutionSource.lattice` of a whole valid
+    lattice, bit for bit."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -517,22 +523,34 @@ class TestEvalLattice:
 
     def test_first_invalid_point_named(self):
         # |x| would accept 1e-300, but its radius sqrt(x * x) = 0 is outside:
-        # the lattice drops the point, and the one-row read names it
+        # the mask rejects the point, and the one-row read names it
         sol = SeparableBlowup(n_dim=3, p=2.0, q=5.0)
         src = SolutionSource(sol)
+        xs = np.array([1.0, 1e-300, 2.0])
+        assert src.valid_lattice(xs, [0.25, 0.5]).tolist() == [[True, False, True]] * 2
+        assert src.valid_lattice([1.0, -0.0, 2.0], [0.5, 2.0]).sum() == 2
         for field in ("eval", "grad_norm"):
             read = getattr(src, field)
-            xs = np.array([1.0, 1e-300, 2.0])
-            got = src.lattice((field,), xs, [0.25, 0.5])[0]
-            assert _bits(got) == _bits(
+            got = src.lattice((field,), xs[[0, 2]], [0.25, 0.5])[0]
+            assert _bits(got.ravel()) == _bits(
                 _lattice_each(sol, xs[[0, 2]], [0.25, 0.5], field)
             )
             with pytest.raises(DomainError, match=r"^\(0\.0, 0\.25\) outside"):
                 read(xs, 0.25)
-            xs = np.array([1.0, -0.0, 2.0])
-            assert src.lattice((field,), xs, [0.5, 2.0])[0].size == 2
             with pytest.raises(DomainError, match=r"^\(0\.0, 0\.5\) outside"):
-                read(xs, 0.5)
+                read(np.array([1.0, -0.0, 2.0]), 0.5)
+
+
+def test_default_residual_lattices_inside_the_domain():
+    """Every family at its default parameters sweeps a residual lattice
+    inside its validity domain; one that leaves it is a DomainError."""
+    defaults = [next(s for s in _LINE_FAMILIES if s.family == f) for f in FAMILIES]
+    for sol in defaults:
+        radii, times = sol.residual_lattice()
+        assert sol.valid_rt(radii, times[:, None]).all(), sol.family
+    cut = SupercriticalExtinction(n_dim=40, p=2.0, q=3.0, T=2.0, C=-1.0)
+    with pytest.raises(DomainError, match="^residual lattice leaves the validity"):
+        cut.residual_lattice()
 
 
 class TestAnalyticGradient:
@@ -543,7 +561,10 @@ class TestAnalyticGradient:
 
     @pytest.mark.parametrize("sol", _LINE_FAMILIES)
     def test_matches_central_difference(self, sol):
-        radii, times = sol.residual_lattice()
+        # the residual window's lattice, which the C < 0 extinction variant's
+        # moving edge cuts, so that it has no residual lattice of its own
+        r_lo, r_hi, t_lo, t_hi = sol.residual_window
+        radii, times = np.linspace(r_lo, r_hi, 16), np.linspace(t_lo, t_hi, 8)
         r, t = (a.ravel() for a in np.meshgrid(radii, times))
         # only points whose widest stencil lies in the validity domain
         h = self.HS[0]
