@@ -90,10 +90,12 @@ class SolutionSource:
     `eval`, `grad_norm` and `valid` are the one-row cases of the read and of
     the mask: coordinates x on a probe line, a scalar or a 1-D array, and a
     scalar time t.  They return one value per coordinate, a float (a bool for
-    `valid`) for a scalar x and an array for an array x, and drop no point: a
-    closed form reads point by point with the family's own `eval` and
-    `grad`, which raise DomainError outside its validity domain, and a
-    trajectory clamps to its edge cells and end rows."""
+    `valid`) for a scalar x and an array for an array x, and drop no point.
+    A closed form reads a scalar x with the family's own `eval` and `grad`,
+    which raise DomainError outside its validity domain, and an array x as
+    one row of its table, after `check_lattice` has raised the DomainError
+    of the first point outside; a trajectory clamps to its edge cells and
+    end rows."""
 
     def __init__(self, backing):
         self.backing = backing
@@ -125,24 +127,20 @@ class SolutionSource:
         x = np.asarray(x, dtype=float)
         if self.kind == "closed_form":
             sol = self.backing
-            vals = [
-                sol.eval([v], t) if field == "eval"
-                else float(np.linalg.norm(sol.grad([v], t)))
-                for v in np.atleast_1d(x).tolist()
-            ]
-            return np.array(vals) if x.ndim else vals[0]
+            if not x.ndim:
+                if field == "eval":
+                    return sol.eval([x], t)
+                return float(np.linalg.norm(sol.grad([x], t)))
+            sol.check_lattice(x, [t])
         (vals,) = self.lattice((field,), np.atleast_1d(x), [t])
         return vals[0] if x.ndim else float(vals[0, 0])
 
     def valid_lattice(self, xs, ts):
         """The mask of the lattice ts x xs, one row per time."""
+        if self.kind == "closed_form":
+            return self.backing.valid_lattice(xs, ts)
         xs = np.asarray(xs, dtype=float)
         tcol = np.asarray(ts, dtype=float)[:, None]
-        if self.kind == "closed_form":
-            with np.errstate(over="ignore"):  # inf where x * x overflows
-                r = np.sqrt(xs * xs)
-            ok = self.backing.valid_rt(r, tcol)
-            return np.broadcast_to(ok, (tcol.size, xs.size))
         r = np.abs(xs) if self._radial else xs
         # domain bounds, not cell-center bounds: interpolation clamps to
         # the edge cell over the half-cell collar, an O(h) extension
@@ -505,7 +503,8 @@ def decay_exponent_fit(sol, x_o):
     ts = T - (T * (1 - 0.9)) * np.logspace(
         0, math.log10((1 - 0.999) / (1 - 0.9)), 24
     )
-    vals = np.array([sol.eval([x_o], t) for t in ts])
+    sol.check_lattice([x_o], ts)
+    vals = sol.eval_lattice([x_o], ts)[:, 0]
     return _loglog_fit(np.log(T - ts), np.log(vals))
 
 

@@ -11,6 +11,7 @@ analytic gradient against a central difference of u.
 
 import inspect
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +27,14 @@ class ClosedFormSolution:
     """Base class: a radial space-time profile u(|x|, t) with analytic radial
     derivative and analytic d/dt(u^q).
 
-    Subclasses implement u_rt / ur_rt on arrays of radii and times, ut_rt
-    or, in its place, dtuq_rt, valid_rt and validity_description unless
-    the family is valid everywhere, and set a residual_window.  The public
-    eval/grad/dt_uq operate on coordinate vectors and raise DomainError
-    outside the validity domain; eval_lattice evaluates u or |Du| over a
-    lattice of probe-line times whose points all lie inside it, and checks
-    none of them.
+    Subclasses implement u_rt / ur_rt on arrays of radii and times, with
+    the libm power `power` (see `eval_lattice`), ut_rt or, in its place,
+    dtuq_rt, valid_rt and validity_description unless the family is valid
+    everywhere, and set a residual_window.  The public eval/grad/dt_uq
+    operate on coordinate vectors and raise DomainError outside the
+    validity domain; eval_lattice evaluates u or |Du| over a lattice of
+    probe-line times whose points all lie inside it, and checks none of
+    them.
     """
 
     family = "abstract"
@@ -91,25 +93,49 @@ class ClosedFormSolution:
         lattice ts x xs, one row per time: the same bits as one `eval([v], t)`
         or one `float(np.linalg.norm(grad([v], t)))` per point.  It checks no
         point: every point must lie in the validity domain, as the caller's
-        mask (`SolutionSource.valid_lattice`) has decided."""
+        mask (`valid_lattice`) has decided.
+
+        The table is one call of `u_rt` or `ur_rt` on the radii as a row and
+        the times as a column, and keeps each value's bits by keeping each
+        power's kind.  At one point, a power whose base is the 0-d array
+        `np.asarray(r)` or `np.asarray(t)` runs numpy's array loop, as `**`
+        (`np.power`) of a row or a column does.  A power of a numpy scalar,
+        the result of any other operation, runs libm `pow`, which may differ
+        from the array loop in the last bit: `u_rt` and `ur_rt` take it by
+        their argument `power`, `**` by default and `np.float_power`, whose
+        float64 loop is libm `pow`, in a table."""
         xs = np.asarray(xs, dtype=float)
+        t = np.asarray(ts, dtype=float)[:, None]
         # the bits of np.linalg.norm of a 1-vector, inf where x * x overflows
         with np.errstate(over="ignore"):
             r = np.sqrt(xs * xs)
         if field == "eval":
-            return self._u_grid(r, ts)
+            return self.u_rt(r, t, np.float_power)
         # `grad`'s bits: the 1-vector y = ur * x / r (0 at r = 0), and the
         # norm sqrt(y * y) of it
-        ur = [[float(self.ur_rt(v, t)) if v else 0.0 for v in r.tolist()] for t in ts]
-        y = np.zeros((len(ts), r.size))
-        np.divide(np.reshape(ur, y.shape) * xs, r, out=y, where=r != 0)
+        on = r != 0
+        y = np.zeros((t.size, r.size))
+        y[:, on] = self.ur_rt(r[on], t, np.float_power) * xs[on] / r[on]
         return np.sqrt(y * y)
 
-    def _u_grid(self, r, ts):
-        """u_rt at the radii r (1-D) and each time of ts, one row per time,
-        one Python float at a time.  An override computes the table at once
-        but must keep every value's bits: see `_pow_each`."""
-        return np.array([[float(self.u_rt(v, t)) for v in r.tolist()] for t in ts])
+    def valid_lattice(self, xs, ts):
+        """`valid_rt` at every point of the lattice ts x xs, one row per
+        time, at the radius sqrt(x * x): the bits of the `np.linalg.norm`
+        that `eval` and `grad` take."""
+        xs = np.asarray(xs, dtype=float)
+        tcol = np.asarray(ts, dtype=float)[:, None]
+        with np.errstate(over="ignore"):  # inf where x * x overflows
+            r = np.sqrt(xs * xs)
+        return np.broadcast_to(self.valid_rt(r, tcol), (tcol.size, xs.size))
+
+    def check_lattice(self, xs, ts):
+        """Raise the DomainError of the first point of the lattice ts x xs,
+        row by row, outside the validity domain, as its own `eval` raises
+        it."""
+        bad = ~self.valid_lattice(xs, ts)
+        if bad.any():
+            i, j = np.unravel_index(np.argmax(bad), bad.shape)
+            self._check(self._radius(xs[j])[0], ts[i])
 
     def grad(self, x, t):
         r, xv = self._radius(x)
@@ -196,19 +222,6 @@ def residual_order(sol, radii, times, h_values=STENCIL_WIDTHS):
 # ---------------------------------------------------------------------------
 
 
-def _pow_each(base, e):
-    """`v ** e` for every element v of the array base, on numpy scalars.
-
-    In `u_rt` at one point, a power whose base is the 0-d array
-    `np.asarray(r)` or `np.asarray(t)` runs numpy's array loop, which may
-    differ from libm `pow` in the last bit; a power of a numpy scalar runs
-    libm `pow`.  A table evaluation keeps the first kind as an array power
-    of a contiguous row or column and takes the second kind here.  Numpy
-    scalars rather than Python floats, which raise where numpy warns
-    (overflow, 0 to a negative power)."""
-    return np.array([v**e for v in base.ravel()], dtype=float).reshape(base.shape)
-
-
 class TrudingerGaussian(ClosedFormSolution):
     """Gaussian-type solution of the Trudinger borderline q = p-1:
     u = C t^{-N/(p(p-1))} exp{-((p-1)/p) (|x|^p/(p t))^{1/(p-1)}} on t > 0."""
@@ -222,27 +235,21 @@ class TrudingerGaussian(ClosedFormSolution):
         super().__init__(exps)
         self.C = C
 
-    def u_rt(self, r, t):
+    def u_rt(self, r, t, power=operator.pow):
         p, N = self.exponents.p, self.exponents.n_dim
         r = np.abs(np.asarray(r, float))
         t = np.asarray(t, float)
         return (
             self.C
             * t ** (-N / (p * (p - 1)))
-            * np.exp(-((p - 1) / p) * (r**p / (p * t)) ** (1 / (p - 1)))
+            * np.exp(-((p - 1) / p) * power(power(r, p) / (p * t), 1 / (p - 1)))
         )
 
-    def _u_grid(self, r, ts):
-        p, N = self.exponents.p, self.exponents.n_dim
-        t = np.asarray(ts, float)
-        amp = self.C * t ** (-N / (p * (p - 1)))
-        xi = _pow_each(_pow_each(np.abs(r), p) / (p * t)[:, None], 1 / (p - 1))
-        return amp[:, None] * np.exp(-((p - 1) / p) * xi)
-
-    def ur_rt(self, r, t):
+    def ur_rt(self, r, t, power=operator.pow):
         p = self.exponents.p
         r = np.abs(np.asarray(r, float))
-        return -self.u_rt(r, t) * (r / (p * np.asarray(t, float))) ** (1 / (p - 1))
+        rate = power(r / (p * np.asarray(t, float)), 1 / (p - 1))
+        return -self.u_rt(r, t, power) * rate
 
     def ut_rt(self, r, t):
         p, N = self.exponents.p, self.exponents.n_dim
@@ -287,15 +294,15 @@ class SeparableBlowup(ClosedFormSolution):
         self.C = C
         self.k = k
 
-    def u_rt(self, r, t):
+    def u_rt(self, r, t, power=operator.pow):
         p = self.exponents.p
         tt = np.clip(self.T - np.asarray(t, float), 0.0, None)
         r = np.asarray(r, float)
-        return self.C * tt ** (1 / self.k) * r ** (-p / self.k)
+        return self.C * power(tt, 1 / self.k) * r ** (-p / self.k)
 
-    def ur_rt(self, r, t):
+    def ur_rt(self, r, t, power=operator.pow):
         p = self.exponents.p
-        return -(p / self.k) * self.u_rt(r, t) / np.asarray(r, float)
+        return -(p / self.k) * self.u_rt(r, t, power) / np.asarray(r, float)
 
     def dtuq_rt(self, r, t):
         q, p = self.exponents.q, self.exponents.p
@@ -353,18 +360,15 @@ class CriticalHarnackWave(ClosedFormSolution):
         with np.errstate(over="ignore"):
             return np.exp(self.b * np.asarray(t, float))
 
-    def u_rt(self, r, t):
+    def u_rt(self, r, t, power=operator.pow):
         r = np.asarray(r, float)
-        return (r**self.kappa + self._ebt(t)) ** (-self.gamma)
+        return power(r**self.kappa + self._ebt(t), -self.gamma)
 
-    def _u_grid(self, r, ts):
-        return _pow_each(r**self.kappa + self._ebt(ts)[:, None], -self.gamma)
-
-    def ur_rt(self, r, t):
+    def ur_rt(self, r, t, power=operator.pow):
         r = np.asarray(r, float)
         base = r**self.kappa + self._ebt(t)
-        return -self.gamma * self.kappa * r ** (self.kappa - 1) * base ** (
-            -self.gamma - 1
+        return -self.gamma * self.kappa * r ** (self.kappa - 1) * power(
+            base, -self.gamma - 1
         )
 
     def ut_rt(self, r, t):
@@ -406,30 +410,25 @@ class BoundednessBorderline(ClosedFormSolution):
         self.m_t = (N + q + 1) / (q + 1) ** 2
         self.s_exp = N * (q + 1) / (N * q - q - 1)
 
-    def u_rt(self, r, t):
+    def u_rt(self, r, t, power=operator.pow):
         N, q = self.exponents.n_dim, self.exponents.q
         tt = np.clip(self.T - np.asarray(t, float), 0.0, None)
         r = np.asarray(r, float)
-        return tt**self.m_t * (self.a + self.b * r**self.s_exp) ** (-N / (q + 1))
-
-    def _u_grid(self, r, ts):
-        N, q = self.exponents.n_dim, self.exponents.q
-        tt = np.clip(self.T - np.asarray(ts, float), 0.0, None)
         base = self.a + self.b * r**self.s_exp
-        return _pow_each(tt, self.m_t)[:, None] * _pow_each(base, -N / (q + 1))
+        return power(tt, self.m_t) * power(base, -N / (q + 1))
 
-    def ur_rt(self, r, t):
+    def ur_rt(self, r, t, power=operator.pow):
         N, q = self.exponents.n_dim, self.exponents.q
         tt = np.clip(self.T - np.asarray(t, float), 0.0, None)
         r = np.asarray(r, float)
         base = self.a + self.b * r**self.s_exp
         return (
-            tt**self.m_t
+            power(tt, self.m_t)
             * (-N / (q + 1))
             * self.b
             * self.s_exp
             * r ** (self.s_exp - 1)
-            * base ** (-N / (q + 1) - 1)
+            * power(base, -N / (q + 1) - 1)
         )
 
     def dtuq_rt(self, r, t):
@@ -476,34 +475,34 @@ class SupercriticalExtinction(ClosedFormSolution):
         with np.errstate(divide="ignore"):  # R = inf at t >= T
             return (abs(self.C) / self.a) ** ((p - 1) / p) * tt ** (q / self.lam)
 
-    def _base(self, r, t):
+    def _base(self, r, t, power=operator.pow):
         p = self.exponents.p
         tt = np.clip(self.T - np.asarray(t, float), 0.0, None)
         r = np.asarray(r, float)
         with np.errstate(divide="ignore"):
-            c_term = np.where(tt > 0, self.C * tt**self.sigma, np.inf)
+            c_term = np.where(tt > 0, self.C * power(tt, self.sigma), np.inf)
         return self.a * r ** (p / (p - 1)) + c_term, tt
 
-    def u_rt(self, r, t):
+    def u_rt(self, r, t, power=operator.pow):
         p = self.exponents.p
-        base, tt = self._base(r, t)
+        base, tt = self._base(r, t, power)
         expo = -(p - 1) / self.kexp
-        return np.where(tt > 0, tt ** (1 / self.kexp) * base**expo, 0.0)
+        return np.where(tt > 0, power(tt, 1 / self.kexp) * power(base, expo), 0.0)
 
-    def ur_rt(self, r, t):
+    def ur_rt(self, r, t, power=operator.pow):
         p = self.exponents.p
-        base, tt = self._base(r, t)
+        base, tt = self._base(r, t, power)
         r = np.asarray(r, float)
         pp = p / (p - 1)
         expo = -(p - 1) / self.kexp
         return np.where(
             tt > 0,
-            tt ** (1 / self.kexp)
+            power(tt, 1 / self.kexp)
             * expo
             * self.a
             * pp
             * r ** (pp - 1)
-            * base ** (expo - 1),
+            * power(base, expo - 1),
             0.0,
         )
 
@@ -537,7 +536,8 @@ class _SelfSimilar(ClosedFormSolution):
     would lose the tail to cancellation), plus `_tail` at the last node, f
     there, and interpolated by a log-log cubic spline.  A subclass gives
     neg_fprime, the grid, `_tail` and f, which reads the spline on the
-    grid."""
+    grid.  `neg_fprime`, like `u_rt` and `ur_rt`, takes its libm power by
+    `power`."""
 
     r_singular = 0.0
 
@@ -557,17 +557,17 @@ class _SelfSimilar(ClosedFormSolution):
         self._nodes = nodes
         self._spline = CubicSpline(np.log(nodes), np.log(f_tab))
 
-    def _xi(self, r, t):
+    def _xi(self, r, t, power=operator.pow):
         tt = self.T - np.asarray(t, float)
-        return np.asarray(r, float) * tt ** (-1 / self.exponents.p), tt
+        return np.asarray(r, float) * power(tt, -1 / self.exponents.p), tt
 
-    def u_rt(self, r, t):
-        xi, _ = self._xi(r, t)
+    def u_rt(self, r, t, power=operator.pow):
+        xi, _ = self._xi(r, t, power)
         return self.f(xi)
 
-    def ur_rt(self, r, t):
-        xi, tt = self._xi(r, t)
-        return -self.neg_fprime(xi) * tt ** (-1 / self.exponents.p)
+    def ur_rt(self, r, t, power=operator.pow):
+        xi, tt = self._xi(r, t, power)
+        return -self.neg_fprime(xi, power) * power(tt, -1 / self.exponents.p)
 
     def ut_rt(self, r, t):
         xi, tt = self._xi(r, t)
@@ -597,12 +597,13 @@ class DipoleSelfSimilar(_SelfSimilar):
         self._K0 = ((p / (2 - p)) ** (p - 1) * abs(self.lam1)) ** (1 / (2 - p))
         self._build_table(np.logspace(-6, 6, 4096))
 
-    def neg_fprime(self, r):
+    def neg_fprime(self, r, power=operator.pow):
         p, lam1 = self.exponents.p, self.lam1
         r = np.asarray(r, float)
-        return r ** (-2 / (2 - p)) * (
-            self.C * r ** (abs(lam1) / (p - 1)) + (2 - p) / (p * abs(lam1))
-        ) ** (-1 / (2 - p))
+        return r ** (-2 / (2 - p)) * power(
+            self.C * r ** (abs(lam1) / (p - 1)) + (2 - p) / (p * abs(lam1)),
+            -1 / (2 - p),
+        )
 
     def _tail(self, r):
         N, p = self.exponents.n_dim, self.exponents.p
@@ -668,19 +669,21 @@ class IvanovSubsolution(ClosedFormSolution):
         self.h_w = h  # decay rate in the paper's w = u^q time variable
         self.h_rate = h * q ** (1 - p)  # decay rate in prototype time
 
-    def phi(self, r):
+    def phi(self, r, power=operator.pow):
+        """The radial profile.  Its two squares are of numpy scalars at one
+        point: `power` takes them, as in `u_rt`."""
         N = self.exponents.n_dim
         r = np.asarray(r, float)
-        return (self.r0**2 - r**2) ** 2 / (
-            r ** (N / self.s) * np.log(r**2) ** 2
+        return power(self.r0**2 - r**2, 2) / (
+            r ** (N / self.s) * power(np.log(r**2), 2)
         )
 
-    def phi_prime(self, r):
+    def phi_prime(self, r, power=operator.pow):
         N = self.exponents.n_dim
         r = np.asarray(r, float)
         D = self.r0**2 - r**2
         L = np.log(r**2)
-        return self.phi(r) * (-4 * r / D - (N / self.s) / r - 4 / (r * L))
+        return self.phi(r, power) * (-4 * r / D - (N / self.s) / r - 4 / (r * L))
 
     def _required_rate(self):
         """sup of (-Delta_p phi)_+ / phi^q over [rmin, r0), by a fine scan."""
@@ -696,15 +699,15 @@ class IvanovSubsolution(ClosedFormSolution):
         ratio = np.where(lap < 0, -lap / self.phi(rs) ** q, 0.0)
         return float(ratio.max())
 
-    def u_rt(self, r, t):
+    def u_rt(self, r, t, power=operator.pow):
         q = self.exponents.q
         tf = np.clip(1 - self.h_rate * np.asarray(t, float), 0.0, None)
-        return tf ** (1 / q) * self.phi(r)
+        return power(tf, 1 / q) * self.phi(r, power)
 
-    def ur_rt(self, r, t):
+    def ur_rt(self, r, t, power=operator.pow):
         q = self.exponents.q
         tf = np.clip(1 - self.h_rate * np.asarray(t, float), 0.0, None)
-        return tf ** (1 / q) * self.phi_prime(r)
+        return power(tf, 1 / q) * self.phi_prime(r, power)
 
     def dtuq_rt(self, r, t):
         q = self.exponents.q
@@ -759,12 +762,10 @@ class SpecialLogProfile(_SelfSimilar):
             raise ValueError("requires r_max finite and 0.96 sqrt(r_max) > 1e-6")
         self._build_table(np.logspace(-6, math.log10(0.96 * self.r_anchor), 2048))
 
-    def neg_fprime(self, r):
+    def neg_fprime(self, r, power=operator.pow):
         N = self.exponents.n_dim
         r = np.asarray(r, float)
-        return r ** (-(N + 1)) * (self.C - self.c_log * np.log(r)) ** (
-            -(N + 1) / 2
-        )
+        return r ** (-(N + 1)) * power(self.C - self.c_log * np.log(r), -(N + 1) / 2)
 
     def _tail(self, r):
         from scipy.integrate import quad

@@ -13,6 +13,9 @@ from hypothesis import given, settings, strategies as st
 from dnl_lab import cli, solver
 from dnl_lab.core import ExponentTriple, Grid1D
 from dnl_lab.exact import (
+    BoundednessBorderline,
+    ClosedFormSolution,
+    DomainError,
     IvanovSubsolution,
     SpecialLogProfile,
     SupercriticalExtinction,
@@ -29,6 +32,7 @@ from dnl_lab.diagnostics import (
     RegimeError,
     DiagnosticReport,
     SolutionSource,
+    _loglog_fit,
     _monotone_exceedance,
     _verdict,
     harnack_scan,
@@ -827,13 +831,46 @@ class TestExtinction:
     def test_decay_fit_of_a_constant_series(self):
         # a constant u shows no power law: slope 0 and r^2 0, where the fit
         # read a slope of 8e-17 and r^2 = -4.3e269
-        class Flat:
+        class Flat(ClosedFormSolution):
             T = 1.0
 
-            def eval(self, x, t):
-                return 2.0
+            def u_rt(self, r, t, power=None):
+                return np.full(np.broadcast(r, t).shape, 2.0)
 
-        assert decay_exponent_fit(Flat(), 0.0) == (0.0, 0.0)
+        assert decay_exponent_fit(Flat(None), 0.0) == (0.0, 0.0)
+
+    @staticmethod
+    def _decay_times(T):
+        return T - (T * (1 - 0.9)) * np.logspace(
+            0, math.log10((1 - 0.999) / (1 - 0.9)), 24
+        )
+
+    @pytest.mark.parametrize("sol, x_o", [
+        (SupercriticalExtinction(n_dim=40, p=2.0, q=3.0, T=1.0), 0.0),
+        (SupercriticalExtinction(n_dim=40, p=2.0, q=3.0, T=2.0, C=-1.0), 7.0),
+        (BoundednessBorderline(n_dim=3, p=2.0), 0.5),
+        (BoundednessBorderline(n_dim=4, p=1.7, a=0.3, T=2.0), -1.5),
+    ])
+    def test_decay_fit_reads_the_point_values(self, sol, x_o):
+        # one column of the u table: the fit of 24 point reads, bit for bit
+        ts = self._decay_times(sol.T)
+        want = _loglog_fit(np.log(sol.T - ts), np.log([sol.eval([x_o], t) for t in ts]))
+        assert decay_exponent_fit(sol, x_o) == want
+
+    def test_decay_fit_refuses_the_first_time_outside(self):
+        # the C < 0 variant's edge R(t) passes x_o = 5.9 inside [0.9 T, 0.999 T]:
+        # the refusal is the point read's, at the first time past the edge
+        sol = SupercriticalExtinction(n_dim=40, p=2.0, q=3.0, T=2.0, C=-1.0)
+        ts = self._decay_times(sol.T)
+        ok = sol.valid_lattice([5.9], ts)[:, 0]
+        assert ok[0] and not ok[-1]
+        with pytest.raises(DomainError) as want:
+            for t in ts:
+                sol.eval([5.9], t)
+        with pytest.raises(DomainError) as got:
+            decay_exponent_fit(sol, 5.9)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"(5.9, {ts[np.argmin(ok)]}) outside")
 
 
 class TestGradientBound:

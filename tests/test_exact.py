@@ -1,6 +1,7 @@
 """Tests for the closed-form solution catalog and the residual oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -539,6 +540,121 @@ class TestEvalLattice:
                 read(xs, 0.25)
             with pytest.raises(DomainError, match=r"^\(0\.0, 0\.5\) outside"):
                 read(np.array([1.0, -0.0, 2.0]), 0.5)
+
+
+def _inside_lattice(sol, n):
+    """n coordinates, half of each sign, and n times over the family's
+    residual window, every point inside its validity domain.  The moving
+    edge R(t) of the C < 0 extinction variant cuts its window (R = 4.9 at
+    t = 0.6), so its radii start past the edge."""
+    r_lo, r_hi, t_lo, t_hi = sol.residual_window
+    if isinstance(sol, SupercriticalExtinction) and sol.C < 0:
+        r_lo = 1.01 * float(sol.R_t(t_hi))
+    radii = np.linspace(r_lo, r_hi, n // 2)
+    return np.concatenate([-radii[::-1], radii]), np.linspace(t_lo, t_hi, n)
+
+
+class TestTablesMatchPoints:
+    """Every family's u and |Du| tables against its own point reads, bit for
+    bit, on a 64 x 64 lattice inside its domain, with no warning; and a
+    table costs the same number of `u_rt` and `ur_rt` calls at any size."""
+
+    @pytest.mark.parametrize("field", ["eval", "grad_norm"])
+    @pytest.mark.parametrize("sol", _LINE_FAMILIES)
+    def test_every_family(self, sol, field):
+        xs, ts = _inside_lattice(sol, 64)
+        assert sol.valid_lattice(xs, ts).all()
+        read = _point_read(sol, field)
+        want = [[read(v, t) for v in xs.tolist()] for t in ts]
+        got = sol.eval_lattice(xs, ts, field)
+        assert got.shape == (64, 64)
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("sol", _LINE_FAMILIES)
+    def test_profile_calls_do_not_grow(self, sol, monkeypatch):
+        calls = []
+        for name in ("u_rt", "ur_rt"):
+            real = getattr(type(sol), name)
+
+            def spy(self, r, t, *power, real=real):
+                calls.append(np.size(r))
+                return real(self, r, t, *power)
+
+            monkeypatch.setattr(type(sol), name, spy)
+        counts = []
+        for n in (2, 8, 64):
+            xs, ts = _inside_lattice(sol, n)
+            calls.clear()
+            for field in ("eval", "grad_norm"):
+                sol.eval_lattice(xs, ts, field)
+            counts.append(len(calls))
+        assert counts == [counts[0]] * 3 and counts[0] >= 2  # a table per field
+
+
+def _table_exponents():
+    """Every exponent that the tables of `_LINE_FAMILIES` pass to
+    `np.float_power`, caught by a spy on a small lattice of each."""
+    seen = set()
+    real = np.float_power
+
+    def spy(base, e):
+        seen.add(float(e))
+        return real(base, e)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "float_power", spy)
+        for sol in _LINE_FAMILIES:
+            for field in ("eval", "grad_norm"):
+                sol.eval_lattice(*_inside_lattice(sol, 4), field)
+    return sorted(seen)
+
+
+def _warning_kind(power):
+    """The class and kind ("overflow", "divide by zero", ...) of the first
+    warning that `power()` raises, or None."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            power()
+        except Warning as w:
+            return type(w), str(w).split(" encountered")[0]
+    return None
+
+
+class TestFloatPower:
+    """The tables' libm power: `np.float_power` on a float64 array has the
+    bits and the warnings of `**` on a numpy scalar, over a fixed grid of
+    bases and at every exponent that a table passes it.  A numpy whose
+    float64 `float_power` loop is vectorized fails here first."""
+
+    GRID = np.concatenate(
+        [[0.0, 5e-324], np.geomspace(1e-300, 1e300, 481), [np.inf, np.nan]]
+    )
+    GRID = np.concatenate([GRID, -GRID])
+
+    def test_exponents_seen(self):
+        # one per family at least; Ivanov's squares are the integer 2
+        exps = _table_exponents()
+        assert len(exps) >= 8 and 2.0 in exps
+
+    def test_bits(self):
+        rng = np.random.default_rng(34)
+        bases = np.concatenate([
+            self.GRID, rng.uniform(1, 10, 4000) * 10.0 ** rng.integers(-300, 300, 4000)
+        ])
+        for e in _table_exponents():
+            with np.errstate(all="ignore"):
+                want = np.array([b**e for b in bases])  # numpy scalars
+                got = np.float_power(bases, e)
+            assert got.dtype == np.float64
+            assert _bits(got) == _bits(want), e
+
+    def test_warnings(self):
+        for e in _table_exponents():
+            for b in self.GRID:
+                assert _warning_kind(lambda: b**e) == _warning_kind(
+                    lambda: np.float_power(np.array([b]), e)
+                ), (b, e)
 
 
 def test_default_residual_lattices_inside_the_domain():
