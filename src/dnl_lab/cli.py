@@ -412,48 +412,25 @@ def build_problem(cfg):
     return pr, sc
 
 
-def solvable(pr, sc):
-    """(pr, sc), checked before any step: u^q of the initial data, and the
-    flux at the data's steepest inner face, must not overflow, where the
-    solver would warn at every step before the run fails.  Python's **
-    raises OverflowError where numpy warns."""
-    e, u0 = pr.exponents, pr.initial
-    u_top = float(u0.max())
-    g_top = float(np.abs(np.diff(u0)).max() / pr.grid.h)
-    try:
-        tops = u_top**e.q, (pr.mu**2 + g_top**2) ** ((e.p - 2) / 2) * g_top
-    except OverflowError:
-        tops = (math.inf,)
-    if math.inf in tops:
-        raise ValueError(
-            f"u^q or the flux |Du|^(p-2) Du overflows at u = {u_top:g} (initial"
-            f" data), |Du| = {g_top:g}, q = {e.q:g}, p = {e.p:g}"
-        )
-    return pr, sc
-
-
-def run_solver(cfg):
-    """The numeric run solved over its whole span."""
-    return solve(*solvable(*build_problem(cfg)))
-
-
-def solved_source(cfg):
-    """Numeric run, even when a [family] is set, solved on demand: a scan
-    steps it only as far as the last time it reads."""
-    return dg.SolutionSource(Trajectory(*solvable(*build_problem(cfg))))
-
-
-def build_source(cfg):
-    """Closed-form source if [family] id is set, numeric run otherwise."""
-    if "family" in cfg and "id" in cfg["family"]:
+def build_source(cfg, family=True):
+    """Closed-form source if `family` and [family] id are set, numeric run
+    otherwise, solved on demand: a scan steps it only as far as the last
+    time it reads."""
+    if family and "family" in cfg and "id" in cfg["family"]:
         return dg.SolutionSource(build_family(cfg))
-    return solved_source(cfg)
+    return dg.SolutionSource(Trajectory(*build_problem(cfg)))
 
 
 def _report(out, rep):
     """Write a diagnostic report; its verdict sets the exit code."""
     out.add_report(rep)
     return 0 if rep.verdict == "bounded" else 2
+
+
+def _check(out, name, ok):
+    """Write the meta line `name,pass` or `name,fail`; a pass exits 0."""
+    out.meta(f"{name},{'pass' if ok else 'fail'}")
+    return 0 if ok else 2
 
 
 # ---------------------------------------------------------------------------
@@ -495,12 +472,8 @@ def pipe_exact_residual(cfg, out):
     if fam.role == "weak_subsolution":
         # sign check instead of convergence: residual must stay negative
         last = exact.pde_residual_rt(fam, radii[:, None], times[None, :], hs[-1])
-        ok = float(np.max(last)) <= 0.0
-        out.meta(f"subsolution_sign,{'pass' if ok else 'fail'}")
-        return 0 if ok else 2
-    ok = order >= exact.CONVERGENT_ORDER
-    out.meta(f"verdict,{'pass' if ok else 'fail'}")
-    return 0 if ok else 2
+        return _check(out, "subsolution_sign", float(np.max(last)) <= 0.0)
+    return _check(out, "verdict", order >= exact.CONVERGENT_ORDER)
 
 
 _POW10 = np.array([1e16, 1e17, 1e18, 1e19, 1e20, 1e21])  # exact doubles
@@ -588,18 +561,17 @@ def _export_lines(traj):
 
 
 def pipe_solve(cfg, out):
-    traj = run_solver(cfg)
+    traj = solve(*build_problem(cfg))
     if _get(cfg, "comparison", "enabled", False):
         cfg2 = _merge(cfg, {})
         initial_b = _get(cfg, "comparison", "initial_b", "cos_bump")
         cfg2.setdefault("solver", {})["initial"] = initial_b
         cfg2["solver"]["initial_scale"] = fmt(_get(cfg, "comparison", "scale_b", 0.5))
-        traj_b = run_solver(cfg2)
+        traj_b = solve(*build_problem(cfg2))
         result = check_comparison(traj_b, traj, **_given(cfg, "comparison", "tol"))
         out.set_header(["violation", "passes", "tol"])
         out.add_row([result["violation"], result["passes"], result["tol"]])
-        out.meta(f"comparison,{'pass' if result['passes'] else 'fail'}")
-        return 0 if result["passes"] else 2
+        return _check(out, "comparison", result["passes"])
     if "enabled" in cfg.get("comparison", {}):
         # `enabled = false` switches the section off: its other keys go unused
         cfg.read.update(("comparison", key) for key in cfg["comparison"])
@@ -627,13 +599,11 @@ def pipe_extinction(cfg, out):
         rel = abs(slope - want) / want
         out.set_header(["decay_slope", "reference_slope", "rel_deviation", "r_squared"])
         out.add_row([slope, want, rel, r2])
-        ok = rel <= 0.10
-        out.meta(f"decay_fit,{'pass' if ok else 'fail'}")
-        return 0 if ok else 2
+        return _check(out, "decay_fit", rel <= 0.10)
     problem, config = build_problem(cfg)
     probes = _given(cfg, "probes", "x_o")
     dg.check_extinction_run(problem, **probes)  # before any step
-    traj = solve(*solvable(problem, config))
+    traj = solve(problem, config)
     return _report(out, dg.extinction_analysis(traj, **probes))
 
 
@@ -710,17 +680,18 @@ def _gradbound_probes(cfg):
     return [(x, t, r) for (x, t) in base for r in radii]
 
 
-def _scan(diagnostic, source, *args, optional=("lattice",)):
+def _scan(diagnostic, *args, optional=("lattice",), family=True):
     """Pipeline of one estimate scan: read the probe arguments in order, then
     the `optional` [probes] keys that the config sets (a bad one fails
-    before any solve), build the source and report `dg.<diagnostic>`.  The
+    before any solve), build the source (a numeric run, whatever [family]
+    says, unless `family`) and report `dg.<diagnostic>`.  The
     diagnostic is looked up by name on every call, so a wrapper installed on
     the module after import (a tracer, a mock) is the one that runs."""
 
     def pipeline(cfg, out):
         kwargs = {name: read(cfg) for name, read in args}
         kwargs.update(_given(cfg, "probes", *optional))
-        src = source(cfg)
+        src = build_source(cfg, family)
         return _report(out, getattr(dg, diagnostic)(src, **kwargs))
 
     return pipeline
@@ -739,25 +710,24 @@ COMMANDS = {
     "solve": pipe_solve,
     "harnack": _scan(
         "harnack_scan",
-        build_source,
         ("base_points", _probe_list),
         _key("radii"),
         optional=("sigma", "lattice"),
     ),
-    "integral-harnack": _scan("integral_harnack", build_source, *_CYLINDER),
-    "supbound": _scan("sup_bound", build_source, *_CYLINDER, _key("r")),
+    "integral-harnack": _scan("integral_harnack", *_CYLINDER),
+    "supbound": _scan("sup_bound", *_CYLINDER, _key("r")),
     "expand": _scan(
         "expansion_of_positivity",
-        solved_source,
         *_POINT,
         _key("rho"),
         _key("M"),
         _key("alpha"),
         optional=(),
+        family=False,
     ),
     "extinction": pipe_extinction,
-    "gradbound": _scan("gradient_bound", build_source, ("probes", _gradbound_probes)),
-    "holder": _scan("holder_fit", build_source, *_POINT, _key("radii")),
+    "gradbound": _scan("gradient_bound", ("probes", _gradbound_probes)),
+    "holder": _scan("holder_fit", *_POINT, _key("radii")),
     "model": pipe_model,
 }
 

@@ -123,6 +123,8 @@ class Grid1D:
             raise ValueError("x_lo must be < x_hi")
         if self.n_cells < 4:
             raise ValueError("n_cells must be >= 4")
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"cell width h = {self.h:g} must be finite and > 0")
         if self.geometry not in ("cartesian", "radial"):
             raise ValueError(f"unknown geometry {self.geometry!r}")
         if self.geometry == "radial" and self.x_lo < 0:
@@ -131,6 +133,9 @@ class Grid1D:
         x_max = np.finfo(float).max ** (1 / self.n_dim)
         if self.geometry == "radial" and self.x_hi > x_max:
             raise ValueError("radial grid requires x_hi^N finite")
+        # the unit sphere's area takes Gamma(N/2), which overflows at N >= 344
+        if self.geometry == "radial" and self.n_dim > 343:
+            raise ValueError("radial grid requires N <= 343: Gamma(N/2) overflows")
 
     @property
     def h(self):

@@ -162,14 +162,18 @@ class SolutionSource:
             return [self.backing.eval_lattice(xs, ts, f) for f in fields]
         times = self._ts
         xs, t = np.asarray(xs, dtype=float), np.asarray(ts, dtype=float)
-        # a search of the inner times keeps 1 <= i <= len(times) - 1
+        # t clamped to the run, so 0 <= w <= 1 (no quotient overflows, even
+        # over a step of the least double); a search of the inner times
+        # keeps 1 <= i <= len(times) - 1
+        t = np.minimum(np.maximum(t, times[0]), times[-1])
         i = np.searchsorted(times[1:-1], t) + 1
-        w = (t - times[i - 1]) / (times[i] - times[i - 1])
-        w = np.minimum(np.maximum(w, 0.0), 1.0)[:, None]
+        w = ((t - times[i - 1]) / (times[i] - times[i - 1]))[:, None]
         # row i - 1 of a time sits at k0 in `read`, and row i at k1 = k0 + 1
         read = sorted({*(i - 1).tolist(), *i.tolist()})
         k0 = np.searchsorted(read, i - 1)
         k1 = k0 + 1
+        # the last row first: the steps to it run as one batch (see `row`)
+        self.backing.row(read[-1])
         rows = np.array([self.backing.row(n) for n in read])
         # np.interp: at or below the first center, on a center, and at or
         # past the last one the value is that of the center (node); in

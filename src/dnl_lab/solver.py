@@ -467,7 +467,8 @@ def step(problem, u_prev, t, dt, config, disc=None):
     no iteration, this one, at the same dt and tolerance, has its residual
     and tolerance and takes none either: it returns at once.
     Raises StepFailure, which names t and the residual as a multiple of its
-    tolerance."""
+    tolerance, also where the tolerance or a residual is not finite: no
+    Jacobian or solve is formed from either."""
     if not 0 < dt < math.inf:
         raise ValueError("dt must be finite and > 0")
     u_prev = np.asarray(u_prev, dtype=float)
@@ -507,7 +508,11 @@ def step(problem, u_prev, t, dt, config, disc=None):
     beta_amp = float(b_prev[b_prev.argmax()])
     scale = (beta_amp + 1e-14) * disc.vol_max / dt
     tol = config.newton_tol * scale
-    while norm > tol and iters < max_newton:
+    if not tol < math.inf:
+        raise StepFailure("tolerance is not finite", t_new, norm, tol)
+    # an infinite residual ends the iteration (a NaN one never starts it)
+    # before a Jacobian or a solve sees it
+    while tol < norm < math.inf and iters < max_newton:
         lower, main, upper = jacobian_bands(cur, dt0)
         try:
             delta = solve_banded(lower, main, upper, cur.F)
@@ -530,7 +535,9 @@ def step(problem, u_prev, t, dt, config, disc=None):
                 break
         iters += 1
     disc.states = cur, spare
-    if not norm <= tol * 100:  # a NaN residual fails too
+    if not norm <= tol * 100:
+        if not norm < math.inf:  # inf or NaN
+            raise StepFailure("residual is not finite", t_new, norm, tol)
         raise StepFailure("nonlinear iteration did not converge", t_new, norm, tol)
     u = np.maximum(cur.u, 0.0)
     if disc.zero_dirichlet:
@@ -586,36 +593,42 @@ class Trajectory:
     def row(self, i):
         """The field at `times[i]`, stepped to on first read.  A StepFailure
         names its step, and every later read that needs that step raises it
-        again."""
+        again.  The steps run with numpy's overflow, invalid and divide
+        warnings off: a value they make inf or NaN ends the run as the
+        StepFailure of `step`."""
         if not 0 <= i < len(self.times):
             raise IndexError(f"row {i} of {len(self.times)}")
         fields, times, dts = self.fields, self.times, self._dts
-        while len(fields) <= i:
-            if self._failure is not None:
-                raise self._failure
-            k = len(fields) - 1
-            u, t, dt = fields[k], times[k], dts[k]
-            try:
-                u, info = self._advance(u, t, dt)
-            except StepFailure as exc:
-                self._failure = exc.at_step(k + 1, len(dts))
-                raise self._failure from exc
-            fields.append(u)
-            self.newton_iters.append(info["iters"])
-            self.residual_norms.append(info["residual"])
+        if i < len(fields):
+            return fields[i]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            while len(fields) <= i:
+                if self._failure is not None:
+                    raise self._failure
+                k = len(fields) - 1
+                u, t, dt = fields[k], times[k], dts[k]
+                try:
+                    u, info = self._advance(u, t, dt)
+                except StepFailure as exc:
+                    self._failure = exc.at_step(k + 1, len(dts))
+                    raise self._failure from exc
+                fields.append(u)
+                self.newton_iters.append(info["iters"])
+                self.residual_norms.append(info["residual"])
         return fields[i]
 
     def _advance(self, u, t, dt, splits=7):
         """A `step` from u at t by dt, or, where it raises StepFailure, two
         `_advance`s by dt/2 in its place, down to steps of dt/2^splits; the
         info of a split step sums the iterations and keeps the larger
-        residual.  `step` returns a new array and never writes to u."""
+        residual; a step of the least double is not split.  `step` returns a
+        new array and never writes to u."""
         try:
             return step(self.problem, u, t, dt, self.config, disc=self._disc)
         except StepFailure:
-            if not splits:
+            half = dt / 2
+            if not (splits and half):
                 raise
-        half = dt / 2
         u, a = self._advance(u, t, half, splits - 1)
         u, b = self._advance(u, t + half, half, splits - 1)
         residual = max(a["residual"], b["residual"])

@@ -545,7 +545,7 @@ class Test11HolderFit:
         cfg["grid"]["n_cells"] = "400"
         cfg["solver"]["dt"] = "5e-5"
         radii = [4 * r for r in self.RADII]
-        rep = dg.holder_fit(cli.solved_source(cfg), 0.0, 0.02, radii)
+        rep = dg.holder_fit(cli.build_source(cfg), 0.0, 0.02, radii)
         # bounds fixed before the first run: 1/(p-1) within 10%, a straight
         # log-log fit, and the verdict that the estimate holds
         assert abs(rep.extras["alpha_raw"] - 0.5) <= 0.05

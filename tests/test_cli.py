@@ -24,9 +24,8 @@ from dnl_lab.cli import (
     SUBCOMMANDS,
     preset,
     run,
-    run_solver,
 )
-from dnl_lab.solver import StepFailure
+from dnl_lab.solver import StepFailure, solve
 
 
 class TestConfigGrammar:
@@ -191,6 +190,15 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {sub} does not read [family] p, [family] q\n"
+
+    def test_expand_reads_no_family_id(self, capsys):
+        # expansion of positivity is measured on a run, never a closed form
+        argv = ["expand", "--preset", "expansion-positivity", "--family.id",
+                "trudinger_gaussian"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: expand does not read [family] id\n"
 
     @pytest.mark.parametrize("sub, name", SOLVER_SCANS)
     def test_bare_exponent_override_reaches_the_solver(self, capsys, sub, name):
@@ -718,7 +726,7 @@ class TestExportLines:
         _, cfg = preset("solver-supercritical-run")
         cfg["grid"]["n_cells"] = str(len(self.SPECIAL))
         cfg["solver"]["t_end"] = "4e-4"
-        traj = run_solver(cfg)
+        traj = solve(*cli.build_problem(cfg))
         traj.fields[1] = np.array(self.SPECIAL)
         traj.fields[2] = -np.array(self.SPECIAL)
         traj.times[1] = np.float64(traj.times[1])
@@ -731,11 +739,11 @@ class TestExportLines:
         the `add_row` text of the trajectory that same run solved."""
         trajs = []
 
-        def recorded(cfg):
-            trajs.append(run_solver(cfg))
+        def recorded(problem, config):
+            trajs.append(solve(problem, config))
             return trajs[-1]
 
-        monkeypatch.setattr(cli, "run_solver", recorded)
+        monkeypatch.setattr(cli, "solve", recorded)
         prefix = tmp_path / "run"
         argv = ["solve", "--preset", "solver-supercritical-run", *overrides]
         assert run(argv + ["--out", str(prefix)]) == 0
@@ -918,7 +926,7 @@ class TestDigits17:
         `add_row`."""
         _, cfg = preset("solver-supercritical-run")
         cfg["solver"]["t_end"] = "0.014"
-        traj = run_solver(cfg)
+        traj = solve(*cli.build_problem(cfg))
         assert len(traj.fields) == 71
         specials = [0.0, -0.0, 1.0, 1.5, 1e-5, 5e-324, float("nan"),
                     float("inf"), -float("inf")]
@@ -957,26 +965,32 @@ def test_one_probe_point_takes_one_value(capsys, argv, key):
     assert captured.err == f"error: bad value for [probes] {key}: takes one value\n"
 
 
+def _exits_cleanly(capfd, argv):
+    """`run(argv)`: no exception (warnings are errors) and no C-level output
+    such as LAPACK's DLASCL lines; exit 0, 1 or 2, and on exit 1 one
+    `error:` line and nothing on stdout.  Returns the exit code."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(argv)
+    out, err = capfd.readouterr()
+    assert code in (0, 1, 2), argv
+    assert "DLASCL" not in out, argv
+    if code == 1:
+        assert out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+    else:
+        assert err == "", argv
+    return code
+
+
 def _fuzz(capfd, name, section, key):
-    """[section] key set to 0, -1, nan, inf and "" on the preset: no
-    exception (warnings are errors) and no C-level output such as LAPACK's
-    DLASCL lines; exit 0, 1 or 2, and on exit 1 one `error:` line and
-    nothing on stdout; a value that is no finite number or is empty always
-    exits 1."""
+    """[section] key set to 0, -1, nan, inf and "" on the preset: exits as
+    `_exits_cleanly` says, and a value that is no finite number or is empty
+    always exits 1."""
     sub = PRESETS[name][0]
     for value in ("0", "-1", "nan", "inf", ""):
         argv = [sub, "--preset", name, f"--{section}.{key}", value]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = run(argv)
-        out, err = capfd.readouterr()
-        assert code in (0, 1, 2), argv
-        assert "DLASCL" not in out, argv
-        if code == 1:
-            assert out == "", argv
-            assert err.startswith("error: ") and err.count("\n") == 1, argv
-        else:
-            assert err == "", argv
+        code = _exits_cleanly(capfd, argv)
         if value in ("nan", "inf", ""):
             assert code == 1, argv
 
@@ -987,6 +1001,34 @@ def test_every_preset_key_fuzzed(capfd, name):
     _, cfg = preset(name)
     for section, key in [(s, k) for s in sorted(cfg) for k in sorted(cfg[s])]:
         _fuzz(capfd, name, section, key)
+
+
+_SOLVER_KEYS = ("p", "q", "initial_scale", "t_end", "t_start", "newton_tol", "dt",
+                "x_lo", "x_hi", "N")
+_EXTREMES = ("1e-300", "-1e-300", "5e-324", "1e200", "1e300", "-1e300")
+# just past a threshold: p above 1, q above p - 1, p above N, Gamma(N/2)
+# overflowing; and a flux power that overflows on the Newton iterates
+_NEAR_THRESHOLD = (
+    ["--p", "1.000001"],
+    ["--p", "2", "--q", "1.000001"],
+    ["--p", "1.5", "--q", "0.500001"],
+    ["--p", "5", "--N", "3"],
+    ["--N", "344"],
+    ["--p", "400"],
+)
+
+
+@pytest.mark.parametrize(
+    "name", ["solver-supercritical-run", "extinction-bound", "holder-supercritical"]
+)
+def test_finite_extremes_fuzzed(capfd, name):
+    """Each solver key at each of `_EXTREMES`, and the `_NEAR_THRESHOLD`
+    cases, on a solve, an extinction run and a trajectory scan: each exits
+    as `_exits_cleanly` says."""
+    sub = PRESETS[name][0]
+    cases = [[f"--{key}", value] for key in _SOLVER_KEYS for value in _EXTREMES]
+    for args in cases + list(_NEAR_THRESHOLD):
+        _exits_cleanly(capfd, [sub, "--preset", name, *args])
 
 
 @pytest.mark.parametrize(
@@ -1131,18 +1173,47 @@ def test_family_without_its_parameters_exits_cleanly(capsys, fid):
          "error: t_end - t_start is 4e+298 steps of dt: over 10^6\n"),
         (["solve", "--preset", "solver-supercritical-run", "--t_end", "1e300"], 1,
          "error: t_end - t_start is 5e+303 steps of dt: over 10^6\n"),
-        # the flux factor's power and beta(u0) overflow: refused before any
-        # step, which would warn
-        (["solve", "--preset", "solver-supercritical-run", "--p", "1e200"], 1,
-         "error: u^q or the flux |Du|^(p-2) Du overflows at u = 0.999985 "
-         "(initial data), |Du| = 1.57078, q = 2, p = 1e+200\n"),
-        (["solve", "--preset", "solver-supercritical-run", "--q", "400",
-          "--initial_scale", "10"],
-         1, "error: u^q or the flux |Du|^(p-2) Du overflows at u = 9.99985 "
-         "(initial data), |Du| = 15.7078, q = 400, p = 2\n"),
+        # the flux factor's power overflows, then beta(u0) and the
+        # tolerance: the Newton kernel refuses the first step, with no
+        # warning.  Both rows keep their pytest ids, which name the line a
+        # check of the initial data printed before the kernel refused them
+        pytest.param(
+            ["solve", "--preset", "solver-supercritical-run", "--p", "1e200"], 1,
+            "error: residual is not finite at step 1 of 200, t=1.5625e-06: "
+            "residual nan = nan× tol\n",
+            id="argv21-1-error: u^q or the flux |Du|^(p-2) Du overflows at u = "
+            "0.999985 (initial data), |Du| = 1.57078, q = 2, p = 1e+200\n",
+        ),
+        pytest.param(
+            ["solve", "--preset", "solver-supercritical-run", "--q", "400",
+             "--initial_scale", "10"], 1,
+            "error: tolerance is not finite at step 1 of 200, t=1.5625e-06: "
+            "residual nan = nan× tol\n",
+            id="argv22-1-error: u^q or the flux |Du|^(p-2) Du overflows at u = "
+            "9.99985 (initial data), |Du| = 15.7078, q = 400, p = 2\n",
+        ),
         # b = (N/q)^p = 1444 at N = 40: e^{bt} overflows, where u = 0
         (["exact-residual", "--preset", "critical-b-arbitration", "--N", "40"], 0,
          "critical_b,1444"),
+        # the flux overflows on the first Newton iterates, not on the data
+        (["solve", "--preset", "solver-supercritical-run", "--p", "400"], 1,
+         "error: residual is not finite at step 1 of 200, t=1.5625e-06: "
+         "residual nan = nan× tol\n"),
+        # beta(u0) V/dt overflows: a step of the least double is not split
+        (["solve", "--preset", "solver-supercritical-run", "--t_end", "5e-324"], 1,
+         "error: tolerance is not finite at step 1 of 1, t=4.94066e-324: "
+         "residual 2.393e-02 = 0× tol\n"),
+        # x_hi / n_cells underflows to 0, x_hi - x_lo overflows to inf
+        (["solve", "--preset", "solver-supercritical-run", "--x_hi", "5e-324"], 1,
+         "error: cell width h = 0 must be finite and > 0\n"),
+        (["harnack", "--preset", "thm-harnack-supercritical", "--x_hi", "5e-324"], 1,
+         "error: cell width h = 0 must be finite and > 0\n"),
+        (["solve", "--preset", "solver-supercritical-run", "--geometry", "cartesian",
+          "--x_lo", "-1.7e308", "--x_hi", "1.7e308"], 1,
+         "error: cell width h = inf must be finite and > 0\n"),
+        # the unit sphere's area takes Gamma(N/2), which overflows at N = 344
+        (["extinction", "--preset", "extinction-bound", "--N", "344"], 1,
+         "error: radial grid requires N <= 343: Gamma(N/2) overflows\n"),
     ],
 )
 def test_branch_exit_code(capsys, argv, code, line):

@@ -92,6 +92,20 @@ class TestGrid1D:
         with pytest.raises(ValueError):
             Grid1D(-1.0, 1.0, 10, "radial", 3)
 
+    def test_cell_width_finite_and_positive(self):
+        # (x_hi - x_lo) / n_cells underflows to 0, x_hi - x_lo overflows
+        with pytest.raises(ValueError, match="cell width h = 0 must be finite"):
+            Grid1D(0.0, 5e-324, 200)
+        with pytest.raises(ValueError, match="cell width h = inf must be finite"):
+            Grid1D(-1.7e308, 1.7e308, 200)
+
+    def test_radial_dimension_keeps_gamma_finite(self):
+        # the unit sphere's area takes Gamma(N/2), finite up to N = 343
+        assert 0 < Grid1D(0.0, 1.0, 8, "radial", 343).surface_constant() < math.inf
+        with pytest.raises(ValueError, match="requires N <= 343"):
+            Grid1D(0.0, 1.0, 8, "radial", 344)
+        assert Grid1D(0.0, 1.0, 8, "cartesian", 344).surface_constant() == 1.0
+
 
 class TestGFunction:
     def test_q1_closed_form(self):

@@ -536,9 +536,8 @@ class TestEscapeRoutes:
         # taken instead, make one stored row
         calls = self._steps(monkeypatch)
         kept = []
-        run_solver = cli.run_solver
         monkeypatch.setattr(
-            cli, "run_solver", lambda cfg: kept.append(run_solver(cfg)) or kept[-1]
+            cli, "solve", lambda pr, sc: kept.append(solver.solve(pr, sc)) or kept[-1]
         )
         argv = ["solve", "--preset", "solver-supercritical-run", "--p", "1.5",
                 "--q", "0.5", "--t_end", "0.01", "--geometry", "cartesian",
@@ -823,3 +822,37 @@ class TestNonFiniteInputs:
             step(pr, pr.initial, 0.0, 1e-3, SolverConfig())
         with pytest.raises(ValueError):
             step(pr, pr.initial, 0.0, float("inf"), SolverConfig())
+
+    def test_step_refuses_an_infinite_residual_before_the_jacobian(self):
+        # a unit spike at p = 400: the flux overflows to +-inf at the
+        # spike's faces, and the first residual is inf, not NaN
+        g = Grid1D(0.0, 1.0, 8)
+        u0 = np.where(np.arange(8) == 4, 1.0, 0.0)
+        pr = CauchyDirichletProblem(ExponentTriple(400.0, 1.0, 1), g, u0, 1.0)
+        disc = _Discretization(pr)
+        disc.jacobian_bands = None  # a Newton iteration would call it
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            StepFailure, match="residual is not finite"
+        ) as info:
+            step(pr, pr.initial, 0.0, 1e-3, SolverConfig(), disc=disc)
+        assert info.value.residual == np.inf
+
+    def test_step_refuses_an_infinite_tolerance(self):
+        # beta(u_prev) V/dt overflows over a step of the least double
+        g = Grid1D(0.0, 1.0, 8)
+        pr = CauchyDirichletProblem(ExponentTriple(2.0, 2.0, 1), g, np.ones(8), 1.0)
+        with np.errstate(over="ignore"), pytest.raises(
+            StepFailure, match="tolerance is not finite"
+        ) as info:
+            step(pr, pr.initial, 0.0, 5e-324, SolverConfig())
+        assert info.value.tol == np.inf
+
+    def test_trajectory_steps_without_warnings(self):
+        # the same spike stepped by a Trajectory: its StepFailure, and no
+        # RuntimeWarning (pytest makes one an error)
+        g = Grid1D(0.0, 1.0, 8)
+        u0 = np.where(np.arange(8) == 4, 1.0, 0.0)
+        pr = CauchyDirichletProblem(ExponentTriple(400.0, 1.0, 1), g, u0, 1.0)
+        traj = solver.Trajectory(pr, SolverConfig(dt=0.5))
+        with pytest.raises(StepFailure, match="residual is not finite at step 1"):
+            traj.row(1)
