@@ -407,14 +407,25 @@ def expansion_of_positivity(src, x_o, t_o, rho, M, alpha):
 
 def check_extinction_run(problem, x_o=()):
     """The signed distance to the boundary (<= 0 on or past the edge) of a
-    zero-boundary problem with q + 1 > p and every probe of x_o inside,
-    checked before any step; a RegimeError otherwise."""
+    zero-boundary problem with q + 1 > p, a positive initial mass
+    int u^{q+1} and every probe of x_o inside, checked before any step; a
+    RegimeError otherwise.  The mass is summed as `slice_functionals` sums
+    it: its terms are >= 0, so the sum is 0 exactly where every term is,
+    in any order; an overflowing one is left to warn there."""
     e = problem.exponents
     if e.q + 1 - e.p <= 0:
         raise RegimeError("extinction analysis requires q + 1 > p")
     if problem.boundary != "zero_dirichlet":
         raise RegimeError("extinction analysis requires zero Dirichlet boundary")
     g = problem.grid
+    w = g.cell_volumes() * g.surface_constant()
+    with np.errstate(over="ignore"):
+        mass = np.sum(w * problem.initial ** (e.q + 1))
+    if not mass > 0:
+        raise RegimeError(
+            "extinction analysis requires a positive initial mass: "
+            "int u^{q+1} is 0"
+        )
     d_bound = lambda x: min(x - g.x_lo, g.x_hi - x) if (
         g.geometry == "cartesian"
     ) else (g.x_hi - abs(x))

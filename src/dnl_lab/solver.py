@@ -10,9 +10,9 @@ imposed by ghost values; radial grids use the r^{N-1} face weighting with
 zero flux through r = 0.
 """
 
+import ctypes
+import itertools
 import math
-import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,82 +109,93 @@ class SolverConfig:
             raise ValueError("newton_tol must be finite and > 0")
 
 
-_dgtsv = _ddot = None  # LAPACK dgtsv and BLAS ddot, bound by the first solve
+# LAPACK dgtsv and BLAS ddot with 64-bit integers, as the OpenBLAS that
+# numpy's linear algebra links exports them
+_SYMBOLS = ("scipy_dgtsv_64_", "scipy_ddot_64_")
+_routines = None  # (dgtsv, ddot), bound by `_lapack` on first use
 
 
-def _scipy_root():
-    """The directory of the installed scipy package, found without
-    importing it."""
-    import importlib.util
+def _lapack():
+    """(dgtsv, ddot) as ctypes functions, looked up through the handle of
+    numpy.linalg's `_umath_linalg` extension, which `import numpy` has
+    loaded: dlsym through it searches its dependencies too, numpy's
+    OpenBLAS among them (on Linux and macOS, not on Windows).  Bound once
+    per process; raises ImportError naming the library and the symbol it
+    lacks."""
+    global _routines
+    if _routines is None:
+        from numpy.linalg import _umath_linalg
 
-    spec = importlib.util.find_spec("scipy")
-    if spec is None:
-        raise ImportError("scipy is not installed")
-    return spec.submodule_search_locations[0]
-
-
-def _linalg_extension(name):
-    """scipy.linalg's f2py extension module `name` (`_flapack`, `_fblas`),
-    loaded from its file without running the scipy.linalg package.  Its
-    routines are the objects that scipy.linalg.lapack and .blas export.  A
-    module already imported is used as it is.  A module loaded here is
-    taken out of sys.modules again: the interpreter keeps the extension,
-    so a later `import scipy.linalg` gets the same routines and binds the
-    module to its package.  Raises ImportError naming the directory
-    searched when the file is missing."""
-    import importlib.machinery
-
-    full = f"scipy.linalg.{name}"
-    if full in sys.modules:
-        return sys.modules[full]
-    where = os.path.join(_scipy_root(), "linalg")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(where, name + suffix)
-        if os.path.isfile(path):
-            loader = importlib.machinery.ExtensionFileLoader(full, path)
-            spec = importlib.machinery.ModuleSpec(full, loader, origin=path)
-            module = loader.create_module(spec)
-            loader.exec_module(module)
-            sys.modules.pop(full, None)
-            return module
-    raise ImportError(f"no {full} extension in {where}")
+        path = _umath_linalg.__file__
+        lib = ctypes.CDLL(path)
+        routines = []
+        for name in _SYMBOLS:
+            try:
+                routines.append(lib[name])
+            except AttributeError:
+                raise ImportError(f"{path} exports no {name}") from None
+        dgtsv, ddot = routines
+        dgtsv.restype = None
+        ddot.restype = ctypes.c_double
+        _routines = dgtsv, ddot
+    return _routines
 
 
-def solve_banded(lower, main, upper, rhs):
+def _gtsv_args(lower, main, upper, rhs):
+    """The arguments of `dgtsv` on the four arrays, by reference: n, nrhs
+    = 1, dl, d, du, b, ldb = n and info, with info's c_int64 last."""
+    n, one, info = ctypes.c_int64(main.size), ctypes.c_int64(1), ctypes.c_int64()
+    ref, ptr = ctypes.byref, ctypes.c_void_p
+    args = (ref(n), ref(one), ptr(lower.ctypes.data), ptr(main.ctypes.data),
+            ptr(upper.ctypes.data), ptr(rhs.ctypes.data), ref(n), ref(info))
+    return args, info
+
+
+def _check_bands(lower, main, upper, rhs):
+    """Raises ValueError unless the four arrays are C-contiguous, writeable
+    float64 arrays of sizes n - 1, n, n - 1 and n (n >= 1) that share no
+    memory: `dgtsv` reads them through bare pointers."""
+    arrays = (lower, main, upper, rhs)
+    n = main.size
+    for name, a, size in zip(("lower", "main", "upper", "rhs"), arrays,
+                             (n - 1, n, n - 1, n)):
+        if a.dtype != np.float64 or a.shape != (size,):
+            raise ValueError(f"{name} must be a float64 array of size {size}")
+        if not (a.flags.c_contiguous and a.flags.writeable):
+            raise ValueError(f"{name} must be C-contiguous and writeable")
+    if any(np.may_share_memory(a, b) for a, b in itertools.combinations(arrays, 2)):
+        raise ValueError("lower, main, upper and rhs must not share memory")
+
+
+def solve_banded(lower, main, upper, rhs, prepared=None):
     """Solution of the tridiagonal system with diagonals `lower`, `main`,
     `upper` by LAPACK `dgtsv`, which scipy's `solve_banded((1, 1), ...)`
-    calls too (same bits).  It overwrites the four distinct float64 arrays.
-    Raises ValueError on a non-finite entry, as scipy's `check_finite`
-    does, and LinAlgError on a singular system.  Four views that tile one
-    buffer, as the bands of each iterate state in the Newton kernel do
-    (their b is the negated residual F that the state's residual wrote,
-    and the solution overwrites it there), are checked as that buffer: a
-    finite BLAS dot product with itself means every entry is finite, so
-    only a non-finite or overflowing one (whose ddot, unlike numpy's dot,
-    warns of nothing) runs the entrywise check.  The first call binds both
-    routines from scipy.linalg's extension files (`_linalg_extension`), so
-    that no run imports the scipy.linalg package for them."""
-    global _dgtsv, _ddot
-    if _dgtsv is None:
-        _ddot = _linalg_extension("_fblas").ddot
-        _dgtsv = _linalg_extension("_flapack").dgtsv
-    buf = lower.base
-    if (
-        buf is not None
-        and buf is main.base is upper.base is rhs.base
-        and buf.size == lower.size + main.size + upper.size + rhs.size
-    ):
-        finite = math.isfinite(_ddot(buf, buf)) or np.isfinite(buf).all()
-    else:
+    calls too (same bits).  It overwrites the four arrays and returns
+    `rhs`.  Raises ValueError on a non-finite entry, as scipy's
+    `check_finite` does, and LinAlgError on a singular system.
+    `prepared` is a `_State`'s `gtsv`, the call on its band buffer, which
+    the four arrays tile: the buffer is checked with one BLAS dot product
+    with itself, whose finite value means every entry is finite, so only a
+    non-finite or overflowing one (whose ddot, unlike numpy's dot, warns
+    of nothing) runs the entrywise check.  Four other arrays are checked
+    first (`_check_bands`), since no f2py wrapper stands between them and
+    LAPACK, and then entrywise."""
+    if prepared is None:
+        dgtsv = _lapack()[0]
+        _check_bands(lower, main, upper, rhs)
         finite = all(np.isfinite(a).all() for a in (lower, main, upper, rhs))
+        args, info = _gtsv_args(lower, main, upper, rhs)
+    else:
+        dgtsv, args, info, ddot, dot_args, buf = prepared
+        finite = math.isfinite(ddot(*dot_args)) or np.isfinite(buf).all()
     if not finite:
         raise ValueError("array must not contain infs or NaNs")
-    *_, x, info = _dgtsv(lower, main, upper, rhs, 1, 1, 1, 1)
-    if info > 0:
+    dgtsv(*args)
+    if info.value > 0:
         raise np.linalg.LinAlgError("singular matrix")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
-    return x
+    if info.value < 0:
+        raise ValueError(f"illegal value in {-info.value}-th argument of internal gtsv")
+    return rhs
 
 
 def _beta(u, q, out=None):
@@ -242,10 +253,12 @@ class _State:
     beta(u), phi's base mu^2 + g^2, and its own buffer of 4n - 2 floats
     whose views are `dgtsv`'s dl, du, d and b: `lower`, `upper`, `main`
     and `F`, the negated residual, which is the next solve's right-hand
-    side."""
+    side.  `gtsv` is `solve_banded`'s prepared call on the buffer: dgtsv
+    with its arguments and info, and ddot with its arguments, built once
+    (a pointer read from an array costs about 1 us)."""
 
     __slots__ = ("ue", "u", "hi", "lo", "grads", "div", "beta", "base", "bands",
-                 "lower", "upper", "off", "main", "F")
+                 "lower", "upper", "off", "main", "F", "gtsv")
 
     def __init__(self, n):
         self.ue = np.empty(n + 2)
@@ -261,6 +274,12 @@ class _State:
             self.bands, [n - 1, 2 * n - 2, 3 * n - 2]
         )
         self.off = self.bands[: 2 * n - 2]
+        dgtsv, ddot = _lapack()
+        args, info = _gtsv_args(self.lower, self.main, self.upper, self.F)
+        size, one = ctypes.c_int64(self.bands.size), ctypes.c_int64(1)
+        buf = ctypes.c_void_p(self.bands.ctypes.data)
+        dot = (ctypes.byref(size), buf, ctypes.byref(one), buf, ctypes.byref(one))
+        self.gtsv = (dgtsv, args, info, ddot, dot, self.bands)
 
 
 class _Discretization:
@@ -515,7 +534,7 @@ def step(problem, u_prev, t, dt, config, disc=None):
     while tol < norm < math.inf and iters < max_newton:
         lower, main, upper = jacobian_bands(cur, dt0)
         try:
-            delta = solve_banded(lower, main, upper, cur.F)
+            delta = solve_banded(lower, main, upper, cur.F, cur.gtsv)
         except np.linalg.LinAlgError as exc:
             raise StepFailure("linear solve failed", t_new, norm, tol) from exc
         # trial = max(u + lam * delta, 0) for lam in _LINE_SEARCH until one

@@ -4,7 +4,6 @@ import contextlib
 import io
 import math
 import re
-import sys
 import warnings
 from fractions import Fraction
 
@@ -133,6 +132,13 @@ class TestOverrides:
         cfg = {"family": {"id": "trudinger_gaussian"}} if family_set else {}
         want = {**cfg, section: {**cfg.get(section, {}), key: "7"}}
         assert _apply_overrides(cfg, [f"--{key}", "7"], sub) == want
+
+
+# `extinction-bound` overrides whose initial u^{q+1} underflows to 0 in
+# every cell
+_EMPTY_MASS = (
+    ["--initial_scale", "1e-300"], ["--initial_scale", "5e-324"], ["--q", "1e200"],
+)
 
 
 class TestRun:
@@ -337,19 +343,16 @@ class TestRun:
         assert err.startswith("error: nonlinear iteration did not converge")
         assert err.count("\n") == 1
 
-    def test_missing_lapack_extension_exits_1(self, monkeypatch, capsys, tmp_path):
-        # the extension files are searched for under an empty scipy root
-        for name in ("_flapack", "_fblas"):
-            monkeypatch.delitem(sys.modules, f"scipy.linalg.{name}", raising=False)
-        monkeypatch.setattr(solver, "_dgtsv", None)
-        monkeypatch.setattr(solver, "_ddot", None)
-        monkeypatch.setattr(solver, "_scipy_root", lambda: str(tmp_path))
+    def test_missing_lapack_extension_exits_1(self, monkeypatch, capsys):
+        # numpy's linear algebra extension is searched for a symbol it lacks
+        from numpy.linalg import _umath_linalg
+
+        monkeypatch.setattr(solver, "_routines", None)
+        monkeypatch.setattr(solver, "_SYMBOLS", ("scipy_dgtsv_64_", "no_ddot_"))
         assert run(["solve", "--preset", "solver-supercritical-run"]) == 1
         err = capsys.readouterr().err
-        assert err == (
-            f"error: no scipy.linalg._fblas extension in {tmp_path / 'linalg'}\n"
-        )
-        assert solver._dgtsv is None
+        assert err == f"error: {_umath_linalg.__file__} exports no no_ddot_\n"
+        assert solver._routines is None
 
     @pytest.mark.parametrize("p", ["3", "1e200"])
     def test_extinction_regime_checked_before_solving(self, monkeypatch, capsys, p):
@@ -365,6 +368,27 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: extinction analysis requires q + 1 > p\n"
+        assert calls == []
+
+    @pytest.mark.parametrize("override", _EMPTY_MASS)
+    def test_empty_initial_mass_checked_before_solving(
+        self, monkeypatch, capsys, override
+    ):
+        # int u^{q+1} of the initial row is 0: one error line and no step
+        calls = []
+        real = solver.step
+        monkeypatch.setattr(
+            solver, "step", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["extinction", "--preset", "extinction-bound", *override]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: extinction analysis requires a positive initial mass: "
+            "int u^{q+1} is 0\n"
+        )
         assert calls == []
 
     @pytest.mark.parametrize("geometry", [
@@ -1214,6 +1238,13 @@ def test_family_without_its_parameters_exits_cleanly(capsys, fid):
         # the unit sphere's area takes Gamma(N/2), which overflows at N = 344
         (["extinction", "--preset", "extinction-bound", "--N", "344"], 1,
          "error: radial grid requires N <= 343: Gamma(N/2) overflows\n"),
+        # u^{q+1} underflows to 0 in every cell: no mass to compare with
+        *(
+            (["extinction", "--preset", "extinction-bound", *override], 1,
+             "error: extinction analysis requires a positive initial mass: "
+             "int u^{q+1} is 0\n")
+            for override in _EMPTY_MASS
+        ),
     ],
 )
 def test_branch_exit_code(capsys, argv, code, line):

@@ -1,11 +1,11 @@
 """scipy is loaded only where it is called.
 
 `import dnl_lab.cli` and every run without a solve load no scipy module.  A
-solver run binds LAPACK `dgtsv` and BLAS `ddot` from scipy.linalg's
-extension files and leaves no scipy module in `sys.modules`; whichever of
-the solve and `import scipy.linalg` comes first, the package then exports
-the very routines the solver holds.  Each check runs in a fresh
-interpreter, because this test session has imported scipy already.
+solver run binds LAPACK `dgtsv` and BLAS `ddot` from the OpenBLAS that numpy
+has mapped, and loads no scipy module and maps no scipy file.  Its `dgtsv`
+gives the bits of scipy.linalg's, whichever of the solve and `import
+scipy.linalg` comes first.  Each check runs in a fresh interpreter, because
+this test session has imported scipy already.
 """
 
 import json
@@ -25,50 +25,62 @@ with open(_ROOT / "bench" / "expected.json") as f:
     ]
 
 # prints the exit codes of its runs through `cli.run`, the scipy modules that
-# the import and the runs loaded, and whether the solver bound `dgtsv`
+# the import and the runs loaded, whether the solver bound its routines, and
+# the files under scipy's package directory or `scipy.libs` that the process
+# maps (None without /proc/self/maps)
 _PROBE = """
-import contextlib, io, json, sys
+import contextlib, importlib.util, io, json, os, sys
 import dnl_lab.cli
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in json.loads(sys.argv[1]):
         codes.append(dnl_lab.cli.run(argv))
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-bound = dnl_lab.solver._dgtsv is not None
-print(json.dumps({"codes": codes, "scipy": scipy, "bound": bound}))
+bound = dnl_lab.solver._routines is not None
+root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+dirs = (root + os.sep, os.path.join(os.path.dirname(root), "scipy.libs") + os.sep)
+mapped = None
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps") as f:
+        paths = {line.split(maxsplit=5)[-1].strip() for line in f}
+    mapped = sorted(p for p in paths if p.startswith(dirs))
+print(json.dumps({"codes": codes, "scipy": scipy, "bound": bound, "mapped": mapped}))
 """
 
-# runs its steps in order ("solve": one `solve_banded` call, "linalg":
-# `import scipy.linalg`, "spline": a closed form whose table is a
-# CubicSpline), then prints the closed form's values as hex and, after a
-# solve, whether scipy.linalg exports the solver's routines
+# runs its steps in order ("solve": one `solve_banded` call on a system
+# whose elimination pivots, "linalg": `import scipy.linalg`, "spline": a
+# closed form whose table is a CubicSpline), then solves the same system
+# with scipy.linalg.lapack's `dgtsv`, and prints the values as hex
 _COHERENCE = """
 import json, sys
 import numpy as np
 from dnl_lab import solver
 from dnl_lab.exact import DipoleSelfSimilar
 
+
+def system():
+    n = 16
+    return (
+        np.full(n - 1, -1.0), np.linspace(-2.0, 2.0, n), np.full(n - 1, 1.5),
+        np.arange(1.0, n + 1),
+    )
+
+
+def hexes(x):
+    return [v.hex() for v in x.tolist()]
+
+
 out = {}
 for step in json.loads(sys.argv[1]):
     if step == "solve":
-        n = 16
-        solver.solve_banded(
-            np.full(n - 1, -1.0), np.full(n, 4.0), np.full(n - 1, -1.0),
-            np.ones(n),
-        )
+        out["solve"] = hexes(solver.solve_banded(*system()))
     elif step == "linalg":
         import scipy.linalg
     else:
         u = DipoleSelfSimilar(n_dim=3, p=1.1).u_rt(np.geomspace(1e-3, 50, 40), 0.5)
-        out["spline"] = [v.hex() for v in u.tolist()]
-if solver._dgtsv is not None:
-    import scipy.linalg
-    out["same"] = [
-        scipy.linalg._flapack.dgtsv is solver._dgtsv,
-        scipy.linalg._fblas.ddot is solver._ddot,
-        scipy.linalg.lapack.dgtsv is solver._dgtsv,
-        scipy.linalg.blas.ddot is solver._ddot,
-    ]
+        out["spline"] = hexes(u)
+import scipy.linalg.lapack
+out["scipy"] = hexes(scipy.linalg.lapack.dgtsv(*system())[3])
 print(json.dumps(out))
 """
 
@@ -104,6 +116,16 @@ def test_solver_run_leaves_no_scipy_module():
     assert got["bound"]
 
 
+def test_solver_run_maps_no_scipy_file():
+    # scipy's extensions and the OpenBLAS, libgfortran and libquadmath of
+    # scipy.libs would add about 4 MB of resident memory
+    got = _fresh(_PROBE, [["solve", "--preset", "solver-supercritical-run"]])
+    if got["mapped"] is None:
+        pytest.skip("no /proc/self/maps")
+    assert got["codes"] == [0]
+    assert got["mapped"] == []
+
+
 @pytest.fixture(scope="module")
 def never_solved():
     return _fresh(_COHERENCE, ["spline"])
@@ -115,6 +137,8 @@ def never_solved():
     ids=["solve-first", "linalg-first", "spline-first"],
 )
 def test_solver_and_scipy_linalg_share_routines(order, never_solved):
+    # the same LAPACK routine from either library: the same bits, and the
+    # spline's do not depend on whether a solve ran first
     got = _fresh(_COHERENCE, order)
-    assert got["same"] == [True] * 4
+    assert got["solve"] == got["scipy"]
     assert got["spline"] == never_solved["spline"]

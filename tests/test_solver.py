@@ -125,13 +125,59 @@ def _dominant_system(draw):
     return lower, main, upper, rhs
 
 
+def _seeded_system(n, pivoting, seed):
+    """(lower, main, upper, rhs) of a seeded system: strictly diagonally
+    dominant, or with a random-sign diagonal smaller than its neighbours,
+    so that `dgtsv` swaps rows."""
+    rng = np.random.default_rng(seed)
+    lower, upper = rng.standard_normal(n - 1), rng.standard_normal(n - 1)
+    if pivoting:
+        main = rng.uniform(-0.5, 0.5, n)
+    else:
+        off = np.abs(np.r_[0.0, lower]) + np.abs(np.r_[upper, 0.0])
+        main = rng.choice([-1.0, 1.0], n) * (off + 0.5 + rng.random(n))
+    return lower, main, upper, rng.standard_normal(n)
+
+
+def _prepared(system):
+    """A band state holding `system` (its `gtsv` is the prepared call)."""
+    lower, main, upper, rhs = system
+    state = solver._State(main.size)
+    state.lower[...], state.main[...], state.upper[...] = lower, main, upper
+    state.F[...] = rhs
+    return state
+
+
+def _solve_state(state):
+    """`solve_banded` on a state's bands through its prepared call, as
+    `step` calls it."""
+    return solver.solve_banded(state.lower, state.main, state.upper, state.F, state.gtsv)
+
+
+def _bits(a):
+    return a.view(np.int64)
+
+
 class TestSolveBanded:
+    @pytest.mark.parametrize("pivoting", [False, True], ids=["dominant", "pivoting"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 200, 1600])
+    def test_seeded_systems_same_bits_as_scipy(self, n, pivoting):
+        for seed in range(5):
+            system = _seeded_system(n, pivoting, seed)
+            want = _scipy_banded(*system)
+            got = solver.solve_banded(*(a.copy() for a in system))
+            assert np.array_equal(_bits(got), _bits(want))
+            state = _prepared(system)
+            got = _solve_state(state)
+            assert got is state.F
+            assert np.array_equal(_bits(got), _bits(want))
+
     @given(_dominant_system())
     def test_same_bits_as_scipy(self, system):
         want = _scipy_banded(*system)
         # solve_banded overwrites its arguments
         got = solver.solve_banded(*(a.copy() for a in system))
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(_bits(got), _bits(want))
 
     @pytest.mark.parametrize("which", range(4))
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -143,6 +189,14 @@ class TestSolveBanded:
         with pytest.raises(ValueError, match="infs or NaNs"):
             solver.solve_banded(*(a.copy() for a in system))
 
+    @pytest.mark.parametrize("which", range(4))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_prepared(self, which, bad):
+        system = [np.full(4, 0.5), np.full(5, 3.0), np.full(4, -1.0), np.ones(5)]
+        system[which][1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _solve_state(_prepared(system))
+
     def test_singular(self):
         # rows (1, 1) and (1, 1): the second pivot is zero
         system = [np.ones(1), np.ones(2), np.ones(1), np.array([1.0, 2.0])]
@@ -150,38 +204,76 @@ class TestSolveBanded:
             _scipy_banded(*system)
         with pytest.raises(np.linalg.LinAlgError):
             solver.solve_banded(*(a.copy() for a in system))
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+            _solve_state(_prepared(system))
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_singular_prepared(self, n):
+        # a zero diagonal row with no neighbour to swap in
+        system = [np.zeros(n - 1), np.zeros(n), np.zeros(n - 1), np.ones(n)]
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+            _solve_state(_prepared(system))
 
     def test_solve_banded_on_entries_whose_dot_overflows(self):
         # entries of 1e200 are finite, but their dot product is inf: the
         # entrywise check runs and passes, and the solve is scipy's
         n = 6
-        buf = np.empty(4 * n - 2)
-        lower, upper = buf[: n - 1], buf[n - 1 : 2 * n - 2]
-        main, rhs = buf[2 * n - 2 : 3 * n - 2], buf[3 * n - 2 :]
-        lower[...], upper[...] = -1e200, -1e200
-        main[...] = 4e200
-        rhs[...] = np.arange(1.0, n + 1) * 1e200
+        system = [
+            np.full(n - 1, -1e200), np.full(n, 4e200), np.full(n - 1, -1e200),
+            np.arange(1.0, n + 1) * 1e200,
+        ]
+        state = _prepared(system)
         with np.errstate(over="ignore"):
-            assert not np.isfinite(buf.dot(buf))
-        want = _scipy_banded(lower, main, upper, rhs)
+            assert not np.isfinite(state.bands.dot(state.bands))
+        want = _scipy_banded(*system)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = solver.solve_banded(lower, main, upper, rhs)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            got = _solve_state(state)
+        assert np.array_equal(_bits(got), _bits(want))
         # one inf among them still raises
-        main[...], rhs[...] = 4e200, 1e200
-        upper[2] = np.inf
+        state = _prepared(system)
+        state.upper[2] = np.inf
         with pytest.raises(ValueError, match="infs or NaNs"):
-            solver.solve_banded(lower, main, upper, rhs)
+            _solve_state(state)
+
+    @pytest.mark.parametrize(
+        "which, bad, match",
+        [
+            (0, np.ones(5), "lower must be a float64 array of size 4"),
+            (3, np.ones(4), "rhs must be a float64 array of size 5"),
+            (1, np.full((1, 5), 3.0), "main must be a float64 array of size 5"),
+            (1, np.full(5, 3.0, dtype=np.float32), "main must be a float64 array"),
+            (2, np.full(8, -1.0)[::2], "upper must be C-contiguous"),
+            (3, np.ones(10)[::2], "rhs must be C-contiguous"),
+            (2, np.frombuffer(np.full(4, -1.0).tobytes()), "upper must be .* writeable"),
+            (3, "main", "must not share memory"),
+        ],
+        ids=["size-lower", "size-rhs", "2-d", "float32", "strided-upper",
+             "strided-rhs", "read-only", "aliased"],
+    )
+    def test_bad_arguments_raise_before_lapack(self, which, bad, match):
+        system = [np.full(4, 0.5), np.full(5, 3.0), np.full(4, -1.0), np.ones(5)]
+        # "main": rhs is main itself
+        system[which] = system[1] if isinstance(bad, str) else bad
+        before = [a.copy() for a in system]
+        with pytest.raises(ValueError, match=match):
+            solver.solve_banded(*system)
+        for a, b in zip(system, before):
+            assert np.array_equal(a, b)
 
     def test_singular_jacobian_fails_the_step(self):
         g = Grid1D(-1.0, 1.0, 8)
         pr = CauchyDirichletProblem(ExponentTriple(2.0, 1.0, 1), g, _bump(g), 1.0)
         cfg = SolverConfig(dt=1e-3)
         disc = _Discretization(pr)
-        disc.jacobian_bands = lambda *args, **kwargs: (
-            np.zeros(7), np.zeros(8), np.zeros(7)
-        )
+
+        def zero_jacobian(state, dt):
+            # written into the state's bands, which its prepared call solves
+            state.off[...] = 0.0
+            state.main[...] = 0.0
+            return state.lower, state.main, state.upper
+
+        disc.jacobian_bands = zero_jacobian
         with pytest.raises(StepFailure, match="linear solve failed"):
             step(pr, pr.initial, 0.0, cfg.dt, cfg, disc=disc)
 
