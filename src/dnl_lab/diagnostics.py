@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .exact import ClosedFormSolution
-from .solver import Trajectory, gradient_p_norm, slice_functionals
+from .solver import Trajectory, gradient_p_norm, integral_uq1, slice_functionals
 
 
 class RegimeError(ValueError):
@@ -409,18 +409,17 @@ def check_extinction_run(problem, x_o=()):
     """The signed distance to the boundary (<= 0 on or past the edge) of a
     zero-boundary problem with q + 1 > p, a positive initial mass
     int u^{q+1} and every probe of x_o inside, checked before any step; a
-    RegimeError otherwise.  The mass is summed as `slice_functionals` sums
-    it: its terms are >= 0, so the sum is 0 exactly where every term is,
-    in any order; an overflowing one is left to warn there."""
+    RegimeError otherwise.  The mass is `integral_uq1` of the initial
+    field, as `slice_functionals` takes it of every row; an overflowing
+    term is left to warn there."""
     e = problem.exponents
     if e.q + 1 - e.p <= 0:
         raise RegimeError("extinction analysis requires q + 1 > p")
     if problem.boundary != "zero_dirichlet":
         raise RegimeError("extinction analysis requires zero Dirichlet boundary")
     g = problem.grid
-    w = g.cell_volumes() * g.surface_constant()
     with np.errstate(over="ignore"):
-        mass = np.sum(w * problem.initial ** (e.q + 1))
+        mass = integral_uq1(g, e.q, np.array(problem.initial, float))
     if not mass > 0:
         raise RegimeError(
             "extinction analysis requires a positive initial mass: "

@@ -332,10 +332,6 @@ def critical_wave_b(n_dim, p):
     return (N / q) ** (p - 1) * kappa
 
 
-# e^x is finite for x <= log(DBL_MAX) as a double
-_LOG_DBL_MAX = math.log(np.finfo(np.float64).max)
-
-
 class CriticalHarnackWave(ClosedFormSolution):
     """Traveling-wave-in-time solution at the critical Harnack exponent
     q = N(p-1)/(N-p):  u = (|x|^kappa + e^{b t})^{-(N-1)/(q+1)} with
@@ -360,14 +356,9 @@ class CriticalHarnackWave(ClosedFormSolution):
         self.gamma = (N - 1) / (q + 1)
 
     def _ebt(self, t):
-        """e^{bt}; inf where it overflows, where u, Du and u_t take 0, their
-        limit.  Only a b t that reaches log(DBL_MAX), or is NaN, enters the
-        errstate that quiets the overflow: a reduction costs less."""
-        bt = self.b * np.asarray(t, float)
-        if bt.size and np.maximum.reduce(bt, None) < _LOG_DBL_MAX:
-            return np.exp(bt)
+        """e^{bt}; inf where it overflows, where u, Du and u_t take 0, their limit."""
         with np.errstate(over="ignore"):
-            return np.exp(bt)
+            return np.exp(self.b * np.asarray(t, float))
 
     def u_rt(self, r, t, power=operator.pow):
         r = np.asarray(r, float)

@@ -11,7 +11,6 @@ zero flux through r = 0.
 """
 
 import ctypes
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -141,61 +140,26 @@ def _lapack():
     return _routines
 
 
-def _gtsv_args(lower, main, upper, rhs):
-    """The arguments of `dgtsv` on the four arrays, by reference: n, nrhs
-    = 1, dl, d, du, b, ldb = n and info, with info's c_int64 last."""
-    n, one, info = ctypes.c_int64(main.size), ctypes.c_int64(1), ctypes.c_int64()
-    ref, ptr = ctypes.byref, ctypes.c_void_p
-    args = (ref(n), ref(one), ptr(lower.ctypes.data), ptr(main.ctypes.data),
-            ptr(upper.ctypes.data), ptr(rhs.ctypes.data), ref(n), ref(info))
-    return args, info
-
-
-def _check_bands(lower, main, upper, rhs):
-    """Raises ValueError unless the four arrays are C-contiguous, writeable
-    float64 arrays of sizes n - 1, n, n - 1 and n (n >= 1) that share no
-    memory: `dgtsv` reads them through bare pointers."""
-    arrays = (lower, main, upper, rhs)
-    n = main.size
-    for name, a, size in zip(("lower", "main", "upper", "rhs"), arrays,
-                             (n - 1, n, n - 1, n)):
-        if a.dtype != np.float64 or a.shape != (size,):
-            raise ValueError(f"{name} must be a float64 array of size {size}")
-        if not (a.flags.c_contiguous and a.flags.writeable):
-            raise ValueError(f"{name} must be C-contiguous and writeable")
-    if any(np.may_share_memory(a, b) for a, b in itertools.combinations(arrays, 2)):
-        raise ValueError("lower, main, upper and rhs must not share memory")
-
-
-def solve_banded(lower, main, upper, rhs, prepared=None):
-    """Solution of the tridiagonal system with diagonals `lower`, `main`,
-    `upper` by LAPACK `dgtsv`, which scipy's `solve_banded((1, 1), ...)`
-    calls too (same bits).  It overwrites the four arrays and returns
-    `rhs`.  Raises ValueError on a non-finite entry, as scipy's
-    `check_finite` does, and LinAlgError on a singular system.
-    `prepared` is a `_State`'s `gtsv`, the call on its band buffer, which
-    the four arrays tile: the buffer is checked with one BLAS dot product
-    with itself, whose finite value means every entry is finite, so only a
-    non-finite or overflowing one (whose ddot, unlike numpy's dot, warns
-    of nothing) runs the entrywise check.  Four other arrays are checked
-    first (`_check_bands`), since no f2py wrapper stands between them and
-    LAPACK, and then entrywise."""
-    if prepared is None:
-        dgtsv = _lapack()[0]
-        _check_bands(lower, main, upper, rhs)
-        finite = all(np.isfinite(a).all() for a in (lower, main, upper, rhs))
-        args, info = _gtsv_args(lower, main, upper, rhs)
-    else:
-        dgtsv, args, info, ddot, dot_args, buf = prepared
-        finite = math.isfinite(ddot(*dot_args)) or np.isfinite(buf).all()
-    if not finite:
+def solve_banded(state):
+    """Solution of the tridiagonal system held by `state` (a `_State`),
+    with diagonals `lower`, `main`, `upper` and right-hand side `F`, by
+    LAPACK `dgtsv`, which scipy's `solve_banded((1, 1), ...)` calls too
+    (same bits).  It overwrites the state's band buffer and returns `F`,
+    which holds the solution.  Raises ValueError on a non-finite entry,
+    as scipy's `check_finite` does, and LinAlgError on a singular system.
+    The buffer is checked with one BLAS dot product with itself, whose
+    finite value means every entry is finite, so only a non-finite or
+    overflowing one (whose ddot, unlike numpy's dot, warns of nothing)
+    runs the entrywise check."""
+    dgtsv, args, info, ddot, dot_args = state.gtsv
+    if not (math.isfinite(ddot(*dot_args)) or np.isfinite(state.bands).all()):
         raise ValueError("array must not contain infs or NaNs")
     dgtsv(*args)
     if info.value > 0:
         raise np.linalg.LinAlgError("singular matrix")
     if info.value < 0:
         raise ValueError(f"illegal value in {-info.value}-th argument of internal gtsv")
-    return rhs
+    return state.F
 
 
 def _beta(u, q, out=None):
@@ -253,9 +217,9 @@ class _State:
     beta(u), phi's base mu^2 + g^2, and its own buffer of 4n - 2 floats
     whose views are `dgtsv`'s dl, du, d and b: `lower`, `upper`, `main`
     and `F`, the negated residual, which is the next solve's right-hand
-    side.  `gtsv` is `solve_banded`'s prepared call on the buffer: dgtsv
-    with its arguments and info, and ddot with its arguments, built once
-    (a pointer read from an array costs about 1 us)."""
+    side.  `gtsv` is `solve_banded`'s call on the buffer: dgtsv with its
+    arguments and info, and ddot with its arguments, built once (a
+    pointer read from an array costs about 1 us)."""
 
     __slots__ = ("ue", "u", "hi", "lo", "grads", "div", "beta", "base", "bands",
                  "lower", "upper", "off", "main", "F", "gtsv")
@@ -275,11 +239,16 @@ class _State:
         )
         self.off = self.bands[: 2 * n - 2]
         dgtsv, ddot = _lapack()
-        args, info = _gtsv_args(self.lower, self.main, self.upper, self.F)
-        size, one = ctypes.c_int64(self.bands.size), ctypes.c_int64(1)
-        buf = ctypes.c_void_p(self.bands.ctypes.data)
-        dot = (ctypes.byref(size), buf, ctypes.byref(one), buf, ctypes.byref(one))
-        self.gtsv = (dgtsv, args, info, ddot, dot, self.bands)
+        # by reference: n, nrhs = 1, dl, d, du, b, ldb = n and info;
+        # ddot's n, x, incx, y, incy over the whole buffer
+        ref, ptr = ctypes.byref, ctypes.c_void_p
+        size, one, info = ctypes.c_int64(n), ctypes.c_int64(1), ctypes.c_int64()
+        args = (ref(size), ref(one), ptr(self.lower.ctypes.data),
+                ptr(self.main.ctypes.data), ptr(self.upper.ctypes.data),
+                ptr(self.F.ctypes.data), ref(size), ref(info))
+        total, buf = ctypes.c_int64(self.bands.size), ptr(self.bands.ctypes.data)
+        dot = (ref(total), buf, ref(one), buf, ref(one))
+        self.gtsv = (dgtsv, args, info, ddot, dot)
 
 
 class _Discretization:
@@ -416,9 +385,8 @@ class _Discretization:
         return abs_F[abs_F.argmax()]
 
     def jacobian_bands(self, state, dt):
-        """Tridiagonal Jacobian at `state` as its three diagonals (lower,
-        main, upper), written into the state's bands (`solve_banded`
-        overwrites them)."""
+        """Tridiagonal Jacobian at `state`, written into the state's bands
+        `lower`, `main` and `upper` (`solve_banded` overwrites them)."""
         dflux = self.dflux
         if self.p == 2:
             state.off[...] = self.off_p2
@@ -453,7 +421,6 @@ class _Discretization:
             # at the right face
             main[0] = main.item(0) + dflux.item(0)
             main[-1] = main.item(-1) + dflux.item(-1)
-        return state.lower, main, state.upper
 
 
 # the line search's update sizes: 1, 1/2, ..., 1/128, then 0.1, which is
@@ -532,9 +499,9 @@ def step(problem, u_prev, t, dt, config, disc=None):
     # an infinite residual ends the iteration (a NaN one never starts it)
     # before a Jacobian or a solve sees it
     while tol < norm < math.inf and iters < max_newton:
-        lower, main, upper = jacobian_bands(cur, dt0)
+        jacobian_bands(cur, dt0)
         try:
-            delta = solve_banded(lower, main, upper, cur.F, cur.gtsv)
+            delta = solve_banded(cur)
         except np.linalg.LinAlgError as exc:
             raise StepFailure("linear solve failed", t_new, norm, tol) from exc
         # trial = max(u + lam * delta, 0) for lam in _LINE_SEARCH until one
@@ -731,23 +698,27 @@ def transform_to_v(traj, t_indices=None, positivity_floor=1e-12):
     return v_fields, a_fields, report
 
 
+def integral_uq1(grid, q, u):
+    """int u^{q+1} of the field `u`, or of each row of a (rows, n) stack of
+    fields, by the quadrature consistent with the FV grid (radial runs
+    include the unit-sphere area); `u` is overwritten by w u^{q+1}.  A sum
+    along a row takes the bits of the sum of that row alone."""
+    w = grid.cell_volumes() * grid.surface_constant()
+    u **= q + 1
+    return np.sum(np.multiply(w, u, u), axis=-1)
+
+
 def slice_functionals(traj):
-    """Per-time {t, int u^{q+1}, sup u}; quadrature consistent with the FV
-    grid (radial runs include the unit-sphere area).  The trajectory is
-    stepped once, to its last row, and its fields are stacked into one
-    (rows, n) array; a sum along a row takes the bits of the sum of that
-    row alone."""
-    e = traj.problem.exponents
-    g = traj.problem.grid
-    w = g.cell_volumes() * g.surface_constant()
+    """Per-time {t, int u^{q+1}, sup u} (`integral_uq1`).  The trajectory
+    is stepped once, to its last row, and its fields are stacked into one
+    (rows, n) array."""
+    pr = traj.problem
     traj.row(len(traj.times) - 1)
     u = np.array(traj.fields)
     sup_u = u.max(axis=1)
-    # w u^{q+1}, in place
-    u **= e.q + 1
     return {
         "t": np.asarray(traj.times),
-        "int_uq1": np.sum(np.multiply(w, u, u), axis=1),
+        "int_uq1": integral_uq1(pr.grid, pr.exponents.q, u),
         "sup_u": sup_u,
     }
 

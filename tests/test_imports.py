@@ -47,8 +47,8 @@ if os.path.exists("/proc/self/maps"):
 print(json.dumps({"codes": codes, "scipy": scipy, "bound": bound, "mapped": mapped}))
 """
 
-# runs its steps in order ("solve": one `solve_banded` call on a system
-# whose elimination pivots, "linalg": `import scipy.linalg`, "spline": a
+# runs its steps in order ("solve": one `solve_banded` call on a band state
+# holding a system whose elimination pivots, "linalg": `import scipy.linalg`, "spline": a
 # closed form whose table is a CubicSpline), then solves the same system
 # with scipy.linalg.lapack's `dgtsv`, and prints the values as hex
 _COHERENCE = """
@@ -73,7 +73,9 @@ def hexes(x):
 out = {}
 for step in json.loads(sys.argv[1]):
     if step == "solve":
-        out["solve"] = hexes(solver.solve_banded(*system()))
+        state = solver._State(16)
+        state.lower[...], state.main[...], state.upper[...], state.F[...] = system()
+        out["solve"] = hexes(solver.solve_banded(state))
     elif step == "linalg":
         import scipy.linalg
     else:
