@@ -453,7 +453,7 @@ def pipe_exact_residual(cfg, out):
     derive_b = _get(cfg, "residual", "derive_b", False)
     if derive_b and fam.family != "critical_harnack_wave":
         raise ConfigError(f"derive_b is for critical_harnack_wave, not {fam.family}")
-    radii, times = fam.residual_lattice()
+    radii, times = fam.residual_lattice(hs)
     out.set_header(["family", "h", "max_residual"])
     res, order = residual_order(fam, radii, times, hs)
     for h, r in zip(hs, res):

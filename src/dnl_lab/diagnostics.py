@@ -407,11 +407,10 @@ def expansion_of_positivity(src, x_o, t_o, rho, M, alpha):
 
 def check_extinction_run(problem, x_o=()):
     """The signed distance to the boundary (<= 0 on or past the edge) of a
-    zero-boundary problem with q + 1 > p, a positive initial mass
-    int u^{q+1} and every probe of x_o inside, checked before any step; a
-    RegimeError otherwise.  The mass is `integral_uq1` of the initial
-    field, as `slice_functionals` takes it of every row; an overflowing
-    term is left to warn there."""
+    zero-boundary problem with q + 1 > p, a positive and finite initial
+    mass int u^{q+1} and every probe of x_o inside, checked before any step;
+    a RegimeError otherwise.  The mass is `integral_uq1` of the initial
+    field, as `slice_functionals` takes it of every row."""
     e = problem.exponents
     if e.q + 1 - e.p <= 0:
         raise RegimeError("extinction analysis requires q + 1 > p")
@@ -420,11 +419,11 @@ def check_extinction_run(problem, x_o=()):
     g = problem.grid
     with np.errstate(over="ignore"):
         mass = integral_uq1(g, e.q, np.array(problem.initial, float))
-    if not mass > 0:
-        raise RegimeError(
-            "extinction analysis requires a positive initial mass: "
-            "int u^{q+1} is 0"
-        )
+    if not 0 < mass < math.inf:
+        raise RegimeError("extinction analysis requires a " + (
+            "finite initial mass: int u^{q+1} overflows" if mass == math.inf
+            else "positive initial mass: int u^{q+1} is 0"
+        ))
     d_bound = lambda x: min(x - g.x_lo, g.x_hi - x) if (
         g.geometry == "cartesian"
     ) else (g.x_hi - abs(x))

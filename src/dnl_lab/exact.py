@@ -57,13 +57,17 @@ class ClosedFormSolution:
     def valid_rt(self, r, t):
         return np.full(np.broadcast(np.asarray(r), np.asarray(t)).shape, True)
 
-    def residual_lattice(self):
+    def residual_lattice(self, h_values=STENCIL_WIDTHS):
         """16 radii x 8 times spanning the family's `residual_window`
         (r_lo, r_hi, t_lo, t_hi), kept off closed-form singularities; a
-        lattice with a point outside the validity domain is a DomainError."""
+        lattice whose stencil at the widest h of `h_values` has a point
+        outside the validity domain is a DomainError.  The oracle reads u at
+        (r, t +- h), (r, t) and (r +- 2h, t)."""
         r_lo, r_hi, t_lo, t_hi = self.residual_window
         radii, times = np.linspace(r_lo, r_hi, 16), np.linspace(t_lo, t_hi, 8)
-        if not self.valid_rt(radii, times[:, None]).all():
+        dr, dt = np.array([[0, 0, 0, -2, 2], [0, -1, 1, 0, 0]])[..., None, None]
+        h = max(h_values)
+        if not self.valid_rt(radii + dr * h, times[:, None] + dt * h).all():
             raise DomainError(
                 f"residual lattice leaves the validity domain of {self.family}: "
                 + self.validity_description()
@@ -530,32 +534,38 @@ class SupercriticalExtinction(ClosedFormSolution):
 
 class _SelfSimilar(ClosedFormSolution):
     """A self-similar profile u(x, t) = f(|x| (T-t)^{-1/p}) with -f' explicit
-    (`neg_fprime`).  f is tabulated once on a log grid of nodes with
-    per-segment 7-point Gauss-Legendre quadrature summed from the tail inward
-    (the profile decays like a power of r, so left-to-right accumulation
-    would lose the tail to cancellation), plus `_tail` at the last node, f
-    there, and interpolated by a log-log cubic spline.  A subclass gives
-    neg_fprime, the grid, `_tail` and f, which reads the spline on the
-    grid.  `neg_fprime`, like `u_rt` and `ur_rt`, takes its libm power by
-    `power`."""
+    (`neg_fprime`).  One 7-point Gauss-Legendre rule, `_integral`, sums -f'
+    over the segments of a log grid of nodes from the tail inward (the
+    profile decays like a power of r, so left-to-right accumulation would
+    lose the tail to cancellation), plus `_tail`, f at the last node, into a
+    table; f at r is the table at the first node at or above r (the last
+    beyond the grid) plus `_integral` from r to it.  A subclass gives
+    neg_fprime, a grid covering its domain and `_tail`.  `neg_fprime`, like
+    `u_rt` and `ur_rt`, takes its libm power by `power`."""
 
     r_singular = 0.0
 
     def _build_table(self, nodes):
-        from scipy.interpolate import CubicSpline
-
-        gx, gw = np.polynomial.legendre.leggauss(7)
-        a, b = nodes[:-1], nodes[1:]
-        mid, half = (a + b) / 2, (b - a) / 2
-        seg = (
-            half[:, None] * gw * self.neg_fprime(mid[:, None] + half[:, None] * gx)
-        ).sum(axis=1)
-        tail = self._tail(nodes[-1])
-        f_tab = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]]) + tail
-        if not (f_tab > 0).all():  # an underflowed f has no log
-            raise ValueError("requires f > 0 at every node of the profile table")
+        # the rule is built here, not at import: leggauss loads numpy.polynomial
+        self._gx, self._gw = np.polynomial.legendre.leggauss(7)
         self._nodes = nodes
-        self._spline = CubicSpline(np.log(nodes), np.log(f_tab))
+        seg = self._integral(nodes[:-1], nodes[1:])
+        tail = self._tail(nodes[-1])
+        self._f_tab = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]]) + tail
+        if not (self._f_tab > 0).all():  # a profile that underflows to 0
+            raise ValueError("requires f > 0 at every node of the profile table")
+
+    def _integral(self, a, b):
+        """The integral of -f' from a to b, elementwise, by the rule."""
+        a, b = np.asarray(a, float), np.asarray(b, float)
+        mid, half = ((a + b) / 2)[..., None], ((b - a) / 2)[..., None]
+        return (half * self._gw * self.neg_fprime(mid + half * self._gx)).sum(axis=-1)
+
+    def f(self, r):
+        """The profile from the table, at any array of radii (nan at nan)."""
+        r = np.asarray(r, float)
+        k = np.minimum(np.searchsorted(self._nodes, r), self._nodes.size - 1)
+        return self._f_tab[k] + self._integral(r, self._nodes[k])
 
     def _xi(self, r, t, power=operator.pow):
         tt = self.T - np.asarray(t, float)
@@ -580,7 +590,8 @@ class DipoleSelfSimilar(_SelfSimilar):
     with lam1 = N(p-2)+p < 0, and f(inf) = 0.
 
     f is tabulated on 1e-6 .. 1e6 (4096 nodes), with the analytic tail
-    beyond the grid and f ~ K0 r^{-p/(2-p)} below it."""
+    beyond the grid.  Below it -f' = K0 (p/(2-p)) r^{-2/(2-p)} in double
+    precision: f is K0 r^{-p/(2-p)} plus a constant, `_f_lo`."""
 
     family = "dipole_self_similar"
     role = "weak_solution"
@@ -596,6 +607,7 @@ class DipoleSelfSimilar(_SelfSimilar):
         self.lam1 = n_dim * (p - 2) + p
         self._K0 = ((p / (2 - p)) ** (p - 1) * abs(self.lam1)) ** (1 / (2 - p))
         self._build_table(np.logspace(-6, 6, 4096))
+        self._f_lo = self._f_tab[0] - self._K0 * self._nodes[0] ** (-p / (2 - p))
 
     def neg_fprime(self, r, power=operator.pow):
         p, lam1 = self.exponents.p, self.lam1
@@ -607,21 +619,20 @@ class DipoleSelfSimilar(_SelfSimilar):
 
     def _tail(self, r):
         N, p = self.exponents.n_dim, self.exponents.p
-        return self.C * (p - 1) / (N - p) * r ** (-(N - p) / (p - 1))
+        amp = self.C ** (-1 / (2 - p))  # -f' ~ C^{-1/(2-p)} r^{-(N-1)/(p-1)}
+        return amp * (p - 1) / (N - p) * r ** (-(N - p) / (p - 1))
 
     def f(self, r):
-        """The profile: K0 r^{-p/(2-p)} below the grid, the tail beyond it,
-        the spline on it (and at nan)."""
+        """The power law below the grid, the tail beyond it, the table on it."""
         p = self.exponents.p
         r = np.asarray(r, float)
-        rl = np.atleast_1d(r).ravel()
-        out = np.empty(rl.shape)
-        lo, hi = rl < self._nodes[0], rl > self._nodes[-1]
-        out[lo] = self._K0 * rl[lo] ** (-p / (2 - p))
-        out[hi] = self._tail(rl[hi])
+        out = np.empty(r.shape)
+        lo, hi = r < self._nodes[0], r > self._nodes[-1]
+        out[lo] = self._K0 * r[lo] ** (-p / (2 - p)) + self._f_lo
+        out[hi] = self._tail(r[hi])
         mid = ~(lo | hi)
-        out[mid] = np.exp(self._spline(np.log(rl[mid])))
-        return out.reshape(r.shape) if r.shape else float(out[0])
+        out[mid] = super().f(r[mid])
+        return out
 
     def valid_rt(self, r, t):
         return (np.asarray(r, float) > 0) & (np.asarray(t, float) < self.T)
@@ -644,7 +655,6 @@ class IvanovSubsolution(ClosedFormSolution):
 
     family = "ivanov_subsolution"
     role = "weak_subsolution"
-    residual_window = (0.1, 0.85, 1e-9, 0.01)
     r_singular = 0.0
 
     def __init__(self, n_dim=3, p=1.2, q=None, r0=0.9, h=None, rmin=0.05):
@@ -668,6 +678,8 @@ class IvanovSubsolution(ClosedFormSolution):
             h = 1.1 * self._required_rate() * q ** (p - 1)
         self.h_w = h  # decay rate in the paper's w = u^q time variable
         self.h_rate = h * q ** (1 - p)  # decay rate in prototype time
+        h_max = max(STENCIL_WIDTHS)  # the widest stencil stays in 0 <= t <= 0.9/h_rate
+        self.residual_window = (0.1, 0.85, h_max, 0.9 / self.h_rate - h_max)
 
     def phi(self, r, power=operator.pow):
         """The radial profile.  Its two squares are of numpy scalars at one
@@ -737,8 +749,8 @@ class SpecialLogProfile(_SelfSimilar):
     r_max = exp(C N(N-1)/(N+1)); u = f(|x| (T-t)^{-1/p}) therefore cannot be a
     (non-negative) weak solution.  We anchor f(sqrt(r_max)) = 0 and restrict
     the validity domain to the region where f >= 0.  f is tabulated on
-    1e-6 .. 0.96 sqrt(r_max) (2048 nodes); off the grid, and beyond it for
-    the table, it is the integral of -f' up to the anchor."""
+    1e-6 .. 0.96 sqrt(r_max) (2048 nodes), which covers that domain, with
+    the integral of -f' up to the anchor as the tail."""
 
     family = "special_log_profile"
     role = "not_weak_solution"
@@ -768,20 +780,7 @@ class SpecialLogProfile(_SelfSimilar):
         return r ** (-(N + 1)) * power(self.C - self.c_log * np.log(r), -(N + 1) / 2)
 
     def _tail(self, r):
-        from scipy.integrate import quad
-
-        return quad(lambda s: float(self.neg_fprime(s)), r, self.r_anchor, limit=200)[0]
-
-    def f(self, r):
-        """The profile: the spline on the grid, the tail off it (and at
-        nan)."""
-        r = np.asarray(r, float)
-        rl = np.atleast_1d(r).ravel()
-        out = np.empty(rl.shape)
-        inside = (rl >= self._nodes[0]) & (rl <= self._nodes[-1])
-        out[inside] = np.exp(self._spline(np.log(rl[inside])))
-        out[~inside] = [self._tail(v) for v in rl[~inside]]
-        return out.reshape(r.shape) if r.shape else float(out[0])
+        return self._integral(r, self.r_anchor)
 
     def valid_rt(self, r, t):
         # (T - t)^(-1/p) only where t < T: the power of tt <= 0 warns
@@ -847,7 +846,7 @@ def derive_critical_b_report(n_dim, p, h_values=STENCIL_WIDTHS):
     orders = []
     for b in candidates:
         sol = CriticalHarnackWave(n_dim, p, b=b)
-        res, order = residual_order(sol, *sol.residual_lattice(), h_values)
+        res, order = residual_order(sol, *sol.residual_lattice(h_values), h_values)
         residuals.append(res)
         orders.append(order)
     coincide = abs(candidates[0] - candidates[1]) <= 1e-6 * max(

@@ -139,6 +139,10 @@ class TestOverrides:
 _EMPTY_MASS = (
     ["--initial_scale", "1e-300"], ["--initial_scale", "5e-324"], ["--q", "1e200"],
 )
+# and overrides whose initial u^{q+1} overflows
+_OVERFLOWING_MASS = (
+    ["--initial_scale", "1e150"], ["--q", "300", "--initial_scale", "20"],
+)
 
 
 class TestRun:
@@ -627,7 +631,7 @@ class TestRun:
                 ]
             ],
             # a residual lattice with times past T, and a log profile whose
-            # table underflows to 0 (log would warn, then the spline fail)
+            # table underflows to 0
             (["exact-residual", "--family.id", "separable_blowup", "--N", "5",
               "--p", "2", "--q", "3", "--T", "0.3"],
              "residual lattice leaves the validity domain of separable_blowup: "
@@ -1244,6 +1248,14 @@ def test_family_without_its_parameters_exits_cleanly(capsys, fid):
              "error: extinction analysis requires a positive initial mass: "
              "int u^{q+1} is 0\n")
             for override in _EMPTY_MASS
+        ),
+        # u^{q+1} overflows: refused before any step, where the mass would
+        # warn (1e150) and the first step's tolerance would not be finite
+        *(
+            (["extinction", "--preset", "extinction-bound", *override], 1,
+             "error: extinction analysis requires a finite initial mass: "
+             "int u^{q+1} overflows\n")
+            for override in _OVERFLOWING_MASS
         ),
     ],
 )

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dnl_lab.core import ExponentTriple
+from dnl_lab.core import STENCIL_WIDTHS, ExponentTriple
 from dnl_lab.exact import (
     DomainError,
     TrudingerGaussian,
@@ -197,18 +197,50 @@ class TestSpecialLogProfile:
         assert sol.neg_fprime(sol.r_anchor) > 0
 
 
+def _quad_profile(sol, r, r_end):
+    """The integral of -f' from r to r_end by scipy's `quad`, to 1e-13
+    relative on each of 60 geometric sub-intervals."""
+    from scipy.integrate import quad
+
+    edges = np.geomspace(r, r_end, 61)
+    return math.fsum(
+        quad(lambda s: float(sol.neg_fprime(s)), a, b, epsabs=0.0, epsrel=1e-13,
+             limit=200)[0]
+        for a, b in zip(edges[:-1], edges[1:])
+    )
+
+
+@pytest.mark.parametrize("sol", [
+    DipoleSelfSimilar(3, 1.1), DipoleSelfSimilar(3, 1.1, C=2.0), SpecialLogProfile(3),
+], ids=["dipole", "dipole-C2", "special_log"])
+def test_profile_matches_quadrature(sol):
+    """f at 25 log-spaced radii of the validity domain against a tight
+    quadrature of -f': to the anchor for the log profile, and for the dipole
+    to 1000 max(r, 1), past which -f' ~ r^{-20} leaves under 1e-50 of f.
+    The dipole's radii reach two decades below and above its grid
+    1e-6 .. 1e6, where f takes its asymptotic forms."""
+    if isinstance(sol, SpecialLogProfile):
+        radii, ends = np.geomspace(2e-5, 0.95 * sol.r_anchor, 25), [sol.r_anchor] * 25
+    else:
+        radii = np.geomspace(1e-8, 1e8, 25)
+        ends = 1e3 * np.maximum(radii, 1.0)
+    want = np.array([_quad_profile(sol, r, e) for r, e in zip(radii, ends)])
+    assert np.max(np.abs(sol.f(radii) / want - 1)) <= 1e-13
+
+
 # u_rt, ur_rt and dtuq_rt of the two self-similar profiles at points of their
 # validity domains, as float.hex: the dipole's include one point below and one
-# above its table, where f takes its asymptotic forms
+# above its table, where f takes its asymptotic forms.  u_rt reads f, which
+# `test_profile_matches_quadrature` checks
 _SELF_SIMILAR_BITS = {
     "dipole": (
         DipoleSelfSimilar(3, 1.1),
         {
-            (1e-7, 0.0): ("0x1.2766230e0f49dp+29", "-0x1.ae65a319abd52p+52",
+            (1e-7, 0.0): ("0x1.276622ff39136p+29", "-0x1.ae65a319abd52p+52",
                           "-0x1.483898ba49df1p+29"),
-            (0.3, 0.5): ("0x1.9f1874f6bd77dp+0", "-0x1.c510dd92f1feap+3",
+            (0.3, 0.5): ("0x1.9f1874f3b1ca5p+0", "-0x1.c510dd92f1feap+3",
                          "-0x1.ee40f1b793a15p+2"),
-            (2.0, 0.9): ("0x1.4b9a70d0c95f2p-81", "-0x1.89c765f7ef234p-78",
+            (2.0, 0.9): ("0x1.4b9a70d0c9616p-81", "-0x1.89c765f7ef234p-78",
                          "-0x1.bf79dc99be4b0p-74"),
             (2e6, 0.0): ("0x1.0971f1b47b9a9p-402", "-0x1.4a8729fc3e3edp-419",
                          "-0x1.1e8f5f1d05743p-398"),
@@ -217,13 +249,13 @@ _SELF_SIMILAR_BITS = {
     "special_log": (
         SpecialLogProfile(3),
         {
-            (1e-4, 0.0): ("0x1.a08ffa35cac95p+32", "-0x1.64c8ddc161e7bp+47",
+            (1e-4, 0.0): ("0x1.a08ffa35cacacp+32", "-0x1.64c8ddc161e7bp+47",
                           "-0x1.85b436e46dab5p+33"),
-            (0.3, 0.5): ("0x1.085551270a4cep+1", "-0x1.ba25258ead522p+3",
+            (0.3, 0.5): ("0x1.08555126ffa56p+1", "-0x1.ba25258ead522p+3",
                          "-0x1.61b7513ef10e8p+2"),
-            (1.2, 0.1): ("0x1.077a881f32414p-2", "-0x1.212f254e2f158p-1",
+            (1.2, 0.1): ("0x1.077a881ce18acp-2", "-0x1.212f254e2f158p-1",
                          "-0x1.010d767e62bddp-1"),
-            (0.3, 0.9): ("0x1.a796daf0aadd2p-3", "-0x1.0438572ac3171p+1",
+            (0.3, 0.9): ("0x1.a796daead02a4p-3", "-0x1.0438572ac3171p+1",
                          "-0x1.0438572ac3171p+2"),
         },
     ),
@@ -680,14 +712,20 @@ class TestFloatPower:
 
 def test_default_residual_lattices_inside_the_domain():
     """Every family at its default parameters sweeps a residual lattice
-    inside its validity domain; one that leaves it is a DomainError."""
+    inside its validity domain, and so does the oracle's stencil at the
+    widest h, the points (r, t +- h) and (r +- 2h, t).  A lattice or a
+    stencil that leaves it is a DomainError: at h = 0.6 the Gaussian-type
+    family's t - h reaches below 0."""
     defaults = [next(s for s in _LINE_FAMILIES if s.family == f) for f in FAMILIES]
+    h = max(STENCIL_WIDTHS)
     for sol in defaults:
         radii, times = sol.residual_lattice()
-        assert sol.valid_rt(radii, times[:, None]).all(), sol.family
+        for dr, dt in [(0, 0), (0, -h), (0, h), (-2 * h, 0), (2 * h, 0)]:
+            assert sol.valid_rt(radii + dr, times[:, None] + dt).all(), sol.family
     cut = SupercriticalExtinction(n_dim=40, p=2.0, q=3.0, T=2.0, C=-1.0)
-    with pytest.raises(DomainError, match="^residual lattice leaves the validity"):
-        cut.residual_lattice()
+    for sol, h_values in [(cut, STENCIL_WIDTHS), (_LINE_FAMILIES[0], (0.6, 0.3))]:
+        with pytest.raises(DomainError, match="^residual lattice leaves the validity"):
+            sol.residual_lattice(h_values)
 
 
 class TestAnalyticGradient:
@@ -716,7 +754,4 @@ class TestAnalyticGradient:
             for h in self.HS
         ]
         assert errs[-1] <= 1e-4
-        if sol.family != "special_log_profile":
-            # the log profile's u is a spline of a tabulated f, so its error
-            # levels off instead of falling as h^2
-            assert math.log2(errs[-2] / errs[-1]) == pytest.approx(2.0, abs=0.2)
+        assert math.log2(errs[-2] / errs[-1]) == pytest.approx(2.0, abs=0.2)

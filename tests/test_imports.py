@@ -1,6 +1,7 @@
 """scipy is loaded only where it is called.
 
-`import dnl_lab.cli` and every run without a solve load no scipy module.  A
+`import dnl_lab.cli` and every run without a solve load no scipy module, and
+the import loads no `numpy.polynomial` either.  A
 solver run binds LAPACK `dgtsv` and BLAS `ddot` from the OpenBLAS that numpy
 has mapped, and loads no scipy module and maps no scipy file.  Its `dgtsv`
 gives the bits of scipy.linalg's, whichever of the solve and `import
@@ -24,13 +25,15 @@ with open(_ROOT / "bench" / "expected.json") as f:
         if op.startswith("closed-form-sweep/")
     ]
 
-# prints the exit codes of its runs through `cli.run`, the scipy modules that
-# the import and the runs loaded, whether the solver bound its routines, and
-# the files under scipy's package directory or `scipy.libs` that the process
-# maps (None without /proc/self/maps)
+# prints whether `import dnl_lab.cli` loaded numpy.polynomial, the exit codes
+# of its runs through `cli.run`, the scipy modules that the import and the
+# runs loaded, whether the solver bound its routines, and the files under
+# scipy's package directory or `scipy.libs` that the process maps (None
+# without /proc/self/maps)
 _PROBE = """
 import contextlib, importlib.util, io, json, os, sys
 import dnl_lab.cli
+polynomial = "numpy.polynomial" in sys.modules
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in json.loads(sys.argv[1]):
@@ -44,13 +47,16 @@ if os.path.exists("/proc/self/maps"):
     with open("/proc/self/maps") as f:
         paths = {line.split(maxsplit=5)[-1].strip() for line in f}
     mapped = sorted(p for p in paths if p.startswith(dirs))
-print(json.dumps({"codes": codes, "scipy": scipy, "bound": bound, "mapped": mapped}))
+print(json.dumps({
+    "polynomial": polynomial, "codes": codes, "scipy": scipy, "bound": bound,
+    "mapped": mapped,
+}))
 """
 
 # runs its steps in order ("solve": one `solve_banded` call on a band state
-# holding a system whose elimination pivots, "linalg": `import scipy.linalg`, "spline": a
-# closed form whose table is a CubicSpline), then solves the same system
-# with scipy.linalg.lapack's `dgtsv`, and prints the values as hex
+# holding a system whose elimination pivots, "linalg": `import scipy.linalg`,
+# "spline": a closed form that reads a quadrature table), then solves the
+# same system with scipy.linalg.lapack's `dgtsv`, and prints the values as hex
 _COHERENCE = """
 import json, sys
 import numpy as np
@@ -101,13 +107,29 @@ def _fresh(script, arg):
 
 
 def test_cli_import_loads_no_scipy():
-    assert _fresh(_PROBE, [])["scipy"] == []
+    # nor numpy.polynomial, which the self-similar tables' Gauss-Legendre
+    # rule loads when a table is built: at import it would add 1.5 MB RSS
+    got = _fresh(_PROBE, [])
+    assert got["scipy"] == []
+    assert got["polynomial"] is False
 
 
 def test_closed_form_runs_load_no_scipy():
     assert len(_CLOSED_FORM) == 12
     got = _fresh(_PROBE, [rec["argv"] for rec in _CLOSED_FORM])
     assert got["codes"] == [rec["exit"] for rec in _CLOSED_FORM]
+    assert got["scipy"] == []
+
+
+def test_self_similar_residuals_load_no_scipy():
+    # the dipole and the log profile read f by quadrature in numpy alone,
+    # and both residual orders converge
+    got = _fresh(_PROBE, [
+        ["exact-residual", "--family.id", "dipole_self_similar", "--family.N", "3",
+         "--family.p", "1.1"],
+        ["exact-residual", "--family.id", "special_log_profile"],
+    ])
+    assert got["codes"] == [0, 0]
     assert got["scipy"] == []
 
 
@@ -140,7 +162,7 @@ def never_solved():
 )
 def test_solver_and_scipy_linalg_share_routines(order, never_solved):
     # the same LAPACK routine from either library: the same bits, and the
-    # spline's do not depend on whether a solve ran first
+    # table's do not depend on whether a solve ran first
     got = _fresh(_COHERENCE, order)
     assert got["solve"] == got["scipy"]
     assert got["spline"] == never_solved["spline"]
