@@ -550,8 +550,7 @@ class _SelfSimilar(ClosedFormSolution):
         self._gx, self._gw = np.polynomial.legendre.leggauss(7)
         self._nodes = nodes
         seg = self._integral(nodes[:-1], nodes[1:])
-        tail = self._tail(nodes[-1])
-        self._f_tab = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]]) + tail
+        self._f_tab = np.append(np.cumsum(seg[::-1])[::-1], 0.0) + self._tail(nodes[-1])
         if not (self._f_tab > 0).all():  # a profile that underflows to 0
             raise ValueError("requires f > 0 at every node of the profile table")
 
@@ -589,9 +588,9 @@ class DipoleSelfSimilar(_SelfSimilar):
     -f'(r) = r^{-2/(2-p)} [C r^{|lam1|/(p-1)} + (2-p)/(p |lam1|)]^{-1/(2-p)}
     with lam1 = N(p-2)+p < 0, and f(inf) = 0.
 
-    f is tabulated on 1e-6 .. 1e6 (4096 nodes), with the analytic tail
-    beyond the grid.  Below it -f' = K0 (p/(2-p)) r^{-2/(2-p)} in double
-    precision: f is K0 r^{-p/(2-p)} plus a constant, `_f_lo`."""
+    f is tabulated on 1e-6 .. 1e6 (4096 nodes).  Beyond the grid -f' ~
+    r^{-(N-1)/(p-1)}, so f ~ r (-f') (p-1)/(N-p); below it -f' = K0 (p/(2-p))
+    r^{-2/(2-p)} in double precision, so f = K0 r^{-p/(2-p)} + `_f_lo`."""
 
     family = "dipole_self_similar"
     role = "weak_solution"
@@ -600,6 +599,8 @@ class DipoleSelfSimilar(_SelfSimilar):
     def __init__(self, n_dim, p, T=1.0, C=1.0):
         if not 1 < p < 2 * n_dim / (n_dim + 2):
             raise ValueError("requires 1 < p < 2N/(N+2) (so N >= 3)")
+        if not C > 0:
+            raise ValueError("requires C > 0")
         exps = ExponentTriple(p=p, q=1.0, n_dim=n_dim)
         super().__init__(exps)
         self.T = T
@@ -619,8 +620,7 @@ class DipoleSelfSimilar(_SelfSimilar):
 
     def _tail(self, r):
         N, p = self.exponents.n_dim, self.exponents.p
-        amp = self.C ** (-1 / (2 - p))  # -f' ~ C^{-1/(2-p)} r^{-(N-1)/(p-1)}
-        return amp * (p - 1) / (N - p) * r ** (-(N - p) / (p - 1))
+        return (p - 1) / (N - p) * r * self.neg_fprime(r)
 
     def f(self, r):
         """The power law below the grid, the tail beyond it, the table on it."""

@@ -639,6 +639,14 @@ class TestRun:
             (["exact-residual", "--family.id", "special_log_profile",
               "--family.C", "250"],
              "requires f > 0 at every node of the profile table"),
+            # the dipole's bracket C r^a + b vanishes at C < 0, and its tail
+            # takes C > 0
+            *[
+                (["exact-residual", "--family.id", "dipole_self_similar",
+                  "--family.N", "3", "--family.p", "1.1", "--family.C", c],
+                 "requires C > 0")
+                for c in ("0", "-1")
+            ],
         ],
     )
     def test_bad_probe_exits_1(self, capsys, argv, message):

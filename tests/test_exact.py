@@ -242,7 +242,7 @@ _SELF_SIMILAR_BITS = {
                          "-0x1.ee40f1b793a15p+2"),
             (2.0, 0.9): ("0x1.4b9a70d0c9616p-81", "-0x1.89c765f7ef234p-78",
                          "-0x1.bf79dc99be4b0p-74"),
-            (2e6, 0.0): ("0x1.0971f1b47b9a9p-402", "-0x1.4a8729fc3e3edp-419",
+            (2e6, 0.0): ("0x1.0971f1b47b9f2p-402", "-0x1.4a8729fc3e3edp-419",
                          "-0x1.1e8f5f1d05743p-398"),
         },
     ),
