@@ -2,9 +2,11 @@
 
     d/dt (u^q) - div(|Du|^(p-2) Du) = 0.
 
+It depends on numpy alone.
+
 Subpackages:
     core        exponent arithmetic, regime classification, the 1-D grid,
-                g-functions, time mollifiers
+                the g-function in closed form, forward time mollifiers
     exact       catalog of closed-form solutions / counterexample families
     solver      implicit finite-volume solver for Cauchy-Dirichlet problems
     diagnostics empirical measurement of Harnack / boundedness / extinction /

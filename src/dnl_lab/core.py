@@ -165,65 +165,38 @@ class Grid1D:
         return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
 
 
-def g_signed(a, b, q, variant="full"):
-    """The g-function g(a, b) = q/(q+1)(|a|^{q+1}-|b|^{q+1})
-    - b(|a|^{q-1}a - |b|^{q-1}b) and its signed parts.
+def g_signed(a, b, q):
+    """The g-function g(a, b) = q int_b^a |s|^{q-1}(s-b) ds, in closed form
+    q/(q+1)(|a|^{q+1}-|b|^{q+1}) - b(|a|^{q-1}a - |b|^{q-1}b) (for q == 1
+    it collapses to (a-b)^2/2 exactly).
 
-    variant "plus"/"minus" are the integrals q * int_b^a |s|^{q-1}(s-b)_+- ds
-    (with the sign convention making them >= 0), computed by adaptive
-    quadrature; "full" uses the closed form (for q == 1 the closed form
-    collapses to (a-b)^2/2 exactly).
+    The closed form integrates q|s|^{q-1}s to q|s|^{q+1}/(q+1) and q|s|^{q-1}
+    to |s|^{q-1}s.  Its signed parts g_+ = q int_b^a |s|^{q-1}(s-b)_+ ds and
+    g_- = q int_a^b |s|^{q-1}(s-b)_- ds are therefore no separate integrals:
+    between b and a the factor s-b keeps the sign of a-b, so g_+ is this
+    closed form where a > b and 0 elsewhere, and g_- is this closed form
+    where a < b and 0 elsewhere.
     """
     if q <= 0:
         raise ValueError("q must be > 0")
     a = float(a)
     b = float(b)
-    if variant == "full":
-        if q == 1:
-            return 0.5 * (a - b) ** 2
-        val = q / (q + 1) * (abs(a) ** (q + 1) - abs(b) ** (q + 1)) - b * (
-            abs(a) ** (q - 1) * a - abs(b) ** (q - 1) * b
-        )
-        # the closed form is >= 0 analytically; clip roundoff
-        return max(val, 0.0)
-    from scipy.integrate import quad
-
-    def _weight(s):
-        # |s|^(q-1) has an integrable singularity at 0 for q < 1
-        return abs(s) ** (q - 1) if s != 0.0 else 0.0
-
-    if variant == "plus":
-        if a <= b:
-            return 0.0
-        val, _ = quad(
-            lambda s: _weight(s) * max(s - b, 0.0),
-            b,
-            a,
-            epsabs=1e-12,
-            points=[0.0] if b < 0.0 < a else None,
-        )
-        return max(q * val, 0.0)
-    if variant == "minus":
-        if a >= b:
-            return 0.0
-        val, _ = quad(
-            lambda s: _weight(s) * max(b - s, 0.0),
-            a,
-            b,
-            epsabs=1e-12,
-            points=[0.0] if a < 0.0 < b else None,
-        )
-        return max(q * val, 0.0)
-    raise ValueError(f"unknown variant {variant!r}")
+    if q == 1:
+        return 0.5 * (a - b) ** 2
+    val = q / (q + 1) * (abs(a) ** (q + 1) - abs(b) ** (q + 1)) - b * (
+        abs(a) ** (q - 1) * a - abs(b) ** (q - 1) * b
+    )
+    # the closed form is >= 0 analytically; clip roundoff
+    return max(val, 0.0)
 
 
-def mollify_exp(samples, dt, h, direction="forward"):
-    """Exponential time mollification of a uniformly sampled series.
+def mollify_exp(samples, dt, h):
+    """Exponential time mollification of a uniformly sampled series,
+    v_h(t) = (1/h) int_0^t exp((tau-t)/h) v(tau) dtau.
 
-    direction "forward": v_h(t) = (1/h) int_0^t exp((tau-t)/h) v(tau) dtau
-    (the kernel looks backward in time from t; the mollified value at t only
-    depends on the past).  direction "backward" is the mirrored variant
-    integrating over (t, T).  Output length equals input length.
+    The kernel looks backward in time from t, so the mollified value at t only
+    depends on the past; the mirrored mollifier over (t, T) is this one on
+    the reversed series, reversed.  Output length equals input length.
 
     The discrete definition is the trapezoid (Crank-Nicolson) step of the
     mollification ODE d/dt v_h = (v - v_h)/h, so the discrete identity
@@ -238,10 +211,6 @@ def mollify_exp(samples, dt, h, direction="forward"):
     if dt <= 0:
         raise ValueError("dt must be > 0")
     v = np.asarray(samples, dtype=float)
-    if direction == "backward":
-        return mollify_exp(v[::-1], dt, h, "forward")[::-1]
-    if direction != "forward":
-        raise ValueError(f"unknown direction {direction!r}")
     n = v.size
     out = np.zeros(n)
     r = dt / (2.0 * h)
@@ -252,7 +221,7 @@ def mollify_exp(samples, dt, h, direction="forward"):
     return out
 
 
-def steklov(samples, dt, h, direction="forward"):
+def steklov(samples, dt, h):
     """Forward Steklov average [v]_h(t) = mean of v over [t, t+h], set to 0 on
     the trailing window (t > T - h).
 
@@ -261,8 +230,6 @@ def steklov(samples, dt, h, direction="forward"):
     precision for the discrete forward difference.  ``h`` must be an integer
     multiple of ``dt``.
     """
-    if direction != "forward":
-        raise ValueError("only the forward Steklov average is defined")
     if h <= 0 or dt <= 0:
         raise ValueError("h and dt must be > 0")
     k = int(round(h / dt))

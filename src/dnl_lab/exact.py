@@ -590,7 +590,9 @@ class DipoleSelfSimilar(_SelfSimilar):
 
     f is tabulated on 1e-6 .. 1e6 (4096 nodes).  Beyond the grid -f' ~
     r^{-(N-1)/(p-1)}, so f ~ r (-f') (p-1)/(N-p); below it -f' = K0 (p/(2-p))
-    r^{-2/(2-p)} in double precision, so f = K0 r^{-p/(2-p)} + `_f_lo`."""
+    r^{-2/(2-p)} in double precision, so f = K0 r^{-p/(2-p)} + `_f_lo`.  C
+    must keep C r^{|lam1|/(p-1)} finite at the grid end, and (2-p)/(p |lam1|)
+    below an ulp of it there, so that f is that asymptote past the grid."""
 
     family = "dipole_self_similar"
     role = "weak_solution"
@@ -607,7 +609,23 @@ class DipoleSelfSimilar(_SelfSimilar):
         self.C = C
         self.lam1 = n_dim * (p - 2) + p
         self._K0 = ((p / (2 - p)) ** (p - 1) * abs(self.lam1)) ** (1 / (2 - p))
-        self._build_table(np.logspace(-6, 6, 4096))
+        nodes = np.logspace(-6, 6, 4096)
+        # the bracket C r^a + b at the grid end, in logs so that nothing
+        # overflows: C r^a must be finite, and b below an ulp of it, so that
+        # `_tail`'s asymptote is f there to double precision
+        a, b = abs(self.lam1) / (p - 1), (2 - p) / (p * abs(self.lam1))
+        log_ra = a * math.log(nodes[-1])
+        if not max(log_ra, math.log(C) + log_ra) < math.log(np.finfo(float).max):
+            raise ValueError(
+                "requires r^a and C r^a finite at the grid end r = 1e6, "
+                "a = |lam1|/(p-1)"
+            )
+        if not math.log(b) <= math.log(C) + log_ra - 52 * math.log(2):
+            raise ValueError(
+                "requires C r^a >= 2^52 (2-p)/(p |lam1|) at the grid end r = 1e6, "
+                "a = |lam1|/(p-1)"
+            )
+        self._build_table(nodes)
         self._f_lo = self._f_tab[0] - self._K0 * self._nodes[0] ** (-p / (2 - p))
 
     def neg_fprime(self, r, power=operator.pow):
@@ -656,6 +674,9 @@ class IvanovSubsolution(ClosedFormSolution):
     family = "ivanov_subsolution"
     role = "weak_subsolution"
     r_singular = 0.0
+    # the step of `_required_rate`'s nested central differences, which read
+    # phi down to rmin - 2 fd
+    fd = 1e-7
 
     def __init__(self, n_dim=3, p=1.2, q=None, r0=0.9, h=None, rmin=0.05):
         if not p < n_dim:
@@ -669,6 +690,11 @@ class IvanovSubsolution(ClosedFormSolution):
             raise ValueError("requires r0 in (0, 1)")
         if not rmin < r0:
             raise ValueError("requires rmin < r0")
+        if not rmin > 2 * self.fd:
+            raise ValueError(
+                f"requires rmin > {2 * self.fd:g}: the rate scan reads phi at "
+                f"rmin - {2 * self.fd:g}"
+            )
         exps = ExponentTriple(p=p, q=q, n_dim=n_dim)
         self.r0 = r0
         self.rmin = rmin
@@ -701,7 +727,7 @@ class IvanovSubsolution(ClosedFormSolution):
         """sup of (-Delta_p phi)_+ / phi^q over [rmin, r0), by a fine scan."""
         N, p, q = self.exponents.n_dim, self.exponents.p, self.exponents.q
         rs = np.linspace(self.rmin, self.r0 * (1 - 1e-5), 20000)
-        fd = 1e-7
+        fd = self.fd
 
         def flux(rr):
             g = (self.phi(rr + fd) - self.phi(rr - fd)) / (2 * fd)

@@ -647,6 +647,33 @@ class TestRun:
                  "requires C > 0")
                 for c in ("0", "-1")
             ],
+            # a dipole whose C r^a at the grid end r = 1e6 leaves the tail's
+            # asymptote off by up to 94% (C = 1e-300) or overflows, and an
+            # Ivanov rmin below the reach of its rate scan's differences
+            *[
+                (["exact-residual", "--family.id", fid, *keys], message)
+                for fid, keys, message in [
+                    ("dipole_self_similar",
+                     ["--family.N", "3", "--family.p", "1.1", "--family.C", "1e-300"],
+                     "requires C r^a >= 2^52 (2-p)/(p |lam1|) at the grid end "
+                     "r = 1e6, a = |lam1|/(p-1)"),
+                    *[
+                        ("dipole_self_similar", ["--family.N", "3", *keys],
+                         "requires r^a and C r^a finite at the grid end r = 1e6, "
+                         "a = |lam1|/(p-1)")
+                        for keys in (
+                            ["--family.p", "1.1", "--family.C", "1e300"],
+                            ["--family.p", "1.01"],
+                        )
+                    ],
+                    *[
+                        ("ivanov_subsolution", ["--family.rmin", rmin],
+                         "requires rmin > 2e-07: the rate scan reads phi at "
+                         "rmin - 2e-07")
+                        for rmin in ("1e-100", "2e-7")
+                    ],
+                ]
+            ],
         ],
     )
     def test_bad_probe_exits_1(self, capsys, argv, message):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from dnl_lab.core import (
     ExponentTriple,
@@ -107,6 +108,20 @@ class TestGrid1D:
         assert Grid1D(0.0, 1.0, 8, "cartesian", 344).surface_constant() == 1.0
 
 
+def _g_by_quad(a, b, q):
+    """q int_b^a |s|^{q-1}(s-b) ds by scipy's quad over [min, max], split at
+    0, where |s|^{q-1} is singular for q < 1."""
+    lo, hi = sorted((a, b))
+    val, _ = quad(
+        lambda s: abs(s) ** (q - 1) * abs(s - b) if s else 0.0,
+        lo,
+        hi,
+        epsabs=1e-12,
+        points=[0.0] if lo < 0.0 < hi else None,
+    )
+    return q * val
+
+
 class TestGFunction:
     def test_q1_closed_form(self):
         for a, b in [(2.0, 1.0), (-1.5, 0.7), (0.0, 3.0)]:
@@ -119,17 +134,13 @@ class TestGFunction:
             assert g_signed(a, b, q) >= 0.0
 
     def test_signed_parts_match_full(self):
-        # g equals the plus part when a >= b and the minus part when a <= b
-        for a, b, q in [(2.0, 0.5, 2.0), (1.0, -1.0, 0.5), (0.3, 0.1, 3.0)]:
-            assert g_signed(a, b, q, "plus") == pytest.approx(
-                g_signed(a, b, q), rel=1e-8
-            )
-            assert g_signed(a, b, q, "minus") == 0.0
-        for a, b, q in [(0.5, 2.0, 2.0), (-1.0, 1.0, 0.5)]:
-            assert g_signed(a, b, q, "minus") == pytest.approx(
-                g_signed(a, b, q), rel=1e-8
-            )
-            assert g_signed(a, b, q, "plus") == 0.0
+        # g = q int_b^a |s|^{q-1}(s-b) ds, which is g_+ where a > b (first
+        # three cases) and g_- where a < b (last two), against scipy's quad
+        for a, b, q in [
+            (2.0, 0.5, 2.0), (1.0, -1.0, 0.5), (0.3, 0.1, 3.0),
+            (0.5, 2.0, 2.0), (-1.0, 1.0, 0.5),
+        ]:
+            assert g_signed(a, b, q) == pytest.approx(_g_by_quad(a, b, q), rel=1e-8)
 
     def test_sandwich(self):
         # c1 (|a|+|b|)^(q-1) (a-b)^2 <= g <= c2 (...) for fixed q
@@ -148,8 +159,6 @@ class TestGFunction:
     def test_errors(self):
         with pytest.raises(ValueError):
             g_signed(1.0, 0.0, -1.0)
-        with pytest.raises(ValueError):
-            g_signed(1.0, 0.0, 2.0, "bogus")
 
 
 class TestMollifiers:
@@ -165,12 +174,6 @@ class TestMollifiers:
         lhs = (y[1:] - y[:-1]) / self.dt
         rhs = ((self.v[1:] - y[1:]) + (self.v[:-1] - y[:-1])) / (2 * h)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-    def test_exp_backward_mirror(self):
-        h = 1e-2
-        fwd = mollify_exp(self.v, self.dt, h, "forward")
-        bwd = mollify_exp(self.v[::-1], self.dt, h, "backward")
-        assert np.allclose(fwd, bwd[::-1])
 
     def test_exp_linear_convergence(self):
         errs = []
@@ -203,10 +206,6 @@ class TestMollifiers:
             mollify_exp(self.v, self.dt, -1.0)
         with pytest.raises(ValueError, match="^dt must be > 0$"):
             mollify_exp(self.v, 0.0, 1e-2)
-        with pytest.raises(ValueError):
-            mollify_exp(self.v, self.dt, 1e-2, "sideways")
-        with pytest.raises(ValueError, match="^only the forward"):
-            steklov(self.v, self.dt, 1e-2, "backward")
         for dt, h in [(self.dt, 0.0), (self.dt, -1e-2), (0.0, 1e-2), (-self.dt, 1e-2)]:
             with pytest.raises(ValueError, match="^h and dt must be > 0$"):
                 steklov(self.v, dt, h)

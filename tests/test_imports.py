@@ -1,4 +1,4 @@
-"""scipy is loaded only where it is called.
+"""`dnl_lab` loads no scipy anywhere, and its declared dependencies are its imports.
 
 `import dnl_lab.cli` and every run without a solve load no scipy module, and
 the import loads no `numpy.polynomial` either.  A
@@ -6,11 +6,15 @@ solver run binds LAPACK `dgtsv` and BLAS `ddot` from the OpenBLAS that numpy
 has mapped, and loads no scipy module and maps no scipy file.  Its `dgtsv`
 gives the bits of scipy.linalg's, whichever of the solve and `import
 scipy.linalg` comes first.  Each check runs in a fresh interpreter, because
-this test session has imported scipy already.
+this test session has imported scipy already.  The third-party modules
+that `src/dnl_lab` imports, at any level, are exactly `[project]
+dependencies`, and those of `tests/` lie within them and the `test` extra.
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -167,3 +171,37 @@ def test_solver_and_scipy_linalg_share_routines(order, never_solved):
     got = _fresh(_COHERENCE, order)
     assert got["solve"] == got["scipy"]
     assert got["spline"] == never_solved["spline"]
+
+
+def _third_party_imports(directory):
+    """The top-level modules that the .py files of `directory` import, in any
+    scope, less the standard library, relative imports and `dnl_lab`."""
+    names = set()
+    for path in directory.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"dnl_lab"}
+
+
+def _declared():
+    """The names in `[project] dependencies` and in the `test` extra."""
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from 3.11
+    with open(_ROOT / "pyproject.toml", "rb") as f:
+        project = tomllib.load(f)["project"]
+
+    def names(requirements):
+        return {re.match(r"[A-Za-z0-9_.-]+", r).group() for r in requirements}
+
+    return (
+        names(project["dependencies"]),
+        names(project["optional-dependencies"]["test"]),
+    )
+
+
+def test_declared_dependencies_are_the_imports():
+    runtime, test = _declared()
+    assert _third_party_imports(_ROOT / "src" / "dnl_lab") == runtime
+    assert _third_party_imports(_ROOT / "tests") <= runtime | test
