@@ -1,4 +1,4 @@
-"""`dnl_lab` loads no scipy anywhere, and its declared dependencies are its imports.
+"""`dnl_lab` loads no scipy anywhere.
 
 `import dnl_lab.cli` and every run without a solve load no scipy module, and
 the import loads no `numpy.polynomial` either.  A
