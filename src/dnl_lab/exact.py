@@ -59,11 +59,17 @@ class ClosedFormSolution:
 
     def residual_lattice(self, h_values=STENCIL_WIDTHS):
         """16 radii x 8 times spanning the family's `residual_window`
-        (r_lo, r_hi, t_lo, t_hi), kept off closed-form singularities; a
-        lattice whose stencil at the widest h of `h_values` has a point
-        outside the validity domain is a DomainError.  The oracle reads u at
+        (r_lo, r_hi, t_lo, t_hi), kept off closed-form singularities.  An
+        empty window (r_lo >= r_hi or t_lo >= t_hi), and a lattice whose
+        stencil at the widest h of `h_values` has a point outside the
+        validity domain, are a DomainError.  The oracle reads u at
         (r, t +- h), (r, t) and (r +- 2h, t)."""
         r_lo, r_hi, t_lo, t_hi = self.residual_window
+        if not (r_lo < r_hi and t_lo < t_hi):
+            raise DomainError(
+                f"residual window of {self.family} is empty: r {r_lo:g} to "
+                f"{r_hi:g}, t {t_lo:g} to {t_hi:g}"
+            )
         radii, times = np.linspace(r_lo, r_hi, 16), np.linspace(t_lo, t_hi, 8)
         dr, dt = np.array([[0, 0, 0, -2, 2], [0, -1, 1, 0, 0]])[..., None, None]
         h = max(h_values)
@@ -215,9 +221,28 @@ def max_residual(sol, radii, times, h):
 
 
 def residual_order(sol, radii, times, h_values=STENCIL_WIDTHS):
-    """Max residuals over the lattice for each h and the fitted log-log order."""
-    res = np.array([max_residual(sol, radii, times, h) for h in h_values])
-    slope = np.polyfit(np.log(np.asarray(h_values)), np.log(res), 1)[0]
+    """Max residuals over the lattice radii x times for each h of `h_values`
+    and the fitted log-log order.  The widths are one array axis: a single
+    `pde_residual_rt` pass with h of shape (len(h_values), 1, 1) gives each
+    width's residuals, with the bits of one `max_residual` per width.  Fewer
+    than two distinct widths, or a width whose max residual is 0 or not
+    finite, leave no slope to fit: a ValueError names them."""
+    hs = np.asarray(h_values, dtype=float)
+    if np.unique(hs).size < 2:
+        raise ValueError(
+            "the residual order needs at least two distinct stencil widths, "
+            f"got {', '.join(repr(h) for h in hs.tolist())}"
+        )
+    R, T = np.meshgrid(np.asarray(radii, float), np.asarray(times, float))
+    res = np.max(np.abs(pde_residual_rt(sol, R, T, hs[:, None, None])), axis=(1, 2))
+    bad = ~(np.isfinite(res) & (res > 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"max residual {res[i]:g} at stencil width {hs[i].item()!r} is not "
+            "finite and > 0: its logarithm fits no order"
+        )
+    slope = np.polyfit(np.log(hs), np.log(res), 1)[0]
     return res, float(slope)
 
 
@@ -868,13 +893,12 @@ def derive_critical_b_report(n_dim, p, h_values=STENCIL_WIDTHS):
         raise ValueError("requires 2 <= p < N")
     q = n_dim * (p - 1) / (n_dim - p)
     candidates = [(n_dim / q) ** p, (n_dim / q) ** q]
-    residuals = []
-    orders = []
+    sweeps = {}  # equal candidates share one sweep
     for b in candidates:
-        sol = CriticalHarnackWave(n_dim, p, b=b)
-        res, order = residual_order(sol, *sol.residual_lattice(h_values), h_values)
-        residuals.append(res)
-        orders.append(order)
+        if b not in sweeps:
+            sol = CriticalHarnackWave(n_dim, p, b=b)
+            sweeps[b] = residual_order(sol, *sol.residual_lattice(h_values), h_values)
+    residuals, orders = zip(*(sweeps[b] for b in candidates))
     coincide = abs(candidates[0] - candidates[1]) <= 1e-6 * max(
         1.0, abs(candidates[0]), abs(candidates[1])
     )

@@ -674,6 +674,27 @@ class TestRun:
                     ],
                 ]
             ],
+            # residual sweeps that leave no order to fit: fewer than two
+            # distinct widths, a width whose differences all round to 0, and
+            # a sub-solution whose decay rate leaves its window no times
+            *[
+                (["exact-residual", "--preset", "residual-trudinger-gaussian",
+                  "--h_sequence", hs], message)
+                for hs, message in [
+                    *[
+                        (hs, "the residual order needs at least two distinct "
+                             f"stencil widths, got {hs.replace(',', ', ')}")
+                        for hs in ("0.01", "0.01,0.01")
+                    ],
+                    ("5e-324,1e-3",
+                     "max residual 0 at stencil width 5e-324 is not finite and "
+                     "> 0: its logarithm fits no order"),
+                ]
+            ],
+            (["exact-residual", "--family.id", "ivanov_subsolution",
+              "--family.rmin", "0.04"],
+             "residual window of ivanov_subsolution is empty: r 0.1 to 0.85, "
+             "t 0.01 to 0.00914829"),
         ],
     )
     def test_bad_probe_exits_1(self, capsys, argv, message):

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dnl_lab import exact
 from dnl_lab.core import STENCIL_WIDTHS, ExponentTriple
 from dnl_lab.exact import (
+    ClosedFormSolution,
     DomainError,
     TrudingerGaussian,
     SeparableBlowup,
@@ -319,6 +321,26 @@ class TestCriticalB:
     def test_precondition(self):
         with pytest.raises(ValueError):
             derive_critical_b_report(3, 1.5)
+
+    @pytest.mark.parametrize("n_dim, builds", [(4, 1), (5, 2)])
+    def test_equal_candidates_share_one_sweep(self, monkeypatch, n_dim, builds):
+        # at (4, 2) both printed candidates are 4.0: one wave, one sweep,
+        # and both candidates report its residuals
+        built = []
+
+        class Spy(CriticalHarnackWave):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs["b"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(exact, "CriticalHarnackWave", Spy)
+        rep = derive_critical_b_report(n_dim, 2.0)
+        assert len(built) == builds
+        assert sorted(set(rep["candidates"])) == sorted(built)
+        for b, res in zip(rep["candidates"], rep["residuals"]):
+            sol = CriticalHarnackWave(n_dim, 2.0, b=b)
+            radii, times = sol.residual_lattice()
+            assert res == [max_residual(sol, radii, times, h) for h in STENCIL_WIDTHS]
 
 
 class TestCriticalWaveExp:
@@ -726,6 +748,67 @@ def test_default_residual_lattices_inside_the_domain():
     for sol, h_values in [(cut, STENCIL_WIDTHS), (_LINE_FAMILIES[0], (0.6, 0.3))]:
         with pytest.raises(DomainError, match="^residual lattice leaves the validity"):
             sol.residual_lattice(h_values)
+
+
+class TestResidualOrder:
+    """The stencil widths as one array axis of `pde_residual_rt`, and the
+    sweeps that leave no order to fit."""
+
+    @pytest.mark.parametrize("h_values", [STENCIL_WIDTHS, (4e-3, 2e-3, 1e-3, 5e-4)],
+                             ids=["default", "finer"])
+    # every line family but the C < 0 extinction variant, whose moving edge
+    # cuts the residual window
+    @pytest.mark.parametrize(
+        "sol",
+        [s for s in _LINE_FAMILIES if getattr(s, "C", 1.0) > 0],
+        ids=lambda s: s.family,
+    )
+    def test_same_bits_as_one_width_at_a_time(self, sol, h_values):
+        radii, times = sol.residual_lattice(h_values)
+        res, order = residual_order(sol, radii, times, h_values)
+        want = np.array([max_residual(sol, radii, times, h) for h in h_values])
+        assert _bits(res) == _bits(want)
+        assert order == float(np.polyfit(np.log(h_values), np.log(want), 1)[0])
+
+    @pytest.mark.parametrize("h_values", [(1e-2,), (1e-2, 1e-2)])
+    def test_refuses_fewer_than_two_distinct_widths(self, h_values):
+        sol = TrudingerGaussian(p=2.0, n_dim=1)
+        with pytest.raises(ValueError, match="at least two distinct stencil widths"):
+            residual_order(sol, *sol.residual_lattice(h_values), h_values)
+
+    def test_refuses_a_zero_max_residual(self):
+        # t +- 5e-324 and r +- 5e-324 round to t and r: every difference is 0
+        sol = TrudingerGaussian(p=2.0, n_dim=1)
+        h_values = (5e-324, 1e-3)
+        with pytest.raises(ValueError, match=r"^max residual 0 at stencil width 5e-324 "):
+            residual_order(sol, *sol.residual_lattice(h_values), h_values)
+
+    def test_refuses_a_max_residual_that_is_not_finite(self):
+        class NanPast(ClosedFormSolution):
+            """u = t^2 + r, NaN past t = 1.007: a quiet NaN warns nowhere."""
+
+            family = "nan_past"
+
+            def __init__(self):
+                super().__init__(ExponentTriple(p=2.0, q=1.0, n_dim=1))
+
+            def u_rt(self, r, t):
+                return np.where(t > 1.007, np.nan, t * t + r)
+
+        radii, times = np.linspace(0.5, 1.0, 4), np.linspace(0.5, 1.0, 3)
+        with pytest.raises(ValueError, match=r"^max residual nan at stencil width 0.01 "):
+            residual_order(NanPast(), radii, times, (1e-2, 5e-3))
+
+    def test_refuses_an_empty_window(self):
+        # rmin 0.04 raises the decay rate, so that the window's times run from
+        # h_max = 0.01 down to 0.9/h_rate - h_max
+        sol = IvanovSubsolution(rmin=0.04)
+        with pytest.raises(
+            DomainError,
+            match=r"^residual window of ivanov_subsolution is empty: r 0.1 to 0.85, "
+            r"t 0.01 to 0.00914829$",
+        ):
+            sol.residual_lattice()
 
 
 class TestAnalyticGradient:

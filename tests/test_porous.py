@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from dnl_lab.core import STENCIL_WIDTHS
 from dnl_lab.porous import (
+    _div_flux_fd,
     NotPowerLaw,
     FiltrationLaw,
     StateEquation,
@@ -190,3 +192,42 @@ class TestVerifyMapping:
         card = to_dnl(FiltrationLaw("darcy"), StateEquation("ideal_isothermal"), MEDIUM)
         with pytest.raises(ValueError):
             verify_mapping(card, lambda x: np.cos(10.0 * x))
+
+    @pytest.mark.parametrize(
+        "law, state, medium",
+        [
+            (FiltrationLaw("darcy"), StateEquation("ideal_isothermal"), MEDIUM),
+            (FiltrationLaw("darcy"), StateEquation("polytropic", n=1.4), MEDIUM),
+            (FiltrationLaw("power_law", alpha=2.0), StateEquation("polytropic", n=2.0), MEDIUM),
+            (FiltrationLaw("power_law", alpha=0.75), StateEquation("incompressible"), MEDIUM),
+            (FiltrationLaw("darcy"), StateEquation("ideal_isothermal"),
+             MediumParams(nanoporous_m=0.5)),
+            (FiltrationLaw("darcy"), StateEquation("weakly_compressible", K=1.0),
+             MediumParams(nanoporous_m=1.0)),
+        ],
+        ids=["gas", "polytropic", "power-polytropic", "incompressible",
+             "nanoporous-gas", "nanoporous-oil"],
+    )
+    @pytest.mark.parametrize("probe", [PROBE, lambda x: 2.0 + np.sin(x)],
+                             ids=["half-sine", "model-probe"])
+    def test_max_diff_same_bits_as_per_step_loop(self, law, state, medium, probe):
+        # the steps as one column against the points give each step's bits
+        card = to_dnl(law, state, medium)
+        p, m_u, s = card.p_exp, card.m_u, 1.0 / card.q_exp
+        xs = np.linspace(0.2, 1.2, 41)
+
+        def flux_phys(v, dv):
+            return card.K_diff * v ** (m_u - 1.0) * np.abs(dv) ** (p - 2.0) * dv
+
+        def flux_proto(u, du):
+            return card.K_diff * s ** (1.0 - p) * np.abs(du) ** (p - 2.0) * du
+
+        want = [
+            float(np.max(np.abs(
+                _div_flux_fd(flux_phys, probe, xs, h)
+                - _div_flux_fd(flux_proto, lambda x: probe(x) ** s, xs, h)
+            )))
+            for h in STENCIL_WIDTHS
+        ]
+        got = verify_mapping(card, probe)["max_diff"]
+        assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
