@@ -228,7 +228,7 @@ def residual_order(sol, radii, times, h_values=STENCIL_WIDTHS):
     than two distinct widths, or a width whose max residual is 0 or not
     finite, leave no slope to fit: a ValueError names them."""
     hs = np.asarray(h_values, dtype=float)
-    if np.unique(hs).size < 2:
+    if len(set(hs.tolist())) < 2:
         raise ValueError(
             "the residual order needs at least two distinct stencil widths, "
             f"got {', '.join(repr(h) for h in hs.tolist())}"
