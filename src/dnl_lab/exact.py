@@ -170,8 +170,8 @@ CONVERGENT_ORDER = 1.5
 
 def pde_residual_rt(sol, r, t, h):
     """Second-order central-difference residual of d/dt(u^q) - div(|Du|^{p-2}Du)
-    at radius r and time t (vectorized).  Uses only sol.u_rt, independently of
-    the analytic derivatives."""
+    at radius r and time t; r, t and h broadcast.  Uses only sol.u_rt,
+    independently of the analytic derivatives."""
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
     e = sol.exponents
