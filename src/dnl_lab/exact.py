@@ -100,10 +100,11 @@ class ClosedFormSolution:
 
     def eval_lattice(self, xs, ts, field="eval"):
         """u (field "eval") or |Du| (field "grad_norm") at every point of the
-        lattice ts x xs, one row per time: the same bits as one `eval([v], t)`
-        or one `float(np.linalg.norm(grad([v], t)))` per point.  It checks no
-        point: every point must lie in the validity domain, as the caller's
-        mask (`valid_lattice`) has decided.
+        lattice ts x xs, one row per time, leading axes of xs and ts being
+        probe axes: the same bits as one `eval([v], t)` or one
+        `float(np.linalg.norm(grad([v], t)))` per point.  It checks no point:
+        every point must lie in the validity domain, as the caller's mask
+        (`valid_lattice`) has decided.
 
         The table is one call of `u_rt` or `ur_rt` on the radii as a row and
         the times as a column, and keeps each value's bits by keeping each
@@ -114,8 +115,8 @@ class ClosedFormSolution:
         from the array loop in the last bit: `u_rt` and `ur_rt` take it by
         their argument `power`, `**` by default and `np.float_power`, whose
         float64 loop is libm `pow`, in a table."""
-        xs = np.asarray(xs, dtype=float)
-        t = np.asarray(ts, dtype=float)[:, None]
+        xs = np.asarray(xs, dtype=float)[..., None, :]
+        t = np.asarray(ts, dtype=float)[..., None]
         # the bits of np.linalg.norm of a 1-vector, inf where x * x overflows
         with np.errstate(over="ignore"):
             r = np.sqrt(xs * xs)
@@ -123,20 +124,19 @@ class ClosedFormSolution:
             return self.u_rt(r, t, np.float_power)
         # `grad`'s bits: the 1-vector y = ur * x / r (0 at r = 0), and the
         # norm sqrt(y * y) of it
-        on = r != 0
-        y = np.zeros((t.size, r.size))
-        y[:, on] = self.ur_rt(r[on], t, np.float_power) * xs[on] / r[on]
-        return np.sqrt(y * y)
+        y = self.ur_rt(r, t, np.float_power) * xs
+        y = np.divide(y, r, out=np.zeros(y.shape), where=r != 0)
+        return np.sqrt(np.multiply(y, y, out=y), out=y)
 
     def valid_lattice(self, xs, ts):
         """`valid_rt` at every point of the lattice ts x xs, one row per
-        time, at the radius sqrt(x * x): the bits of the `np.linalg.norm`
-        that `eval` and `grad` take."""
-        xs = np.asarray(xs, dtype=float)
-        tcol = np.asarray(ts, dtype=float)[:, None]
+        time (leading axes as in `eval_lattice`), at the radius sqrt(x * x):
+        the bits of the `np.linalg.norm` that `eval` and `grad` take."""
+        xs = np.asarray(xs, dtype=float)[..., None, :]
+        tcol = np.asarray(ts, dtype=float)[..., None]
         with np.errstate(over="ignore"):  # inf where x * x overflows
             r = np.sqrt(xs * xs)
-        return np.broadcast_to(self.valid_rt(r, tcol), (tcol.size, xs.size))
+        return np.broadcast_to(self.valid_rt(r, tcol), np.broadcast(r, tcol).shape)
 
     def check_lattice(self, xs, ts):
         """Raise the DomainError of the first point of the lattice ts x xs,
@@ -144,8 +144,9 @@ class ClosedFormSolution:
         it."""
         bad = ~self.valid_lattice(xs, ts)
         if bad.any():
-            i, j = np.unravel_index(np.argmax(bad), bad.shape)
-            self._check(self._radius(xs[j])[0], ts[i])
+            *probe, i, j = np.unravel_index(np.argmax(bad), bad.shape)
+            x, t = np.asarray(xs)[(*probe, j)], np.asarray(ts)[(*probe, i)]
+            self._check(self._radius(x)[0], t)
 
     def grad(self, x, t):
         r, xv = self._radius(x)
@@ -288,12 +289,14 @@ class TrudingerGaussian(ClosedFormSolution):
         return self.u_rt(r, t) * (-N / (p * (p - 1) * t) + xi / (p * t))
 
     def valid_rt(self, r, t):
-        # at |x| = inf, u = 0 exactly
+        # at |x| = inf, u = 0 exactly; |x|^p/(p t) overflows where p t does
         p, N = self.exponents.p, self.exponents.n_dim
         r, t = np.asarray(r, float), np.asarray(t, float)
         with np.errstate(all="ignore"):
-            amp, xi = t ** (-N / (p * (p - 1))), r**p / (p * t)
-        return (t > 0) & np.isfinite(amp) & (np.isfinite(xi) | (r == np.inf))
+            amp, pt = t ** (-N / (p * (p - 1))), p * t
+            xi = r**p / pt
+        ok = (t > 0) & np.isfinite(amp) & np.isfinite(pt)
+        return ok & (np.isfinite(xi) | (r == np.inf))
 
     def validity_description(self):
         return "t > 0 and neither t^(-N/(p(p-1))) nor |x|^p/(p t) overflows"
@@ -383,6 +386,7 @@ class CriticalHarnackWave(ClosedFormSolution):
         self.b = b
         self.kappa = N * (q + 1) / (q * (N - 1))
         self.gamma = (N - 1) / (q + 1)
+        self.b_min = 2 * np.finfo(float).max ** (-1 / (self.gamma + 1))
 
     def _ebt(self, t):
         """e^{bt}; inf where it overflows, where u, Du and u_t take 0, their limit."""
@@ -406,6 +410,17 @@ class CriticalHarnackWave(ClosedFormSolution):
         with np.errstate(invalid="ignore"):  # inf * 0 where e^{bt} overflows
             ut = -self.gamma * self.b * ebt * base ** (-self.gamma - 1)
         return np.where(ebt == np.inf, 0.0, ut)
+
+    def valid_rt(self, r, t):
+        # base = r^kappa + e^{bt}, with e^{bt} underflowing to 0 far back in
+        # time: neither u = base^-gamma nor base^(-gamma-1) in Du overflows
+        # where one term is at least b_min
+        with np.errstate(under="ignore"):
+            r_k = np.asarray(r, float) ** self.kappa
+            return (r_k >= self.b_min) | (self._ebt(t) >= self.b_min)
+
+    def validity_description(self):
+        return "|x|^kappa or e^{bt} is at least 2 DBL_MAX^(-1/(gamma+1))"
 
 
 class BoundednessBorderline(ClosedFormSolution):
@@ -883,17 +898,19 @@ def make_family(name, **params):
         raise ValueError(f"family {name!r} requires {', '.join(missing)}") from None
 
 
-def derive_critical_b_report(n_dim, p, h_values=STENCIL_WIDTHS):
+def derive_critical_b_report(n_dim, p, h_values=STENCIL_WIDTHS, sweeps=()):
     """Numerically arbitrate the time constant b of the critical Harnack wave
     between the two printed candidates (N/q)^p and (N/q)^q.
 
     Returns a dict with the candidates, their max residuals per stencil width
-    on the wave's residual lattice, the selected b and a convergence flag."""
+    on the wave's residual lattice, the selected b and a convergence flag.
+    `sweeps` maps a b to the `residual_order` of the wave (n_dim, p, b) over
+    these h_values already taken, which a candidate equal to it shares."""
     if not (2 <= p < n_dim and n_dim >= 2):
         raise ValueError("requires 2 <= p < N")
     q = n_dim * (p - 1) / (n_dim - p)
     candidates = [(n_dim / q) ** p, (n_dim / q) ** q]
-    sweeps = {}  # equal candidates share one sweep
+    sweeps = dict(sweeps)  # equal candidates share one sweep
     for b in candidates:
         if b not in sweeps:
             sol = CriticalHarnackWave(n_dim, p, b=b)

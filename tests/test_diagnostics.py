@@ -614,6 +614,53 @@ def test_edge_scan_bytes(argv, csv_sha256, meta_sha256, code, tmp_path):
         assert hashlib.sha256(data).hexdigest() == want
 
 
+def _record_reads(monkeypatch, src):
+    """The (fields, xs shape, ts shape) of every `lattice` read of `src`,
+    which may make no one-point read."""
+    reads = []
+    lattice = src.lattice
+
+    def recorded(fields, xs, ts):
+        reads.append((tuple(fields), np.shape(xs), np.shape(ts)))
+        return lattice(fields, xs, ts)
+
+    def one_point(*args):
+        raise AssertionError("a one-point read")
+
+    monkeypatch.setattr(src, "lattice", recorded)
+    for name in ("eval", "grad_norm"):
+        monkeypatch.setattr(src, name, one_point)
+    return reads
+
+
+# one probe per fault kind of `_cylinders`, in their order, on the gaussian
+# (p, N) = (2, 1); gradient_bound's half-height is rho^2
+_FAULTS = {
+    "center outside": ((5.0, -1.0, 1.0), "(5.0, -1.0) outside validity domain"),
+    "u_o <= 0": ((100.0, 1.0, 1.0), "u(x_o,t_o) <= 0 at probe (100.0, 1.0, 1.0)"),
+    "half-height": ((5.0, 2.0, 1e200), "radius 1e+200 is too large: rho^p overflows"),
+    "refused": ((5.0, 0.5, 1.0), "cylinder leaves the domain at probe (5.0, 0.5, 1.0)"),
+}
+
+
+@pytest.mark.parametrize("at", [1, 2], ids=["probe-2", "probe-3"])
+@pytest.mark.parametrize("kind", list(_FAULTS))
+def test_first_fault_in_probe_order_raises(kind, at):
+    """The first probe at fault raises the error that a scan of it alone
+    raises, whatever faults the probes after it hold: every probe before it
+    is sound, and the others follow it in the reverse order of the kinds."""
+    src = SolutionSource(TrudingerGaussian(p=2.0, n_dim=1))
+    probe, message = _FAULTS[kind]
+    others = [pr for k, (pr, _) in _FAULTS.items() if k != kind][::-1]
+    with pytest.raises(ValueError) as alone:
+        gradient_bound(src, [probe], lattice=8)
+    assert str(alone.value).startswith(message)
+    probes = [(4.0, 5.0, 0.5)] * at + [probe] + others
+    with pytest.raises(type(alone.value)) as got:
+        gradient_bound(src, probes, lattice=8)
+    assert str(got.value) == str(alone.value)
+
+
 class TestHarnackScan:
     def test_constant_state_gamma_one(self, const_traj):
         rep = harnack_scan(
@@ -655,17 +702,16 @@ class TestHarnackScan:
 
     def test_u_o_read_once_per_base_point(self, monkeypatch):
         """Every radius of a base point shares its one u_o: the same report
-        as one scan per probe, with one `eval` per base point."""
+        as one scan per probe, from one read of every center and one read of
+        every cylinder, with no one-point `eval`."""
         src = SolutionSource(TrudingerGaussian(p=2.0, n_dim=1))
         base, radii = [(5.0, 2.0), (8.0, 2.0), (12.0, 2.0)], [0.5, 1.0, 1.5, 2.0]
         singles = [
             harnack_scan(src, [b], [rho], sigma=0.25) for b in base for rho in radii
         ]
-        calls = []
-        eval_ = src.eval
-        monkeypatch.setattr(src, "eval", lambda *a: calls.append(a) or eval_(*a))
+        reads = _record_reads(monkeypatch, src)
         rep = harnack_scan(src, base, radii, sigma=0.25)
-        assert calls == base
+        assert reads == [(("eval",), (12, 1), (12, 1)), (("eval",), (12, 32), (12, 32))]
         assert rep.lhs == [g for r in singles for g in r.lhs]
         assert rep.probes == [pr for r in singles for pr in r.probes]
 
@@ -912,16 +958,17 @@ class TestGradientBound:
     @pytest.mark.parametrize("lattice", [1, 8])
     def test_u_o_read_once_per_base_point(self, monkeypatch, lattice):
         """Probes that share a base point share its one u_o: the same report
-        as one probe per call, with one `eval` per base point."""
+        as one probe per call, from one read of every center and one read of
+        every cylinder (at lattice 1, the centers again), with no one-point
+        `eval` or `grad_norm`."""
         src = SolutionSource(TrudingerGaussian(p=2.0, n_dim=1))
         # t_o = 5: the half-height rho^2 keeps every cylinder in t > 0
         probes = [(4.0, 5.0, 0.5), (4.0, 5.0, 1.0), (6.0, 5.0, 1.0), (4.0, 5.0, 2.0)]
         singles = [gradient_bound(src, [pr], lattice) for pr in probes]
-        calls = []
-        eval_ = src.eval
-        monkeypatch.setattr(src, "eval", lambda *a: calls.append(a) or eval_(*a))
+        reads = _record_reads(monkeypatch, src)
         rep = gradient_bound(src, probes, lattice)
-        assert calls == [(4.0, 5.0), (6.0, 5.0)]
+        side = (4, lattice)
+        assert reads == [(("eval",), (4, 1), (4, 1)), (("grad_norm",), side, side)]
         assert rep.lhs == [k for r in singles for k in r.lhs]
         assert rep.probes == [pr for r in singles for pr in r.probes]
 

@@ -1,5 +1,6 @@
 """Tests for the closed-form solution catalog and the residual oracle."""
 
+import functools
 import math
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dnl_lab import exact
-from dnl_lab.core import STENCIL_WIDTHS, ExponentTriple
+from dnl_lab.core import STENCIL_WIDTHS, ExponentTriple, Grid1D
 from dnl_lab.exact import (
     ClosedFormSolution,
     DomainError,
@@ -30,7 +31,8 @@ from dnl_lab.exact import (
     derive_critical_b,
     derive_critical_b_report,
 )
-from dnl_lab.diagnostics import SolutionSource
+from dnl_lab.diagnostics import SolutionSource, _spaced
+from dnl_lab.solver import CauchyDirichletProblem, SolverConfig, solve
 
 
 class TestForcedExponents:
@@ -421,6 +423,59 @@ def _result(read):
         return read(), None
     except DomainError as exc:
         return None, str(exc)
+
+
+@functools.cache
+def _small_trajectory(geometry):
+    """A radial or cartesian run of 12 cells and 5 steps."""
+    g = Grid1D(0.0, 1.0, 12, "radial", 3) if geometry == "radial" else Grid1D(-1.0, 1.0, 12)
+    u0 = 0.5 + np.cos(0.5 * np.pi * (g.centers() - g.x_lo) / (g.x_hi - g.x_lo)) ** 2
+    pr = CauchyDirichletProblem(ExponentTriple(2.0, 2.0, g.n_dim), g, u0, 5e-3)
+    return solve(pr, SolverConfig(dt=1e-3))
+
+
+def _spaced_rows(draw, centers, halves, n):
+    """Rows of np.linspace about the centers, some of zero step."""
+    c = np.array(draw(st.lists(centers, min_size=n, max_size=n)))
+    h = np.array(draw(st.lists(halves, min_size=n, max_size=n)))
+    return c, h
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_stacked_reads_are_the_one_probe_reads(data):
+    """Every probe's slice of a stacked mask or read equals its one-probe
+    mask or read (`valid`, `eval` and `grad_norm` at each of its times) bit
+    for bit, on the closed forms of the line tests and on radial and
+    cartesian runs; the rows that `_spaced` builds are np.linspace's own,
+    zero steps among them, at lattice sizes 1, 2 and 32."""
+    sol = data.draw(st.sampled_from([*_LINE_FAMILIES, "radial", "cartesian"]))
+    if isinstance(sol, str):
+        sol = _small_trajectory(sol)
+        times = st.floats(-1e-3, 6e-3)
+    else:
+        times = _line_times(sol)
+    src = SolutionSource(sol)
+    probes, n = data.draw(st.integers(1, 4)), data.draw(st.sampled_from([1, 2, 32]))
+    widths = st.sampled_from([0.0, 5e-324, 1e-300, 1e-17, 0.05, 0.4])
+    x, dx = _spaced_rows(data.draw, st.floats(-2.0, 2.0), widths, probes)
+    t, dt = _spaced_rows(data.draw, times, widths, probes)
+    xs, ts = (_spaced(c - h, c + h, n) for c, h in ((x, dx), (t, dt)))
+    for rows, c, h in ((xs, x, dx), (ts, t, dt)):
+        for i in range(probes):
+            assert _bits(rows[i]) == _bits(np.linspace(c[i] - h[i], c[i] + h[i], n))
+    with np.errstate(all="ignore"):
+        mask = src.valid_lattice(xs, ts)
+        assert mask.shape == (probes, n, n)
+        for i in range(probes):
+            for row, time in zip(mask[i], ts[i]):
+                assert row.tolist() == src.valid(xs[i], time).tolist()
+        keep = mask.all(axis=(1, 2))
+        for f in ("eval", "grad_norm"):
+            (table,) = src.lattice((f,), xs[keep], ts[keep])
+            for k, i in enumerate(np.flatnonzero(keep)):
+                for row, time in zip(table[k], ts[i]):
+                    assert _bits(row) == _bits(getattr(src, f)(xs[i], time))
 
 
 class TestEvalLine:

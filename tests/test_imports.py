@@ -23,26 +23,28 @@ import pytest
 
 _ROOT = Path(__file__).resolve().parents[1]
 with open(_ROOT / "bench" / "expected.json") as f:
-    _CLOSED_FORM = [
-        rec
-        for op, rec in sorted(json.load(f).items())
-        if op.startswith("closed-form-sweep/")
-    ]
+    _OPS = sorted(json.load(f).items())
+_GATED = [rec for _, rec in _OPS]
+_CLOSED_FORM = [rec for op, rec in _OPS if op.startswith("closed-form-sweep/")]
 
 # prints whether `import dnl_lab.cli` loaded numpy.polynomial, the exit codes
 # of its runs through `cli.run`, the scipy modules that the import and the
-# runs loaded, whether the solver bound its routines, and the files under
-# scipy's package directory or `scipy.libs` that the process maps (None
-# without /proc/self/maps)
+# runs loaded, the modules that the runs loaded past the import and the
+# argument parser, whether the
+# solver bound its routines, and the files under scipy's package directory
+# or `scipy.libs` that the process maps (None without /proc/self/maps)
 _PROBE = """
 import contextlib, importlib.util, io, json, os, sys
 import dnl_lab.cli
 polynomial = "numpy.polynomial" in sys.modules
+dnl_lab.cli._parser()  # argparse's gettext loads locale once per process
+imported = set(sys.modules)
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in json.loads(sys.argv[1]):
         codes.append(dnl_lab.cli.run(argv))
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+loaded = sorted(set(sys.modules) - imported)
 bound = dnl_lab.solver._routines is not None
 root = importlib.util.find_spec("scipy").submodule_search_locations[0]
 dirs = (root + os.sep, os.path.join(os.path.dirname(root), "scipy.libs") + os.sep)
@@ -53,7 +55,7 @@ if os.path.exists("/proc/self/maps"):
     mapped = sorted(p for p in paths if p.startswith(dirs))
 print(json.dumps({
     "polynomial": polynomial, "codes": codes, "scipy": scipy, "bound": bound,
-    "mapped": mapped,
+    "mapped": mapped, "loaded": loaded,
 }))
 """
 
@@ -124,6 +126,16 @@ def test_closed_form_runs_load_no_scipy():
     got = _fresh(_PROBE, [rec["argv"] for rec in _CLOSED_FORM])
     assert got["codes"] == [rec["exit"] for rec in _CLOSED_FORM]
     assert got["scipy"] == []
+
+
+def test_gated_runs_load_no_module_past_the_import():
+    # each of the 25 benchmark operations loads no module that `import
+    # dnl_lab.cli` has not loaded: `np.unique`, say, loads numpy.ma, and
+    # adds about 0.8 MB of peak RSS to every run
+    assert len(_GATED) == 25
+    got = _fresh(_PROBE, [rec["argv"] for rec in _GATED])
+    assert got["codes"] == [rec["exit"] for rec in _GATED]
+    assert got["loaded"] == []
 
 
 def test_self_similar_residuals_load_no_scipy():
