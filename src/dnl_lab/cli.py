@@ -619,15 +619,20 @@ def pipe_model(cfg, out):
     if lk == "power_law":
         law = FiltrationLaw("power_law", alpha=_get(cfg, "model", "alpha"))
     elif lk == "forchheimer":
-        a, b = _get(cfg, "model", "a", 1.0), _get(cfg, "model", "b", 1.0)
-        law = FiltrationLaw("forchheimer", a=a, b=b)
+        law = FiltrationLaw(
+            "forchheimer",
+            a=_get(cfg, "model", "a", 1.0),
+            b=_get(cfg, "model", "b", 1.0),
+        )
     else:
         law = FiltrationLaw(lk)
     sk = _get(cfg, "model", "state")
     if sk == "polytropic":
         state = StateEquation("polytropic", n=_get(cfg, "model", "n"))
     elif sk == "weakly_compressible":
-        state = StateEquation("weakly_compressible", K=_get(cfg, "model", "K", 1.0))
+        state = StateEquation(
+            "weakly_compressible", K=_get(cfg, "model", "K", 1.0)
+        )
     else:
         state = StateEquation(sk)
     medium = MediumParams(
@@ -636,8 +641,17 @@ def pipe_model(cfg, out):
     card = to_dnl(law, state, medium)
     result = verify_mapping(card, lambda x: 2.0 + np.sin(x))
     out.set_header(["p_exp", "q_exp", "m_u", "K_diff", "variable", "order", "passes"])
-    out.add_row([card.p_exp, card.q_exp, card.m_u, card.K_diff, card.variable,
-                 result["order"], result["passes"]])
+    out.add_row(
+        [
+            card.p_exp,
+            card.q_exp,
+            card.m_u,
+            card.K_diff,
+            card.variable,
+            result["order"],
+            result["passes"],
+        ]
+    )
     out.meta(str(card))
     return 0 if result["passes"] else 2
 

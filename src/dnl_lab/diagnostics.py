@@ -57,11 +57,14 @@ class DiagnosticReport:
 
     def csv_rows(self):
         """One row per probe: probe params, lhs, rhs, implied constant."""
-        return [
-            {**pr, "lhs": l, "rhs": r,
-             "implied": l / r if r not in (0.0, None) else math.inf}
-            for pr, l, r in zip(self.probes, self.lhs, self.rhs)
-        ]
+        rows = []
+        for pr, l, r in zip(self.probes, self.lhs, self.rhs):
+            entry = dict(pr)
+            entry["lhs"] = l
+            entry["rhs"] = r
+            entry["implied"] = l / r if r not in (0.0, None) else math.inf
+            rows.append(entry)
+        return rows
 
 
 class SolutionSource:
@@ -372,12 +375,15 @@ def _sup_estimate(src, estimate_id, name, lam_name, lam, average, probe, lattice
     # rho^p, the intrinsic time of level 1: (s/rho^p)^{1/(q+1-p)} is s's level
     rho_p = _intrinsic_time(e, 1.0, rho)
     try:
-        rhs = (rho_p / s) ** (N / lam) * mean ** (p / lam)
-        rhs += (s / rho_p) ** (1 / (q + 1 - p))
+        rhs = (rho_p / s) ** (N / lam) * mean ** (p / lam) + (s / rho_p) ** (
+            1 / (q + 1 - p)
+        )
     except OverflowError:
         rhs = math.inf
     if rhs == math.inf:
-        raise RegimeError(f"{name} right-hand side overflows at {lam_name} = {lam:.6g}")
+        raise RegimeError(
+            f"{name} right-hand side overflows at {lam_name} = {lam:.6g}"
+        )
     rep = DiagnosticReport(estimate_id=estimate_id)
     rep.add(probe, sup_u, rhs)
     rep.implied_constant = sup_u / rhs
@@ -524,10 +530,20 @@ def extinction_analysis(traj, x_o=()):
         us, grads = src.lattice(("eval", "grad_norm"), [x], t_os)
         for t_o, uval, gval in zip(t_os, us.ravel().tolist(), grads.ravel().tolist()):
             rate = ((T_num - t_o) / d**p) ** (1 / kexp)
-            probe_consts.append({"x_o": x, "t_o": float(t_o), "gamma_u": uval / rate,
-                                 "gamma_du": gval / (rate / d)})
-    rep.probes, rep.lhs, rep.rhs = probe_consts, [float(excess)], [float(v0)]
-    rep.implied_constant = max([pc["gamma_u"] for pc in probe_consts], default=0.0)
+            probe_consts.append(
+                {
+                    "x_o": x,
+                    "t_o": float(t_o),
+                    "gamma_u": uval / rate,
+                    "gamma_du": gval / (rate / d),
+                }
+            )
+    rep.probes = probe_consts
+    rep.lhs = [float(excess)]
+    rep.rhs = [float(v0)]
+    rep.implied_constant = max(
+        [pc["gamma_u"] for pc in probe_consts], default=0.0
+    )
     within = max_excess <= 0.05 and T_num - t_start <= T_bound * (1 + 1e-12)
     rep.verdict = "bounded" if within else "diverging"
     rep.extras = dict(T_num=T_num, T_bound=T_bound, mu=mu, max_excess=max_excess)
@@ -602,6 +618,10 @@ def holder_fit(src, x_o, t_o, radii, lattice=16):
         alpha = min(slope, 1.0)
         rep.implied_constant = float(np.max(oscs / np.asarray(radii) ** alpha))
     rep.verdict = "bounded" if 0 < alpha <= 1 and r2 >= 0.9 else "inconclusive"
-    rep.extras = {"alpha_fit": alpha, "alpha_raw": float(slope), "r_squared": r2,
-                  "lipschitz": float(max(lips))}
+    rep.extras = {
+        "alpha_fit": alpha,
+        "alpha_raw": float(slope),
+        "r_squared": r2,
+        "lipschitz": float(max(lips)),
+    }
     return rep

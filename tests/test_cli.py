@@ -1269,29 +1269,6 @@ def test_family_without_its_parameters_exits_cleanly(capsys, fid):
         (["harnack", "--preset", "harnack-fail-trudinger", "--t_o", "1e-308"], 1,
          "error: (5.0, 1e-308) outside validity domain of trudinger_gaussian: "
          "t > 0 and neither t^(-N/(p(p-1))) nor |x|^p/(p t) overflows\n"),
-        # p t overflows at t = 1.7e308, and so |x|^p/(p t) with it
-        (["harnack", "--preset", "harnack-fail-trudinger", "--t_o", "1.7e308"], 1,
-         "error: (5.0, 1.7e+308) outside validity domain of trudinger_gaussian: "
-         "t > 0 and neither t^(-N/(p(p-1))) nor |x|^p/(p t) overflows\n"),
-        (["gradbound", "--preset", "gradbound-fail-trudinger", "--t_o", "1.7e308"],
-         1, "error: (2.0, 1.7e+308) outside validity domain of trudinger_gaussian"),
-        # e^{bt} underflows to 0: u is infinite at the cylinder's point r = 0
-        (["harnack", "--preset", "harnack-fail-critical-wave", "--t_o", "-1e300"],
-         1, "error: cylinder leaves the domain at probe (1.0, -1e+300, 1.0)\n"),
-        # rho^p underflows to 0, where s / rho^p divided by zero
-        (["integral-harnack", "--preset", "integral-harnack-supercritical",
-          "--rho", "1e-300"], 1,
-         "error: radius 1e-300 is too small: rho^p underflows to 0\n"),
-        (["supbound", "--preset", "supbound-fast-diffusion", "--rho", "5e-324"], 1,
-         "error: radius 5e-324 is too small: rho^p underflows to 0\n"),
-        # spans that overflow are refused before np.linspace builds a lattice
-        (["supbound", "--preset", "supbound-fast-diffusion", "--rho", "1.7e308"], 1,
-         "error: cylinder leaves the domain at probe (0.5, 0.03, 1.7e+308)\n"),
-        (["expand", "--preset", "expansion-positivity", "--rho", "1.7e308"], 1,
-         "error: radius 1.7e+308 is too large: rho^p overflows\n"),
-        (["expand", "--preset", "expansion-positivity", "--x_o", "-1.7e308",
-          "--rho", "1e154"], 1,
-         "error: cylinder leaves the domain at probe (-1.7e+308, 0.005, 1e+154)\n"),
         # more than 10^6 steps: refused before the step list is built
         (["solve", "--preset", "solver-supercritical-run", "--dt", "1e-300"], 1,
          "error: t_end - t_start is 4e+298 steps of dt: over 10^6\n"),
@@ -1353,6 +1330,29 @@ def test_family_without_its_parameters_exits_cleanly(capsys, fid):
              "int u^{q+1} overflows\n")
             for override in _OVERFLOWING_MASS
         ),
+        # p t overflows at t = 1.7e308, and so |x|^p/(p t) with it
+        (["harnack", "--preset", "harnack-fail-trudinger", "--t_o", "1.7e308"], 1,
+         "error: (5.0, 1.7e+308) outside validity domain of trudinger_gaussian: "
+         "t > 0 and neither t^(-N/(p(p-1))) nor |x|^p/(p t) overflows\n"),
+        (["gradbound", "--preset", "gradbound-fail-trudinger", "--t_o", "1.7e308"],
+         1, "error: (2.0, 1.7e+308) outside validity domain of trudinger_gaussian"),
+        # e^{bt} underflows to 0: u is infinite at the cylinder's point r = 0
+        (["harnack", "--preset", "harnack-fail-critical-wave", "--t_o", "-1e300"],
+         1, "error: cylinder leaves the domain at probe (1.0, -1e+300, 1.0)\n"),
+        # rho^p underflows to 0, where s / rho^p divided by zero
+        (["integral-harnack", "--preset", "integral-harnack-supercritical",
+          "--rho", "1e-300"], 1,
+         "error: radius 1e-300 is too small: rho^p underflows to 0\n"),
+        (["supbound", "--preset", "supbound-fast-diffusion", "--rho", "5e-324"], 1,
+         "error: radius 5e-324 is too small: rho^p underflows to 0\n"),
+        # spans that overflow are refused before np.linspace builds a lattice
+        (["supbound", "--preset", "supbound-fast-diffusion", "--rho", "1.7e308"], 1,
+         "error: cylinder leaves the domain at probe (0.5, 0.03, 1.7e+308)\n"),
+        (["expand", "--preset", "expansion-positivity", "--rho", "1.7e308"], 1,
+         "error: radius 1.7e+308 is too large: rho^p overflows\n"),
+        (["expand", "--preset", "expansion-positivity", "--x_o", "-1.7e308",
+          "--rho", "1e154"], 1,
+         "error: cylinder leaves the domain at probe (-1.7e+308, 0.005, 1e+154)\n"),
     ],
 )
 def test_branch_exit_code(capsys, argv, code, line):

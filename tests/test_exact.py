@@ -434,8 +434,9 @@ def _small_trajectory(geometry):
     return solve(pr, SolverConfig(dt=1e-3))
 
 
-def _spaced_rows(draw, centers, halves, n):
-    """Rows of np.linspace about the centers, some of zero step."""
+def _centers_and_halves(draw, centers, halves, n):
+    """n drawn centers and n drawn half-widths of np.linspace rows; a
+    half-width of 0, or one whose step underflows, gives a row of zero step."""
     c = np.array(draw(st.lists(centers, min_size=n, max_size=n)))
     h = np.array(draw(st.lists(halves, min_size=n, max_size=n)))
     return c, h
@@ -458,8 +459,8 @@ def test_stacked_reads_are_the_one_probe_reads(data):
     src = SolutionSource(sol)
     probes, n = data.draw(st.integers(1, 4)), data.draw(st.sampled_from([1, 2, 32]))
     widths = st.sampled_from([0.0, 5e-324, 1e-300, 1e-17, 0.05, 0.4])
-    x, dx = _spaced_rows(data.draw, st.floats(-2.0, 2.0), widths, probes)
-    t, dt = _spaced_rows(data.draw, times, widths, probes)
+    x, dx = _centers_and_halves(data.draw, st.floats(-2.0, 2.0), widths, probes)
+    t, dt = _centers_and_halves(data.draw, times, widths, probes)
     xs, ts = (_spaced(c - h, c + h, n) for c, h in ((x, dx), (t, dt)))
     for rows, c, h in ((xs, x, dx), (ts, t, dt)):
         for i in range(probes):
