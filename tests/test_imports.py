@@ -30,9 +30,9 @@ _CLOSED_FORM = [rec for op, rec in _OPS if op.startswith("closed-form-sweep/")]
 # prints whether `import dnl_lab.cli` loaded numpy.polynomial, the exit codes
 # of its runs through `cli.run`, the scipy modules that the import and the
 # runs loaded, the modules that the runs loaded past the import and the
-# argument parser, whether the
-# solver bound its routines, and the files under scipy's package directory
-# or `scipy.libs` that the process maps (None without /proc/self/maps)
+# argument parser, whether the solver bound its routines, and the files
+# under scipy's package directory or `scipy.libs` that the process maps
+# (None without /proc/self/maps)
 _PROBE = """
 import contextlib, importlib.util, io, json, os, sys
 import dnl_lab.cli
