@@ -424,7 +424,8 @@ def expansion_of_positivity(src, x_o, t_o, rho, M, alpha):
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     theta = _intrinsic_time(src.exponents, M, rho)
-    windows = [(d, t_o + d / 2 * theta, t_o + d * theta) for d in 0.5 ** np.arange(10)]
+    deltas = [2.0**-k for k in range(10)]
+    windows = [(d, t_o + d / 2 * theta, t_o + d * theta) for d in deltas]
     _, t_lo, t_hi = np.array(windows).T
     _refuse_infinite((x_o, t_o, rho), (x_o - 2 * rho, x_o + 2 * rho), *zip(t_lo, t_hi))
     xs = np.linspace(x_o - rho, x_o + rho, 64)

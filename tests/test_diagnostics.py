@@ -779,6 +779,9 @@ class TestExpansionOfPositivity:
         rep = expansion_of_positivity(src, 0.0, 2e-3, 0.15, M=0.5, alpha=0.5)
         assert rep.verdict == "bounded"
         assert rep.implied_constant > 0.1
+        # one probe per window delta = 2^-k, each value a Python float
+        assert [pr["delta"] for pr in rep.probes] == [2.0**-k for k in range(10)]
+        assert {type(v) for pr in rep.probes for v in [*pr.values(), *rep.lhs]} == {float}
 
     def test_measure_hypothesis(self, bump_traj):
         src = SolutionSource(bump_traj)
