@@ -54,7 +54,6 @@ from .porous import (
     to_dnl,
     verify_mapping,
     reynolds_regime,
-    NotPowerLaw,
 )
 
 
@@ -1040,9 +1039,7 @@ def run(argv):
             raise ConfigError(f"{args.subcommand} does not read {', '.join(unread)}")
         out.emit(cfg)
         return code
-    except (
-        ConfigError, ValueError, OSError, ImportError, NotPowerLaw, StepFailure
-    ) as exc:
+    except (ValueError, OSError, ImportError, StepFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

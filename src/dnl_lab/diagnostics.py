@@ -16,9 +16,10 @@ their docstrings.  Only "bounded" passes: the CLI exits 0 on it and 2 on any
 other verdict.
 
 Domain rule.  The estimates hold on cylinders inside the domain, so a scan
-refuses, before its first read, every cylinder with a lattice point that
-`SolutionSource.valid_lattice` rejects: "cylinder leaves the domain at probe
-(x_o, t_o, rho)".
+refuses, before its first read, every cylinder whose span is not finite or
+that has a lattice point that `SolutionSource.valid_lattice` rejects:
+"cylinder leaves the domain at probe (x_o, t_o, rho)".  `_lattices` builds
+every scan's lattices and is the rule's one implementation.
 
 The paper-side constants (gamma, eta, alpha_o, ...) are non-explicit, so all
 checks are stability/boundedness checks, never comparisons to printed numbers.
@@ -73,33 +74,34 @@ class SolutionSource:
     gradients are one-sided at the boundary and O(h) accurate).
 
     `lattice` reads every point of a lattice ts x xs, and `valid_lattice` is
-    its mask, which a scan checks whole before the read (the module
-    docstring's rule).  Leading axes of xs and ts are probe axes: xs (P, nx)
-    and ts (P, nt) give one (P, nt, nx) table or mask, each probe's slice
-    with the bits of its own read.  A coordinate x stands for the radius |x|
-    on radial grids and for closed forms, and for the signed position x on
-    cartesian grids.  A closed form's mask is its one validity decision,
-    `valid_rt` at the radius sqrt(x * x) (the bits of the `np.linalg.norm`
-    of its `eval` and `grad`), and its read, `eval_lattice`, checks no point
-    again.  A trajectory's mask is x in the domain and t in
-    [t_start, t_end]; its read takes the stored rows bracketing each time
-    with `Trajectory.row`, which steps the solver only until they exist, so
-    a StepFailure surfaces in the first read that needs the failed step,
-    and in every read after it.
+    its mask, which `_lattices` checks whole before a scan reads.  Leading
+    axes of xs and ts are probe axes: xs (P, nx) and ts (P, nt), or a ts
+    (nt) that every probe shares, give one (P, nt, nx) table or mask, each
+    probe's slice with the bits of its own read.  A coordinate x stands for
+    the radius |x| on radial grids and for closed forms, and for the signed
+    position x on cartesian grids.  A closed form's mask is its one validity
+    decision, `valid_rt` at the radius sqrt(x * x) (the bits of the
+    `np.linalg.norm` of its `eval` and `grad`), and its read,
+    `eval_lattice`, checks no point again.  A trajectory's mask is x in the
+    domain and t in [t_start, t_end]; its read takes the stored rows
+    bracketing each time with `Trajectory.row`, which steps the solver only
+    until they exist, so a StepFailure surfaces in the first read that needs
+    the failed step, and in every read after it.
 
     `eval`, `grad_norm` and `valid` are the one-probe cases: coordinates x,
     a scalar or a 1-D array, at a scalar time t, one value per coordinate
-    (a float, or a bool for `valid`, for a scalar x).  A closed form reads a
-    scalar x with the family's own `eval` and `grad`, which raise
-    DomainError outside its domain, and an array x as one row of its table
-    after `check_lattice`; a trajectory clamps to its edge cells and end
-    rows."""
+    (a float, or a bool for `valid`, for a scalar x), read as one row of the
+    lattice.  A closed form first takes `check_lattice`, which raises the
+    DomainError of the first point outside its domain as the family's own
+    `eval` and `grad` raise it, and its row has their bits; a trajectory
+    clamps to its edge cells and end rows."""
 
     def __init__(self, backing):
         self.backing = backing
         if isinstance(backing, ClosedFormSolution):
             self.kind = "closed_form"
             self.exponents = backing.exponents
+            self._check = backing.check_lattice
             return
         if not isinstance(backing, Trajectory):
             raise TypeError("source must be a ClosedFormSolution or a Trajectory")
@@ -110,6 +112,7 @@ class SolutionSource:
         self._radial = problem.grid.geometry == "radial"
         self._xs = problem.grid.centers()
         self._ts = np.asarray(backing.times)
+        self._check = lambda xs, ts: None  # every read clamps
 
     def eval(self, x, t):
         return self._row("eval", x, t)
@@ -122,16 +125,10 @@ class SolutionSource:
         return ok if np.ndim(x) else bool(ok[0])
 
     def _row(self, field, x, t):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "closed_form":
-            sol = self.backing
-            if not x.ndim:
-                if field == "eval":
-                    return sol.eval([x], t)
-                return float(np.linalg.norm(sol.grad([x], t)))
-            sol.check_lattice(x, [t])
-        (vals,) = self.lattice((field,), np.atleast_1d(x), [t])
-        return vals[0] if x.ndim else float(vals[0, 0])
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        self._check(xs, [t])
+        (vals,) = self.lattice((field,), xs, [t])
+        return vals[0] if np.ndim(x) else float(vals[0, 0])
 
     def valid_lattice(self, xs, ts):
         """The mask of the lattice ts x xs, one row per time."""
@@ -235,88 +232,88 @@ def _intrinsic_time(e, u, rho, sigma=1.0):
     return half
 
 
-def _outside(probe):
-    """The refusal of the module docstring's rule."""
-    return RegimeError(f"cylinder leaves the domain at probe {tuple(probe)}")
-
-
-def _refuse_outside(src, probe, *cylinders):
-    """The module docstring's rule: refuse `probe` (x_o, t_o, rho) unless
-    every point of each of its lattices (xs, ts) lies in the domain."""
-    if not all(src.valid_lattice(xs, ts).all() for xs, ts in cylinders):
-        raise _outside(probe)
-
-
-def _refuse_infinite(probe, *bounds):
-    """Refuse `probe` unless each (lo, hi) of `bounds` spans a finite
-    interval, before np.linspace would fill a lattice with inf or nan."""
-    if not all(math.isfinite(float(hi) - float(lo)) for lo, hi in bounds):
-        raise _outside(probe)
-
-
 _GROUP_POINTS = 1 << 16  # the most lattice points that one mask or read holds
 
 
 def _spaced(lo, hi, n):
     """Rows np.linspace(lo[i], hi[i], n), each with the bits of its own call:
-    numpy takes its zero-step formula for every row of a call once one
-    row's step is 0, so those rows take a call of their own."""
-    out, zero = np.empty((lo.size, n)), (hi - lo) / max(n - 1, 1) == 0
-    for rows in (zero, ~zero):
-        if rows.any():
-            out[rows] = np.linspace(lo[rows], hi[rows], n, axis=-1)
+    numpy's k * step + lo, step = (hi - lo) / (n - 1), ending at hi, and its
+    zero-step formula k / (n - 1) * (hi - lo) + lo, taken row by row."""
+    delta, lo = (hi - lo)[:, None], lo[:, None]
+    if n == 1:
+        return 0.0 * delta + lo  # numpy's one point
+    k, step = np.arange(float(n)), delta / (n - 1)
+    out = np.where(step == 0, k / (n - 1) * delta, k * step) + lo
+    out[:, -1] = hi
     return out
+
+
+def _lattices(src, probes, lo, hi, counts, masked):
+    """The lattices xs (B, nx) and ts (B, nt) of the boxes lo <= (x, t) <= hi,
+    lo and hi of shape (2, B), and the runs of at most `_GROUP_POINTS` points
+    in which a scan reads them.  Before any read it refuses, by the module
+    docstring's rule, the first box whose span is not finite or that has a
+    point `valid_lattice` rejects (one mask a run, unless the caller has
+    `masked` every point), naming its probe probes[i]."""
+    (x0, t0), (x1, t1), (nx, nt) = np.asarray(lo, float), np.asarray(hi, float), counts
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(x1 - x0) & np.isfinite(t1 - t0)
+    n = finite.size if finite.all() else int(np.argmin(finite))
+    xs, ts = _spaced(x0[:n], x1[:n], nx), _spaced(t0[:n], t1[:n], nt)
+    step = max(1, _GROUP_POINTS // (nx * nt))
+    runs = [slice(i, i + step) for i in range(0, n, step)]
+    for run in () if masked else runs:
+        ok = src.valid_lattice(xs[run], ts[run]).all(axis=(1, 2))
+        if not ok.all():
+            n = run.start + int(np.argmin(ok))
+            break
+    if n < finite.size:
+        raise RegimeError(f"cylinder leaves the domain at probe {tuple(probes[n])}")
+    return xs, ts, runs
 
 
 def _cylinders(src, probes, sigma, lattice, fields):
     """u_o = u(x_o, t_o) of each probe (x_o, t_o, rho), and per field the
     least and greatest value over its lattice xs x ts of K_rho(x_o) x
     (t_o +- sigma u_o^{q+1-p} rho^p): the slice t_o at half-height 0, the
-    center at lattice 1.  The probe is an array axis: one read takes every
-    center, then one mask and one read each run of consecutive probes of at
-    most `_GROUP_POINTS` points.  Every cylinder is checked before the first
-    read, and the first probe at fault raises as one probe at a time did,
-    its faults in this order: a closed form's center outside its domain (no
-    invalid center is read, so none warns), u_o <= 0, a radius or
-    half-height that `_intrinsic_time` refuses, a span that is not finite, a
-    point that `valid_lattice` rejects.  A trajectory reads every center."""
+    center (a box of width 0) at lattice 1.  The probe is an array axis: one
+    read takes every center, then one read each run of `_lattices`.  Every
+    cylinder is checked before the first read, and the first probe at fault
+    raises as one probe at a time did, its faults in this order: a closed
+    form's center outside its domain (no invalid center is read, so none
+    warns), u_o <= 0, a radius or half-height that `_intrinsic_time`
+    refuses, then the refusals of `_lattices`.  A trajectory reads every
+    center."""
     probes = list(probes)
     x_o, t_o, rho = np.array(probes, dtype=float).reshape(-1, 3).T
-    inside = src.valid_lattice(x_o[:, None], t_o[:, None])[:, 0, 0]
-    read = inside | (src.kind == "trajectory")
+    closed = src.kind == "closed_form"
+    read = (src.valid_lattice(x_o[:, None], t_o[:, None])[:, 0, 0] if closed
+            else np.ones(x_o.size, bool))
     u_o = np.full(x_o.shape, np.nan)
     (u,) = src.lattice(("eval",), x_o[read, None], t_o[read, None])
     u_o[read] = u[:, 0, 0]
-    bad = ~read | (u_o <= 0) | (lattice == 1) & ~inside
+    bad = ~read | (u_o <= 0)
     n = int(np.argmax(bad)) if bad.any() else len(probes)  # the probes before it
-    xs, ts, half = x_o[:n, None], t_o[:n, None], []
-    for (_, _, r), u in zip(probes[:n] if lattice > 1 else (), u_o.tolist()):
+    half, fault = np.zeros(n), None
+    cylinders = zip(probes[:n], u_o.tolist()) if lattice > 1 else ()
+    for k, ((_, _, r), u) in enumerate(cylinders):
         try:  # a half-height that is not > 0 gives the slice t_o
-            half.append(max(0.0, _intrinsic_time(src.exponents, u, r, sigma)))
-        except RegimeError:
+            half[k] = max(0.0, _intrinsic_time(src.exponents, u, r, sigma))
+        except RegimeError as exc:
+            n, half, fault = k, half[:k], exc
             break
-    if lattice > 1:
-        n, half = len(half), np.array(half)
-        with np.errstate(over="ignore", invalid="ignore"):
-            x, t = x_o[:n] + [-rho[:n], rho[:n]], t_o[:n] + [-half, half]
-            finite = np.isfinite(x[1] - x[0]) & np.isfinite(t[1] - t[0])
-        n = n if finite.all() else int(np.argmin(finite))
-        xs = _spaced(x[0, :n], x[1, :n], lattice)
-        ts = _spaced(t[0, :n], t[1, :n], lattice) if half.any() else t_o[:n, None]
-    step = max(1, _GROUP_POINTS // lattice**2)
-    runs = [slice(i, i + step) for i in range(0, n, step)]
-    for run in runs if lattice > 1 else ():
-        ok = src.valid_lattice(xs[run], ts[run]).all(axis=(1, 2))
-        if not ok.all():
-            raise _outside(probes[run.start + int(np.argmin(ok))])
+    rad = rho[:n] if lattice > 1 else half  # at lattice 1, width 0 in x and t
+    with np.errstate(over="ignore"):
+        box = (x_o[:n] - rad, t_o[:n] - half), (x_o[:n] + rad, t_o[:n] + half)
+    counts = (lattice, lattice if half.any() else 1)
+    # a closed form's lattice-1 cylinders are its centers, masked above
+    xs, ts, runs = _lattices(src, probes, *box, counts, masked=closed and lattice == 1)
     if n < len(probes):
         if not read[n]:
             src.eval(*probes[n][:2])  # the DomainError of a center outside
         if u_o[n] <= 0:
             raise RegimeError(f"u(x_o,t_o) <= 0 at probe {probes[n]}")
-        if lattice > 1:
-            _intrinsic_time(src.exponents, u_o[n].item(), probes[n][2], sigma)
-        raise _outside(probes[n])
+        raise fault
     extremes = [(np.empty(n), np.empty(n)) for _ in fields]
     for run in runs:
         for (lo, hi), table in zip(extremes, src.lattice(fields, xs[run], ts[run])):
@@ -364,14 +361,15 @@ def _sup_estimate(src, estimate_id, name, lam_name, lam, average, probe, lattice
     if lam <= 0:
         raise RegimeError(f"{name} requires {lam_name} > 0, got {lam}")
     x_o, t_o, rho, s = probe["x_o"], probe["t_o"], probe["rho"], probe["s"]
-    _refuse_infinite((x_o, t_o, rho), (x_o - rho, x_o + rho), (t_o - s, t_o))
-    # the lattices of Q_{rho/2,s/2} and Q_{rho,s} as one probe axis
-    xs = _spaced(*(x_o + np.outer([-1, 1], [rho / 2, rho])), lattice)
-    ts = _spaced(t_o - np.array([s / 2, s]), np.array([t_o, t_o]), lattice)
-    _refuse_outside(src, (x_o, t_o, rho), (xs, ts))
-    (vals,) = src.lattice(("eval",), xs, ts)
-    sup_u = float(vals[0].max())
-    mean = average(vals[1].tolist())  # scalar powers: numpy's SIMD power is not libm's
+    # Q_{rho/2,s/2} and Q_{rho,s}: one read, or one each from lattice 182 on
+    lo = [[x_o - rho / 2, x_o - rho], [t_o - s / 2, t_o - s]]
+    hi = [[x_o + rho / 2, x_o + rho], [t_o, t_o]]
+    xs, ts, runs = _lattices(
+        src, [(x_o, t_o, rho)] * 2, lo, hi, (lattice, lattice), masked=False
+    )
+    inner, outer = (v for r in runs for v in src.lattice(("eval",), xs[r], ts[r])[0])
+    sup_u = float(inner.max())
+    mean = average(outer.tolist())  # scalar powers: numpy's SIMD power is not libm's
     # rho^p, the intrinsic time of level 1: (s/rho^p)^{1/(q+1-p)} is s's level
     rho_p = _intrinsic_time(e, 1.0, rho)
     try:
@@ -427,21 +425,24 @@ def expansion_of_positivity(src, x_o, t_o, rho, M, alpha):
     deltas = [2.0**-k for k in range(10)]
     windows = [(d, t_o + d / 2 * theta, t_o + d * theta) for d in deltas]
     _, t_lo, t_hi = np.array(windows).T
-    _refuse_infinite((x_o, t_o, rho), (x_o - 2 * rho, x_o + 2 * rho), *zip(t_lo, t_hi))
-    xs = np.linspace(x_o - rho, x_o + rho, 64)
-    # the windows as one probe axis of the ball K_{2 rho}
-    xs2 = np.broadcast_to(np.linspace(x_o - 2 * rho, x_o + 2 * rho, 64), (10, 64))
-    times = _spaced(t_lo, t_hi, 8)
-    _refuse_outside(src, (x_o, t_o, rho), (xs, [t_o]), (xs2, times))
-    (vals0,) = src.lattice(("eval",), xs, [t_o])
+    # the slice K_rho x {t_o}, then the windows over K_{2 rho}, all checked first
+    probe = (x_o, t_o, rho)
+    xs0, ts0, _ = _lattices(
+        src, [probe], [[x_o - rho], [t_o]], [[x_o + rho], [t_o]], (64, 1), masked=False
+    )
+    xs, ts, runs = _lattices(src, [probe] * 10, [[x_o - 2 * rho] * 10, t_lo],
+                             [[x_o + 2 * rho] * 10, t_hi], (64, 8), masked=False)
+    (vals0,) = src.lattice(("eval",), xs0, ts0)
     frac = float(np.mean(vals0 >= M))
     if frac < alpha:
         raise RegimeError(
             f"measure hypothesis fails: |u >= M| fraction {frac:.3f} < alpha={alpha}"
         )
     rep = DiagnosticReport(estimate_id="expansion_of_positivity")
-    (vals,) = src.lattice(("eval",), xs2, times)
-    etas = [v / M for v in vals.min(axis=(1, 2)).tolist()]
+    etas = [
+        v / M for run in runs
+        for v in src.lattice(("eval",), xs[run], ts[run])[0].min(axis=(1, 2)).tolist()
+    ]
     for (delta, lo, hi), eta in zip(windows, etas):
         rep.add({"delta": delta, "t_lo": lo, "t_hi": hi}, eta)
     rep.implied_constant = max([0.0, *etas])
@@ -520,16 +521,15 @@ def extinction_analysis(traj, x_o=()):
     ) ** ((q + 1) / kexp)
     excess = np.max(v - w)
     max_excess = float(excess / v0)
-    # (iii) decay constants at probes
+    # (iii) decay constants at probes, all in one read of one row per t_o; a
+    # t_o before t_start clamps to the first stored row, as `eval` does
     src = SolutionSource(traj)
     probe_consts = []
     t_os = np.linspace(0.55 * T_num, 0.9 * T_num, 4)
-    for x in x_o:
+    us, grads = src.lattice(("eval", "grad_norm"), np.reshape(x_o, (-1, 1)), t_os)
+    for x, u_x, g_x in zip(x_o, us.tolist(), grads.tolist()):
         d = d_bound(x)
-        # `lattice` keeps one row per t_o: a t_o before t_start clamps to
-        # the first stored row, as the scalar `eval` does
-        us, grads = src.lattice(("eval", "grad_norm"), [x], t_os)
-        for t_o, uval, gval in zip(t_os, us.ravel().tolist(), grads.ravel().tolist()):
+        for t_o, (uval,), (gval,) in zip(t_os, u_x, g_x):
             rate = ((T_num - t_o) / d**p) ** (1 / kexp)
             probe_consts.append(
                 {

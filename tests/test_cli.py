@@ -695,6 +695,12 @@ class TestRun:
               "--family.rmin", "0.04"],
              "residual window of ivanov_subsolution is empty: r 0.1 to 0.85, "
              "t 0.01 to 0.00914829"),
+            # a closed-form center outside the domain: the DomainError of the
+            # source's one-point read, with the family's validity description
+            (["harnack", "--preset", "harnack-fail-critical-wave", "--x_o", "0",
+              "--t_o", "-1e300"],
+             "(0.0, -1e+300) outside validity domain of critical_harnack_wave: "
+             "|x|^kappa or e^{bt} is at least 2 DBL_MAX^(-1/(gamma+1))"),
         ],
     )
     def test_bad_probe_exits_1(self, capsys, argv, message):

@@ -771,6 +771,42 @@ class TestIntegralEstimates:
             with pytest.raises(RegimeError, match=f"^{re.escape(message)}$"):
                 scan()
 
+    @pytest.mark.parametrize(
+        "lattice, xs_shapes, csv_sha256, meta_sha256",
+        [
+            pytest.param(32, [(2, 32)], None, None, id="lattice-32"),
+            pytest.param(
+                1024, [(1, 1024)] * 2,
+                "34e5eacd44e4f4f77397517bea01fd50f1c05a1f29b7ac89a898e4f79048d660",
+                "dbb8e53940bb26035647497657936287ecc7902f174374d51d8ee16c36fc1f7c",
+                id="lattice-1024",
+            ),
+        ],
+    )
+    def test_boxes_read_in_runs(
+        self, monkeypatch, tmp_path, lattice, xs_shapes, csv_sha256, meta_sha256
+    ):
+        """Q_{rho/2,s/2} and Q_{rho,s} share one read while both fit in one
+        run of 2^16 points, and take one read each past it, with the bytes
+        of the one read that held both at any size."""
+        shapes = []
+        lattice_read = SolutionSource.lattice
+
+        def recorded(src, fields, xs, ts):
+            shapes.append(np.shape(xs))
+            return lattice_read(src, fields, xs, ts)
+
+        monkeypatch.setattr(SolutionSource, "lattice", recorded)
+        prefix = tmp_path / "op"
+        argv = ["supbound", "--preset", "supbound-fast-diffusion",
+                "--lattice", str(lattice), "--out", str(prefix)]
+        assert cli.run(argv) == 0
+        assert shapes == xs_shapes
+        for suffix, want in (("csv", csv_sha256), ("meta", meta_sha256)):
+            if want is not None:
+                data = prefix.with_suffix(f".{suffix}").read_bytes()
+                assert hashlib.sha256(data).hexdigest() == want
+
 
 class TestExpansionOfPositivity:
     def test_bounded_on_bump(self, bump_traj):

@@ -894,3 +894,41 @@ class TestAnalyticGradient:
         ]
         assert errs[-1] <= 1e-4
         assert math.log2(errs[-2] / errs[-1]) == pytest.approx(2.0, abs=0.2)
+
+
+class TestAnalyticTimeDerivative:
+    """`dt_uq`, the analytic d/dt(u^q), against the central difference of
+    u^q in t on each family's residual-sweep lattice, whose validation keeps
+    t +- h inside the validity domain at every h below."""
+
+    HS = (1e-3, 5e-4, 2.5e-4)
+    # every line family but the C < 0 extinction variant, whose moving edge
+    # cuts the residual window
+    FAMILIES_WITH_LATTICE = [s for s in _LINE_FAMILIES if getattr(s, "C", 1.0) > 0]
+
+    def test_every_family_is_checked(self):
+        assert {s.family for s in self.FAMILIES_WITH_LATTICE} == set(FAMILIES)
+
+    @pytest.mark.parametrize("sol", FAMILIES_WITH_LATTICE, ids=lambda s: s.family)
+    def test_matches_central_difference(self, sol):
+        radii, times = sol.residual_lattice()
+        r, t = (a.ravel() for a in np.meshgrid(radii, times))
+        dtuq = np.array([sol.dt_uq([rr], tt) for rr, tt in zip(r.tolist(), t.tolist())])
+        scale = np.max(np.abs(dtuq))
+
+        def uq(tt):
+            u = sol.u_rt(r, tt)
+            return np.sign(u) * np.abs(u) ** sol.exponents.q
+
+        errs = [
+            np.max(np.abs((uq(t + h) - uq(t - h)) / (2 * h) - dtuq)) / scale
+            for h in self.HS
+        ]
+        if sol.family == "ivanov_subsolution":
+            # u^q = (1 - h t)_+ phi^q is affine in t: the difference is exact
+            # up to rounding
+            assert max(errs) <= 1e-13
+            return
+        assert errs[-1] <= 1e-4
+        for coarse, fine in zip(errs, errs[1:]):
+            assert math.log2(coarse / fine) == pytest.approx(2.0, abs=0.2)
