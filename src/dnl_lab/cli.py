@@ -1,15 +1,17 @@
 """Configuration-driven experiment runner.
 
-Subcommands expose the library pipelines; every experiment is described by a
-plain-text config tree (sections of key = value lines), optionally loaded
-from a file, optionally a named preset, with ``--section.key value`` (or a
-bare ``--key value`` when unambiguous for the subcommand) overriding single
-entries.  Results go to ``<prefix>.csv`` plus a ``<prefix>.meta`` echo of the
-fully resolved config, or to stdout when no prefix is given.
+    dnl-lab SUBCOMMAND [--preset NAME] [--config FILE] [--out PREFIX] [--key VALUE ...]
+
+runs a library pipeline on a plain-text config tree (sections of key = value
+lines): a named preset, then a config file, then ``--section.key value`` (or
+a bare ``--key value`` when unambiguous for the subcommand) overrides.  Past
+the subcommand, argv is read strictly in pairs, and ``--key value`` is the
+only spelling.  Results go to ``<prefix>.csv`` plus a ``<prefix>.meta`` echo
+of the fully resolved config, or to stdout when no prefix is given.
 
 Exit codes: 0 for a "bounded" diagnostic verdict or a passed check, 2 for any
 other verdict or a failed check (the expected outcome for counterexample
-presets), 1 for errors.
+presets), 1 for errors, usage errors included, each one ``error:`` line.
 
 Config grammar::
 
@@ -22,9 +24,7 @@ No RNG and no wall-clock enter any pipeline: identical configs give
 byte-identical CSV output.
 """
 
-import argparse
 import dataclasses
-import functools
 import math
 import sys
 
@@ -1003,40 +1003,38 @@ def _apply_overrides(cfg, tokens, subcommand):
     return cfg
 
 
-@functools.cache
-def _parser():
-    """The argument parser, built once per process."""
-    parser = argparse.ArgumentParser(
-        prog="dnl-lab",
-        description="experiment runner for the doubly nonlinear diffusion lab",
-        allow_abbrev=False,
-    )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
-    parser.add_argument("--config", help="config file path")
-    parser.add_argument("--preset", help="named preset config")
-    parser.add_argument("--out", help="output path prefix (csv + meta)")
-    return parser
-
-
 def run(argv):
-    args, rest = _parser().parse_known_args(argv)
+    """The exit code of `argv`: a pair keyed --preset, --config or --out is a
+    run option, and every other pair, or a last key alone, an override."""
     try:
+        if not argv or argv[0] not in COMMANDS:
+            raise ConfigError(
+                "usage: dnl-lab SUBCOMMAND [--preset NAME] [--config FILE] "
+                "[--out PREFIX] [--key VALUE ...]; subcommands: "
+                + ", ".join(SUBCOMMANDS)
+            )
+        subcommand, options, rest = argv[0], {}, []
+        for i in range(1, len(argv), 2):
+            pair = argv[i : i + 2]
+            if pair[0] in ("--preset", "--config", "--out") and len(pair) == 2:
+                options[pair[0]] = pair[1]
+            else:
+                rest += pair
         cfg = Config()
-        if args.preset:
-            psub, cfg = preset(args.preset)
-            if psub != args.subcommand:
-                raise ConfigError(
-                    f"preset {args.preset!r} belongs to subcommand {psub!r}"
-                )
-        if args.config:
-            with open(args.config) as f:
+        if "--preset" in options:
+            name = options["--preset"]
+            psub, cfg = preset(name)
+            if psub != subcommand:
+                raise ConfigError(f"preset {name!r} belongs to subcommand {psub!r}")
+        if "--config" in options:
+            with open(options["--config"]) as f:
                 cfg = _merge(cfg, parse_config_text(f.read()))
-        cfg = _apply_overrides(cfg, rest, args.subcommand)
-        out = Output(args.out)
-        code = COMMANDS[args.subcommand](cfg, out)
+        cfg = _apply_overrides(cfg, rest, subcommand)
+        out = Output(options.get("--out"))
+        code = COMMANDS[subcommand](cfg, out)
         unread = cfg.unread()
         if unread:
-            raise ConfigError(f"{args.subcommand} does not read {', '.join(unread)}")
+            raise ConfigError(f"{subcommand} does not read {', '.join(unread)}")
         out.emit(cfg)
         return code
     except (ValueError, OSError, ImportError, StepFailure) as exc:

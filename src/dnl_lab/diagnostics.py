@@ -281,9 +281,9 @@ def _cylinders(src, probes, sigma, lattice, fields):
     cylinder is checked before the first read, and the first probe at fault
     raises as one probe at a time did, its faults in this order: a closed
     form's center outside its domain (no invalid center is read, so none
-    warns), u_o <= 0, a radius or half-height that `_intrinsic_time`
-    refuses, then the refusals of `_lattices`.  A trajectory reads every
-    center."""
+    warns), u_o not > 0 (nan included), a radius or half-height that
+    `_intrinsic_time` refuses, then the refusals of `_lattices`.  A
+    trajectory reads every center."""
     probes = list(probes)
     x_o, t_o, rho = np.array(probes, dtype=float).reshape(-1, 3).T
     closed = src.kind == "closed_form"
@@ -292,7 +292,7 @@ def _cylinders(src, probes, sigma, lattice, fields):
     u_o = np.full(x_o.shape, np.nan)
     (u,) = src.lattice(("eval",), x_o[read, None], t_o[read, None])
     u_o[read] = u[:, 0, 0]
-    bad = ~read | (u_o <= 0)
+    bad = ~read | ~(u_o > 0)
     n = int(np.argmax(bad)) if bad.any() else len(probes)  # the probes before it
     half, fault = np.zeros(n), None
     cylinders = zip(probes[:n], u_o.tolist()) if lattice > 1 else ()
@@ -311,7 +311,7 @@ def _cylinders(src, probes, sigma, lattice, fields):
     if n < len(probes):
         if not read[n]:
             src.eval(*probes[n][:2])  # the DomainError of a center outside
-        if u_o[n] <= 0:
+        if not u_o[n] > 0:
             raise RegimeError(f"u(x_o,t_o) <= 0 at probe {probes[n]}")
         raise fault
     extremes = [(np.empty(n), np.empty(n)) for _ in fields]
@@ -369,7 +369,7 @@ def _sup_estimate(src, estimate_id, name, lam_name, lam, average, probe, lattice
     )
     inner, outer = (v for r in runs for v in src.lattice(("eval",), xs[r], ts[r])[0])
     sup_u = float(inner.max())
-    mean = average(outer.tolist())  # scalar powers: numpy's SIMD power is not libm's
+    mean = float(average(outer))  # np.float_power is libm pow; np.power is not
     # rho^p, the intrinsic time of level 1: (s/rho^p)^{1/(q+1-p)} is s's level
     rho_p = _intrinsic_time(e, 1.0, rho)
     try:
@@ -396,7 +396,7 @@ def integral_harnack(src, x_o, t_o, rho, s, lattice=32):
     e = src.exponents
     return _sup_estimate(
         src, "integral_harnack", "integral Harnack", "lambda_q", e.lam_q,
-        lambda rows: min(float(np.mean([v**e.q for v in row])) for row in rows),
+        lambda rows: np.float_power(rows, e.q).mean(axis=1).min(),
         {"x_o": x_o, "t_o": t_o, "rho": rho, "s": s}, lattice,
     )
 
@@ -406,7 +406,7 @@ def sup_bound(src, x_o, t_o, rho, s, r, lattice=32):
     `_sup_estimate` with lam = lambda_r and A = avg_{Q_{rho,s}} u^r."""
     return _sup_estimate(
         src, "sup_bound", "sup bound", "lambda_r", src.exponents.lambda_r(r),
-        lambda rows: float(np.mean([v**r for row in rows for v in row])),
+        lambda rows: np.float_power(rows, r).mean(),
         {"x_o": x_o, "t_o": t_o, "rho": rho, "s": s, "r": r}, lattice,
     )
 

@@ -693,10 +693,21 @@ class DipoleSelfSimilar(_SelfSimilar):
         return out
 
     def valid_rt(self, r, t):
-        return (np.asarray(r, float) > 0) & (np.asarray(t, float) < self.T)
+        # past C xi^a's overflow -f' reads 0, and at xi = inf f reads inf * 0;
+        # DBL_MAX/2 leaves either libm power's last bit no room to overflow
+        p = self.exponents.p
+        r, t = np.asarray(r, float), np.asarray(t, float)
+        with np.errstate(all="ignore"):
+            scale = (self.T - t) ** (-1 / p)
+            bracket = self.C * (r * scale) ** (abs(self.lam1) / (p - 1))
+        big = np.finfo(float).max / 2
+        return (r > 0) & (t < self.T) & (scale <= big) & (bracket <= big)
 
     def validity_description(self):
-        return "|x| > 0 and t < T"
+        return (
+            "|x| > 0, t < T, and (T-t)^(-1/p) and C xi^a are <= DBL_MAX/2, "
+            "xi = |x| (T-t)^(-1/p), a = |lam1|/(p-1)"
+        )
 
 
 class IvanovSubsolution(ClosedFormSolution):

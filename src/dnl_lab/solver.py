@@ -264,11 +264,6 @@ class _Discretization:
       derivative and |F|;
     - at p = 2 the off-diagonals are constant, and one copy of a template
       refills dl and du.
-    When q is a power of two from 2^-6 to 2^7 and q V is exact (checked
-    here), q is folded into the volumes of beta'(u) V/dt: the product
-    (m q) V then equals m (q V) for every m = max(u, eps)^(q-1), because
-    m q is exact unless it overflows, and for q <= 2^7 it overflows only
-    where u^q does, whose residual makes the solve raise.
     With a zero Dirichlet boundary, the state a step accepts is the start
     of the next step (see `step`).  Every floating-point operation keeps
     the order of the plain formulas in the comments, so the bits are those
@@ -283,18 +278,14 @@ class _Discretization:
         n = g.n_cells
         self.h = np.array(g.h)
         self.p = problem.exponents.p
-        self.q = q = problem.exponents.q
-        self.q0 = np.array(q)
+        self.q = problem.exponents.q
+        self.q0 = np.array(self.q)
         self.zero = np.array(0.0)
         # beta'(u)'s regularization
         self.eps = np.array(1e-12)
         self.mu = problem.mu
         self.vol = g.cell_volumes()
         self.vol_max = self.vol.max()
-        qvol = q * self.vol
-        frac, exp = math.frexp(q)
-        self.fold_q = frac == 0.5 and -5 <= exp <= 8 and (qvol / q == self.vol).all()
-        self.jac_vol = qvol if self.fold_q else self.vol
         faces = g.faces()
         if g.geometry == "radial":
             self.area = faces ** (g.n_dim - 1)
@@ -410,9 +401,8 @@ class _Discretization:
             np.maximum(state.u, self.eps, out=main)
             if q != 2:
                 np.power(main, q - 1, main)
-            if not self.fold_q:
-                np.multiply(main, self.q0, main)
-            np.multiply(main, self.jac_vol, main)
+            np.multiply(main, self.q0, main)
+            np.multiply(main, self.vol, main)
             np.divide(main, dt, main)
         np.add(main, self.dflux_lo, main)
         np.add(main, self.dflux_hi, main)

@@ -134,6 +134,19 @@ class TestOverrides:
         assert _apply_overrides(cfg, [f"--{key}", "7"], sub) == want
 
 
+# a dipole whose far field the probes below read, and the line it refuses with
+_DIPOLE = ["--family.id", "dipole_self_similar", "--family.N", "3", "--family.p", "1.1"]
+_DIPOLE_DOMAIN = (
+    "outside validity domain of dipole_self_similar: |x| > 0, t < T, and "
+    "(T-t)^(-1/p) and C xi^a are <= DBL_MAX/2, xi = |x| (T-t)^(-1/p), "
+    "a = |lam1|/(p-1)\n"
+)
+# the one line of every usage error
+_USAGE = (
+    "error: usage: dnl-lab SUBCOMMAND [--preset NAME] [--config FILE] "
+    "[--out PREFIX] [--key VALUE ...]; subcommands: "
+    + ", ".join(SUBCOMMANDS) + "\n"
+)
 # `extinction-bound` overrides whose initial u^{q+1} underflows to 0 in
 # every cell
 _EMPTY_MASS = (
@@ -712,8 +725,8 @@ class TestRun:
         assert captured.err == f"error: {message}\n"
 
     def test_parser_survives_a_rejected_run(self, tmp_path, capsys):
-        # the parser is built once per process: a run that argparse rejects
-        # leaves it as it was
+        # a usage error returns exit 1 and one line, and leaves the runs
+        # before and after it with the same bytes
         def good(tag):
             prefix = tmp_path / tag
             argv = ["harnack", "--preset", "harnack-fail-borderline"]
@@ -721,10 +734,8 @@ class TestRun:
             return [prefix.with_suffix(s).read_bytes() for s in (".csv", ".meta")]
 
         first = good("a")
-        with pytest.raises(SystemExit) as exc:
-            run(["bogus-subcommand"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'bogus-subcommand'" in capsys.readouterr().err
+        assert run(["bogus-subcommand"]) == 1
+        assert capsys.readouterr() == ("", _USAGE)
         assert good("b") == first
 
     def test_subcommand_mismatch_exits_1(self, capsys):
@@ -1359,6 +1370,26 @@ def test_family_without_its_parameters_exits_cleanly(capsys, fid):
         (["expand", "--preset", "expansion-positivity", "--x_o", "-1.7e308",
           "--rho", "1e154"], 1,
          "error: cylinder leaves the domain at probe (-1.7e+308, 0.005, 1e+154)\n"),
+        # the dipole's far field: x * x overflows to a radius of inf, and C
+        # xi^a overflows from xi of about 1e19 on
+        (["harnack", *_DIPOLE, "--x_o", "1e300", "--t_o", "0.5", "--radii", "1",
+          "--sigma", "0"], 1, f"error: (inf, 0.5) {_DIPOLE_DOMAIN}"),
+        (["gradbound", *_DIPOLE, "--x_o", "1e200", "--t_o", "0.5", "--radii", "1",
+          "--lattice", "1"], 1, f"error: (inf, 0.5) {_DIPOLE_DOMAIN}"),
+        (["holder", *_DIPOLE, "--x_o", "1e100", "--t_o", "0.5", "--radii",
+          "1,2,3,4"], 1, f"error: (1e+100, 0.5) {_DIPOLE_DOMAIN}"),
+        # usage errors: the subcommand first, then --key value pairs only
+        ([], 1, _USAGE),
+        (["bogus"], 1, _USAGE),
+        (["-h"], 1, _USAGE),
+        (["--preset", "harnack-fail-trudinger", "harnack"], 1, _USAGE),
+        (["harnack", "--preset"], 1, "error: missing value for --preset\n"),
+        (["harnack", "--out"], 1, "error: missing value for --out\n"),
+        (["harnack", "--preset=harnack-fail-trudinger"], 1,
+         "error: missing value for --preset=harnack-fail-trudinger\n"),
+        # strict pairing: x_o = "--preset", and the preset's name is a key
+        (["harnack", "--x_o", "--preset", "harnack-fail-trudinger"], 1,
+         "error: expected --key, got 'harnack-fail-trudinger'\n"),
     ],
 )
 def test_branch_exit_code(capsys, argv, code, line):

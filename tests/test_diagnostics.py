@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dnl_lab import cli, solver
+from dnl_lab import diagnostics as dg
 from dnl_lab.core import ExponentTriple, Grid1D
 from dnl_lab.exact import (
     BoundednessBorderline,
@@ -806,6 +807,36 @@ class TestIntegralEstimates:
             if want is not None:
                 data = prefix.with_suffix(f".{suffix}").read_bytes()
                 assert hashlib.sha256(data).hexdigest() == want
+
+    @pytest.mark.parametrize("q", [0.5, 0.7, 1.5, 2.0, 2.5, 3.0])
+    def test_averages_have_the_bits_of_scalar_powers(self, monkeypatch, q):
+        """integral_harnack's least row mean of u^q and sup_bound's mean of
+        u^r take their powers as arrays, with the bits of a Python float's
+        `**` on each value averaged as a list.  The 1 x 1 tables show each
+        power's bits, which np.power's SIMD loop misses for some values."""
+        averages = {}
+
+        def capture(src, estimate_id, name, lam_name, lam, average, *rest):
+            averages[estimate_id] = average
+
+        monkeypatch.setattr(dg, "_sup_estimate", capture)
+        src = SolutionSource(TrudingerGaussian(p=2.0, n_dim=1))
+        src.exponents = ExponentTriple(p=2.0, q=q, n_dim=1)
+        integral_harnack(src, 0.0, 1.0, 0.5, 0.5)
+        sup_bound(src, 0.0, 1.0, 0.5, 0.5, r=q)
+        rng = np.random.default_rng(42)
+        values = rng.random(1024) * 10.0 ** rng.integers(-3, 3, 1024)
+        tables = [np.array([[v]]) for v in [0.0, *values]]
+        tables += [values[: m * n].reshape(m, n) for m, n in [(3, 5), (32, 32)]]
+        tables += [rng.random((k, k)) for k in (33, 128)]
+        for table in tables:
+            rows = table.tolist()
+            want = [
+                min(float(np.mean([v**q for v in row])) for row in rows),
+                float(np.mean([v**q for row in rows for v in row])),
+            ]
+            got = [float(averages[e](table)) for e in ("integral_harnack", "sup_bound")]
+            assert (np.array(got).view(np.int64) == np.array(want).view(np.int64)).all()
 
 
 class TestExpansionOfPositivity:

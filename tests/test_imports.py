@@ -29,15 +29,13 @@ _CLOSED_FORM = [rec for op, rec in _OPS if op.startswith("closed-form-sweep/")]
 
 # prints whether `import dnl_lab.cli` loaded numpy.polynomial, the exit codes
 # of its runs through `cli.run`, the scipy modules that the import and the
-# runs loaded, the modules that the runs loaded past the import and the
-# argument parser, whether the solver bound its routines, and the files
-# under scipy's package directory or `scipy.libs` that the process maps
-# (None without /proc/self/maps)
+# runs loaded, the modules that the runs loaded past the import, whether the
+# solver bound its routines, and the files under scipy's package directory
+# or `scipy.libs` that the process maps (None without /proc/self/maps)
 _PROBE = """
 import contextlib, importlib.util, io, json, os, sys
 import dnl_lab.cli
 polynomial = "numpy.polynomial" in sys.modules
-dnl_lab.cli._parser()  # argparse's gettext loads locale once per process
 imported = set(sys.modules)
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
@@ -99,15 +97,20 @@ print(json.dumps(out))
 """
 
 
-def _fresh(script, arg):
+def _python(*args):
+    """`python *args` in a fresh interpreter that imports `src/`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(_ROOT / "src"), env.get("PYTHONPATH", "")]
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(arg)],
-        capture_output=True, text=True, env=env, timeout=300,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env,
+        timeout=300,
     )
+
+
+def _fresh(script, arg):
+    proc = _python("-c", script, json.dumps(arg))
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -119,6 +122,20 @@ def test_cli_import_loads_no_scipy():
     got = _fresh(_PROBE, [])
     assert got["scipy"] == []
     assert got["polynomial"] is False
+
+
+def test_console_entry_point():
+    # `main`, which the `dnl-lab` script calls, exits with `run`'s code, and
+    # the import loads no argparse: `run` reads argv itself
+    probe = _python("-c", "import sys, dnl_lab.cli; print('argparse' in sys.modules)")
+    assert probe.stdout == "False\n", probe.stderr
+    bad = _python("-m", "dnl_lab.cli", "bogus")
+    assert (bad.returncode, bad.stdout) == (1, "")
+    assert bad.stderr.startswith("error: usage: dnl-lab SUBCOMMAND ")
+    assert bad.stderr.count("\n") == 1
+    good = _python("-m", "dnl_lab.cli", "regimes", "--p", "2", "--q", "2", "--N", "3")
+    assert (good.returncode, good.stderr) == (0, "")
+    assert good.stdout.startswith("p,q,N,")
 
 
 def test_closed_form_runs_load_no_scipy():
