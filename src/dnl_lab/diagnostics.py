@@ -164,10 +164,9 @@ class SolutionSource:
         t = np.minimum(np.maximum(t, times[0]), times[-1])
         i = np.searchsorted(times[1:-1], t) + 1
         w = ((t - times[i - 1]) / (times[i] - times[i - 1]))[..., None]
-        # row i - 1 of a time sits at k0 in `read`, and row i at k1 = k0 + 1
+        # row i - 1 of a time sits at k0 in `read`, and row i at k0 + 1
         read = sorted({*(i - 1).ravel().tolist(), *i.ravel().tolist()}) or [0]
         k0 = np.searchsorted(read, i - 1)[..., None]
-        k1 = k0 + 1
         # the last row first: the steps to it run as one batch (see `row`)
         self.backing.row(read[-1])
         rows = np.array([self.backing.row(n) for n in read])
@@ -182,10 +181,18 @@ class SolutionSource:
         dx, off = xp[j + 1] - xj, r[..., None, :] - xj
         last = r[..., None, :] == xp[-1]
         on_node = (off == 0) | last
+        # the corners u[k0, j], u[k0 + 1, j], u[k0, j + 1] and
+        # u[k0 + 1, j + 1] are the flattened rows at k0 n + j, + n, + 1 and
+        # + n + 1: one index table, read through offset views
+        n = xp.size
+        at = k0 * n + j
+        v = 1 - w
         tables = []
         for f in fields:
             u = np.gradient(rows, self._grid.h, axis=1) if f == "grad_norm" else rows
-            lo, hi = ((1 - w) * u[k0, c] + w * u[k1, c] for c in (j, j + 1))
+            u = u.ravel()
+            lo = v * u.take(at) + w * u[n:].take(at)
+            hi = v * u[1:].take(at) + w * u[n + 1 :].take(at)
             vals = np.where(on_node, np.where(last, hi, lo), (hi - lo) / dx * off + lo)
             tables.append(np.abs(vals) if f == "grad_norm" else vals)
         return tables
@@ -560,6 +567,8 @@ def decay_exponent_fit(sol, x_o):
     ts = T - (T * (1 - 0.9)) * np.logspace(
         0, math.log10((1 - 0.999) / (1 - 0.9)), 24
     )
+    if not T - ts[-1] > 0:  # a subnormal T leaves the last T - t 0
+        raise RegimeError(f"decay fit needs T - t > 0 at its times; T = {T!r} leaves 0")
     sol.check_lattice([x_o], ts)
     vals = sol.eval_lattice([x_o], ts)[:, 0]
     return _loglog_fit(np.log(T - ts), np.log(vals))

@@ -123,10 +123,15 @@ class ClosedFormSolution:
         if field == "eval":
             return self.u_rt(r, t, np.float_power)
         # `grad`'s bits: the 1-vector y = ur * x / r (0 at r = 0), and the
-        # norm sqrt(y * y) of it
+        # norm sqrt(y * y) of it, which is |y| wherever y * y is normal (in
+        # binary floating point): so only |y| < 1 and NaN are squared, and a
+        # |y| whose square overflows is its own norm
         y = self.ur_rt(r, t, np.float_power) * xs
         y = np.divide(y, r, out=np.zeros(y.shape), where=r != 0)
-        return np.sqrt(np.multiply(y, y, out=y), out=y)
+        norm = np.abs(y)
+        small = ~(norm >= 1)
+        np.multiply(y, y, out=norm, where=small)
+        return np.sqrt(norm, out=norm, where=small)
 
     def valid_lattice(self, xs, ts):
         """`valid_rt` at every point of the lattice ts x xs, one row per
@@ -289,17 +294,18 @@ class TrudingerGaussian(ClosedFormSolution):
         return self.u_rt(r, t) * (-N / (p * (p - 1) * t) + xi / (p * t))
 
     def valid_rt(self, r, t):
-        # at |x| = inf, u = 0 exactly; |x|^p/(p t) overflows where p t does
+        # at |x| = inf, u = 0 exactly; |x|^p/(p t) overflows where p t does;
+        # the amplitude C t^(-N/(p(p-1))) is `u_rt`'s first product
         p, N = self.exponents.p, self.exponents.n_dim
         r, t = np.asarray(r, float), np.asarray(t, float)
         with np.errstate(all="ignore"):
-            amp, pt = t ** (-N / (p * (p - 1))), p * t
+            amp, pt = self.C * t ** (-N / (p * (p - 1))), p * t
             xi = r**p / pt
         ok = (t > 0) & np.isfinite(amp) & np.isfinite(pt)
         return ok & (np.isfinite(xi) | (r == np.inf))
 
     def validity_description(self):
-        return "t > 0 and neither t^(-N/(p(p-1))) nor |x|^p/(p t) overflows"
+        return "t > 0 and neither C t^(-N/(p(p-1))) nor |x|^p/(p t) overflows"
 
 
 class SeparableBlowup(ClosedFormSolution):
@@ -562,14 +568,23 @@ class SupercriticalExtinction(ClosedFormSolution):
         return np.where(tt > 0, term1 + term2, 0.0)
 
     def valid_rt(self, r, t):
+        # before T the bracket a |x|^{p/(p-1)} + C (T-t)^sigma is 0 at x = 0
+        # when C = 0, and overflows at a large finite |x| or C (at |x| = inf,
+        # u = 0 exactly); DBL_MAX/2 leaves either libm power's last bit no
+        # room to overflow
         r = np.asarray(r, float)
         t = np.asarray(t, float)
-        if self.C >= 0:
-            return np.full(np.broadcast(r, t).shape, True)
-        return r > self.R_t(t)
+        with np.errstate(all="ignore"):
+            base, tt = self._base(r, t)
+        ok = (base > 0) & (base <= np.finfo(float).max / 2)
+        ok |= (tt == 0) | (r == np.inf)
+        return ok if self.C >= 0 else ok & (r > self.R_t(t))
 
     def validity_description(self):
-        return "|x| > R(t) for the C < 0 variant"
+        return (
+            "a |x|^{p/(p-1)} + C (T-t)^sigma in (0, DBL_MAX/2] at t < T and a "
+            "finite |x|, and |x| > R(t) for the C < 0 variant"
+        )
 
 
 class _SelfSimilar(ClosedFormSolution):
@@ -632,7 +647,8 @@ class DipoleSelfSimilar(_SelfSimilar):
     r^{-(N-1)/(p-1)}, so f ~ r (-f') (p-1)/(N-p); below it -f' = K0 (p/(2-p))
     r^{-2/(2-p)} in double precision, so f = K0 r^{-p/(2-p)} + `_f_lo`.  C
     must keep C r^{|lam1|/(p-1)} finite at the grid end, and (2-p)/(p |lam1|)
-    below an ulp of it there, so that f is that asymptote past the grid."""
+    below an ulp of it there, so that f is that asymptote past the grid; p
+    and N must keep -f' at most DBL_MAX/2 at the grid start."""
 
     family = "dipole_self_similar"
     role = "weak_solution"
@@ -648,12 +664,21 @@ class DipoleSelfSimilar(_SelfSimilar):
         self.T = T
         self.C = C
         self.lam1 = n_dim * (p - 2) + p
-        self._K0 = ((p / (2 - p)) ** (p - 1) * abs(self.lam1)) ** (1 / (2 - p))
         nodes = np.logspace(-6, 6, 4096)
-        # the bracket C r^a + b at the grid end, in logs so that nothing
-        # overflows: C r^a must be finite, and b below an ulp of it, so that
-        # `_tail`'s asymptote is f there to double precision
         a, b = abs(self.lam1) / (p - 1), (2 - p) / (p * abs(self.lam1))
+        # in logs, so that nothing overflows: -f' <= K0 (p/(2-p)) r^(-2/(2-p))
+        # = (b r^2)^(-1/(2-p)), which bounds K0 and the table's reads, must
+        # be at most DBL_MAX/2 at the grid start
+        big = np.finfo(float).max / 2
+        if not -(math.log(b) + 2 * math.log(nodes[0])) / (2 - p) <= math.log(big):
+            raise ValueError(
+                "requires -f' = K0 (p/(2-p)) r^(-2/(2-p)) <= DBL_MAX/2 at the "
+                "grid start r = 1e-6"
+            )
+        self._K0 = ((p / (2 - p)) ** (p - 1) * abs(self.lam1)) ** (1 / (2 - p))
+        # the bracket C r^a + b at the grid end, in logs: C r^a must be
+        # finite, and b below an ulp of it, so that `_tail`'s asymptote is f
+        # there to double precision
         log_ra = a * math.log(nodes[-1])
         if not max(log_ra, math.log(C) + log_ra) < math.log(np.finfo(float).max):
             raise ValueError(
@@ -694,19 +719,27 @@ class DipoleSelfSimilar(_SelfSimilar):
 
     def valid_rt(self, r, t):
         # past C xi^a's overflow -f' reads 0, and at xi = inf f reads inf * 0;
-        # DBL_MAX/2 leaves either libm power's last bit no room to overflow
+        # as xi -> 0, -f' and u_r = -f' (T-t)^(-1/p) overflow: g bounds -f',
+        # and so, below the grid (xi < 1), -f' xi and f = K0 xi^(-p/(2-p)) +
+        # `_f_lo` too; DBL_MAX/2 leaves either libm power's last bit no room
+        # to overflow
         p = self.exponents.p
         r, t = np.asarray(r, float), np.asarray(t, float)
         with np.errstate(all="ignore"):
             scale = (self.T - t) ** (-1 / p)
-            bracket = self.C * (r * scale) ** (abs(self.lam1) / (p - 1))
+            xi = r * scale
+            bracket = self.C * xi ** (abs(self.lam1) / (p - 1))
+            g = self._K0 * (p / (2 - p)) * xi ** (-2 / (2 - p))
+            steep = g * scale
         big = np.finfo(float).max / 2
-        return (r > 0) & (t < self.T) & (scale <= big) & (bracket <= big)
+        ok = (r > 0) & (t < self.T) & (scale <= big) & (bracket <= big)
+        return ok & (g <= big) & (steep <= big)
 
     def validity_description(self):
         return (
-            "|x| > 0, t < T, and (T-t)^(-1/p) and C xi^a are <= DBL_MAX/2, "
-            "xi = |x| (T-t)^(-1/p), a = |lam1|/(p-1)"
+            "|x| > 0, t < T, and (T-t)^(-1/p), C xi^a, g = K0 (p/(2-p)) "
+            "xi^(-2/(2-p)) and g (T-t)^(-1/p) are <= DBL_MAX/2, xi = |x| "
+            "(T-t)^(-1/p), a = |lam1|/(p-1)"
         )
 
 

@@ -233,10 +233,9 @@ class _State:
         self.div = np.empty(n)
         self.beta = np.empty(n)
         self.base = np.empty(n + 1)
-        self.bands = np.empty(4 * n - 2)
-        self.lower, self.upper, self.main, self.F = np.split(
-            self.bands, [n - 1, 2 * n - 2, 3 * n - 2]
-        )
+        self.bands = b = np.empty(4 * n - 2)
+        self.lower, self.upper = b[: n - 1], b[n - 1 : 2 * n - 2]
+        self.main, self.F = b[2 * n - 2 : 3 * n - 2], b[3 * n - 2 :]
         self.off = self.bands[: 2 * n - 2]
         dgtsv, ddot = _lapack()
         # by reference: n, nrhs = 1, dl, d, du, b, ldb = n and info;
@@ -457,7 +456,7 @@ def step(problem, u_prev, t, dt, config, disc=None):
     idle, disc.idle = disc.idle, None
     key = (dt, config.newton_tol)
     if carried and idle is not None and idle[0] == key:
-        u = np.maximum(cur.u, 0.0)
+        u = np.maximum(cur.u, disc.zero)
         disc.returned, disc.idle = u, idle
         return u, {"iters": 0, "residual": idle[1]}
     if not carried and (u_prev < 0).any():
@@ -515,7 +514,7 @@ def step(problem, u_prev, t, dt, config, disc=None):
         if not norm < math.inf:  # inf or NaN
             raise StepFailure("residual is not finite", t_new, norm, tol)
         raise StepFailure("nonlinear iteration did not converge", t_new, norm, tol)
-    u = np.maximum(cur.u, 0.0)
+    u = np.maximum(cur.u, zero)
     if disc.zero_dirichlet:
         disc.returned = u
         if iters and q != 1:  # the next step's beta(u_prev), if carried
@@ -544,14 +543,15 @@ def time_grid(problem, config):
     if remainder > 1e-9 * config.dt or not dts:
         dts.append(remainder)
     t0 = problem.t_start
-    times = [t0] + [t0 + min((i + 1) * config.dt, span) for i in range(len(dts))]
-    return times, dts
+    # the IEEE operations of t0 + min((i + 1) * dt, span), one per step
+    ends = t0 + np.minimum(np.arange(1.0, len(dts) + 1.0) * config.dt, span)
+    return [t0] + ends.tolist(), dts
 
 
 class Trajectory:
     """The record of one run on the grid of `time_grid`, stepped on demand:
     `row(i)` runs implicit steps from `problem.initial` until the field at
-    `times[i]`, splitting a step that fails (`_advance`).  `fields`,
+    `times[i]`, splitting a step that fails (`_split`).  `fields`,
     `newton_iters` and `residual_norms` hold one entry per stored row so far
     (0 and 0.0 for the initial row).  The readers below take rows with
     `row`, so they step a trajectory that is not yet solved."""
@@ -567,16 +567,18 @@ class Trajectory:
         self._failure = None  # the StepFailure that ended the stepping
 
     def row(self, i):
-        """The field at `times[i]`, stepped to on first read.  A StepFailure
-        names its step, and every later read that needs that step raises it
-        again.  The steps run with numpy's overflow, invalid and divide
-        warnings off: a value they make inf or NaN ends the run as the
-        StepFailure of `step`."""
+        """The field at `times[i]`, stepped to on first read: one `step` per
+        stored step, and `_split` in place of a step that raised
+        StepFailure.  A StepFailure names its step, and every later read
+        that needs that step raises it again.  The steps run with numpy's
+        overflow, invalid and divide warnings off: a value they make inf or
+        NaN ends the run as the StepFailure of `step`."""
         if not 0 <= i < len(self.times):
             raise IndexError(f"row {i} of {len(self.times)}")
         fields, times, dts = self.fields, self.times, self._dts
         if i < len(fields):
             return fields[i]
+        problem, config, disc = self.problem, self.config, self._disc
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             while len(fields) <= i:
                 if self._failure is not None:
@@ -584,7 +586,10 @@ class Trajectory:
                 k = len(fields) - 1
                 u, t, dt = fields[k], times[k], dts[k]
                 try:
-                    u, info = self._advance(u, t, dt)
+                    try:
+                        u, info = step(problem, u, t, dt, config, disc)
+                    except StepFailure as exc:
+                        u, info = self._split(exc, u, t, dt)
                 except StepFailure as exc:
                     self._failure = exc.at_step(k + 1, len(dts))
                     raise self._failure from exc
@@ -593,20 +598,24 @@ class Trajectory:
                 self.residual_norms.append(info["residual"])
         return fields[i]
 
-    def _advance(self, u, t, dt, splits=7):
-        """A `step` from u at t by dt, or, where it raises StepFailure, two
-        `_advance`s by dt/2 in its place, down to steps of dt/2^splits; the
-        info of a split step sums the iterations and keeps the larger
-        residual; a step of the least double is not split.  `step` returns a
-        new array and never writes to u."""
-        try:
-            return step(self.problem, u, t, dt, self.config, disc=self._disc)
-        except StepFailure:
-            half = dt / 2
-            if not (splits and half):
-                raise
-        u, a = self._advance(u, t, half, splits - 1)
-        u, b = self._advance(u, t + half, half, splits - 1)
+    def _split(self, failure, u, t, dt, splits=7):
+        """Two steps by dt/2 from u at t, in place of the step by dt that
+        raised `failure`, each split again where it fails, down to steps of
+        dt/2^splits; the info sums the iterations and keeps the larger
+        residual.  With no split left, or at a dt of the least double,
+        `failure` is raised.  `step` returns a new array and never writes
+        to u."""
+        half = dt / 2
+        if not (splits and half):
+            raise failure
+        infos = []
+        for start in (t, t + half):
+            try:
+                u, info = step(self.problem, u, start, half, self.config, self._disc)
+            except StepFailure as exc:
+                u, info = self._split(exc, u, start, half, splits - 1)
+            infos.append(info)
+        a, b = infos
         residual = max(a["residual"], b["residual"])
         return u, {"iters": a["iters"] + b["iters"], "residual": residual}
 

@@ -146,21 +146,25 @@ class Test2CriticalB:
 class Test3SolverConvergence:
     SOL = TrudingerGaussian(p=2.0, n_dim=1)
 
-    def _run(self, n_cells, dt, t_start, t_end):
-        g = Grid1D(-2.0, 2.0, n_cells)
-        u0 = self.SOL.u_rt(np.abs(g.centers()), t_start)
+    @staticmethod
+    def _error(sol, g, dt, t_start, t_end):
+        """The sup error at t_end of a run on `g` from `sol` at t_start, with
+        `sol` as its Dirichlet data."""
+        r = np.abs(g.centers())
         pr = CauchyDirichletProblem(
-            self.SOL.exponents,
+            sol.exponents,
             g,
-            u0,
+            sol.u_rt(r, t_start),
             t_end,
             boundary="from_exact",
-            exact=self.SOL,
+            exact=sol,
             t_start=t_start,
         )
         traj = solve(pr, SolverConfig(dt=dt))
-        ref = self.SOL.u_rt(np.abs(g.centers()), t_end)
-        return float(np.max(np.abs(traj.fields[-1] - ref)))
+        return float(np.max(np.abs(traj.fields[-1] - sol.u_rt(r, t_end))))
+
+    def _run(self, n_cells, dt, t_start, t_end):
+        return self._error(self.SOL, Grid1D(-2.0, 2.0, n_cells), dt, t_start, t_end)
 
     def test_orders(self):
         t0 = time.monotonic()
@@ -176,6 +180,24 @@ class Test3SolverConvergence:
         temporal = float(np.polyfit(np.log(dts), np.log(errs_t), 1)[0])
         assert 0.8 <= temporal <= 1.2
         assert time.monotonic() - t0 < 30.0
+
+    def test_orders_of_a_nonlinear_family(self):
+        # p = q = 3/2 on the radial ball of N = 3: for C > 0 the profile
+        # (T-t)^{1/k} (a r^3 + C (T-t)^sigma)^{-1/(2k)} is smooth, so the
+        # orders the scheme allows are 2 in space and 1 in time
+        sol = SupercriticalExtinction(n_dim=3, p=1.5, q=1.5)
+        ns = [50, 100, 200]
+        errs = [
+            self._error(sol, Grid1D(0.0, 1.0, n, "radial", 3), 2 / n**2, 0.3, 0.35)
+            for n in ns
+        ]
+        spatial = float(np.polyfit(np.log([1 / n for n in ns]), np.log(errs), 1)[0])
+        assert 1.7 <= spatial <= 2.3
+        dts = [4e-3, 2e-3, 1e-3]
+        g = Grid1D(0.0, 1.0, 200, "radial", 3)
+        errs_t = [self._error(sol, g, dt, 0.3, 0.4) for dt in dts]
+        temporal = float(np.polyfit(np.log(dts), np.log(errs_t), 1)[0])
+        assert 0.8 <= temporal <= 1.2
 
 
 # -- 4. discrete comparison principle ----------------------------------------

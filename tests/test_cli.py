@@ -1,6 +1,7 @@
 """Tests for the config grammar and the experiment-runner CLI."""
 
 import contextlib
+import inspect
 import io
 import math
 import re
@@ -24,6 +25,7 @@ from dnl_lab.cli import (
     preset,
     run,
 )
+from dnl_lab.exact import FAMILIES
 from dnl_lab.solver import StepFailure, solve
 
 
@@ -138,8 +140,8 @@ class TestOverrides:
 _DIPOLE = ["--family.id", "dipole_self_similar", "--family.N", "3", "--family.p", "1.1"]
 _DIPOLE_DOMAIN = (
     "outside validity domain of dipole_self_similar: |x| > 0, t < T, and "
-    "(T-t)^(-1/p) and C xi^a are <= DBL_MAX/2, xi = |x| (T-t)^(-1/p), "
-    "a = |lam1|/(p-1)\n"
+    "(T-t)^(-1/p), C xi^a, g = K0 (p/(2-p)) xi^(-2/(2-p)) and g (T-t)^(-1/p) "
+    "are <= DBL_MAX/2, xi = |x| (T-t)^(-1/p), a = |lam1|/(p-1)\n"
 )
 # the one line of every usage error
 _USAGE = (
@@ -714,6 +716,25 @@ class TestRun:
               "--t_o", "-1e300"],
              "(0.0, -1e+300) outside validity domain of critical_harnack_wave: "
              "|x|^kappa or e^{bt} is at least 2 DBL_MAX^(-1/(gamma+1))"),
+            # the dipole's near field: -f' overflows at the grid start (K0
+            # itself at p = 1.99, only the table at p = 1.97), and below the
+            # grid f's power law at x = 1e-100, and the gradient's at 1e-31
+            *[
+                (["harnack", "--family.id", "dipole_self_similar", "--family.N",
+                  "1000", "--family.p", p, "--x_o", "0.5", "--t_o", "0.5",
+                  "--radii", "0.1", "--sigma", "0"],
+                 "requires -f' = K0 (p/(2-p)) r^(-2/(2-p)) <= DBL_MAX/2 at the "
+                 "grid start r = 1e-6")
+                for p in ("1.99", "1.97")
+            ],
+            (["harnack", "--family.id", "dipole_self_similar", "--family.N", "20",
+              "--family.p", "1.8", "--x_o", "1e-100", "--t_o", "0.5", "--radii",
+              "1e-101", "--sigma", "0"],
+             f"(1e-100, 0.5) {_DIPOLE_DOMAIN[:-1]}"),
+            (["gradbound", "--family.id", "dipole_self_similar", "--family.N", "20",
+              "--family.p", "1.8", "--x_o", "1e-31", "--t_o", "0.5", "--radii",
+              "1e-31", "--lattice", "1"],
+             f"(1e-31, 0.5) {_DIPOLE_DOMAIN[:-1]}"),
         ],
     )
     def test_bad_probe_exits_1(self, capsys, argv, message):
@@ -1136,6 +1157,24 @@ def test_probe_extremes_fuzzed(capfd, name):
             _exits_cleanly(capfd, [sub, "--preset", name, f"--probes.{key}", value])
 
 
+_FAMILY_PRESETS = sorted(
+    name for name in PRESETS if "id" in preset(name)[1].get("family", {})
+)
+_FAMILY_EXTREMES = ("0", "-1", "1e-300", "5e-324", "1e300", "-1e300", "1.7e308")
+
+
+@pytest.mark.parametrize("name", _FAMILY_PRESETS)
+def test_family_extremes_fuzzed(capfd, name):
+    """Each [family] key that a family-backed preset's family takes, N for
+    n_dim, at each of `_FAMILY_EXTREMES`: each exits as `_exits_cleanly`
+    says (warnings are errors)."""
+    sub, cfg = preset(name)
+    params = inspect.signature(FAMILIES[cfg["family"]["id"]]).parameters
+    for key in sorted("N" if k == "n_dim" else k for k in params):
+        for value in _FAMILY_EXTREMES:
+            _exits_cleanly(capfd, [sub, "--preset", name, f"--family.{key}", value])
+
+
 @pytest.mark.parametrize(
     "name", ["solver-supercritical-run", "extinction-bound", "holder-supercritical"]
 )
@@ -1276,7 +1315,7 @@ def test_family_without_its_parameters_exits_cleanly(capsys, fid):
         # 5^p overflows: the Gaussian's exponent cannot be formed
         (["harnack", "--preset", "harnack-fail-trudinger", "--p", "1e200"], 1,
          "error: (5.0, 2.0) outside validity domain of trudinger_gaussian: "
-         "t > 0 and neither t^(-N/(p(p-1))) nor |x|^p/(p t) overflows\n"),
+         "t > 0 and neither C t^(-N/(p(p-1))) nor |x|^p/(p t) overflows\n"),
         # rejected before a lattice x lattice array is built
         (["holder", "--preset", "holder-supercritical", "--lattice", "100000000"],
          1, "error: bad value for [probes] lattice: must be <= 1024\n"),
@@ -1285,7 +1324,7 @@ def test_family_without_its_parameters_exits_cleanly(capsys, fid):
         # 5^2/(2 t) overflows at t = 1e-308
         (["harnack", "--preset", "harnack-fail-trudinger", "--t_o", "1e-308"], 1,
          "error: (5.0, 1e-308) outside validity domain of trudinger_gaussian: "
-         "t > 0 and neither t^(-N/(p(p-1))) nor |x|^p/(p t) overflows\n"),
+         "t > 0 and neither C t^(-N/(p(p-1))) nor |x|^p/(p t) overflows\n"),
         # more than 10^6 steps: refused before the step list is built
         (["solve", "--preset", "solver-supercritical-run", "--dt", "1e-300"], 1,
          "error: t_end - t_start is 4e+298 steps of dt: over 10^6\n"),
@@ -1350,7 +1389,7 @@ def test_family_without_its_parameters_exits_cleanly(capsys, fid):
         # p t overflows at t = 1.7e308, and so |x|^p/(p t) with it
         (["harnack", "--preset", "harnack-fail-trudinger", "--t_o", "1.7e308"], 1,
          "error: (5.0, 1.7e+308) outside validity domain of trudinger_gaussian: "
-         "t > 0 and neither t^(-N/(p(p-1))) nor |x|^p/(p t) overflows\n"),
+         "t > 0 and neither C t^(-N/(p(p-1))) nor |x|^p/(p t) overflows\n"),
         (["gradbound", "--preset", "gradbound-fail-trudinger", "--t_o", "1.7e308"],
          1, "error: (2.0, 1.7e+308) outside validity domain of trudinger_gaussian"),
         # e^{bt} underflows to 0: u is infinite at the cylinder's point r = 0

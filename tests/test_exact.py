@@ -653,6 +653,21 @@ class TestEvalLattice:
                 got = sol.eval_lattice(xs, ts).ravel()
                 assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
+    def test_a_gradient_whose_square_overflows_is_its_own_norm(self):
+        # |Du| ~ 1e299 at C = 1e300: sqrt(y * y) of the 1-vector y = Du
+        # would overflow, so the norm is |y| itself, with no warning; at
+        # C = 1 the reads still match `grad` bit for bit
+        big = TrudingerGaussian(p=2.0, n_dim=1, C=1e300)
+        xs = np.array([2.0, -4.0, 8.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = big.eval_lattice(xs, [1.0], "grad_norm")
+        ur = big.ur_rt(np.abs(xs), np.array([[1.0]]), np.float_power)
+        assert (got > 1e154).all() and _bits(got.ravel()) == _bits(np.abs(ur).ravel())
+        sol = TrudingerGaussian(p=2.0, n_dim=1)
+        got = sol.eval_lattice(xs, [1.0], "grad_norm").ravel()
+        assert _bits(got) == _bits(_lattice_each(sol, xs, [1.0], "grad_norm"))
+
     def test_first_invalid_point_named(self):
         # |x| would accept 1e-300, but its radius sqrt(x * x) = 0 is outside:
         # the mask rejects the point, and the one-row read names it

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dnl_lab import cli, solver
@@ -351,6 +351,31 @@ class TestSolve:
             CauchyDirichletProblem(e, g, _bump(g), 1e-3 + 1e-15), cfg
         )
         assert times == [0.0, 1e-3] and dts == [1e-3]
+
+    @given(
+        st.floats(-1e3, 1e3),
+        st.floats(1e-6, 1.0),
+        st.integers(0, 3000),
+        st.sampled_from([0.0, 1e-12, 1e-10, 0.5]) | st.floats(0.0, 1.0),
+    )
+    @example(t_start=0.03, dt=7e-4, steps=19, tail=0.43)  # a short final step
+    @example(t_start=0.0, dt=1e-3, steps=10, tail=1e-12)  # under 1e-9 dt: dropped
+    @example(t_start=0.25, dt=1e-3, steps=0, tail=0.5)  # the only step is short
+    def test_time_grid_is_the_listed_formula(self, t_start, dt, steps, tail):
+        # the stored times, bit for bit (float.hex), are t_start and then
+        # t_start + min((i + 1) dt, span) per step i, as Python floats
+        t_end = t_start + (steps + tail) * dt
+        assume(t_start < t_end)
+        g = Grid1D(0.0, 1.0, 8)
+        pr = CauchyDirichletProblem(
+            ExponentTriple(2.0, 1.0, 1), g, _bump(g), t_end, t_start=t_start
+        )
+        times, dts = time_grid(pr, SolverConfig(dt=dt))
+        span = t_end - t_start
+        want = [t_start] + [t_start + min((i + 1) * dt, span) for i in range(len(dts))]
+        assert all(type(t) is float for t in times)
+        assert [t.hex() for t in times] == [t.hex() for t in want]
+        assert dts[:-1] == [dt] * (len(dts) - 1) and 0 < dts[-1] <= dt * (1 + 1e-9)
 
     @pytest.mark.parametrize("geometry", ["radial", "cartesian"])
     def test_trajectory_steps_to_the_row_it_reads(self, monkeypatch, geometry):
